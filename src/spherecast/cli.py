@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from datetime import timedelta
 from pathlib import Path
 
@@ -70,10 +68,6 @@ def _parse_time_arg(s: str):
     return cio._parse_time(s if s.endswith("Z") else s + "Z")
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.9g}"
-
-
 def _task_seed(master: int, tag: str) -> int:
     return int(np.random.SeedSequence(
         [master, zlib.crc32(tag.encode())]).generate_state(1)[0])
@@ -123,13 +117,15 @@ def _cmd_stats(cfg):
     return EXIT_OK
 
 
-def _apply_per_field(cfg, subcommand, transform):
+def _apply_per_series(cfg, subcommand, transform):
     c = read_container(cfg["input"])
     stats = NormStats.from_json(cfg["stats"])
     out = {}
     for key, series in c.to_dict().items():
-        fields = [transform(series.field(i), stats) for i in range(len(series))]
-        out[key] = FieldSeries.from_fields(fields)
+        if not np.isfinite(series.values).all():
+            raise ValueError(f"{c.path}: non-finite values in {key[0]} "
+                             f"({key[1]})")
+        out[key] = transform(series, stats)
     dtype = cfg["dtype"] or c.dtype_name
     write_container(out, cfg["output"], dtype=dtype, attrs=c.attrs)
     _write_manifest(cfg["output"], subcommand, cfg)
@@ -137,11 +133,11 @@ def _apply_per_field(cfg, subcommand, transform):
 
 
 def _cmd_normalize(cfg):
-    return _apply_per_field(cfg, "normalize", normalize)
+    return _apply_per_series(cfg, "normalize", normalize)
 
 
 def _cmd_denormalize(cfg):
-    return _apply_per_field(cfg, "denormalize", denormalize)
+    return _apply_per_series(cfg, "denormalize", denormalize)
 
 
 def _cmd_climatology(cfg):
@@ -227,31 +223,23 @@ def _spectrum_rows(cfg, c):
     l_max = cfg["l_max"] or min(c.grid.n_lat - 1, (c.grid.n_lon - 1) // 2)
     init = c.attrs.get("init_time")
     t0 = cio._parse_time(init) if init else c.times[0]
-    rows = []
+    leads = [int((t - t0).total_seconds() // 3600) for t in c.times]
+    level = cfg["level"]
     if cfg["kind"] == "kinetic":
-        for i, t in enumerate(c.times):
-            u = c.field(i, cfg["u_var"], cfg["level"])
-            v = c.field(i, cfg["v_var"], cfg["level"])
-            spec = kinetic_energy_spectrum(u, v, l_max, half=not cfg["no_half"])
-            lead = int((t - t0).total_seconds() // 3600)
-            rows += [("KE", lead, m, p) for m, p in enumerate(spec.power)]
-        return rows
-    if cfg["kind"] == "theta":
-        for i, t in enumerate(c.times):
-            tf = c.field(i, cfg["t_var"], cfg["level"])
-            spec = potential_temperature_energy_spectrum(
-                tf, l_max, pressure_hpa=cfg["pressure"])
-            lead = int((t - t0).total_seconds() // 3600)
-            rows += [("theta", lead, m, p) for m, p in enumerate(spec.power)]
-        return rows
-    for name, level, _units in c.variables:
-        tag = name if level == "single" else f"{name}|{level}"
-        for i, t in enumerate(c.times):
-            spec = zonal_power_spectrum(c.values(i, name, level), l_max,
-                                        c.grid)
-            lead = int((t - t0).total_seconds() // 3600)
-            rows += [(tag, lead, m, p) for m, p in enumerate(spec.power)]
-    return rows
+        spectra = (("KE", i, kinetic_energy_spectrum(
+            c.field(i, cfg["u_var"], level), c.field(i, cfg["v_var"], level),
+            l_max, half=not cfg["no_half"])) for i in range(len(leads)))
+    elif cfg["kind"] == "theta":
+        spectra = (("theta", i, potential_temperature_energy_spectrum(
+            c.field(i, cfg["t_var"], level), l_max,
+            pressure_hpa=cfg["pressure"])) for i in range(len(leads)))
+    else:
+        spectra = ((name if lev == "single" else f"{name}|{lev}", i,
+                    zonal_power_spectrum(c.values(i, name, lev), l_max, c.grid))
+                   for name, lev, _units in c.variables
+                   for i in range(len(leads)))
+    return [(tag, leads[i], m, p) for tag, i, spec in spectra
+            for m, p in enumerate(spec.power)]
 
 
 def _cmd_spectrum(cfg):
@@ -261,7 +249,7 @@ def _cmd_spectrum(cfg):
     with open(cfg["output"], "w", newline="") as fh:
         fh.write("variable,lead_hours,m,power\n")
         for var, lead, m, p in rows:
-            fh.write(f"{var},{lead},{m},{_fmt(p)}\n")
+            fh.write(f"{var},{lead},{m},{cio._fmt(p)}\n")
     _write_manifest(cfg["output"], "spectrum", cfg)
     return EXIT_OK
 
@@ -275,49 +263,37 @@ def _cmd_verify(cfg):
             raise ValueError(f"unknown metric {m!r}: choose from rmse, acc")
     if "acc" in metrics and fs.climatology is None:
         raise ValueError("acc requires --climatology")
-    leads = [h for h in fs.lead_hours() if h % 6 == 0]
-    tasks = []
+    leads = fs.lead_hours()
+    series = []
     for key in fs.keys:
         for lead in leads:
             for metric in metrics:
-                tasks.append((key, lead, metric))
-
-    def one(task):
-        key, lead, metric = task
-        tag = f"{key[0]}|{key[1]}|{lead}|{metric}"
-        seed = _task_seed(cfg["seed"], tag)
-        fn = rmse if metric == "rmse" else acc
-        return fn(fs, key[0], level=key[1], lead_hours=lead,
-                  n_boot=cfg["bootstrap"], seed=seed)
-
-    threads = cfg["threads"]
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            series = list(pool.map(one, tasks))
-    else:
-        series = [one(t) for t in tasks]
+                tag = f"{key[0]}|{key[1]}|{lead}|{metric}"
+                fn = rmse if metric == "rmse" else acc
+                series.append(fn(fs, key[0], level=key[1], lead_hours=lead,
+                                 n_boot=cfg["bootstrap"],
+                                 seed=_task_seed(cfg["seed"], tag)))
     records = score_records(series)
     cio.write_scores(records, cfg["output"], format=cfg["format"])
     _write_manifest(cfg["output"], "verify", cfg)
     return EXIT_OK
 
 
+def _mean_correlation(path, weighted):
+    """Correlation matrix of a container's variables, averaged over times."""
+    c = read_container(path)
+    return average_correlations([
+        spatial_correlation([c.field(i, name, level)
+                             for name, level, _ in c.variables],
+                            weighted=weighted)
+        for i in range(len(c.times))])
+
+
 def _cmd_correlate(cfg):
-    c = read_container(cfg["input"])
-    mats = []
-    for i in range(len(c.times)):
-        fields = [c.field(i, name, level) for name, level, _ in c.variables]
-        mats.append(spatial_correlation(fields, weighted=cfg["weighted"]))
-    mean = average_correlations(mats)
+    mean = _mean_correlation(cfg["input"], cfg["weighted"])
     write_correlation_csv(mean, cfg["output"])
     if cfg["reference"]:
-        ref_c = read_container(cfg["reference"])
-        ref_mats = []
-        for i in range(len(ref_c.times)):
-            fields = [ref_c.field(i, name, level)
-                      for name, level, _ in ref_c.variables]
-            ref_mats.append(spatial_correlation(fields, weighted=cfg["weighted"]))
-        ref = average_correlations(ref_mats)
+        ref = _mean_correlation(cfg["reference"], cfg["weighted"])
         diff = correlation_difference(mean, ref)
         diff_path = cfg["difference_output"] or str(cfg["output"]) + ".diff.csv"
         write_correlation_csv(mean, diff_path, values=diff)
@@ -365,8 +341,6 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name, help=help_text, prog=f"spherecast {name}")
         p.set_defaults(func=handler)
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: logical cores)")
         return p
 
     p = add("stats", _cmd_stats, "compute normalization statistics")
@@ -473,37 +447,31 @@ def build_parser() -> _Parser:
     return parser
 
 
-_N_CORES = os.cpu_count() or 1
-
 _DEFAULTS = {
     "stats": {"input": None, "output": None, "residual": True,
-              "denominator": "tendency", "threads": _N_CORES},
-    "normalize": {"input": None, "stats": None, "output": None, "dtype": None,
-                  "threads": _N_CORES},
-    "denormalize": {"input": None, "stats": None, "output": None, "dtype": None,
-                    "threads": _N_CORES},
+              "denominator": "tendency"},
+    "normalize": {"input": None, "stats": None, "output": None, "dtype": None},
+    "denormalize": {"input": None, "stats": None, "output": None, "dtype": None},
     "climatology": {"input": None, "output": None, "window_days": 61,
-                    "std_days": 10.0, "dtype": None, "threads": _N_CORES},
+                    "std_days": 10.0, "dtype": None},
     "solar": {"grid": None, "start": None, "windows": 1, "window_hours": 6,
-              "gsc_csv": None, "output": None, "dtype": None, "threads": _N_CORES},
+              "gsc_csv": None, "output": None, "dtype": None},
     "pad": {"input": None, "output": None, "pad_ns": 0, "pad_ew": 0,
-            "mode": "rotate_reflect", "dtype": None, "threads": _N_CORES},
+            "mode": "rotate_reflect", "dtype": None},
     "filter": {"input": None, "output": None, "diffuse": None,
-               "pole_filter": None, "dtype": None, "threads": _N_CORES},
+               "pole_filter": None, "dtype": None},
     "spectrum": {"input": None, "output": None, "l_max": None, "kind": "power",
                  "u_var": "U500", "v_var": "V500", "t_var": "T500",
-                 "level": "single", "pressure": 500.0, "no_half": False,
-                 "threads": _N_CORES},
+                 "level": "single", "pressure": 500.0, "no_half": False},
     "verify": {"forecast_dir": None, "target": None, "climatology": None,
                "metrics": "rmse,acc", "bootstrap": 1000, "seed": 0,
-               "output": None, "format": "csv", "threads": _N_CORES},
+               "output": None, "format": "csv"},
     "correlate": {"input": None, "reference": None, "output": None,
-                  "difference_output": None, "weighted": False, "threads": _N_CORES},
+                  "difference_output": None, "weighted": False},
     "rollout": {"initial_states": None, "output_dir": None, "inits": None,
                 "init_times": None, "step_hours": 6, "max_lead_hours": 240,
                 "forecaster": "persistence", "external_cmd": None,
-                "climatology": None, "postprocess": None, "dtype": None,
-                "threads": _N_CORES},
+                "climatology": None, "postprocess": None, "dtype": None},
 }
 
 _REQUIRED = {

@@ -113,10 +113,16 @@ class Container:
         self.header = header
         self.dtype = _DTYPES[header["dtype"]]
         self.dtype_name = header["dtype"]
-        self.grid = _grid_from_json(header["grid"], self.path)
-        self.times = [_parse_time(s) for s in header["time_axis"]]
-        self.variables = [(v["name"], v.get("level", "single"), v.get("units", "1"))
-                          for v in header["variables"]]
+        try:
+            self.grid = _grid_from_json(header["grid"], self.path)
+            self.times = [_parse_time(s) for s in header["time_axis"]]
+            self.variables = [(v["name"], v.get("level", "single"),
+                               v.get("units", "1"))
+                              for v in header["variables"]]
+        except KeyError as exc:
+            raise ContainerError(f"{self.path}: header lacks {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ContainerError(f"{self.path}: invalid header: {exc}") from None
         self.attrs = header.get("attrs", {})
 
         keys = [(n, l) for n, l, _ in self.variables]

@@ -247,17 +247,20 @@ class Field:
     def key(self) -> tuple[str, str]:
         return (self.variable, self.level)
 
-    def with_values(self, values: np.ndarray) -> "Field":
+    def with_values(self, values: np.ndarray,
+                    units: str | None = None) -> "Field":
         return Field(grid=self.grid, values=values, variable=self.variable,
                      level=self.level, valid_time=self.valid_time,
-                     units=self.units, mask=self.mask)
+                     units=self.units if units is None else units,
+                     mask=self.mask)
 
 
 class FieldSeries:
     """Time-ordered stack of fields for one variable-level on one grid.
 
     Times must be strictly increasing with a constant step (1 h or 6 h in
-    practice; any uniform step is accepted).
+    practice; any uniform step is accepted).  time_index maps each valid
+    time to its row in values.
     """
 
     def __init__(self, grid: GridSpec, variable: str, level: str,
@@ -278,6 +281,7 @@ class FieldSeries:
         self.variable = variable
         self.level = level
         self.times = times
+        self.time_index = {t: i for i, t in enumerate(times)}
         self.values = values
         self.units = units if units is not None else default_units(variable)
 
@@ -296,6 +300,11 @@ class FieldSeries:
     @property
     def key(self) -> tuple[str, str]:
         return (self.variable, self.level)
+
+    def with_values(self, values: np.ndarray,
+                    units: str | None = None) -> "FieldSeries":
+        return FieldSeries(self.grid, self.variable, self.level, self.times,
+                           values, units=self.units if units is None else units)
 
     @property
     def step(self) -> timedelta | None:
@@ -319,12 +328,15 @@ class FieldSeries:
     def __iter__(self):
         return (self.field(i) for i in range(len(self)))
 
-    def at(self, when: datetime) -> Field:
+    def index(self, when: datetime) -> int:
+        """Row of a valid time; KeyError naming the series if absent."""
         when = ensure_utc(when)
         try:
-            i = self.times.index(when)
-        except ValueError:
+            return self.time_index[when]
+        except KeyError:
             raise KeyError(
                 f"time {when.isoformat()} not in series "
                 f"{self.variable} ({self.level})") from None
-        return self.field(i)
+
+    def at(self, when: datetime) -> Field:
+        return self.field(self.index(when))

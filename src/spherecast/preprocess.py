@@ -28,6 +28,7 @@ __all__ = [
     "normalize",
     "denormalize",
     "clamp_nonnegative",
+    "clamp_nonnegative_values",
     "compute_climatology",
     "day_of_year_365",
 ]
@@ -183,19 +184,22 @@ def compute_residual_coeff(series_map: dict[tuple[str, str], FieldSeries],
     return out
 
 
-def normalize(field: Field, stats: NormStats) -> Field:
-    """T'' = (T - mu) / (xi * sigma), dimensionless."""
-    e = stats.entry(field.variable, field.level)
-    out = field.with_values((field.values - e.mu) / (e.xi * e.sigma))
-    return Field(grid=out.grid, values=out.values, variable=out.variable,
-                 level=out.level, valid_time=out.valid_time, units="1",
-                 mask=out.mask)
+def normalize(data, stats: NormStats):
+    """T'' = (T - mu) / (xi * sigma), dimensionless; Field or FieldSeries."""
+    e = stats.entry(data.variable, data.level)
+    return data.with_values((data.values - e.mu) / (e.xi * e.sigma), units="1")
 
 
-def denormalize(field: Field, stats: NormStats) -> Field:
+def denormalize(data, stats: NormStats):
     """Exact inverse of normalize: T = T'' * xi * sigma + mu."""
-    e = stats.entry(field.variable, field.level)
-    return field.with_values(field.values * (e.xi * e.sigma) + e.mu)
+    e = stats.entry(data.variable, data.level)
+    return data.with_values(data.values * (e.xi * e.sigma) + e.mu)
+
+
+def clamp_nonnegative_values(values: np.ndarray,
+                             floor: float = 1e-8) -> np.ndarray:
+    """values with every entry below floor replaced by exactly floor."""
+    return np.where(values < floor, floor, values)
 
 
 def clamp_nonnegative(field: Field, floor: float = 1e-8,
@@ -208,8 +212,7 @@ def clamp_nonnegative(field: Field, floor: float = 1e-8,
     """
     if variables is not None and field.variable not in variables:
         return field
-    values = np.where(field.values < floor, floor, field.values)
-    return field.with_values(values)
+    return field.with_values(clamp_nonnegative_values(field.values, floor))
 
 
 def day_of_year_365(t: datetime) -> int:

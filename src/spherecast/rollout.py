@@ -28,7 +28,7 @@ from .container import read_container, write_container, _format_time
 from .filters import (DiffusionSpec, PoleFilterSpec, diffuse_values,
                       pole_filter_values)
 from .grid import FieldSeries, ensure_utc
-from .preprocess import Climatology
+from .preprocess import Climatology, clamp_nonnegative_values
 from .verify import ForecastSet
 
 __all__ = [
@@ -123,8 +123,8 @@ def apply_postprocessing(state: dict, pipeline: list[PipelineStep],
             if step.variables is not None and key[0] not in step.variables:
                 continue
             if step.kind == "clamp_nonnegative":
-                floor = step.params.get("floor", 1e-8)
-                out[key] = np.where(out[key] < floor, floor, out[key])
+                out[key] = clamp_nonnegative_values(
+                    out[key], step.params.get("floor", 1e-8))
             elif step.kind == "laplacian_diffuse":
                 spec = DiffusionSpec(nu_dt=step.params["nu_dt"],
                                      steps=step.params.get("steps", 1))
@@ -183,40 +183,55 @@ def _rollout_one(plan: RolloutPlan, initial_states: dict, grid, units,
     """One initialization -> {(var, level): FieldSeries over all leads}."""
     valid_times = [t_i + timedelta(hours=h) for h in plan.leads]
     if plan.forecaster == "persistence":
-        out = {}
+        shape = (len(valid_times),) + grid.shape
+        stacks = {key: np.broadcast_to(series.values[series.index(t_i)],
+                                       shape).copy()
+                  for key, series in initial_states.items()}
+    elif plan.forecaster == "climatology":
+        stacks = {key: np.stack([climatology.values(key[0], key[1], t)
+                                 for t in valid_times])
+                  for key in initial_states}
+    else:
+        # external, strictly sequential per step
+        state = {key: series.values[series.index(t_i)]
+                 for key, series in initial_states.items()}
+        trajectory = {key: [state[key]] for key in state}
+        with tempfile.TemporaryDirectory(prefix="rollout_") as tmp:
+            for when in valid_times[:-1]:
+                state = _run_external_step(plan.external_command, state, grid,
+                                           when, plan.step_hours, units,
+                                           plan.state_dtype, Path(tmp))
+                state = apply_postprocessing(state, plan.postprocess, grid)
+                for key in trajectory:
+                    trajectory[key].append(state[key])
+        stacks = {key: np.stack(vals) for key, vals in trajectory.items()}
+    return {key: FieldSeries(grid, key[0], key[1], valid_times, stack,
+                             units=units[key])
+            for key, stack in stacks.items()}
+
+
+def _forecasts(plan: RolloutPlan, initial_states: dict,
+               climatology: Climatology | None):
+    """Check the plan against the inputs, then lazily roll out each init.
+
+    Every check runs before the first initialization is rolled out, so a
+    bad plan fails before any output exists.  Yields (init time,
+    {(var, level): FieldSeries over all leads}) in plan order.
+    """
+    if plan.forecaster == "climatology" and climatology is None:
+        raise ValueError("climatology forecaster requires a climatology")
+    if plan.forecaster != "climatology":
         for key, series in initial_states.items():
-            state0 = series.at(t_i).values
-            stack = np.broadcast_to(
-                state0, (len(valid_times),) + grid.shape).copy()
-            out[key] = FieldSeries(grid, key[0], key[1], valid_times, stack,
-                                   units=units[key])
-        return out
-    if plan.forecaster == "climatology":
-        out = {}
-        for key in initial_states:
-            stack = np.stack([climatology.values(key[0], key[1], t)
-                              for t in valid_times])
-            out[key] = FieldSeries(grid, key[0], key[1], valid_times, stack,
-                                   units=units[key])
-        return out
-    # external, strictly sequential per step
-    state = {key: series.at(t_i).values
-             for key, series in initial_states.items()}
-    trajectory = {key: [state[key]] for key in state}
-    with tempfile.TemporaryDirectory(prefix="rollout_") as tmp:
-        workdir = Path(tmp)
-        when = t_i
-        for _ in range(plan.n_steps):
-            state = _run_external_step(plan.external_command, state, grid,
-                                       when, plan.step_hours, units,
-                                       plan.state_dtype, workdir)
-            when = when + timedelta(hours=plan.step_hours)
-            state = apply_postprocessing(state, plan.postprocess, grid)
-            for key in trajectory:
-                trajectory[key].append(state[key])
-    return {key: FieldSeries(grid, key[0], key[1], valid_times,
-                             np.stack(vals), units=units[key])
-            for key, vals in trajectory.items()}
+            for t_i in plan.init_times:
+                if not np.isfinite(series.values[series.index(t_i)]).all():
+                    raise ValueError(
+                        f"non-finite initial state {key[0]} ({key[1]}) at "
+                        f"{t_i.isoformat()}")
+    grid = next(iter(initial_states.values())).grid
+    units = {key: s.units for key, s in initial_states.items()}
+    return ((t_i, _rollout_one(plan, initial_states, grid, units, t_i,
+                               climatology))
+            for t_i in plan.init_times)
 
 
 def run_rollout(plan: RolloutPlan, initial_states: dict,
@@ -230,15 +245,7 @@ def run_rollout(plan: RolloutPlan, initial_states: dict,
     forecaster requires a climatology and emits its (day, hour) field for
     each valid time.  Rollouts are deterministic: no hidden randomness.
     """
-    if plan.forecaster == "climatology" and climatology is None:
-        raise ValueError("climatology forecaster requires a climatology")
-    first = next(iter(initial_states.values()))
-    grid = first.grid
-    units = {key: s.units for key, s in initial_states.items()}
-    forecasts = {t_i: _rollout_one(plan, initial_states, grid, units, t_i,
-                                   climatology)
-                 for t_i in plan.init_times}
-    return ForecastSet(forecasts,
+    return ForecastSet(dict(_forecasts(plan, initial_states, climatology)),
                        target if target is not None else initial_states,
                        climatology=climatology)
 
@@ -248,30 +255,23 @@ def run_rollout_to_dir(plan: RolloutPlan, initial_states: dict, out_dir,
     """Roll out and write one container per initialization as it finishes.
 
     Streaming counterpart of run_rollout for long init lists: only one
-    initialization is held in memory at a time.
+    initialization is held in memory at a time.  Every init is checked
+    against the initial states before the first container is written.
     """
-    if plan.forecaster == "climatology" and climatology is None:
-        raise ValueError("climatology forecaster requires a climatology")
-    first = next(iter(initial_states.values()))
-    grid = first.grid
-    units = {key: s.units for key, s in initial_states.items()}
+    return _write_inits(_forecasts(plan, initial_states, climatology),
+                        out_dir, plan.state_dtype)
+
+
+def _write_inits(forecasts, out_dir, dtype: str) -> list[Path]:
+    """Write (init time, {(var, level): FieldSeries}) pairs one by one."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
-    for t_i in plan.init_times:
-        per_key = _rollout_one(plan, initial_states, grid, units, t_i,
-                               climatology)
-        paths.append(_write_one_init(per_key, t_i, out_dir, plan.state_dtype))
+    for t_i, per_key in forecasts:
+        paths.append(out_dir / f"init_{t_i.strftime('%Y%m%dT%H%M%SZ')}.gvf")
+        write_container(per_key, paths[-1], dtype=dtype,
+                        attrs={"init_time": _format_time(t_i)})
     return paths
-
-
-def _write_one_init(per_key: dict, t_i: datetime, out_dir: Path,
-                    dtype: str) -> Path:
-    stamp = t_i.strftime("%Y%m%dT%H%M%SZ")
-    path = out_dir / f"init_{stamp}.gvf"
-    write_container(per_key, path, dtype=dtype,
-                    attrs={"init_time": _format_time(t_i)})
-    return path
 
 
 def write_forecast_dir(fs: ForecastSet, out_dir, dtype: str = "f32") -> list[Path]:
@@ -280,7 +280,5 @@ def write_forecast_dir(fs: ForecastSet, out_dir, dtype: str = "f32") -> list[Pat
     Files are named init_<YYYYMMDDTHHMMSSZ>.gvf and tag their init time in
     the container attrs, which is how load_forecast_set reassembles them.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return [_write_one_init(fs.forecasts[t_i], t_i, out_dir, dtype)
-            for t_i in fs.init_times]
+    return _write_inits(((t_i, fs.forecasts[t_i]) for t_i in fs.init_times),
+                        out_dir, dtype)

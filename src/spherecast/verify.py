@@ -49,8 +49,9 @@ __all__ = [
 class BootstrapSummary:
     """Percentile bootstrap of a mean over initializations.
 
-    mean is the average of the B resampled means (identical to the sample
-    mean when all values agree, and deterministic given the seed);
+    mean is the average of the B resampled means, clamped into
+    [ci_low, ci_high] (rounding can put it an ulp outside when the
+    resampled means all agree) and deterministic given the seed;
     sample_mean is the plain average of the inputs.
     """
 
@@ -75,9 +76,9 @@ def bootstrap_mean(values: np.ndarray, n_boot: int = 1000,
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, n, size=(n_boot, n))
     means = values[idx].mean(axis=1)
-    lo, hi = np.percentile(means, [2.5, 97.5])
-    return BootstrapSummary(mean=float(means.mean()), ci_low=float(lo),
-                            ci_high=float(hi),
+    lo, hi = (float(q) for q in np.percentile(means, [2.5, 97.5]))
+    return BootstrapSummary(mean=min(max(float(means.mean()), lo), hi),
+                            ci_low=lo, ci_high=hi,
                             sample_mean=float(values.mean()),
                             n=n, n_boot=n_boot, seed=seed)
 
@@ -131,32 +132,46 @@ class ForecastSet:
     forecasts maps each init time to {(variable, level): FieldSeries}
     whose valid times are init + lead for every lead (lead 0 first);
     target maps (variable, level) to the verifying FieldSeries.  Every
-    forecast valid time must be covered by the target, and all series
-    must share one grid.
+    forecast valid time must be covered by the target, all series must
+    share one grid, and every forecast and every target row it verifies
+    against must be finite.  sources optionally maps init times to the
+    file each forecast came from, for error messages.
     """
 
     def __init__(self, forecasts: dict[datetime, dict], target: dict,
-                 climatology: Climatology | None = None):
+                 climatology: Climatology | None = None,
+                 sources: dict | None = None):
         if not forecasts:
             raise ValueError("no forecast initializations")
         self.forecasts = {ensure_utc(t): fc for t, fc in forecasts.items()}
         self.target = target
         self.climatology = climatology
-        first = next(iter(target.values()))
-        self.grid: GridSpec = first.grid
+        self.grid: GridSpec = next(iter(target.values())).grid
+        sources = {ensure_utc(t): f"{p}: " for t, p in (sources or {}).items()}
+        used = {key: set() for key in target}
         for t_i, fc in self.forecasts.items():
             for key, series in fc.items():
+                where = (f"{sources.get(t_i, '')}init {t_i.isoformat()}: "
+                         f"{key[0]} ({key[1]})")
                 if series.grid != self.grid:
-                    raise ValueError(
-                        f"forecast {key} at {t_i.isoformat()} is on a "
-                        "different grid than the target")
+                    raise ValueError(f"{where}: forecast is on a different "
+                                     "grid than the target")
                 if key not in target:
-                    raise ValueError(f"target has no series for {key}")
-                for t in series.times:
-                    if t not in target[key].times:
-                        raise ValueError(
-                            f"target does not cover forecast valid time "
-                            f"{t.isoformat()} for {key}")
+                    raise ValueError(f"{where}: target has no such series")
+                rows = [target[key].time_index.get(t) for t in series.times]
+                if None in rows:
+                    raise ValueError(
+                        f"{where}: target does not cover forecast valid time "
+                        f"{series.times[rows.index(None)].isoformat()}")
+                used[key].update(rows)
+                if not np.isfinite(series.values).all():
+                    raise ValueError(f"{where}: non-finite forecast values")
+        for key, rows in used.items():
+            for i in sorted(rows):
+                if not np.isfinite(target[key].values[i]).all():
+                    raise ValueError(
+                        f"non-finite target {key[0]} ({key[1]}) at "
+                        f"{target[key].times[i].isoformat()}")
         self.weights = metric_weights(self.grid)
 
     @property
@@ -177,11 +192,13 @@ class ForecastSet:
         return sorted(leads)
 
     def forecast_values(self, t_i: datetime, key, lead_hours: int) -> np.ndarray:
-        series = self.forecasts[ensure_utc(t_i)][key]
-        return series.at(ensure_utc(t_i) + timedelta(hours=lead_hours)).values
+        t_i = ensure_utc(t_i)
+        series = self.forecasts[t_i][key]
+        return series.values[series.index(t_i + timedelta(hours=lead_hours))]
 
     def target_values(self, when: datetime, key) -> np.ndarray:
-        return self.target[key].at(when).values
+        series = self.target[key]
+        return series.values[series.index(when)]
 
     def climatology_values(self, when: datetime, key) -> np.ndarray:
         if self.climatology is None:
@@ -191,16 +208,16 @@ class ForecastSet:
 
 def _per_init(fs: ForecastSet, variable: str, level: str, lead_hours: int,
               fn) -> tuple[list[datetime], np.ndarray]:
+    """fn(forecast, target, valid time) for every init that reaches the lead."""
     key = (variable, level)
     inits, vals = [], []
     for t_i in fs.init_times:
-        if key not in fs.forecasts[t_i]:
-            continue
-        series = fs.forecasts[t_i][key]
+        series = fs.forecasts[t_i].get(key)
         when = t_i + timedelta(hours=lead_hours)
-        if when not in series.times:
+        if series is None or when not in series.time_index:
             continue
-        vals.append(fn(t_i, when, key))
+        vals.append(fn(fs.forecast_values(t_i, key, lead_hours),
+                       fs.target_values(when, key), when))
         inits.append(t_i)
     if not inits:
         raise ValueError(
@@ -212,10 +229,8 @@ def _per_init(fs: ForecastSet, variable: str, level: str, lead_hours: int,
 def rmse(fs: ForecastSet, variable: str, level: str = "single",
          lead_hours: int = 0, n_boot: int = 1000, seed: int = 0) -> ScoreSeries:
     """Latitude-weighted RMSE per initialization, bootstrapped over inits."""
-    def one(t_i, when, key):
-        return rmse_field(fs.forecast_values(t_i, key, lead_hours),
-                          fs.target_values(when, key), fs.weights)
-    inits, vals = _per_init(fs, variable, level, lead_hours, one)
+    inits, vals = _per_init(fs, variable, level, lead_hours,
+                            lambda f, o, when: rmse_field(f, o, fs.weights))
     return ScoreSeries("rmse", variable, level, lead_hours, inits, vals,
                        bootstrap_mean(vals, n_boot, seed))
 
@@ -223,11 +238,9 @@ def rmse(fs: ForecastSet, variable: str, level: str = "single",
 def acc(fs: ForecastSet, variable: str, level: str = "single",
         lead_hours: int = 0, n_boot: int = 1000, seed: int = 0) -> ScoreSeries:
     """Anomaly correlation per initialization, bootstrapped over inits."""
-    def one(t_i, when, key):
-        c = fs.climatology_values(when, key)
-        f_anom = fs.forecast_values(t_i, key, lead_hours) - c
-        o_anom = fs.target_values(when, key) - c
-        return acc_field(f_anom, o_anom, fs.weights)
+    def one(f, o, when):
+        c = fs.climatology_values(when, (variable, level))
+        return acc_field(f - c, o - c, fs.weights)
     inits, vals = _per_init(fs, variable, level, lead_hours, one)
     return ScoreSeries("acc", variable, level, lead_hours, inits, vals,
                        bootstrap_mean(vals, n_boot, seed))
@@ -256,16 +269,14 @@ class SkillRelationResult:
 def skill_relation_check(fs: ForecastSet, variable: str, level: str = "single",
                          lead_hours: int = 0) -> SkillRelationResult:
     """Compare 1 - MSE/MSE_C against 2 ACC - 1 per initialization."""
-    def one(t_i, when, key):
-        c = fs.climatology_values(when, key)
-        f = fs.forecast_values(t_i, key, lead_hours)
-        o = fs.target_values(when, key)
+    def one(f, o, when):
+        c = fs.climatology_values(when, (variable, level))
         mse_f = weighted_mean((f - o) ** 2, fs.weights)
         mse_c = weighted_mean((c - o) ** 2, fs.weights)
         if mse_c == 0.0:
             raise ZeroDivisionError(
-                f"MSE of the climatology reference is zero for {key} at "
-                f"{when.isoformat()}")
+                f"MSE of the climatology reference is zero for {variable} "
+                f"({level}) at {when.isoformat()}")
         return (1.0 - mse_f / mse_c,
                 acc_field(f - c, o - c, fs.weights))
 
@@ -407,13 +418,14 @@ def load_forecast_set(forecast_paths, target_path,
             raise ValueError(f"{forecast_paths}: no .gvf forecast files")
     else:
         paths = [Path(p) for p in forecast_paths]
-    forecasts = {}
+    forecasts, sources = {}, {}
     for p in paths:
         c = read_container(p)
         init_iso = c.attrs.get("init_time")
         t_i = _parse_time(init_iso) if init_iso else c.times[0]
         forecasts[t_i] = c.to_dict()
+        sources[t_i] = p
     target = read_container(target_path).to_dict()
     clim = (Climatology.from_container(climatology_path)
             if climatology_path else None)
-    return ForecastSet(forecasts, target, climatology=clim)
+    return ForecastSet(forecasts, target, climatology=clim, sources=sources)

@@ -244,20 +244,108 @@ def test_verify_deterministic_byte_identical(tmp_path, grid16):
     assert s1.read_bytes() != s3.read_bytes()
 
 
-def test_verify_threads_do_not_change_output(tmp_path, grid16):
+def test_threads_flag_is_a_usage_error(tmp_path, grid16, capsys):
+    for name in SUBCOMMANDS:
+        assert main([name, "--threads", "2"]) == 1
+        assert "--threads" in capsys.readouterr().err
     target_path, _ = write_target(tmp_path, grid16, n_time=8, seed=9)
+    fc_dir = tmp_path / "fc"
+    assert main(["rollout", "--initial-states", str(target_path),
+                 "--output-dir", str(fc_dir), "--inits",
+                 "2020-01-01T00:00:00,2,6", "--step-hours", "6",
+                 "--max-lead-hours", "12"]) == 0
+    scores = tmp_path / "s.csv"
+    assert main(["verify", "--forecast-dir", str(fc_dir), "--target",
+                 str(target_path), "--metrics", "rmse", "--bootstrap", "20",
+                 "--output", str(scores)]) == 0
+    manifests = [fc_dir / "rollout.manifest.json",
+                 tmp_path / "s.csv.manifest.json"]
+    for path in manifests:
+        assert "threads" not in json.loads(path.read_text())["config"]
+
+
+def test_verify_single_initialization_exits_zero(tmp_path, grid16):
+    target_path, _ = write_target(tmp_path, grid16, n_time=8, seed=21)
     clim_path = write_zero_climatology(tmp_path, grid16, [("T", "single")])
     fc_dir = tmp_path / "fc"
-    main(["rollout", "--initial-states", str(target_path),
-          "--output-dir", str(fc_dir), "--inits", "2020-01-01T00:00:00,2,6",
-          "--step-hours", "6", "--max-lead-hours", "12"])
-    s1, s2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
-    base = ["verify", "--forecast-dir", str(fc_dir), "--target",
-            str(target_path), "--climatology", str(clim_path),
-            "--bootstrap", "100", "--seed", "5"]
-    assert main(base + ["--output", str(s1)]) == 0
-    assert main(base + ["--threads", "4", "--output", str(s2)]) == 0
-    assert s1.read_bytes() == s2.read_bytes()
+    assert main(["rollout", "--initial-states", str(target_path),
+                 "--output-dir", str(fc_dir),
+                 "--inits", "2020-01-01T06:00:00,1,6",
+                 "--step-hours", "6", "--max-lead-hours", "24"]) == 0
+    scores = tmp_path / "scores.csv"
+    for seed in range(5):
+        assert main(["verify", "--forecast-dir", str(fc_dir),
+                     "--target", str(target_path),
+                     "--climatology", str(clim_path), "--seed", str(seed),
+                     "--output", str(scores)]) == 0
+        records = read_scores(scores)
+        assert {r.n_inits for r in records} == {1}
+        assert {r.lead_hours for r in records} == {0, 6, 12, 18, 24}
+
+
+def test_verify_scores_every_hourly_lead(tmp_path, grid16):
+    rng = np.random.default_rng(22)
+    times = [T0 + timedelta(hours=k) for k in range(16)]
+    series = FieldSeries(grid16, "T", "single", times,
+                         rng.normal(size=(16,) + grid16.shape)
+                         .astype(np.float32).astype(np.float64))
+    target_path = tmp_path / "target.gvf"
+    write_container({series.key: series}, target_path, dtype="f32")
+    fc_dir = tmp_path / "fc"
+    assert main(["rollout", "--initial-states", str(target_path),
+                 "--output-dir", str(fc_dir),
+                 "--inits", "2020-01-01T00:00:00,2,1",
+                 "--step-hours", "1", "--max-lead-hours", "12"]) == 0
+    scores = tmp_path / "scores.csv"
+    assert main(["verify", "--forecast-dir", str(fc_dir),
+                 "--target", str(target_path), "--metrics", "rmse",
+                 "--bootstrap", "20", "--output", str(scores)]) == 0
+    assert sorted(r.lead_hours for r in read_scores(scores)) == list(range(13))
+
+
+def test_rollout_missing_init_exits_two_and_writes_nothing(tmp_path, grid16,
+                                                          capsys):
+    target_path, _ = write_target(tmp_path, grid16, n_time=4, seed=23)
+    fc_dir = tmp_path / "fc"
+    # the states end at 2020-01-01T18Z, so only the last init is missing
+    assert main(["rollout", "--initial-states", str(target_path),
+                 "--output-dir", str(fc_dir),
+                 "--init-times", "2020-01-01T00:00:00,2020-01-01T06:00:00,"
+                                 "2020-01-02T00:00:00",
+                 "--step-hours", "6", "--max-lead-hours", "6"]) == 2
+    assert "2020-01-02T00:00:00" in capsys.readouterr().err
+    assert not list(tmp_path.glob("fc/*.gvf"))
+
+
+def test_normalize_nan_input_exits_three(tmp_path, grid16, capsys):
+    src = {("T", "single"): make_series(grid16, n_time=4, seed=24)}
+    inp = tmp_path / "in.gvf"
+    write_container(src, inp, dtype="f64")
+    stats_path = tmp_path / "stats.json"
+    assert main(["stats", "--input", str(inp), "--output", str(stats_path)]) == 0
+    src[("T", "single")].values[2, 3, 4] = np.nan
+    write_container(src, inp, dtype="f64")
+    for name in ("normalize", "denormalize"):
+        out = tmp_path / f"{name}.gvf"
+        assert main([name, "--input", str(inp), "--stats", str(stats_path),
+                     "--output", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert str(inp) in err and "T (single)" in err
+        assert not out.exists()
+
+
+def test_invalid_grid_header_exits_two_naming_file(tmp_path, grid16, capsys):
+    src = {("T", "single"): make_series(grid16, n_time=2, seed=25)}
+    inp = tmp_path / "in.gvf"
+    write_container(src, inp, dtype="f64")
+    blob = inp.read_bytes()
+    header_len = int.from_bytes(blob[:8], "little")
+    header = blob[8:8 + header_len].replace(b'"n_lat": 16', b'"n_lat": 15')
+    inp.write_bytes(len(header).to_bytes(8, "little") + header
+                    + blob[8 + header_len:])
+    assert main(["stats", "--input", str(inp),
+                 "--output", str(tmp_path / "s.json")]) == 2
+    assert str(inp) in capsys.readouterr().err
 
 
 def test_config_file_with_flag_override(tmp_path, grid16):

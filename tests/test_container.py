@@ -87,6 +87,36 @@ def test_dtype_mismatch(tmp_path, grid16):
         read_container(path)
 
 
+def _patch_header(path, old: bytes, new: bytes):
+    blob = path.read_bytes()
+    header_len = int.from_bytes(blob[:8], "little")
+    header = blob[8:8 + header_len]
+    assert old in header
+    header = header.replace(old, new)
+    path.write_bytes(len(header).to_bytes(8, "little") + header
+                     + blob[8 + header_len:])
+
+
+@pytest.mark.parametrize("old, new, named", [
+    (b'"n_lat": 16', b'"n_lat": 15', "n_lat"),
+    (b'"time_axis"', b'"time_axes"', "time_axis"),
+    (b'"n_lon": 32', b'"n_lons": 32', "n_lon"),
+    (b'"n_lat": 16', b'"n_lat": "16"', "invalid header"),
+])
+def test_bad_header_names_file_and_exits_two(tmp_path, grid16, capsys,
+                                             old, new, named):
+    from spherecast.cli import main
+    path = tmp_path / "data.gvf"
+    write_container(_random_collection(grid16, seed=9), path, dtype="f32")
+    _patch_header(path, old, new)
+    with pytest.raises(ContainerError) as exc:
+        read_container(path)
+    assert str(path) in str(exc.value) and named in str(exc.value)
+    assert main(["stats", "--input", str(path),
+                 "--output", str(tmp_path / "s.json")]) == 2
+    assert str(path) in capsys.readouterr().err
+
+
 def test_empty_time_axis_header_only(tmp_path, grid16):
     series = make_series(grid16, n_time=1)
     empty = type(series)(grid16, "T", "single", [], np.zeros((0,) + grid16.shape))

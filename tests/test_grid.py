@@ -141,5 +141,9 @@ def test_field_series_validation():
                     np.zeros((2, 4, 8)))
     assert s.step_hours == 6.0
     assert s.at(T0 + timedelta(hours=6)).valid_time == T0 + timedelta(hours=6)
+    assert s.index(T0 + timedelta(hours=6)) == 1
+    assert s.time_index == {T0: 0, T0 + timedelta(hours=6): 1}
     with pytest.raises(KeyError):
         s.at(T0 + timedelta(hours=12))
+    with pytest.raises(KeyError, match="T \\(single\\)"):
+        s.index(T0 + timedelta(hours=12))

@@ -162,6 +162,22 @@ def test_normalize_denormalize_round_trip(grid16):
                                e.mu + e.xi * e.sigma, rtol=1e-15)
 
 
+def test_series_normalize_matches_per_field_bitwise(grid16):
+    m = {("T", "single"): make_series(grid16, n_time=5, seed=18),
+         ("Q", "single"): make_series(grid16, "Q", n_time=5, seed=19)}
+    stats = compute_residual_coeff(m, compute_stats(m))
+    series = m[("T", "single")]
+    for transform in (normalize, denormalize):
+        whole = transform(series, stats)
+        assert isinstance(whole, FieldSeries)
+        assert whole.times == series.times
+        assert whole.units == ("1" if transform is normalize else series.units)
+        for i in range(len(series)):
+            one = transform(series.field(i), stats)
+            assert np.array_equal(whole.values[i], one.values)
+            assert whole.units == one.units
+
+
 def test_missing_stats_entry(grid16):
     stats = compute_stats({("T", "single"): make_series(grid16, seed=17)})
     f = Field(grid=grid16, values=np.zeros(grid16.shape), variable="Z500")

@@ -144,6 +144,22 @@ def test_missing_initial_state_raises(grid16):
         run_rollout(plan, states)
 
 
+def test_rollout_to_dir_checks_every_init_before_writing(tmp_path, grid16):
+    states = {("T", "single"): f32_series(grid16, n_time=3, seed=13)}
+    plan = RolloutPlan(init_times=[T0, T0 + timedelta(hours=6),
+                                   T0 + timedelta(hours=48)],
+                       step_hours=6, max_lead_hours=6)
+    with pytest.raises(KeyError, match="T \\(single\\)"):
+        run_rollout_to_dir(plan, states, tmp_path / "fc")
+    assert not list(tmp_path.glob("fc/*.gvf"))
+    states[("T", "single")].values[1, 0, 0] = np.nan
+    plan = RolloutPlan(init_times=[T0, T0 + timedelta(hours=6)],
+                       step_hours=6, max_lead_hours=6)
+    with pytest.raises(ValueError, match="non-finite initial state T"):
+        run_rollout_to_dir(plan, states, tmp_path / "fc")
+    assert not list(tmp_path.glob("fc/*.gvf"))
+
+
 def test_rollout_plan_validation():
     with pytest.raises(ValueError, match="step_hours"):
         RolloutPlan(init_times=[T0], step_hours=3, max_lead_hours=6)
@@ -173,6 +189,17 @@ def test_apply_postprocessing_clamp(grid16):
     out = apply_postprocessing(state, steps, grid16)
     assert out[("Q", "single")].min() >= 1e-8
     assert np.array_equal(out[("T", "single")], state[("T", "single")])
+
+
+def test_postprocessing_clamp_matches_clamp_nonnegative(grid16):
+    from spherecast.grid import Field
+    from spherecast.preprocess import clamp_nonnegative
+    vals = np.random.default_rng(11).normal(size=grid16.shape) * 1e-7
+    step = PipelineStep(kind="clamp_nonnegative", params={"floor": 2e-8})
+    out = apply_postprocessing({("Q", "single"): vals}, [step], grid16)
+    field = Field(grid=grid16, values=vals, variable="Q")
+    assert np.array_equal(out[("Q", "single")],
+                          clamp_nonnegative(field, floor=2e-8).values)
 
 
 def test_postprocessing_order_sensitivity(grid16):

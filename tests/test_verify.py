@@ -198,6 +198,66 @@ def test_bootstrap_ci_brackets_mean():
     assert s.n == 50 and s.n_boot == 1000
 
 
+def test_bootstrap_mean_stays_inside_ci_for_degenerate_samples():
+    # one init, or identical values: all resampled means agree, and their
+    # average used to land an ulp outside the percentile interval
+    rng = np.random.default_rng(21)
+    for seed in range(300):
+        x = float(rng.normal() * 10.0 ** rng.integers(-3, 4))
+        for vals in (np.array([x]), np.full(7, x)):
+            s = bootstrap_mean(vals, n_boot=1000, seed=seed)
+            assert s.ci_low <= s.mean <= s.ci_high, (x, seed, vals.size)
+
+
+def test_bootstrap_mean_is_average_of_resampled_means():
+    vals = np.random.default_rng(22).normal(size=30)
+    s = bootstrap_mean(vals, n_boot=500, seed=3)
+    idx = np.random.default_rng(3).integers(0, 30, size=(500, 30))
+    assert s.mean == float(vals[idx].mean(axis=1).mean())
+
+
+def test_load_forecast_set_names_file_init_and_variable(tmp_path, grid16):
+    from spherecast.container import write_container
+    from spherecast.rollout import write_forecast_dir
+    from spherecast.verify import load_forecast_set
+    rng = np.random.default_rng(23)
+    target_vals = rng.normal(size=(5,) + grid16.shape)
+    fs = build_set(grid16, target_vals, lambda i, k: target_vals[i + k],
+                   n_init=2)
+    target_path = tmp_path / "target.gvf"
+    write_container(fs.target, target_path, dtype="f64")
+    bad_init = fs.init_times[1]
+    fs.forecasts[bad_init][("T", "single")].values[1, 2, 3] = np.nan
+    paths = write_forecast_dir(fs, tmp_path / "fc", dtype="f64")
+    with pytest.raises(ValueError) as exc:
+        load_forecast_set(tmp_path / "fc", target_path)
+    msg = str(exc.value)
+    assert str(paths[1]) in msg and bad_init.isoformat() in msg
+    assert "non-finite" in msg and "T (single)" in msg
+
+
+def test_forecast_set_rejects_uncovered_and_non_finite_target(grid16):
+    rng = np.random.default_rng(24)
+    target_vals = rng.normal(size=(7,) + grid16.shape)
+    fs = build_set(grid16, target_vals, lambda i, k: target_vals[i + k])
+    short = {key: FieldSeries(grid16, "T", "single", s.times[:-1],
+                              s.values[:-1]) for key, s in fs.target.items()}
+    with pytest.raises(ValueError, match="does not cover"):
+        ForecastSet(fs.forecasts, short)
+    bad = target_vals.copy()
+    bad[5, 0, 0] = np.inf
+    nan_target = {key: FieldSeries(grid16, "T", "single", s.times, bad)
+                  for key, s in fs.target.items()}
+    with pytest.raises(ValueError, match="non-finite target T"):
+        ForecastSet(fs.forecasts, nan_target)
+    # a target row no forecast verifies against is not inspected
+    extra = np.concatenate([target_vals, np.full((1,) + grid16.shape, np.nan)])
+    times = fs.target[("T", "single")].times
+    long = {("T", "single"): FieldSeries(
+        grid16, "T", "single", times + [times[-1] + timedelta(hours=6)], extra)}
+    ForecastSet(fs.forecasts, long)
+
+
 def test_no_matched_pairs_raises(grid16):
     rng = np.random.default_rng(12)
     target_vals = rng.normal(size=(7,) + grid16.shape)
