@@ -29,7 +29,7 @@ from .preprocess import (Climatology, NormStats, compute_climatology,
                          normalize)
 from .rollout import PipelineStep, RolloutPlan, run_rollout_to_dir
 from .sht import (kinetic_energy_spectrum, potential_temperature_energy_spectrum,
-                  zonal_power_spectrum)
+                  stack_slices, zonal_power_spectrum)
 from .solar import SolarConfig, accumulated_irradiance, read_gsc_csv
 from .verify import (acc, load_forecast_set, rmse, score_records,
                      average_correlations, correlation_difference,
@@ -100,7 +100,8 @@ def _write_manifest(primary_output, subcommand: str, effective: dict) -> None:
     path = Path(str(primary_output) + ".manifest.json")
     doc = {"subcommand": subcommand,
            "config": {k: effective[k] for k in sorted(effective)}}
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n")
+    with cio.atomic_write(path) as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n")
 
 
 # ---------------------------------------------------------------- handlers
@@ -117,14 +118,19 @@ def _cmd_stats(cfg):
     return EXIT_OK
 
 
+def _finite(c, values, variable: str, level: str):
+    """values, after checking they are finite; the error names the file."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"{c.path}: non-finite values in {variable} ({level})")
+    return values
+
+
 def _apply_per_series(cfg, subcommand, transform):
     c = read_container(cfg["input"])
     stats = NormStats.from_json(cfg["stats"])
     out = {}
     for key, series in c.to_dict().items():
-        if not np.isfinite(series.values).all():
-            raise ValueError(f"{c.path}: non-finite values in {key[0]} "
-                             f"({key[1]})")
+        _finite(c, series.values, *key)
         out[key] = transform(series, stats)
     dtype = cfg["dtype"] or c.dtype_name
     write_container(out, cfg["output"], dtype=dtype, attrs=c.attrs)
@@ -224,29 +230,39 @@ def _spectrum_rows(cfg, c):
     init = c.attrs.get("init_time")
     t0 = cio._parse_time(init) if init else c.times[0]
     leads = [int((t - t0).total_seconds() // 3600) for t in c.times]
-    level = cfg["level"]
-    if cfg["kind"] == "kinetic":
-        spectra = (("KE", i, kinetic_energy_spectrum(
-            c.field(i, cfg["u_var"], level), c.field(i, cfg["v_var"], level),
-            l_max, half=not cfg["no_half"])) for i in range(len(leads)))
-    elif cfg["kind"] == "theta":
-        spectra = (("theta", i, potential_temperature_energy_spectrum(
-            c.field(i, cfg["t_var"], level), l_max,
-            pressure_hpa=cfg["pressure"])) for i in range(len(leads)))
-    else:
-        spectra = ((name if lev == "single" else f"{name}|{lev}", i,
-                    zonal_power_spectrum(c.values(i, name, lev), l_max, c.grid))
-                   for name, lev, _units in c.variables
-                   for i in range(len(leads)))
-    return [(tag, leads[i], m, p) for tag, i, spec in spectra
-            for m, p in enumerate(spec.power)]
+
+    def read(times, name, lev=cfg["level"]):
+        return _finite(c, c.values(times, name, lev), name, lev)
+
+    def spectra(times):
+        """(tag, SpectrumResult) for a stack of times, one transform call
+        per variable."""
+        if cfg["kind"] == "kinetic":
+            yield "KE", kinetic_energy_spectrum(
+                read(times, cfg["u_var"]), read(times, cfg["v_var"]), l_max,
+                half=not cfg["no_half"], grid=c.grid)
+        elif cfg["kind"] == "theta":
+            yield "theta", potential_temperature_energy_spectrum(
+                read(times, cfg["t_var"]), l_max,
+                pressure_hpa=cfg["pressure"], grid=c.grid)
+        else:
+            for name, lev, _units in c.variables:
+                yield (name if lev == "single" else f"{name}|{lev}",
+                       zonal_power_spectrum(read(times, name, lev), l_max,
+                                            c.grid))
+
+    return [(tag, lead, m, p)
+            for times in stack_slices(len(leads), c.grid)
+            for tag, spec in spectra(times)
+            for lead, power in zip(leads[times], spec.power)
+            for m, p in enumerate(power)]
 
 
 def _cmd_spectrum(cfg):
     c = read_container(cfg["input"])
     rows = _spectrum_rows(cfg, c)
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    with open(cfg["output"], "w", newline="") as fh:
+    with cio.atomic_write(cfg["output"], newline="") as fh:
         fh.write("variable,lead_hours,m,power\n")
         for var, lead, m, p in rows:
             fh.write(f"{var},{lead},{m},{cio._fmt(p)}\n")

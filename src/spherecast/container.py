@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
@@ -30,6 +32,7 @@ __all__ = [
     "VERSION",
     "ContainerError",
     "Container",
+    "atomic_write",
     "ScoreRecord",
     "read_container",
     "write_container",
@@ -61,6 +64,8 @@ def _grid_to_json(grid: GridSpec) -> dict:
 
 
 def _grid_from_json(spec: dict, path: Path) -> GridSpec:
+    if not isinstance(spec, dict):
+        raise ContainerError(f"{path}: header grid is not a JSON object")
     kind = spec.get("kind")
     if kind == "gaussian":
         return make_gaussian_grid(spec["n_lat"], spec["n_lon"],
@@ -99,6 +104,8 @@ class Container:
             header = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ContainerError(f"{self.path}: malformed header JSON: {exc}")
+        if not isinstance(header, dict):
+            raise ContainerError(f"{self.path}: header is not a JSON object")
         if header.get("magic") != MAGIC:
             raise ContainerError(
                 f"{self.path}: magic mismatch: expected {MAGIC!r}, "
@@ -124,6 +131,9 @@ class Container:
         except (TypeError, ValueError) as exc:
             raise ContainerError(f"{self.path}: invalid header: {exc}") from None
         self.attrs = header.get("attrs", {})
+        if not isinstance(self.attrs, dict):
+            raise ContainerError(
+                f"{self.path}: header attrs is not a JSON object")
 
         keys = [(n, l) for n, l, _ in self.variables]
         if len(set(keys)) != len(keys):
@@ -159,8 +169,9 @@ class Container:
                 f"{self.path}: variable {variable!r} level {level!r} "
                 "not in container") from None
 
-    def values(self, time_index: int, variable: str, level: str = "single"):
-        """One (n_lat, n_lon) float64 array, copied out of the map."""
+    def values(self, time_index, variable: str, level: str = "single"):
+        """One (n_lat, n_lon) float64 array, or a (time, n_lat, n_lon) stack
+        when time_index is a slice, copied out of the map."""
         j = self._var_index(variable, level)
         return np.array(self._data[time_index, j], dtype=np.float64)
 
@@ -181,6 +192,24 @@ class Container:
     def to_dict(self) -> dict[tuple[str, str], FieldSeries]:
         """Materialize every variable as a FieldSeries, keyed (name, level)."""
         return {(n, l): self.series(n, l) for n, l, _ in self.variables}
+
+
+@contextmanager
+def atomic_write(path, mode: str = "w", **kwargs):
+    """Open a new temp file beside path for writing (mode "w" or "wb");
+    when the block ends it replaces path.  If the block fails the temp
+    file is removed and whatever was at path is left untouched, so no
+    reader ever sees a partial file."""
+    path = Path(path)
+    tmp = path.with_name(
+        f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, mode.replace("w", "x"), **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_container(path) -> Container:
@@ -226,8 +255,7 @@ def write_container(series_map, path, dtype: str = "f32",
     raw = (json.dumps(header, sort_keys=False) + "\n").encode("utf-8")
     np_dtype = _DTYPES[dtype]
     payload = np.stack([s.values for s in series_list], axis=1) if times else None
-    path = Path(path)
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(len(raw).to_bytes(8, "little"))
         fh.write(raw)
         if payload is not None:
@@ -271,9 +299,8 @@ def write_scores(records, path, format: str = "csv") -> None:
     records = sorted(records, key=lambda r: (r.variable, r.lead_hours, r.metric))
     if not records:
         raise ValueError("no score records to write")
-    path = Path(path)
     if format == "csv":
-        with open(path, "w", newline="") as fh:
+        with atomic_write(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(_SCORE_COLUMNS)
             for r in records:
@@ -281,7 +308,7 @@ def write_scores(records, path, format: str = "csv") -> None:
                                  _fmt(r.value), _fmt(r.ci_low), _fmt(r.ci_high),
                                  r.n_inits])
     elif format == "jsonl":
-        with open(path, "w") as fh:
+        with atomic_write(path) as fh:
             for r in records:
                 fh.write(json.dumps({
                     "variable": r.variable, "lead_hours": r.lead_hours,

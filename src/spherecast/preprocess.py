@@ -59,6 +59,7 @@ class NormStats:
             ) from None
 
     def to_json(self, path) -> None:
+        from .container import atomic_write
         doc = {
             "step_hours": self.step_hours,
             "period": list(self.period) if self.period else None,
@@ -68,7 +69,8 @@ class NormStats:
                 for (v, l), e in sorted(self.entries.items())
             },
         }
-        Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+        with atomic_write(path) as fh:
+            fh.write(json.dumps(doc, indent=2) + "\n")
 
     @classmethod
     def from_json(cls, path) -> "NormStats":

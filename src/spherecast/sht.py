@@ -12,6 +12,9 @@ The Legendre functions are built by the standard stable three-term
 recurrence in degree at fixed order, seeded along the diagonal with the
 sin(colat) factor folded into each step so no intermediate under- or
 overflows occur; normalized values stay O(1) up to degree 2048 and beyond.
+As in SHTns (Schaeffer 2013) and libsharp (Reinecke & Seljebotn 2013) the
+transforms generate them one degree at a time on the northern nodes and
+fold in the southern ones by symmetry, so no table is stored.
 
 The spectrum diagnostic is per zonal wavenumber: P(m) sums |a_l^m|^2 over
 all degrees l >= m, with m > 0 counted twice (the +/-m pair of a real
@@ -35,6 +38,7 @@ __all__ = [
     "plegendre_max_abs",
     "analyze",
     "synthesize",
+    "stack_slices",
     "zonal_power_spectrum",
     "kinetic_energy_spectrum",
     "potential_temperature_energy_spectrum",
@@ -46,23 +50,25 @@ DRY_AIR_KAPPA = 0.2854  # R/c_p for dry air, used for potential temperature
 
 @dataclass(frozen=True, eq=False)
 class HarmonicCoeffs:
-    """Triangular complex coefficients a[l, m] for 0 <= m <= l <= l_max."""
+    """Triangular complex coefficients a[l, m] for 0 <= m <= l <= l_max,
+    for one field or, with leading axes, a stack of them."""
 
-    values: np.ndarray   # complex, shape (l_max + 1, l_max + 1), zero for m > l
+    values: np.ndarray   # complex, shape (..., l_max + 1, l_max + 1), zero for m > l
     l_max: int
 
     def __post_init__(self):
-        if self.values.shape != (self.l_max + 1, self.l_max + 1):
-            raise ValueError("coefficient array must be (l_max+1, l_max+1)")
+        if self.values.shape[-2:] != (self.l_max + 1, self.l_max + 1):
+            raise ValueError("coefficient array must be (..., l_max+1, l_max+1)")
 
-    def __getitem__(self, lm) -> complex:
+    def __getitem__(self, lm):
         l, m = lm
-        return self.values[l, m]
+        return self.values[..., l, m]
 
 
 @dataclass
 class SpectrumResult:
-    """Power per zonal wavenumber m for one field and lead window."""
+    """Power per zonal wavenumber m (last axis) for one field and lead
+    window, or for each field of a stack."""
 
     power: np.ndarray
     variable: str = ""
@@ -74,6 +80,37 @@ class SpectrumResult:
             raise ValueError("spectrum power must be non-negative")
 
 
+def _legendre_rows(x: np.ndarray, l_max: int):
+    """Yield (l, P_l) for l = 0..l_max, where P_l[m, i] = P[l, m, i], m <= l.
+
+    The one recurrence behind every Legendre value in this module: the
+    diagonal seeded with sin(colat) folded into each step, the first
+    subdiagonal, then the three-term recurrence in l, vectorized over m.
+    Only three degrees and one scratch row are held, so memory is
+    O(l_max n); each P_l is a view that later degrees overwrite.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    sx = np.sqrt(np.maximum(1.0 - x * x, 0.0))
+    prev2, prev1, row, tmp = (np.zeros((l_max + 1, x.size)) for _ in range(4))
+    prev1[0] = 1.0 / np.sqrt(4.0 * np.pi)
+    yield 0, prev1[:1]
+    for l in range(1, l_max + 1):
+        if l >= 2:
+            k = l - 1
+            m = np.arange(0, k, dtype=np.float64)
+            alpha = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+            beta = np.sqrt(((2.0 * l + 1.0) * (l + m - 1.0) * (l - m - 1.0))
+                           / ((2.0 * l - 3.0) * (l + m) * (l - m)))
+            np.multiply(alpha[:, None], x[None, :], out=row[:k])
+            row[:k] *= prev1[:k]
+            np.multiply(beta[:, None], prev2[:k], out=tmp[:k])
+            row[:k] -= tmp[:k]
+        row[l - 1] = np.sqrt(2.0 * l + 1.0) * x * prev1[l - 1]
+        row[l] = -np.sqrt((2 * l + 1) / (2.0 * l)) * sx * prev1[l - 1]
+        prev2, prev1, row = prev1, row, prev2
+        yield l, prev1[:l + 1]
+
+
 def plegendre_table(x: np.ndarray, l_max: int) -> np.ndarray:
     """Orthonormalized associated Legendre functions on nodes x = sin(lat).
 
@@ -81,26 +118,13 @@ def plegendre_table(x: np.ndarray, l_max: int) -> np.ndarray:
     (the harmonic is P[l,m] * exp(i m lon)), so
     int_{-1}^{1} P[l,m] P[l',m] dx = delta(l,l') / (2 pi), the
     Condon-Shortley phase is included, and P[0,0] = 1/sqrt(4 pi).
+    The dense (l_max+1)^2 n table is for inspection and tests; the
+    transforms stream the same rows instead of storing them.
     """
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    sx = np.sqrt(np.maximum(1.0 - x * x, 0.0))
-    n = x.size
-    P = np.zeros((l_max + 1, l_max + 1, n))
-    P[0, 0] = 1.0 / np.sqrt(4.0 * np.pi)
-    # diagonal: seed with sin(colat) folded into each step
-    for m in range(1, l_max + 1):
-        P[m, m] = -np.sqrt((2 * m + 1) / (2.0 * m)) * sx * P[m - 1, m - 1]
-    # first subdiagonal
-    for m in range(0, l_max):
-        P[m + 1, m] = np.sqrt(2.0 * m + 3.0) * x * P[m, m]
-    # three-term recurrence in l, vectorized over m
-    for l in range(2, l_max + 1):
-        m = np.arange(0, l - 1, dtype=np.float64)
-        alpha = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-        beta = np.sqrt(((2.0 * l + 1.0) * (l + m - 1.0) * (l - m - 1.0))
-                       / ((2.0 * l - 3.0) * (l + m) * (l - m)))
-        P[l, :l - 1] = (alpha[:, None] * x[None, :] * P[l - 1, :l - 1]
-                        - beta[:, None] * P[l - 2, :l - 1])
+    P = np.zeros((l_max + 1, l_max + 1, x.size))
+    for l, row in _legendre_rows(x, l_max):
+        P[l, :l + 1] = row
     return P
 
 
@@ -110,39 +134,21 @@ def plegendre_max_abs(x: np.ndarray, l_max: int) -> float:
     Diagnostic for recurrence stability at high degree without storing the
     full (l_max+1)^2 table.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    sx = np.sqrt(np.maximum(1.0 - x * x, 0.0))
-    n = x.size
-    prev2 = np.zeros((l_max + 1, n))   # row l-2 over m
-    prev1 = np.zeros((l_max + 1, n))   # row l-1 over m
-    prev2[0] = 1.0 / np.sqrt(4.0 * np.pi)
-    worst = float(np.max(np.abs(prev2[0])))
-    if l_max == 0:
-        return worst
-    prev1[0] = np.sqrt(3.0) * x * prev2[0]
-    prev1[1] = -np.sqrt(3.0 / 2.0) * sx * prev2[0]
-    worst = max(worst, float(np.max(np.abs(prev1[:2]))))
-    for l in range(2, l_max + 1):
-        row = np.zeros((l_max + 1, n))
-        m = np.arange(0, l - 1, dtype=np.float64)
-        alpha = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-        beta = np.sqrt(((2.0 * l + 1.0) * (l + m - 1.0) * (l - m - 1.0))
-                       / ((2.0 * l - 3.0) * (l + m) * (l - m)))
-        row[:l - 1] = (alpha[:, None] * x[None, :] * prev1[:l - 1]
-                       - beta[:, None] * prev2[:l - 1])
-        row[l - 1] = np.sqrt(2.0 * l + 1.0) * x * prev1[l - 1]
-        row[l] = -np.sqrt((2 * l + 1) / (2.0 * l)) * sx * prev1[l - 1]
-        worst = max(worst, float(np.max(np.abs(row[:l + 1]))))
-        prev2, prev1 = prev1, row
-    return worst
+    return max(float(np.max(np.abs(row))) for _, row in _legendre_rows(x, l_max))
 
 
 class SphericalHarmonicTransform:
-    """Precomputed transform between a Gaussian grid and coefficients.
+    """Transform between a Gaussian grid and coefficients, for one field
+    or a stack of them.
 
-    The Legendre table is built once per (grid, l_max) and shared
-    read-only; analyze and synthesize are pure.  Direct (non-fast)
-    Legendre transform, O(l_max^2 n_lat) per field.
+    No Legendre table is stored: each call streams the degrees from
+    _legendre_rows on the northern nodes only, and the southern rows
+    follow from P(-x) = (-1)^(l+m) P(x).  The FFT rows of each mirrored
+    latitude pair are folded into their sum and difference, so every
+    degree is one real-by-complex matmul per order m over half the
+    latitudes, shared by all fields of the stack.  Direct (non-fast)
+    Legendre transform: O(l_max^2 n_lat) work per field, O(l_max n_lat)
+    memory per pass beside the fields and coefficients themselves.
     """
 
     def __init__(self, grid: GridSpec, l_max: int):
@@ -162,40 +168,84 @@ class SphericalHarmonicTransform:
                 f"2*l_max + 1 <= n_lon = {grid.n_lon}")
         self.grid = grid
         self.l_max = l_max
-        x = np.sin(np.radians(grid.latitudes))
-        self._plm = plegendre_table(x, l_max)                  # (l, m, lat)
+        self._half = grid.n_lat // 2
+        self._x = np.sin(np.radians(grid.latitudes[:self._half]))  # north
         self._weights = np.asarray(grid.quad_weights, dtype=np.float64)
         m = np.arange(l_max + 1)
         lam0 = np.radians(grid.lon_origin)
         self._phase = np.exp(-1j * m * lam0)                   # analysis
+        self._sign = np.where(m % 2, -1.0, 1.0)                # (-1)^m
         self._n_lon = grid.n_lon
 
     def analyze(self, values: np.ndarray) -> HarmonicCoeffs:
-        """Field values (n_lat, n_lon) -> coefficients a[l, m]."""
+        """Field values (..., n_lat, n_lon) -> coefficients a[..., l, m]."""
         values = np.asarray(values, dtype=np.float64)
-        if values.shape != self.grid.shape:
+        if values.shape[-2:] != self.grid.shape:
             raise ValueError(
                 f"values shape {values.shape} does not match grid "
                 f"{self.grid.shape}")
-        g = np.fft.rfft(values, axis=1)[:, :self.l_max + 1]    # (lat, m)
-        wg = self._weights[:, None] * g
-        a = np.einsum("lmi,im->lm", self._plm, wg)
+        stack = values.shape[:-2]
+        f = values.reshape((-1,) + self.grid.shape)           # (b, lat, lon)
+        n, size, h = f.shape[0], self.l_max + 1, self._half
+        wg = self._weights[:, None] * np.fft.rfft(f, axis=-1)[..., :size]
+        north = wg[:, :h].transpose(2, 1, 0)                   # (m, i, b)
+        south = (wg[:, ::-1][:, :h] * self._sign).transpose(2, 1, 0)
+        # fold[p][m, i, b]: each mirrored pair's sum where l+m is even and
+        # difference where it is odd, for degrees l of parity p; read as
+        # reals so that the matmul is real-by-complex
+        fold = np.empty((2, size, h, n), dtype=np.complex128)
+        np.add(north, south, out=fold[0])
+        np.subtract(north, south, out=fold[1])
+        del wg, north, south
+        fold = fold.view(np.float64)
+        a = np.zeros((size, size, 2 * n))                      # (l, m, b)
+        for l, p in _legendre_rows(self._x, self.l_max):
+            np.matmul(p[:, None, :], fold[l % 2, :l + 1],
+                      out=a[l, :l + 1, None, :])
+        del fold
+        a = np.ascontiguousarray(np.moveaxis(a.view(np.complex128), -1, 0))
         a *= 2.0 * np.pi / self._n_lon
-        a *= self._phase[None, :]
-        return HarmonicCoeffs(values=a, l_max=self.l_max)
+        a *= self._phase
+        return HarmonicCoeffs(values=a.reshape(stack + (size, size)),
+                              l_max=self.l_max)
 
     def synthesize(self, coeffs: HarmonicCoeffs) -> np.ndarray:
-        """Coefficients -> field values on the grid; inverse of analyze."""
+        """Coefficients (..., l, m) -> field values (..., n_lat, n_lon);
+        inverse of analyze."""
         if coeffs.l_max != self.l_max:
             raise ValueError(
                 f"coefficient truncation {coeffs.l_max} does not match "
                 f"transform l_max {self.l_max}")
-        a = coeffs.values * np.conj(self._phase)[None, :]
-        c = np.einsum("lmi,lm->im", self._plm, a)
-        spec = np.zeros((self.grid.n_lat, self._n_lon // 2 + 1),
+        size, h = self.l_max + 1, self._half
+        a = coeffs.values * np.conj(self._phase)
+        stack = a.shape[:-2]
+        a = a.reshape((-1, size, size))
+        n = a.shape[0]
+        a = np.ascontiguousarray(np.moveaxis(a, 0, -1)).view(np.float64)
+        # acc[p][m, i, b]: sum over degrees of parity p of P[l, m, i] a[l, m]
+        acc = np.zeros((2, size, h, 2 * n))
+        for l, p in _legendre_rows(self._x, self.l_max):
+            acc[l % 2, :l + 1] += p[:, :, None] * a[l, :l + 1, None, :]
+        north = (acc[0] + acc[1]).view(np.complex128)
+        south = ((acc[0] - acc[1])
+                 * self._sign[:, None, None]).view(np.complex128)
+        spec = np.zeros((n, self.grid.n_lat, self._n_lon // 2 + 1),
                         dtype=np.complex128)
-        spec[:, :self.l_max + 1] = c
-        return np.fft.irfft(spec, n=self._n_lon, axis=1) * self._n_lon
+        spec[:, :h, :size] = north.transpose(2, 1, 0)
+        spec[:, h:, :size] = south.transpose(2, 1, 0)[:, ::-1]
+        out = np.fft.irfft(spec, n=self._n_lon, axis=-1) * self._n_lon
+        return out.reshape(stack + self.grid.shape)
+
+
+# float64 input per stacked transform pass; analyze's temporaries add
+# about twice that again, so a pass stays near 400 MB at any length
+_STACK_BYTES = 1 << 27
+
+
+def stack_slices(n_fields: int, grid: GridSpec) -> list[slice]:
+    """Split a stack of n_fields on grid into passes of at most _STACK_BYTES."""
+    step = max(1, _STACK_BYTES // (8 * grid.n_lat * grid.n_lon))
+    return [slice(i, i + step) for i in range(0, n_fields, step)]
 
 
 @lru_cache(maxsize=8)
@@ -212,13 +262,14 @@ def _values_and_grid(field_or_values, grid: GridSpec | None):
 
 
 def analyze(field_or_values, l_max: int, grid: GridSpec | None = None) -> HarmonicCoeffs:
-    """Analyze a field (or array + grid) up to degree l_max."""
+    """Analyze a field, or an array or stack of arrays + grid, up to
+    degree l_max."""
     values, grid = _values_and_grid(field_or_values, grid)
     return _cached_transform(grid, l_max).analyze(values)
 
 
 def synthesize(coeffs: HarmonicCoeffs, grid: GridSpec) -> np.ndarray:
-    """Evaluate coefficients on a Gaussian grid."""
+    """Evaluate coefficients (or a stack of them) on a Gaussian grid."""
     return _cached_transform(grid, coeffs.l_max).synthesize(coeffs)
 
 
@@ -229,46 +280,54 @@ def zonal_power_spectrum(field_or_values, l_max: int,
 
     m > 0 terms carry multiplicity 2 (the conjugate -m coefficients of a
     real field), so sum_m P(m) satisfies Parseval against the
-    quadrature-weighted mean square times 4 pi.
+    quadrature-weighted mean square times 4 pi.  A (..., n_lat, n_lon)
+    stack gives one spectrum per field, all from one transform call.
     """
     values, grid = _values_and_grid(field_or_values, grid)
     if isinstance(field_or_values, Field) and not variable:
         variable = field_or_values.variable
     coeffs = analyze(values, l_max, grid)
     mag2 = np.abs(coeffs.values) ** 2
-    power = mag2.sum(axis=0)
-    power[1:] *= 2.0
+    power = mag2.sum(axis=-2)
+    power[..., 1:] *= 2.0
     return SpectrumResult(power=power, variable=variable,
                           lead_label=lead_label)
 
 
-def kinetic_energy_spectrum(u: Field, v: Field, l_max: int,
-                            half: bool = True,
-                            lead_label: str = "") -> SpectrumResult:
+def kinetic_energy_spectrum(u, v, l_max: int, half: bool = True,
+                            lead_label: str = "",
+                            grid: GridSpec | None = None) -> SpectrumResult:
     """Kinetic energy spectrum from wind components (m^2 s-2 per m).
 
     KE(m) = 1/2 [P_u(m) + P_v(m)]; set half=False to drop the 1/2 of the
-    specific-kinetic-energy definition (shape is unaffected).
+    specific-kinetic-energy definition (shape is unaffected).  u and v are
+    Fields, or arrays (one field or a stack) on grid.
     """
-    if u.grid != v.grid:
+    u_values, u_grid = _values_and_grid(u, grid)
+    v_values, v_grid = _values_and_grid(v, grid)
+    if u_grid != v_grid:
         raise ValueError("u and v must share one grid")
-    pu = zonal_power_spectrum(u.values, l_max, u.grid).power
-    pv = zonal_power_spectrum(v.values, l_max, v.grid).power
+    pu = zonal_power_spectrum(u_values, l_max, u_grid).power
+    pv = zonal_power_spectrum(v_values, l_max, v_grid).power
     scale = 0.5 if half else 1.0
     return SpectrumResult(power=scale * (pu + pv), variable="KE",
                           lead_label=lead_label, units="m2 s-2")
 
 
-def potential_temperature_energy_spectrum(t: Field, l_max: int,
+def potential_temperature_energy_spectrum(t, l_max: int,
                                           pressure_hpa: float = 500.0,
                                           kappa: float = DRY_AIR_KAPPA,
-                                          lead_label: str = "") -> SpectrumResult:
+                                          lead_label: str = "",
+                                          grid: GridSpec | None = None
+                                          ) -> SpectrumResult:
     """Potential temperature energy spectrum (K^2 per m).
 
     theta = T * (1000 / p)^kappa with the dry-air exponent by default,
-    then the zonal power spectrum of theta.
+    then the zonal power spectrum of theta.  t is a Field, or an array
+    (one field or a stack) on grid.
     """
-    theta = t.values * (1000.0 / pressure_hpa) ** kappa
-    out = zonal_power_spectrum(theta, l_max, t.grid)
+    t_values, grid = _values_and_grid(t, grid)
+    theta = t_values * (1000.0 / pressure_hpa) ** kappa
+    out = zonal_power_spectrum(theta, l_max, grid)
     return SpectrumResult(power=out.power, variable="theta",
                           lead_label=lead_label, units="K2")

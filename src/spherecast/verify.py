@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .container import ScoreRecord, read_container, _parse_time
+from .container import ScoreRecord, atomic_write, read_container, _parse_time
 from .grid import Field, GridSpec, ensure_utc, metric_weights
 from .preprocess import Climatology
 
@@ -369,7 +369,7 @@ def write_correlation_csv(matrix: CorrelationMatrix, path,
     difference matrices."""
     vals = matrix.values if values is None else values
     names = [f"{v}|{l}" for v, l in matrix.labels]
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["variable|level"] + names)
         for name, row in zip(names, vals):

@@ -46,3 +46,31 @@ def make_spectrum_fixture(path):
     series = make_series(grid, "Z500", "single", n_time=2, seed=2024)
     write_container({series.key: series}, path, dtype="f64")
     return grid, series
+
+
+def fail_writes_after(monkeypatch, n_writes):
+    """Make every file that spherecast.container opens for writing fail
+    like a full disk after n_writes successful write calls."""
+    from spherecast import container
+
+    class FailingFile:
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes > n_writes:
+                raise OSError(28, "No space left on device")
+            return self.fh.write(data)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.fh.__exit__(*exc)
+
+    def failing_open(path, mode="r", **kwargs):
+        fh = open(path, mode, **kwargs)
+        return fh if "r" in mode else FailingFile(fh)
+
+    monkeypatch.setattr(container, "open", failing_open, raising=False)

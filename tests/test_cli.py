@@ -11,7 +11,7 @@ from spherecast.cli import main
 from spherecast.container import read_container, read_scores, write_container
 from spherecast.grid import FieldSeries
 from spherecast.preprocess import Climatology
-from conftest import make_series, make_spectrum_fixture
+from conftest import fail_writes_after, make_series, make_spectrum_fixture
 
 T0 = datetime(2020, 1, 1, tzinfo=timezone.utc)
 DATA = Path(__file__).parent / "data"
@@ -174,6 +174,70 @@ def test_spectrum_cli_matches_committed_golden(tmp_path):
     assert set(got) == set(golden)
     for key, val in golden.items():
         assert abs(got[key] - val) <= 1e-9 * max(1.0, abs(val)), key
+
+
+def _spectrum_csv(path):
+    with open(path, newline="") as fh:
+        return {(r["variable"], int(r["lead_hours"]), int(r["m"])): r["power"]
+                for r in csv.DictReader(fh)}
+
+
+@pytest.mark.parametrize("kind", ["kinetic", "theta"])
+def test_spectrum_kinds_match_per_field_spectra(tmp_path, grid16, kind):
+    from spherecast import cli
+    from spherecast.sht import (kinetic_energy_spectrum,
+                                potential_temperature_energy_spectrum)
+    src = {(v, "single"): make_series(grid16, v, n_time=3, seed=40 + i)
+           for i, v in enumerate(("U500", "V500", "T500"))}
+    inp = tmp_path / "in.gvf"
+    write_container(src, inp, dtype="f64")
+    out = tmp_path / "spec.csv"
+    assert main(["spectrum", "--input", str(inp), "--output", str(out),
+                 "--kind", kind, "--l-max", "12", "--pressure", "700"]) == 0
+    c = read_container(inp)
+    expect = {}
+    for i in range(3):
+        if kind == "kinetic":
+            spec = kinetic_energy_spectrum(c.field(i, "U500"),
+                                           c.field(i, "V500"), 12)
+        else:
+            spec = potential_temperature_energy_spectrum(
+                c.field(i, "T500"), 12, pressure_hpa=700.0)
+        expect.update({(spec.variable, 6 * i, m): p
+                       for m, p in enumerate(spec.power)})
+    # the stacked values before formatting, then the CSV itself
+    cfg = dict(cli._DEFAULTS["spectrum"], kind=kind, l_max=12, pressure=700.0)
+    rows = {(v, lead, m): p for v, lead, m, p in cli._spectrum_rows(cfg, c)}
+    assert set(rows) == set(expect)
+    for key, p in expect.items():
+        assert abs(rows[key] - p) <= 1e-12 * p, key
+    got = _spectrum_csv(out)
+    assert got == {key: f"{rows[key]:.9g}" for key in rows}
+
+
+def test_spectrum_non_finite_input_exits_three(tmp_path, grid16, capsys):
+    series = make_series(grid16, "Z500", n_time=2, seed=43)
+    series.values[1, 2, 3] = np.inf
+    inp = tmp_path / "in.gvf"
+    write_container({series.key: series}, inp, dtype="f64")
+    out = tmp_path / "spec.csv"
+    assert main(["spectrum", "--input", str(inp), "--output", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert str(inp) in err and "Z500 (single)" in err
+    assert not out.exists()
+
+
+def test_failed_spectrum_write_leaves_previous_output(tmp_path, monkeypatch):
+    inp = tmp_path / "fixture.gvf"
+    make_spectrum_fixture(inp)
+    out = tmp_path / "spec.csv"
+    assert main(["spectrum", "--input", str(inp), "--output", str(out),
+                 "--l-max", "10"]) == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    fail_writes_after(monkeypatch, 1)
+    assert main(["spectrum", "--input", str(inp), "--output", str(out),
+                 "--l-max", "4"]) == 3
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_correlate_cli(tmp_path, grid16):

@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from spherecast.container import (ContainerError, ScoreRecord, read_container,
                                   read_scores, write_container, write_scores)
-from conftest import make_series
+from conftest import fail_writes_after, make_series
 
 
 def _random_collection(grid, seed=0, n_time=3):
@@ -115,6 +117,58 @@ def test_bad_header_names_file_and_exits_two(tmp_path, grid16, capsys,
     assert main(["stats", "--input", str(path),
                  "--output", str(tmp_path / "s.json")]) == 2
     assert str(path) in capsys.readouterr().err
+
+
+def _rewrite_header(path, edit):
+    blob = path.read_bytes()
+    header_len = int.from_bytes(blob[:8], "little")
+    header = json.dumps(edit(json.loads(blob[8:8 + header_len]))).encode()
+    path.write_bytes(len(header).to_bytes(8, "little") + header
+                     + blob[8 + header_len:])
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda h: [], "header is not a JSON object"),
+    (lambda h: "GVF1", "header is not a JSON object"),
+    (lambda h: dict(h, grid=[16, 32]), "grid is not a JSON object"),
+    (lambda h: dict(h, grid="gaussian"), "grid is not a JSON object"),
+    (lambda h: dict(h, attrs=["x"]), "attrs is not a JSON object"),
+])
+def test_non_object_header_parts_name_file_and_exit_two(tmp_path, grid16,
+                                                       capsys, edit, named):
+    from spherecast.cli import main
+    path = tmp_path / "data.gvf"
+    write_container(_random_collection(grid16, seed=10), path, dtype="f32")
+    _rewrite_header(path, edit)
+    with pytest.raises(ContainerError) as exc:
+        read_container(path)
+    assert str(path) in str(exc.value) and named in str(exc.value)
+    assert main(["stats", "--input", str(path),
+                 "--output", str(tmp_path / "s.json")]) == 2
+    assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_writes", [0, 2])
+def test_failed_write_leaves_no_partial_or_temp_file(tmp_path, grid16,
+                                                     monkeypatch, n_writes):
+    """A container or score write that fails midway removes its temp
+    file; a file already at the path keeps its bytes."""
+    src = _random_collection(grid16, seed=11)
+    kept = tmp_path / "kept.gvf"
+    write_container(src, kept)
+    scores = tmp_path / "scores.csv"
+    records = [ScoreRecord("T", 6, "rmse", 1.0, 0.5, 1.5, 3)]
+    write_scores(records, scores)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    fail_writes_after(monkeypatch, n_writes)
+    for path in (kept, tmp_path / "new.gvf"):
+        with pytest.raises(OSError, match="No space"):
+            write_container(src, path)
+    for path in (scores, tmp_path / "new.csv"):
+        for fmt in ("csv", "jsonl"):
+            with pytest.raises(OSError, match="No space"):
+                write_scores(records * 3, path, format=fmt)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_empty_time_axis_header_only(tmp_path, grid16):

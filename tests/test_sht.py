@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.special as sp
@@ -113,6 +115,62 @@ def test_round_trip_with_lon_origin():
     coeffs = random_coeffs(15, seed=7)
     f = t.synthesize(coeffs)
     assert np.abs(t.analyze(f).values - coeffs.values).max() < 1e-10
+
+
+def test_round_trip_truncated_with_lon_origin():
+    # l_max below n_lat - 1 and a shifted longitude origin, one field and
+    # a stack of them
+    grid = make_gaussian_grid(32, 64, lon_origin=7.5)
+    t = SphericalHarmonicTransform(grid, 20)
+    coeffs = [random_coeffs(20, seed=s) for s in (30, 31, 32)]
+    for c in coeffs:
+        f = t.synthesize(c)
+        assert np.abs(t.analyze(f).values - c.values).max() < 1e-10
+    stack = HarmonicCoeffs(np.stack([c.values for c in coeffs]), 20)
+    back = t.analyze(t.synthesize(stack))
+    assert np.abs(back.values - stack.values).max() < 1e-10
+
+
+def test_stacked_transforms_match_per_field_calls(grid32):
+    """A (2, 3, lat, lon) stack against one call per field.  Synthesis is
+    bit for bit; analysis agrees to 1e-15 of each field's largest
+    coefficient, because the matmul over a wider stack may sum the
+    latitudes in another order."""
+    t = SphericalHarmonicTransform(grid32, 31)
+    rng = np.random.default_rng(14)
+    f = rng.normal(size=(2, 3) + grid32.shape)
+    stacked = t.analyze(f)
+    assert stacked.values.shape == (2, 3, 32, 32)
+    back = t.synthesize(stacked)
+    assert back.shape == f.shape
+    for i in range(2):
+        for j in range(3):
+            single = t.analyze(f[i, j]).values
+            scale = np.abs(single).max()
+            assert np.abs(stacked.values[i, j] - single).max() <= 1e-15 * scale
+            assert np.array_equal(
+                back[i, j],
+                t.synthesize(HarmonicCoeffs(stacked.values[i, j], 31)))
+    spec = zonal_power_spectrum(f, 31, grid32)
+    assert spec.power.shape == (2, 3, 32)
+    np.testing.assert_allclose(spec.power[1, 2],
+                               zonal_power_spectrum(f[1, 2], 31, grid32).power,
+                               rtol=1e-14)
+
+
+def test_analyze_n320_stores_no_legendre_table():
+    # the dense (l_max+1)^2 n_lat float64 table alone would be 2.1 GB
+    grid = make_gaussian_grid(640, 1280)
+    f = np.random.default_rng(15).normal(size=grid.shape)
+    tracemalloc.start()
+    try:
+        a = SphericalHarmonicTransform(grid, 639).analyze(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * 2 ** 20
+    mean = np.sum(grid.quad_weights[:, None] * f) / (2.0 * grid.n_lon)
+    assert abs(a[0, 0] - mean * np.sqrt(4.0 * np.pi)) < 1e-12
 
 
 def test_real_field_zonal_coeffs_real(grid32):
@@ -251,3 +309,5 @@ def test_transform_validation(grid32):
         t.analyze(np.zeros((3, 3)))
     with pytest.raises(ValueError, match="truncation"):
         t.synthesize(HarmonicCoeffs(np.zeros((5, 5), complex), 4))
+    with pytest.raises(ValueError, match="l_max"):
+        HarmonicCoeffs(np.zeros((2, 5, 4), complex), 4)
