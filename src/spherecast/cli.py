@@ -27,7 +27,8 @@ from .padding import PadSpec, pad
 from .preprocess import (Climatology, NormStats, compute_climatology,
                          compute_residual_coeff, compute_stats, denormalize,
                          normalize)
-from .rollout import PipelineStep, RolloutPlan, run_rollout_to_dir
+from .rollout import (ExternalForecasterError, PipelineStep, RolloutPlan,
+                      run_rollout_to_dir)
 from .sht import (kinetic_energy_spectrum, potential_temperature_energy_spectrum,
                   stack_slices, zonal_power_spectrum)
 from .solar import SolarConfig, accumulated_irradiance, read_gsc_csv
@@ -64,8 +65,13 @@ def _parse_grid(spec: str):
     raise UsageError(f"unknown grid kind {kind!r}")
 
 
-def _parse_time_arg(s: str):
-    return cio._parse_time(s if s.endswith("Z") else s + "Z")
+def _parse_time_arg(s: str, flag: str):
+    """A UTC time given as YYYY-MM-DDTHH:MM:SS, with or without a Z."""
+    try:
+        return cio._parse_time(s if s.endswith("Z") else s + "Z")
+    except ValueError:
+        raise UsageError(f"{flag}: {s!r} is not a UTC time; use the form "
+                         "YYYY-MM-DDTHH:MM:SS[Z]") from None
 
 
 def _task_seed(master: int, tag: str) -> int:
@@ -156,10 +162,12 @@ def _cmd_climatology(cfg):
 
 
 def _cmd_solar(cfg):
+    if cfg["windows"] < 1:
+        raise UsageError(f"--windows must be at least 1, got {cfg['windows']}")
+    start = _parse_time_arg(cfg["start"], "--start")
     grid = _parse_grid(cfg["grid"])
     table = read_gsc_csv(cfg["gsc_csv"]) if cfg["gsc_csv"] else None
     config = SolarConfig(gsc_table=table)
-    start = _parse_time_arg(cfg["start"])
     fields = []
     for k in range(cfg["windows"]):
         fields.append(accumulated_irradiance(
@@ -321,10 +329,11 @@ def _cmd_rollout(cfg):
     c = read_container(cfg["initial_states"])
     states = c.to_dict()
     if cfg["init_times"]:
-        inits = [_parse_time_arg(s.strip()) for s in cfg["init_times"].split(",")]
+        inits = [_parse_time_arg(s.strip(), "--init-times")
+                 for s in cfg["init_times"].split(",")]
     else:
         start, count, stride = cfg["inits"].split(",")
-        t0 = _parse_time_arg(start.strip())
+        t0 = _parse_time_arg(start.strip(), "--inits")
         inits = [t0 + timedelta(hours=int(stride) * k)
                  for k in range(int(count))]
     postprocess = []
@@ -338,7 +347,8 @@ def _cmd_rollout(cfg):
         external_command=(cfg["external_cmd"].split() if cfg["external_cmd"]
                           else None),
         postprocess=postprocess,
-        state_dtype=cfg["dtype"] or c.dtype_name)
+        state_dtype=cfg["dtype"] or c.dtype_name,
+        external_timeout=cfg["external_timeout"])
     clim = (Climatology.from_container(cfg["climatology"])
             if cfg["climatology"] else None)
     run_rollout_to_dir(plan, states, cfg["output_dir"], climatology=clim)
@@ -455,6 +465,9 @@ def build_parser() -> _Parser:
                    default=None)
     p.add_argument("--external-cmd", default=None,
                    help="command prefix for the external protocol")
+    p.add_argument("--external-timeout", type=float, default=None,
+                   metavar="SECONDS",
+                   help="limit on each external step (default 3600)")
     p.add_argument("--climatology", default=None)
     p.add_argument("--postprocess", default=None,
                    help='JSON list of {"kind", "params", "variables"} steps')
@@ -487,7 +500,8 @@ _DEFAULTS = {
     "rollout": {"initial_states": None, "output_dir": None, "inits": None,
                 "init_times": None, "step_hours": 6, "max_lead_hours": 240,
                 "forecaster": "persistence", "external_cmd": None,
-                "climatology": None, "postprocess": None, "dtype": None},
+                "external_timeout": 3600.0, "climatology": None,
+                "postprocess": None, "dtype": None},
 }
 
 _REQUIRED = {
@@ -525,7 +539,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    except (ContainerError, FileNotFoundError, KeyError) as exc:
+    except (ContainerError, ExternalForecasterError, FileNotFoundError,
+            KeyError) as exc:
         msg = exc.args[0] if exc.args else exc
         print(f"data error: {msg}", file=sys.stderr)
         return EXIT_DATA

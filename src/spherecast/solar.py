@@ -15,9 +15,9 @@ ending time.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from functools import reduce
 
 import numpy as np
 
@@ -128,25 +128,35 @@ def solar_constant_at(t: datetime, config: SolarConfig | None = None) -> float:
     return g0 + frac * (g1 - g0)
 
 
-def sun_ephemeris(t: datetime):
+def _utc_parts(times) -> dict[str, np.ndarray]:
+    """Calendar and clock fields of UTC datetimes as integer arrays."""
+    times = [ensure_utc(t) for t in times]
+    return {name: np.array([getattr(t, name) for t in times], dtype=np.int64)
+            for name in ("year", "month", "day", "hour", "minute", "second",
+                         "microsecond")}
+
+
+def sun_ephemeris(t):
     """Declination (rad), equation of time (min), earth-sun distance (au).
 
     NOAA solar calculator series: geometric mean longitude and anomaly in
     Julian centuries from J2000, equation of center, apparent longitude
     and mean obliquity.  Declination is good to ~0.01 deg over the
-    supported decades.
+    supported decades.  t is a datetime, giving three floats, or a
+    sequence of datetimes, giving three arrays over the sequence.
     """
-    t = ensure_utc(t)
+    scalar = isinstance(t, datetime)
+    p = _utc_parts([t] if scalar else t)
     # Julian date (valid for Gregorian dates; no Julian-calendar branch)
-    y, m = t.year, t.month
-    d = (t.day + t.hour / 24.0 + t.minute / 1440.0 + t.second / 86400.0
-         + t.microsecond / 86400e6)
-    if m <= 2:
-        y -= 1
-        m += 12
+    d = (p["day"] + p["hour"] / 24.0 + p["minute"] / 1440.0
+         + p["second"] / 86400.0 + p["microsecond"] / 86400e6)
+    early = p["month"] <= 2
+    y = np.where(early, p["year"] - 1, p["year"])
+    m = np.where(early, p["month"] + 12, p["month"])
     a = y // 100
     b = 2 - a + a // 4
-    jd = int(365.25 * (y + 4716)) + int(30.6001 * (m + 1)) + d + b - 1524.5
+    jd = ((365.25 * (y + 4716)).astype(np.int64)
+          + (30.6001 * (m + 1)).astype(np.int64) + d + b - 1524.5)
     jc = (jd - 2451545.0) / 36525.0
 
     # geometric mean longitude and anomaly of the sun (deg)
@@ -178,8 +188,10 @@ def sun_ephemeris(t: datetime):
     sal_r = np.radians(sal)
     decl = np.arcsin(np.sin(obliq_r) * np.sin(sal_r))
 
-    # equation of time (minutes)
-    vary = np.tan(obliq_r / 2.0) ** 2
+    # equation of time (minutes); the square is libm pow, element by
+    # element: numpy's array power and square differ from it in the last
+    # bit for some times
+    vary = np.array([math.pow(v, 2.0) for v in np.tan(obliq_r / 2.0).tolist()])
     gml_r = np.radians(gml)
     eot = 4.0 * np.degrees(
         vary * np.sin(2 * gml_r)
@@ -187,14 +199,22 @@ def sun_ephemeris(t: datetime):
         + 4 * ecc * vary * np.sin(gma_r) * np.cos(2 * gml_r)
         - 0.5 * vary * vary * np.sin(4 * gml_r)
         - 1.25 * ecc * ecc * np.sin(2 * gma_r))
-    return float(decl), float(eot), float(dist)
+    if scalar:
+        return float(decl[0]), float(eot[0]), float(dist[0])
+    return decl, eot, dist
 
 
-def _hour_angle(t: datetime, lon, eot_minutes: float):
-    """Hour angle (rad) from true solar time; lon in degrees east."""
-    t = ensure_utc(t)
-    utc_minutes = t.hour * 60.0 + t.minute + t.second / 60.0 + t.microsecond / 6e7
-    tst = utc_minutes + eot_minutes + 4.0 * np.asarray(lon, dtype=float)
+def _hour_angle(times, lon, eot_minutes) -> np.ndarray:
+    """Hour angle (rad) from true solar time, shape (times, lon).
+
+    lon is in degrees east; eot_minutes holds one equation of time per
+    time.
+    """
+    p = _utc_parts(times)
+    utc_minutes = (p["hour"] * 60.0 + p["minute"] + p["second"] / 60.0
+                   + p["microsecond"] / 6e7)
+    tst = ((utc_minutes + np.asarray(eot_minutes, dtype=float))[:, None]
+           + 4.0 * np.asarray(lon, dtype=float)[None, :])
     ha_deg = tst / 4.0 - 180.0
     return np.radians((ha_deg + 180.0) % 360.0 - 180.0)
 
@@ -204,7 +224,7 @@ def solar_geometry(t: datetime, lat: float, lon: float) -> SolarGeometry:
     if abs(lat) > 90.0:
         raise ValueError(f"latitude {lat} outside [-90, 90]")
     decl, eot, dist = sun_ephemeris(t)
-    ha = float(_hour_angle(t, lon, eot))
+    ha = float(_hour_angle([t], [lon], [eot])[0, 0])
     phi = np.radians(lat)
     cosz = (np.sin(phi) * np.sin(decl)
             + np.cos(phi) * np.cos(decl) * np.cos(ha))
@@ -227,24 +247,7 @@ def instantaneous_irradiance(t: datetime, lat: float, lon: float,
     return irradiance_from_geometry(gsc, geo.earth_sun_distance, geo.zenith)
 
 
-def _minute_irradiance_grid(t: datetime, grid: GridSpec,
-                            config: SolarConfig) -> np.ndarray:
-    decl, eot, dist = sun_ephemeris(t)
-    gsc = solar_constant_at(t, config)
-    ha = _hour_angle(t, grid.longitudes, eot)          # (n_lon,)
-    phi = np.radians(grid.latitudes)[:, None]          # (n_lat, 1)
-    cosz = (np.sin(phi) * np.sin(decl)
-            + np.cos(phi) * np.cos(decl) * np.cos(ha)[None, :])
-    return np.maximum(gsc / (dist * dist) * cosz, 0.0)
-
-
-def _hour_accumulation(start: datetime, grid: GridSpec,
-                       config: SolarConfig) -> np.ndarray:
-    """One hour of minute-sampled irradiance, summed to J m-2."""
-    minutes = np.stack([
-        _minute_irradiance_grid(start + timedelta(minutes=k), grid, config)
-        for k in range(60)])
-    return minutes.sum(axis=0) * config.minute_seconds
+_BLOCK_BYTES = 256 * 1024   # float64 latitude rows per block; stays in cache
 
 
 def accumulated_irradiance(window_start: datetime, window_hours: int,
@@ -255,15 +258,49 @@ def accumulated_irradiance(window_start: datetime, window_hours: int,
     Sampled at each minute start and summed hour by hour, so a 6-hour
     window equals the sum of its six 1-hour windows bit-exactly.  The
     output field is labeled with the window ending time.
+
+    The sun terms are tabulated once per window: sin(lat) sin(decl) and
+    cos(lat) cos(decl) per (minute, latitude), cos(hour angle) per
+    (minute, longitude) and G_SC / d^2 per minute.  The grid is then
+    walked in blocks of latitude rows: each minute's irradiance is built
+    in one reused buffer and added into the hour's sum, from minute 0 on,
+    and each hour, scaled to J m-2, is added into the window in order.
     """
     if window_hours not in (1, 6):
         raise ValueError(f"window_hours must be 1 or 6, got {window_hours}")
     config = config or SolarConfig()
     window_start = ensure_utc(window_start)
-    hour_sums = [
-        _hour_accumulation(window_start + timedelta(hours=k), grid, config)
-        for k in range(window_hours)]
-    total = reduce(np.add, hour_sums)
+    times = [window_start + timedelta(minutes=k)
+             for k in range(60 * window_hours)]
+    decl, eot, dist = sun_ephemeris(times)
+    gsc = np.array([solar_constant_at(t, config) for t in times])
+    phi = np.radians(grid.latitudes)
+    sin_sin = np.sin(phi)[None, :] * np.sin(decl)[:, None]    # (min, n_lat)
+    cos_cos = np.cos(phi)[None, :] * np.cos(decl)[:, None]    # (min, n_lat)
+    cos_ha = np.cos(_hour_angle(times, grid.longitudes, eot))  # (min, n_lon)
+    scale = gsc / (dist * dist)                               # (min,)
+
+    total = np.empty(grid.shape)
+    rows = max(1, _BLOCK_BYTES // (8 * grid.n_lon))
+    minute_buf = np.empty((rows, grid.n_lon))
+    hour_buf = np.empty((rows, grid.n_lon))
+    for r0 in range(0, grid.n_lat, rows):
+        block = slice(r0, min(r0 + rows, grid.n_lat))
+        hour, minute = hour_buf[:block.stop - r0], minute_buf[:block.stop - r0]
+        for h in range(window_hours):
+            for k in range(60 * h, 60 * (h + 1)):
+                out = hour if k == 60 * h else minute
+                np.multiply(cos_cos[k, block, None], cos_ha[k], out=out)
+                np.add(sin_sin[k, block, None], out, out=out)
+                np.multiply(scale[k], out, out=out)
+                np.maximum(out, 0.0, out=out)
+                if out is minute:
+                    np.add(hour, minute, out=hour)
+            np.multiply(hour, config.minute_seconds, out=hour)
+            if h == 0:
+                total[block] = hour
+            else:
+                np.add(total[block], hour, out=total[block])
     return Field(grid=grid, values=total, variable="Is",
                  valid_time=window_start + timedelta(hours=window_hours),
                  units="J m-2")

@@ -1,6 +1,7 @@
 import csv
 import json
 import sys
+import time
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -451,3 +452,95 @@ def test_external_rollout_cli(tmp_path, grid16):
     a = sorted(per_dir.glob("*.gvf"))[0]
     b = sorted(ext_dir.glob("*.gvf"))[0]
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("stderr", [None, "first line\\nlast line\\n"])
+def test_failed_external_forecaster_exits_two_naming_init(tmp_path, grid16,
+                                                         capsys, stderr):
+    cmd = "false"
+    if stderr:
+        script = tmp_path / "fail.sh"
+        script.write_text(f"printf '{stderr}' >&2; exit 7\n")
+        cmd = f"sh {script}"
+    target_path, _ = write_target(tmp_path, grid16, n_time=4, seed=31)
+    assert main(["rollout", "--initial-states", str(target_path),
+                 "--output-dir", str(tmp_path / "fc"),
+                 "--inits", "2020-01-01T06:00:00,1,6",
+                 "--step-hours", "6", "--max-lead-hours", "6",
+                 "--forecaster", "external", "--external-cmd", cmd]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: init 2020-01-01T06:00:00")
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    if stderr:
+        assert err.strip().endswith("exited 7 at 2020-01-01T06:00:00+00:00: "
+                                    "last line")
+    assert not list(tmp_path.glob("fc/*.gvf"))
+
+
+def test_external_forecaster_timeout_exits_two(tmp_path, grid16, capsys):
+    script = tmp_path / "hang.sh"
+    script.write_text("exec sleep 30\n")
+    target_path, _ = write_target(tmp_path, grid16, n_time=4, seed=32)
+    common = ["rollout", "--initial-states", str(target_path),
+              "--inits", "2020-01-01T00:00:00,1,6",
+              "--step-hours", "6", "--max-lead-hours", "6",
+              "--forecaster", "external"]
+    t0 = time.monotonic()
+    assert main([*common, "--output-dir", str(tmp_path / "fc"),
+                 "--external-cmd", f"sh {script}",
+                 "--external-timeout", "0.3"]) == 2
+    assert time.monotonic() - t0 < 15
+    err = capsys.readouterr().err
+    assert err.startswith("data error: init 2020-01-01T00:00:00")
+    assert "within 0.3 s" in err
+    assert not list(tmp_path.glob("fc/*.gvf"))
+
+    # the limit is part of the replayable config
+    copy = tmp_path / "copy.sh"
+    copy.write_text('while [ $# -gt 0 ]; do case $1 in --in) i=$2;; '
+                    '--out) o=$2;; esac; shift; done; cp "$i" "$o"\n')
+    assert main([*common, "--output-dir", str(tmp_path / "ok"),
+                 "--external-cmd", f"sh {copy}",
+                 "--external-timeout", "30"]) == 0
+    manifest = json.loads((tmp_path / "ok/rollout.manifest.json").read_text())
+    assert manifest["config"]["external_timeout"] == 30.0
+    config = tmp_path / "replay.json"
+    config.write_text(json.dumps({**manifest["config"],
+                                  "output_dir": str(tmp_path / "replay")}))
+    assert main(["rollout", "--config", str(config)]) == 0
+    assert ((tmp_path / "replay/init_20200101T000000Z.gvf").read_bytes()
+            == (tmp_path / "ok/init_20200101T000000Z.gvf").read_bytes())
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--start", "2021-06-01T00:00:00+05:00"),
+    ("--inits", "2021-06-01T00:00:00+05:00,2,6"),
+    ("--init-times", "2020-01-01T00:00:00Z,2020-01-01T06:00:00+05:00"),
+])
+def test_time_with_utc_offset_is_a_usage_error(tmp_path, grid16, capsys, flag,
+                                               value):
+    if flag == "--start":
+        argv = ["solar", "--grid", "gaussian:8x16",
+                "--output", str(tmp_path / "solar.gvf")]
+    else:
+        target_path, _ = write_target(tmp_path, grid16)
+        argv = ["rollout", "--initial-states", str(target_path),
+                "--output-dir", str(tmp_path / "fc")]
+    assert main(argv + [flag, value]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {flag}:" in err
+    assert "YYYY-MM-DDTHH:MM:SS[Z]" in err
+    assert "+05:00Z" not in err
+    assert not (tmp_path / "solar.gvf").exists()
+    assert not (tmp_path / "fc").exists()
+
+
+@pytest.mark.parametrize("windows", ["0", "-2"])
+def test_solar_nonpositive_windows_is_a_usage_error(tmp_path, capsys, windows):
+    out = tmp_path / "solar.gvf"
+    assert main(["solar", "--grid", "gaussian:8x16",
+                 "--start", "2021-06-01T00:00:00", "--windows", windows,
+                 "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"--windows must be at least 1, got {windows}" in err
+    assert not list(tmp_path.iterdir())

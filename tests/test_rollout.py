@@ -253,3 +253,23 @@ def test_write_forecast_dir_matches_streaming(tmp_path, grid16):
     assert [p.name for p in f1] == [p.name for p in f2]
     for a, b in zip(f1, f2):
         assert a.read_bytes() == b.read_bytes()
+
+
+def test_external_timeout_raises_naming_init_and_limit(tmp_path, grid16):
+    script = tmp_path / "hang.py"
+    script.write_text("import time; time.sleep(30)\n")
+    states = {("T", "single"): f32_series(grid16, n_time=2, seed=10)}
+    plan = RolloutPlan(init_times=[T0], step_hours=6, max_lead_hours=6,
+                       forecaster="external",
+                       external_command=[sys.executable, str(script)],
+                       external_timeout=0.5)
+    with pytest.raises(ExternalForecasterError,
+                       match=r"init 2020-01-01T00:00:00\+00:00: .*within 0.5 s"):
+        run_rollout(plan, states)
+
+
+@pytest.mark.parametrize("limit", [0.0, -1.0, float("nan")])
+def test_external_timeout_must_be_positive(limit):
+    with pytest.raises(ValueError, match="external_timeout"):
+        RolloutPlan(init_times=[T0], step_hours=6, max_lead_hours=6,
+                    external_timeout=limit)

@@ -1,9 +1,12 @@
+import tracemalloc
 from datetime import datetime, timedelta, timezone
+from functools import reduce
 
 import numpy as np
 import pytest
 
 from spherecast import make_gaussian_grid
+from spherecast import solar
 from spherecast.solar import (SolarConfig, accumulated_irradiance,
                               instantaneous_irradiance, irradiance_from_geometry,
                               read_gsc_csv, solar_constant_at, solar_geometry,
@@ -235,3 +238,123 @@ def test_global_daily_mean_quarter_solar_constant():
     _, _, dist = sun_ephemeris(start + timedelta(hours=12))
     expect = 1361.0 / (4.0 * dist * dist)
     assert abs(global_mean - expect) / expect < 0.01
+
+
+def scalar_ephemeris(t):
+    """The NOAA series on Python floats, one time per call: the form the
+    array ephemeris must reproduce bit for bit."""
+    y, m = t.year, t.month
+    d = (t.day + t.hour / 24.0 + t.minute / 1440.0 + t.second / 86400.0
+         + t.microsecond / 86400e6)
+    if m <= 2:
+        y -= 1
+        m += 12
+    a = y // 100
+    b = 2 - a + a // 4
+    jd = int(365.25 * (y + 4716)) + int(30.6001 * (m + 1)) + d + b - 1524.5
+    jc = (jd - 2451545.0) / 36525.0
+    gml = (280.46646 + jc * (36000.76983 + jc * 0.0003032)) % 360.0
+    gma = 357.52911 + jc * (35999.05029 - 0.0001537 * jc)
+    ecc = 0.016708634 - jc * (0.000042037 + 0.0000001267 * jc)
+    gma_r = np.radians(gma)
+    ctr = (np.sin(gma_r) * (1.914602 - jc * (0.004817 + 0.000014 * jc))
+           + np.sin(2 * gma_r) * (0.019993 - 0.000101 * jc)
+           + np.sin(3 * gma_r) * 0.000289)
+    stl = gml + ctr
+    sta = gma + ctr
+    dist = (1.000001018 * (1 - ecc * ecc)) / (1 + ecc * np.cos(np.radians(sta)))
+    omega = 125.04 - 1934.136 * jc
+    sal = stl - 0.00569 - 0.00478 * np.sin(np.radians(omega))
+    seconds = 21.448 - jc * (46.815 + jc * (0.00059 - jc * 0.001813))
+    moe = 23.0 + (26.0 + seconds / 60.0) / 60.0
+    obliq = moe + 0.00256 * np.cos(np.radians(omega))
+    obliq_r = np.radians(obliq)
+    decl = np.arcsin(np.sin(obliq_r) * np.sin(np.radians(sal)))
+    vary = np.tan(obliq_r / 2.0) ** 2
+    gml_r = np.radians(gml)
+    eot = 4.0 * np.degrees(
+        vary * np.sin(2 * gml_r)
+        - 2 * ecc * np.sin(gma_r)
+        + 4 * ecc * vary * np.sin(gma_r) * np.cos(2 * gml_r)
+        - 0.5 * vary * vary * np.sin(4 * gml_r)
+        - 1.25 * ecc * ecc * np.sin(2 * gma_r))
+    return float(decl), float(eot), float(dist)
+
+
+def stacked_window(start, window_hours, grid, config):
+    """Oracle: one full grid per minute, 60 stacked and summed per hour,
+    hours summed in order."""
+    def minute_grid(t):
+        decl, eot, dist = sun_ephemeris(t)
+        gsc = solar_constant_at(t, config)
+        utc_minutes = t.hour * 60.0 + t.minute + t.second / 60.0
+        tst = utc_minutes + eot + 4.0 * grid.longitudes
+        ha = np.radians((tst / 4.0 - 180.0 + 180.0) % 360.0 - 180.0)
+        phi = np.radians(grid.latitudes)[:, None]
+        cosz = (np.sin(phi) * np.sin(decl)
+                + np.cos(phi) * np.cos(decl) * np.cos(ha)[None, :])
+        return np.maximum(gsc / (dist * dist) * cosz, 0.0)
+
+    hours = [np.stack([minute_grid(start + timedelta(hours=h, minutes=k))
+                       for k in range(60)]).sum(axis=0) * config.minute_seconds
+             for h in range(window_hours)]
+    return reduce(np.add, hours)
+
+
+GSC_TABLE = {y: 1360.0 + 0.25 * (y - 1979) for y in range(1979, 1996)}
+
+
+@pytest.mark.parametrize("shape,start,hours,table", [
+    ((16, 32), datetime(2020, 5, 4, 6, tzinfo=UTC), 6, None),
+    ((8, 16), datetime(2003, 2, 11, 14, tzinfo=UTC), 1, None),
+    # fractional year 2022.0 falls at 2021-12-31 10:15:36 UTC, inside the
+    # window, where the cycle wraps from table year 1995 to 1983
+    ((16, 32), datetime(2021, 12, 31, 6, tzinfo=UTC), 6, GSC_TABLE),
+    # 25 latitude rows per block at n_lon = 1280: blocks of 25, 25 and 14
+    ((64, 1280), datetime(2021, 6, 1, tzinfo=UTC), 6, None),
+    ((64, 1280), datetime(2021, 6, 1, 18, tzinfo=UTC), 1, GSC_TABLE),
+])
+def test_blocked_window_matches_minute_stack_byte_for_byte(shape, start, hours,
+                                                            table):
+    grid = make_gaussian_grid(*shape)
+    cfg = SolarConfig(gsc_table=table)
+    got = accumulated_irradiance(start, hours, grid, cfg).values
+    expect = stacked_window(start, hours, grid, cfg)
+    assert got.tobytes() == expect.tobytes()
+
+
+def test_window_fixture_covers_partial_block_and_year_crossing():
+    rows = solar._BLOCK_BYTES // (8 * 1280)
+    assert 64 > rows and 64 % rows != 0
+    cfg = SolarConfig(gsc_table=GSC_TABLE)
+    start = datetime(2021, 12, 31, 6, tzinfo=UTC)
+    years = [int(solar._fractional_year(t, cfg.year_days))
+             for t in (start, start + timedelta(hours=6))]
+    assert years == [2021, 2022]
+
+
+def test_array_ephemeris_equals_scalar_calls_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    t0 = datetime(1979, 1, 1, tzinfo=UTC)
+    n_minutes = int((datetime(2031, 1, 1, tzinfo=UTC) - t0).total_seconds()
+                    // 60)
+    times = [t0 + timedelta(minutes=int(k))
+             for k in rng.integers(0, n_minutes, 10_000)]
+    decl, eot, dist = sun_ephemeris(times)
+    assert decl.shape == eot.shape == dist.shape == (len(times),)
+    got = list(zip(decl.tolist(), eot.tolist(), dist.tolist()))
+    assert got == [sun_ephemeris(t) for t in times]
+    assert got == [scalar_ephemeris(t) for t in times]
+
+
+def test_n320_six_hour_window_allocates_under_100_mb():
+    # sixty stacked 640x1280 float64 minute grids alone are 393 MB
+    grid = make_gaussian_grid(640, 1280)
+    tracemalloc.start()
+    try:
+        f = accumulated_irradiance(datetime(2021, 6, 1, tzinfo=UTC), 6, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2 ** 20
+    assert np.all(f.values >= 0.0) and f.values.max() > 1e7
