@@ -347,8 +347,7 @@ def _cmd_rollout(cfg):
         external_command=(cfg["external_cmd"].split() if cfg["external_cmd"]
                           else None),
         postprocess=postprocess,
-        state_dtype=cfg["dtype"] or c.dtype_name,
-        external_timeout=cfg["external_timeout"])
+        state_dtype=cfg["dtype"] or c.dtype_name)
     clim = (Climatology.from_container(cfg["climatology"])
             if cfg["climatology"] else None)
     run_rollout_to_dir(plan, states, cfg["output_dir"], climatology=clim)
@@ -465,9 +464,6 @@ def build_parser() -> _Parser:
                    default=None)
     p.add_argument("--external-cmd", default=None,
                    help="command prefix for the external protocol")
-    p.add_argument("--external-timeout", type=float, default=None,
-                   metavar="SECONDS",
-                   help="limit on each external step (default 3600)")
     p.add_argument("--climatology", default=None)
     p.add_argument("--postprocess", default=None,
                    help='JSON list of {"kind", "params", "variables"} steps')
@@ -500,8 +496,7 @@ _DEFAULTS = {
     "rollout": {"initial_states": None, "output_dir": None, "inits": None,
                 "init_times": None, "step_hours": 6, "max_lead_hours": 240,
                 "forecaster": "persistence", "external_cmd": None,
-                "external_timeout": 3600.0, "climatology": None,
-                "postprocess": None, "dtype": None},
+                "climatology": None, "postprocess": None, "dtype": None},
 }
 
 _REQUIRED = {

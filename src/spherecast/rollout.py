@@ -7,11 +7,10 @@ forecasters are driven through a file protocol, one step per invocation:
 
     cmd --in <state.gvf> --out <next.gvf> --step-hours N
 
-The command must exit 0 within the plan's external_timeout (seconds per
-step) and write a GVF1 container on the input grid with one time step; the
-harness validates the output header, applies the configured
-post-processing pipeline, and feeds the state back in.  An
-identity command therefore reproduces persistence bit-exactly (states are
+The command must exit 0 and write a GVF1 container on the input grid with
+one time step, within _EXTERNAL_TIMEOUT_S; the harness validates the output
+header, applies the configured post-processing pipeline, and feeds the
+state back in.  An identity command therefore reproduces persistence bit-exactly (states are
 written in the dtype they were read in).
 """
 
@@ -43,6 +42,9 @@ __all__ = [
 ]
 
 FORECASTERS = ("persistence", "climatology", "external")
+
+# Limit on one external step; on expiry only the direct child is killed.
+_EXTERNAL_TIMEOUT_S = 3600.0
 
 
 class ExternalForecasterError(RuntimeError):
@@ -83,7 +85,6 @@ class RolloutPlan:
     external_command: list[str] | None = None
     postprocess: list[PipelineStep] = dc_field(default_factory=list)
     state_dtype: str = "f32"
-    external_timeout: float = 3600.0
 
     def __post_init__(self):
         if self.step_hours not in (1, 6):
@@ -98,10 +99,6 @@ class RolloutPlan:
                 f"{self.forecaster!r}")
         if self.forecaster == "external" and not self.external_command:
             raise ValueError("external forecaster requires a command")
-        if not self.external_timeout > 0:
-            raise ValueError(
-                f"external_timeout must be positive seconds, got "
-                f"{self.external_timeout}")
         self.init_times = [ensure_utc(t) for t in self.init_times]
 
     @property
@@ -151,7 +148,7 @@ def _state_to_series(state: dict, grid, when: datetime, units: dict) -> dict:
 
 def _run_external_step(command: list[str], state: dict, grid, when: datetime,
                        step_hours: int, units: dict, dtype: str,
-                       workdir: Path, timeout: float) -> dict:
+                       workdir: Path) -> dict:
     in_path = workdir / "state_in.gvf"
     out_path = workdir / "state_out.gvf"
     write_container(_state_to_series(state, grid, when, units), in_path,
@@ -162,10 +159,11 @@ def _run_external_step(command: list[str], state: dict, grid, when: datetime,
                            "--step-hours", str(step_hours)]
     try:
         proc = subprocess.run(cmd, capture_output=True, text=True,
-                              timeout=timeout)
+                              timeout=_EXTERNAL_TIMEOUT_S)
     except subprocess.TimeoutExpired:
         raise ExternalForecasterError(
-            f"external forecaster did not finish within {timeout:g} s at "
+            f"external forecaster did not finish within "
+            f"{_EXTERNAL_TIMEOUT_S:g} s at "
             f"{when.isoformat()}") from None
     if proc.returncode != 0:
         last_line = proc.stderr.strip().rpartition("\n")[2]
@@ -214,8 +212,7 @@ def _rollout_one(plan: RolloutPlan, initial_states: dict, grid, units,
                 try:
                     state = _run_external_step(
                         plan.external_command, state, grid, when,
-                        plan.step_hours, units, plan.state_dtype, Path(tmp),
-                        plan.external_timeout)
+                        plan.step_hours, units, plan.state_dtype, Path(tmp))
                 except ExternalForecasterError as exc:
                     raise ExternalForecasterError(
                         f"init {t_i.isoformat()}: {exc}") from exc

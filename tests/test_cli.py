@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from spherecast import rollout
 from spherecast.cli import main
 from spherecast.container import read_container, read_scores, write_container
 from spherecast.grid import FieldSeries
@@ -477,39 +478,23 @@ def test_failed_external_forecaster_exits_two_naming_init(tmp_path, grid16,
     assert not list(tmp_path.glob("fc/*.gvf"))
 
 
-def test_external_forecaster_timeout_exits_two(tmp_path, grid16, capsys):
+def test_external_forecaster_timeout_exits_two(tmp_path, grid16, capsys,
+                                              monkeypatch):
+    monkeypatch.setattr(rollout, "_EXTERNAL_TIMEOUT_S", 0.3)
     script = tmp_path / "hang.sh"
     script.write_text("exec sleep 30\n")
     target_path, _ = write_target(tmp_path, grid16, n_time=4, seed=32)
-    common = ["rollout", "--initial-states", str(target_path),
-              "--inits", "2020-01-01T00:00:00,1,6",
-              "--step-hours", "6", "--max-lead-hours", "6",
-              "--forecaster", "external"]
     t0 = time.monotonic()
-    assert main([*common, "--output-dir", str(tmp_path / "fc"),
-                 "--external-cmd", f"sh {script}",
-                 "--external-timeout", "0.3"]) == 2
+    assert main(["rollout", "--initial-states", str(target_path),
+                 "--inits", "2020-01-01T00:00:00,1,6",
+                 "--step-hours", "6", "--max-lead-hours", "6",
+                 "--forecaster", "external", "--external-cmd", f"sh {script}",
+                 "--output-dir", str(tmp_path / "fc")]) == 2
     assert time.monotonic() - t0 < 15
     err = capsys.readouterr().err
     assert err.startswith("data error: init 2020-01-01T00:00:00")
     assert "within 0.3 s" in err
     assert not list(tmp_path.glob("fc/*.gvf"))
-
-    # the limit is part of the replayable config
-    copy = tmp_path / "copy.sh"
-    copy.write_text('while [ $# -gt 0 ]; do case $1 in --in) i=$2;; '
-                    '--out) o=$2;; esac; shift; done; cp "$i" "$o"\n')
-    assert main([*common, "--output-dir", str(tmp_path / "ok"),
-                 "--external-cmd", f"sh {copy}",
-                 "--external-timeout", "30"]) == 0
-    manifest = json.loads((tmp_path / "ok/rollout.manifest.json").read_text())
-    assert manifest["config"]["external_timeout"] == 30.0
-    config = tmp_path / "replay.json"
-    config.write_text(json.dumps({**manifest["config"],
-                                  "output_dir": str(tmp_path / "replay")}))
-    assert main(["rollout", "--config", str(config)]) == 0
-    assert ((tmp_path / "replay/init_20200101T000000Z.gvf").read_bytes()
-            == (tmp_path / "ok/init_20200101T000000Z.gvf").read_bytes())
 
 
 @pytest.mark.parametrize("flag,value", [

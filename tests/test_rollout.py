@@ -4,6 +4,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
+from spherecast import rollout
 from spherecast.grid import FieldSeries
 from spherecast.preprocess import Climatology
 from spherecast.rollout import (ExternalForecasterError, PipelineStep,
@@ -255,21 +256,15 @@ def test_write_forecast_dir_matches_streaming(tmp_path, grid16):
         assert a.read_bytes() == b.read_bytes()
 
 
-def test_external_timeout_raises_naming_init_and_limit(tmp_path, grid16):
+def test_external_timeout_raises_naming_init_and_limit(tmp_path, grid16,
+                                                       monkeypatch):
+    monkeypatch.setattr(rollout, "_EXTERNAL_TIMEOUT_S", 0.5)
     script = tmp_path / "hang.py"
     script.write_text("import time; time.sleep(30)\n")
     states = {("T", "single"): f32_series(grid16, n_time=2, seed=10)}
     plan = RolloutPlan(init_times=[T0], step_hours=6, max_lead_hours=6,
                        forecaster="external",
-                       external_command=[sys.executable, str(script)],
-                       external_timeout=0.5)
+                       external_command=[sys.executable, str(script)])
     with pytest.raises(ExternalForecasterError,
                        match=r"init 2020-01-01T00:00:00\+00:00: .*within 0.5 s"):
         run_rollout(plan, states)
-
-
-@pytest.mark.parametrize("limit", [0.0, -1.0, float("nan")])
-def test_external_timeout_must_be_positive(limit):
-    with pytest.raises(ValueError, match="external_timeout"):
-        RolloutPlan(init_times=[T0], step_hours=6, max_lead_hours=6,
-                    external_timeout=limit)
