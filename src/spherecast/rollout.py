@@ -10,8 +10,8 @@ forecasters are driven through a file protocol, one step per invocation:
 The command must exit 0 and write a GVF1 container on the input grid with
 one time step, within _EXTERNAL_TIMEOUT_S; the harness validates the output
 header, applies the configured post-processing pipeline, and feeds the
-state back in.  An identity command therefore reproduces persistence bit-exactly (states are
-written in the dtype they were read in).
+state back in.  An identity command therefore reproduces persistence
+bit-exactly (states are written in the dtype they were read in).
 """
 
 from __future__ import annotations
@@ -163,8 +163,7 @@ def _run_external_step(command: list[str], state: dict, grid, when: datetime,
     except subprocess.TimeoutExpired:
         raise ExternalForecasterError(
             f"external forecaster did not finish within "
-            f"{_EXTERNAL_TIMEOUT_S:g} s at "
-            f"{when.isoformat()}") from None
+            f"{_EXTERNAL_TIMEOUT_S:g} s at {when.isoformat()}") from None
     if proc.returncode != 0:
         last_line = proc.stderr.strip().rpartition("\n")[2]
         raise ExternalForecasterError(
