@@ -1,7 +1,8 @@
 """Command-line interface: one executable, one subcommand per pipeline stage.
 
 Parameters come from a JSON config file (--config) with individual flags
-overriding it; unknown config keys are rejected.  The effective parameter
+overriding it; unknown config keys, and values the flag could not have
+given, are rejected.  The effective parameter
 set is echoed to a .manifest.json next to the primary output so a run can
 be reproduced exactly.  Exit codes: 0 success, 1 usage error, 2 data
 error, 3 numeric/validation error.  Identical config and seed produce
@@ -16,6 +17,7 @@ import sys
 import zlib
 from datetime import timedelta
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,12 +81,16 @@ def _task_seed(master: int, tag: str) -> int:
         [master, zlib.crc32(tag.encode())]).generate_state(1)[0])
 
 
-def _merge_config(args: argparse.Namespace, parser_defaults: dict) -> dict:
-    """defaults < config file < explicit flags; unknown config keys rejected."""
+def _merge_config(args: argparse.Namespace) -> dict:
+    """defaults < config file < explicit flags; unknown config keys, and
+    values that are neither null (unset) nor one the flag could give, are
+    rejected."""
+    _, _, params = _COMMANDS[args.subcommand]
+    parser_defaults = _DEFAULTS[args.subcommand]
     provided = {k: v for k, v in vars(args).items()
-                if k not in ("func", "config", "subcommand") and v is not None}
+                if k in parser_defaults and v is not None}
     effective = dict(parser_defaults)
-    config_path = getattr(args, "config", None)
+    config_path = args.config
     if config_path:
         try:
             doc = json.loads(Path(config_path).read_text())
@@ -92,22 +98,51 @@ def _merge_config(args: argparse.Namespace, parser_defaults: dict) -> dict:
             raise ContainerError(f"{config_path}: config file not found")
         except json.JSONDecodeError as exc:
             raise ValueError(f"{config_path}: config is not valid JSON: {exc}")
+        if not isinstance(doc, dict):
+            raise ValueError(f"{config_path}: config is not a JSON object")
         unknown = sorted(set(doc) - set(parser_defaults))
         if unknown:
             raise ValueError(
                 f"{config_path}: unknown config keys {unknown}; "
                 f"known keys: {sorted(parser_defaults)}")
-        effective.update(doc)
+        for prm in params:
+            value = doc.get(prm.name)
+            if isinstance(prm.kind, list):
+                expected = f"one of {json.dumps(prm.kind)}"
+                ok = any(type(value) is type(c) and value == c
+                         for c in prm.kind)
+            else:
+                types, expected = _JSON_KINDS[prm.kind]
+                ok = type(value) in types
+            if value is not None and not ok:
+                raise ValueError(f"{config_path}: config key {prm.name!r} "
+                                 f"must be {expected}, got {json.dumps(value)}")
+        effective.update((k, v) for k, v in doc.items() if v is not None)
     effective.update(provided)
     return effective
 
 
-def _write_manifest(primary_output, subcommand: str, effective: dict) -> None:
-    path = Path(str(primary_output) + ".manifest.json")
+def _write_manifest(subcommand: str, cfg: dict) -> None:
+    primary = (Path(cfg["output_dir"]) / "rollout" if "output_dir" in cfg
+               else cfg["output"])
     doc = {"subcommand": subcommand,
-           "config": {k: effective[k] for k in sorted(effective)}}
-    with cio.atomic_write(path) as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n")
+           "config": {k: cfg[k] for k in sorted(cfg)}}
+    with cio.atomic_write(Path(str(primary) + ".manifest.json")) as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def _parts(cfg, name: str, *types, required: int | None = None) -> list:
+    """The comma-separated parts of cfg[name], each through its type, of
+    which the first `required` (default: all) must be there."""
+    text = cfg[name]
+    parts = [p.strip() for p in text.split(",")]
+    if (required or len(types)) <= len(parts) <= len(types):
+        try:
+            return [t(p) for t, p in zip(types, parts)]
+        except ValueError:
+            pass
+    raise UsageError(f"--{name.replace('_', '-')}: {text!r} is not of the "
+                     f"form {_FORMS[name]}")
 
 
 # ---------------------------------------------------------------- handlers
@@ -120,8 +155,6 @@ def _cmd_stats(cfg):
         stats = compute_residual_coeff(series_map, stats,
                                        denominator=cfg["denominator"])
     stats.to_json(cfg["output"])
-    _write_manifest(cfg["output"], "stats", cfg)
-    return EXIT_OK
 
 
 def _finite(c, values, variable: str, level: str):
@@ -131,7 +164,7 @@ def _finite(c, values, variable: str, level: str):
     return values
 
 
-def _apply_per_series(cfg, subcommand, transform):
+def _apply_per_series(cfg, transform):
     c = read_container(cfg["input"])
     stats = NormStats.from_json(cfg["stats"])
     out = {}
@@ -140,16 +173,14 @@ def _apply_per_series(cfg, subcommand, transform):
         out[key] = transform(series, stats)
     dtype = cfg["dtype"] or c.dtype_name
     write_container(out, cfg["output"], dtype=dtype, attrs=c.attrs)
-    _write_manifest(cfg["output"], subcommand, cfg)
-    return EXIT_OK
 
 
 def _cmd_normalize(cfg):
-    return _apply_per_series(cfg, "normalize", normalize)
+    return _apply_per_series(cfg, normalize)
 
 
 def _cmd_denormalize(cfg):
-    return _apply_per_series(cfg, "denormalize", denormalize)
+    return _apply_per_series(cfg, denormalize)
 
 
 def _cmd_climatology(cfg):
@@ -157,8 +188,6 @@ def _cmd_climatology(cfg):
     clim = compute_climatology(c.to_dict(), window_days=cfg["window_days"],
                                gaussian_std_days=cfg["std_days"])
     clim.to_container(cfg["output"], dtype=cfg["dtype"] or "f64")
-    _write_manifest(cfg["output"], "climatology", cfg)
-    return EXIT_OK
 
 
 def _cmd_solar(cfg):
@@ -177,8 +206,6 @@ def _cmd_solar(cfg):
     write_container({series.key: series}, cfg["output"],
                     dtype=cfg["dtype"] or "f32",
                     attrs={"window_hours": cfg["window_hours"]})
-    _write_manifest(cfg["output"], "solar", cfg)
-    return EXIT_OK
 
 
 def _cmd_pad(cfg):
@@ -200,23 +227,18 @@ def _cmd_pad(cfg):
                                           "n_lon": c.grid.n_lon}}
     write_container(out, cfg["output"], dtype=cfg["dtype"] or c.dtype_name,
                     attrs=attrs)
-    _write_manifest(cfg["output"], "pad", cfg)
-    return EXIT_OK
 
 
 def _cmd_filter(cfg):
     if not cfg["diffuse"] and not cfg["pole_filter"]:
         raise UsageError("filter needs --diffuse and/or --pole-filter")
-    c = read_container(cfg["input"])
-    diffuse_spec = None
+    diffuse_spec = pole_spec = None
     if cfg["diffuse"]:
-        nu_dt, steps = cfg["diffuse"].split(",")
-        diffuse_spec = DiffusionSpec(nu_dt=float(nu_dt), steps=int(steps))
-    pole_spec = None
+        diffuse_spec = DiffusionSpec(*_parts(cfg, "diffuse", float, int))
     if cfg["pole_filter"]:
-        parts = [float(x) for x in str(cfg["pole_filter"]).split(",")]
-        pole_spec = PoleFilterSpec(start_lat=parts[0],
-                                   reference_lat=parts[1] if len(parts) > 1 else None)
+        pole_spec = PoleFilterSpec(*_parts(cfg, "pole_filter", float, float,
+                                           required=1))
+    c = read_container(cfg["input"])
     out = {}
     for key, series in c.to_dict().items():
         vals = series.values.copy()
@@ -229,8 +251,6 @@ def _cmd_filter(cfg):
                                units=series.units)
     write_container(out, cfg["output"], dtype=cfg["dtype"] or c.dtype_name,
                     attrs=c.attrs)
-    _write_manifest(cfg["output"], "filter", cfg)
-    return EXIT_OK
 
 
 def _spectrum_rows(cfg, c):
@@ -274,17 +294,15 @@ def _cmd_spectrum(cfg):
         fh.write("variable,lead_hours,m,power\n")
         for var, lead, m, p in rows:
             fh.write(f"{var},{lead},{m},{cio._fmt(p)}\n")
-    _write_manifest(cfg["output"], "spectrum", cfg)
-    return EXIT_OK
 
 
 def _cmd_verify(cfg):
-    fs = load_forecast_set(cfg["forecast_dir"], cfg["target"],
-                           climatology_path=cfg["climatology"])
     metrics = [m.strip() for m in cfg["metrics"].split(",") if m.strip()]
     for m in metrics:
         if m not in ("rmse", "acc"):
             raise ValueError(f"unknown metric {m!r}: choose from rmse, acc")
+    fs = load_forecast_set(cfg["forecast_dir"], cfg["target"],
+                           climatology_path=cfg["climatology"])
     if "acc" in metrics and fs.climatology is None:
         raise ValueError("acc requires --climatology")
     leads = fs.lead_hours()
@@ -299,8 +317,6 @@ def _cmd_verify(cfg):
                                  seed=_task_seed(cfg["seed"], tag)))
     records = score_records(series)
     cio.write_scores(records, cfg["output"], format=cfg["format"])
-    _write_manifest(cfg["output"], "verify", cfg)
-    return EXIT_OK
 
 
 def _mean_correlation(path, weighted):
@@ -321,26 +337,28 @@ def _cmd_correlate(cfg):
         diff = correlation_difference(mean, ref)
         diff_path = cfg["difference_output"] or str(cfg["output"]) + ".diff.csv"
         write_correlation_csv(mean, diff_path, values=diff)
-    _write_manifest(cfg["output"], "correlate", cfg)
-    return EXIT_OK
 
 
 def _cmd_rollout(cfg):
-    c = read_container(cfg["initial_states"])
-    states = c.to_dict()
     if cfg["init_times"]:
         inits = [_parse_time_arg(s.strip(), "--init-times")
                  for s in cfg["init_times"].split(",")]
+    elif cfg["inits"]:
+        t0, count, stride = _parts(
+            cfg, "inits", lambda s: _parse_time_arg(s, "--inits"), int, int)
+        inits = [t0 + timedelta(hours=stride * k) for k in range(count)]
     else:
-        start, count, stride = cfg["inits"].split(",")
-        t0 = _parse_time_arg(start.strip(), "--inits")
-        inits = [t0 + timedelta(hours=int(stride) * k)
-                 for k in range(int(count))]
-    postprocess = []
-    for step in json.loads(cfg["postprocess"] or "[]"):
-        postprocess.append(PipelineStep(
-            kind=step["kind"], params=step.get("params", {}),
-            variables=tuple(step["variables"]) if step.get("variables") else None))
+        raise UsageError("rollout: provide --inits or --init-times")
+    try:
+        postprocess = [
+            PipelineStep(kind=s["kind"], params=dict(s.get("params", {})),
+                         variables=tuple(s.get("variables") or ()) or None)
+            for s in json.loads(cfg["postprocess"] or "[]")]
+    except (ValueError, TypeError, KeyError):
+        raise UsageError(f"--postprocess: {cfg['postprocess']!r} is not a JSON "
+                         'list of {"kind", "params", "variables"} objects'
+                         ) from None
+    c = read_container(cfg["initial_states"])
     plan = RolloutPlan(
         init_times=inits, step_hours=cfg["step_hours"],
         max_lead_hours=cfg["max_lead_hours"], forecaster=cfg["forecaster"],
@@ -350,186 +368,182 @@ def _cmd_rollout(cfg):
         state_dtype=cfg["dtype"] or c.dtype_name)
     clim = (Climatology.from_container(cfg["climatology"])
             if cfg["climatology"] else None)
-    run_rollout_to_dir(plan, states, cfg["output_dir"], climatology=clim)
-    _write_manifest(Path(cfg["output_dir"]) / "rollout", "rollout", cfg)
-    return EXIT_OK
+    run_rollout_to_dir(plan, c.to_dict(), cfg["output_dir"], climatology=clim)
 
 
-# ----------------------------------------------------------------- parser
+# ------------------------------------------------------------- parameters
+
+NEEDED = object()
+"""The default of a parameter that has none and must be given."""
+
+
+class Param(NamedTuple):
+    """One subcommand parameter, set by the flag --name (with - for _).
+
+    default is its value when not given (None for none), or NEEDED.  kind is
+    int, float or str, a list of the allowed values, or bool for a switch;
+    a switch that defaults to True also gets --no-name.
+    """
+
+    name: str
+    default: object
+    kind: object
+    help: str | None = None
+    metavar: str | None = None
+
+
+_DTYPE = Param("dtype", None, ["f32", "f64"])
+
+
+def _transform_command(handler, name):
+    return (handler, f"{name} a container with given stats", (
+        Param("input", NEEDED, str),
+        Param("stats", NEEDED, str, "stats JSON from the stats subcommand"),
+        Param("output", NEEDED, str),
+        _DTYPE))
+
+
+# subcommand: (handler, help line, parameters)
+_COMMANDS = {
+    "stats": (_cmd_stats, "compute normalization statistics", (
+        Param("input", NEEDED, str, "input GVF1 container"),
+        Param("output", NEEDED, str, "output stats JSON"),
+        Param("residual", True, bool,
+              "also compute residual coefficients (default)"),
+        Param("denominator", "tendency", ["tendency", "standardized"],
+              "residual rescaling denominator"))),
+    "normalize": _transform_command(_cmd_normalize, "normalize"),
+    "denormalize": _transform_command(_cmd_denormalize, "denormalize"),
+    "climatology": (
+        _cmd_climatology, "compute day-of-year/hour-of-day climatology", (
+            Param("input", NEEDED, str),
+            Param("output", NEEDED, str),
+            Param("window_days", 61, int),
+            Param("std_days", 10.0, float),
+            _DTYPE)),
+    "solar": (_cmd_solar, "generate accumulated solar forcing", (
+        Param("grid", NEEDED, str, "e.g. gaussian:64x128"),
+        Param("start", NEEDED, str, "first window start, ISO UTC"),
+        Param("windows", 1, int, "window count"),
+        Param("window_hours", 6, [1, 6]),
+        Param("gsc_csv", None, str,
+              "year,value CSV of annual solar constants"),
+        Param("output", NEEDED, str),
+        _DTYPE)),
+    "pad": (_cmd_pad, "emit padded arrays for debugging", (
+        Param("input", NEEDED, str),
+        Param("output", NEEDED, str),
+        Param("pad_ns", 0, int),
+        Param("pad_ew", 0, int),
+        Param("mode", "rotate_reflect", ["rotate_reflect", "reflect_only"]),
+        _DTYPE)),
+    "filter": (_cmd_filter, "smooth fields (diffusion/pole filter)", (
+        Param("input", NEEDED, str),
+        Param("output", NEEDED, str),
+        Param("diffuse", None, str, metavar="NU_DT,STEPS"),
+        Param("pole_filter", None, str, metavar="START_LAT[,REF_LAT]"),
+        _DTYPE)),
+    "spectrum": (_cmd_spectrum, "zonal-wavenumber energy spectra", (
+        Param("input", NEEDED, str),
+        Param("output", NEEDED, str, "CSV: variable,lead_hours,m,power"),
+        Param("l_max", None, int),
+        Param("kind", "power", ["power", "kinetic", "theta"]),
+        Param("u_var", "U500", str),
+        Param("v_var", "V500", str),
+        Param("t_var", "T500", str),
+        Param("level", "single", str),
+        Param("pressure", 500.0, float, "hPa for theta"),
+        Param("no_half", False, bool,
+              "drop the 1/2 factor in kinetic energy"))),
+    "verify": (_cmd_verify, "score forecasts against a target", (
+        Param("forecast_dir", NEEDED, str, "directory of per-init containers"),
+        Param("target", NEEDED, str, "verification target container"),
+        Param("climatology", None, str, "climatology container"),
+        Param("metrics", "rmse,acc", str, "comma list: rmse,acc"),
+        Param("bootstrap", 1000, int, "bootstrap resamples (default 1000)"),
+        Param("seed", 0, int),
+        Param("output", NEEDED, str, "score file"),
+        Param("format", "csv", ["csv", "jsonl"]))),
+    "correlate": (_cmd_correlate, "cross-variable spatial correlation", (
+        Param("input", NEEDED, str),
+        Param("reference", None, str,
+              "optional reference container for a difference matrix"),
+        Param("output", NEEDED, str),
+        Param("difference_output", None, str),
+        Param("weighted", False, bool))),
+    "rollout": (_cmd_rollout, "run baseline or external forecasters", (
+        Param("initial_states", NEEDED, str, "container of initial conditions"),
+        Param("output_dir", NEEDED, str),
+        Param("inits", None, str, metavar="START,COUNT,STRIDE_HOURS"),
+        Param("init_times", None, str, "comma list of ISO times"),
+        Param("step_hours", 6, [1, 6]),
+        Param("max_lead_hours", 240, int),
+        Param("forecaster", "persistence",
+              ["persistence", "climatology", "external"]),
+        Param("external_cmd", None, str,
+              "command prefix for the external protocol"),
+        Param("climatology", None, str),
+        Param("postprocess", None, str,
+              'JSON list of {"kind", "params", "variables"} steps'),
+        _DTYPE)),
+}
+
+_DEFAULTS = {name: {p.name: None if p.default is NEEDED else p.default
+                    for p in params}
+             for name, (_, _, params) in _COMMANDS.items()}
+
+# what _parts quotes when a flag packing several values is malformed
+_FORMS = {p.name: p.metavar for _, _, params in _COMMANDS.values()
+          for p in params if p.metavar}
+
+# the JSON values each kind of flag accepts from a config file; an int stays
+# an int for a float flag, so a replayed manifest keeps its bytes
+_JSON_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+               str: ((str,), "a string"), bool: ((bool,), "true or false")}
+
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="spherecast",
                      description="Global gridded-field pipeline toolkit")
     sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
-
-    def add(name, handler, help_text):
+    for name, (_, help_text, params) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text, prog=f"spherecast {name}")
-        p.set_defaults(func=handler)
         p.add_argument("--config", help="JSON config file; flags override it")
-        return p
-
-    p = add("stats", _cmd_stats, "compute normalization statistics")
-    p.add_argument("--input", help="input GVF1 container")
-    p.add_argument("--output", help="output stats JSON")
-    p.add_argument("--residual", action="store_true", default=None,
-                   help="also compute residual coefficients (default)")
-    p.add_argument("--no-residual", dest="residual", action="store_false",
-                   help="skip residual coefficients")
-    p.add_argument("--denominator", choices=["tendency", "standardized"],
-                   default=None, help="residual rescaling denominator")
-
-    for name, handler in (("normalize", _cmd_normalize),
-                          ("denormalize", _cmd_denormalize)):
-        p = add(name, handler, f"{name} a container with given stats")
-        p.add_argument("--input")
-        p.add_argument("--stats", help="stats JSON from the stats subcommand")
-        p.add_argument("--output")
-        p.add_argument("--dtype", choices=["f32", "f64"], default=None)
-
-    p = add("climatology", _cmd_climatology,
-            "compute day-of-year/hour-of-day climatology")
-    p.add_argument("--input")
-    p.add_argument("--output")
-    p.add_argument("--window-days", type=int, default=None)
-    p.add_argument("--std-days", type=float, default=None)
-    p.add_argument("--dtype", choices=["f32", "f64"], default=None)
-
-    p = add("solar", _cmd_solar, "generate accumulated solar forcing")
-    p.add_argument("--grid", help="e.g. gaussian:64x128")
-    p.add_argument("--start", help="first window start, ISO UTC")
-    p.add_argument("--windows", type=int, default=None, help="window count")
-    p.add_argument("--window-hours", type=int, choices=[1, 6], default=None)
-    p.add_argument("--gsc-csv", default=None,
-                   help="year,value CSV of annual solar constants")
-    p.add_argument("--output")
-    p.add_argument("--dtype", choices=["f32", "f64"], default=None)
-
-    p = add("pad", _cmd_pad, "emit padded arrays for debugging")
-    p.add_argument("--input")
-    p.add_argument("--output")
-    p.add_argument("--pad-ns", type=int, default=None)
-    p.add_argument("--pad-ew", type=int, default=None)
-    p.add_argument("--mode", choices=["rotate_reflect", "reflect_only"],
-                   default=None)
-    p.add_argument("--dtype", choices=["f32", "f64"], default=None)
-
-    p = add("filter", _cmd_filter, "smooth fields (diffusion/pole filter)")
-    p.add_argument("--input")
-    p.add_argument("--output")
-    p.add_argument("--diffuse", default=None, metavar="NU_DT,STEPS")
-    p.add_argument("--pole-filter", default=None, metavar="START_LAT[,REF_LAT]")
-    p.add_argument("--dtype", choices=["f32", "f64"], default=None)
-
-    p = add("spectrum", _cmd_spectrum, "zonal-wavenumber energy spectra")
-    p.add_argument("--input")
-    p.add_argument("--output", help="CSV: variable,lead_hours,m,power")
-    p.add_argument("--l-max", type=int, default=None)
-    p.add_argument("--kind", choices=["power", "kinetic", "theta"], default=None)
-    p.add_argument("--u-var", default=None)
-    p.add_argument("--v-var", default=None)
-    p.add_argument("--t-var", default=None)
-    p.add_argument("--level", default=None)
-    p.add_argument("--pressure", type=float, default=None, help="hPa for theta")
-    p.add_argument("--no-half", action="store_true", default=None,
-                   help="drop the 1/2 factor in kinetic energy")
-
-    p = add("verify", _cmd_verify, "score forecasts against a target")
-    p.add_argument("--forecast-dir", help="directory of per-init containers")
-    p.add_argument("--target", help="verification target container")
-    p.add_argument("--climatology", default=None, help="climatology container")
-    p.add_argument("--metrics", default=None, help="comma list: rmse,acc")
-    p.add_argument("--bootstrap", type=int, default=None,
-                   help="bootstrap resamples (default 1000)")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--output", help="score file")
-    p.add_argument("--format", choices=["csv", "jsonl"], default=None)
-
-    p = add("correlate", _cmd_correlate, "cross-variable spatial correlation")
-    p.add_argument("--input")
-    p.add_argument("--reference", default=None,
-                   help="optional reference container for a difference matrix")
-    p.add_argument("--output")
-    p.add_argument("--difference-output", default=None)
-    p.add_argument("--weighted", action="store_true", default=None)
-
-    p = add("rollout", _cmd_rollout, "run baseline or external forecasters")
-    p.add_argument("--initial-states", help="container of initial conditions")
-    p.add_argument("--output-dir")
-    p.add_argument("--inits", default=None, metavar="START,COUNT,STRIDE_HOURS")
-    p.add_argument("--init-times", default=None, help="comma list of ISO times")
-    p.add_argument("--step-hours", type=int, choices=[1, 6], default=None)
-    p.add_argument("--max-lead-hours", type=int, default=None)
-    p.add_argument("--forecaster",
-                   choices=["persistence", "climatology", "external"],
-                   default=None)
-    p.add_argument("--external-cmd", default=None,
-                   help="command prefix for the external protocol")
-    p.add_argument("--climatology", default=None)
-    p.add_argument("--postprocess", default=None,
-                   help='JSON list of {"kind", "params", "variables"} steps')
-    p.add_argument("--dtype", choices=["f32", "f64"], default=None)
-
+        for prm in params:
+            flag = "--" + prm.name.replace("_", "-")
+            if prm.kind is bool:
+                p.add_argument(flag, dest=prm.name, action="store_true",
+                               default=None, help=prm.help)
+                if prm.default:
+                    p.add_argument("--no-" + flag[2:], dest=prm.name,
+                                   action="store_false", default=None,
+                                   help=f"turn {flag} off")
+            else:
+                choices = prm.kind if isinstance(prm.kind, list) else None
+                p.add_argument(flag, choices=choices, help=prm.help,
+                               type=type(choices[0]) if choices else prm.kind,
+                               metavar=prm.metavar)
     return parser
-
-
-_DEFAULTS = {
-    "stats": {"input": None, "output": None, "residual": True,
-              "denominator": "tendency"},
-    "normalize": {"input": None, "stats": None, "output": None, "dtype": None},
-    "denormalize": {"input": None, "stats": None, "output": None, "dtype": None},
-    "climatology": {"input": None, "output": None, "window_days": 61,
-                    "std_days": 10.0, "dtype": None},
-    "solar": {"grid": None, "start": None, "windows": 1, "window_hours": 6,
-              "gsc_csv": None, "output": None, "dtype": None},
-    "pad": {"input": None, "output": None, "pad_ns": 0, "pad_ew": 0,
-            "mode": "rotate_reflect", "dtype": None},
-    "filter": {"input": None, "output": None, "diffuse": None,
-               "pole_filter": None, "dtype": None},
-    "spectrum": {"input": None, "output": None, "l_max": None, "kind": "power",
-                 "u_var": "U500", "v_var": "V500", "t_var": "T500",
-                 "level": "single", "pressure": 500.0, "no_half": False},
-    "verify": {"forecast_dir": None, "target": None, "climatology": None,
-               "metrics": "rmse,acc", "bootstrap": 1000, "seed": 0,
-               "output": None, "format": "csv"},
-    "correlate": {"input": None, "reference": None, "output": None,
-                  "difference_output": None, "weighted": False},
-    "rollout": {"initial_states": None, "output_dir": None, "inits": None,
-                "init_times": None, "step_hours": 6, "max_lead_hours": 240,
-                "forecaster": "persistence", "external_cmd": None,
-                "climatology": None, "postprocess": None, "dtype": None},
-}
-
-_REQUIRED = {
-    "stats": ["input", "output"],
-    "normalize": ["input", "stats", "output"],
-    "denormalize": ["input", "stats", "output"],
-    "climatology": ["input", "output"],
-    "solar": ["grid", "start", "output"],
-    "pad": ["input", "output"],
-    "filter": ["input", "output"],
-    "spectrum": ["input", "output"],
-    "verify": ["forecast_dir", "target", "output"],
-    "correlate": ["input", "output"],
-    "rollout": ["initial_states", "output_dir"],
-}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "subcommand", None) is None:
-            raise UsageError("a subcommand is required")
         sub = args.subcommand
-        cfg = _merge_config(args, _DEFAULTS[sub])
-        missing = [k for k in _REQUIRED[sub] if cfg.get(k) is None]
+        if sub is None:
+            raise UsageError("a subcommand is required")
+        handler, _, params = _COMMANDS[sub]
+        cfg = _merge_config(args)
+        missing = [p.name for p in params
+                   if p.default is NEEDED and cfg[p.name] is None]
         if missing:
             raise UsageError(
                 f"{sub}: missing required parameters "
                 + ", ".join("--" + m.replace("_", "-") for m in missing))
-        if sub == "rollout" and not (cfg["inits"] or cfg["init_times"]):
-            raise UsageError("rollout: provide --inits or --init-times")
-        return args.func(cfg)
+        handler(cfg)
+        _write_manifest(sub, cfg)
+        return EXIT_OK
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

@@ -58,6 +58,14 @@ def ensure_utc(t: datetime) -> datetime:
     return t.astimezone(timezone.utc)
 
 
+def _legendre_and_derivative(n: int, x: np.ndarray):
+    """P_n(x) and P_n'(x) from the three-term Legendre recurrence."""
+    p_prev, p = np.ones_like(x), x.copy()
+    for l in range(2, n + 1):
+        p_prev, p = p, ((2 * l - 1) * x * p - (l - 1) * p_prev) / l
+    return p, n * (x * p - p_prev) / (x * x - 1.0)
+
+
 def gauss_legendre(n: int, tol: float = 1e-15, max_iter: int = 100):
     """Gauss-Legendre nodes and weights on [-1, 1] by Newton iteration.
 
@@ -71,27 +79,14 @@ def gauss_legendre(n: int, tol: float = 1e-15, max_iter: int = 100):
     k = np.arange(n)
     # Tricomi initial guess: already descending in x
     x = np.cos(np.pi * (k + 0.75) / (n + 0.5))
-    dp = np.ones_like(x)
     for _ in range(max_iter):
-        p_prev = np.ones_like(x)
-        p = x.copy()
-        for l in range(2, n + 1):
-            p_prev, p = p, ((2 * l - 1) * x * p - (l - 1) * p_prev) / l
-        if n == 1:
-            p, p_prev = x.copy(), np.ones_like(x)
-        dp = n * (x * p - p_prev) / (x * x - 1.0)
+        p, dp = _legendre_and_derivative(n, x)
         dx = p / dp
         x = x - dx
         if np.max(np.abs(dx)) < tol:
             break
     # final derivative at the converged nodes
-    p_prev = np.ones_like(x)
-    p = x.copy()
-    for l in range(2, n + 1):
-        p_prev, p = p, ((2 * l - 1) * x * p - (l - 1) * p_prev) / l
-    if n == 1:
-        p, p_prev = x.copy(), np.ones_like(x)
-    dp = n * (x * p - p_prev) / (x * x - 1.0)
+    _, dp = _legendre_and_derivative(n, x)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     return x, w
 

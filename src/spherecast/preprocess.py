@@ -253,12 +253,6 @@ class Climatology:
         h = self.hours.index(when.hour)
         return self.data[(variable, level)][d - 1, h]
 
-    def field(self, variable: str, level: str, when: datetime,
-              units: str | None = None) -> Field:
-        return Field(grid=self.grid, values=self.values(variable, level, when),
-                     variable=variable, level=level, valid_time=when,
-                     units=units)
-
     @property
     def keys(self) -> list[tuple[str, str]]:
         return list(self.data.keys())

@@ -72,7 +72,6 @@ class SpectrumResult:
 
     power: np.ndarray
     variable: str = ""
-    lead_label: str = ""
     units: str = ""
 
     def __post_init__(self):
@@ -275,7 +274,7 @@ def synthesize(coeffs: HarmonicCoeffs, grid: GridSpec) -> np.ndarray:
 
 def zonal_power_spectrum(field_or_values, l_max: int,
                          grid: GridSpec | None = None,
-                         variable: str = "", lead_label: str = "") -> SpectrumResult:
+                         variable: str = "") -> SpectrumResult:
     """Power per zonal wavenumber: P(m) = sum_{l >= m} |a_l^m|^2.
 
     m > 0 terms carry multiplicity 2 (the conjugate -m coefficients of a
@@ -290,12 +289,10 @@ def zonal_power_spectrum(field_or_values, l_max: int,
     mag2 = np.abs(coeffs.values) ** 2
     power = mag2.sum(axis=-2)
     power[..., 1:] *= 2.0
-    return SpectrumResult(power=power, variable=variable,
-                          lead_label=lead_label)
+    return SpectrumResult(power=power, variable=variable)
 
 
 def kinetic_energy_spectrum(u, v, l_max: int, half: bool = True,
-                            lead_label: str = "",
                             grid: GridSpec | None = None) -> SpectrumResult:
     """Kinetic energy spectrum from wind components (m^2 s-2 per m).
 
@@ -311,13 +308,12 @@ def kinetic_energy_spectrum(u, v, l_max: int, half: bool = True,
     pv = zonal_power_spectrum(v_values, l_max, v_grid).power
     scale = 0.5 if half else 1.0
     return SpectrumResult(power=scale * (pu + pv), variable="KE",
-                          lead_label=lead_label, units="m2 s-2")
+                          units="m2 s-2")
 
 
 def potential_temperature_energy_spectrum(t, l_max: int,
                                           pressure_hpa: float = 500.0,
                                           kappa: float = DRY_AIR_KAPPA,
-                                          lead_label: str = "",
                                           grid: GridSpec | None = None
                                           ) -> SpectrumResult:
     """Potential temperature energy spectrum (K^2 per m).
@@ -329,5 +325,4 @@ def potential_temperature_energy_spectrum(t, l_max: int,
     t_values, grid = _values_and_grid(t, grid)
     theta = t_values * (1000.0 / pressure_hpa) ** kappa
     out = zonal_power_spectrum(theta, l_max, grid)
-    return SpectrumResult(power=out.power, variable="theta",
-                          lead_label=lead_label, units="K2")
+    return SpectrumResult(power=out.power, variable="theta", units="K2")

@@ -182,11 +182,11 @@ class ForecastSet:
     def keys(self) -> list[tuple[str, str]]:
         return list(next(iter(self.forecasts.values())).keys())
 
-    def lead_hours(self, key=None) -> list[int]:
+    def lead_hours(self) -> list[int]:
         """Lead hours available in every initialization."""
         leads = None
         for t_i, fc in self.forecasts.items():
-            series = fc[key] if key else next(iter(fc.values()))
+            series = next(iter(fc.values()))
             these = {int((t - t_i).total_seconds() // 3600) for t in series.times}
             leads = these if leads is None else (leads & these)
         return sorted(leads)

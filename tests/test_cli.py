@@ -529,3 +529,153 @@ def test_solar_nonpositive_windows_is_a_usage_error(tmp_path, capsys, windows):
     err = capsys.readouterr().err
     assert f"--windows must be at least 1, got {windows}" in err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("name,argv,doc,key", [
+    ("spectrum", [], {"kind": "bogus"}, "kind"),
+    ("stats", [], {"residual": "no"}, "residual"),
+    ("solar", ["--grid", "gaussian:8x16", "--start", "2020-01-01T00:00:00"],
+     {"windows": "2"}, "windows"),
+    ("pad", [], {"pad_ns": "2"}, "pad_ns"),
+    ("solar", ["--grid", "gaussian:8x16", "--start", "2020-01-01T00:00:00"],
+     {"window_hours": True}, "window_hours"),
+    ("pad", [], ["pad_ns", 2], None),
+])
+def test_config_value_the_flag_could_not_give_exits_three(tmp_path, grid16,
+                                                          capsys, name, argv,
+                                                          doc, key):
+    inp = tmp_path / "in.gvf"
+    write_container({("T", "single"): make_series(grid16, n_time=2, seed=12)},
+                    inp, dtype="f64")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    if name != "solar":
+        argv = argv + ["--input", str(inp)]
+    assert main([name, "--config", str(cfg), "--output", str(out), *argv]) == 3
+    err = capsys.readouterr().err
+    assert f"{cfg}: config" in err and "Traceback" not in err
+    if key:
+        assert f"config key {key!r}" in err
+    assert not out.exists() and not Path(str(out) + ".manifest.json").exists()
+
+
+def test_config_null_is_unset_and_ints_stay_ints(tmp_path, grid16):
+    src = {("T", "single"): make_series(grid16, n_time=2, seed=13)}
+    inp = tmp_path / "in.gvf"
+    write_container(src, inp, dtype="f64")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "theta", "t_var": "T", "pressure": 700,
+                               "u_var": None, "l_max": None}))
+    out = tmp_path / "spec.csv"
+    assert main(["spectrum", "--config", str(cfg), "--input", str(inp),
+                 "--output", str(out)]) == 0
+    manifest = (tmp_path / "spec.csv.manifest.json").read_text()
+    assert '"pressure": 700,' in manifest
+    config = json.loads(manifest)["config"]
+    assert config["u_var"] == "U500" and config["l_max"] is None
+
+
+@pytest.mark.parametrize("argv,flag,form", [
+    (["filter", "--diffuse", "1e-5"], "--diffuse", "NU_DT,STEPS"),
+    (["filter", "--pole-filter", "abc"], "--pole-filter",
+     "START_LAT[,REF_LAT]"),
+    (["filter", "--pole-filter", "60,70,80"], "--pole-filter",
+     "START_LAT[,REF_LAT]"),
+    (["rollout", "--inits", "2021-01-01T00:00:00,2"], "--inits",
+     "START,COUNT,STRIDE_HOURS"),
+    (["rollout", "--inits", "2020-01-01T00:00:00,2,6h"], "--inits",
+     "START,COUNT,STRIDE_HOURS"),
+    (["rollout", "--inits", "2020-01-01T00:00:00,1,6",
+      "--postprocess", '[{"params": {}}]'], "--postprocess", "JSON list"),
+    (["rollout", "--inits", "2020-01-01T00:00:00,1,6",
+      "--postprocess", '{"kind": "clamp_nonnegative"}'], "--postprocess",
+     "JSON list"),
+])
+def test_malformed_compound_flag_is_a_usage_error(tmp_path, grid16, capsys,
+                                                  argv, flag, form):
+    inp, _ = write_target(tmp_path, grid16, n_time=4, seed=14)
+    if argv[0] == "filter":
+        argv = argv + ["--input", str(inp), "--output", str(tmp_path / "f.gvf")]
+    else:
+        argv = argv + ["--initial-states", str(inp), "--max-lead-hours", "6",
+                       "--output-dir", str(tmp_path / "fc")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}: ") and form in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["target.gvf"]
+
+
+def _replay_stage(name, tmp_path, grid16):
+    """(argv without its output flag, output flag) for one stage, after
+    writing the inputs it reads."""
+    inp = tmp_path / "in.gvf"
+    write_container({("T", "single"): make_series(grid16, n_time=4, seed=15),
+                     ("Q", "single"): make_series(grid16, "Q", n_time=4,
+                                                  seed=16)}, inp, dtype="f64")
+    stats = tmp_path / "stats.json"
+    assert main(["stats", "--input", str(inp), "--output", str(stats)]) == 0
+    target, _ = write_target(tmp_path, grid16, n_time=8, seed=17)
+    fc = tmp_path / "fc"
+    rollout = ["rollout", "--initial-states", str(target),
+               "--inits", "2020-01-01T00:00:00,2,6", "--max-lead-hours", "12",
+               "--postprocess", '[{"kind": "clamp_nonnegative"}]']
+    if name == "climatology":
+        times = [T0 + timedelta(hours=6 * k) for k in range(4 * 730)]
+        vals = np.random.default_rng(18).normal(size=(len(times),)
+                                                + grid16.shape)
+        series = FieldSeries(grid16, "T", "single", times, vals)
+        write_container({series.key: series}, inp, dtype="f32")
+    if name == "verify":
+        assert main(rollout + ["--output-dir", str(fc)]) == 0
+    clim = write_zero_climatology(tmp_path, grid16, [("T", "single")])
+    return {
+        "stats": (["stats", "--input", str(inp), "--no-residual"], "--output"),
+        "normalize": (["normalize", "--input", str(inp), "--stats", str(stats),
+                       "--dtype", "f32"], "--output"),
+        "climatology": (["climatology", "--input", str(inp), "--window-days",
+                         "31", "--std-days", "5"], "--output"),
+        "solar": (["solar", "--grid", "gaussian:8x16", "--start",
+                   "2020-03-20T00:00:00Z", "--windows", "2",
+                   "--window-hours", "1"], "--output"),
+        "filter": (["filter", "--input", str(inp), "--diffuse", "1e-5,2",
+                    "--pole-filter", "60"], "--output"),
+        "pad": (["pad", "--input", str(inp), "--pad-ns", "2", "--pad-ew", "3",
+                 "--mode", "reflect_only"], "--output"),
+        "spectrum": (["spectrum", "--input", str(inp), "--l-max", "6",
+                      "--level", "single"], "--output"),
+        "rollout": (rollout, "--output-dir"),
+        "verify": (["verify", "--forecast-dir", str(fc), "--target",
+                    str(target), "--climatology", str(clim), "--bootstrap",
+                    "30", "--seed", "5"], "--output"),
+    }[name]
+
+
+def _tree_bytes(path):
+    if path.is_dir():
+        return {p.name: p.read_bytes() for p in sorted(path.iterdir())
+                if not p.name.endswith(".manifest.json")}
+    return path.read_bytes()
+
+
+def _manifest(output):
+    if output.is_dir():
+        return output / "rollout.manifest.json"
+    return Path(str(output) + ".manifest.json")
+
+
+@pytest.mark.parametrize("name", ["stats", "normalize", "climatology", "solar",
+                                  "filter", "pad", "spectrum", "rollout",
+                                  "verify"])
+def test_manifest_config_replays_byte_identical(tmp_path, grid16, name):
+    argv, out_flag = _replay_stage(name, tmp_path, grid16)
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(argv + [out_flag, str(first)]) == 0
+    text = _manifest(first).read_text()
+    assert json.loads(text)["subcommand"] == name
+    cfg = tmp_path / "replay.json"
+    cfg.write_text(json.dumps(json.loads(text)["config"]))
+    assert main([name, "--config", str(cfg), out_flag, str(second)]) == 0
+    assert _tree_bytes(second) == _tree_bytes(first)
+    assert _manifest(second).read_text() == text.replace(str(first),
+                                                         str(second))
