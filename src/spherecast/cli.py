@@ -23,13 +23,13 @@ import numpy as np
 
 from . import container as cio
 from .container import ContainerError, read_container, write_container
-from .filters import DiffusionSpec, PoleFilterSpec, diffuse_values, pole_filter_values
 from .grid import FieldSeries, make_equiangular_grid, make_gaussian_grid
 from .padding import PadSpec, pad
 from .preprocess import (Climatology, NormStats, compute_climatology,
                          compute_residual_coeff, compute_stats, denormalize,
                          normalize)
-from .rollout import (ExternalForecasterError, PipelineStep, RolloutPlan,
+from .rollout import (ExternalForecasterError, PipelineStep,
+                      PostprocessError, RolloutPlan, apply_postprocessing,
                       run_rollout_to_dir)
 from .sht import (kinetic_energy_spectrum, potential_temperature_energy_spectrum,
                   stack_slices, zonal_power_spectrum)
@@ -230,25 +230,26 @@ def _cmd_pad(cfg):
 
 
 def _cmd_filter(cfg):
-    if not cfg["diffuse"] and not cfg["pole_filter"]:
-        raise UsageError("filter needs --diffuse and/or --pole-filter")
-    diffuse_spec = pole_spec = None
+    steps = []
     if cfg["diffuse"]:
-        diffuse_spec = DiffusionSpec(*_parts(cfg, "diffuse", float, int))
+        nu_dt, n = _parts(cfg, "diffuse", float, int)
+        steps.append(PipelineStep("laplacian_diffuse",
+                                  {"nu_dt": nu_dt, "steps": n}))
     if cfg["pole_filter"]:
-        pole_spec = PoleFilterSpec(*_parts(cfg, "pole_filter", float, float,
-                                           required=1))
+        lats = _parts(cfg, "pole_filter", float, float, required=1)
+        steps.append(PipelineStep("pole_filter", dict(
+            zip(("start_lat", "reference_lat"), lats))))
+    if not steps:
+        raise UsageError("filter needs --diffuse and/or --pole-filter")
     c = read_container(cfg["input"])
-    out = {}
-    for key, series in c.to_dict().items():
-        vals = series.values.copy()
-        for i in range(len(series)):
-            if diffuse_spec:
-                vals[i] = diffuse_values(vals[i], c.grid, diffuse_spec)
-            if pole_spec:
-                vals[i] = pole_filter_values(vals[i], c.grid, pole_spec)
-        out[key] = FieldSeries(c.grid, key[0], key[1], series.times, vals,
-                               units=series.units)
+    states = [apply_postprocessing({key: c.values(i, *key) for key in c.keys},
+                                   steps, c.grid)
+              for i in range(len(c.times))]
+    out = {(name, lev): FieldSeries(c.grid, name, lev, c.times,
+                                    np.stack([s[name, lev] for s in states]),
+                                    units=units)
+           for name, lev, units in c.variables}
+    del states  # before the write, which makes a copy of its own
     write_container(out, cfg["output"], dtype=cfg["dtype"] or c.dtype_name,
                     attrs=c.attrs)
 
@@ -339,6 +340,26 @@ def _cmd_correlate(cfg):
         write_correlation_csv(mean, diff_path, values=diff)
 
 
+def _pipeline(text) -> list[PipelineStep]:
+    """The steps of a --postprocess JSON list, each checked as it is built."""
+    try:
+        doc = json.loads(text or "[]")
+    except ValueError:
+        doc = None
+    if not (isinstance(doc, list) and all(
+            isinstance(s, dict) and "kind" in s
+            and set(s) <= {"kind", "params", "variables"} for s in doc)):
+        raise UsageError(f"--postprocess: {text!r} is not a JSON list of "
+                         '{"kind", "params", "variables"} objects')
+    steps = []
+    for n, s in enumerate(doc, 1):
+        try:
+            steps.append(PipelineStep(**s))
+        except PostprocessError as exc:
+            raise UsageError(f"--postprocess: step {n}: {exc}") from None
+    return steps
+
+
 def _cmd_rollout(cfg):
     if cfg["init_times"]:
         inits = [_parse_time_arg(s.strip(), "--init-times")
@@ -349,23 +370,18 @@ def _cmd_rollout(cfg):
         inits = [t0 + timedelta(hours=stride * k) for k in range(count)]
     else:
         raise UsageError("rollout: provide --inits or --init-times")
-    try:
-        postprocess = [
-            PipelineStep(kind=s["kind"], params=dict(s.get("params", {})),
-                         variables=tuple(s.get("variables") or ()) or None)
-            for s in json.loads(cfg["postprocess"] or "[]")]
-    except (ValueError, TypeError, KeyError):
-        raise UsageError(f"--postprocess: {cfg['postprocess']!r} is not a JSON "
-                         'list of {"kind", "params", "variables"} objects'
-                         ) from None
+    postprocess = _pipeline(cfg["postprocess"])
     c = read_container(cfg["initial_states"])
-    plan = RolloutPlan(
-        init_times=inits, step_hours=cfg["step_hours"],
-        max_lead_hours=cfg["max_lead_hours"], forecaster=cfg["forecaster"],
-        external_command=(cfg["external_cmd"].split() if cfg["external_cmd"]
-                          else None),
-        postprocess=postprocess,
-        state_dtype=cfg["dtype"] or c.dtype_name)
+    try:
+        plan = RolloutPlan(
+            init_times=inits, step_hours=cfg["step_hours"],
+            max_lead_hours=cfg["max_lead_hours"], forecaster=cfg["forecaster"],
+            external_command=(cfg["external_cmd"].split()
+                              if cfg["external_cmd"] else None),
+            postprocess=postprocess,
+            state_dtype=cfg["dtype"] or c.dtype_name)
+    except PostprocessError as exc:
+        raise UsageError(f"--postprocess: {exc}") from None
     clim = (Climatology.from_container(cfg["climatology"])
             if cfg["climatology"] else None)
     run_rollout_to_dir(plan, c.to_dict(), cfg["output_dir"], climatology=clim)

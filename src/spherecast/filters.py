@@ -18,6 +18,7 @@ toward the poles.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,18 +37,33 @@ __all__ = [
 ]
 
 
+def _number(name: str, value, kind=numbers.Real, what="a number"):
+    """value, if it is a `kind` (a bool never is a number)."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class DiffusionSpec:
     """Dimensionless diffusion number nu*dt/a^2 per step, and step count."""
 
     nu_dt: float
-    steps: int
+    steps: int = 1
 
     def __post_init__(self):
-        if self.nu_dt < 0:
-            raise ValueError("nu_dt must be non-negative")
-        if self.steps < 0:
-            raise ValueError("steps must be non-negative")
+        if not _number("nu_dt", self.nu_dt) >= 0:
+            raise ValueError(f"nu_dt must be non-negative, got {self.nu_dt!r}")
+        if _number("steps", self.steps, numbers.Integral, "an integer") < 0:
+            raise ValueError(f"steps must be non-negative, got {self.steps}")
+
+    def check_stable(self, grid: GridSpec) -> None:
+        """Raise ValueError if nu_dt exceeds the grid's stability bound."""
+        bound = diffusion_stability_bound(grid)
+        if self.nu_dt > bound:
+            raise ValueError(
+                f"nu_dt={self.nu_dt:g} violates the explicit stability bound "
+                f"{bound:g} for this grid")
 
 
 @dataclass(frozen=True)
@@ -63,10 +79,11 @@ class PoleFilterSpec:
     reference_lat: float | None = None
 
     def __post_init__(self):
-        if not (0.0 < self.start_lat < 90.0):
+        if not (0.0 < _number("start_lat", self.start_lat) < 90.0):
             raise ValueError(
                 f"start_lat must be in (0, 90), got {self.start_lat}")
-        if self.reference_lat is not None and not (0.0 < self.reference_lat < 90.0):
+        if self.reference_lat is not None and not (
+                0.0 < _number("reference_lat", self.reference_lat) < 90.0):
             raise ValueError(
                 f"reference_lat must be in (0, 90), got {self.reference_lat}")
 
@@ -103,11 +120,7 @@ def diffusion_stability_bound(grid: GridSpec) -> float:
 def diffuse_values(values: np.ndarray, grid: GridSpec,
                    spec: DiffusionSpec) -> np.ndarray:
     """Run explicit diffusion steps on a (n_lat, n_lon) array."""
-    bound = diffusion_stability_bound(grid)
-    if spec.nu_dt > bound:
-        raise ValueError(
-            f"nu_dt={spec.nu_dt:g} violates the explicit stability bound "
-            f"{bound:g} for this grid")
+    spec.check_stable(grid)
     if spec.steps == 0 or spec.nu_dt == 0.0:
         return np.array(values, dtype=np.float64)
 

@@ -66,7 +66,11 @@ def _legendre_and_derivative(n: int, x: np.ndarray):
     return p, n * (x * p - p_prev) / (x * x - 1.0)
 
 
-def gauss_legendre(n: int, tol: float = 1e-15, max_iter: int = 100):
+_NEWTON_TOL = 1e-15     # largest Newton step at which the nodes count as found
+_NEWTON_MAX_ITER = 100
+
+
+def gauss_legendre(n: int):
     """Gauss-Legendre nodes and weights on [-1, 1] by Newton iteration.
 
     Nodes are returned in descending order (maps to north-to-south
@@ -79,11 +83,11 @@ def gauss_legendre(n: int, tol: float = 1e-15, max_iter: int = 100):
     k = np.arange(n)
     # Tricomi initial guess: already descending in x
     x = np.cos(np.pi * (k + 0.75) / (n + 0.5))
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         p, dp = _legendre_and_derivative(n, x)
         dx = p / dp
         x = x - dx
-        if np.max(np.abs(dx)) < tol:
+        if np.max(np.abs(dx)) < _NEWTON_TOL:
             break
     # final derivative at the converged nodes
     _, dp = _legendre_and_derivative(n, x)

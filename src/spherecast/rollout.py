@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import subprocess
 import tempfile
-from dataclasses import dataclass, field as dc_field
+from dataclasses import MISSING, dataclass, field as dc_field, fields
 from datetime import datetime, timedelta
 from pathlib import Path
 
 import numpy as np
 
 from .container import read_container, write_container, _format_time
-from .filters import (DiffusionSpec, PoleFilterSpec, diffuse_values,
+from .filters import (DiffusionSpec, PoleFilterSpec, _number, diffuse_values,
                       pole_filter_values)
 from .grid import FieldSeries, ensure_utc
 from .preprocess import Climatology, clamp_nonnegative_values
@@ -34,6 +34,7 @@ from .verify import ForecastSet
 __all__ = [
     "RolloutPlan",
     "PipelineStep",
+    "PostprocessError",
     "run_rollout",
     "run_rollout_to_dir",
     "write_forecast_dir",
@@ -51,27 +52,80 @@ class ExternalForecasterError(RuntimeError):
     """External command failed or produced an unusable state file."""
 
 
+class PostprocessError(ValueError):
+    """A post-processing step, or a pipeline, that cannot run as given."""
+
+
+@dataclass(frozen=True)
+class _Clamp:
+    """The floor of a clamp_nonnegative step."""
+
+    floor: float = 1e-8
+
+    def __post_init__(self):
+        if not 0.0 <= _number("floor", self.floor) < np.inf:
+            raise ValueError(
+                f"floor must be finite and non-negative, got {self.floor!r}")
+
+
+# step kind -> the spec its params build; the spec's fields are the params
+_STEP_SPECS = {"clamp_nonnegative": _Clamp,
+               "laplacian_diffuse": DiffusionSpec,
+               "pole_filter": PoleFilterSpec}
+
+
 @dataclass(frozen=True)
 class PipelineStep:
     """One post-processing operator applied between autoregressive steps.
 
     kind is one of clamp_nonnegative / laplacian_diffuse / pole_filter;
-    params feed the operator spec; variables optionally restricts which
-    variables are touched.
+    params are the fields of its spec in _STEP_SPECS; variables optionally
+    restricts which variables are touched.  The spec is checked and built
+    once, here, so a bad step raises PostprocessError when it is made.
     """
 
     kind: str
     params: dict = dc_field(default_factory=dict)
     variables: tuple[str, ...] | None = None
+    spec: object = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in ("clamp_nonnegative", "laplacian_diffuse",
-                             "pole_filter"):
-            raise ValueError(f"unknown pipeline step {self.kind!r}")
+        spec_cls = (_STEP_SPECS.get(self.kind) if isinstance(self.kind, str)
+                    else None)
+        if spec_cls is None:
+            raise PostprocessError(f"unknown pipeline step {self.kind!r}; "
+                                   f"choose from {', '.join(_STEP_SPECS)}")
+        if not isinstance(self.params, dict):
+            raise PostprocessError(f"{self.kind}: params must be an object, "
+                                   f"got {self.params!r}")
+        required = {f.name: f.default is MISSING for f in fields(spec_cls)}
+        bad = ([f"unknown parameter {k!r}" for k in self.params
+                if k not in required]
+               + [f"missing parameter {k!r}" for k, needed in required.items()
+                  if needed and k not in self.params])
+        if bad:
+            raise PostprocessError(f"{self.kind}: {bad[0]}; its parameters "
+                                   f"are {', '.join(required)}")
+        try:
+            object.__setattr__(self, "spec", spec_cls(**self.params))
+        except ValueError as exc:
+            raise PostprocessError(f"{self.kind}: {exc}") from None
+        if self.variables is not None:
+            if not (isinstance(self.variables, (list, tuple))
+                    and self.variables
+                    and all(isinstance(v, str) for v in self.variables)):
+                raise PostprocessError(
+                    f"{self.kind}: variables must be a non-empty list of "
+                    f"names, got {self.variables!r}")
+            object.__setattr__(self, "variables", tuple(self.variables))
 
-    def __hash__(self):
-        return hash((self.kind, tuple(sorted(self.params.items())),
-                     self.variables))
+    def apply(self, values: np.ndarray, grid) -> np.ndarray:
+        """The operator on one (n_lat, n_lon) array."""
+        if self.kind == "clamp_nonnegative":
+            return clamp_nonnegative_values(values, self.spec.floor)
+        if self.kind == "laplacian_diffuse":
+            return diffuse_values(values, grid, self.spec)
+        return pole_filter_values(values, grid, self.spec)
 
 
 @dataclass
@@ -99,6 +153,10 @@ class RolloutPlan:
                 f"{self.forecaster!r}")
         if self.forecaster == "external" and not self.external_command:
             raise ValueError("external forecaster requires a command")
+        if self.postprocess and self.forecaster != "external":
+            raise PostprocessError(
+                f"applies to the external forecaster only, not "
+                f"{self.forecaster!r}")
         self.init_times = [ensure_utc(t) for t in self.init_times]
 
     @property
@@ -123,20 +181,8 @@ def apply_postprocessing(state: dict, pipeline: list[PipelineStep],
     out = dict(state)
     for step in pipeline:
         for key in out:
-            if step.variables is not None and key[0] not in step.variables:
-                continue
-            if step.kind == "clamp_nonnegative":
-                out[key] = clamp_nonnegative_values(
-                    out[key], step.params.get("floor", 1e-8))
-            elif step.kind == "laplacian_diffuse":
-                spec = DiffusionSpec(nu_dt=step.params["nu_dt"],
-                                     steps=step.params.get("steps", 1))
-                out[key] = diffuse_values(out[key], grid, spec)
-            elif step.kind == "pole_filter":
-                spec = PoleFilterSpec(
-                    start_lat=step.params["start_lat"],
-                    reference_lat=step.params.get("reference_lat"))
-                out[key] = pole_filter_values(out[key], grid, spec)
+            if step.variables is None or key[0] in step.variables:
+                out[key] = step.apply(out[key], grid)
     return out
 
 
@@ -242,6 +288,12 @@ def _forecasts(plan: RolloutPlan, initial_states: dict,
                         f"non-finite initial state {key[0]} ({key[1]}) at "
                         f"{t_i.isoformat()}")
     grid = next(iter(initial_states.values())).grid
+    for n, step in enumerate(plan.postprocess, 1):
+        if isinstance(step.spec, DiffusionSpec):
+            try:
+                step.spec.check_stable(grid)
+            except ValueError as exc:
+                raise ValueError(f"postprocess step {n}: {exc}") from None
     units = {key: s.units for key, s in initial_states.items()}
     return ((t_i, _rollout_one(plan, initial_states, grid, units, t_i,
                                climatology))

@@ -37,19 +37,18 @@ __all__ = [
 
 GREGORIAN_YEAR_DAYS = 365.2425
 DEFAULT_GSC = 1361.0  # W m-2, used for every year when no table is supplied
+GSC_CYCLE_START = 1983  # years past the table repeat this 13-year cycle
+GSC_CYCLE_YEARS = 13
+MINUTE_SECONDS = 60.0   # each minute sample stands for 60 s of the window
 
 _EPOCH = datetime(1979, 1, 1, tzinfo=timezone.utc)
 
 
 @dataclass
 class SolarConfig:
-    """Solar-constant table and cycle/accumulation conventions."""
+    """Annual solar-constant table; None gives DEFAULT_GSC every year."""
 
     gsc_table: dict[int, float] | None = None
-    cycle_start: int = 1983
-    cycle_length: int = 13
-    year_days: float = GREGORIAN_YEAR_DAYS
-    minute_seconds: float = 60.0
 
     def __post_init__(self):
         if self.gsc_table is not None:
@@ -75,7 +74,7 @@ class SolarConfig:
             raise ValueError(
                 f"year {year} precedes the solar-constant table "
                 f"(starts {years[0]})")
-        mapped = self.cycle_start + (year - self.cycle_start) % self.cycle_length
+        mapped = GSC_CYCLE_START + (year - GSC_CYCLE_START) % GSC_CYCLE_YEARS
         if mapped not in self.gsc_table:
             raise ValueError(
                 f"cycle year {mapped} (for {year}) missing from gsc_table")
@@ -111,16 +110,16 @@ def read_gsc_csv(path) -> dict[int, float]:
     return table
 
 
-def _fractional_year(t: datetime, year_days: float) -> float:
+def _fractional_year(t: datetime) -> float:
     """Years since 1979-01-01 on a fixed-length Gregorian year."""
-    t = ensure_utc(t)
-    return 1979.0 + (t - _EPOCH).total_seconds() / (86400.0 * year_days)
+    seconds = (ensure_utc(t) - _EPOCH).total_seconds()
+    return 1979.0 + seconds / (86400.0 * GREGORIAN_YEAR_DAYS)
 
 
 def solar_constant_at(t: datetime, config: SolarConfig | None = None) -> float:
     """Annual G_SC linearly interpolated at time t (W m-2)."""
     config = config or SolarConfig()
-    yf = _fractional_year(t, config.year_days)
+    yf = _fractional_year(t)
     y0 = int(np.floor(yf))
     frac = yf - y0
     g0 = config.annual_value(y0)
@@ -296,7 +295,7 @@ def accumulated_irradiance(window_start: datetime, window_hours: int,
                 np.maximum(out, 0.0, out=out)
                 if out is minute:
                     np.add(hour, minute, out=hour)
-            np.multiply(hour, config.minute_seconds, out=hour)
+            np.multiply(hour, MINUTE_SECONDS, out=hour)
             if h == 0:
                 total[block] = hour
             else:

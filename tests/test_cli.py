@@ -18,6 +18,9 @@ from conftest import fail_writes_after, make_series, make_spectrum_fixture
 T0 = datetime(2020, 1, 1, tzinfo=timezone.utc)
 DATA = Path(__file__).parent / "data"
 
+# external forecaster protocol: sh SCRIPT --in STATE --out NEXT --step-hours N
+IDENTITY_SH = 'cp "$2" "$4"\n'
+
 SUBCOMMANDS = ["stats", "normalize", "denormalize", "climatology", "solar",
                "pad", "filter", "spectrum", "verify", "correlate", "rollout"]
 
@@ -133,14 +136,37 @@ def test_pad_cli(tmp_path, grid16):
 
 
 def test_filter_cli(tmp_path, grid16):
-    src = {("T", "single"): make_series(grid16, n_time=1, seed=4)}
-    inp = tmp_path / "in.gvf"
-    write_container(src, inp, dtype="f64")
-    out = tmp_path / "filtered.gvf"
-    assert main(["filter", "--input", str(inp), "--output", str(out),
-                 "--diffuse", "1e-5,2", "--pole-filter", "60"]) == 0
-    c = read_container(out)
-    assert not np.array_equal(c.values(0, "T"), src[("T", "single")].values[0])
+    """Each output field is pole_filter_values(diffuse_values(x)), cast to
+    the file's dtype, bit for bit, for f32 and f64 files and either flag."""
+    from spherecast.filters import (DiffusionSpec, PoleFilterSpec,
+                                    diffuse_values, pole_filter_values)
+    src = {("T", "single"): make_series(grid16, n_time=2, seed=4),
+           ("Q", "single"): make_series(grid16, "Q", n_time=2, seed=5)}
+    flags = {"diffuse": ["--diffuse", "1e-5,2"],
+             "pole": ["--pole-filter", "60,65"]}
+    for dtype in ("f32", "f64"):
+        inp = tmp_path / f"in_{dtype}.gvf"
+        write_container(src, inp, dtype=dtype)
+        x = read_container(inp)
+        for ops in (["diffuse"], ["pole"], ["diffuse", "pole"]):
+            out = tmp_path / f"{dtype}_{'_'.join(ops)}.gvf"
+            assert main(["filter", "--input", str(inp), "--output", str(out),
+                         *(f for op in ops for f in flags[op])]) == 0
+            c = read_container(out)
+            assert c.dtype_name == dtype
+            for i in range(2):
+                for name, level in src:
+                    expect = x.values(i, name, level)
+                    if "diffuse" in ops:
+                        expect = diffuse_values(expect, grid16,
+                                                DiffusionSpec(1e-5, 2))
+                    if "pole" in ops:
+                        expect = pole_filter_values(expect, grid16,
+                                                    PoleFilterSpec(60.0, 65.0))
+                    expect = expect.astype(x.dtype).astype(np.float64)
+                    assert (c.values(i, name, level).tobytes()
+                            == expect.tobytes()), (dtype, ops, i, name)
+                    assert not np.array_equal(expect, x.values(i, name, level))
     # stability violation surfaces as exit 3
     assert main(["filter", "--input", str(inp), "--output", str(out),
                  "--diffuse", "0.5,1"]) == 3
@@ -586,11 +612,36 @@ def test_config_null_is_unset_and_ints_stay_ints(tmp_path, grid16):
      "START,COUNT,STRIDE_HOURS"),
     (["rollout", "--inits", "2020-01-01T00:00:00,2,6h"], "--inits",
      "START,COUNT,STRIDE_HOURS"),
-    (["rollout", "--inits", "2020-01-01T00:00:00,1,6",
-      "--postprocess", '[{"params": {}}]'], "--postprocess", "JSON list"),
-    (["rollout", "--inits", "2020-01-01T00:00:00,1,6",
-      "--postprocess", '{"kind": "clamp_nonnegative"}'], "--postprocess",
+    (["rollout", "--postprocess", '[{"params": {}}]'], "--postprocess",
      "JSON list"),
+    (["rollout", "--postprocess", '{"kind": "clamp_nonnegative"}'],
+     "--postprocess", "JSON list"),
+    (["rollout", "--postprocess", '[{"kind": "laplacian_diffuse"}]'],
+     "--postprocess", "step 1: laplacian_diffuse: missing parameter 'nu_dt'"),
+    (["rollout", "--postprocess",
+      '[{"kind": "clamp_nonnegative", "params": {"floor": "x"}}]'],
+     "--postprocess", "step 1: clamp_nonnegative: floor must be"),
+    (["rollout", "--postprocess", '[{"kind": "clamp_nonnegative"}, '
+      '{"kind": "laplacian_diffuse", "params": {"nu_dt": 1e-5, "steps": 1.5}}]'],
+     "--postprocess", "step 2: laplacian_diffuse: steps must be an integer"),
+    (["rollout", "--postprocess",
+      '[{"kind": "laplacian_diffuse", "params": {"nu_dt": 1e-5, "steps": true}}]'],
+     "--postprocess", "step 1: laplacian_diffuse: steps must be an integer"),
+    (["rollout", "--postprocess",
+      '[{"kind": "laplacian_diffuse", "params": {"nu_dt": -1}}]'],
+     "--postprocess", "step 1: laplacian_diffuse: nu_dt must be non-negative"),
+    (["rollout", "--postprocess",
+      '[{"kind": "pole_filter", "params": {"start_lat": 60, "bogus": 1}}]'],
+     "--postprocess", "step 1: pole_filter: unknown parameter 'bogus'"),
+    (["rollout", "--postprocess",
+      '[{"kind": "clamp_nonnegative", "variables": "QV"}]'],
+     "--postprocess", "step 1: clamp_nonnegative: variables must be a"),
+    (["rollout", "--forecaster", "persistence",
+      "--postprocess", '[{"kind": "clamp_nonnegative"}]'],
+     "--postprocess", "external forecaster only, not 'persistence'"),
+    (["rollout", "--forecaster", "climatology",
+      "--postprocess", '[{"kind": "clamp_nonnegative"}]'],
+     "--postprocess", "external forecaster only, not 'climatology'"),
 ])
 def test_malformed_compound_flag_is_a_usage_error(tmp_path, grid16, capsys,
                                                   argv, flag, form):
@@ -598,12 +649,45 @@ def test_malformed_compound_flag_is_a_usage_error(tmp_path, grid16, capsys,
     if argv[0] == "filter":
         argv = argv + ["--input", str(inp), "--output", str(tmp_path / "f.gvf")]
     else:
-        argv = argv + ["--initial-states", str(inp), "--max-lead-hours", "6",
-                       "--output-dir", str(tmp_path / "fc")]
+        argv = argv[:1] + ["--initial-states", str(inp),
+                           "--max-lead-hours", "6",
+                           "--output-dir", str(tmp_path / "fc"),
+                           *_marker_forecaster(tmp_path)] + argv[1:]
+        if "--inits" not in argv:
+            argv += ["--inits", "2020-01-01T00:00:00,1,6"]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flag}: ") and form in err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["target.gvf"]
+    # no marker from the forecaster, no output
+    assert {p.name for p in tmp_path.iterdir()} <= {"target.gvf", "touch.sh"}
+
+
+def _marker_forecaster(tmp_path):
+    """Flags for an identity external forecaster that leaves a marker
+    file beside its script when it runs."""
+    script = tmp_path / "touch.sh"
+    script.write_text(f"touch {tmp_path / 'marker'}\n" + IDENTITY_SH)
+    return ["--forecaster", "external", "--external-cmd", f"sh {script}"]
+
+
+def test_unstable_postprocess_diffusion_exits_before_first_step(tmp_path,
+                                                                grid16,
+                                                                capsys):
+    from spherecast.filters import diffusion_stability_bound
+    inp, _ = write_target(tmp_path, grid16, n_time=4, seed=14)
+    nu_dt = 1.5 * diffusion_stability_bound(grid16)
+    steps = [{"kind": "clamp_nonnegative"},
+             {"kind": "laplacian_diffuse", "params": {"nu_dt": nu_dt}}]
+    assert main(["rollout", "--initial-states", str(inp), "--max-lead-hours",
+                 "6", "--inits", "2020-01-01T00:00:00,2,6",
+                 "--output-dir", str(tmp_path / "fc"),
+                 *_marker_forecaster(tmp_path),
+                 "--postprocess", json.dumps(steps)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: postprocess step 2: nu_dt=")
+    assert "stability bound" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["target.gvf",
+                                                          "touch.sh"]
 
 
 def _replay_stage(name, tmp_path, grid16):
@@ -617,8 +701,11 @@ def _replay_stage(name, tmp_path, grid16):
     assert main(["stats", "--input", str(inp), "--output", str(stats)]) == 0
     target, _ = write_target(tmp_path, grid16, n_time=8, seed=17)
     fc = tmp_path / "fc"
+    identity = tmp_path / "identity.sh"
+    identity.write_text(IDENTITY_SH)
     rollout = ["rollout", "--initial-states", str(target),
                "--inits", "2020-01-01T00:00:00,2,6", "--max-lead-hours", "12",
+               "--forecaster", "external", "--external-cmd", f"sh {identity}",
                "--postprocess", '[{"kind": "clamp_nonnegative"}]']
     if name == "climatology":
         times = [T0 + timedelta(hours=6 * k) for k in range(4 * 730)]

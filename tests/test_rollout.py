@@ -3,16 +3,20 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from spherecast import rollout
+from spherecast import make_gaussian_grid, rollout
+from spherecast.filters import (DiffusionSpec, PoleFilterSpec, diffuse_values,
+                                pole_filter_values)
 from spherecast.grid import FieldSeries
-from spherecast.preprocess import Climatology
+from spherecast.preprocess import Climatology, clamp_nonnegative_values
 from spherecast.rollout import (ExternalForecasterError, PipelineStep,
                                 RolloutPlan, apply_postprocessing, run_rollout,
                                 run_rollout_to_dir, write_forecast_dir)
 from spherecast.verify import acc, load_forecast_set, rmse
 
 T0 = datetime(2020, 1, 1, tzinfo=timezone.utc)
+GRID8 = make_gaussian_grid(8, 16)
 
 IDENTITY_SCRIPT = """\
 import argparse, shutil
@@ -172,6 +176,11 @@ def test_rollout_plan_validation():
     with pytest.raises(ValueError, match="command"):
         RolloutPlan(init_times=[T0], step_hours=6, max_lead_hours=6,
                     forecaster="external")
+    for forecaster in ("persistence", "climatology"):
+        with pytest.raises(ValueError, match=f"only, not {forecaster!r}"):
+            RolloutPlan(init_times=[T0], step_hours=6, max_lead_hours=6,
+                        forecaster=forecaster,
+                        postprocess=[PipelineStep(kind="clamp_nonnegative")])
     plan = RolloutPlan(init_times=[T0], step_hours=6, max_lead_hours=24)
     assert plan.leads == [0, 6, 12, 18, 24]
 
@@ -217,8 +226,90 @@ def test_postprocessing_order_sensitivity(grid16):
 
 
 def test_pipeline_step_validation():
-    with pytest.raises(ValueError, match="unknown pipeline step"):
-        PipelineStep(kind="sharpen")
+    for kind, params, variables, match in [
+            ("sharpen", {}, None, "unknown pipeline step"),
+            ("laplacian_diffuse", {}, None, "missing parameter 'nu_dt'"),
+            ("clamp_nonnegative", {"floor": "x"}, None, "floor must be"),
+            ("laplacian_diffuse", {"nu_dt": 1e-5, "steps": 1.5}, None,
+             "steps must be an integer"),
+            ("laplacian_diffuse", {"nu_dt": 1e-5, "steps": True}, None,
+             "steps must be an integer"),
+            ("laplacian_diffuse", {"nu_dt": -1}, None,
+             "nu_dt must be non-negative"),
+            ("pole_filter", {"start_lat": 60, "bogus": 1}, None,
+             "unknown parameter 'bogus'"),
+            ("clamp_nonnegative", {}, "QV", "variables must be a")]:
+        with pytest.raises(ValueError, match=match):
+            PipelineStep(kind=kind, params=params, variables=variables)
+
+
+PARAM_NAMES = {"clamp_nonnegative": ("floor",),
+               "laplacian_diffuse": ("nu_dt", "steps"),
+               "pole_filter": ("start_lat", "reference_lat")}
+
+
+def kernel(kind, values, grid, params):
+    """The operator a step of this kind and params stands for, called
+    directly."""
+    if kind == "clamp_nonnegative":
+        return clamp_nonnegative_values(values, params.get("floor", 1e-8))
+    if kind == "laplacian_diffuse":
+        return diffuse_values(values, grid, DiffusionSpec(
+            params["nu_dt"], params.get("steps", 1)))
+    return pole_filter_values(values, grid, PoleFilterSpec(
+        params["start_lat"], params.get("reference_lat")))
+
+
+# per parameter: values near its range, in it or not
+NEAR_RANGE = {"floor": [0.0, 1e-8, 2e-8, -1e-8, 1e300],
+              "nu_dt": [0, 1e-5, 2e-3, -1, 1e300],
+              "steps": [0, 1, 3, -1, 1.0],
+              "start_lat": [45, 60.0, 89.9, 0, 90],
+              "reference_lat": [None, 30.0, 65, 90.5]}
+json_values = st.one_of(st.floats(), st.integers(-3, 3), st.booleans(),
+                        st.none(), st.text(max_size=3),
+                        st.lists(st.integers(-2, 2), max_size=2))
+
+
+@st.composite
+def step_docs(draw):
+    """(kind, params, variables): each parameter of the kind is mostly
+    given a value near its range, and sometimes any JSON value, a junk
+    key or bad variables ride along."""
+    kind = draw(st.sampled_from(sorted(PARAM_NAMES)))
+    often = st.sampled_from([True, True, True, False])
+    params = {name: draw(st.sampled_from(NEAR_RANGE[name]) if draw(often)
+                         else json_values)
+              for name in PARAM_NAMES[kind] if draw(often)}
+    if not draw(often):
+        params[draw(st.sampled_from(["bogus", "nu-dt", ""]))] = draw(
+            json_values)
+    variables = None if draw(often) else draw(st.sampled_from(
+        [("Q",), ["Q", "V"], "QV", [], ["Q", 1], [None]]))
+    return kind, params, variables
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(step_docs())
+def test_pipeline_step_is_rejected_or_equals_its_kernel(doc):
+    kind, params, variables = doc
+    try:
+        step = PipelineStep(kind=kind, params=params, variables=variables)
+    except ValueError:
+        return
+    assert set(params) <= set(PARAM_NAMES[kind])
+    assert all(type(v) in (int, float) or (k, v) == ("reference_lat", None)
+               for k, v in params.items())
+    assert variables is None or (variables and all(
+        isinstance(v, str) for v in variables))
+    values = np.random.default_rng(0).normal(size=GRID8.shape)
+    try:
+        expect = kernel(kind, values, GRID8, params)
+    except ValueError:
+        with pytest.raises(ValueError):
+            step.apply(values, GRID8)
+        return
+    assert step.apply(values, GRID8).tobytes() == expect.tobytes()
 
 
 def test_rollout_to_dir_round_trip(tmp_path, grid16):

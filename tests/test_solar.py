@@ -296,7 +296,7 @@ def stacked_window(start, window_hours, grid, config):
         return np.maximum(gsc / (dist * dist) * cosz, 0.0)
 
     hours = [np.stack([minute_grid(start + timedelta(hours=h, minutes=k))
-                       for k in range(60)]).sum(axis=0) * config.minute_seconds
+                       for k in range(60)]).sum(axis=0) * solar.MINUTE_SECONDS
              for h in range(window_hours)]
     return reduce(np.add, hours)
 
@@ -326,9 +326,8 @@ def test_blocked_window_matches_minute_stack_byte_for_byte(shape, start, hours,
 def test_window_fixture_covers_partial_block_and_year_crossing():
     rows = solar._BLOCK_BYTES // (8 * 1280)
     assert 64 > rows and 64 % rows != 0
-    cfg = SolarConfig(gsc_table=GSC_TABLE)
     start = datetime(2021, 12, 31, 6, tzinfo=UTC)
-    years = [int(solar._fractional_year(t, cfg.year_days))
+    years = [int(solar._fractional_year(t))
              for t in (start, start + timedelta(hours=6))]
     assert years == [2021, 2022]
 
