@@ -22,19 +22,19 @@ from typing import NamedTuple
 import numpy as np
 
 from . import container as cio
-from .container import ContainerError, read_container, write_container
+from .container import (ContainerError, container_writer, read_container,
+                        write_container)
 from .grid import FieldSeries, make_equiangular_grid, make_gaussian_grid
 from .padding import PadSpec, pad
 from .preprocess import (Climatology, NormStats, compute_climatology,
-                         compute_residual_coeff, compute_stats, denormalize,
-                         normalize)
+                         compute_norm_stats, denormalize, normalize)
 from .rollout import (ExternalForecasterError, PipelineStep,
                       PostprocessError, RolloutPlan, apply_postprocessing,
                       run_rollout_to_dir)
 from .sht import (kinetic_energy_spectrum, potential_temperature_energy_spectrum,
                   stack_slices, zonal_power_spectrum)
 from .solar import SolarConfig, accumulated_irradiance, read_gsc_csv
-from .verify import (acc, load_forecast_set, rmse, score_records,
+from .verify import (load_forecast_set, score_cells, score_records,
                      average_correlations, correlation_difference,
                      spatial_correlation, write_correlation_csv)
 
@@ -147,13 +147,16 @@ def _parts(cfg, name: str, *types, required: int | None = None) -> list:
 
 # ---------------------------------------------------------------- handlers
 
+def _views(c):
+    """Each variable of a container as a FieldSeries over its read-only
+    map, one at a time."""
+    return (c.view(*key) for key in c.keys)
+
+
 def _cmd_stats(cfg):
     c = read_container(cfg["input"])
-    series_map = c.to_dict()
-    stats = compute_stats(series_map)
-    if cfg["residual"]:
-        stats = compute_residual_coeff(series_map, stats,
-                                       denominator=cfg["denominator"])
+    stats = compute_norm_stats(
+        _views(c), denominator=cfg["denominator"] if cfg["residual"] else None)
     stats.to_json(cfg["output"])
 
 
@@ -164,15 +167,34 @@ def _finite(c, values, variable: str, level: str):
     return values
 
 
+# bytes of float64 rows, over all variables, in one block of a normalize
+# or denormalize
+_BLOCK_BYTES = 1 << 21
+
+
 def _apply_per_series(cfg, transform):
+    """transform(FieldSeries, stats) over the input, block of times by
+    block of times, each block read as float64 and written as it is done.
+    The first block, empty for an empty time axis, gives the units."""
     c = read_container(cfg["input"])
     stats = NormStats.from_json(cfg["stats"])
-    out = {}
-    for key, series in c.to_dict().items():
-        _finite(c, series.values, *key)
-        out[key] = transform(series, stats)
-    dtype = cfg["dtype"] or c.dtype_name
-    write_container(out, cfg["output"], dtype=dtype, attrs=c.attrs)
+    n_rows = max(1, _BLOCK_BYTES // (8 * len(c.keys) * c.grid.n_lat
+                                     * c.grid.n_lon))
+    blocks = ([transform(FieldSeries(
+                   c.grid, name, lev, c.times[rows],
+                   _finite(c, c.values(rows, name, lev), name, lev),
+                   units=units), stats)
+               for name, lev, units in c.variables]
+              for rows in (slice(start, start + n_rows) for start
+                           in range(0, max(len(c.times), 1), n_rows)))
+    block = next(blocks)
+    with container_writer(cfg["output"], c.grid,
+                          [(s.variable, s.level, s.units) for s in block],
+                          c.times, dtype=cfg["dtype"] or c.dtype_name,
+                          attrs=c.attrs) as write:
+        write([s.values for s in block])
+        for block in blocks:
+            write([s.values for s in block])
 
 
 def _cmd_normalize(cfg):
@@ -185,7 +207,7 @@ def _cmd_denormalize(cfg):
 
 def _cmd_climatology(cfg):
     c = read_container(cfg["input"])
-    clim = compute_climatology(c.to_dict(), window_days=cfg["window_days"],
+    clim = compute_climatology(_views(c), window_days=cfg["window_days"],
                                gaussian_std_days=cfg["std_days"])
     clim.to_container(cfg["output"], dtype=cfg["dtype"] or "f64")
 
@@ -213,20 +235,18 @@ def _cmd_pad(cfg):
     spec = PadSpec(pad_ns=cfg["pad_ns"], pad_ew=cfg["pad_ew"], mode=cfg["mode"])
     pseudo = make_equiangular_grid(c.grid.n_lat + 2 * spec.pad_ns,
                                    c.grid.n_lon + 2 * spec.pad_ew)
-    out = {}
-    for key, series in c.to_dict().items():
-        padded = np.stack([pad(series.values[i], spec)
-                           for i in range(len(series))])
-        out[key] = FieldSeries(pseudo, key[0], key[1], series.times, padded,
-                               units=series.units)
     attrs = dict(c.attrs)
     attrs["padding"] = {"pad_ns": spec.pad_ns, "pad_ew": spec.pad_ew,
                         "mode": spec.mode,
                         "interior_grid": {"kind": c.grid.kind,
                                           "n_lat": c.grid.n_lat,
                                           "n_lon": c.grid.n_lon}}
-    write_container(out, cfg["output"], dtype=cfg["dtype"] or c.dtype_name,
-                    attrs=attrs)
+    with container_writer(cfg["output"], pseudo, c.variables, c.times,
+                          dtype=cfg["dtype"] or c.dtype_name,
+                          attrs=attrs) as write:
+        for i in range(len(c.times)):
+            write([pad(c.values(i, name, lev), spec)[None]
+                   for name, lev, _ in c.variables])
 
 
 def _cmd_filter(cfg):
@@ -242,16 +262,13 @@ def _cmd_filter(cfg):
     if not steps:
         raise UsageError("filter needs --diffuse and/or --pole-filter")
     c = read_container(cfg["input"])
-    states = [apply_postprocessing({key: c.values(i, *key) for key in c.keys},
-                                   steps, c.grid)
-              for i in range(len(c.times))]
-    out = {(name, lev): FieldSeries(c.grid, name, lev, c.times,
-                                    np.stack([s[name, lev] for s in states]),
-                                    units=units)
-           for name, lev, units in c.variables}
-    del states  # before the write, which makes a copy of its own
-    write_container(out, cfg["output"], dtype=cfg["dtype"] or c.dtype_name,
-                    attrs=c.attrs)
+    with container_writer(cfg["output"], c.grid, c.variables, c.times,
+                          dtype=cfg["dtype"] or c.dtype_name,
+                          attrs=c.attrs) as write:
+        for i in range(len(c.times)):
+            state = apply_postprocessing(
+                {key: c.values(i, *key) for key in c.keys}, steps, c.grid)
+            write([state[key][None] for key in c.keys])
 
 
 def _spectrum_rows(cfg, c):
@@ -306,16 +323,12 @@ def _cmd_verify(cfg):
                            climatology_path=cfg["climatology"])
     if "acc" in metrics and fs.climatology is None:
         raise ValueError("acc requires --climatology")
-    leads = fs.lead_hours()
-    series = []
-    for key in fs.keys:
-        for lead in leads:
-            for metric in metrics:
-                tag = f"{key[0]}|{key[1]}|{lead}|{metric}"
-                fn = rmse if metric == "rmse" else acc
-                series.append(fn(fs, key[0], level=key[1], lead_hours=lead,
-                                 n_boot=cfg["bootstrap"],
-                                 seed=_task_seed(cfg["seed"], tag)))
+    series = score_cells(
+        fs, metrics, [(key, lead) for key in fs.keys
+                      for lead in fs.lead_hours()],
+        n_boot=cfg["bootstrap"],
+        seed=lambda key, lead, metric: _task_seed(
+            cfg["seed"], f"{key[0]}|{key[1]}|{lead}|{metric}"))
     records = score_records(series)
     cio.write_scores(records, cfg["output"], format=cfg["format"])
 
@@ -382,9 +395,16 @@ def _cmd_rollout(cfg):
             state_dtype=cfg["dtype"] or c.dtype_name)
     except PostprocessError as exc:
         raise UsageError(f"--postprocess: {exc}") from None
+    for flag, forecaster in (("external_cmd", "external"),
+                             ("climatology", "climatology")):
+        if cfg[flag] and cfg["forecaster"] != forecaster:
+            raise UsageError(
+                f"--{flag.replace('_', '-')} applies to --forecaster "
+                f"{forecaster} only, not {cfg['forecaster']!r}")
     clim = (Climatology.from_container(cfg["climatology"])
             if cfg["climatology"] else None)
-    run_rollout_to_dir(plan, c.to_dict(), cfg["output_dir"], climatology=clim)
+    run_rollout_to_dir(plan, {key: c.view(*key) for key in c.keys},
+                       cfg["output_dir"], climatology=clim)
 
 
 # ------------------------------------------------------------- parameters

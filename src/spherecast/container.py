@@ -9,6 +9,7 @@ The format is dependency-free and round-trips bit-exactly.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import os
 from contextlib import contextmanager
@@ -33,6 +34,7 @@ __all__ = [
     "ContainerError",
     "Container",
     "atomic_write",
+    "container_writer",
     "ScoreRecord",
     "read_container",
     "write_container",
@@ -54,6 +56,9 @@ def _format_time(t: datetime) -> str:
     return ensure_utc(t).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
+# forecast files share most of their time axes, and strptime dominates
+# the cost of opening one
+@functools.lru_cache(maxsize=1 << 16)
 def _parse_time(s: str) -> datetime:
     return ensure_utc(datetime.strptime(s, "%Y-%m-%dT%H:%M:%SZ"))
 
@@ -183,15 +188,22 @@ class Container:
                      units=units)
 
     def series(self, variable: str, level: str = "single") -> FieldSeries:
+        """Every time of one variable as a float64 FieldSeries, copied out
+        of the map."""
         j = self._var_index(variable, level)
         name, lev, units = self.variables[j]
         vals = np.array(self._data[:, j], dtype=np.float64)
         return FieldSeries(self.grid, name, lev, list(self.times), vals,
                            units=units)
 
-    def to_dict(self) -> dict[tuple[str, str], FieldSeries]:
-        """Materialize every variable as a FieldSeries, keyed (name, level)."""
-        return {(n, l): self.series(n, l) for n, l, _ in self.variables}
+    def view(self, variable: str, level: str = "single") -> FieldSeries:
+        """Every time of one variable as a FieldSeries over the read-only
+        map, in the file's dtype: nothing is read until it is indexed, so
+        convert what you take from it to float64 before any arithmetic."""
+        j = self._var_index(variable, level)
+        name, lev, units = self.variables[j]
+        return FieldSeries(self.grid, name, lev, list(self.times),
+                           self._data[:, j], units=units)
 
 
 @contextmanager
@@ -217,12 +229,67 @@ def read_container(path) -> Container:
     return Container(path)
 
 
+@contextmanager
+def container_writer(path, grid: GridSpec, variables, times,
+                     dtype: str = "f32", attrs: dict | None = None):
+    """Write a GVF1 file block of times by block of times.
+
+    variables lists (name, level, units) in file order.  Yields
+    write(block), where block holds, per variable in that order, a
+    (k, n_lat, n_lon) array for the next k times; each time row is cast
+    to dtype and written as it comes, so no more than one block is ever
+    held.  The file appears at path only once every time is written.
+    """
+    if dtype not in _DTYPES:
+        raise ValueError(f"dtype must be one of {sorted(_DTYPES)}, got {dtype!r}")
+    header = {
+        "magic": MAGIC,
+        "version": VERSION,
+        "grid": _grid_to_json(grid),
+        "variables": [{"name": name, "level": level, "units": units}
+                      for name, level, units in variables],
+        "time_axis": [_format_time(t) for t in times],
+        "dtype": dtype,
+        "attrs": attrs or {},
+    }
+    raw = (json.dumps(header, sort_keys=False) + "\n").encode("utf-8")
+    np_dtype = _DTYPES[dtype]
+    written = 0
+
+    def write(block):
+        nonlocal written
+        block = [np.asarray(values) for values in block]
+        k = len(block[0]) if block else 0
+        if (len(block) != len(variables)
+                or any(v.shape != (k,) + grid.shape for v in block)):
+            raise ValueError(
+                f"{path}: a block needs one (k, {grid.n_lat}, {grid.n_lon}) "
+                f"array per variable ({len(variables)}), got shapes "
+                f"{[v.shape for v in block]}")
+        if written + k > len(times):
+            raise ValueError(
+                f"{path}: more than {len(times)} time rows written")
+        for i in range(k):
+            for values in block:
+                fh.write(np.ascontiguousarray(values[i], dtype=np_dtype))
+        written += k
+
+    with atomic_write(path, "wb") as fh:
+        fh.write(len(raw).to_bytes(8, "little"))
+        fh.write(raw)
+        yield write
+        if written != len(times):
+            raise ValueError(
+                f"{path}: {written} of {len(times)} time rows written")
+
+
 def write_container(series_map, path, dtype: str = "f32",
                     attrs: dict | None = None) -> None:
     """Write FieldSeries sharing one grid and time axis to a GVF1 file.
 
     series_map: mapping (variable, level) -> FieldSeries, or a list of
     FieldSeries.  Variable order in the file follows the input order.
+    The payload is written one time row at a time.
     """
     if isinstance(series_map, dict):
         series_list = list(series_map.values())
@@ -230,8 +297,6 @@ def write_container(series_map, path, dtype: str = "f32",
         series_list = list(series_map)
     if not series_list:
         raise ValueError("nothing to write: empty series collection")
-    if dtype not in _DTYPES:
-        raise ValueError(f"dtype must be one of {sorted(_DTYPES)}, got {dtype!r}")
     grid = series_list[0].grid
     times = series_list[0].times
     for s in series_list[1:]:
@@ -241,25 +306,10 @@ def write_container(series_map, path, dtype: str = "f32",
         if s.times != times:
             raise ValueError(
                 f"mixed time axes: {s.variable} ({s.level}) differs")
-
-    header = {
-        "magic": MAGIC,
-        "version": VERSION,
-        "grid": _grid_to_json(grid),
-        "variables": [{"name": s.variable, "level": s.level, "units": s.units}
-                      for s in series_list],
-        "time_axis": [_format_time(t) for t in times],
-        "dtype": dtype,
-        "attrs": attrs or {},
-    }
-    raw = (json.dumps(header, sort_keys=False) + "\n").encode("utf-8")
-    np_dtype = _DTYPES[dtype]
-    payload = np.stack([s.values for s in series_list], axis=1) if times else None
-    with atomic_write(path, "wb") as fh:
-        fh.write(len(raw).to_bytes(8, "little"))
-        fh.write(raw)
-        if payload is not None:
-            fh.write(np.ascontiguousarray(payload, dtype=np_dtype).tobytes())
+    variables = [(s.variable, s.level, s.units) for s in series_list]
+    with container_writer(path, grid, variables, times, dtype=dtype,
+                          attrs=attrs) as write:
+        write([s.values for s in series_list])
 
 
 @dataclass(frozen=True)

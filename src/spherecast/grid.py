@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+import functools
 import warnings
 
 import numpy as np
@@ -70,6 +71,7 @@ _NEWTON_TOL = 1e-15     # largest Newton step at which the nodes count as found
 _NEWTON_MAX_ITER = 100
 
 
+@functools.lru_cache(maxsize=64)
 def gauss_legendre(n: int):
     """Gauss-Legendre nodes and weights on [-1, 1] by Newton iteration.
 
@@ -77,6 +79,8 @@ def gauss_legendre(n: int):
     latitudes via lat = asin(x)).  Newton iteration on the Legendre
     recurrence converges to node accuracy better than 1e-14; weights
     w = 2 / ((1 - x^2) P_n'(x)^2) then sum to 2 to within 1e-12.
+    Each n is solved once: later calls return the same two read-only
+    arrays (gauss_legendre.__wrapped__ solves afresh).
     """
     if n < 1:
         raise ValueError(f"need at least 1 quadrature node, got {n}")
@@ -92,6 +96,8 @@ def gauss_legendre(n: int):
     # final derivative at the converged nodes
     _, dp = _legendre_and_derivative(n, x)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
+    x.flags.writeable = False
+    w.flags.writeable = False
     return x, w
 
 

@@ -11,6 +11,7 @@ construction.  Statistics are plain (unweighted) spatio-temporal moments.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field as dc_field
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -25,6 +26,7 @@ __all__ = [
     "Climatology",
     "compute_stats",
     "compute_residual_coeff",
+    "compute_norm_stats",
     "normalize",
     "denormalize",
     "clamp_nonnegative",
@@ -104,48 +106,90 @@ def _streaming_moments(values_iter):
     return n, mean, m2
 
 
-def compute_stats(series_map: dict[tuple[str, str], FieldSeries],
-                  period: tuple[datetime, datetime] | None = None) -> NormStats:
+def _keyed(series_map):
+    """(key, FieldSeries) pairs of a {key: FieldSeries} mapping, or of an
+    iterable of FieldSeries, which is then taken one series at a time."""
+    if isinstance(series_map, Mapping):
+        return iter(series_map.items())
+    return ((s.key, s) for s in series_map)
+
+
+def _stat_entry(key, series: FieldSeries, period) -> StatEntry:
+    values = series.values
+    if period is not None:
+        t0, t1 = (ensure_utc(period[0]), ensure_utc(period[1]))
+        sel = [i for i, t in enumerate(series.times) if t0 <= t <= t1]
+        if not sel:
+            raise ValueError(
+                f"{key[0]} ({key[1]}): no samples in requested period")
+        values = values[sel]
+    n, mean, m2 = _streaming_moments(values)
+    sigma = float(np.sqrt(m2 / n))
+    # rounding noise of an exactly constant field shows up as
+    # sigma ~ eps * |mean|; reject that as zero variance too
+    if sigma <= 1e-14 * abs(mean):
+        raise ValueError(
+            f"{key[0]} ({key[1]}): zero variance over the period; "
+            "cannot standardize")
+    return StatEntry(mu=mean, sigma=sigma)
+
+
+def compute_stats(series_map, period: tuple[datetime, datetime] | None = None
+                  ) -> NormStats:
     """Mean and standard deviation per variable-level over a period.
 
-    Moments pool every grid point and time step; accumulation is a
-    numerically stable streaming merge, matching a two-pass computation
-    to better than 1e-10 relative.  Zero variance is an error.
+    series_map is a {(variable, level): FieldSeries} mapping or an
+    iterable of FieldSeries.  Moments pool every grid point and time step;
+    accumulation is a numerically stable streaming merge over time rows,
+    each taken in float64, matching a two-pass computation to better than
+    1e-10 relative.  Zero variance is an error.
     """
-    if not series_map:
-        raise ValueError("empty series collection")
-    stats = NormStats()
-    step = None
-    for (variable, level), series in series_map.items():
-        values = series.values
-        times = series.times
-        if period is not None:
-            t0, t1 = (ensure_utc(period[0]), ensure_utc(period[1]))
-            sel = [i for i, t in enumerate(times) if t0 <= t <= t1]
-            if not sel:
-                raise ValueError(
-                    f"{variable} ({level}): no samples in requested period")
-            values = values[sel]
-        n, mean, m2 = _streaming_moments(values)
-        sigma = float(np.sqrt(m2 / n))
-        # rounding noise of an exactly constant field shows up as
-        # sigma ~ eps * |mean|; reject that as zero variance too
-        if sigma <= 1e-14 * abs(mean):
-            raise ValueError(
-                f"{variable} ({level}): zero variance over the period; "
-                "cannot standardize")
-        stats.entries[(variable, level)] = StatEntry(mu=mean, sigma=sigma)
-        if step is None:
-            step = series.step_hours
-    stats.step_hours = step
-    if period is not None:
-        stats.period = (ensure_utc(period[0]).isoformat(),
-                        ensure_utc(period[1]).isoformat())
-    return stats
+    return compute_norm_stats(series_map, denominator=None, period=period)
 
 
-def compute_residual_coeff(series_map: dict[tuple[str, str], FieldSeries],
-                           stats: NormStats,
+def _check_denominator(denominator: str) -> None:
+    if denominator not in ("tendency", "standardized"):
+        raise ValueError(
+            f"denominator must be 'tendency' or 'standardized', got {denominator!r}")
+
+
+def _spreads(key, series: FieldSeries, e: StatEntry,
+             denominator: str) -> tuple[float, float]:
+    """(std of the one-step tendency of T' = (T - mu)/sigma, the std xi is
+    scaled by: that same one, or std(T') for "standardized"), with T
+    taken in float64."""
+    if len(series) < 2:
+        raise ValueError(
+            f"{key[0]} ({key[1]}): need at least 2 time steps for the "
+            "tendency, got {0}".format(len(series)))
+    tprime = np.array(series.values, dtype=np.float64)  # scaled in place
+    tprime -= e.mu
+    tprime /= e.sigma
+    ref = float(tprime.std()) if denominator == "standardized" else None
+    dt = np.diff(tprime, axis=0)
+    del tprime
+    dt *= dt
+    tend = float(np.sqrt(np.mean(dt)))
+    return tend, tend if ref is None else ref
+
+
+def _rescaled(stats: NormStats, spreads: dict, denominator: str) -> NormStats:
+    """A copy of stats with xi = tendency std / gmean of the reference
+    stds, for each key of spreads ({key: _spreads(...)})."""
+    log_vals = np.log(np.array([ref for _, ref in spreads.values()]))
+    gmean = float(np.exp(log_vals.mean()))
+    out = NormStats(step_hours=stats.step_hours, period=stats.period,
+                    denominator=denominator)
+    for key, (tend, _) in spreads.items():
+        e = stats.entry(*key)
+        out.entries[key] = StatEntry(mu=e.mu, sigma=e.sigma, xi=tend / gmean)
+    # carry over entries not present in this collection
+    for key, e in stats.entries.items():
+        out.entries.setdefault(key, StatEntry(mu=e.mu, sigma=e.sigma, xi=e.xi))
+    return out
+
+
+def compute_residual_coeff(series_map, stats: NormStats,
                            denominator: str = "tendency") -> NormStats:
     """Fill the residual coefficients xi into a copy of stats.
 
@@ -154,36 +198,38 @@ def compute_residual_coeff(series_map: dict[tuple[str, str], FieldSeries],
     across variable-levels.  denominator="tendency" (default) divides by
     gmean of the tendency stds; "standardized" divides by gmean of the
     stds of T' themselves (which are 1 when stats come from the same
-    period, so xi then reduces to std(dT') unscaled).
+    period, so xi then reduces to std(dT') unscaled).  series_map is as
+    for compute_stats.
     """
-    if denominator not in ("tendency", "standardized"):
-        raise ValueError(
-            f"denominator must be 'tendency' or 'standardized', got {denominator!r}")
-    tend_std = {}
-    std_std = {}
-    for key, series in series_map.items():
-        if len(series) < 2:
-            raise ValueError(
-                f"{key[0]} ({key[1]}): need at least 2 time steps for the "
-                "tendency, got {0}".format(len(series)))
-        e = stats.entry(*key)
-        tprime = (series.values - e.mu) / e.sigma
-        dt = np.diff(tprime, axis=0)
-        tend_std[key] = float(np.sqrt(np.mean(dt * dt)))
-        std_std[key] = float(tprime.std())
-    ref = tend_std if denominator == "tendency" else std_std
-    log_vals = np.log(np.array([ref[k] for k in series_map]))
-    gmean = float(np.exp(log_vals.mean()))
-    out = NormStats(step_hours=stats.step_hours, period=stats.period,
-                    denominator=denominator)
-    for key in series_map:
-        e = stats.entry(*key)
-        out.entries[key] = StatEntry(mu=e.mu, sigma=e.sigma,
-                                     xi=tend_std[key] / gmean)
-    # carry over entries not present in this collection
-    for key, e in stats.entries.items():
-        out.entries.setdefault(key, StatEntry(mu=e.mu, sigma=e.sigma, xi=e.xi))
-    return out
+    _check_denominator(denominator)
+    return _rescaled(stats, {
+        key: _spreads(key, series, stats.entry(*key), denominator)
+        for key, series in _keyed(series_map)}, denominator)
+
+
+def compute_norm_stats(series_map, denominator: str | None = "tendency",
+                       period: tuple[datetime, datetime] | None = None
+                       ) -> NormStats:
+    """compute_stats and then, unless denominator is None,
+    compute_residual_coeff with that denominator, in one pass that takes
+    each series once.  period limits the moments only; the tendencies
+    span every time, as in compute_residual_coeff."""
+    if denominator is not None:
+        _check_denominator(denominator)
+    stats, spreads = NormStats(), {}
+    for key, series in _keyed(series_map):
+        e = stats.entries[key] = _stat_entry(key, series, period)
+        if stats.step_hours is None:
+            stats.step_hours = series.step_hours
+        if denominator is not None:
+            spreads[key] = _spreads(key, series, e, denominator)
+    if not stats.entries:
+        raise ValueError("empty series collection")
+    if period is not None:
+        stats.period = (ensure_utc(period[0]).isoformat(),
+                        ensure_utc(period[1]).isoformat())
+    return stats if denominator is None else _rescaled(stats, spreads,
+                                                       denominator)
 
 
 def normalize(data, stats: NormStats):
@@ -231,10 +277,12 @@ def day_of_year_365(t: datetime) -> int:
 class Climatology:
     """Sliding-window mean fields indexed by (day-of-year, hour-of-day).
 
-    data maps (variable, level) to an array [365, n_hours, n_lat, n_lon];
-    hours lists the hours-of-day present (e.g. [0, 6, 12, 18] for
-    6-hourly data).  Windows are window_days wide, Gaussian-weighted with
-    std_days, weights renormalized to sum 1.
+    data maps (variable, level) to an array [365, n_hours, n_lat, n_lon]
+    (from_container leaves each one a view of the file's map, in the
+    file's dtype; values() returns float64 either way); hours lists the
+    hours-of-day present (e.g. [0, 6, 12, 18] for 6-hourly data).
+    Windows are window_days wide, Gaussian-weighted with std_days,
+    weights renormalized to sum 1.
     """
 
     grid: GridSpec
@@ -251,7 +299,8 @@ class Climatology:
                 f"(available: {self.hours})")
         d = day_of_year_365(when)
         h = self.hours.index(when.hour)
-        return self.data[(variable, level)][d - 1, h]
+        return np.asarray(self.data[(variable, level)][d - 1, h],
+                          dtype=np.float64)
 
     @property
     def keys(self) -> list[tuple[str, str]]:
@@ -293,11 +342,10 @@ class Climatology:
             raise ValueError(
                 f"{path}: expected {365 * n_h} climatology bins, "
                 f"got {len(c.times)}")
-        data = {}
-        for name, level, _units in c.variables:
-            series = c.series(name, level)
-            data[(name, level)] = series.values.reshape(
-                (365, n_h) + c.grid.shape)
+        # the file's read-only map: a bin is read when it is looked up
+        data = {(name, level): c.view(name, level).values.reshape(
+                    (365, n_h) + c.grid.shape)
+                for name, level, _units in c.variables}
         return cls(grid=c.grid, hours=hours,
                    window_days=int(meta["window_days"]),
                    std_days=float(meta["std_days"]), data=data)
@@ -308,8 +356,7 @@ def _circular_day_distance(d1, d2, period: int = 365):
     return np.minimum(d, period - d)
 
 
-def compute_climatology(series_map: dict[tuple[str, str], FieldSeries],
-                        window_days: int = 61,
+def compute_climatology(series_map, window_days: int = 61,
                         gaussian_std_days: float = 10.0) -> Climatology:
     """Day-of-year/hour-of-day climatology with Gaussian-weighted windows.
 
@@ -317,29 +364,53 @@ def compute_climatology(series_map: dict[tuple[str, str], FieldSeries],
     samples at hour h whose circular day-of-year distance from d is at
     most window_days//2, with weights exp(-dd^2 / (2 s^2)), s in days,
     renormalized to sum 1.  Bins with no samples raise, listing (d, h).
+    series_map is a {(variable, level): FieldSeries} mapping or an
+    iterable of FieldSeries, taken one series at a time; each window's
+    samples are taken in float64.
     """
-    if not series_map:
-        raise ValueError("empty series collection")
     if window_days < 1 or window_days % 2 == 0:
         raise ValueError(f"window_days must be odd and positive, got {window_days}")
     if gaussian_std_days <= 0:
         raise ValueError("gaussian_std_days must be positive")
-    half = window_days // 2
+    grid = times = None
+    data = {}
+    for key, series in _keyed(series_map):
+        if grid is None:
+            grid, times = series.grid, series.times
+            hours, weights = _window_weights(times, window_days // 2,
+                                             gaussian_std_days)
+        elif series.grid != grid:
+            raise ValueError(f"{key}: climatology inputs must share one grid")
+        elif series.times != times:
+            raise ValueError(
+                f"{key}: climatology inputs must share one time axis")
+        out = np.empty((365, len(hours)) + grid.shape)
+        flat = series.values.reshape(len(series), -1)
+        for hi, h in enumerate(hours):
+            idx, w = weights[h]
+            samples = np.asarray(flat[idx], dtype=np.float64)
+            out[:, hi] = (w @ samples).reshape((365,) + grid.shape)
+            del samples
+        data[key] = out
+        del series, flat  # before the next series is taken
+    if grid is None:
+        raise ValueError("empty series collection")
+    return Climatology(grid=grid, hours=hours, window_days=window_days,
+                       std_days=gaussian_std_days, data=data)
 
-    first = next(iter(series_map.values()))
-    grid = first.grid
-    times = first.times
+
+def _window_weights(times: list[datetime], half: int, std_days: float):
+    """hours present in times, and per hour (sample rows at that hour,
+    [365 days, samples] Gaussian window weights summing to 1 per day)."""
     hours = sorted({t.hour for t in times})
     doys = np.array([day_of_year_365(t) for t in times])
     t_hours = np.array([t.hour for t in times])
-
-    # weight matrix per hour bin: [365 days, samples at that hour]
     weights = {}
     missing = []
     for h in hours:
         idx = np.nonzero(t_hours == h)[0]
         dd = _circular_day_distance(np.arange(1, 366)[:, None], doys[idx][None, :])
-        w = np.exp(-dd.astype(float) ** 2 / (2.0 * gaussian_std_days ** 2))
+        w = np.exp(-dd.astype(float) ** 2 / (2.0 * std_days ** 2))
         w[dd > half] = 0.0
         sums = w.sum(axis=1)
         empty = np.nonzero(sums == 0)[0]
@@ -351,18 +422,4 @@ def compute_climatology(series_map: dict[tuple[str, str], FieldSeries],
             "climatology windows without samples at (day, hour): "
             + ", ".join(str(m) for m in missing[:20])
             + ("..." if len(missing) > 20 else ""))
-
-    data = {}
-    for key, series in series_map.items():
-        if series.grid != grid:
-            raise ValueError(f"{key}: climatology inputs must share one grid")
-        if series.times != times:
-            raise ValueError(f"{key}: climatology inputs must share one time axis")
-        out = np.empty((365, len(hours)) + grid.shape)
-        flat = series.values.reshape(len(series), -1)
-        for hi, h in enumerate(hours):
-            idx, w = weights[h]
-            out[:, hi] = (w @ flat[idx]).reshape((365,) + grid.shape)
-        data[key] = out
-    return Climatology(grid=grid, hours=hours, window_days=window_days,
-                       std_days=gaussian_std_days, data=data)
+    return hours, weights

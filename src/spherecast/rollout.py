@@ -251,9 +251,12 @@ def _rollout_one(plan: RolloutPlan, initial_states: dict, grid, units,
         # external, strictly sequential per step
         state = {key: series.values[series.index(t_i)]
                  for key, series in initial_states.items()}
-        trajectory = {key: [state[key]] for key in state}
+        stacks = {key: np.empty((len(valid_times),) + grid.shape)
+                  for key in state}
+        for key, stack in stacks.items():
+            stack[0] = state[key]
         with tempfile.TemporaryDirectory(prefix="rollout_") as tmp:
-            for when in valid_times[:-1]:
+            for k, when in enumerate(valid_times[:-1], 1):
                 try:
                     state = _run_external_step(
                         plan.external_command, state, grid, when,
@@ -262,9 +265,8 @@ def _rollout_one(plan: RolloutPlan, initial_states: dict, grid, units,
                     raise ExternalForecasterError(
                         f"init {t_i.isoformat()}: {exc}") from exc
                 state = apply_postprocessing(state, plan.postprocess, grid)
-                for key in trajectory:
-                    trajectory[key].append(state[key])
-        stacks = {key: np.stack(vals) for key, vals in trajectory.items()}
+                for key, stack in stacks.items():
+                    stack[k] = state[key]
     return {key: FieldSeries(grid, key[0], key[1], valid_times, stack,
                              units=units[key])
             for key, stack in stacks.items()}
@@ -337,6 +339,7 @@ def _write_inits(forecasts, out_dir, dtype: str) -> list[Path]:
         paths.append(out_dir / f"init_{t_i.strftime('%Y%m%dT%H%M%SZ')}.gvf")
         write_container(per_key, paths[-1], dtype=dtype,
                         attrs={"init_time": _format_time(t_i)})
+        del per_key  # before the next init is rolled out
     return paths
 
 
@@ -346,5 +349,5 @@ def write_forecast_dir(fs: ForecastSet, out_dir, dtype: str = "f32") -> list[Pat
     Files are named init_<YYYYMMDDTHHMMSSZ>.gvf and tag their init time in
     the container attrs, which is how load_forecast_set reassembles them.
     """
-    return _write_inits(((t_i, fs.forecasts[t_i]) for t_i in fs.init_times),
+    return _write_inits(((t_i, fs.forecast(t_i)) for t_i in fs.init_times),
                         out_dir, dtype)

@@ -14,6 +14,7 @@ anomaly products (no further mean removal).
 from __future__ import annotations
 
 import csv
+from collections.abc import Mapping
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -35,6 +36,7 @@ __all__ = [
     "rmse",
     "acc",
     "skill_relation_check",
+    "score_cells",
     "spatial_correlation",
     "average_correlations",
     "correlation_difference",
@@ -130,15 +132,18 @@ class ForecastSet:
     """Forecasts keyed by initialization time, with target and climatology.
 
     forecasts maps each init time to {(variable, level): FieldSeries}
-    whose valid times are init + lead for every lead (lead 0 first);
-    target maps (variable, level) to the verifying FieldSeries.  Every
-    forecast valid time must be covered by the target, all series must
-    share one grid, and every forecast and every target row it verifies
-    against must be finite.  sources optionally maps init times to the
-    file each forecast came from, for error messages.
+    held in memory, or to the path of a GVF1 container holding them,
+    which is opened only while that init is checked or scored.  Valid
+    times are init + lead for every lead (lead 0 first); target maps
+    (variable, level) to the verifying FieldSeries.  Every forecast valid
+    time must be covered by the target, all series must share one grid,
+    and every forecast and every target row it verifies against must be
+    finite; the forecasts are checked one init at a time.  sources
+    optionally maps init times to the file each forecast came from, for
+    error messages (a path in forecasts names itself).
     """
 
-    def __init__(self, forecasts: dict[datetime, dict], target: dict,
+    def __init__(self, forecasts: dict[datetime, object], target: dict,
                  climatology: Climatology | None = None,
                  sources: dict | None = None):
         if not forecasts:
@@ -149,23 +154,15 @@ class ForecastSet:
         self.grid: GridSpec = next(iter(target.values())).grid
         sources = {ensure_utc(t): f"{p}: " for t, p in (sources or {}).items()}
         used = {key: set() for key in target}
+        leads = None
         for t_i, fc in self.forecasts.items():
-            for key, series in fc.items():
-                where = (f"{sources.get(t_i, '')}init {t_i.isoformat()}: "
-                         f"{key[0]} ({key[1]})")
-                if series.grid != self.grid:
-                    raise ValueError(f"{where}: forecast is on a different "
-                                     "grid than the target")
-                if key not in target:
-                    raise ValueError(f"{where}: target has no such series")
-                rows = [target[key].time_index.get(t) for t in series.times]
-                if None in rows:
-                    raise ValueError(
-                        f"{where}: target does not cover forecast valid time "
-                        f"{series.times[rows.index(None)].isoformat()}")
-                used[key].update(rows)
-                if not np.isfinite(series.values).all():
-                    raise ValueError(f"{where}: non-finite forecast values")
+            if not isinstance(fc, Mapping):
+                sources.setdefault(t_i, f"{fc}: ")
+            keys, these = self._check_init(t_i, sources.get(t_i, ""), used)
+            if leads is None:
+                self._keys = keys
+            leads = these if leads is None else (leads & these)
+        self._leads = sorted(leads)
         for key, rows in used.items():
             for i in sorted(rows):
                 if not np.isfinite(target[key].values[i]).all():
@@ -174,31 +171,53 @@ class ForecastSet:
                         f"{target[key].times[i].isoformat()}")
         self.weights = metric_weights(self.grid)
 
+    def _check_init(self, t_i: datetime, source: str, used: dict):
+        """Check one init's forecast, adding the target rows it verifies
+        against to used; its keys and the set of its lead hours."""
+        fc = self.forecast(t_i)
+        for key, series in fc.items():
+            where = f"{source}init {t_i.isoformat()}: {key[0]} ({key[1]})"
+            if series.grid != self.grid:
+                raise ValueError(f"{where}: forecast is on a different "
+                                 "grid than the target")
+            if key not in self.target:
+                raise ValueError(f"{where}: target has no such series")
+            rows = [self.target[key].time_index.get(t) for t in series.times]
+            if None in rows:
+                raise ValueError(
+                    f"{where}: target does not cover forecast valid time "
+                    f"{series.times[rows.index(None)].isoformat()}")
+            used[key].update(rows)
+            if not np.isfinite(series.values).all():
+                raise ValueError(f"{where}: non-finite forecast values")
+        first = next(iter(fc.values()))
+        return list(fc), {int((t - t_i).total_seconds() // 3600)
+                          for t in first.times}
+
     @property
     def init_times(self) -> list[datetime]:
         return sorted(self.forecasts)
 
     @property
     def keys(self) -> list[tuple[str, str]]:
-        return list(next(iter(self.forecasts.values())).keys())
+        return list(self._keys)
 
     def lead_hours(self) -> list[int]:
         """Lead hours available in every initialization."""
-        leads = None
-        for t_i, fc in self.forecasts.items():
-            series = next(iter(fc.values()))
-            these = {int((t - t_i).total_seconds() // 3600) for t in series.times}
-            leads = these if leads is None else (leads & these)
-        return sorted(leads)
+        return list(self._leads)
 
-    def forecast_values(self, t_i: datetime, key, lead_hours: int) -> np.ndarray:
-        t_i = ensure_utc(t_i)
-        series = self.forecasts[t_i][key]
-        return series.values[series.index(t_i + timedelta(hours=lead_hours))]
+    def forecast(self, t_i: datetime) -> dict:
+        """{(variable, level): FieldSeries} of one init; one held on disk is
+        a view of its container's map, in the file's dtype."""
+        fc = self.forecasts[ensure_utc(t_i)]
+        if isinstance(fc, Mapping):
+            return fc
+        c = read_container(fc)
+        return {key: c.view(*key) for key in c.keys}
 
     def target_values(self, when: datetime, key) -> np.ndarray:
         series = self.target[key]
-        return series.values[series.index(when)]
+        return np.asarray(series.values[series.index(when)], dtype=np.float64)
 
     def climatology_values(self, when: datetime, key) -> np.ndarray:
         if self.climatology is None:
@@ -206,44 +225,98 @@ class ForecastSet:
         return self.climatology.values(key[0], key[1], when)
 
 
-def _per_init(fs: ForecastSet, variable: str, level: str, lead_hours: int,
-              fn) -> tuple[list[datetime], np.ndarray]:
-    """fn(forecast, target, valid time) for every init that reaches the lead."""
-    key = (variable, level)
-    inits, vals = [], []
+def _skill_pair(f, o, c, weights, key, when) -> tuple[float, float]:
+    mse_f = weighted_mean((f - o) ** 2, weights)
+    mse_c = weighted_mean((c - o) ** 2, weights)
+    if mse_c == 0.0:
+        raise ZeroDivisionError(
+            f"MSE of the climatology reference is zero for {key[0]} "
+            f"({key[1]}) at {when.isoformat()}")
+    return (1.0 - mse_f / mse_c, acc_field(f - c, o - c, weights))
+
+
+# metric -> its value for one init from float64 forecast f, target o and
+# climatology c (None for rmse, the one metric that needs none)
+_PER_INIT = {
+    "rmse": lambda f, o, c, w, key, when: rmse_field(f, o, w),
+    "acc": lambda f, o, c, w, key, when: acc_field(f - c, o - c, w),
+    "skill": _skill_pair,
+}
+
+
+def _per_init(fs: ForecastSet, cells, metrics
+              ) -> dict[tuple, tuple[list[datetime], dict[str, np.ndarray]]]:
+    """{(key, lead): (inits, {metric: per-init values})} for every cell
+    and metric of _PER_INIT, over the inits that reach the cell's lead.
+
+    One pass over the inits: each init's forecast is taken (opened, when
+    it is on disk), every cell is scored from it field by field in
+    float64, and it is dropped before the next init is taken.
+    """
+    found = {cell: ([], {m: [] for m in metrics}) for cell in cells}
     for t_i in fs.init_times:
-        series = fs.forecasts[t_i].get(key)
-        when = t_i + timedelta(hours=lead_hours)
-        if series is None or when not in series.time_index:
+        _score_init(fs, t_i, found, metrics)
+    for (key, lead), (inits, _) in found.items():
+        if not inits:
+            raise ValueError(
+                f"no matched forecast/target pairs for {key[0]} ({key[1]}) "
+                f"at lead {lead} h")
+    return {cell: (inits, {m: np.array(v) for m, v in values.items()})
+            for cell, (inits, values) in found.items()}
+
+
+def _score_init(fs: ForecastSet, t_i: datetime, found: dict, metrics) -> None:
+    """Append one init's value of every metric to each cell of found that
+    its forecast reaches."""
+    fc = fs.forecast(t_i)
+    needs_climatology = any(m != "rmse" for m in metrics)
+    for (key, lead), (inits, values) in found.items():
+        series = fc.get(key)
+        when = t_i + timedelta(hours=lead)
+        row = None if series is None else series.time_index.get(when)
+        if row is None:
             continue
-        vals.append(fn(fs.forecast_values(t_i, key, lead_hours),
-                       fs.target_values(when, key), when))
+        f = np.asarray(series.values[row], dtype=np.float64)
+        o = fs.target_values(when, key)
+        c = fs.climatology_values(when, key) if needs_climatology else None
+        for m in metrics:
+            values[m].append(_PER_INIT[m](f, o, c, fs.weights, key, when))
         inits.append(t_i)
-    if not inits:
+
+
+def score_cells(fs: ForecastSet, metrics, cells, n_boot: int = 1000,
+                seed=lambda key, lead, metric: 0) -> list[ScoreSeries]:
+    """A ScoreSeries per metric ("rmse", "acc") at each (key, lead) cell.
+
+    Every cell is scored in one pass over the inits (see _per_init), then
+    each metric's per-init values are bootstrapped with the seed given by
+    seed(key, lead, metric).
+    """
+    unknown = [m for m in metrics if m not in ("rmse", "acc")]
+    if unknown:
         raise ValueError(
-            f"no matched forecast/target pairs for {variable} ({level}) "
-            f"at lead {lead_hours} h")
-    return inits, np.array(vals)
+            f"unknown metric {unknown[0]!r}: choose from rmse, acc")
+    out = []
+    for (key, lead), (inits, values) in _per_init(fs, cells, metrics).items():
+        for m in metrics:
+            out.append(ScoreSeries(
+                m, key[0], key[1], lead, list(inits), values[m],
+                bootstrap_mean(values[m], n_boot, seed(key, lead, m))))
+    return out
 
 
 def rmse(fs: ForecastSet, variable: str, level: str = "single",
          lead_hours: int = 0, n_boot: int = 1000, seed: int = 0) -> ScoreSeries:
     """Latitude-weighted RMSE per initialization, bootstrapped over inits."""
-    inits, vals = _per_init(fs, variable, level, lead_hours,
-                            lambda f, o, when: rmse_field(f, o, fs.weights))
-    return ScoreSeries("rmse", variable, level, lead_hours, inits, vals,
-                       bootstrap_mean(vals, n_boot, seed))
+    return score_cells(fs, ["rmse"], [((variable, level), lead_hours)],
+                       n_boot, lambda *_: seed)[0]
 
 
 def acc(fs: ForecastSet, variable: str, level: str = "single",
         lead_hours: int = 0, n_boot: int = 1000, seed: int = 0) -> ScoreSeries:
     """Anomaly correlation per initialization, bootstrapped over inits."""
-    def one(f, o, when):
-        c = fs.climatology_values(when, (variable, level))
-        return acc_field(f - c, o - c, fs.weights)
-    inits, vals = _per_init(fs, variable, level, lead_hours, one)
-    return ScoreSeries("acc", variable, level, lead_hours, inits, vals,
-                       bootstrap_mean(vals, n_boot, seed))
+    return score_cells(fs, ["acc"], [((variable, level), lead_hours)],
+                       n_boot, lambda *_: seed)[0]
 
 
 @dataclass
@@ -269,20 +342,10 @@ class SkillRelationResult:
 def skill_relation_check(fs: ForecastSet, variable: str, level: str = "single",
                          lead_hours: int = 0) -> SkillRelationResult:
     """Compare 1 - MSE/MSE_C against 2 ACC - 1 per initialization."""
-    def one(f, o, when):
-        c = fs.climatology_values(when, (variable, level))
-        mse_f = weighted_mean((f - o) ** 2, fs.weights)
-        mse_c = weighted_mean((c - o) ** 2, fs.weights)
-        if mse_c == 0.0:
-            raise ZeroDivisionError(
-                f"MSE of the climatology reference is zero for {variable} "
-                f"({level}) at {when.isoformat()}")
-        return (1.0 - mse_f / mse_c,
-                acc_field(f - c, o - c, fs.weights))
-
-    inits, pairs = _per_init(fs, variable, level, lead_hours, one)
-    skills = pairs[:, 0]
-    accs = pairs[:, 1]
+    cell = ((variable, level), lead_hours)
+    inits, values = _per_init(fs, [cell], ["skill"])[cell]
+    skills = values["skill"][:, 0]
+    accs = values["skill"][:, 1]
     return SkillRelationResult(
         variable=variable, level=level, lead_hours=lead_hours,
         init_times=inits, skill_score=skills, acc=accs,
@@ -407,6 +470,8 @@ def load_forecast_set(forecast_paths, target_path,
     forecast_paths may be a directory (every *.gvf file inside) or an
     iterable of paths.  Each container carries its init time in
     attrs["init_time"]; missing attrs fall back to the first valid time.
+    The forecasts stay on disk, each opened while it is checked or
+    scored; the target and climatology are views of their files' maps.
     """
     forecast_paths = Path(forecast_paths) if isinstance(forecast_paths, (str, Path)) \
         else forecast_paths
@@ -418,14 +483,14 @@ def load_forecast_set(forecast_paths, target_path,
             raise ValueError(f"{forecast_paths}: no .gvf forecast files")
     else:
         paths = [Path(p) for p in forecast_paths]
-    forecasts, sources = {}, {}
+    forecasts = {}
     for p in paths:
         c = read_container(p)
         init_iso = c.attrs.get("init_time")
-        t_i = _parse_time(init_iso) if init_iso else c.times[0]
-        forecasts[t_i] = c.to_dict()
-        sources[t_i] = p
-    target = read_container(target_path).to_dict()
+        forecasts[_parse_time(init_iso) if init_iso else c.times[0]] = p
+    target = read_container(target_path)
     clim = (Climatology.from_container(climatology_path)
             if climatology_path else None)
-    return ForecastSet(forecasts, target, climatology=clim, sources=sources)
+    return ForecastSet(forecasts,
+                       {key: target.view(*key) for key in target.keys},
+                       climatology=clim)

@@ -2,6 +2,7 @@ import csv
 import json
 import sys
 import time
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -96,8 +97,9 @@ def test_stats_normalize_denormalize_round_trip(tmp_path, grid16):
     back = tmp_path / "back.gvf"
     assert main(["denormalize", "--input", str(norm), "--stats", str(stats_path),
                  "--output", str(back)]) == 0
-    a = read_container(inp).to_dict()
-    b = read_container(back).to_dict()
+    ca, cb = read_container(inp), read_container(back)
+    a = {k: ca.series(*k) for k in ca.keys}
+    b = {k: cb.series(*k) for k in cb.keys}
     for key in src:
         np.testing.assert_allclose(b[key].values, a[key].values, rtol=1e-12)
     # manifest echoes the effective config
@@ -766,3 +768,96 @@ def test_manifest_config_replays_byte_identical(tmp_path, grid16, name):
     assert _tree_bytes(second) == _tree_bytes(first)
     assert _manifest(second).read_text() == text.replace(str(first),
                                                          str(second))
+
+
+@pytest.mark.parametrize("extra,flag", [
+    (["--external-cmd", "nonexistent-program"], "--external-cmd"),
+    (["--forecaster", "external", "--external-cmd", "nonexistent-program",
+      "--climatology", "missing.gvf"], "--climatology"),
+    (["--climatology", "missing.gvf"], "--climatology"),
+])
+def test_rollout_flag_for_another_forecaster_is_a_usage_error(
+        tmp_path, grid16, capsys, extra, flag):
+    # used to exit 0 ignoring --external-cmd, or 2 on a missing climatology
+    target_path, _ = write_target(tmp_path, grid16, n_time=4, seed=33)
+    assert main(["rollout", "--initial-states", str(target_path),
+                 "--output-dir", str(tmp_path / "fc"),
+                 "--inits", "2020-01-01T00:00:00,1,6",
+                 "--max-lead-hours", "6", *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} applies to --forecaster ")
+    assert not (tmp_path / "fc").exists()
+
+
+def _peak_bytes(fn):
+    """fn()'s return value and the peak of what it allocated, as traced."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def _write_f32_input(path, grid, n_time, variables, seed):
+    rng = np.random.default_rng(seed)
+    times = [T0 + timedelta(hours=6 * k) for k in range(n_time)]
+    write_container([FieldSeries(grid, name, "single", times,
+                                 rng.normal(size=(n_time,) + grid.shape))
+                     for name in variables], path, dtype="f32")
+
+
+def test_verify_scores_init_by_init_in_bounded_memory(tmp_path, grid64):
+    # 20 inits x 41 leads x 2 variables at 64x128 are 107 MB as float64
+    inp = tmp_path / "in.gvf"
+    _write_f32_input(inp, grid64, 60, ["T", "Q"], seed=34)
+    assert main(["rollout", "--initial-states", str(inp),
+                 "--inits", "2020-01-01T00:00:00,20,6",
+                 "--output-dir", str(tmp_path / "fc")]) == 0
+    whole = 20 * 41 * 2 * grid64.n_lat * grid64.n_lon * 8
+    code, peak = _peak_bytes(lambda: main([
+        "verify", "--forecast-dir", str(tmp_path / "fc"), "--target", str(inp),
+        "--metrics", "rmse", "--bootstrap", "100",
+        "--output", str(tmp_path / "scores.csv")]))
+    assert code == 0
+    assert peak < whole / 10
+    records = read_scores(tmp_path / "scores.csv")
+    assert len(records) == 2 * 41
+    assert all(r.n_inits == 20 for r in records)
+    assert [r.value for r in records if r.lead_hours == 0] == [0.0, 0.0]
+    assert all(r.value > 0.5 for r in records if r.lead_hours > 0)
+
+
+def test_normalize_allocates_well_under_its_input(tmp_path, grid64):
+    inp = tmp_path / "in.gvf"
+    _write_f32_input(inp, grid64, 800, ["T", "Q"], seed=35)
+    stats = tmp_path / "stats.json"
+    assert main(["stats", "--input", str(inp), "--output", str(stats)]) == 0
+    code, peak = _peak_bytes(lambda: main([
+        "normalize", "--input", str(inp), "--stats", str(stats),
+        "--output", str(tmp_path / "norm.gvf")]))
+    assert code == 0
+    assert peak < inp.stat().st_size / 4
+
+
+def test_external_rollout_holds_one_init_at_a_time(tmp_path, grid64):
+    # two inits; one init's float64 forecast is 21 x 3 fields, 4.1 MB
+    inp = tmp_path / "in.gvf"
+    _write_f32_input(inp, grid64, 2, ["T", "Q", "Z"], seed=36)
+    script = tmp_path / "identity.sh"
+    script.write_text(IDENTITY_SH)
+    one_init = 21 * 3 * grid64.n_lat * grid64.n_lon * 8
+    code, peak = _peak_bytes(lambda: main([
+        "rollout", "--initial-states", str(inp),
+        "--inits", "2020-01-01T00:00:00,2,6", "--max-lead-hours", "120",
+        "--forecaster", "external", "--external-cmd", f"sh {script}",
+        "--output-dir", str(tmp_path / "fc")]))
+    assert code == 0
+    assert peak < 1.5 * one_init
+    persistence = tmp_path / "per"
+    assert main(["rollout", "--initial-states", str(inp),
+                 "--inits", "2020-01-01T00:00:00,2,6",
+                 "--max-lead-hours", "120",
+                 "--output-dir", str(persistence)]) == 0
+    assert _tree_bytes(tmp_path / "fc") == _tree_bytes(persistence)

@@ -36,7 +36,8 @@ def test_f32_round_trip_bit_exact_after_first_write(tmp_path, grid16):
     p1, p2 = tmp_path / "a.gvf", tmp_path / "b.gvf"
     write_container(src, p1, dtype="f32")
     c1 = read_container(p1)
-    write_container(c1.to_dict(), p2, dtype="f32", attrs=c1.attrs)
+    write_container({k: c1.series(*k) for k in c1.keys}, p2, dtype="f32",
+                    attrs=c1.attrs)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -46,7 +47,8 @@ def test_write_read_write_byte_identical(tmp_path, grid16):
     p1, p2 = tmp_path / "a.gvf", tmp_path / "b.gvf"
     write_container(src, p1, dtype="f64", attrs={"note": "x"})
     c = read_container(p1)
-    write_container(c.to_dict(), p2, dtype=c.dtype_name, attrs=c.attrs)
+    write_container({k: c.series(*k) for k in c.keys}, p2,
+                    dtype=c.dtype_name, attrs=c.attrs)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -245,3 +247,27 @@ def test_scores_sorted_and_round_trip(tmp_path):
 def test_score_record_ci_invariant():
     with pytest.raises(ValueError):
         ScoreRecord("T", 6, "rmse", 1.0, 2.0, 3.0, 4)
+
+
+def test_container_writer_leaves_no_file_unless_every_row_is_written(
+        tmp_path, grid16):
+    from spherecast.container import container_writer
+    series = make_series(grid16, n_time=3, seed=8)
+    variables = [(series.variable, series.level, series.units)]
+    path = tmp_path / "w.gvf"
+    with pytest.raises(ValueError, match="2 of 3 time rows"):
+        with container_writer(path, grid16, variables, series.times) as write:
+            write([series.values[:2]])
+    with pytest.raises(ValueError, match="a block needs one"):
+        with container_writer(path, grid16, variables, series.times) as write:
+            write([series.values[:2, :, :-1]])
+    with pytest.raises(ValueError, match="more than 3 time rows"):
+        with container_writer(path, grid16, variables, series.times) as write:
+            write([series.values])
+            write([series.values[:1]])
+    assert list(tmp_path.iterdir()) == []
+    with container_writer(path, grid16, variables, series.times) as write:
+        for i in range(3):
+            write([series.values[i:i + 1]])
+    assert np.array_equal(read_container(path).series("T").values,
+                          series.values.astype(np.float32))

@@ -41,6 +41,28 @@ def test_nodes_match_independent_implementation():
         np.testing.assert_allclose(w[np.argsort(x)], w_ref, atol=1e-13)
 
 
+def test_gauss_legendre_is_solved_once_per_n_and_read_only():
+    for n in (2, 32, 320):
+        x, w = gauss_legendre(n)
+        fresh_x, fresh_w = gauss_legendre.__wrapped__(n)
+        assert x.tobytes() == fresh_x.tobytes()
+        assert w.tobytes() == fresh_w.tobytes()
+        again = gauss_legendre(n)
+        assert again[0] is x and again[1] is w
+        for arr in (x, w):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        grid = make_gaussian_grid(n, 2 * n)
+        assert grid.quad_weights is w
+    with pytest.raises(ValueError):
+        gauss_legendre(0)
+    # the grid is not cached: a narrow one warns on every call
+    for _ in range(3):
+        with pytest.warns(UserWarning, match="zonal resolution"):
+            make_gaussian_grid(16, 16)
+
+
 def test_quadrature_integrates_legendre_polynomials_exactly():
     # exactness for P_k(sin lat) up to k = 2 n_lat - 1
     n = 16

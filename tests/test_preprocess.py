@@ -314,3 +314,59 @@ def test_normstats_json_round_trip(tmp_path, grid16):
     back = NormStats.from_json(path)
     assert back.entries == stats.entries
     assert back.denominator == stats.denominator
+
+
+@pytest.mark.parametrize("denominator", ["tendency", "standardized", None])
+def test_one_pass_stats_from_f32_views_match_two_passes(tmp_path, grid16,
+                                                        denominator):
+    from spherecast.container import read_container, write_container
+    from spherecast.preprocess import compute_norm_stats
+    src = [make_series(grid16, name, "single", n_time=9, seed=seed)
+           for seed, name in enumerate(("T", "Q", "U"), 40)]
+    path = tmp_path / "in.gvf"
+    write_container(src, path, dtype="f32")
+    c = read_container(path)
+    copies = {key: c.series(*key) for key in c.keys}
+    expect = compute_stats(copies)
+    if denominator is not None:
+        expect = compute_residual_coeff(copies, expect, denominator)
+    # f32 views, taken one at a time, give the float64 copies' numbers
+    got = compute_norm_stats((c.view(*key) for key in c.keys), denominator)
+    assert got.entries == expect.entries
+    assert (got.step_hours, got.denominator) == (expect.step_hours,
+                                                 expect.denominator)
+    assert compute_stats(c.view(*key) for key in c.keys).entries == \
+        compute_stats(copies).entries
+    with pytest.raises(ValueError, match="empty"):
+        compute_norm_stats(iter([]))
+
+
+def test_climatology_from_f32_views_matches_float64_copies(tmp_path, grid16):
+    from spherecast.container import read_container, write_container
+    fn = lambda t: np.cos(2 * np.pi * day_of_year_365(t) / 365.0)
+    src = [_hourly6_series(grid16, 400, fn, start=T0),
+           make_series(grid16, "Q", n_time=4 * 400, seed=43)]
+    path = tmp_path / "in.gvf"
+    write_container(src, path, dtype="f32")
+    c = read_container(path)
+    expect = compute_climatology({key: c.series(*key) for key in c.keys})
+    got = compute_climatology(c.view(*key) for key in c.keys)
+    assert got.hours == expect.hours and list(got.data) == list(expect.data)
+    for key in c.keys:
+        assert got.data[key].tobytes() == expect.data[key].tobytes()
+
+
+def test_climatology_from_container_reads_bins_from_the_map(tmp_path, grid16):
+    series = _hourly6_series(grid16, 730, lambda t: day_of_year_365(t) * 1.0)
+    clim = compute_climatology({("T", "single"): series})
+    path = tmp_path / "clim.gvf"
+    clim.to_container(path, dtype="f32")
+    back = Climatology.from_container(path)
+    data = back.data[("T", "single")]
+    # no float64 copy of the file: a read-only f32 view of its map
+    assert data.dtype == np.float32 and not data.flags.writeable
+    when = datetime(2021, 3, 5, 12, tzinfo=timezone.utc)
+    got = back.values("T", "single", when)
+    assert got.dtype == np.float64
+    assert got.tobytes() == clim.values("T", "single", when).astype(
+        np.float32).astype(np.float64).tobytes()

@@ -1,0 +1,124 @@
+"""Property tests of the container writer and the blocked normalize.
+
+Examples are derandomized, so every run checks the same cases.
+"""
+
+import tempfile
+from contextlib import contextmanager
+from datetime import datetime, timedelta, timezone
+from pathlib import Path
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from spherecast import cli
+from spherecast.cli import main
+from spherecast.container import (container_writer, read_container,
+                                  write_container)
+from spherecast.grid import (FieldSeries, make_equiangular_grid,
+                             make_gaussian_grid)
+from spherecast.preprocess import NormStats, denormalize, normalize
+
+settings.register_profile(
+    "derandomized", derandomize=True, deadline=None, max_examples=40,
+    suppress_health_check=[HealthCheck.too_slow])
+DERANDOMIZED = settings.get_profile("derandomized")
+
+T0 = datetime(2021, 1, 1, tzinfo=timezone.utc)
+
+
+@st.composite
+def collections(draw, min_times=0):
+    """A list of FieldSeries on one grid and time axis, of any shape,
+    with values that include ones an f32 cast must round."""
+    n_lat = 2 * draw(st.integers(1, 5))
+    n_lon = 2 * draw(st.integers(2, 8))
+    if draw(st.booleans()):
+        grid = make_gaussian_grid(n_lat, max(n_lon, 2 * n_lat))
+    else:
+        grid = make_equiangular_grid(n_lat, n_lon)
+    n_time = draw(st.sampled_from([n for n in (0, 1, 2, 7) if n >= min_times]))
+    n_var = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = 10.0 ** draw(st.integers(-30, 30))
+    times = [T0 + timedelta(hours=6 * k) for k in range(n_time)]
+    return [FieldSeries(grid, f"V{j}", draw(st.sampled_from(["single", "500"])),
+                        times, rng.normal(size=(n_time,) + grid.shape) * scale,
+                        units=f"u{j}")
+            for j in range(n_var)]
+
+
+@contextmanager
+def _tmpdir():
+    with tempfile.TemporaryDirectory() as tmp:
+        yield Path(tmp)
+
+
+def _payload(path):
+    raw = path.read_bytes()
+    return raw[8 + int.from_bytes(raw[:8], "little"):]
+
+
+@settings(DERANDOMIZED)
+@given(collections(), st.sampled_from(["f32", "f64"]))
+def test_write_of_read_is_byte_identical(series, dtype):
+    with _tmpdir() as tmp:
+        first = tmp / "a.gvf"
+        write_container(series, first, dtype=dtype, attrs={"k": [1, "x"]})
+        c = read_container(first)
+        for n, read in enumerate((c.series, c.view)):
+            again = tmp / f"b{n}.gvf"
+            write_container([read(*key) for key in c.keys], again,
+                            dtype=c.dtype_name, attrs=c.attrs)
+            assert again.read_bytes() == first.read_bytes()
+
+
+@settings(DERANDOMIZED)
+@given(collections(), st.sampled_from(["f32", "f64"]), st.data())
+def test_row_wise_payload_equals_whole_stack(series, dtype, data):
+    times = series[0].times
+    expect = (np.stack([s.values for s in series], axis=1)
+              .astype({"f32": "<f4", "f64": "<f8"}[dtype]).tobytes()
+              if times else b"")
+    # the same payload, however the times are split into blocks
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(times)), max_size=3)))
+    bounds = [0] + cuts + [len(times)]
+    with _tmpdir() as tmp:
+        whole, blocked = tmp / "whole.gvf", tmp / "blocked.gvf"
+        write_container(series, whole, dtype=dtype)
+        with container_writer(blocked, series[0].grid,
+                              [(s.variable, s.level, s.units) for s in series],
+                              times, dtype=dtype) as write:
+            for a, b in zip(bounds, bounds[1:]):
+                write([s.values[a:b] for s in series])
+        assert _payload(whole) == expect
+        assert blocked.read_bytes() == whole.read_bytes()
+
+
+@settings(DERANDOMIZED)
+@given(collections(min_times=2), st.sampled_from(["f32", "f64"]),
+       st.integers(1, 3))
+def test_blocked_normalize_equals_whole_array(series, dtype, block_rows):
+    grid = series[0].grid
+    saved = cli._BLOCK_BYTES
+    # blocks of block_rows times over every variable
+    cli._BLOCK_BYTES = block_rows * 8 * len(series) * grid.n_lat * grid.n_lon
+    try:
+        with _tmpdir() as tmp:
+            inp, stats = tmp / "in.gvf", tmp / "stats.json"
+            write_container(series, inp, dtype=dtype, attrs={"src": "x"})
+            assert main(["stats", "--input", str(inp),
+                         "--output", str(stats)]) == 0
+            c = read_container(inp)
+            norm_stats = NormStats.from_json(stats)
+            for name, transform in (("normalize", normalize),
+                                    ("denormalize", denormalize)):
+                out, ref = tmp / f"{name}.gvf", tmp / f"{name}.ref.gvf"
+                assert main([name, "--input", str(inp), "--stats", str(stats),
+                             "--output", str(out)]) == 0
+                write_container([transform(c.series(*key), norm_stats)
+                                 for key in c.keys], ref,
+                                dtype=dtype, attrs=c.attrs)
+                assert out.read_bytes() == ref.read_bytes()
+    finally:
+        cli._BLOCK_BYTES = saved

@@ -385,3 +385,49 @@ def test_score_records_from_series(grid16):
     assert rec.lead_hours == 6
     assert rec.n_inits == 4
     assert rec.ci_low <= rec.value <= rec.ci_high
+
+
+def test_forecast_set_on_disk_scores_like_in_memory(tmp_path, grid16):
+    from spherecast.container import write_container
+    from spherecast.rollout import write_forecast_dir
+    from spherecast.verify import load_forecast_set, score_cells
+    rng = np.random.default_rng(25)
+    # f32-representable, so the f32 files hold the in-memory values exactly
+    target_vals = rng.normal(size=(9,) + grid16.shape).astype(np.float32)
+    noise = rng.normal(size=(5, 5) + grid16.shape).astype(np.float32)
+    fs = build_set(grid16, target_vals.astype(np.float64),
+                   lambda i, k: target_vals[i + k] + noise[i, k] * k,
+                   n_init=5, n_lead=4, clim_value=0.25)
+    target_path, clim_path = tmp_path / "target.gvf", tmp_path / "clim.gvf"
+    write_container(fs.target, target_path, dtype="f32")
+    fs.climatology.to_container(clim_path)
+    paths = write_forecast_dir(fs, tmp_path / "fc", dtype="f32")
+    disk = load_forecast_set(tmp_path / "fc", target_path,
+                             climatology_path=clim_path)
+    assert list(disk.forecasts.values()) == paths
+    assert (disk.keys, disk.lead_hours()) == (fs.keys, fs.lead_hours())
+
+    cells = [(("T", "single"), lead) for lead in fs.lead_hours()]
+    seed = lambda key, lead, metric: 1000 * lead + len(metric)
+    memory = score_cells(fs, ["rmse", "acc"], cells, n_boot=50, seed=seed)
+    on_disk = score_cells(disk, ["rmse", "acc"], cells, n_boot=50, seed=seed)
+    assert len(memory) == 2 * len(cells)
+    for a, b in zip(memory, on_disk):
+        assert (a.metric, a.lead_hours, a.init_times) == \
+            (b.metric, b.lead_hours, b.init_times)
+        assert a.values.tobytes() == b.values.tobytes()
+        assert a.summary == b.summary
+        # the one-cell functions run the same pass
+        fn = rmse if a.metric == "rmse" else acc
+        one = fn(disk, "T", lead_hours=a.lead_hours, n_boot=50,
+                 seed=seed(None, a.lead_hours, a.metric))
+        assert one.values.tobytes() == a.values.tobytes()
+        assert one.summary == a.summary
+    for lead in fs.lead_hours():
+        x = skill_relation_check(fs, "T", lead_hours=lead)
+        y = skill_relation_check(disk, "T", lead_hours=lead)
+        assert x.skill_score.tobytes() == y.skill_score.tobytes()
+        assert x.acc.tobytes() == y.acc.tobytes()
+        acc_values = next(s.values for s in memory
+                          if s.metric == "acc" and s.lead_hours == lead)
+        assert x.acc.tobytes() == acc_values.tobytes()
