@@ -34,9 +34,10 @@ from .rollout import (ExternalForecasterError, PipelineStep,
 from .sht import (kinetic_energy_spectrum, potential_temperature_energy_spectrum,
                   stack_slices, zonal_power_spectrum)
 from .solar import SolarConfig, accumulated_irradiance, read_gsc_csv
-from .verify import (load_forecast_set, score_cells, score_records,
-                     average_correlations, correlation_difference,
-                     spatial_correlation, write_correlation_csv)
+from .verify import (check_metrics, load_forecast_set, score_cells,
+                     score_records, average_correlations,
+                     correlation_difference, spatial_correlation,
+                     write_correlation_csv)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -316,9 +317,7 @@ def _cmd_spectrum(cfg):
 
 def _cmd_verify(cfg):
     metrics = [m.strip() for m in cfg["metrics"].split(",") if m.strip()]
-    for m in metrics:
-        if m not in ("rmse", "acc"):
-            raise ValueError(f"unknown metric {m!r}: choose from rmse, acc")
+    check_metrics(metrics)
     fs = load_forecast_set(cfg["forecast_dir"], cfg["target"],
                            climatology_path=cfg["climatology"])
     if "acc" in metrics and fs.climatology is None:

@@ -9,7 +9,6 @@ The format is dependency-free and round-trips bit-exactly.
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import os
 from contextlib import contextmanager
@@ -56,9 +55,6 @@ def _format_time(t: datetime) -> str:
     return ensure_utc(t).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-# forecast files share most of their time axes, and strptime dominates
-# the cost of opening one
-@functools.lru_cache(maxsize=1 << 16)
 def _parse_time(s: str) -> datetime:
     return ensure_utc(datetime.strptime(s, "%Y-%m-%dT%H:%M:%SZ"))
 

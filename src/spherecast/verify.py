@@ -31,11 +31,13 @@ __all__ = [
     "SkillRelationResult",
     "CorrelationMatrix",
     "ForecastSet",
+    "METRICS",
     "bootstrap_mean",
     "weighted_mean",
     "rmse",
     "acc",
     "skill_relation_check",
+    "check_metrics",
     "score_cells",
     "spatial_correlation",
     "average_correlations",
@@ -138,27 +140,23 @@ class ForecastSet:
     (variable, level) to the verifying FieldSeries.  Every forecast valid
     time must be covered by the target, all series must share one grid,
     and every forecast and every target row it verifies against must be
-    finite; the forecasts are checked one init at a time.  sources
-    optionally maps init times to the file each forecast came from, for
-    error messages (a path in forecasts names itself).
+    finite; the forecasts are checked one init at a time, and an error
+    about one held on disk names its file.
     """
 
     def __init__(self, forecasts: dict[datetime, object], target: dict,
-                 climatology: Climatology | None = None,
-                 sources: dict | None = None):
+                 climatology: Climatology | None = None):
         if not forecasts:
             raise ValueError("no forecast initializations")
         self.forecasts = {ensure_utc(t): fc for t, fc in forecasts.items()}
         self.target = target
         self.climatology = climatology
         self.grid: GridSpec = next(iter(target.values())).grid
-        sources = {ensure_utc(t): f"{p}: " for t, p in (sources or {}).items()}
         used = {key: set() for key in target}
         leads = None
         for t_i, fc in self.forecasts.items():
-            if not isinstance(fc, Mapping):
-                sources.setdefault(t_i, f"{fc}: ")
-            keys, these = self._check_init(t_i, sources.get(t_i, ""), used)
+            source = "" if isinstance(fc, Mapping) else f"{fc}: "
+            keys, these = self._check_init(t_i, source, used)
             if leads is None:
                 self._keys = keys
             leads = these if leads is None else (leads & these)
@@ -235,6 +233,8 @@ def _skill_pair(f, o, c, weights, key, when) -> tuple[float, float]:
     return (1.0 - mse_f / mse_c, acc_field(f - c, o - c, weights))
 
 
+METRICS = ("rmse", "acc")
+
 # metric -> its value for one init from float64 forecast f, target o and
 # climatology c (None for rmse, the one metric that needs none)
 _PER_INIT = {
@@ -246,13 +246,14 @@ _PER_INIT = {
 
 def _per_init(fs: ForecastSet, cells, metrics
               ) -> dict[tuple, tuple[list[datetime], dict[str, np.ndarray]]]:
-    """{(key, lead): (inits, {metric: per-init values})} for every cell
-    and metric of _PER_INIT, over the inits that reach the cell's lead.
+    """{(key, lead): (inits, {metric: per-init values})} for every distinct
+    cell and metric of _PER_INIT, over the inits that reach the cell's lead.
 
     One pass over the inits: each init's forecast is taken (opened, when
     it is on disk), every cell is scored from it field by field in
     float64, and it is dropped before the next init is taken.
     """
+    metrics = list(dict.fromkeys(metrics))
     found = {cell: ([], {m: [] for m in metrics}) for cell in cells}
     for t_i in fs.init_times:
         _score_init(fs, t_i, found, metrics)
@@ -284,20 +285,29 @@ def _score_init(fs: ForecastSet, t_i: datetime, found: dict, metrics) -> None:
         inits.append(t_i)
 
 
+def check_metrics(metrics) -> None:
+    """Raise ValueError naming the first metric that is not in METRICS."""
+    for m in metrics:
+        if m not in METRICS:
+            raise ValueError(
+                f"unknown metric {m!r}: choose from {', '.join(METRICS)}")
+
+
 def score_cells(fs: ForecastSet, metrics, cells, n_boot: int = 1000,
                 seed=lambda key, lead, metric: 0) -> list[ScoreSeries]:
-    """A ScoreSeries per metric ("rmse", "acc") at each (key, lead) cell.
+    """A ScoreSeries per metric of METRICS at each (key, lead) cell, in
+    the order given; a repeated cell or metric repeats its series.
 
-    Every cell is scored in one pass over the inits (see _per_init), then
-    each metric's per-init values are bootstrapped with the seed given by
-    seed(key, lead, metric).
+    Every distinct cell is scored in one pass over the inits (see
+    _per_init), then each metric's per-init values are bootstrapped with
+    the seed given by seed(key, lead, metric).
     """
-    unknown = [m for m in metrics if m not in ("rmse", "acc")]
-    if unknown:
-        raise ValueError(
-            f"unknown metric {unknown[0]!r}: choose from rmse, acc")
+    check_metrics(metrics)
+    cells = list(cells)
+    scored = _per_init(fs, cells, metrics)
     out = []
-    for (key, lead), (inits, values) in _per_init(fs, cells, metrics).items():
+    for key, lead in cells:
+        inits, values = scored[(key, lead)]
         for m in metrics:
             out.append(ScoreSeries(
                 m, key[0], key[1], lead, list(inits), values[m],

@@ -338,6 +338,38 @@ def test_verify_deterministic_byte_identical(tmp_path, grid16):
     assert s1.read_bytes() != s3.read_bytes()
 
 
+def test_verify_repeated_metric_repeats_its_row(tmp_path, grid16):
+    target_path, _ = write_target(tmp_path, grid16, n_time=8, seed=10)
+    clim_path = write_zero_climatology(tmp_path, grid16, [("T", "single")])
+    fc_dir = tmp_path / "fc"
+    assert main(["rollout", "--initial-states", str(target_path),
+                 "--output-dir", str(fc_dir),
+                 "--inits", "2020-01-01T00:00:00,3,6",
+                 "--step-hours", "6", "--max-lead-hours", "12"]) == 0
+    args = ["verify", "--forecast-dir", str(fc_dir), "--target",
+            str(target_path), "--climatology", str(clim_path),
+            "--bootstrap", "50", "--seed", "3"]
+    once, twice = tmp_path / "once.csv", tmp_path / "twice.csv"
+    assert main(args + ["--metrics", "rmse,acc", "--output", str(once)]) == 0
+    assert main(args + ["--metrics", "rmse,rmse,acc",
+                        "--output", str(twice)]) == 0
+    want = {(r.lead_hours, r.metric): r for r in read_scores(once)}
+    got = read_scores(twice)
+    assert len(got) == 3 * 3
+    assert {r.n_inits for r in got} == {3}
+    for r in got:
+        assert r == want[(r.lead_hours, r.metric)]
+
+
+def test_verify_unknown_metric_is_named_before_reading(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    assert main(["verify", "--forecast-dir", str(missing), "--target",
+                 str(missing / "target.gvf"), "--metrics", "rmse,mae",
+                 "--output", str(tmp_path / "s.csv")]) == 3
+    assert "unknown metric 'mae': choose from rmse, acc" in \
+        capsys.readouterr().err
+
+
 def test_threads_flag_is_a_usage_error(tmp_path, grid16, capsys):
     for name in SUBCOMMANDS:
         assert main([name, "--threads", "2"]) == 1

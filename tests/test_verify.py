@@ -431,3 +431,21 @@ def test_forecast_set_on_disk_scores_like_in_memory(tmp_path, grid16):
         acc_values = next(s.values for s in memory
                           if s.metric == "acc" and s.lead_hours == lead)
         assert x.acc.tobytes() == acc_values.tobytes()
+
+
+def test_score_cells_repeats_a_repeated_metric_or_cell(grid16):
+    from spherecast.verify import score_cells
+    rng = np.random.default_rng(26)
+    target_vals = rng.normal(size=(7,) + grid16.shape)
+    fs = build_set(grid16, target_vals,
+                   lambda i, k: target_vals[i + k] + 0.1 * k)
+    cell = (("T", "single"), 6)
+    once = score_cells(fs, ["rmse"], [cell], n_boot=20)[0]
+    twice = score_cells(fs, ["rmse", "rmse"], [cell, cell], n_boot=20)
+    assert len(twice) == 4
+    for s in twice:
+        assert s.values.tobytes() == once.values.tobytes()
+        assert s.summary == once.summary
+        assert s.summary.n == 4
+    with pytest.raises(ValueError, match="unknown metric 'mae'"):
+        score_cells(fs, ["rmse", "mae"], [cell])
