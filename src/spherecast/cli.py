@@ -26,13 +26,14 @@ from .container import (ContainerError, container_writer, read_container,
                         write_container)
 from .grid import FieldSeries, make_equiangular_grid, make_gaussian_grid
 from .padding import PadSpec, pad
-from .preprocess import (Climatology, NormStats, compute_climatology,
-                         compute_norm_stats, denormalize, normalize)
+from .preprocess import (Climatology, NormStats, climatology_bins,
+                         climatology_writer, compute_norm_stats, denormalize,
+                         normalize)
 from .rollout import (ExternalForecasterError, PipelineStep,
                       PostprocessError, RolloutPlan, apply_postprocessing,
                       run_rollout_to_dir)
 from .sht import (kinetic_energy_spectrum, potential_temperature_energy_spectrum,
-                  stack_slices, zonal_power_spectrum)
+                  zonal_power_spectrum)
 from .solar import SolarConfig, accumulated_irradiance, read_gsc_csv
 from .verify import (check_metrics, load_forecast_set, score_cells,
                      score_records, average_correlations,
@@ -168,8 +169,8 @@ def _finite(c, values, variable: str, level: str):
     return values
 
 
-# bytes of float64 rows, over all variables, in one block of a normalize
-# or denormalize
+# bytes of float64 rows, over all variables read, in one block of a
+# normalize or denormalize or one pass of a spectrum
 _BLOCK_BYTES = 1 << 21
 
 
@@ -207,10 +208,19 @@ def _cmd_denormalize(cfg):
 
 
 def _cmd_climatology(cfg):
+    """Each (variable, hour) bin set is written to its rows as it is made."""
     c = read_container(cfg["input"])
-    clim = compute_climatology(_views(c), window_days=cfg["window_days"],
-                               gaussian_std_days=cfg["std_days"])
-    clim.to_container(cfg["output"], dtype=cfg["dtype"] or "f64")
+    bins = climatology_bins(_views(c), window_days=cfg["window_days"],
+                            gaussian_std_days=cfg["std_days"])
+    series, hours, hi, means = next(bins)
+    with climatology_writer(cfg["output"], c.grid, c.variables, hours,
+                            cfg["window_days"], cfg["std_days"],
+                            dtype=cfg["dtype"] or "f64") as put:
+        put(c.keys.index(series.key), hi, means)
+        del means  # before the next bin set is made
+        for series, _, hi, means in bins:
+            put(c.keys.index(series.key), hi, means)
+            del means
 
 
 def _cmd_solar(cfg):
@@ -272,47 +282,78 @@ def _cmd_filter(cfg):
             write([state[key][None] for key in c.keys])
 
 
-def _spectrum_rows(cfg, c):
-    l_max = cfg["l_max"] or min(c.grid.n_lat - 1, (c.grid.n_lon - 1) // 2)
-    init = c.attrs.get("init_time")
-    t0 = cio._parse_time(init) if init else c.times[0]
-    leads = [int((t - t0).total_seconds() // 3600) for t in c.times]
-
-    def read(times, name, lev=cfg["level"]):
-        return _finite(c, c.values(times, name, lev), name, lev)
-
-    def spectra(times):
-        """(tag, SpectrumResult) for a stack of times, one transform call
-        per variable."""
-        if cfg["kind"] == "kinetic":
-            yield "KE", kinetic_energy_spectrum(
-                read(times, cfg["u_var"]), read(times, cfg["v_var"]), l_max,
-                half=not cfg["no_half"], grid=c.grid)
-        elif cfg["kind"] == "theta":
-            yield "theta", potential_temperature_energy_spectrum(
-                read(times, cfg["t_var"]), l_max,
-                pressure_hpa=cfg["pressure"], grid=c.grid)
-        else:
-            for name, lev, _units in c.variables:
-                yield (name if lev == "single" else f"{name}|{lev}",
-                       zonal_power_spectrum(read(times, name, lev), l_max,
-                                            c.grid))
-
-    return [(tag, lead, m, p)
-            for times in stack_slices(len(leads), c.grid)
-            for tag, spec in spectra(times)
-            for lead, power in zip(leads[times], spec.power)
-            for m, p in enumerate(power)]
+# the spectrum flags that only some kinds read, and those kinds
+_SPECTRUM_FLAGS = {"u_var": ("kinetic",), "v_var": ("kinetic",),
+                   "t_var": ("theta",), "level": ("kinetic", "theta"),
+                   "pressure": ("theta",), "no_half": ("kinetic",)}
 
 
 def _cmd_spectrum(cfg):
+    """Power per (tag, time, m) in a float64 array, filled a pass of whole
+    time rows at a time (one transform call over every field read), then
+    written in (tag, lead, m) order."""
+    kind = cfg["kind"]
+    for flag, kinds in _SPECTRUM_FLAGS.items():
+        if kind not in kinds and cfg[flag] != _DEFAULTS["spectrum"][flag]:
+            raise UsageError(
+                f"--{flag.replace('_', '-')} applies to --kind "
+                f"{' or '.join(kinds)} only, not {kind!r}")
     c = read_container(cfg["input"])
-    rows = _spectrum_rows(cfg, c)
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
+    limit = min(c.grid.n_lat - 1, (c.grid.n_lon - 1) // 2)
+    l_max = limit if cfg["l_max"] is None else cfg["l_max"]
+    if not 0 <= l_max <= limit:
+        raise ValueError(
+            f"{c.path}: --l-max {l_max} is out of range: the "
+            f"{c.grid.n_lat}x{c.grid.n_lon} grid resolves 0..{limit}")
+    if kind == "kinetic":
+        keys, tags = [(cfg["u_var"], cfg["level"]),
+                      (cfg["v_var"], cfg["level"])], ["KE"]
+    elif kind == "theta":
+        keys, tags = [(cfg["t_var"], cfg["level"])], ["theta"]
+    else:
+        keys = c.keys
+        tags = [name if lev == "single" else f"{name}|{lev}"
+                for name, lev in keys]
+
+    def spectra(fields):
+        """(k, tags, l_max + 1) power of one pass of (k, keys, ...) fields."""
+        if kind == "kinetic":
+            return kinetic_energy_spectrum(
+                fields[:, 0], fields[:, 1], l_max, half=not cfg["no_half"],
+                grid=c.grid).power[:, None]
+        if kind == "theta":
+            return potential_temperature_energy_spectrum(
+                fields[:, 0], l_max, pressure_hpa=cfg["pressure"],
+                grid=c.grid).power[:, None]
+        return zonal_power_spectrum(fields, l_max, c.grid).power
+
+    n_time = len(c.times)
+    n_rows = max(1, _BLOCK_BYTES // (8 * len(keys) * c.grid.n_lat
+                                     * c.grid.n_lon))
+    power = np.empty((n_time, len(tags), l_max + 1))
+    for start in range(0, n_time, n_rows):
+        rows = slice(start, start + n_rows)
+        fields = np.empty((min(n_rows, n_time - start), len(keys))
+                          + c.grid.shape)
+        for j, (name, lev) in enumerate(keys):
+            fields[:, j] = _finite(c, c.values(rows, name, lev), name, lev)
+        power[rows] = spectra(fields)
+
+    init = c.attrs.get("init_time")
+    t0 = cio._parse_time(init) if init else None
+    by_lead = {}
+    for i, t in enumerate(c.times):
+        t0 = t0 or t  # leads count from the first time without an init_time
+        by_lead.setdefault(int((t - t0).total_seconds() // 3600), []).append(i)
     with cio.atomic_write(cfg["output"], newline="") as fh:
         fh.write("variable,lead_hours,m,power\n")
-        for var, lead, m, p in rows:
-            fh.write(f"{var},{lead},{m},{cio._fmt(p)}\n")
+        for j in sorted(range(len(tags)), key=tags.__getitem__):
+            for lead in sorted(by_lead):
+                # times sharing a lead go m by m, as a sort would put them
+                fh.write("".join(
+                    f"{tags[j]},{lead},{m},{cio._fmt(p)}\n"
+                    for m, ps in enumerate(power[by_lead[lead], j].T.tolist())
+                    for p in ps))
 
 
 def _cmd_verify(cfg):

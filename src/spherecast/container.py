@@ -11,9 +11,10 @@ from __future__ import annotations
 import csv
 import json
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +56,22 @@ def _format_time(t: datetime) -> str:
     return ensure_utc(t).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
+# the form _format_time writes, with ASCII digits
+_CANONICAL_TIME = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", re.ASCII)
+
+
 def _parse_time(s: str) -> datetime:
+    """A time written as YYYY-MM-DDTHH:MM:SSZ, in UTC.
+
+    The canonical form takes the fast fromisoformat path; anything else
+    (or a canonical-looking string fromisoformat refuses) goes to
+    strptime, so the strings accepted and the errors raised are
+    strptime's."""
+    if type(s) is str and _CANONICAL_TIME.fullmatch(s):
+        try:
+            return datetime.fromisoformat(s[:-1]).replace(tzinfo=timezone.utc)
+        except ValueError:
+            pass
     return ensure_utc(datetime.strptime(s, "%Y-%m-%dT%H:%M:%SZ"))
 
 
@@ -225,16 +241,103 @@ def read_container(path) -> Container:
     return Container(path)
 
 
+class _Writer:
+    """The write calls that container_writer yields; see there."""
+
+    def __init__(self, fh, path, grid: GridSpec, variables, times,
+                 np_dtype, offset: int):
+        self._fh, self._path, self._grid = fh, path, grid
+        self._variables, self._times = variables, times
+        self._dtype, self._offset = np_dtype, offset
+        self._cell = grid.n_lat * grid.n_lon * np_dtype.itemsize
+        self._done = np.zeros((len(times), len(variables)), dtype=bool)
+        self._next = 0
+
+    def _cast(self, values, row: int, j: int) -> np.ndarray:
+        """One (n_lat, n_lon) field as the file's dtype; a finite float64
+        value that becomes inf in an f32 cast raises."""
+        values = np.asarray(values)
+        if values.dtype != np.float64 or self._dtype.itemsize == 8:
+            return np.ascontiguousarray(values, dtype=self._dtype)
+        with np.errstate(over="ignore"):
+            out = values.astype(self._dtype)
+        inf = np.isinf(out)
+        if inf.any() and np.isfinite(values[inf]).any():
+            name, level, _ = self._variables[j]
+            raise ValueError(
+                f"{self._path}: {name} ({level}) at "
+                f"{_format_time(self._times[row])}: finite values beyond "
+                "the f32 range")
+        return out
+
+    def __call__(self, block) -> None:
+        """Write block, one (k, n_lat, n_lon) array per variable in file
+        order, as the next k time rows."""
+        block = [np.asarray(values) for values in block]
+        k = len(block[0]) if block else 0
+        if (len(block) != len(self._variables)
+                or any(v.shape != (k,) + self._grid.shape for v in block)):
+            raise ValueError(
+                f"{self._path}: a block needs one (k, {self._grid.n_lat}, "
+                f"{self._grid.n_lon}) array per variable "
+                f"({len(self._variables)}), got shapes "
+                f"{[v.shape for v in block]}")
+        if self._next + k > len(self._times):
+            raise ValueError(
+                f"{self._path}: more than {len(self._times)} time rows written")
+        for i in range(k):
+            for j, values in enumerate(block):
+                self._fh.write(self._cast(values[i], self._next + i, j))
+        self._done[self._next:self._next + k] = True
+        self._next += k
+
+    def at(self, rows, j: int, values) -> None:
+        """Write values[i], an (n_lat, n_lon) field of variable j, at time
+        row rows[i], in place, for each i."""
+        if len(rows) != len(values):
+            raise ValueError(
+                f"{self._path}: {len(rows)} rows for {len(values)} fields")
+        if not (0 <= j < len(self._variables)
+                and all(0 <= row < len(self._times) for row in rows)):
+            raise ValueError(
+                f"{self._path}: no cell for variable {j} at rows {rows}")
+        self._fh.flush()
+        fd = self._fh.fileno()
+        n_var = len(self._variables)
+        for row, field in zip(rows, values):
+            data = memoryview(self._cast(field, row, j)).cast("B")
+            offset = self._offset + (row * n_var + j) * self._cell
+            while data:
+                n = os.pwrite(fd, data, offset)
+                data, offset = data[n:], offset + n
+            self._done[row, j] = True
+
+    def check_complete(self) -> None:
+        """Raise, naming the first one, unless every cell is written."""
+        rows = self._done.all(axis=1)
+        if not rows.all():
+            row = int(np.argmin(rows))
+            name, level, _ = self._variables[int(np.argmin(self._done[row]))]
+            raise ValueError(
+                f"{self._path}: {int(rows.sum())} of {len(self._times)} time "
+                f"rows written; {name} ({level}) at "
+                f"{_format_time(self._times[row])} is not")
+
+
 @contextmanager
 def container_writer(path, grid: GridSpec, variables, times,
                      dtype: str = "f32", attrs: dict | None = None):
-    """Write a GVF1 file block of times by block of times.
+    """Write a GVF1 file a block or a bin at a time.
 
-    variables lists (name, level, units) in file order.  Yields
-    write(block), where block holds, per variable in that order, a
-    (k, n_lat, n_lon) array for the next k times; each time row is cast
-    to dtype and written as it comes, so no more than one block is ever
-    held.  The file appears at path only once every time is written.
+    variables lists (name, level, units) in file order.  Yields a writer
+    with two calls: write(block), where block holds, per variable in that
+    order, a (k, n_lat, n_lon) array for the next k times, and
+    write.at(rows, j, values), which puts values[i] of variable j at time
+    row rows[i] wherever that row lies in the file.  Each field is cast to
+    dtype and written as it comes, so no more than one block is ever held;
+    a finite float64 value beyond the f32 range raises ValueError naming
+    the variable and time.  The file appears at path only once every
+    (time, variable) cell is written.
     """
     if dtype not in _DTYPES:
         raise ValueError(f"dtype must be one of {sorted(_DTYPES)}, got {dtype!r}")
@@ -249,34 +352,13 @@ def container_writer(path, grid: GridSpec, variables, times,
         "attrs": attrs or {},
     }
     raw = (json.dumps(header, sort_keys=False) + "\n").encode("utf-8")
-    np_dtype = _DTYPES[dtype]
-    written = 0
-
-    def write(block):
-        nonlocal written
-        block = [np.asarray(values) for values in block]
-        k = len(block[0]) if block else 0
-        if (len(block) != len(variables)
-                or any(v.shape != (k,) + grid.shape for v in block)):
-            raise ValueError(
-                f"{path}: a block needs one (k, {grid.n_lat}, {grid.n_lon}) "
-                f"array per variable ({len(variables)}), got shapes "
-                f"{[v.shape for v in block]}")
-        if written + k > len(times):
-            raise ValueError(
-                f"{path}: more than {len(times)} time rows written")
-        for i in range(k):
-            for values in block:
-                fh.write(np.ascontiguousarray(values[i], dtype=np_dtype))
-        written += k
-
     with atomic_write(path, "wb") as fh:
         fh.write(len(raw).to_bytes(8, "little"))
         fh.write(raw)
-        yield write
-        if written != len(times):
-            raise ValueError(
-                f"{path}: {written} of {len(times)} time rows written")
+        writer = _Writer(fh, path, grid, list(variables), list(times),
+                         _DTYPES[dtype], 8 + len(raw))
+        yield writer
+        writer.check_complete()
 
 
 def write_container(series_map, path, dtype: str = "f32",

@@ -12,18 +12,20 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
 
-from .grid import Field, FieldSeries, GridSpec, ensure_utc
+from .grid import Field, FieldSeries, GridSpec, default_units, ensure_utc
 
 __all__ = [
     "StatEntry",
     "NormStats",
     "Climatology",
+    "climatology_writer",
     "compute_stats",
     "compute_residual_coeff",
     "compute_norm_stats",
@@ -31,6 +33,7 @@ __all__ = [
     "denormalize",
     "clamp_nonnegative",
     "clamp_nonnegative_values",
+    "climatology_bins",
     "compute_climatology",
     "day_of_year_365",
 ]
@@ -282,7 +285,8 @@ class Climatology:
     file's dtype; values() returns float64 either way); hours lists the
     hours-of-day present (e.g. [0, 6, 12, 18] for 6-hourly data).
     Windows are window_days wide, Gaussian-weighted with std_days,
-    weights renormalized to sum 1.
+    weights renormalized to sum 1.  units maps (variable, level) to the
+    units of its input; a key without one gets its variable's default.
     """
 
     grid: GridSpec
@@ -290,6 +294,7 @@ class Climatology:
     window_days: int
     std_days: float
     data: dict[tuple[str, str], np.ndarray]
+    units: dict[tuple[str, str], str] = dc_field(default_factory=dict)
 
     def values(self, variable: str, level: str, when: datetime) -> np.ndarray:
         when = ensure_utc(when)
@@ -307,26 +312,17 @@ class Climatology:
         return list(self.data.keys())
 
     def to_container(self, path, dtype: str = "f64") -> None:
-        """Store climatology fields as a GVF1 container on a pseudo-year axis.
-
-        Bins map to timestamps in 1995 (non-leap): day d, hour h becomes
-        1995-01-01 + (d-1) days + h hours.
-        """
-        from datetime import datetime, timezone
-        from .container import write_container
-        from .grid import FieldSeries
-
-        t0 = datetime(1995, 1, 1, tzinfo=timezone.utc)
-        times = [t0 + timedelta(days=d, hours=h)
-                 for d in range(365) for h in self.hours]
-        series_map = {}
-        for key, arr in self.data.items():
-            flat = arr.reshape((365 * len(self.hours),) + self.grid.shape)
-            series_map[key] = FieldSeries(self.grid, key[0], key[1], times, flat)
-        write_container(series_map, path, dtype=dtype, attrs={
-            "climatology": {"window_days": self.window_days,
-                            "std_days": self.std_days,
-                            "hours": self.hours}})
+        """Store climatology fields as a GVF1 container on a pseudo-year
+        axis (see climatology_writer)."""
+        variables = [(name, level, self.units.get((name, level),
+                                                  default_units(name)))
+                     for name, level in self.data]
+        with climatology_writer(path, self.grid, variables, self.hours,
+                                self.window_days, self.std_days,
+                                dtype=dtype) as put:
+            for j, arr in enumerate(self.data.values()):
+                for hi in range(len(self.hours)):
+                    put(j, hi, arr[:, hi])
 
     @classmethod
     def from_container(cls, path) -> "Climatology":
@@ -348,7 +344,34 @@ class Climatology:
                 for name, level, _units in c.variables}
         return cls(grid=c.grid, hours=hours,
                    window_days=int(meta["window_days"]),
-                   std_days=float(meta["std_days"]), data=data)
+                   std_days=float(meta["std_days"]), data=data,
+                   units={(name, level): units
+                          for name, level, units in c.variables})
+
+
+@contextmanager
+def climatology_writer(path, grid: GridSpec, variables, hours: list[int],
+                       window_days: int, std_days: float, dtype: str = "f64"):
+    """Write a climatology as a GVF1 container on a pseudo-year axis.
+
+    Bins map to timestamps in 1995 (non-leap): day d, hour h becomes
+    1995-01-01 + (d-1) days + h hours, so bin (d, hours[hi]) is time row
+    (d-1) * len(hours) + hi.  variables lists (name, level, units) in file
+    order.  Yields put(j, hi, means), which writes the (365, n_lat, n_lon)
+    means of variable j at hours[hi] to their rows in place; the file
+    appears at path once every bin of every variable is written.
+    """
+    from .container import container_writer
+
+    t0 = datetime(1995, 1, 1, tzinfo=timezone.utc)
+    times = [t0 + timedelta(days=d, hours=h)
+             for d in range(365) for h in hours]
+    attrs = {"climatology": {"window_days": window_days,
+                             "std_days": std_days, "hours": hours}}
+    with container_writer(path, grid, variables, times, dtype=dtype,
+                          attrs=attrs) as write:
+        yield lambda j, hi, means: write.at(
+            range(hi, len(times), len(hours)), j, means)
 
 
 def _circular_day_distance(d1, d2, period: int = 365):
@@ -356,27 +379,32 @@ def _circular_day_distance(d1, d2, period: int = 365):
     return np.minimum(d, period - d)
 
 
-def compute_climatology(series_map, window_days: int = 61,
-                        gaussian_std_days: float = 10.0) -> Climatology:
-    """Day-of-year/hour-of-day climatology with Gaussian-weighted windows.
+def climatology_bins(series_map, window_days: int = 61,
+                     gaussian_std_days: float = 10.0):
+    """Day-of-year/hour-of-day climatology with Gaussian-weighted windows,
+    one (variable, hour of day) at a time.
 
     For each (day d, hour h) the climatology is the weighted mean over all
     samples at hour h whose circular day-of-year distance from d is at
     most window_days//2, with weights exp(-dd^2 / (2 s^2)), s in days,
-    renormalized to sum 1.  Bins with no samples raise, listing (d, h).
+    renormalized to sum 1.  Bins with no samples raise, listing (d, h),
+    before anything is yielded, and so does an input with no times.
     series_map is a {(variable, level): FieldSeries} mapping or an
     iterable of FieldSeries, taken one series at a time; each window's
-    samples are taken in float64.
+    samples are taken in float64.  Yields (series, hours, hi, means):
+    hours lists the hours of day present, and means is the (365, n_lat,
+    n_lon) float64 climatology of series at hours[hi] for days 1..365.
     """
     if window_days < 1 or window_days % 2 == 0:
         raise ValueError(f"window_days must be odd and positive, got {window_days}")
     if gaussian_std_days <= 0:
         raise ValueError("gaussian_std_days must be positive")
     grid = times = None
-    data = {}
     for key, series in _keyed(series_map):
         if grid is None:
             grid, times = series.grid, series.times
+            if not times:
+                raise ValueError(f"{key}: climatology input has no times")
             hours, weights = _window_weights(times, window_days // 2,
                                              gaussian_std_days)
         elif series.grid != grid:
@@ -384,19 +412,36 @@ def compute_climatology(series_map, window_days: int = 61,
         elif series.times != times:
             raise ValueError(
                 f"{key}: climatology inputs must share one time axis")
-        out = np.empty((365, len(hours)) + grid.shape)
         flat = series.values.reshape(len(series), -1)
         for hi, h in enumerate(hours):
-            idx, w = weights[h]
-            samples = np.asarray(flat[idx], dtype=np.float64)
-            out[:, hi] = (w @ samples).reshape((365,) + grid.shape)
-            del samples
-        data[key] = out
+            # nothing here keeps a yielded bin set once the caller drops it
+            yield series, hours, hi, _window_means(weights[h], flat, grid)
         del series, flat  # before the next series is taken
     if grid is None:
         raise ValueError("empty series collection")
-    return Climatology(grid=grid, hours=hours, window_days=window_days,
-                       std_days=gaussian_std_days, data=data)
+
+
+def _window_means(weights, flat, grid: GridSpec) -> np.ndarray:
+    """The (365, n_lat, n_lon) weighted means of one hour's samples, the
+    rows of flat that weights names, taken in float64."""
+    idx, w = weights
+    samples = np.asarray(flat[idx], dtype=np.float64)
+    return (w @ samples).reshape((365,) + grid.shape)
+
+
+def compute_climatology(series_map, window_days: int = 61,
+                        gaussian_std_days: float = 10.0) -> Climatology:
+    """The climatology_bins of every series, gathered into a Climatology
+    that keeps each series' units."""
+    data, units = {}, {}
+    for series, hours, hi, means in climatology_bins(
+            series_map, window_days, gaussian_std_days):
+        if hi == 0:
+            data[series.key] = np.empty((365, len(hours)) + series.grid.shape)
+            units[series.key] = series.units
+        data[series.key][:, hi] = means
+    return Climatology(grid=series.grid, hours=hours, window_days=window_days,
+                       std_days=gaussian_std_days, data=data, units=units)
 
 
 def _window_weights(times: list[datetime], half: int, std_days: float):

@@ -38,7 +38,6 @@ __all__ = [
     "plegendre_max_abs",
     "analyze",
     "synthesize",
-    "stack_slices",
     "zonal_power_spectrum",
     "kinetic_energy_spectrum",
     "potential_temperature_energy_spectrum",
@@ -186,21 +185,30 @@ class SphericalHarmonicTransform:
         stack = values.shape[:-2]
         f = values.reshape((-1,) + self.grid.shape)           # (b, lat, lon)
         n, size, h = f.shape[0], self.l_max + 1, self._half
-        wg = self._weights[:, None] * np.fft.rfft(f, axis=-1)[..., :size]
+        wg = np.fft.rfft(f, axis=-1)[..., :size]
+        wg *= self._weights[:, None]
         north = wg[:, :h].transpose(2, 1, 0)                   # (m, i, b)
-        south = (wg[:, ::-1][:, :h] * self._sign).transpose(2, 1, 0)
         # fold[p][m, i, b]: each mirrored pair's sum where l+m is even and
         # difference where it is odd, for degrees l of parity p; read as
-        # reals so that the matmul is real-by-complex
-        fold = np.empty((2, size, h, n), dtype=np.complex128)
-        np.add(north, south, out=fold[0])
-        np.subtract(north, south, out=fold[1])
+        # reals so that the matmul is real-by-complex.  An odd stack gets
+        # a zero field: the BLAS kernels then see whole groups of four real
+        # columns, so no field's sums depend on the others in the stack
+        # and any split of a stack into calls gives the same bits (a
+        # property test checks this against the BLAS in use).
+        w = n + n % 2
+        fold = np.zeros((2, size, h, w), dtype=np.complex128)
+        south = fold[1, ..., :n]
+        np.multiply(wg[:, ::-1][:, :h].transpose(2, 1, 0),
+                    self._sign[:, None, None], out=south)
+        np.add(north, south, out=fold[0, ..., :n])
+        np.subtract(north, south, out=south)
         del wg, north, south
         fold = fold.view(np.float64)
         a = np.zeros((size, size, 2 * n))                      # (l, m, b)
+        row = np.empty((size, 1, 2 * w))
         for l, p in _legendre_rows(self._x, self.l_max):
-            np.matmul(p[:, None, :], fold[l % 2, :l + 1],
-                      out=a[l, :l + 1, None, :])
+            np.matmul(p[:, None, :], fold[l % 2, :l + 1], out=row[:l + 1])
+            a[l, :l + 1] = row[:l + 1, 0, :2 * n]
         del fold
         a = np.ascontiguousarray(np.moveaxis(a.view(np.complex128), -1, 0))
         a *= 2.0 * np.pi / self._n_lon
@@ -234,17 +242,6 @@ class SphericalHarmonicTransform:
         spec[:, h:, :size] = south.transpose(2, 1, 0)[:, ::-1]
         out = np.fft.irfft(spec, n=self._n_lon, axis=-1) * self._n_lon
         return out.reshape(stack + self.grid.shape)
-
-
-# float64 input per stacked transform pass; analyze's temporaries add
-# about twice that again, so a pass stays near 400 MB at any length
-_STACK_BYTES = 1 << 27
-
-
-def stack_slices(n_fields: int, grid: GridSpec) -> list[slice]:
-    """Split a stack of n_fields on grid into passes of at most _STACK_BYTES."""
-    step = max(1, _STACK_BYTES // (8 * grid.n_lat * grid.n_lon))
-    return [slice(i, i + step) for i in range(0, n_fields, step)]
 
 
 @lru_cache(maxsize=8)
@@ -285,8 +282,8 @@ def zonal_power_spectrum(field_or_values, l_max: int,
     values, grid = _values_and_grid(field_or_values, grid)
     if isinstance(field_or_values, Field) and not variable:
         variable = field_or_values.variable
-    coeffs = analyze(values, l_max, grid)
-    mag2 = np.abs(coeffs.values) ** 2
+    mag2 = np.abs(analyze(values, l_max, grid).values)
+    np.square(mag2, out=mag2)
     power = mag2.sum(axis=-2)
     power[..., 1:] *= 2.0
     return SpectrumResult(power=power, variable=variable)
@@ -298,14 +295,15 @@ def kinetic_energy_spectrum(u, v, l_max: int, half: bool = True,
 
     KE(m) = 1/2 [P_u(m) + P_v(m)]; set half=False to drop the 1/2 of the
     specific-kinetic-energy definition (shape is unaffected).  u and v are
-    Fields, or arrays (one field or a stack) on grid.
+    Fields, or arrays of one shape (one field or a stack) on grid; both
+    go through one transform call.
     """
     u_values, u_grid = _values_and_grid(u, grid)
     v_values, v_grid = _values_and_grid(v, grid)
     if u_grid != v_grid:
         raise ValueError("u and v must share one grid")
-    pu = zonal_power_spectrum(u_values, l_max, u_grid).power
-    pv = zonal_power_spectrum(v_values, l_max, v_grid).power
+    pu, pv = zonal_power_spectrum(np.stack([u_values, v_values]), l_max,
+                                  u_grid).power
     scale = 0.5 if half else 1.0
     return SpectrumResult(power=scale * (pu + pv), variable="KE",
                           units="m2 s-2")

@@ -13,7 +13,7 @@ from spherecast import rollout
 from spherecast.cli import main
 from spherecast.container import read_container, read_scores, write_container
 from spherecast.grid import FieldSeries
-from spherecast.preprocess import Climatology
+from spherecast.preprocess import Climatology, compute_climatology
 from conftest import fail_writes_after, make_series, make_spectrum_fixture
 
 T0 = datetime(2020, 1, 1, tzinfo=timezone.utc)
@@ -214,7 +214,7 @@ def _spectrum_csv(path):
 
 @pytest.mark.parametrize("kind", ["kinetic", "theta"])
 def test_spectrum_kinds_match_per_field_spectra(tmp_path, grid16, kind):
-    from spherecast import cli
+    from spherecast.container import _fmt
     from spherecast.sht import (kinetic_energy_spectrum,
                                 potential_temperature_energy_spectrum)
     src = {(v, "single"): make_series(grid16, v, n_time=3, seed=40 + i)
@@ -222,27 +222,30 @@ def test_spectrum_kinds_match_per_field_spectra(tmp_path, grid16, kind):
     inp = tmp_path / "in.gvf"
     write_container(src, inp, dtype="f64")
     out = tmp_path / "spec.csv"
+    flags = ["--pressure", "700"] if kind == "theta" else []
     assert main(["spectrum", "--input", str(inp), "--output", str(out),
-                 "--kind", kind, "--l-max", "12", "--pressure", "700"]) == 0
+                 "--kind", kind, "--l-max", "12"] + flags) == 0
     c = read_container(inp)
-    expect = {}
-    for i in range(3):
+
+    def spectrum(i):
         if kind == "kinetic":
-            spec = kinetic_energy_spectrum(c.field(i, "U500"),
-                                           c.field(i, "V500"), 12)
-        else:
-            spec = potential_temperature_energy_spectrum(
-                c.field(i, "T500"), 12, pressure_hpa=700.0)
-        expect.update({(spec.variable, 6 * i, m): p
-                       for m, p in enumerate(spec.power)})
-    # the stacked values before formatting, then the CSV itself
-    cfg = dict(cli._DEFAULTS["spectrum"], kind=kind, l_max=12, pressure=700.0)
-    rows = {(v, lead, m): p for v, lead, m, p in cli._spectrum_rows(cfg, c)}
-    assert set(rows) == set(expect)
+            return kinetic_energy_spectrum(c.values(i, "U500"),
+                                           c.values(i, "V500"), 12,
+                                           grid=grid16)
+        return potential_temperature_energy_spectrum(
+            c.values(i, "T500"), 12, pressure_hpa=700.0, grid=grid16)
+
+    tag = "KE" if kind == "kinetic" else "theta"
+    expect = {(tag, 6 * i, m): p for i in range(3)
+              for m, p in enumerate(spectrum(i).power)}
+    # the whole stack in one call, as the CLI's one pass does it, then the
+    # CSV itself
+    stacked = {(tag, 6 * i, m): p for i, power in enumerate(
+        spectrum(slice(None)).power) for m, p in enumerate(power)}
+    assert set(stacked) == set(expect)
     for key, p in expect.items():
-        assert abs(rows[key] - p) <= 1e-12 * p, key
-    got = _spectrum_csv(out)
-    assert got == {key: f"{rows[key]:.9g}" for key in rows}
+        assert abs(stacked[key] - p) <= 1e-12 * p, key
+    assert _spectrum_csv(out) == {key: _fmt(p) for key, p in stacked.items()}
 
 
 def test_spectrum_non_finite_input_exits_three(tmp_path, grid16, capsys):
@@ -832,9 +835,9 @@ def _peak_bytes(fn):
     return out, peak
 
 
-def _write_f32_input(path, grid, n_time, variables, seed):
+def _write_f32_input(path, grid, n_time, variables, seed, step_hours=6):
     rng = np.random.default_rng(seed)
-    times = [T0 + timedelta(hours=6 * k) for k in range(n_time)]
+    times = [T0 + timedelta(hours=step_hours * k) for k in range(n_time)]
     write_container([FieldSeries(grid, name, "single", times,
                                  rng.normal(size=(n_time,) + grid.shape))
                      for name in variables], path, dtype="f32")
@@ -893,3 +896,151 @@ def test_external_rollout_holds_one_init_at_a_time(tmp_path, grid64):
                  "--max-lead-hours", "120",
                  "--output-dir", str(persistence)]) == 0
     assert _tree_bytes(tmp_path / "fc") == _tree_bytes(persistence)
+
+
+def test_spectrum_holds_one_pass_not_every_row(tmp_path, grid64):
+    # 300 times x 3 variables at 64x128: one variable's float64 stack is
+    # 19.7 MB; a pass is 2 MiB of rows and the power array 0.5 MB
+    inp = tmp_path / "in.gvf"
+    _write_f32_input(inp, grid64, 300, ["T", "Q", "Z"], seed=37)
+    one_variable = 300 * grid64.n_lat * grid64.n_lon * 8
+    out = tmp_path / "spec.csv"
+    code, peak = _peak_bytes(lambda: main([
+        "spectrum", "--input", str(inp), "--output", str(out)]))
+    assert code == 0
+    assert peak < one_variable / 2
+    rows = _spectrum_csv(out)
+    assert len(rows) == 3 * 300 * 64
+    assert {v for v, _, _ in rows} == {"T", "Q", "Z"}
+
+
+def test_climatology_writes_each_bin_set_as_it_is_made(tmp_path, grid64):
+    # a daily year of 3 variables at 64x128: each variable's float64
+    # climatology is 23.9 MB, and only one is held at a time
+    inp = tmp_path / "in.gvf"
+    _write_f32_input(inp, grid64, 365, ["T", "Q", "Z"], seed=38,
+                     step_hours=24)
+    one_variable = 365 * grid64.n_lat * grid64.n_lon * 8
+    out = tmp_path / "clim.gvf"
+    code, peak = _peak_bytes(lambda: main([
+        "climatology", "--input", str(inp), "--output", str(out),
+        "--dtype", "f32"]))
+    assert code == 0
+    assert peak < 2.5 * one_variable
+    c = read_container(inp)
+    expect = compute_climatology(c.view(*key) for key in c.keys)
+    got = Climatology.from_container(out)
+    assert got.hours == [0] and got.keys == c.keys
+    for key in c.keys:
+        assert np.array_equal(got.data[key],
+                              expect.data[key].astype(np.float32))
+
+
+def test_climatology_keeps_the_input_units(tmp_path, grid16):
+    # used to write units "1" for any variable not in grid.VARIABLES
+    times = [T0 + timedelta(hours=24 * k) for k in range(365)]
+    rng = np.random.default_rng(39)
+    src = [FieldSeries(grid16, name, level, times,
+                       rng.normal(size=(365,) + grid16.shape), units=units)
+           for name, level, units in (("T850", "single", "K"),
+                                      ("Q", "700", "g kg-1"),
+                                      ("Z500", "single", "m"))]
+    inp = tmp_path / "in.gvf"
+    write_container(src, inp, dtype="f32")
+    out = tmp_path / "clim.gvf"
+    assert main(["climatology", "--input", str(inp), "--output", str(out)]) == 0
+    expect = [("T850", "single", "K"), ("Q", "700", "g kg-1"),
+              ("Z500", "single", "m")]
+    assert read_container(out).variables == expect
+    clim = Climatology.from_container(out)
+    assert clim.units == {(n, l): u for n, l, u in expect}
+    again = tmp_path / "again.gvf"
+    clim.to_container(again)
+    assert again.read_bytes() == out.read_bytes()
+    # the library path keeps them too
+    c = read_container(inp)
+    compute_climatology(c.view(*key) for key in c.keys).to_container(again)
+    assert again.read_bytes() == out.read_bytes()
+
+
+@pytest.mark.parametrize("kind,extra", [
+    ("power", ["--level", "500"]),
+    ("power", ["--u-var", "U850"]),
+    ("power", ["--t-var", "T850"]),
+    ("power", ["--pressure", "700"]),
+    ("power", ["--no-half"]),
+    ("kinetic", ["--t-var", "T850"]),
+    ("kinetic", ["--pressure", "700"]),
+    ("theta", ["--v-var", "V850"]),
+    ("theta", ["--no-half"]),
+])
+def test_spectrum_flag_the_kind_does_not_read_is_a_usage_error(
+        tmp_path, capsys, kind, extra):
+    # used to exit 0 ignoring the flag; the missing input shows that the
+    # error comes before any read
+    out = tmp_path / "spec.csv"
+    assert main(["spectrum", "--input", str(tmp_path / "missing.gvf"),
+                 "--output", str(out), "--kind", kind, *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {extra[0]} applies to --kind ")
+    assert repr(kind) in err.splitlines()[0]
+    assert not out.exists()
+    # a kind that reads the flag takes it, and then fails on the input;
+    # at their defaults (as a replayed manifest gives them) none is refused
+    reader = {"--u-var": "kinetic", "--v-var": "kinetic", "--no-half": "kinetic",
+              "--level": "theta", "--t-var": "theta", "--pressure": "theta"}
+    for argv in (["--kind", reader[extra[0]], *extra],
+                 ["--kind", kind, "--level", "single", "--pressure", "500",
+                  "--u-var", "U500"]):
+        assert main(["spectrum", "--input", str(tmp_path / "missing.gvf"),
+                     "--output", str(out), *argv]) == 2
+
+
+@pytest.mark.parametrize("l_max", [-1, 16, 40])
+def test_spectrum_l_max_out_of_range_exits_three_before_reading(
+        tmp_path, grid16, capsys, l_max):
+    # the payload's NaN would be reported first if anything were read
+    series = make_series(grid16, "Z500", n_time=2, seed=44)
+    series.values[0, 0, 0] = np.nan
+    inp = tmp_path / "in.gvf"
+    write_container([series], inp, dtype="f64")
+    out = tmp_path / "spec.csv"
+    assert main(["spectrum", "--input", str(inp), "--output", str(out),
+                 "--l-max", str(l_max)]) == 3
+    err = capsys.readouterr().err
+    assert f"--l-max {l_max}" in err and str(inp) in err and "0..15" in err
+    assert "non-finite" not in err
+    assert not out.exists()
+
+
+def test_spectrum_l_max_zero_is_the_mean_square_only(tmp_path):
+    # --l-max 0 used to mean the grid's largest degree
+    inp = tmp_path / "fixture.gvf"
+    _, series = make_spectrum_fixture(inp)
+    out = tmp_path / "spec.csv"
+    assert main(["spectrum", "--input", str(inp), "--output", str(out),
+                 "--l-max", "0"]) == 0
+    rows = _spectrum_csv(out)
+    assert sorted(rows) == [("Z500", 0, 0), ("Z500", 6, 0)]
+    weights = series.grid.quad_weights[:, None] / series.grid.n_lon
+    for i, lead in enumerate((0, 6)):
+        mean = float((weights * series.values[i]).sum()) / 2
+        assert float(rows[("Z500", lead, 0)]) == pytest.approx(
+            4 * np.pi * mean ** 2, rel=1e-8)
+
+
+def test_empty_time_axis_climatology_exits_three_and_spectrum_is_header_only(
+        tmp_path, grid16, capsys):
+    # climatology used to write a climatology with no bins; spectrum
+    # failed with an IndexError traceback
+    empty = FieldSeries(grid16, "T", "single", [], np.zeros((0,) + grid16.shape))
+    inp = tmp_path / "in.gvf"
+    write_container([empty], inp)
+    out = tmp_path / "clim.gvf"
+    assert main(["climatology", "--input", str(inp), "--output", str(out)]) == 3
+    assert "('T', 'single'): climatology input has no times" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+    spec = tmp_path / "spec.csv"
+    assert main(["spectrum", "--input", str(inp), "--output", str(spec)]) == 0
+    assert spec.read_text() == "variable,lead_hours,m,power\n"

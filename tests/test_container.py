@@ -1,4 +1,5 @@
 import json
+from datetime import datetime
 
 import numpy as np
 import pytest
@@ -271,3 +272,105 @@ def test_container_writer_leaves_no_file_unless_every_row_is_written(
             write([series.values[i:i + 1]])
     assert np.array_equal(read_container(path).series("T").values,
                           series.values.astype(np.float32))
+
+
+def test_f32_write_refuses_finite_values_beyond_its_range(tmp_path, grid16):
+    # used to write inf and exit 0
+    from spherecast.container import container_writer
+    series = make_series(grid16, "T850", n_time=3, seed=12)
+    series.values[2, 4, 5] = 1e39
+    path = tmp_path / "big.gvf"
+    with pytest.raises(ValueError) as exc:
+        write_container([series], path, dtype="f32")
+    assert str(exc.value) == (f"{path}: T850 (single) at 2020-01-01T12:00:00Z: "
+                              "finite values beyond the f32 range")
+    variables = [("T850", "single", "K")]
+    with pytest.raises(ValueError, match="T850 .single. at 2020-01-01T12"):
+        with container_writer(path, grid16, variables, series.times) as write:
+            write.at([0, 1, 2], 0, series.values)
+    assert list(tmp_path.iterdir()) == []
+    # as f64 the value fits; a non-finite one, or float32 input, is written
+    write_container([series], path, dtype="f64")
+    assert read_container(path).values(2, "T850")[4, 5] == 1e39
+    series.values[2, 4, 5] = np.inf
+    write_container([series], path, dtype="f32")
+    assert np.isposinf(read_container(path).values(2, "T850")[4, 5])
+    with container_writer(path, grid16, variables, series.times) as write:
+        write([np.full((3,) + grid16.shape, np.inf, dtype=np.float32)])
+    assert np.isposinf(read_container(path).series("T850").values).all()
+
+
+def test_positioned_writes_fill_any_order_and_every_cell_is_required(
+        tmp_path, grid16):
+    from spherecast.container import container_writer
+    src = _random_collection(grid16, seed=13, n_time=4)
+    variables = [(s.variable, s.level, s.units) for s in src.values()]
+    times = src[("T", "L10")].times
+    whole, placed = tmp_path / "whole.gvf", tmp_path / "placed.gvf"
+    write_container(src, whole, dtype="f32")
+    with container_writer(placed, grid16, variables, times) as write:
+        for j, s in reversed(list(enumerate(src.values()))):
+            write.at([3, 1], j, s.values[[3, 1]])
+            write.at(range(0, 4, 2), j, s.values[::2])
+    assert placed.read_bytes() == whole.read_bytes()
+    placed.unlink()
+    with pytest.raises(ValueError, match=r"3 of 4 time rows written; "
+                       r"SP \(single\) at 2020-01-01T06:00:00Z is not"):
+        with container_writer(placed, grid16, variables, times) as write:
+            write.at(range(4), 0, src[("T", "L10")].values)
+            write.at(range(4), 1, src[("Q", "L10")].values)
+            write.at([0, 2, 3], 2, src[("SP", "single")].values[[0, 2, 3]])
+    for rows, j in (([4], 0), ([-1], 0), ([0], 3), ([0], -1)):
+        with pytest.raises(ValueError, match="no cell for variable"):
+            with container_writer(placed, grid16, variables, times) as write:
+                write.at(rows, j, src[("T", "L10")].values[:1])
+    assert list(tmp_path.iterdir()) == [whole]
+
+
+_TIME_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
+
+
+def _parse_outcome(parse, s):
+    try:
+        t = parse(s)
+    except Exception as exc:  # noqa: BLE001 - the outcome is compared
+        return type(exc), str(exc)
+    return t, t.tzinfo
+
+
+def _strptime_time(s):
+    from datetime import timezone
+    return datetime.strptime(s, _TIME_FORMAT).replace(tzinfo=timezone.utc)
+
+
+@pytest.mark.parametrize("s", [
+    "2020-01-01T00:00:00Z", "2020-02-29T18:00:00Z", "1995-12-31T23:59:59Z",
+    "0001-01-01T00:00:00Z", "9999-12-31T23:59:59Z",
+    "2021-02-29T00:00:00Z", "2020-13-01T00:00:00Z", "2020-00-10T00:00:00Z",
+    "2020-01-32T00:00:00Z", "2020-01-01T24:00:00Z", "2020-01-01T00:60:00Z",
+    "2020-01-01T00:00:60Z", "2020-01-01T00:00:61Z", "0000-01-01T00:00:00Z",
+    "2020-1-1T0:0:0Z", "2020-01-01T00:00:00", "2020-01-01T00:00:00z",
+    "2020-01-01 00:00:00Z", "2020-01-01T00:00:00+00:00", " 2020-01-01T00:00:00Z",
+    "2020-01-01T00:00:00Z ", "2020-W01-1T00:00:00Z", "20200101T000000Z",
+    "٢٠٢٠-01-01T00:00:00Z", "2020-01-01T00:00:00.5Z",
+    "2020-01-01T٠٠:00:00Z", "", "Z", 20200101, None,
+])
+def test_header_time_parse_matches_strptime(s):
+    from spherecast.container import _parse_time
+    assert _parse_outcome(_parse_time, s) == _parse_outcome(_strptime_time, s)
+
+
+def test_canonical_header_times_do_not_go_through_strptime(monkeypatch):
+    from datetime import timezone
+    from spherecast import container
+
+    class NoStrptime(datetime):
+        @classmethod
+        def strptime(cls, *args):
+            raise AssertionError("strptime called")
+
+    monkeypatch.setattr(container, "datetime", NoStrptime)
+    assert container._parse_time("2020-02-29T18:00:00Z") == datetime(
+        2020, 2, 29, 18, tzinfo=timezone.utc)
+    with pytest.raises(AssertionError, match="strptime called"):
+        container._parse_time("2020-1-1T0:0:0Z")

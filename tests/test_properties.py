@@ -1,4 +1,5 @@
-"""Property tests of the container writer and the blocked normalize.
+"""Property tests of the container writer, header times, the blocked
+normalize and the stacked transform.
 
 Examples are derandomized, so every run checks the same cases.
 """
@@ -9,15 +10,16 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from spherecast import cli
 from spherecast.cli import main
-from spherecast.container import (container_writer, read_container,
-                                  write_container)
+from spherecast.container import (_parse_time, container_writer,
+                                  read_container, write_container)
 from spherecast.grid import (FieldSeries, make_equiangular_grid,
                              make_gaussian_grid)
 from spherecast.preprocess import NormStats, denormalize, normalize
+from spherecast.sht import SphericalHarmonicTransform
 
 settings.register_profile(
     "derandomized", derandomize=True, deadline=None, max_examples=40,
@@ -95,9 +97,24 @@ def test_row_wise_payload_equals_whole_stack(series, dtype, data):
         assert blocked.read_bytes() == whole.read_bytes()
 
 
+def _overflows_f32(series) -> bool:
+    """Whether a finite value of any series becomes inf as an f32."""
+    with np.errstate(over="ignore"):
+        return any((np.isinf(s.values.astype(np.float32))
+                    & np.isfinite(s.values)).any() for s in series)
+
+
+# values of 1e30 denormalize to some of 1e60, beyond the f32 range
+_HUGE = [FieldSeries(make_equiangular_grid(2, 4), "V0", "single",
+                     [T0, T0 + timedelta(hours=6)],
+                     np.random.default_rng(0).normal(size=(2, 2, 4)) * 1e30,
+                     units="u0")]
+
+
 @settings(DERANDOMIZED)
 @given(collections(min_times=2), st.sampled_from(["f32", "f64"]),
        st.integers(1, 3))
+@example(_HUGE, "f32", 1)
 def test_blocked_normalize_equals_whole_array(series, dtype, block_rows):
     grid = series[0].grid
     saved = cli._BLOCK_BYTES
@@ -114,11 +131,68 @@ def test_blocked_normalize_equals_whole_array(series, dtype, block_rows):
             for name, transform in (("normalize", normalize),
                                     ("denormalize", denormalize)):
                 out, ref = tmp / f"{name}.gvf", tmp / f"{name}.ref.gvf"
-                assert main([name, "--input", str(inp), "--stats", str(stats),
-                             "--output", str(out)]) == 0
-                write_container([transform(c.series(*key), norm_stats)
-                                 for key in c.keys], ref,
-                                dtype=dtype, attrs=c.attrs)
+                expect = [transform(c.series(*key), norm_stats)
+                          for key in c.keys]
+                code = main([name, "--input", str(inp), "--stats", str(stats),
+                             "--output", str(out)])
+                if dtype == "f32" and _overflows_f32(expect):
+                    assert code == 3 and not out.exists()
+                    continue
+                assert code == 0
+                write_container(expect, ref, dtype=dtype, attrs=c.attrs)
                 assert out.read_bytes() == ref.read_bytes()
     finally:
         cli._BLOCK_BYTES = saved
+
+
+@settings(DERANDOMIZED)
+@given(st.integers(1, 8), st.integers(0, 3), st.integers(0, 2 ** 32 - 1),
+       st.data())
+def test_any_split_of_a_stack_gives_the_same_coefficients(
+        half_lat, extra_lon, seed, data):
+    n_lat = 2 * half_lat
+    grid = make_gaussian_grid(n_lat, 2 * n_lat + 2 * extra_lon)
+    l_max = data.draw(st.integers(0, n_lat - 1))
+    transform = SphericalHarmonicTransform(grid, l_max)
+    n = data.draw(st.integers(1, 9))
+    rng = np.random.default_rng(seed)
+    stack = rng.normal(size=(n,) + grid.shape) * 10.0 ** rng.integers(-5, 6)
+    whole = transform.analyze(stack).values
+    cuts = sorted(data.draw(st.lists(st.integers(1, n), max_size=3)))
+    bounds = [0] + cuts + [n]
+    passes = [transform.analyze(stack[a:b]).values
+              for a, b in zip(bounds, bounds[1:]) if b > a]
+    assert np.array_equal(np.concatenate(passes), whole)
+    # and each field alone, and the stack as (time, variable) rows
+    assert all(np.array_equal(transform.analyze(stack[i]).values, whole[i])
+               for i in range(n))
+    if n % 3 == 0:
+        rows = transform.analyze(stack.reshape((n // 3, 3) + grid.shape))
+        assert np.array_equal(rows.values.reshape(whole.shape), whole)
+
+
+_CANONICAL = "2020-02-29T18:07:59Z"
+
+
+@settings(DERANDOMIZED)
+@given(st.datetimes(), st.lists(st.tuples(
+    st.integers(0, 19),
+    st.sampled_from(list("0123456789-T:Z +.zW") + ["\u0662", "\u00b2", ""])),
+    max_size=2))
+def test_header_time_parse_matches_strptime_after_edits(when, edits):
+    from datetime import datetime as dt, timezone
+    chars = list(when.strftime("%Y-%m-%dT%H:%M:%SZ").rjust(len(_CANONICAL), "0"))
+    for i, c in edits:
+        chars[i] = c
+    s = "".join(chars)
+
+    def outcome(parse):
+        try:
+            t = parse(s)
+        except ValueError as exc:
+            return str(exc)
+        return t, t.tzinfo
+
+    assert outcome(_parse_time) == outcome(
+        lambda s: dt.strptime(s, "%Y-%m-%dT%H:%M:%SZ").replace(
+            tzinfo=timezone.utc))
