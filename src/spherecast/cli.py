@@ -172,6 +172,23 @@ def _finite(c, values, variable: str, level: str):
 # bytes of float64 rows, over all variables read, in one block of a
 # normalize or denormalize or one pass of a spectrum
 _BLOCK_BYTES = 1 << 21
+# fields in one spectrum pass at the least, whatever their size: each
+# transform call reruns the Legendre recurrence, which costs about as much
+# as the matmuls of four fields
+_MIN_FIELDS = 8
+
+
+def _row_blocks(c, n_keys: int, min_fields: int = 1, even: bool = False):
+    """Slices of c's time rows, each as many rows of n_keys variables as
+    fit _BLOCK_BYTES of float64, and at least enough for min_fields
+    fields; with even, an odd field count is rounded up to an even one.
+    An empty time axis gives one empty slice."""
+    n = max(1, _BLOCK_BYTES // (8 * n_keys * c.grid.n_lat * c.grid.n_lon),
+            -(-min_fields // n_keys))
+    if even:
+        n += n * n_keys % 2
+    return [slice(start, start + n)
+            for start in range(0, max(len(c.times), 1), n)]
 
 
 def _apply_per_series(cfg, transform):
@@ -180,15 +197,12 @@ def _apply_per_series(cfg, transform):
     The first block, empty for an empty time axis, gives the units."""
     c = read_container(cfg["input"])
     stats = NormStats.from_json(cfg["stats"])
-    n_rows = max(1, _BLOCK_BYTES // (8 * len(c.keys) * c.grid.n_lat
-                                     * c.grid.n_lon))
     blocks = ([transform(FieldSeries(
                    c.grid, name, lev, c.times[rows],
                    _finite(c, c.values(rows, name, lev), name, lev),
                    units=units), stats)
                for name, lev, units in c.variables]
-              for rows in (slice(start, start + n_rows) for start
-                           in range(0, max(len(c.times), 1), n_rows)))
+              for rows in _row_blocks(c, len(c.keys)))
     block = next(blocks)
     with container_writer(cfg["output"], c.grid,
                           [(s.variable, s.level, s.units) for s in block],
@@ -327,17 +341,15 @@ def _cmd_spectrum(cfg):
                 grid=c.grid).power[:, None]
         return zonal_power_spectrum(fields, l_max, c.grid).power
 
-    n_time = len(c.times)
-    n_rows = max(1, _BLOCK_BYTES // (8 * len(keys) * c.grid.n_lat
-                                     * c.grid.n_lon))
-    power = np.empty((n_time, len(tags), l_max + 1))
-    for start in range(0, n_time, n_rows):
-        rows = slice(start, start + n_rows)
-        fields = np.empty((min(n_rows, n_time - start), len(keys))
-                          + c.grid.shape)
-        for j, (name, lev) in enumerate(keys):
-            fields[:, j] = _finite(c, c.values(rows, name, lev), name, lev)
-        power[rows] = spectra(fields)
+    power = np.empty((len(c.times), len(tags), l_max + 1))
+    cols = [c.index(*key) for key in keys]
+    # even passes: the transform pads an odd stack with a zero field
+    for rows in _row_blocks(c, len(keys), _MIN_FIELDS, even=True):
+        block = c.block(rows)
+        for j, (name, lev) in zip(cols, keys):
+            _finite(c, block[:, j], name, lev)
+        # every variable's rows stay a view of the map; a subset is copied
+        power[rows] = spectra(block if kind == "power" else block[:, cols])
 
     init = c.attrs.get("init_time")
     t0 = cio._parse_time(init) if init else None

@@ -11,10 +11,9 @@ from __future__ import annotations
 import csv
 import json
 import os
-import re
 from contextlib import contextmanager
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime
 from pathlib import Path
 
 import numpy as np
@@ -56,22 +55,7 @@ def _format_time(t: datetime) -> str:
     return ensure_utc(t).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-# the form _format_time writes, with ASCII digits
-_CANONICAL_TIME = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", re.ASCII)
-
-
 def _parse_time(s: str) -> datetime:
-    """A time written as YYYY-MM-DDTHH:MM:SSZ, in UTC.
-
-    The canonical form takes the fast fromisoformat path; anything else
-    (or a canonical-looking string fromisoformat refuses) goes to
-    strptime, so the strings accepted and the errors raised are
-    strptime's."""
-    if type(s) is str and _CANONICAL_TIME.fullmatch(s):
-        try:
-            return datetime.fromisoformat(s[:-1]).replace(tzinfo=timezone.utc)
-        except ValueError:
-            pass
     return ensure_utc(datetime.strptime(s, "%Y-%m-%dT%H:%M:%SZ"))
 
 
@@ -178,7 +162,8 @@ class Container:
     def keys(self) -> list[tuple[str, str]]:
         return [(n, l) for n, l, _ in self.variables]
 
-    def _var_index(self, variable: str, level: str) -> int:
+    def index(self, variable: str, level: str = "single") -> int:
+        """Position of (variable, level) in the variable list."""
         try:
             return self.keys.index((variable, level))
         except ValueError:
@@ -189,11 +174,16 @@ class Container:
     def values(self, time_index, variable: str, level: str = "single"):
         """One (n_lat, n_lon) float64 array, or a (time, n_lat, n_lon) stack
         when time_index is a slice, copied out of the map."""
-        j = self._var_index(variable, level)
+        j = self.index(variable, level)
         return np.array(self._data[time_index, j], dtype=np.float64)
 
+    def block(self, time_index: slice) -> np.ndarray:
+        """The (time, variable, n_lat, n_lon) rows of every variable over
+        the read-only map, in the file's dtype: nothing is copied."""
+        return self._data[time_index]
+
     def field(self, time_index: int, variable: str, level: str = "single") -> Field:
-        j = self._var_index(variable, level)
+        j = self.index(variable, level)
         name, lev, units = self.variables[j]
         return Field(grid=self.grid, values=self.values(time_index, variable, level),
                      variable=name, level=lev, valid_time=self.times[time_index],
@@ -202,7 +192,7 @@ class Container:
     def series(self, variable: str, level: str = "single") -> FieldSeries:
         """Every time of one variable as a float64 FieldSeries, copied out
         of the map."""
-        j = self._var_index(variable, level)
+        j = self.index(variable, level)
         name, lev, units = self.variables[j]
         vals = np.array(self._data[:, j], dtype=np.float64)
         return FieldSeries(self.grid, name, lev, list(self.times), vals,
@@ -212,7 +202,7 @@ class Container:
         """Every time of one variable as a FieldSeries over the read-only
         map, in the file's dtype: nothing is read until it is indexed, so
         convert what you take from it to float64 before any arithmetic."""
-        j = self._var_index(variable, level)
+        j = self.index(variable, level)
         name, lev, units = self.variables[j]
         return FieldSeries(self.grid, name, lev, list(self.times),
                            self._data[:, j], units=units)
@@ -285,10 +275,8 @@ class _Writer:
         if self._next + k > len(self._times):
             raise ValueError(
                 f"{self._path}: more than {len(self._times)} time rows written")
-        for i in range(k):
-            for j, values in enumerate(block):
-                self._fh.write(self._cast(values[i], self._next + i, j))
-        self._done[self._next:self._next + k] = True
+        for j, values in enumerate(block):
+            self.at(range(self._next, self._next + k), j, values)
         self._next += k
 
     def at(self, rows, j: int, values) -> None:
@@ -301,15 +289,10 @@ class _Writer:
                 and all(0 <= row < len(self._times) for row in rows)):
             raise ValueError(
                 f"{self._path}: no cell for variable {j} at rows {rows}")
-        self._fh.flush()
-        fd = self._fh.fileno()
         n_var = len(self._variables)
         for row, field in zip(rows, values):
-            data = memoryview(self._cast(field, row, j)).cast("B")
-            offset = self._offset + (row * n_var + j) * self._cell
-            while data:
-                n = os.pwrite(fd, data, offset)
-                data, offset = data[n:], offset + n
+            self._fh.seek(self._offset + (row * n_var + j) * self._cell)
+            self._fh.write(self._cast(field, row, j))
             self._done[row, j] = True
 
     def check_complete(self) -> None:

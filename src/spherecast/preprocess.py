@@ -414,19 +414,15 @@ def climatology_bins(series_map, window_days: int = 61,
                 f"{key}: climatology inputs must share one time axis")
         flat = series.values.reshape(len(series), -1)
         for hi, h in enumerate(hours):
-            # nothing here keeps a yielded bin set once the caller drops it
-            yield series, hours, hi, _window_means(weights[h], flat, grid)
+            idx, w = weights[h]
+            # the samples are a temporary, and nothing here keeps a
+            # yielded bin set once the caller drops it
+            yield series, hours, hi, (
+                w @ np.asarray(flat[idx], dtype=np.float64)
+            ).reshape((365,) + grid.shape)
         del series, flat  # before the next series is taken
     if grid is None:
         raise ValueError("empty series collection")
-
-
-def _window_means(weights, flat, grid: GridSpec) -> np.ndarray:
-    """The (365, n_lat, n_lon) weighted means of one hour's samples, the
-    rows of flat that weights names, taken in float64."""
-    idx, w = weights
-    samples = np.asarray(flat[idx], dtype=np.float64)
-    return (w @ samples).reshape((365,) + grid.shape)
 
 
 def compute_climatology(series_map, window_days: int = 61,

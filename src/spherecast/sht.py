@@ -30,6 +30,9 @@ import numpy as np
 
 from .grid import Field, GridSpec
 
+# bytes of complex Fourier rows made at once in an analysis
+_FFT_BYTES = 1 << 22
+
 __all__ = [
     "HarmonicCoeffs",
     "SpectrumResult",
@@ -175,37 +178,47 @@ class SphericalHarmonicTransform:
         self._sign = np.where(m % 2, -1.0, 1.0)                # (-1)^m
         self._n_lon = grid.n_lon
 
+    def _fold(self, f: np.ndarray) -> np.ndarray:
+        """fold[p][m, i, b] of fields f (b, n_lat, n_lon): each mirrored
+        latitude pair's Fourier sum where l+m is even and difference where
+        it is odd, for degrees l of parity p, read as reals so that the
+        matmul is real-by-complex.  The fields are taken to float64 and
+        transformed a chunk at a time, so a stack passed as a view of a
+        file map is never copied whole.  An odd stack gets a zero field:
+        the BLAS kernels then see whole groups of four real columns, so
+        with OpenBLAS no field's sums depend on the others in the stack
+        and any split of a stack into calls gives the same bits."""
+        n, size, h = f.shape[0], self.l_max + 1, self._half
+        fold = np.zeros((2, size, h, n + n % 2), dtype=np.complex128)
+        step = max(1, _FFT_BYTES // (16 * self.grid.n_lat * self._n_lon))
+        for b in range(0, n, step):
+            chunk = slice(b, min(b + step, n))
+            wg = np.fft.rfft(np.asarray(f[chunk], dtype=np.float64),
+                             axis=-1)[..., :size]
+            wg *= self._weights[:, None]
+            north = wg[:, :h].transpose(2, 1, 0)               # (m, i, b)
+            south = fold[1, ..., chunk]
+            np.multiply(wg[:, ::-1][:, :h].transpose(2, 1, 0),
+                        self._sign[:, None, None], out=south)
+            np.add(north, south, out=fold[0, ..., chunk])
+            np.subtract(north, south, out=south)
+        return fold.view(np.float64)
+
     def analyze(self, values: np.ndarray) -> HarmonicCoeffs:
-        """Field values (..., n_lat, n_lon) -> coefficients a[..., l, m]."""
-        values = np.asarray(values, dtype=np.float64)
+        """Field values (..., n_lat, n_lon), of any real dtype, ->
+        coefficients a[..., l, m]."""
+        values = np.asarray(values)
         if values.shape[-2:] != self.grid.shape:
             raise ValueError(
                 f"values shape {values.shape} does not match grid "
                 f"{self.grid.shape}")
         stack = values.shape[:-2]
         f = values.reshape((-1,) + self.grid.shape)           # (b, lat, lon)
-        n, size, h = f.shape[0], self.l_max + 1, self._half
-        wg = np.fft.rfft(f, axis=-1)[..., :size]
-        wg *= self._weights[:, None]
-        north = wg[:, :h].transpose(2, 1, 0)                   # (m, i, b)
-        # fold[p][m, i, b]: each mirrored pair's sum where l+m is even and
-        # difference where it is odd, for degrees l of parity p; read as
-        # reals so that the matmul is real-by-complex.  An odd stack gets
-        # a zero field: the BLAS kernels then see whole groups of four real
-        # columns, so no field's sums depend on the others in the stack
-        # and any split of a stack into calls gives the same bits (a
-        # property test checks this against the BLAS in use).
-        w = n + n % 2
-        fold = np.zeros((2, size, h, w), dtype=np.complex128)
-        south = fold[1, ..., :n]
-        np.multiply(wg[:, ::-1][:, :h].transpose(2, 1, 0),
-                    self._sign[:, None, None], out=south)
-        np.add(north, south, out=fold[0, ..., :n])
-        np.subtract(north, south, out=south)
-        del wg, north, south
-        fold = fold.view(np.float64)
+        n, size = f.shape[0], self.l_max + 1
+        fold = self._fold(f)
+        w = fold.shape[-1]
         a = np.zeros((size, size, 2 * n))                      # (l, m, b)
-        row = np.empty((size, 1, 2 * w))
+        row = np.empty((size, 1, w))
         for l, p in _legendre_rows(self._x, self.l_max):
             np.matmul(p[:, None, :], fold[l % 2, :l + 1], out=row[:l + 1])
             a[l, :l + 1] = row[:l + 1, 0, :2 * n]
@@ -321,6 +334,7 @@ def potential_temperature_energy_spectrum(t, l_max: int,
     (one field or a stack) on grid.
     """
     t_values, grid = _values_and_grid(t, grid)
-    theta = t_values * (1000.0 / pressure_hpa) ** kappa
+    theta = (np.asarray(t_values, dtype=np.float64)
+             * (1000.0 / pressure_hpa) ** kappa)
     out = zonal_power_spectrum(theta, l_max, grid)
     return SpectrumResult(power=out.power, variable="theta", units="K2")

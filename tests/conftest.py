@@ -63,6 +63,9 @@ def fail_writes_after(monkeypatch, n_writes):
                 raise OSError(28, "No space left on device")
             return self.fh.write(data)
 
+        def seek(self, *args):
+            return self.fh.seek(*args)
+
         def __enter__(self):
             return self
 

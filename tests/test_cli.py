@@ -914,6 +914,37 @@ def test_spectrum_holds_one_pass_not_every_row(tmp_path, grid64):
     assert {v for v, _, _ in rows} == {"T", "Q", "Z"}
 
 
+@pytest.mark.parametrize("kind, keys, calls", [
+    ("power", ["--kind", "power"], [12, 12, 3]),
+    ("kinetic", ["--kind", "kinetic", "--u-var", "T", "--v-var", "Q",
+                 "--level", "single"], [8, 8, 2]),
+])
+def test_spectrum_pass_holds_eight_fields_when_a_row_exceeds_its_budget(
+        tmp_path, grid16, monkeypatch, kind, keys, calls):
+    # each transform call reruns the Legendre recurrence, so a pass of
+    # large fields still takes 8 of them (rounded up to an even count),
+    # not one row; the CSV does not depend on the pass size
+    from spherecast import cli
+    from spherecast.sht import SphericalHarmonicTransform
+    inp = tmp_path / "in.gvf"
+    _write_f32_input(inp, grid16, 9, ["T", "Q", "Z"], seed=39)
+    whole, passes = tmp_path / "whole.csv", tmp_path / "passes.csv"
+    args = ["spectrum", "--input", str(inp)] + keys
+    assert main(args + ["--output", str(whole)]) == 0
+    sizes = []
+    analyze = SphericalHarmonicTransform.analyze
+
+    def counted(self, values):
+        sizes.append(int(np.prod(np.shape(values)[:-2])))
+        return analyze(self, values)
+
+    monkeypatch.setattr(SphericalHarmonicTransform, "analyze", counted)
+    monkeypatch.setattr(cli, "_BLOCK_BYTES", 1)
+    assert main(args + ["--output", str(passes)]) == 0
+    assert sizes == calls
+    assert passes.read_bytes() == whole.read_bytes()
+
+
 def test_climatology_writes_each_bin_set_as_it_is_made(tmp_path, grid64):
     # a daily year of 3 variables at 64x128: each variable's float64
     # climatology is 23.9 MB, and only one is held at a time

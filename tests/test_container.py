@@ -1,5 +1,4 @@
 import json
-from datetime import datetime
 
 import numpy as np
 import pytest
@@ -325,52 +324,3 @@ def test_positioned_writes_fill_any_order_and_every_cell_is_required(
             with container_writer(placed, grid16, variables, times) as write:
                 write.at(rows, j, src[("T", "L10")].values[:1])
     assert list(tmp_path.iterdir()) == [whole]
-
-
-_TIME_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
-
-
-def _parse_outcome(parse, s):
-    try:
-        t = parse(s)
-    except Exception as exc:  # noqa: BLE001 - the outcome is compared
-        return type(exc), str(exc)
-    return t, t.tzinfo
-
-
-def _strptime_time(s):
-    from datetime import timezone
-    return datetime.strptime(s, _TIME_FORMAT).replace(tzinfo=timezone.utc)
-
-
-@pytest.mark.parametrize("s", [
-    "2020-01-01T00:00:00Z", "2020-02-29T18:00:00Z", "1995-12-31T23:59:59Z",
-    "0001-01-01T00:00:00Z", "9999-12-31T23:59:59Z",
-    "2021-02-29T00:00:00Z", "2020-13-01T00:00:00Z", "2020-00-10T00:00:00Z",
-    "2020-01-32T00:00:00Z", "2020-01-01T24:00:00Z", "2020-01-01T00:60:00Z",
-    "2020-01-01T00:00:60Z", "2020-01-01T00:00:61Z", "0000-01-01T00:00:00Z",
-    "2020-1-1T0:0:0Z", "2020-01-01T00:00:00", "2020-01-01T00:00:00z",
-    "2020-01-01 00:00:00Z", "2020-01-01T00:00:00+00:00", " 2020-01-01T00:00:00Z",
-    "2020-01-01T00:00:00Z ", "2020-W01-1T00:00:00Z", "20200101T000000Z",
-    "٢٠٢٠-01-01T00:00:00Z", "2020-01-01T00:00:00.5Z",
-    "2020-01-01T٠٠:00:00Z", "", "Z", 20200101, None,
-])
-def test_header_time_parse_matches_strptime(s):
-    from spherecast.container import _parse_time
-    assert _parse_outcome(_parse_time, s) == _parse_outcome(_strptime_time, s)
-
-
-def test_canonical_header_times_do_not_go_through_strptime(monkeypatch):
-    from datetime import timezone
-    from spherecast import container
-
-    class NoStrptime(datetime):
-        @classmethod
-        def strptime(cls, *args):
-            raise AssertionError("strptime called")
-
-    monkeypatch.setattr(container, "datetime", NoStrptime)
-    assert container._parse_time("2020-02-29T18:00:00Z") == datetime(
-        2020, 2, 29, 18, tzinfo=timezone.utc)
-    with pytest.raises(AssertionError, match="strptime called"):
-        container._parse_time("2020-1-1T0:0:0Z")

@@ -1,5 +1,5 @@
-"""Property tests of the container writer, header times, the blocked
-normalize and the stacked transform.
+"""Property tests of the container writer, the blocked normalize and the
+stacked transform.
 
 Examples are derandomized, so every run checks the same cases.
 """
@@ -12,10 +12,10 @@ from pathlib import Path
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from spherecast import cli
+from spherecast import cli, sht
 from spherecast.cli import main
-from spherecast.container import (_parse_time, container_writer,
-                                  read_container, write_container)
+from spherecast.container import (container_writer, read_container,
+                                  write_container)
 from spherecast.grid import (FieldSeries, make_equiangular_grid,
                              make_gaussian_grid)
 from spherecast.preprocess import NormStats, denormalize, normalize
@@ -145,6 +145,25 @@ def test_blocked_normalize_equals_whole_array(series, dtype, block_rows):
         cli._BLOCK_BYTES = saved
 
 
+def _blas_name() -> str:
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):
+        return ""
+
+
+# The bit-for-bit claim was checked with OpenBLAS (0.3, Haswell kernels),
+# whose gemv sums a field's columns alike in any whole group of four; on
+# another BLAS only the transform's documented agreement is asserted.
+_EXACT_SPLITS = "openblas" in _blas_name()
+
+
+def _same_coefficients(a, b) -> bool:
+    if _EXACT_SPLITS:
+        return np.array_equal(a, b)
+    return np.allclose(a, b, rtol=0, atol=1e-15 * max(np.abs(b).max(), 1e-300))
+
+
 @settings(DERANDOMIZED)
 @given(st.integers(1, 8), st.integers(0, 3), st.integers(0, 2 ** 32 - 1),
        st.data())
@@ -162,37 +181,21 @@ def test_any_split_of_a_stack_gives_the_same_coefficients(
     bounds = [0] + cuts + [n]
     passes = [transform.analyze(stack[a:b]).values
               for a, b in zip(bounds, bounds[1:]) if b > a]
-    assert np.array_equal(np.concatenate(passes), whole)
-    # and each field alone, and the stack as (time, variable) rows
-    assert all(np.array_equal(transform.analyze(stack[i]).values, whole[i])
-               for i in range(n))
+    assert _same_coefficients(np.concatenate(passes), whole)
+    # and each field alone, the stack as (time, variable) rows, and the
+    # stack in float32 against its float64 values
+    assert all(_same_coefficients(transform.analyze(stack[i]).values,
+                                  whole[i]) for i in range(n))
     if n % 3 == 0:
         rows = transform.analyze(stack.reshape((n // 3, 3) + grid.shape))
-        assert np.array_equal(rows.values.reshape(whole.shape), whole)
-
-
-_CANONICAL = "2020-02-29T18:07:59Z"
-
-
-@settings(DERANDOMIZED)
-@given(st.datetimes(), st.lists(st.tuples(
-    st.integers(0, 19),
-    st.sampled_from(list("0123456789-T:Z +.zW") + ["\u0662", "\u00b2", ""])),
-    max_size=2))
-def test_header_time_parse_matches_strptime_after_edits(when, edits):
-    from datetime import datetime as dt, timezone
-    chars = list(when.strftime("%Y-%m-%dT%H:%M:%SZ").rjust(len(_CANONICAL), "0"))
-    for i, c in edits:
-        chars[i] = c
-    s = "".join(chars)
-
-    def outcome(parse):
-        try:
-            t = parse(s)
-        except ValueError as exc:
-            return str(exc)
-        return t, t.tzinfo
-
-    assert outcome(_parse_time) == outcome(
-        lambda s: dt.strptime(s, "%Y-%m-%dT%H:%M:%SZ").replace(
-            tzinfo=timezone.utc))
+        assert _same_coefficients(rows.values.reshape(whole.shape), whole)
+    # Fourier transformed in chunks of any size, the fold is the same
+    saved = sht._FFT_BYTES
+    sht._FFT_BYTES = data.draw(st.integers(1, n)) * 16 * grid.n_lat * grid.n_lon
+    try:
+        assert np.array_equal(transform.analyze(stack).values, whole)
+    finally:
+        sht._FFT_BYTES = saved
+    single = stack.astype(np.float32)
+    assert np.array_equal(transform.analyze(single).values,
+                          transform.analyze(single.astype(np.float64)).values)
