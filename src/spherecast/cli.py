@@ -16,22 +16,22 @@ import json
 import sys
 import zlib
 from datetime import timedelta
+from functools import reduce
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from . import container as cio
-from .container import (ContainerError, container_writer, read_container,
-                        write_container)
-from .grid import FieldSeries, make_equiangular_grid, make_gaussian_grid
+from .container import ContainerError, container_writer, read_container
+from .grid import (Field, FieldSeries, default_units, make_equiangular_grid,
+                   make_gaussian_grid)
 from .padding import PadSpec, pad
 from .preprocess import (Climatology, NormStats, climatology_bins,
                          climatology_writer, compute_norm_stats, denormalize,
                          normalize)
 from .rollout import (ExternalForecasterError, PipelineStep,
-                      PostprocessError, RolloutPlan, apply_postprocessing,
-                      run_rollout_to_dir)
+                      PostprocessError, RolloutPlan, run_rollout_to_dir)
 from .sht import (kinetic_energy_spectrum, potential_temperature_energy_spectrum,
                   zonal_power_spectrum)
 from .solar import SolarConfig, accumulated_irradiance, read_gsc_csv
@@ -157,8 +157,11 @@ def _views(c):
 
 def _cmd_stats(cfg):
     c = read_container(cfg["input"])
-    stats = compute_norm_stats(
-        _views(c), denominator=cfg["denominator"] if cfg["residual"] else None)
+    denominator = cfg["denominator"] if cfg["residual"] else None
+    try:
+        stats = compute_norm_stats(_views(c), denominator=denominator)
+    except ValueError as exc:
+        raise ValueError(f"{c.path}: {exc}") from None
     stats.to_json(cfg["output"])
 
 
@@ -170,7 +173,7 @@ def _finite(c, values, variable: str, level: str):
 
 
 # bytes of float64 rows, over all variables read, in one block of a
-# normalize or denormalize or one pass of a spectrum
+# row-mapping stage (_map_rows) or one pass of a spectrum
 _BLOCK_BYTES = 1 << 21
 # fields in one spectrum pass at the least, whatever their size: each
 # transform call reruns the Legendre recurrence, which costs about as much
@@ -191,34 +194,33 @@ def _row_blocks(c, n_keys: int, min_fields: int = 1, even: bool = False):
             for start in range(0, max(len(c.times), 1), n)]
 
 
-def _apply_per_series(cfg, transform):
-    """transform(FieldSeries, stats) over the input, block of times by
-    block of times, each block read as float64 and written as it is done.
-    The first block, empty for an empty time axis, gives the units."""
-    c = read_container(cfg["input"])
-    stats = NormStats.from_json(cfg["stats"])
-    blocks = ([transform(FieldSeries(
-                   c.grid, name, lev, c.times[rows],
-                   _finite(c, c.values(rows, name, lev), name, lev),
-                   units=units), stats)
-               for name, lev, units in c.variables]
-              for rows in _row_blocks(c, len(c.keys)))
-    block = next(blocks)
-    with container_writer(cfg["output"], c.grid,
-                          [(s.variable, s.level, s.units) for s in block],
+def _map_rows(cfg, c, transform, grid=None, units=None, attrs=None):
+    """Write cfg["output"], its header (c's, but for any grid, units, attrs
+    or --dtype given) fixed first, then block of time rows by block: each
+    variable's rows as a checked float64 FieldSeries through transform."""
+    with container_writer(cfg["output"], grid or c.grid,
+                          [(name, lev, units or u)
+                           for name, lev, u in c.variables],
                           c.times, dtype=cfg["dtype"] or c.dtype_name,
-                          attrs=c.attrs) as write:
-        write([s.values for s in block])
-        for block in blocks:
-            write([s.values for s in block])
+                          attrs=c.attrs if attrs is None else attrs) as write:
+        for rows in _row_blocks(c, len(c.keys)):
+            write([transform(FieldSeries(
+                       c.grid, name, lev, c.times[rows],
+                       _finite(c, c.values(rows, name, lev), name, lev),
+                       units=u))
+                   for name, lev, u in c.variables])
 
 
 def _cmd_normalize(cfg):
-    return _apply_per_series(cfg, normalize)
+    c = read_container(cfg["input"])
+    stats = NormStats.from_json(cfg["stats"])
+    _map_rows(cfg, c, lambda s: normalize(s, stats).values, units="1")
 
 
 def _cmd_denormalize(cfg):
-    return _apply_per_series(cfg, denormalize)
+    c = read_container(cfg["input"])
+    stats = NormStats.from_json(cfg["stats"])
+    _map_rows(cfg, c, lambda s: denormalize(s, stats).values)
 
 
 def _cmd_climatology(cfg):
@@ -242,17 +244,17 @@ def _cmd_solar(cfg):
         raise UsageError(f"--windows must be at least 1, got {cfg['windows']}")
     start = _parse_time_arg(cfg["start"], "--start")
     grid = _parse_grid(cfg["grid"])
-    table = read_gsc_csv(cfg["gsc_csv"]) if cfg["gsc_csv"] else None
-    config = SolarConfig(gsc_table=table)
-    fields = []
-    for k in range(cfg["windows"]):
-        fields.append(accumulated_irradiance(
-            start + timedelta(hours=k * cfg["window_hours"]),
-            cfg["window_hours"], grid, config))
-    series = FieldSeries.from_fields(fields)
-    write_container({series.key: series}, cfg["output"],
-                    dtype=cfg["dtype"] or "f32",
-                    attrs={"window_hours": cfg["window_hours"]})
+    config = SolarConfig(gsc_table=read_gsc_csv(cfg["gsc_csv"])
+                         if cfg["gsc_csv"] else None)
+    hours = cfg["window_hours"]
+    starts = [start + timedelta(hours=k * hours) for k in range(cfg["windows"])]
+    with container_writer(cfg["output"], grid,
+                          [("Is", "single", default_units("Is"))],
+                          [t + timedelta(hours=hours) for t in starts],
+                          dtype=cfg["dtype"] or "f32",
+                          attrs={"window_hours": hours}) as write:
+        for t in starts:  # each window is written as soon as it is made
+            write([accumulated_irradiance(t, hours, grid, config).values[None]])
 
 
 def _cmd_pad(cfg):
@@ -260,18 +262,11 @@ def _cmd_pad(cfg):
     spec = PadSpec(pad_ns=cfg["pad_ns"], pad_ew=cfg["pad_ew"], mode=cfg["mode"])
     pseudo = make_equiangular_grid(c.grid.n_lat + 2 * spec.pad_ns,
                                    c.grid.n_lon + 2 * spec.pad_ew)
-    attrs = dict(c.attrs)
-    attrs["padding"] = {"pad_ns": spec.pad_ns, "pad_ew": spec.pad_ew,
-                        "mode": spec.mode,
-                        "interior_grid": {"kind": c.grid.kind,
-                                          "n_lat": c.grid.n_lat,
-                                          "n_lon": c.grid.n_lon}}
-    with container_writer(cfg["output"], pseudo, c.variables, c.times,
-                          dtype=cfg["dtype"] or c.dtype_name,
-                          attrs=attrs) as write:
-        for i in range(len(c.times)):
-            write([pad(c.values(i, name, lev), spec)[None]
-                   for name, lev, _ in c.variables])
+    padding = {"pad_ns": spec.pad_ns, "pad_ew": spec.pad_ew, "mode": spec.mode,
+               "interior_grid": {"kind": c.grid.kind, "n_lat": c.grid.n_lat,
+                                 "n_lon": c.grid.n_lon}}
+    _map_rows(cfg, c, lambda s: pad(s.values, spec), grid=pseudo,
+              attrs={**c.attrs, "padding": padding})
 
 
 def _cmd_filter(cfg):
@@ -287,13 +282,8 @@ def _cmd_filter(cfg):
     if not steps:
         raise UsageError("filter needs --diffuse and/or --pole-filter")
     c = read_container(cfg["input"])
-    with container_writer(cfg["output"], c.grid, c.variables, c.times,
-                          dtype=cfg["dtype"] or c.dtype_name,
-                          attrs=c.attrs) as write:
-        for i in range(len(c.times)):
-            state = apply_postprocessing(
-                {key: c.values(i, *key) for key in c.keys}, steps, c.grid)
-            write([state[key][None] for key in c.keys])
+    _map_rows(cfg, c, lambda s: reduce(
+        lambda values, step: step.apply(values, c.grid), steps, s.values))
 
 
 # the spectrum flags that only some kinds read, and those kinds
@@ -389,8 +379,8 @@ def _mean_correlation(path, weighted):
     """Correlation matrix of a container's variables, averaged over times."""
     c = read_container(path)
     return average_correlations([
-        spatial_correlation([c.field(i, name, level)
-                             for name, level, _ in c.variables],
+        spatial_correlation([Field(c.grid, _finite(c, c.values(i, *key), *key),
+                                   *key) for key in c.keys],
                             weighted=weighted)
         for i in range(len(c.times))])
 
@@ -638,7 +628,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (ContainerError, ExternalForecasterError, FileNotFoundError,
             KeyError) as exc:
-        msg = exc.args[0] if exc.args else exc
+        # a KeyError's str() quotes its message; an OSError's names the path
+        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"data error: {msg}", file=sys.stderr)
         return EXIT_DATA
     except (ValueError, ZeroDivisionError, OSError) as exc:

@@ -119,7 +119,7 @@ def diffusion_stability_bound(grid: GridSpec) -> float:
 
 def diffuse_values(values: np.ndarray, grid: GridSpec,
                    spec: DiffusionSpec) -> np.ndarray:
-    """Run explicit diffusion steps on a (n_lat, n_lon) array."""
+    """Run explicit diffusion steps on each (n_lat, n_lon) field of a stack."""
     spec.check_stable(grid)
     if spec.steps == 0 or spec.nu_dt == 0.0:
         return np.array(values, dtype=np.float64)
@@ -132,13 +132,13 @@ def diffuse_values(values: np.ndarray, grid: GridSpec,
     dlam = 2.0 * np.pi / grid.n_lon
 
     f = np.array(values, dtype=np.float64)
-    flux = np.zeros((grid.n_lat + 1, grid.n_lon))
+    flux = np.zeros(f.shape[:-2] + (grid.n_lat + 1, grid.n_lon))
     for _ in range(spec.steps):
         # interior meridional fluxes; polar half levels stay zero because
         # sin(colat) vanishes there, killing the ghost-row contribution
-        flux[1:-1] = half_sin[:, None] * (f[1:] - f[:-1]) / dtheta[:, None]
-        merid = (flux[1:] - flux[:-1]) / measures[:, None]
-        zonal = (np.roll(f, -1, axis=1) - 2.0 * f + np.roll(f, 1, axis=1)) \
+        flux[..., 1:-1, :] = half_sin[:, None] * np.diff(f, axis=-2) / dtheta[:, None]
+        merid = np.diff(flux, axis=-2) / measures[:, None]
+        zonal = (np.roll(f, -1, axis=-1) - 2.0 * f + np.roll(f, 1, axis=-1)) \
             / (sin_t[:, None] ** 2 * dlam ** 2)
         f = f + spec.nu_dt * (merid + zonal)
     return f
@@ -151,20 +151,16 @@ def laplacian_diffuse(field: Field, spec: DiffusionSpec) -> Field:
 
 def pole_filter_values(values: np.ndarray, grid: GridSpec,
                        spec: PoleFilterSpec) -> np.ndarray:
-    """Zonally low-pass rows poleward of start_lat; others pass through."""
+    """Zonally low-pass rows poleward of start_lat of each field of a stack."""
     f = np.array(values, dtype=np.float64)
-    cos_ref = np.cos(np.radians(spec.ref))
     nyquist = grid.n_lon // 2
-    m = np.arange(nyquist + 1)
-    for i, lat in enumerate(grid.latitudes):
-        if abs(lat) < spec.start_lat:
-            continue
-        m_max = int(np.floor(nyquist * np.cos(np.radians(lat)) / cos_ref))
-        if m_max >= nyquist:
-            continue
-        coeffs = np.fft.rfft(f[i])
-        coeffs[m > m_max] = 0.0
-        f[i] = np.fft.irfft(coeffs, n=grid.n_lon)
+    m_max = np.floor(nyquist * np.cos(np.radians(grid.latitudes))
+                     / np.cos(np.radians(spec.ref)))
+    # rows the cutoff leaves whole skip the transform and keep their bits
+    rows = (np.abs(grid.latitudes) >= spec.start_lat) & (m_max < nyquist)
+    coeffs = np.fft.rfft(f[..., rows, :])
+    coeffs[..., np.arange(nyquist + 1) > m_max[rows, None]] = 0.0
+    f[..., rows, :] = np.fft.irfft(coeffs, n=grid.n_lon)
     return f
 
 

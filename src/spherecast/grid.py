@@ -290,18 +290,6 @@ class FieldSeries:
         self.values = values
         self.units = units if units is not None else default_units(variable)
 
-    @classmethod
-    def from_fields(cls, fields: list[Field]) -> "FieldSeries":
-        if not fields:
-            raise ValueError("empty field list")
-        first = fields[0]
-        for f in fields[1:]:
-            if f.grid != first.grid or f.key != first.key:
-                raise ValueError("fields must share grid, variable and level")
-        return cls(first.grid, first.variable, first.level,
-                   [f.valid_time for f in fields],
-                   np.stack([f.values for f in fields]), units=first.units)
-
     @property
     def key(self) -> tuple[str, str]:
         return (self.variable, self.level)

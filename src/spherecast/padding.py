@@ -49,45 +49,45 @@ class PadSpec:
 
 
 def pad(values: np.ndarray, spec: PadSpec) -> np.ndarray:
-    """Extend a (n_lat, n_lon) array across the poles and the dateline.
+    """Extend each field of a stack across the poles and the dateline.
 
-    Result shape is (n_lat + 2*pad_ns, n_lon + 2*pad_ew).  Poles first:
+    Result shape is (..., n_lat + 2*pad_ns, n_lon + 2*pad_ew).  Poles first:
     row pad_ns-1-k of the output top block is input row k rolled by
     n_lon/2, so the row adjacent to the boundary mirrors the row nearest
     the pole.  Dateline wrap is applied to the pole-extended array.
     """
     values = np.asarray(values)
-    if values.ndim != 2:
-        raise ValueError(f"expected a 2-D array, got shape {values.shape}")
-    n_lat, n_lon = values.shape
+    if values.ndim < 2:
+        raise ValueError(f"need (..., n_lat, n_lon), got shape {values.shape}")
+    n_lat, n_lon = values.shape[-2:]
     spec.validate(n_lat, n_lon)
     shift = n_lon // 2 if spec.mode == "rotate_reflect" else 0
 
     out = values
     if spec.pad_ns:
-        top = values[:spec.pad_ns][::-1]
-        bottom = values[-spec.pad_ns:][::-1]
+        top = values[..., :spec.pad_ns, :][..., ::-1, :]
+        bottom = values[..., -spec.pad_ns:, :][..., ::-1, :]
         if shift:
-            top = np.roll(top, shift, axis=1)
-            bottom = np.roll(bottom, shift, axis=1)
-        out = np.concatenate([top, out, bottom], axis=0)
+            top = np.roll(top, shift, axis=-1)
+            bottom = np.roll(bottom, shift, axis=-1)
+        out = np.concatenate([top, out, bottom], axis=-2)
     if spec.pad_ew:
         out = np.concatenate(
-            [out[:, -spec.pad_ew:], out, out[:, :spec.pad_ew]], axis=1)
+            [out[..., -spec.pad_ew:], out, out[..., :spec.pad_ew]], axis=-1)
     return np.ascontiguousarray(out)
 
 
 def unpad(padded: np.ndarray, spec: PadSpec) -> np.ndarray:
-    """Recover the interior of a padded array; inverse of pad, bit-exact."""
+    """Recover the interior of each padded field; inverse of pad, bit-exact."""
     padded = np.asarray(padded)
-    if padded.ndim != 2:
-        raise ValueError(f"expected a 2-D array, got shape {padded.shape}")
-    n_lat = padded.shape[0] - 2 * spec.pad_ns
-    n_lon = padded.shape[1] - 2 * spec.pad_ew
+    if padded.ndim < 2:
+        raise ValueError(f"need (..., n_lat, n_lon), got shape {padded.shape}")
+    n_lat = padded.shape[-2] - 2 * spec.pad_ns
+    n_lon = padded.shape[-1] - 2 * spec.pad_ew
     if n_lat < 1 or n_lon < 1:
         raise ValueError(
             f"padded shape {padded.shape} inconsistent with "
             f"pad_ns={spec.pad_ns}, pad_ew={spec.pad_ew}")
     spec.validate(n_lat, n_lon)
-    return padded[spec.pad_ns:spec.pad_ns + n_lat,
+    return padded[..., spec.pad_ns:spec.pad_ns + n_lat,
                   spec.pad_ew:spec.pad_ew + n_lon].copy()

@@ -74,19 +74,40 @@ class NormStats:
                 for (v, l), e in sorted(self.entries.items())
             },
         }
+        _stat_entries(doc)  # write only what from_json loads
         with atomic_write(path) as fh:
-            fh.write(json.dumps(doc, indent=2) + "\n")
+            fh.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
     @classmethod
     def from_json(cls, path) -> "NormStats":
-        doc = json.loads(Path(path).read_text())
-        entries = {}
-        for key, e in doc["entries"].items():
-            v, _, l = key.partition("|")
-            entries[(v, l)] = StatEntry(mu=e["mu"], sigma=e["sigma"], xi=e["xi"])
+        """Load a stats file; ValueError names the file and a bad key."""
+        try:
+            doc = json.loads(Path(path).read_text())
+            entries = _stat_entries(doc)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         period = tuple(doc["period"]) if doc.get("period") else None
         return cls(entries=entries, step_hours=doc.get("step_hours"),
                    period=period, denominator=doc.get("denominator", "tendency"))
+
+
+def _stat_entries(doc) -> dict[tuple[str, str], StatEntry]:
+    """The entries of a stats document: an object whose "entries" map each
+    "variable|level" to a finite mu and a finite, positive sigma and xi."""
+    if not (isinstance(doc, dict) and isinstance(doc.get("entries"), dict)):
+        raise ValueError("not a JSON object with an 'entries' object")
+    entries = {}
+    for key, e in doc["entries"].items():
+        for name in ("mu", "sigma", "xi"):
+            value = e.get(name) if isinstance(e, dict) else e
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not np.isfinite(value) or (name != "mu" and value <= 0)):
+                raise ValueError(f"entry {key!r}: {name} must be a finite"
+                                 f"{'' if name == 'mu' else ', positive'} "
+                                 f"number, got {value!r}")
+        v, _, l = key.partition("|")
+        entries[(v, l)] = StatEntry(mu=e["mu"], sigma=e["sigma"], xi=e["xi"])
+    return entries
 
 
 def _merge_moments(n_a, mean_a, m2_a, n_b, mean_b, m2_b):
@@ -128,12 +149,11 @@ def _stat_entry(key, series: FieldSeries, period) -> StatEntry:
         values = values[sel]
     n, mean, m2 = _streaming_moments(values)
     sigma = float(np.sqrt(m2 / n))
-    # rounding noise of an exactly constant field shows up as
-    # sigma ~ eps * |mean|; reject that as zero variance too
-    if sigma <= 1e-14 * abs(mean):
-        raise ValueError(
-            f"{key[0]} ({key[1]}): zero variance over the period; "
-            "cannot standardize")
+    # rounding noise of an exactly constant field shows up as sigma ~
+    # eps * |mean|; reject that as zero variance too, and NaN or inf moments
+    if not 1e-14 * abs(mean) < sigma < np.inf:
+        raise ValueError(f"{key[0]} ({key[1]}): zero variance or non-finite "
+                         "values over the period; cannot standardize")
     return StatEntry(mu=mean, sigma=sigma)
 
 
@@ -173,6 +193,8 @@ def _spreads(key, series: FieldSeries, e: StatEntry,
     del tprime
     dt *= dt
     tend = float(np.sqrt(np.mean(dt)))
+    if not 0.0 < tend < np.inf:
+        raise ValueError(f"{key[0]} ({key[1]}): zero or non-finite tendency std")
     return tend, tend if ref is None else ref
 
 

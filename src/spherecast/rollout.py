@@ -120,7 +120,7 @@ class PipelineStep:
             object.__setattr__(self, "variables", tuple(self.variables))
 
     def apply(self, values: np.ndarray, grid) -> np.ndarray:
-        """The operator on one (n_lat, n_lon) array."""
+        """The operator on an (..., n_lat, n_lon) array, each field on its own."""
         if self.kind == "clamp_nonnegative":
             return clamp_nonnegative_values(values, self.spec.floor)
         if self.kind == "laplacian_diffuse":

@@ -1075,3 +1075,137 @@ def test_empty_time_axis_climatology_exits_three_and_spectrum_is_header_only(
     spec = tmp_path / "spec.csv"
     assert main(["spectrum", "--input", str(inp), "--output", str(spec)]) == 0
     assert spec.read_text() == "variable,lead_hours,m,power\n"
+
+
+def test_solar_holds_one_window_not_all(tmp_path):
+    # 48 one-hour windows at 64x128 are 3 MB of float64 fields; each is
+    # written as it is made, so 48 windows allocate no more than one
+    def peak(windows):
+        return _peak_bytes(lambda: main([
+            "solar", "--grid", "gaussian:64x128", "--windows", str(windows),
+            "--start", "2020-03-20T00:00:00", "--window-hours", "1",
+            "--output", str(tmp_path / f"solar{windows}.gvf")]))
+    (code_one, one), (code_many, many) = peak(1), peak(48)
+    assert code_one == code_many == 0
+    assert many < one + 4 * 64 * 128 * 8
+    c = read_container(tmp_path / "solar48.gvf")
+    assert len(c.times) == 48
+    assert np.array_equal(c.values(0, "Is"),
+                          read_container(tmp_path / "solar1.gvf").values(0, "Is"))
+
+
+@pytest.mark.parametrize("argv", [["filter", "--diffuse", "1e-5,2"],
+                                  ["filter", "--pole-filter", "60"],
+                                  ["pad", "--pad-ns", "2", "--pad-ew", "2"]])
+def test_filter_and_pad_of_non_finite_input_exit_three(tmp_path, grid16,
+                                                       capsys, argv):
+    # both used to exit 0 and write the NaN through
+    src = [make_series(grid16, "T", n_time=3, seed=50),
+           make_series(grid16, "Q", n_time=3, seed=51)]
+    src[1].values[2, 5, 6] = np.nan
+    inp, out = tmp_path / "in.gvf", tmp_path / "out.gvf"
+    write_container(src, inp, dtype="f64")
+    assert main(argv + ["--input", str(inp), "--output", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert str(inp) in err and "Q (single)" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.gvf"]
+
+
+def _stats_input(tmp_path, grid, t_values=None):
+    src = [make_series(grid, "T", n_time=4, seed=52, values=t_values),
+           make_series(grid, "Z", n_time=4, seed=53)]
+    inp = tmp_path / "in.gvf"
+    write_container(src, inp, dtype="f64")
+    return inp
+
+
+def test_stats_of_non_finite_input_exits_three_naming_file(tmp_path, grid16,
+                                                           capsys):
+    # used to exit 0 with "mu": NaN (not JSON), and Z's xi NaN as well
+    values = np.random.default_rng(54).normal(size=(4,) + grid16.shape)
+    values[1, 2, 3] = np.nan
+    inp = _stats_input(tmp_path, grid16, values)
+    out = tmp_path / "stats.json"
+    assert main(["stats", "--input", str(inp), "--output", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert str(inp) in err and "T (single)" in err
+    assert not out.exists()
+
+
+def test_stats_of_a_variable_constant_in_time_exits_three(tmp_path, grid16,
+                                                         capsys):
+    # used to fail with a bare "float division by zero"
+    field = np.random.default_rng(55).normal(size=grid16.shape)
+    inp = _stats_input(tmp_path, grid16, np.stack([field] * 4))
+    out = tmp_path / "stats.json"
+    assert main(["stats", "--input", str(inp), "--output", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert str(inp) in err and "T (single)" in err and "zero" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, named", [
+    ('{"entries": {"T|single": {"mu": 1.0, "xi": 1.0}}}', "sigma"),
+    ('{"entries": {"T|single": {"mu": 1.0, "sigma": 0, "xi": 1.0}}}', "sigma"),
+    ('{"entries": {"T|single": {"mu": "1", "sigma": 2.0, "xi": 1.0}}}', "mu"),
+    ('{"entries": {"T|single": {"mu": 1.0, "sigma": 2.0, "xi": true}}}', "xi"),
+    ('{"entries": {"T|single": [1.0, 2.0, 1.0]}}', "T|single"),
+    ('{"entries": [1.0, 2.0, 1.0]}', "entries"),
+    ('[{"mu": 1.0, "sigma": 2.0, "xi": 1.0}]', "not a JSON object"),
+    ('{"entries": {"T|single": {"mu": 1.0, "sigma": 2.0', "Expecting"),
+])
+def test_malformed_stats_file_exits_three_naming_file_and_key(
+        tmp_path, grid16, capsys, text, named):
+    # a missing key used to exit 2 as "data error: sigma", a JSON list
+    # raised a TypeError, and bad JSON named no file
+    inp = _stats_input(tmp_path, grid16)
+    stats = tmp_path / "stats.json"
+    stats.write_text(text)
+    out = tmp_path / "norm.gvf"
+    assert main(["normalize", "--input", str(inp), "--stats", str(stats),
+                 "--output", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert str(stats) in err and named in err
+    assert not out.exists()
+
+
+def test_every_stats_file_written_loads(tmp_path, grid16):
+    from spherecast.preprocess import NormStats, StatEntry
+    inp = _stats_input(tmp_path, grid16)
+    for residual in ("--residual", "--no-residual"):
+        out = tmp_path / f"stats{residual}.json"
+        assert main(["stats", "--input", str(inp), "--output", str(out),
+                     residual]) == 0
+        assert NormStats.from_json(out).entries
+    bad = NormStats(entries={("T", "single"): StatEntry(0.0, -1.0)})
+    with pytest.raises(ValueError, match="sigma"):
+        bad.to_json(tmp_path / "bad.json")
+    assert not (tmp_path / "bad.json").exists()
+
+
+@pytest.mark.parametrize("flag", ["stats", "gsc_csv"])
+def test_missing_side_file_names_its_path(tmp_path, grid16, capsys, flag):
+    # used to print "data error: 2", the errno
+    missing = tmp_path / "absent.file"
+    if flag == "stats":
+        argv = ["normalize", "--input", str(_stats_input(tmp_path, grid16)),
+                "--stats", str(missing)]
+    else:
+        argv = ["solar", "--grid", "gaussian:8x16",
+                "--start", "2020-03-20T00:00:00", "--gsc-csv", str(missing)]
+    assert main(argv + ["--output", str(tmp_path / "out.gvf")]) == 2
+    err = capsys.readouterr().err
+    assert str(missing) in err
+    assert not (tmp_path / "out.gvf").exists()
+
+
+def test_correlate_non_finite_input_names_the_file(tmp_path, grid16, capsys):
+    src = [make_series(grid16, "T", n_time=2, seed=56),
+           make_series(grid16, "U", n_time=2, seed=57)]
+    src[0].values[1, 0, 0] = np.inf
+    inp, out = tmp_path / "in.gvf", tmp_path / "corr.csv"
+    write_container(src, inp, dtype="f64")
+    assert main(["correlate", "--input", str(inp), "--output", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert str(inp) in err and "T (single)" in err
+    assert not out.exists()

@@ -1,5 +1,5 @@
-"""Property tests of the container writer, the blocked normalize and the
-stacked transform.
+"""Property tests of the container writer, the blocked normalize, the
+stacked transform, and the padding and filters on stacks.
 
 Examples are derandomized, so every run checks the same cases.
 """
@@ -14,10 +14,14 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from spherecast import cli, sht
 from spherecast.cli import main
+from spherecast.filters import (DiffusionSpec, PoleFilterSpec,
+                                diffuse_values, diffusion_stability_bound,
+                                pole_filter_values)
 from spherecast.container import (container_writer, read_container,
                                   write_container)
 from spherecast.grid import (FieldSeries, make_equiangular_grid,
                              make_gaussian_grid)
+from spherecast.padding import PadSpec, pad, unpad
 from spherecast.preprocess import NormStats, denormalize, normalize
 from spherecast.sht import SphericalHarmonicTransform
 
@@ -199,3 +203,62 @@ def test_any_split_of_a_stack_gives_the_same_coefficients(
     single = stack.astype(np.float32)
     assert np.array_equal(transform.analyze(single).values,
                           transform.analyze(single.astype(np.float64)).values)
+
+
+@st.composite
+def grids(draw):
+    n_lat = 2 * draw(st.integers(1, 5))
+    n_lon = 2 * draw(st.integers(2, 9))
+    if draw(st.booleans()):
+        return make_gaussian_grid(n_lat, max(n_lon, 2 * n_lat))
+    return make_equiangular_grid(n_lat, n_lon)
+
+
+@st.composite
+def pad_specs(draw, n_lat, n_lon):
+    mode = draw(st.sampled_from(["rotate_reflect", "reflect_only"]
+                                if n_lon % 2 == 0 else ["reflect_only"]))
+    return PadSpec(draw(st.integers(0, n_lat)),
+                   draw(st.integers(0, n_lon // 2)), mode)
+
+
+def _stack(data, grid):
+    """0 to 3 fields in each of up to two leading axes, on grid."""
+    lead = tuple(data.draw(st.lists(st.integers(0, 3), max_size=2)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    return rng.normal(size=lead + grid.shape) * 10.0 ** rng.integers(-5, 6)
+
+
+def _same_as_per_field(op, stack):
+    out = op(stack)
+    assert out.shape[:-2] == stack.shape[:-2]
+    for i in np.ndindex(stack.shape[:-2]):
+        assert out[i].tobytes() == op(stack[i]).tobytes()
+
+
+@settings(DERANDOMIZED)
+@given(grids(), st.data())
+def test_operators_on_a_stack_equal_per_field_calls(grid, data):
+    stack = _stack(data, grid)
+    spec = data.draw(pad_specs(grid.n_lat, grid.n_lon))
+    _same_as_per_field(lambda x: pad(x, spec), stack)
+    bound = diffusion_stability_bound(grid)
+    diffusion = DiffusionSpec(data.draw(st.floats(0.0, bound)),
+                              data.draw(st.integers(0, 3)))
+    _same_as_per_field(lambda x: diffuse_values(x, grid, diffusion), stack)
+    pole = PoleFilterSpec(data.draw(st.floats(1.0, 89.0)),
+                          data.draw(st.none() | st.floats(1.0, 89.0)))
+    _same_as_per_field(lambda x: pole_filter_values(x, grid, pole), stack)
+
+
+@settings(DERANDOMIZED)
+@given(st.integers(1, 12), st.integers(1, 24), st.data())
+def test_unpad_of_pad_is_the_input(n_lat, n_lon, data):
+    lead = tuple(data.draw(st.lists(st.integers(0, 3), max_size=1)))
+    x = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))).normal(
+        size=lead + (n_lat, n_lon))
+    spec = data.draw(pad_specs(n_lat, n_lon))
+    padded = pad(x, spec)
+    assert padded.shape == lead + (n_lat + 2 * spec.pad_ns,
+                                   n_lon + 2 * spec.pad_ew)
+    assert unpad(padded, spec).tobytes() == x.tobytes()
