@@ -197,7 +197,8 @@ def _row_blocks(c, n_keys: int, min_fields: int = 1, even: bool = False):
 def _map_rows(cfg, c, transform, grid=None, units=None, attrs=None):
     """Write cfg["output"], its header (c's, but for any grid, units, attrs
     or --dtype given) fixed first, then block of time rows by block: each
-    variable's rows as a checked float64 FieldSeries through transform."""
+    variable's rows as a checked float64 FieldSeries through transform,
+    which may overwrite the series' values, a fresh array for each call."""
     with container_writer(cfg["output"], grid or c.grid,
                           [(name, lev, units or u)
                            for name, lev, u in c.variables],
@@ -214,13 +215,14 @@ def _map_rows(cfg, c, transform, grid=None, units=None, attrs=None):
 def _cmd_normalize(cfg):
     c = read_container(cfg["input"])
     stats = NormStats.from_json(cfg["stats"])
-    _map_rows(cfg, c, lambda s: normalize(s, stats).values, units="1")
+    _map_rows(cfg, c, lambda s: normalize(s, stats, out=s.values).values,
+              units="1")
 
 
 def _cmd_denormalize(cfg):
     c = read_container(cfg["input"])
     stats = NormStats.from_json(cfg["stats"])
-    _map_rows(cfg, c, lambda s: denormalize(s, stats).values)
+    _map_rows(cfg, c, lambda s: denormalize(s, stats, out=s.values).values)
 
 
 def _cmd_climatology(cfg):
@@ -283,7 +285,8 @@ def _cmd_filter(cfg):
         raise UsageError("filter needs --diffuse and/or --pole-filter")
     c = read_container(cfg["input"])
     _map_rows(cfg, c, lambda s: reduce(
-        lambda values, step: step.apply(values, c.grid), steps, s.values))
+        lambda values, step: step.apply(values, c.grid, out=values), steps,
+        s.values))
 
 
 # the spectrum flags that only some kinds read, and those kinds

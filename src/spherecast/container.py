@@ -177,8 +177,9 @@ class Container:
         j = self.index(variable, level)
         return np.array(self._data[time_index, j], dtype=np.float64)
 
-    def block(self, time_index: slice) -> np.ndarray:
-        """The (time, variable, n_lat, n_lon) rows of every variable over
+    def block(self, time_index) -> np.ndarray:
+        """The (time, variable, n_lat, n_lon) rows of a slice, or the
+        (variable, n_lat, n_lon) row of an index, of every variable over
         the read-only map, in the file's dtype: nothing is copied."""
         return self._data[time_index]
 

@@ -117,30 +117,89 @@ def diffusion_stability_bound(grid: GridSpec) -> float:
     return 0.2 / max(1.0 / dphi_min ** 2, 1.0 / (cos_min * dlam) ** 2)
 
 
-def diffuse_values(values: np.ndarray, grid: GridSpec,
-                   spec: DiffusionSpec) -> np.ndarray:
-    """Run explicit diffusion steps on each (n_lat, n_lon) field of a stack."""
-    spec.check_stable(grid)
-    if spec.steps == 0 or spec.nu_dt == 0.0:
+# bytes of float64 rows of one field in a latitude band of a diffusion
+# sweep; each of the sweep's three scratch arrays is about this size
+_BAND_BYTES = 1 << 18
+
+
+def _into(values, out) -> np.ndarray:
+    """out holding values (copied in unless out is values), or a new
+    float64 copy of values when out is None."""
+    if out is None:
         return np.array(values, dtype=np.float64)
+    if (out.dtype != np.float64 or out.shape != np.shape(values)
+            or not out.flags.c_contiguous):
+        raise ValueError(f"out must be a C-contiguous float64 array of shape "
+                         f"{np.shape(values)}, got {out.dtype} {out.shape}")
+    if out is not values:
+        np.copyto(out, values)
+    return out
+
+
+def diffuse_values(values: np.ndarray, grid: GridSpec, spec: DiffusionSpec,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Run explicit diffusion steps on each (n_lat, n_lon) field of a stack.
+
+    The result goes to out, a C-contiguous float64 array of values' shape
+    that may be values itself, or to a new array.  Each step sweeps a
+    field's latitude bands of about _BAND_BYTES north to south and
+    overwrites them in place: a band needs the old row just south of it,
+    which is not yet overwritten, and the meridional flux through its
+    northern half level, which the band before it computed from old rows
+    and hands on.  So only band-sized scratch is made, whatever the
+    stack's size, and every operation runs on contiguous rows.
+    """
+    spec.check_stable(grid)
+    f = _into(values, out)
+    if spec.steps == 0 or spec.nu_dt == 0.0:
+        return f
 
     theta = np.radians(90.0 - grid.latitudes)          # colatitude, increasing
-    sin_t = np.sin(theta)
     measures = latitude_cell_measures(grid)
     half_sin = np.sin(0.5 * (theta[:-1] + theta[1:]))  # interior half levels
     dtheta = np.diff(theta)
     dlam = 2.0 * np.pi / grid.n_lon
+    zonal_scale = np.sin(theta) ** 2 * dlam ** 2
 
-    f = np.array(values, dtype=np.float64)
-    flux = np.zeros(f.shape[:-2] + (grid.n_lat + 1, grid.n_lon))
-    for _ in range(spec.steps):
-        # interior meridional fluxes; polar half levels stay zero because
-        # sin(colat) vanishes there, killing the ghost-row contribution
-        flux[..., 1:-1, :] = half_sin[:, None] * np.diff(f, axis=-2) / dtheta[:, None]
-        merid = np.diff(flux, axis=-2) / measures[:, None]
-        zonal = (np.roll(f, -1, axis=-1) - 2.0 * f + np.roll(f, 1, axis=-1)) \
-            / (sin_t[:, None] ** 2 * dlam ** 2)
-        f = f + spec.nu_dt * (merid + zonal)
+    n_lat, n_lon = grid.shape
+    rows = min(n_lat, max(1, _BAND_BYTES // (8 * n_lon)))
+    flux = np.empty((rows + 1, n_lon))
+    zonal = np.empty((rows, n_lon))
+    work = np.empty((rows, n_lon))
+    for field in f.reshape((-1,) + grid.shape):
+        for _ in range(spec.steps):
+            # polar half levels stay zero because sin(colat) vanishes
+            # there, killing the ghost-row contribution
+            flux[0] = 0.0
+            for a in range(0, n_lat, rows):
+                b = min(a + rows, n_lat)
+                band, fl, z, w = field[a:b], flux[:b - a + 1], \
+                    zonal[:b - a], work[:b - a]
+                # fluxes through half levels a+1 .. b, from old rows; the
+                # one south of the last row is zero
+                c = min(b, n_lat - 1)
+                d = fl[1:c - a + 1]
+                np.subtract(field[a + 1:c + 1], field[a:c], out=d)
+                d *= half_sin[a:c, None]
+                d /= dtheta[a:c, None]
+                fl[c - a + 1:] = 0.0
+                # (f[i+1] - 2 f[i]) + f[i-1], periodic in longitude: along
+                # the flattened band, then the two wrapping columns again
+                bf, zf = band.reshape(-1), z.reshape(-1)
+                np.multiply(band, 2.0, out=w)
+                np.subtract(bf[1:], w.reshape(-1)[:-1], out=zf[:-1])
+                zf[1:] += bf[:-1]
+                np.subtract(band[:, 0], w[:, -1], out=z[:, -1])
+                z[:, -1] += band[:, -2]
+                np.subtract(band[:, 1], w[:, 0], out=z[:, 0])
+                z[:, 0] += band[:, -1]
+                z /= zonal_scale[a:b, None]
+                np.subtract(fl[1:], fl[:-1], out=w)
+                w /= measures[a:b, None]
+                w += z
+                w *= spec.nu_dt
+                band += w
+                fl[0] = fl[-1]
     return f
 
 
@@ -150,9 +209,13 @@ def laplacian_diffuse(field: Field, spec: DiffusionSpec) -> Field:
 
 
 def pole_filter_values(values: np.ndarray, grid: GridSpec,
-                       spec: PoleFilterSpec) -> np.ndarray:
-    """Zonally low-pass rows poleward of start_lat of each field of a stack."""
-    f = np.array(values, dtype=np.float64)
+                       spec: PoleFilterSpec,
+                       out: np.ndarray | None = None) -> np.ndarray:
+    """Zonally low-pass rows poleward of start_lat of each field of a stack.
+
+    The result goes to out, a float64 array of values' shape that may be
+    values itself, or to a new array."""
+    f = _into(values, out)
     nyquist = grid.n_lon // 2
     m_max = np.floor(nyquist * np.cos(np.radians(grid.latitudes))
                      / np.cos(np.radians(spec.ref)))

@@ -84,11 +84,17 @@ class NormStats:
         try:
             doc = json.loads(Path(path).read_text())
             entries = _stat_entries(doc)
+            period = doc.get("period")
+            if period is not None and not (
+                    isinstance(period, list) and len(period) == 2
+                    and all(isinstance(t, str) for t in period)):
+                raise ValueError("period must be null or a list of two time "
+                                 f"strings, got {json.dumps(period)}")
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-        period = tuple(doc["period"]) if doc.get("period") else None
         return cls(entries=entries, step_hours=doc.get("step_hours"),
-                   period=period, denominator=doc.get("denominator", "tendency"))
+                   period=tuple(period) if period else None,
+                   denominator=doc.get("denominator", "tendency"))
 
 
 def _stat_entries(doc) -> dict[tuple[str, str], StatEntry]:
@@ -257,22 +263,38 @@ def compute_norm_stats(series_map, denominator: str | None = "tendency",
                                                        denominator)
 
 
-def normalize(data, stats: NormStats):
-    """T'' = (T - mu) / (xi * sigma), dimensionless; Field or FieldSeries."""
+def normalize(data, stats: NormStats, out: np.ndarray | None = None):
+    """T'' = (T - mu) / (xi * sigma), dimensionless; Field or FieldSeries.
+
+    The values go to out, an array of data's shape that may be
+    data.values itself, or to a new array."""
     e = stats.entry(data.variable, data.level)
-    return data.with_values((data.values - e.mu) / (e.xi * e.sigma), units="1")
+    values = np.subtract(data.values, e.mu, out=out)
+    values /= e.xi * e.sigma
+    return data.with_values(values, units="1")
 
 
-def denormalize(data, stats: NormStats):
-    """Exact inverse of normalize: T = T'' * xi * sigma + mu."""
+def denormalize(data, stats: NormStats, out: np.ndarray | None = None):
+    """Exact inverse of normalize: T = T'' * xi * sigma + mu; out as
+    there."""
     e = stats.entry(data.variable, data.level)
-    return data.with_values(data.values * (e.xi * e.sigma) + e.mu)
+    values = np.multiply(data.values, e.xi * e.sigma, out=out)
+    values += e.mu
+    return data.with_values(values)
 
 
-def clamp_nonnegative_values(values: np.ndarray,
-                             floor: float = 1e-8) -> np.ndarray:
-    """values with every entry below floor replaced by exactly floor."""
-    return np.where(values < floor, floor, values)
+def clamp_nonnegative_values(values: np.ndarray, floor: float = 1e-8,
+                             out: np.ndarray | None = None) -> np.ndarray:
+    """values with every entry below floor replaced by exactly floor.
+
+    The result goes to out, an array of values' shape that may be values
+    itself, or to a new array of values' dtype promoted with floor's."""
+    if out is None:
+        out = np.array(values, dtype=np.result_type(values, floor))
+    elif out is not values:
+        np.copyto(out, values)
+    np.copyto(out, floor, where=out < floor)
+    return out
 
 
 def clamp_nonnegative(field: Field, floor: float = 1e-8,

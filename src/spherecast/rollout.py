@@ -24,7 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .container import read_container, write_container, _format_time
+from .container import (container_writer, read_container, write_container,
+                        _format_time)
 from .filters import (DiffusionSpec, PoleFilterSpec, _number, diffuse_values,
                       pole_filter_values)
 from .grid import FieldSeries, ensure_utc
@@ -119,13 +120,16 @@ class PipelineStep:
                     f"names, got {self.variables!r}")
             object.__setattr__(self, "variables", tuple(self.variables))
 
-    def apply(self, values: np.ndarray, grid) -> np.ndarray:
-        """The operator on an (..., n_lat, n_lon) array, each field on its own."""
+    def apply(self, values: np.ndarray, grid,
+              out: np.ndarray | None = None) -> np.ndarray:
+        """The operator on an (..., n_lat, n_lon) array, each field on its
+        own; the result goes to out, which may be values itself, or to a
+        new array."""
         if self.kind == "clamp_nonnegative":
-            return clamp_nonnegative_values(values, self.spec.floor)
+            return clamp_nonnegative_values(values, self.spec.floor, out=out)
         if self.kind == "laplacian_diffuse":
-            return diffuse_values(values, grid, self.spec)
-        return pole_filter_values(values, grid, self.spec)
+            return diffuse_values(values, grid, self.spec, out=out)
+        return pole_filter_values(values, grid, self.spec, out=out)
 
 
 @dataclass
@@ -169,38 +173,48 @@ class RolloutPlan:
 
 
 def apply_postprocessing(state: dict, pipeline: list[PipelineStep],
-                         grid) -> dict:
+                         grid, out: dict | None = None) -> dict:
     """Apply pipeline steps in order to a {(var, level): values} state.
 
-    An empty pipeline returns the state object unchanged (identity, no
-    copies), so baselines that configure no post-processing stay
-    bit-identical to their inputs.
+    Without out, state is left untouched and a new mapping is returned; an
+    empty pipeline returns the state object itself (identity, no copies),
+    so baselines that configure no post-processing stay bit-identical to
+    their inputs.  out, a {(var, level): float64 array} of state's keys
+    and shapes (it may be state itself), gets each key's result written
+    in place and is returned.
     """
-    if not pipeline:
-        return state
-    out = dict(state)
+    if out is None:
+        if not pipeline:
+            return state
+        result = dict(state)
+    else:
+        for key, values in state.items():
+            if out[key] is not values:
+                np.copyto(out[key], values)
+        result = out
     for step in pipeline:
-        for key in out:
+        for key, values in result.items():
             if step.variables is None or key[0] in step.variables:
-                out[key] = step.apply(out[key], grid)
-    return out
+                result[key] = step.apply(values, grid,
+                                         out=None if out is None else values)
+    return result
 
 
-def _state_to_series(state: dict, grid, when: datetime, units: dict) -> dict:
-    return {key: FieldSeries(grid, key[0], key[1], [when], vals[None],
-                             units=units.get(key))
-            for key, vals in state.items()}
-
-
-def _run_external_step(command: list[str], state: dict, grid, when: datetime,
-                       step_hours: int, units: dict, dtype: str,
-                       workdir: Path) -> dict:
+def _run_external_step(command: list[str], state: np.ndarray, variables,
+                       grid, when: datetime, step_hours: int, dtype: str,
+                       workdir: Path) -> None:
+    """One call of the file protocol: state, the (variable, n_lat, n_lon)
+    float64 stack of variables ((name, level, units) each), is written as
+    the input at when and then overwritten with the command's output."""
     in_path = workdir / "state_in.gvf"
     out_path = workdir / "state_out.gvf"
-    write_container(_state_to_series(state, grid, when, units), in_path,
-                    dtype=dtype)
-    if out_path.exists():
-        out_path.unlink()
+    # both are new files: renaming over an existing file costs a flush of
+    # its data on ext4
+    in_path.unlink(missing_ok=True)
+    out_path.unlink(missing_ok=True)
+    with container_writer(in_path, grid, variables, [when],
+                          dtype=dtype) as write:
+        write(state[:, None])
     cmd = list(command) + ["--in", str(in_path), "--out", str(out_path),
                            "--step-hours", str(step_hours)]
     try:
@@ -227,49 +241,59 @@ def _run_external_step(command: list[str], state: dict, grid, when: datetime,
     if len(c.times) != 1:
         raise ExternalForecasterError(
             f"external state must hold exactly 1 time, got {len(c.times)}")
-    missing = [k for k in state if k not in c.keys]
+    missing = [(name, level) for name, level, _ in variables
+               if (name, level) not in c.keys]
     if missing:
         raise ExternalForecasterError(
             f"external state is missing variables: {missing}")
-    return {key: c.values(0, key[0], key[1]) for key in state}
+    fields = c.block(0)
+    for row, (name, level, _) in zip(state, variables):
+        row[...] = fields[c.index(name, level)]  # cast out of the map
 
 
-def _rollout_one(plan: RolloutPlan, initial_states: dict, grid, units,
-                 t_i: datetime, climatology: Climatology | None) -> dict:
-    """One initialization -> {(var, level): FieldSeries over all leads}."""
-    valid_times = [t_i + timedelta(hours=h) for h in plan.leads]
+def _lead_rows(plan: RolloutPlan, initial_states: dict, grid, t_i: datetime,
+               climatology: Climatology | None):
+    """One initialization's forecast: per lead, in order, a float64
+    (variable, n_lat, n_lon) row in initial_states' key order.
+
+    Persistence and the external forecaster yield one state stack over
+    and over; the external one overwrites it in place between leads, so a
+    consumer must write or copy each row before it takes the next.
+    """
+    if plan.forecaster == "climatology":
+        for h in plan.leads:
+            t = t_i + timedelta(hours=h)
+            yield np.stack([climatology.values(key[0], key[1], t)
+                            for key in initial_states])
+        return
+    state = np.empty((len(initial_states),) + grid.shape)
+    for row, series in zip(state, initial_states.values()):
+        row[...] = series.values[series.index(t_i)]
+    yield state
     if plan.forecaster == "persistence":
-        shape = (len(valid_times),) + grid.shape
-        stacks = {key: np.broadcast_to(series.values[series.index(t_i)],
-                                       shape).copy()
-                  for key, series in initial_states.items()}
-    elif plan.forecaster == "climatology":
-        stacks = {key: np.stack([climatology.values(key[0], key[1], t)
-                                 for t in valid_times])
-                  for key in initial_states}
-    else:
-        # external, strictly sequential per step
-        state = {key: series.values[series.index(t_i)]
-                 for key, series in initial_states.items()}
-        stacks = {key: np.empty((len(valid_times),) + grid.shape)
-                  for key in state}
-        for key, stack in stacks.items():
-            stack[0] = state[key]
-        with tempfile.TemporaryDirectory(prefix="rollout_") as tmp:
-            for k, when in enumerate(valid_times[:-1], 1):
-                try:
-                    state = _run_external_step(
-                        plan.external_command, state, grid, when,
-                        plan.step_hours, units, plan.state_dtype, Path(tmp))
-                except ExternalForecasterError as exc:
-                    raise ExternalForecasterError(
-                        f"init {t_i.isoformat()}: {exc}") from exc
-                state = apply_postprocessing(state, plan.postprocess, grid)
-                for key, stack in stacks.items():
-                    stack[k] = state[key]
-    return {key: FieldSeries(grid, key[0], key[1], valid_times, stack,
-                             units=units[key])
-            for key, stack in stacks.items()}
+        for _ in plan.leads[1:]:
+            yield state
+        return
+    # external, strictly sequential per step
+    fields = dict(zip(initial_states, state))  # views of the stack
+    variables = _variables(initial_states)
+    with tempfile.TemporaryDirectory(prefix="rollout_") as tmp:
+        for h in plan.leads[:-1]:
+            when = t_i + timedelta(hours=h)
+            try:
+                _run_external_step(plan.external_command, state, variables,
+                                   grid, when, plan.step_hours,
+                                   plan.state_dtype, Path(tmp))
+            except ExternalForecasterError as exc:
+                raise ExternalForecasterError(
+                    f"init {t_i.isoformat()}: {exc}") from exc
+            apply_postprocessing(fields, plan.postprocess, grid, out=fields)
+            yield state
+
+
+def _variables(series_map: dict) -> list[tuple[str, str, str]]:
+    """(name, level, units) of each series, in order."""
+    return [(key[0], key[1], s.units) for key, s in series_map.items()]
 
 
 def _forecasts(plan: RolloutPlan, initial_states: dict,
@@ -277,8 +301,8 @@ def _forecasts(plan: RolloutPlan, initial_states: dict,
     """Check the plan against the inputs, then lazily roll out each init.
 
     Every check runs before the first initialization is rolled out, so a
-    bad plan fails before any output exists.  Yields (init time,
-    {(var, level): FieldSeries over all leads}) in plan order.
+    bad plan fails before any output exists.  Returns the grid and an
+    iterator of (init time, _lead_rows of that init) in plan order.
     """
     if plan.forecaster == "climatology" and climatology is None:
         raise ValueError("climatology forecaster requires a climatology")
@@ -296,10 +320,9 @@ def _forecasts(plan: RolloutPlan, initial_states: dict,
                 step.spec.check_stable(grid)
             except ValueError as exc:
                 raise ValueError(f"postprocess step {n}: {exc}") from None
-    units = {key: s.units for key, s in initial_states.items()}
-    return ((t_i, _rollout_one(plan, initial_states, grid, units, t_i,
-                               climatology))
-            for t_i in plan.init_times)
+    return grid, ((t_i, _lead_rows(plan, initial_states, grid, t_i,
+                                   climatology))
+                  for t_i in plan.init_times)
 
 
 def run_rollout(plan: RolloutPlan, initial_states: dict,
@@ -313,34 +336,52 @@ def run_rollout(plan: RolloutPlan, initial_states: dict,
     forecaster requires a climatology and emits its (day, hour) field for
     each valid time.  Rollouts are deterministic: no hidden randomness.
     """
-    return ForecastSet(dict(_forecasts(plan, initial_states, climatology)),
-                       target if target is not None else initial_states,
+    grid, forecasts = _forecasts(plan, initial_states, climatology)
+    out = {}
+    for t_i, rows in forecasts:
+        stacks = np.empty((len(initial_states), len(plan.leads)) + grid.shape)
+        for k, row in enumerate(rows):
+            stacks[:, k] = row
+        valid_times = [t_i + timedelta(hours=h) for h in plan.leads]
+        out[t_i] = {key: FieldSeries(grid, key[0], key[1], valid_times, stack,
+                                     units=s.units)
+                    for (key, s), stack in zip(initial_states.items(), stacks)}
+    return ForecastSet(out, target if target is not None else initial_states,
                        climatology=climatology)
 
 
 def run_rollout_to_dir(plan: RolloutPlan, initial_states: dict, out_dir,
                        climatology: Climatology | None = None) -> list[Path]:
-    """Roll out and write one container per initialization as it finishes.
+    """Roll out and write one container per initialization, each lead row
+    as it is made.
 
-    Streaming counterpart of run_rollout for long init lists: only one
-    initialization is held in memory at a time.  Every init is checked
-    against the initial states before the first container is written.
+    Streaming counterpart of run_rollout for long init lists: no more
+    than one state per initialization is held in memory.  Every init is
+    checked against the initial states before the first container is
+    opened; a failing init leaves no file, and those before it complete.
     """
-    return _write_inits(_forecasts(plan, initial_states, climatology),
-                        out_dir, plan.state_dtype)
-
-
-def _write_inits(forecasts, out_dir, dtype: str) -> list[Path]:
-    """Write (init time, {(var, level): FieldSeries}) pairs one by one."""
+    grid, forecasts = _forecasts(plan, initial_states, climatology)
+    variables = _variables(initial_states)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
-    for t_i, per_key in forecasts:
-        paths.append(out_dir / f"init_{t_i.strftime('%Y%m%dT%H%M%SZ')}.gvf")
-        write_container(per_key, paths[-1], dtype=dtype,
-                        attrs={"init_time": _format_time(t_i)})
-        del per_key  # before the next init is rolled out
+    for t_i, rows in forecasts:
+        paths.append(_init_path(out_dir, t_i))
+        with container_writer(paths[-1], grid, variables,
+                              [t_i + timedelta(hours=h) for h in plan.leads],
+                              dtype=plan.state_dtype,
+                              attrs=_init_attrs(t_i)) as write:
+            for row in rows:
+                write(row[:, None])
     return paths
+
+
+def _init_path(out_dir: Path, t_i: datetime) -> Path:
+    return out_dir / f"init_{t_i.strftime('%Y%m%dT%H%M%SZ')}.gvf"
+
+
+def _init_attrs(t_i: datetime) -> dict:
+    return {"init_time": _format_time(t_i)}
 
 
 def write_forecast_dir(fs: ForecastSet, out_dir, dtype: str = "f32") -> list[Path]:
@@ -349,5 +390,11 @@ def write_forecast_dir(fs: ForecastSet, out_dir, dtype: str = "f32") -> list[Pat
     Files are named init_<YYYYMMDDTHHMMSSZ>.gvf and tag their init time in
     the container attrs, which is how load_forecast_set reassembles them.
     """
-    return _write_inits(((t_i, fs.forecast(t_i)) for t_i in fs.init_times),
-                        out_dir, dtype)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for t_i in fs.init_times:
+        paths.append(_init_path(out_dir, t_i))
+        write_container(fs.forecast(t_i), paths[-1], dtype=dtype,
+                        attrs=_init_attrs(t_i))
+    return paths

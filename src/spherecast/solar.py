@@ -100,13 +100,20 @@ class SolarGeometry:
 
 
 def read_gsc_csv(path) -> dict[int, float]:
-    """Load an annual solar-constant table from a (year,value) CSV."""
+    """Load an annual solar-constant table from a (year,value) CSV; a
+    malformed row raises ValueError naming the file and its line."""
     table = {}
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row or row[0].strip().lower() in ("year", ""):
                 continue
-            table[int(row[0])] = float(row[1])
+            try:
+                table[int(row[0])] = float(row[1])
+            except (ValueError, IndexError):
+                raise ValueError(
+                    f"{path}: line {reader.line_num}: expected year,value, "
+                    f"got {','.join(row)!r}") from None
     return table
 
 

@@ -898,6 +898,41 @@ def test_external_rollout_holds_one_init_at_a_time(tmp_path, grid64):
     assert _tree_bytes(tmp_path / "fc") == _tree_bytes(persistence)
 
 
+def test_external_rollout_holds_its_state_not_every_lead(tmp_path, grid64):
+    # 6 variables at 64x128: one state is 0.4 MB, and the 21 leads of the
+    # init, all held before leads were streamed, are 8.3 MB.  Diffusion's
+    # band scratch (three arrays of at most _BAND_BYTES) covers a whole
+    # 64x128 field, and numpy's ufunc buffers (at most 64 KiB) add about
+    # one more field to it
+    from spherecast.filters import diffusion_stability_bound
+    inp = tmp_path / "in.gvf"
+    variables = ["T", "Q", "Z", "U", "V", "W"]
+    _write_f32_input(inp, grid64, 1, variables, seed=38)
+    script = tmp_path / "identity.sh"
+    script.write_text(IDENTITY_SH)
+    steps = [{"kind": "clamp_nonnegative", "variables": ["Q"]},
+             {"kind": "laplacian_diffuse", "params": {
+                 "nu_dt": diffusion_stability_bound(grid64) / 2, "steps": 2}},
+             {"kind": "pole_filter", "params": {"start_lat": 60}}]
+    field = grid64.n_lat * grid64.n_lon * 8
+
+    def run(out_dir, max_lead):
+        return main(["rollout", "--initial-states", str(inp),
+                     "--inits", "2020-01-01T00:00:00,1,6",
+                     "--max-lead-hours", str(max_lead),
+                     "--forecaster", "external",
+                     "--external-cmd", f"sh {script}",
+                     "--postprocess", json.dumps(steps),
+                     "--output-dir", str(out_dir)])
+    # one step first, so that modules imported on first use are not counted
+    assert run(tmp_path / "warm", 6) == 0
+    code, peak = _peak_bytes(lambda: run(tmp_path / "fc", 120))
+    assert code == 0
+    assert peak < 2 * len(variables) * field + 4 * field
+    assert len(read_container(
+        tmp_path / "fc" / "init_20200101T000000Z.gvf").times) == 21
+
+
 def test_spectrum_holds_one_pass_not_every_row(tmp_path, grid64):
     # 300 times x 3 variables at 64x128: one variable's float64 stack is
     # 19.7 MB; a pass is 2 MiB of rows and the power array 0.5 MB
@@ -1153,6 +1188,12 @@ def test_stats_of_a_variable_constant_in_time_exits_three(tmp_path, grid16,
     ('{"entries": [1.0, 2.0, 1.0]}', "entries"),
     ('[{"mu": 1.0, "sigma": 2.0, "xi": 1.0}]', "not a JSON object"),
     ('{"entries": {"T|single": {"mu": 1.0, "sigma": 2.0', "Expecting"),
+    ('{"period": 5, "entries": {"T|single": '
+     '{"mu": 1.0, "sigma": 2.0, "xi": 1.0}}}', "period"),
+    ('{"period": ["2020-01-01T00:00:00"], "entries": {"T|single": '
+     '{"mu": 1.0, "sigma": 2.0, "xi": 1.0}}}', "period"),
+    ('{"period": [2020, 2021], "entries": {"T|single": '
+     '{"mu": 1.0, "sigma": 2.0, "xi": 1.0}}}', "period"),
 ])
 def test_malformed_stats_file_exits_three_naming_file_and_key(
         tmp_path, grid16, capsys, text, named):
@@ -1197,6 +1238,21 @@ def test_missing_side_file_names_its_path(tmp_path, grid16, capsys, flag):
     err = capsys.readouterr().err
     assert str(missing) in err
     assert not (tmp_path / "out.gvf").exists()
+
+
+@pytest.mark.parametrize("row", ["2020,abc", "2021"])
+def test_malformed_gsc_csv_row_exits_three_naming_file_and_line(
+        tmp_path, capsys, row):
+    # used to exit 3 naming neither, or to raise an IndexError
+    gsc = tmp_path / "gsc.csv"
+    gsc.write_text(f"year,value\n2019,1361.0\n{row}\n")
+    out = tmp_path / "solar.gvf"
+    assert main(["solar", "--grid", "gaussian:8x16",
+                 "--start", "2020-03-20T00:00:00", "--gsc-csv", str(gsc),
+                 "--output", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"{gsc}: line 3:" in err and repr(row) in err
+    assert not out.exists()
 
 
 def test_correlate_non_finite_input_names_the_file(tmp_path, grid16, capsys):

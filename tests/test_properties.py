@@ -1,5 +1,6 @@
 """Property tests of the container writer, the blocked normalize, the
-stacked transform, and the padding and filters on stacks.
+stacked transform, the padding and filters on stacks, and the filters
+and clamp writing in place.
 
 Examples are derandomized, so every run checks the same cases.
 """
@@ -12,17 +13,18 @@ from pathlib import Path
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from spherecast import cli, sht
+from spherecast import cli, filters, sht
 from spherecast.cli import main
 from spherecast.filters import (DiffusionSpec, PoleFilterSpec,
                                 diffuse_values, diffusion_stability_bound,
-                                pole_filter_values)
+                                latitude_cell_measures, pole_filter_values)
 from spherecast.container import (container_writer, read_container,
                                   write_container)
 from spherecast.grid import (FieldSeries, make_equiangular_grid,
                              make_gaussian_grid)
 from spherecast.padding import PadSpec, pad, unpad
-from spherecast.preprocess import NormStats, denormalize, normalize
+from spherecast.preprocess import (NormStats, clamp_nonnegative_values,
+                                   denormalize, normalize)
 from spherecast.sht import SphericalHarmonicTransform
 
 settings.register_profile(
@@ -262,3 +264,63 @@ def test_unpad_of_pad_is_the_input(n_lat, n_lon, data):
     assert padded.shape == lead + (n_lat + 2 * spec.pad_ns,
                                    n_lon + 2 * spec.pad_ew)
     assert unpad(padded, spec).tobytes() == x.tobytes()
+
+
+def _whole_array_diffusion(values, grid, spec):
+    """The diffusion steps as whole-array formulas, as they were written
+    before the banded in-place sweep; the sweep must give these bits."""
+    theta = np.radians(90.0 - grid.latitudes)
+    sin_t = np.sin(theta)
+    measures = latitude_cell_measures(grid)
+    half_sin = np.sin(0.5 * (theta[:-1] + theta[1:]))
+    dtheta = np.diff(theta)
+    dlam = 2.0 * np.pi / grid.n_lon
+    f = np.array(values, dtype=np.float64)
+    flux = np.zeros(f.shape[:-2] + (grid.n_lat + 1, grid.n_lon))
+    for _ in range(spec.steps):
+        flux[..., 1:-1, :] = (half_sin[:, None] * np.diff(f, axis=-2)
+                              / dtheta[:, None])
+        merid = np.diff(flux, axis=-2) / measures[:, None]
+        zonal = (np.roll(f, -1, axis=-1) - 2.0 * f + np.roll(f, 1, axis=-1)) \
+            / (sin_t[:, None] ** 2 * dlam ** 2)
+        f = f + spec.nu_dt * (merid + zonal)
+    return f
+
+
+def _every_out(op, values):
+    """The bytes of op(values, out) for out None, values' own copy (in
+    place) and a separate array; values is left as it was."""
+    before = values.tobytes()
+    own = values.copy()
+    separate = np.full_like(values, np.nan)
+    results = [op(values, None), op(own, own), op(values, separate)]
+    assert results[1] is own and results[2] is separate
+    assert values.tobytes() == before
+    return {r.tobytes() for r in results}
+
+
+@settings(DERANDOMIZED)
+@given(grids(), st.data())
+def test_filters_and_clamp_give_one_result_for_every_out(grid, data):
+    stack = _stack(data, grid)
+    bound = diffusion_stability_bound(grid)
+    diffusion = DiffusionSpec(data.draw(st.floats(0.0, bound)),
+                              data.draw(st.integers(0, 3)))
+    expect = {_whole_array_diffusion(stack, grid, diffusion).tobytes()}
+    saved = filters._BAND_BYTES
+    try:
+        # bands of one row, of three (rarely a divisor of n_lat), of all
+        # rows but one, of every row, and wider than the grid
+        for rows in {1, 3, grid.n_lat - 1, grid.n_lat, grid.n_lat + 5} - {0}:
+            filters._BAND_BYTES = rows * 8 * grid.n_lon
+            assert _every_out(lambda x, out: diffuse_values(
+                x, grid, diffusion, out=out), stack) == expect
+    finally:
+        filters._BAND_BYTES = saved
+    pole = PoleFilterSpec(data.draw(st.floats(1.0, 89.0)))
+    assert len(_every_out(lambda x, out: pole_filter_values(
+        x, grid, pole, out=out), stack)) == 1
+    floor = data.draw(st.sampled_from([0.0, 1e-8, 0.5]))
+    assert _every_out(lambda x, out: clamp_nonnegative_values(
+        x, floor, out=out), stack) == {
+            np.where(stack < floor, floor, stack).tobytes()}

@@ -1,3 +1,4 @@
+import re
 import sys
 from datetime import datetime, timedelta, timezone
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spherecast import make_gaussian_grid, rollout
+from spherecast.container import read_container
 from spherecast.filters import (DiffusionSpec, PoleFilterSpec, diffuse_values,
                                 pole_filter_values)
 from spherecast.grid import FieldSeries
@@ -29,6 +31,22 @@ shutil.copy(a.inp, a.out)
 """
 
 FAILING_SCRIPT = "import sys; sys.exit(7)\n"
+
+# identity, but exits 9 on its FAIL-th call, counted in a file beside it
+FAIL_ON_CALL_SCRIPT = """\
+import argparse, pathlib, shutil, sys
+p = argparse.ArgumentParser()
+p.add_argument("--in", dest="inp")
+p.add_argument("--out")
+p.add_argument("--step-hours")
+a = p.parse_args()
+count = pathlib.Path(sys.argv[0]).with_suffix(".count")
+n = int(count.read_text()) + 1 if count.exists() else 1
+count.write_text(str(n))
+if n == FAIL:
+    sys.exit(9)
+shutil.copy(a.inp, a.out)
+"""
 
 GARBAGE_SCRIPT = """\
 import argparse
@@ -119,6 +137,32 @@ def test_external_identity_command_reproduces_persistence(tmp_path, grid16):
                               per.forecasts[T0][key].values)
 
 
+def test_external_rollout_post_processes_the_state_before_each_step(
+        tmp_path, grid16):
+    script = tmp_path / "identity.py"
+    script.write_text(IDENTITY_SCRIPT)
+    states = {("T", "single"): f32_series(grid16, n_time=4, seed=17),
+              ("Q", "single"): f32_series(grid16, n_time=4, seed=18,
+                                          variable="Q")}
+    steps = [PipelineStep(kind="clamp_nonnegative", params={"floor": 0.5},
+                          variables=("Q",)),
+             PipelineStep(kind="laplacian_diffuse",
+                          params={"nu_dt": 1e-5, "steps": 2}),
+             PipelineStep(kind="pole_filter", params={"start_lat": 45})]
+    plan = RolloutPlan(init_times=[T0], step_hours=6, max_lead_hours=18,
+                       forecaster="external", postprocess=steps,
+                       external_command=[sys.executable, str(script)])
+    forecast = run_rollout(plan, states).forecasts[T0]
+    # each step's input goes to the forecaster as f32, and comes back
+    expect = {key: s.values[0] for key, s in states.items()}
+    for k in range(4):
+        for key, values in expect.items():
+            assert forecast[key].values[k].tobytes() == values.tobytes()
+        expect = apply_postprocessing(
+            {key: values.astype(np.float32).astype(np.float64)
+             for key, values in expect.items()}, steps, grid16)
+
+
 def test_external_nonzero_exit_raises(tmp_path, grid16):
     script = tmp_path / "fail.py"
     script.write_text(FAILING_SCRIPT)
@@ -189,6 +233,33 @@ def test_apply_postprocessing_empty_is_identity(grid16):
     state = {("T", "single"): np.ones(grid16.shape)}
     out = apply_postprocessing(state, [], grid16)
     assert out is state
+
+
+def test_apply_postprocessing_without_out_leaves_its_inputs(grid16):
+    rng = np.random.default_rng(14)
+    state = {("Q", "single"): rng.normal(size=grid16.shape),
+             ("T", "single"): rng.normal(size=(2,) + grid16.shape)}
+    before = {key: values.tobytes() for key, values in state.items()}
+    arrays = dict(state)
+    steps = [PipelineStep(kind="clamp_nonnegative", variables=("Q",)),
+             PipelineStep(kind="laplacian_diffuse",
+                          params={"nu_dt": 1e-5, "steps": 2}),
+             PipelineStep(kind="pole_filter", params={"start_lat": 45})]
+    out = apply_postprocessing(state, steps, grid16)
+    assert out is not state and state == arrays
+    assert all(state[key] is arrays[key] and out[key] is not arrays[key]
+               and state[key].tobytes() == before[key] for key in state)
+    # into separate arrays, and in place into the state itself, it gives
+    # the same bits
+    separate = {key: np.empty_like(values) for key, values in state.items()}
+    assert apply_postprocessing(state, steps, grid16, out=separate) \
+        is separate
+    assert all(separate[key].tobytes() == out[key].tobytes() for key in out)
+    again = apply_postprocessing(state, steps, grid16, out=state)
+    assert again is state
+    assert all(state[key] is arrays[key]
+               and state[key].tobytes() == out[key].tobytes()
+               for key in state)
 
 
 def test_apply_postprocessing_clamp(grid16):
@@ -310,6 +381,32 @@ def test_pipeline_step_is_rejected_or_equals_its_kernel(doc):
             step.apply(values, GRID8)
         return
     assert step.apply(values, GRID8).tobytes() == expect.tobytes()
+
+
+def test_forecaster_failing_in_the_second_init_leaves_the_first_whole(
+        tmp_path, grid16):
+    # 3 steps per init: the 5th call is the second step of the second init
+    script = tmp_path / "fail_on_call.py"
+    script.write_text("FAIL = 5\n" + FAIL_ON_CALL_SCRIPT)
+    states = {("T", "single"): f32_series(grid16, n_time=4, seed=15),
+              ("Q", "single"): f32_series(grid16, n_time=4, seed=16,
+                                          variable="Q")}
+    second = T0 + timedelta(hours=6)
+    plan = RolloutPlan(init_times=[T0, second], step_hours=6,
+                       max_lead_hours=18, forecaster="external",
+                       external_command=[sys.executable, str(script)])
+    out_dir = tmp_path / "fc"
+    with pytest.raises(ExternalForecasterError,
+                       match=re.escape(f"init {second.isoformat()}: ")
+                       + ".*exited 9"):
+        run_rollout_to_dir(plan, states, out_dir)
+    assert [p.name for p in out_dir.iterdir()] == ["init_20200101T000000Z.gvf"]
+    persistence = run_rollout(RolloutPlan(init_times=[T0], step_hours=6,
+                                          max_lead_hours=18), states)
+    c = read_container(out_dir / "init_20200101T000000Z.gvf")
+    assert c.times == [T0 + timedelta(hours=h) for h in (0, 6, 12, 18)]
+    for key, series in persistence.forecasts[T0].items():
+        assert np.array_equal(c.series(*key).values, series.values)
 
 
 def test_rollout_to_dir_round_trip(tmp_path, grid16):
