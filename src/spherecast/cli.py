@@ -172,9 +172,6 @@ def _finite(c, values, variable: str, level: str):
     return values
 
 
-# bytes of float64 rows, over all variables read, in one block of a
-# row-mapping stage (_map_rows) or one pass of a spectrum
-_BLOCK_BYTES = 1 << 21
 # fields in one spectrum pass at the least, whatever their size: each
 # transform call reruns the Legendre recurrence, which costs about as much
 # as the matmuls of four fields
@@ -183,10 +180,11 @@ _MIN_FIELDS = 8
 
 def _row_blocks(c, n_keys: int, min_fields: int = 1, even: bool = False):
     """Slices of c's time rows, each as many rows of n_keys variables as
-    fit _BLOCK_BYTES of float64, and at least enough for min_fields
-    fields; with even, an odd field count is rounded up to an even one.
-    An empty time axis gives one empty slice."""
-    n = max(1, _BLOCK_BYTES // (8 * n_keys * c.grid.n_lat * c.grid.n_lon),
+    fit one block (container._BLOCK_BYTES) of float64, and at least enough
+    for min_fields fields; with even, an odd field count is rounded up to
+    an even one.  An empty time axis gives one empty slice."""
+    n = max(1, cio._BLOCK_BYTES // (8 * n_keys * c.grid.n_lat
+                                    * c.grid.n_lon),
             -(-min_fields // n_keys))
     if even:
         n += n * n_keys % 2
@@ -198,7 +196,8 @@ def _map_rows(cfg, c, transform, grid=None, units=None, attrs=None):
     """Write cfg["output"], its header (c's, but for any grid, units, attrs
     or --dtype given) fixed first, then block of time rows by block: each
     variable's rows as a checked float64 FieldSeries through transform,
-    which may overwrite the series' values, a fresh array for each call."""
+    which may overwrite the series' values, a fresh array for each call.
+    c's map is released after each block."""
     with container_writer(cfg["output"], grid or c.grid,
                           [(name, lev, units or u)
                            for name, lev, u in c.variables],
@@ -210,6 +209,7 @@ def _map_rows(cfg, c, transform, grid=None, units=None, attrs=None):
                        _finite(c, c.values(rows, name, lev), name, lev),
                        units=u))
                    for name, lev, u in c.variables])
+            cio.release(c)
 
 
 def _cmd_normalize(cfg):
@@ -297,8 +297,8 @@ _SPECTRUM_FLAGS = {"u_var": ("kinetic",), "v_var": ("kinetic",),
 
 def _cmd_spectrum(cfg):
     """Power per (tag, time, m) in a float64 array, filled a pass of whole
-    time rows at a time (one transform call over every field read), then
-    written in (tag, lead, m) order."""
+    time rows at a time (one transform call over every field read, then
+    the input's map is released), then written in (tag, lead, m) order."""
     kind = cfg["kind"]
     for flag, kinds in _SPECTRUM_FLAGS.items():
         if kind not in kinds and cfg[flag] != _DEFAULTS["spectrum"][flag]:
@@ -343,6 +343,7 @@ def _cmd_spectrum(cfg):
             _finite(c, block[:, j], name, lev)
         # every variable's rows stay a view of the map; a subset is copied
         power[rows] = spectra(block if kind == "power" else block[:, cols])
+        cio.release(c)
 
     init = c.attrs.get("init_time")
     t0 = cio._parse_time(init) if init else None

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import mmap
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -34,6 +36,8 @@ __all__ = [
     "Container",
     "atomic_write",
     "container_writer",
+    "release",
+    "released_blocks",
     "ScoreRecord",
     "read_container",
     "write_container",
@@ -82,7 +86,8 @@ class Container:
 
     The header is validated up front (magic, version, dtype, payload
     length); fields are materialized per (time, variable) chunk from a
-    read-only memory map.  Multiple readers on one file are safe.
+    read-only memory map, whose pages release() drops.  Multiple readers
+    on one file are safe.
     """
 
     def __init__(self, path):
@@ -114,7 +119,8 @@ class Container:
         if header.get("version") != VERSION:
             raise ContainerError(
                 f"{self.path}: unsupported version {header.get('version')!r}")
-        if header.get("dtype") not in _DTYPES:
+        if not (isinstance(header.get("dtype"), str)
+                and header["dtype"] in _DTYPES):
             raise ContainerError(
                 f"{self.path}: unsupported dtype {header.get('dtype')!r}")
 
@@ -136,6 +142,13 @@ class Container:
             raise ContainerError(
                 f"{self.path}: header attrs is not a JSON object")
 
+        if not all(isinstance(part, str) for variable in self.variables
+                   for part in variable):
+            raise ContainerError(f"{self.path}: a variable's name, level or "
+                                 "units is not a string")
+        if any(b <= a for a, b in zip(self.times, self.times[1:])):
+            raise ContainerError(
+                f"{self.path}: time axis is not strictly increasing")
         keys = [(n, l) for n, l, _ in self.variables]
         if len(set(keys)) != len(keys):
             raise ContainerError(
@@ -153,8 +166,12 @@ class Container:
                 f"(payload starts at offset {self._offset})")
         shape = (n_time, n_var, self.grid.n_lat, self.grid.n_lon)
         if n_time * n_var:
-            self._data = np.memmap(self.path, dtype=self.dtype, mode="r",
-                                   offset=self._offset, shape=shape)
+            with open(self.path, "rb") as fh:
+                # read-only, so release() may drop any of its pages
+                whole = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+            self._data = np.frombuffer(
+                whole, dtype=self.dtype, count=int(np.prod(shape)),
+                offset=self._offset).reshape(shape)
         else:
             self._data = np.empty(shape, dtype=self.dtype)
 
@@ -209,6 +226,46 @@ class Container:
                            self._data[:, j], units=units)
 
 
+# bytes of one block: a stage touches at most this much of a file's map
+# (released_blocks), or reads this much float64 (cli._row_blocks), before
+# it releases the map
+_BLOCK_BYTES = 1 << 21
+
+
+def release(data) -> None:
+    """Drop every resident page of the read-only file map under data, a
+    Container or any view of its map (a block, a view's values, a slice
+    of them); for an array held in memory this does nothing.  A page that
+    is touched again is read back from the page cache, with its bytes.
+
+    A page fault maps a whole page-cache folio, which can be hundreds of
+    KB, so a read of a few bytes per folio makes a whole file resident;
+    the stages release after each block they read, not once per file.
+    """
+    base = data._data if isinstance(data, Container) else data
+    while isinstance(base, np.ndarray):
+        base = base.base
+    if (isinstance(base, memoryview) and base.readonly
+            and isinstance(base.obj, mmap.mmap)
+            and hasattr(mmap, "MADV_DONTNEED")):
+        base.obj.madvise(mmap.MADV_DONTNEED)
+
+
+def released_blocks(values, rows):
+    """Split rows, ascending indices along values' first axis, into runs
+    that each span at most _BLOCK_BYTES of values (and at least one row),
+    and yield each run as a slice of rows; the map under values is
+    released after each run is used."""
+    rows = np.asarray(rows, dtype=np.intp)
+    span = max(1, _BLOCK_BYTES // max(1, abs(values.strides[0])))
+    start = 0
+    while start < len(rows):
+        stop = int(np.searchsorted(rows, rows[start] + span))
+        yield slice(start, stop)
+        release(values)
+        start = stop
+
+
 @contextmanager
 def atomic_write(path, mode: str = "w", **kwargs):
     """Open a new temp file beside path for writing (mode "w" or "wb");
@@ -243,15 +300,24 @@ class _Writer:
         self._cell = grid.n_lat * grid.n_lon * np_dtype.itemsize
         self._done = np.zeros((len(times), len(variables)), dtype=bool)
         self._next = 0
+        self._f32 = np.empty(grid.shape, dtype=np_dtype)  # see _cast
 
     def _cast(self, values, row: int, j: int) -> np.ndarray:
         """One (n_lat, n_lon) field as the file's dtype; a finite float64
-        value that becomes inf in an f32 cast raises."""
+        value that becomes inf in an f32 cast raises.  An f32 cast of
+        float64 goes to one buffer that the next cast overwrites."""
         values = np.asarray(values)
+        if values.shape != self._grid.shape:
+            raise ValueError(f"{self._path}: a field needs shape "
+                             f"{self._grid.shape}, got {values.shape}")
         if values.dtype != np.float64 or self._dtype.itemsize == 8:
             return np.ascontiguousarray(values, dtype=self._dtype)
+        out = self._f32
         with np.errstate(over="ignore"):
-            out = values.astype(self._dtype)
+            np.copyto(out, values)
+        if math.isfinite(out.max()) and math.isfinite(out.min()):
+            return out
+        # an inf or a NaN: an overflow if a finite value became inf
         inf = np.isinf(out)
         if inf.any() and np.isfinite(values[inf]).any():
             name, level, _ = self._variables[j]

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .container import released_blocks
 from .grid import Field, FieldSeries, GridSpec, default_units, ensure_utc
 
 __all__ = [
@@ -125,14 +126,18 @@ def _merge_moments(n_a, mean_a, m2_a, n_b, mean_b, m2_b):
     return n, mean, m2
 
 
-def _streaming_moments(values_iter):
+def _streaming_moments(values, rows):
+    """(count, mean, sum of squared deviations) of the given ascending
+    rows of values, merged one row at a time, each taken in float64; the
+    map under values is released after each block of rows."""
     n, mean, m2 = 0, 0.0, 0.0
-    for chunk in values_iter:
-        chunk = np.asarray(chunk, dtype=np.float64)
-        nb = chunk.size
-        mb = float(chunk.mean())
-        m2b = float(((chunk - mb) ** 2).sum())
-        n, mean, m2 = _merge_moments(n, mean, m2, nb, mb, m2b)
+    for block in released_blocks(values, rows):
+        for i in rows[block]:
+            chunk = np.asarray(values[i], dtype=np.float64)
+            nb = chunk.size
+            mb = float(chunk.mean())
+            m2b = float(((chunk - mb) ** 2).sum())
+            n, mean, m2 = _merge_moments(n, mean, m2, nb, mb, m2b)
     return n, mean, m2
 
 
@@ -145,15 +150,15 @@ def _keyed(series_map):
 
 
 def _stat_entry(key, series: FieldSeries, period) -> StatEntry:
-    values = series.values
+    rows = np.arange(len(series))
     if period is not None:
         t0, t1 = (ensure_utc(period[0]), ensure_utc(period[1]))
-        sel = [i for i, t in enumerate(series.times) if t0 <= t <= t1]
-        if not sel:
+        rows = np.array([i for i, t in enumerate(series.times)
+                         if t0 <= t <= t1], dtype=np.intp)
+        if not len(rows):
             raise ValueError(
                 f"{key[0]} ({key[1]}): no samples in requested period")
-        values = values[sel]
-    n, mean, m2 = _streaming_moments(values)
+    n, mean, m2 = _streaming_moments(series.values, rows)
     sigma = float(np.sqrt(m2 / n))
     # rounding noise of an exactly constant field shows up as sigma ~
     # eps * |mean|; reject that as zero variance too, and NaN or inf moments
@@ -186,17 +191,21 @@ def _spreads(key, series: FieldSeries, e: StatEntry,
              denominator: str) -> tuple[float, float]:
     """(std of the one-step tendency of T' = (T - mu)/sigma, the std xi is
     scaled by: that same one, or std(T') for "standardized"), with T
-    taken in float64."""
+    copied to float64 a block of rows at a time, the map under it
+    released after each, and the tendency made in place."""
     if len(series) < 2:
         raise ValueError(
             f"{key[0]} ({key[1]}): need at least 2 time steps for the "
             "tendency, got {0}".format(len(series)))
-    tprime = np.array(series.values, dtype=np.float64)  # scaled in place
+    tprime = np.empty(series.values.shape)  # scaled in place
+    for block in released_blocks(series.values, range(len(series))):
+        tprime[block] = series.values[block]
     tprime -= e.mu
     tprime /= e.sigma
     ref = float(tprime.std()) if denominator == "standardized" else None
-    dt = np.diff(tprime, axis=0)
-    del tprime
+    dt = tprime[:-1]  # row i becomes row i + 1 - row i, as np.diff gives
+    for i in range(len(dt)):
+        np.subtract(tprime[i + 1], tprime[i], out=dt[i])
     dt *= dt
     tend = float(np.sqrt(np.mean(dt)))
     if not 0.0 < tend < np.inf:
@@ -434,8 +443,10 @@ def climatology_bins(series_map, window_days: int = 61,
     renormalized to sum 1.  Bins with no samples raise, listing (d, h),
     before anything is yielded, and so does an input with no times.
     series_map is a {(variable, level): FieldSeries} mapping or an
-    iterable of FieldSeries, taken one series at a time; each window's
-    samples are taken in float64.  Yields (series, hours, hi, means):
+    iterable of FieldSeries, taken one series at a time; each hour's
+    window samples are gathered into one float64 buffer a block of rows
+    at a time, the map under them released after each.  Yields
+    (series, hours, hi, means):
     hours lists the hours of day present, and means is the (365, n_lat,
     n_lon) float64 climatology of series at hours[hi] for days 1..365.
     """
@@ -451,6 +462,8 @@ def climatology_bins(series_map, window_days: int = 61,
                 raise ValueError(f"{key}: climatology input has no times")
             hours, weights = _window_weights(times, window_days // 2,
                                              gaussian_std_days)
+            samples = np.empty((max(len(idx) for idx, _ in weights.values()),
+                                grid.n_lat * grid.n_lon))
         elif series.grid != grid:
             raise ValueError(f"{key}: climatology inputs must share one grid")
         elif series.times != times:
@@ -459,11 +472,11 @@ def climatology_bins(series_map, window_days: int = 61,
         flat = series.values.reshape(len(series), -1)
         for hi, h in enumerate(hours):
             idx, w = weights[h]
-            # the samples are a temporary, and nothing here keeps a
-            # yielded bin set once the caller drops it
+            for block in released_blocks(flat, idx):
+                samples[block] = flat[idx[block]]
+            # nothing here keeps a yielded bin set once the caller drops it
             yield series, hours, hi, (
-                w @ np.asarray(flat[idx], dtype=np.float64)
-            ).reshape((365,) + grid.shape)
+                w @ samples[:len(idx)]).reshape((365,) + grid.shape)
         del series, flat  # before the next series is taken
     if grid is None:
         raise ValueError("empty series collection")

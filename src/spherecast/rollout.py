@@ -24,8 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .container import (container_writer, read_container, write_container,
-                        _format_time)
+from .container import (container_writer, read_container, release,
+                        released_blocks, write_container, _format_time)
 from .filters import (DiffusionSpec, PoleFilterSpec, _number, diffuse_values,
                       pole_filter_values)
 from .grid import FieldSeries, ensure_utc
@@ -265,10 +265,13 @@ def _lead_rows(plan: RolloutPlan, initial_states: dict, grid, t_i: datetime,
             t = t_i + timedelta(hours=h)
             yield np.stack([climatology.values(key[0], key[1], t)
                             for key in initial_states])
+        for values in climatology.data.values():
+            release(values)
         return
     state = np.empty((len(initial_states),) + grid.shape)
     for row, series in zip(state, initial_states.values()):
         row[...] = series.values[series.index(t_i)]
+        release(series.values)
     yield state
     if plan.forecaster == "persistence":
         for _ in plan.leads[1:]:
@@ -301,18 +304,27 @@ def _forecasts(plan: RolloutPlan, initial_states: dict,
     """Check the plan against the inputs, then lazily roll out each init.
 
     Every check runs before the first initialization is rolled out, so a
-    bad plan fails before any output exists.  Returns the grid and an
-    iterator of (init time, _lead_rows of that init) in plan order.
+    bad plan fails before any output exists; the initial states are read
+    a block of rows at a time, and the map under them released after
+    each block and after each init.  Returns the grid and an iterator of
+    (init time, _lead_rows of that init) in plan order.
     """
     if plan.forecaster == "climatology" and climatology is None:
         raise ValueError("climatology forecaster requires a climatology")
     if plan.forecaster != "climatology":
         for key, series in initial_states.items():
-            for t_i in plan.init_times:
-                if not np.isfinite(series.values[series.index(t_i)]).all():
-                    raise ValueError(
-                        f"non-finite initial state {key[0]} ({key[1]}) at "
-                        f"{t_i.isoformat()}")
+            at = np.array([series.index(t_i) for t_i in plan.init_times],
+                          dtype=np.intp)
+            rows = np.unique(at)
+            finite = np.empty(len(rows), dtype=bool)
+            for block in released_blocks(series.values, rows):
+                finite[block] = np.isfinite(
+                    series.values[rows[block]]).all(axis=(1, 2))
+            bad = np.isin(at, rows[~finite])
+            if bad.any():
+                raise ValueError(
+                    f"non-finite initial state {key[0]} ({key[1]}) at "
+                    f"{plan.init_times[int(np.argmax(bad))].isoformat()}")
     grid = next(iter(initial_states.values())).grid
     for n, step in enumerate(plan.postprocess, 1):
         if isinstance(step.spec, DiffusionSpec):

@@ -21,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .container import ScoreRecord, atomic_write, read_container, _parse_time
+from .container import (ScoreRecord, atomic_write, read_container, release,
+                        released_blocks, _parse_time)
 from .grid import Field, GridSpec, ensure_utc, metric_weights
 from .preprocess import Climatology
 
@@ -100,16 +101,23 @@ class ScoreSeries:
     summary: BootstrapSummary
 
 
-def weighted_mean(values: np.ndarray, weights: np.ndarray) -> float:
-    """(1 / (n_lat n_lon)) sum_ij w_i x_ij with per-latitude weights."""
-    return float(np.mean(weights[:, None] * values))
+def weighted_mean(values: np.ndarray, weights: np.ndarray,
+                  out: np.ndarray | None = None) -> float:
+    """(1 / (n_lat n_lon)) sum_ij w_i x_ij with per-latitude weights.
+
+    The weighted values go to out, a float64 array of values' shape that
+    may be values itself, or to a new array."""
+    return float(np.mean(np.multiply(weights[:, None], values, out=out)))
 
 
 def rmse_field(forecast: np.ndarray, target: np.ndarray,
-               weights: np.ndarray) -> float:
-    """Latitude-weighted root-mean-square error of one field pair."""
-    diff = forecast - target
-    return float(np.sqrt(weighted_mean(diff * diff, weights)))
+               weights: np.ndarray, out: np.ndarray | None = None) -> float:
+    """Latitude-weighted root-mean-square error of one field pair; out,
+    if given, is a float64 array of their shape, neither of them, that
+    takes the intermediates."""
+    diff = np.subtract(forecast, target, out=out)
+    diff *= diff
+    return float(np.sqrt(weighted_mean(diff, weights, out=diff)))
 
 
 def _safe_ratio(num: float, den: float) -> float:
@@ -122,11 +130,15 @@ def _safe_ratio(num: float, den: float) -> float:
 
 
 def acc_field(f_anom: np.ndarray, o_anom: np.ndarray,
-              weights: np.ndarray) -> float:
-    """Latitude-weighted anomaly correlation of one field pair."""
-    cov = weighted_mean(f_anom * o_anom, weights)
-    var_f = weighted_mean(f_anom * f_anom, weights)
-    var_o = weighted_mean(o_anom * o_anom, weights)
+              weights: np.ndarray, out: np.ndarray | None = None) -> float:
+    """Latitude-weighted anomaly correlation of one field pair; out as
+    for rmse_field."""
+    prod = np.multiply(f_anom, o_anom, out=out)
+    cov = weighted_mean(prod, weights, out=prod)
+    var_f = weighted_mean(np.multiply(f_anom, f_anom, out=prod), weights,
+                          out=prod)
+    var_o = weighted_mean(np.multiply(o_anom, o_anom, out=prod), weights,
+                          out=prod)
     return _safe_ratio(cov, float(np.sqrt(var_f) * np.sqrt(var_o)))
 
 
@@ -141,7 +153,8 @@ class ForecastSet:
     time must be covered by the target, all series must share one grid,
     and every forecast and every target row it verifies against must be
     finite; the forecasts are checked one init at a time, and an error
-    about one held on disk names its file.
+    about one held on disk names its file.  Files are read a block of
+    rows at a time, and the map under each block is released after it.
     """
 
     def __init__(self, forecasts: dict[datetime, object], target: dict,
@@ -162,11 +175,14 @@ class ForecastSet:
             leads = these if leads is None else (leads & these)
         self._leads = sorted(leads)
         for key, rows in used.items():
-            for i in sorted(rows):
-                if not np.isfinite(target[key].values[i]).all():
+            values, rows = target[key].values, np.array(sorted(rows))
+            for block in released_blocks(values, rows):
+                finite = np.isfinite(values[rows[block]]).all(axis=(1, 2))
+                if not finite.all():
+                    when = target[key].times[rows[block][np.argmin(finite)]]
                     raise ValueError(
                         f"non-finite target {key[0]} ({key[1]}) at "
-                        f"{target[key].times[i].isoformat()}")
+                        f"{when.isoformat()}")
         self.weights = metric_weights(self.grid)
 
     def _check_init(self, t_i: datetime, source: str, used: dict):
@@ -186,8 +202,9 @@ class ForecastSet:
                     f"{where}: target does not cover forecast valid time "
                     f"{series.times[rows.index(None)].isoformat()}")
             used[key].update(rows)
-            if not np.isfinite(series.values).all():
-                raise ValueError(f"{where}: non-finite forecast values")
+            for block in released_blocks(series.values, range(len(series))):
+                if not np.isfinite(series.values[block]).all():
+                    raise ValueError(f"{where}: non-finite forecast values")
         first = next(iter(fc.values()))
         return list(fc), {int((t - t_i).total_seconds() // 3600)
                           for t in first.times}
@@ -213,33 +230,54 @@ class ForecastSet:
         c = read_container(fc)
         return {key: c.view(*key) for key in c.keys}
 
-    def target_values(self, when: datetime, key) -> np.ndarray:
+    def target_values(self, when: datetime, key,
+                      out: np.ndarray | None = None) -> np.ndarray:
+        """The float64 target field of key at when, in out if given."""
         series = self.target[key]
-        return np.asarray(series.values[series.index(when)], dtype=np.float64)
+        if out is None:
+            out = np.empty(self.grid.shape)
+        np.copyto(out, series.values[series.index(when)])
+        return out
 
     def climatology_values(self, when: datetime, key) -> np.ndarray:
         if self.climatology is None:
             raise ValueError("no climatology attached to this forecast set")
         return self.climatology.values(key[0], key[1], when)
 
+    def release(self) -> None:
+        """Release the maps under the target and the climatology."""
+        for series in self.target.values():
+            release(series.values)
+        for values in (self.climatology.data.values()
+                       if self.climatology is not None else ()):
+            release(values)
 
-def _skill_pair(f, o, c, weights, key, when) -> tuple[float, float]:
-    mse_f = weighted_mean((f - o) ** 2, weights)
-    mse_c = weighted_mean((c - o) ** 2, weights)
+
+def _acc(f, o, c, weights, s) -> float:
+    return acc_field(np.subtract(f, c, out=s[0]), np.subtract(o, c, out=s[1]),
+                     weights, out=s[2])
+
+
+def _skill_pair(f, o, c, weights, s, key, when) -> tuple[float, float]:
+    d = np.subtract(f, o, out=s[0])
+    mse_f = weighted_mean(np.square(d, out=d), weights, out=d)
+    d = np.subtract(c, o, out=s[0])
+    mse_c = weighted_mean(np.square(d, out=d), weights, out=d)
     if mse_c == 0.0:
         raise ZeroDivisionError(
             f"MSE of the climatology reference is zero for {key[0]} "
             f"({key[1]}) at {when.isoformat()}")
-    return (1.0 - mse_f / mse_c, acc_field(f - c, o - c, weights))
+    return (1.0 - mse_f / mse_c, _acc(f, o, c, weights, s))
 
 
 METRICS = ("rmse", "acc")
 
 # metric -> its value for one init from float64 forecast f, target o and
-# climatology c (None for rmse, the one metric that needs none)
+# climatology c (None for rmse, the one metric that needs none), with s a
+# (3, n_lat, n_lon) float64 scratch stack that it overwrites
 _PER_INIT = {
-    "rmse": lambda f, o, c, w, key, when: rmse_field(f, o, w),
-    "acc": lambda f, o, c, w, key, when: acc_field(f - c, o - c, w),
+    "rmse": lambda f, o, c, w, s, key, when: rmse_field(f, o, w, out=s[0]),
+    "acc": lambda f, o, c, w, s, key, when: _acc(f, o, c, w, s),
     "skill": _skill_pair,
 }
 
@@ -251,12 +289,15 @@ def _per_init(fs: ForecastSet, cells, metrics
 
     One pass over the inits: each init's forecast is taken (opened, when
     it is on disk), every cell is scored from it field by field in
-    float64, and it is dropped before the next init is taken.
+    float64, a block of its lead rows at a time, and it is dropped before
+    the next init is taken.  The fields and every intermediate go to one
+    float64 stack made for the pass.
     """
     metrics = list(dict.fromkeys(metrics))
     found = {cell: ([], {m: [] for m in metrics}) for cell in cells}
+    fields = np.empty((5,) + fs.grid.shape)
     for t_i in fs.init_times:
-        _score_init(fs, t_i, found, metrics)
+        _score_init(fs, t_i, found, metrics, fields)
     for (key, lead), (inits, _) in found.items():
         if not inits:
             raise ValueError(
@@ -266,23 +307,37 @@ def _per_init(fs: ForecastSet, cells, metrics
             for cell, (inits, values) in found.items()}
 
 
-def _score_init(fs: ForecastSet, t_i: datetime, found: dict, metrics) -> None:
+def _score_init(fs: ForecastSet, t_i: datetime, found: dict, metrics,
+                fields: np.ndarray) -> None:
     """Append one init's value of every metric to each cell of found that
-    its forecast reaches."""
+    its forecast reaches, a block of the forecast's rows at a time; the
+    maps under the forecast (one container), the target and the
+    climatology are released after each block.  fields is a (5, n_lat,
+    n_lon) float64 stack that takes the forecast, the target and the
+    metrics' intermediates."""
+    f, o, scratch = fields[0], fields[1], fields[2:]
     fc = fs.forecast(t_i)
     needs_climatology = any(m != "rmse" for m in metrics)
-    for (key, lead), (inits, values) in found.items():
+    cells = {}  # forecast row -> the cells it verifies
+    for (key, lead), found_cell in found.items():
         series = fc.get(key)
         when = t_i + timedelta(hours=lead)
         row = None if series is None else series.time_index.get(when)
-        if row is None:
-            continue
-        f = np.asarray(series.values[row], dtype=np.float64)
-        o = fs.target_values(when, key)
-        c = fs.climatology_values(when, key) if needs_climatology else None
-        for m in metrics:
-            values[m].append(_PER_INIT[m](f, o, c, fs.weights, key, when))
-        inits.append(t_i)
+        if row is not None:
+            cells.setdefault(row, []).append((key, when, found_cell))
+    rows = np.array(sorted(cells))
+    for block in released_blocks(next(iter(fc.values())).values, rows):
+        for row in rows[block]:
+            for key, when, (inits, values) in cells[row]:
+                np.copyto(f, fc[key].values[row])
+                fs.target_values(when, key, out=o)
+                c = (fs.climatology_values(when, key) if needs_climatology
+                     else None)
+                for m in metrics:
+                    values[m].append(_PER_INIT[m](f, o, c, fs.weights,
+                                                  scratch, key, when))
+                inits.append(t_i)
+        fs.release()
 
 
 def check_metrics(metrics) -> None:

@@ -959,7 +959,7 @@ def test_spectrum_pass_holds_eight_fields_when_a_row_exceeds_its_budget(
     # each transform call reruns the Legendre recurrence, so a pass of
     # large fields still takes 8 of them (rounded up to an even count),
     # not one row; the CSV does not depend on the pass size
-    from spherecast import cli
+    from spherecast import container
     from spherecast.sht import SphericalHarmonicTransform
     inp = tmp_path / "in.gvf"
     _write_f32_input(inp, grid16, 9, ["T", "Q", "Z"], seed=39)
@@ -974,7 +974,7 @@ def test_spectrum_pass_holds_eight_fields_when_a_row_exceeds_its_budget(
         return analyze(self, values)
 
     monkeypatch.setattr(SphericalHarmonicTransform, "analyze", counted)
-    monkeypatch.setattr(cli, "_BLOCK_BYTES", 1)
+    monkeypatch.setattr(container, "_BLOCK_BYTES", 1)
     assert main(args + ["--output", str(passes)]) == 0
     assert sizes == calls
     assert passes.read_bytes() == whole.read_bytes()

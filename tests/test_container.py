@@ -1,10 +1,13 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from spherecast import container
 from spherecast.container import (ContainerError, ScoreRecord, read_container,
-                                  read_scores, write_container, write_scores)
+                                  read_scores, release, released_blocks,
+                                  write_container, write_scores)
 from conftest import fail_writes_after, make_series
 
 
@@ -135,6 +138,12 @@ def _rewrite_header(path, edit):
     (lambda h: dict(h, grid=[16, 32]), "grid is not a JSON object"),
     (lambda h: dict(h, grid="gaussian"), "grid is not a JSON object"),
     (lambda h: dict(h, attrs=["x"]), "attrs is not a JSON object"),
+    # these three used to escape as a bare TypeError or ValueError
+    (lambda h: dict(h, dtype=[]), "unsupported dtype"),
+    (lambda h: dict(h, variables=[dict(v, name=[]) for v in h["variables"]]),
+     "name, level or units is not a string"),
+    (lambda h: dict(h, time_axis=h["time_axis"][::-1]),
+     "time axis is not strictly increasing"),
 ])
 def test_non_object_header_parts_name_file_and_exit_two(tmp_path, grid16,
                                                        capsys, edit, named):
@@ -182,6 +191,66 @@ def test_empty_time_axis_header_only(tmp_path, grid16):
     assert path.stat().st_size == 8 + header_len
     c = read_container(path)
     assert c.times == []
+    # a header-only container still reads, and releases, as empty
+    assert c.block(slice(None)).shape == (0, 1) + grid16.shape
+    assert c.series("T").values.shape == (0,) + grid16.shape
+    view = c.view("T")
+    release(c)
+    release(view.values)
+    assert list(released_blocks(view.values, range(0))) == []
+    assert c.values(slice(None), "T").shape == (0,) + grid16.shape
+
+
+def test_release_of_an_array_in_memory_changes_nothing(grid16):
+    series = make_series(grid16, n_time=3, seed=14)
+    before = series.values.copy()
+    release(series.values)
+    release(series.values[1:, ::2])
+    release(np.frombuffer(before.tobytes(), dtype=before.dtype))
+    assert series.values.tobytes() == before.tobytes()
+
+
+def _resident_file_kb() -> int:
+    """Mapped file pages of this process in kB (RssShmem counts a file on
+    tmpfs)."""
+    status = dict(line.split(":", 1) for line in
+                  Path("/proc/self/status").read_text().splitlines())
+    return sum(int(status[k].split()[0]) for k in ("RssFile", "RssShmem")
+               if k in status)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="needs /proc/self/status")
+def test_release_keeps_one_block_of_the_map_resident(tmp_path, grid64,
+                                                     monkeypatch):
+    # 15.7 MB of f32: 160 times of 3 variables at 64x128
+    path = tmp_path / "big.gvf"
+    write_container(_random_collection(grid64, seed=15, n_time=160), path)
+    c = read_container(path)
+    rows = c.block(slice(None))
+    first = np.array(rows[:1])  # imports and first-touch set-up, unmeasured
+    release(c)
+
+    def read_every_row():
+        """Each block of rows as read, and the most mapped file pages
+        the reads added, in kB."""
+        base, grew, read = _resident_file_kb(), 0, []
+        for block in released_blocks(rows, range(len(rows))):
+            read.append(np.array(rows[block]))
+            grew = max(grew, _resident_file_kb() - base)
+        return read, grew
+
+    read, grew = read_every_row()
+    bound = (2 * container._BLOCK_BYTES + (1 << 20)) // 1024
+    assert grew < bound, grew
+    again, _ = read_every_row()
+    assert [a.tobytes() for a in again] == [a.tobytes() for a in read]
+    assert read[0][:1].tobytes() == first.tobytes()
+    # without a release the same reads leave the whole file mapped
+    release(c)
+    monkeypatch.setattr(container, "release", lambda data: None)
+    _, grew = read_every_row()
+    assert grew > bound, grew
 
 
 def test_constant_field_payload_identical_scalars(tmp_path, grid16):

@@ -1,10 +1,11 @@
-"""Property tests of the container writer, the blocked normalize, the
-stacked transform, the padding and filters on stacks, and the filters
-and clamp writing in place.
+"""Property tests of the container writer and reader, the blocked
+normalize, the stacked transform, the padding and filters on stacks, and
+the filters and clamp writing in place.
 
 Examples are derandomized, so every run checks the same cases.
 """
 
+import json
 import tempfile
 from contextlib import contextmanager
 from datetime import datetime, timedelta, timezone
@@ -13,13 +14,13 @@ from pathlib import Path
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from spherecast import cli, filters, sht
+from spherecast import container, filters, sht
 from spherecast.cli import main
 from spherecast.filters import (DiffusionSpec, PoleFilterSpec,
                                 diffuse_values, diffusion_stability_bound,
                                 latitude_cell_measures, pole_filter_values)
-from spherecast.container import (container_writer, read_container,
-                                  write_container)
+from spherecast.container import (ContainerError, container_writer,
+                                  read_container, write_container)
 from spherecast.grid import (FieldSeries, make_equiangular_grid,
                              make_gaussian_grid)
 from spherecast.padding import PadSpec, pad, unpad
@@ -81,6 +82,87 @@ def test_write_of_read_is_byte_identical(series, dtype):
             assert again.read_bytes() == first.read_bytes()
 
 
+def _good_container() -> bytes:
+    """The bytes of a small valid GVF1 file: two times of two variables."""
+    grid = make_gaussian_grid(4, 8)
+    times = [T0, T0 + timedelta(hours=6)]
+    with _tmpdir() as tmp:
+        write_container([FieldSeries(grid, name, "single", times,
+                                     np.arange(64.0).reshape(2, 4, 8))
+                         for name in ("T", "Q")],
+                        tmp / "good.gvf", attrs={"note": "x"})
+        return (tmp / "good.gvf").read_bytes()
+
+
+_GOOD = _good_container()
+_HEADER_END = 8 + int.from_bytes(_GOOD[:8], "little")
+
+# JSON values that may replace any part of a header; numbers stay small,
+# so that no grid it names is costly to build
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 70)
+    | st.floats(-1e3, 1e3) | st.sampled_from(
+        ["", "GVF1", "f32", "f64", "gaussian", "equiangular", "T", "single",
+         "2021-01-01T00:00:00Z", "2021-13-01T00:00:00Z"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["name", "kind", "n_lat", "x"]), inner,
+                      max_size=3),
+    max_leaves=6)
+
+
+def _mutated_header(data) -> bytes:
+    """The good file with one part of its JSON header replaced by another
+    JSON value, or deleted, and the length prefix fixed to match."""
+    header = json.loads(_GOOD[8:_HEADER_END])
+    parent, key = None, None
+    node = header
+    while isinstance(node, (dict, list)) and node and (
+            parent is None or data.draw(st.booleans())):
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        parent, key = node, data.draw(st.sampled_from(keys))
+        node = parent[key]
+    if parent is None:
+        header = data.draw(_JSON)
+    elif isinstance(parent, dict) and data.draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = data.draw(_JSON)
+    raw = json.dumps(header).encode()
+    return len(raw).to_bytes(8, "little") + raw + _GOOD[_HEADER_END:]
+
+
+@settings(DERANDOMIZED)
+@given(st.sampled_from(["truncate", "flip", "mutate"]), st.data())
+def test_a_damaged_header_raises_a_container_error_naming_the_file(
+        damage, data):
+    # truncation anywhere always raises; a flipped byte or a changed JSON
+    # value may leave a valid header (a renamed variable, say), which must
+    # then read whole
+    if damage == "truncate":
+        blob = _GOOD[:data.draw(st.integers(0, len(_GOOD) - 1))]
+    elif damage == "flip":
+        blob = bytearray(_GOOD)
+        for at in data.draw(st.lists(st.integers(0, _HEADER_END - 1),
+                                     min_size=1, max_size=3)):
+            blob[at] ^= data.draw(st.integers(1, 255))
+        blob = bytes(blob)
+    else:
+        blob = _mutated_header(data)
+    with _tmpdir() as tmp:
+        path = tmp / "damaged.gvf"
+        path.write_bytes(blob)
+        try:
+            c = read_container(path)
+        except ContainerError as exc:
+            assert str(path) in str(exc)
+            return
+        assert damage != "truncate"
+        block = c.block(slice(None))
+        assert block.shape == ((len(c.times), len(c.keys)) + c.grid.shape)
+        for key in c.keys:
+            assert c.series(*key).values.shape == (len(c.times),) + c.grid.shape
+
+
 @settings(DERANDOMIZED)
 @given(collections(), st.sampled_from(["f32", "f64"]), st.data())
 def test_row_wise_payload_equals_whole_stack(series, dtype, data):
@@ -123,9 +205,10 @@ _HUGE = [FieldSeries(make_equiangular_grid(2, 4), "V0", "single",
 @example(_HUGE, "f32", 1)
 def test_blocked_normalize_equals_whole_array(series, dtype, block_rows):
     grid = series[0].grid
-    saved = cli._BLOCK_BYTES
+    saved = container._BLOCK_BYTES
     # blocks of block_rows times over every variable
-    cli._BLOCK_BYTES = block_rows * 8 * len(series) * grid.n_lat * grid.n_lon
+    container._BLOCK_BYTES = (block_rows * 8 * len(series) * grid.n_lat
+                              * grid.n_lon)
     try:
         with _tmpdir() as tmp:
             inp, stats = tmp / "in.gvf", tmp / "stats.json"
@@ -148,7 +231,7 @@ def test_blocked_normalize_equals_whole_array(series, dtype, block_rows):
                 write_container(expect, ref, dtype=dtype, attrs=c.attrs)
                 assert out.read_bytes() == ref.read_bytes()
     finally:
-        cli._BLOCK_BYTES = saved
+        container._BLOCK_BYTES = saved
 
 
 def _blas_name() -> str:
