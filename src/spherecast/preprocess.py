@@ -349,16 +349,19 @@ class Climatology:
     data: dict[tuple[str, str], np.ndarray]
     units: dict[tuple[str, str], str] = dc_field(default_factory=dict)
 
-    def values(self, variable: str, level: str, when: datetime) -> np.ndarray:
+    def row(self, when: datetime) -> int:
+        """when's bin as a row of data viewed as (365 * len(hours), ...)."""
         when = ensure_utc(when)
         if when.hour not in self.hours:
             raise KeyError(
                 f"climatology has no hour-of-day bin for {when.hour:02d}Z "
                 f"(available: {self.hours})")
-        d = day_of_year_365(when)
-        h = self.hours.index(when.hour)
-        return np.asarray(self.data[(variable, level)][d - 1, h],
-                          dtype=np.float64)
+        return ((day_of_year_365(when) - 1) * len(self.hours)
+                + self.hours.index(when.hour))
+
+    def values(self, variable: str, level: str, when: datetime) -> np.ndarray:
+        return np.asarray(self.data[(variable, level)][
+            divmod(self.row(when), len(self.hours))], dtype=np.float64)
 
     @property
     def keys(self) -> list[tuple[str, str]]:

@@ -16,8 +16,11 @@ bit-exactly (states are written in the dtype they were read in).
 
 from __future__ import annotations
 
+import os
+import signal
 import subprocess
 import tempfile
+from contextlib import suppress
 from dataclasses import MISSING, dataclass, field as dc_field, fields
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -45,7 +48,7 @@ __all__ = [
 
 FORECASTERS = ("persistence", "climatology", "external")
 
-# Limit on one external step; on expiry only the direct child is killed.
+# Limit on one external step; on expiry its whole process group is killed.
 _EXTERNAL_TIMEOUT_S = 3600.0
 
 
@@ -200,6 +203,19 @@ def apply_postprocessing(state: dict, pipeline: list[PipelineStep],
     return result
 
 
+def _wait_external(proc: subprocess.Popen, timeout: float) -> str:
+    """proc's stderr once it exits within timeout s.  On expiry, or any other
+    error, proc's whole process group is killed (proc leads a session of
+    its own) and proc is reaped before the error goes on."""
+    try:
+        return proc.communicate(timeout=timeout)[1]
+    except BaseException:
+        with suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        raise
+
+
 def _run_external_step(command: list[str], state: np.ndarray, variables,
                        grid, when: datetime, step_hours: int, dtype: str,
                        workdir: Path) -> None:
@@ -217,15 +233,17 @@ def _run_external_step(command: list[str], state: np.ndarray, variables,
         write(state[:, None])
     cmd = list(command) + ["--in", str(in_path), "--out", str(out_path),
                            "--step-hours", str(step_hours)]
+    proc = subprocess.Popen(cmd, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.PIPE, text=True,
+                            start_new_session=True)
     try:
-        proc = subprocess.run(cmd, capture_output=True, text=True,
-                              timeout=_EXTERNAL_TIMEOUT_S)
+        stderr = _wait_external(proc, _EXTERNAL_TIMEOUT_S)
     except subprocess.TimeoutExpired:
         raise ExternalForecasterError(
             f"external forecaster did not finish within "
             f"{_EXTERNAL_TIMEOUT_S:g} s at {when.isoformat()}") from None
     if proc.returncode != 0:
-        last_line = proc.stderr.strip().rpartition("\n")[2]
+        last_line = stderr.strip().rpartition("\n")[2]
         raise ExternalForecasterError(
             f"external forecaster exited {proc.returncode} at "
             f"{when.isoformat()}: {last_line[:500]}")

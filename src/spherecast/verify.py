@@ -102,78 +102,91 @@ class ScoreSeries:
 
 
 def weighted_mean(values: np.ndarray, weights: np.ndarray,
-                  out: np.ndarray | None = None) -> float:
-    """(1 / (n_lat n_lon)) sum_ij w_i x_ij with per-latitude weights.
-
+                  out: np.ndarray | None = None):
+    """(1 / (n_lat n_lon)) sum_ij w_i x_ij with per-latitude weights, of
+    one field (a float) or of each field of a (..., n_lat, n_lon) stack.
     The weighted values go to out, a float64 array of values' shape that
     may be values itself, or to a new array."""
-    return float(np.mean(np.multiply(weights[:, None], values, out=out)))
+    return np.mean(np.multiply(weights[:, None], values, out=out),
+                   axis=(-2, -1))
+
+
+def _mse(a: np.ndarray, b: np.ndarray, weights: np.ndarray, out=None):
+    """Latitude-weighted mean square difference, as weighted_mean."""
+    diff = np.subtract(a, b, out=out)
+    return weighted_mean(np.square(diff, out=diff), weights, out=diff)
 
 
 def rmse_field(forecast: np.ndarray, target: np.ndarray,
-               weights: np.ndarray, out: np.ndarray | None = None) -> float:
-    """Latitude-weighted root-mean-square error of one field pair; out,
-    if given, is a float64 array of their shape, neither of them, that
-    takes the intermediates."""
-    diff = np.subtract(forecast, target, out=out)
-    diff *= diff
-    return float(np.sqrt(weighted_mean(diff, weights, out=diff)))
+               weights: np.ndarray, out: np.ndarray | None = None):
+    """Latitude-weighted root-mean-square error of a field pair, or of
+    each pair of two stacks; out, if given, is a float64 array of their
+    shape, neither of them, that takes the intermediates."""
+    return np.sqrt(_mse(forecast, target, weights, out=out))
 
 
-def _safe_ratio(num: float, den: float) -> float:
-    # 0/0 -> 0 covers the zero-anomaly (climatology) forecast
-    if den == 0.0:
-        if num == 0.0:
-            return 0.0
+def _safe_ratio(num, den):
+    # elementwise; 0/0 -> 0 covers the zero-anomaly (climatology) forecast
+    zero = den == 0.0
+    if np.any(zero & (num != 0.0)):
         raise ZeroDivisionError("zero weighted variance with nonzero covariance")
-    return num / den
+    return np.divide(num, den, out=np.zeros(np.shape(num)), where=~zero)[()]
 
 
 def acc_field(f_anom: np.ndarray, o_anom: np.ndarray,
-              weights: np.ndarray, out: np.ndarray | None = None) -> float:
-    """Latitude-weighted anomaly correlation of one field pair; out as
-    for rmse_field."""
+              weights: np.ndarray, out: np.ndarray | None = None):
+    """Latitude-weighted anomaly correlation of a field pair, or of each
+    pair of two stacks; out as for rmse_field."""
     prod = np.multiply(f_anom, o_anom, out=out)
     cov = weighted_mean(prod, weights, out=prod)
-    var_f = weighted_mean(np.multiply(f_anom, f_anom, out=prod), weights,
-                          out=prod)
-    var_o = weighted_mean(np.multiply(o_anom, o_anom, out=prod), weights,
-                          out=prod)
-    return _safe_ratio(cov, float(np.sqrt(var_f) * np.sqrt(var_o)))
+    var_f = weighted_mean(np.square(f_anom, out=prod), weights, out=prod)
+    var_o = weighted_mean(np.square(o_anom, out=prod), weights, out=prod)
+    return _safe_ratio(cov, np.sqrt(var_f) * np.sqrt(var_o))
+
+
+def _copy_rows(values: np.ndarray, rows: list[int], out: np.ndarray):
+    """values[rows] cast into out[:len(rows)]; consecutive rows (the usual
+    case) are copied from a slice, so that no temporary is made."""
+    consecutive = rows == list(range(rows[0], rows[0] + len(rows)))
+    np.copyto(out[:len(rows)],
+              values[rows[0]:rows[-1] + 1] if consecutive else values[rows])
+    return out[:len(rows)]
 
 
 class ForecastSet:
     """Forecasts keyed by initialization time, with target and climatology.
 
     forecasts maps each init time to {(variable, level): FieldSeries}
-    held in memory, or to the path of a GVF1 container holding them,
-    which is opened only while that init is checked or scored.  Valid
-    times are init + lead for every lead (lead 0 first); target maps
-    (variable, level) to the verifying FieldSeries.  Every forecast valid
-    time must be covered by the target, all series must share one grid,
-    and every forecast and every target row it verifies against must be
-    finite; the forecasts are checked one init at a time, and an error
-    about one held on disk names its file.  Files are read a block of
-    rows at a time, and the map under each block is released after it.
+    held in memory or to the path of a GVF1 container holding them, or is
+    a sequence of such paths (see forecast()); a file is opened only while
+    its init is checked or scored.  Valid times are init + lead for every
+    lead (lead 0 first); target maps (variable, level) to the verifying
+    FieldSeries.  Every forecast valid time must be covered by the
+    target, all series must share one grid, and every forecast and every
+    target row it verifies against must be finite; the forecasts are
+    checked one init at a time, and an error about one held on disk
+    names its file.  Files are read a block of rows at a time, and the
+    map under each block is released after it.
     """
 
-    def __init__(self, forecasts: dict[datetime, object], target: dict,
+    def __init__(self, forecasts, target: dict,
                  climatology: Climatology | None = None):
         if not forecasts:
             raise ValueError("no forecast initializations")
-        self.forecasts = {ensure_utc(t): fc for t, fc in forecasts.items()}
+        self.forecasts = {}
         self.target = target
         self.climatology = climatology
         self.grid: GridSpec = next(iter(target.values())).grid
-        used = {key: set() for key in target}
-        leads = None
-        for t_i, fc in self.forecasts.items():
-            source = "" if isinstance(fc, Mapping) else f"{fc}: "
-            keys, these = self._check_init(t_i, source, used)
-            if leads is None:
-                self._keys = keys
-            leads = these if leads is None else (leads & these)
-        self._leads = sorted(leads)
+        used, leads, self._keys = {key: set() for key in target}, [], None
+        for t_i, source in (forecasts.items() if isinstance(forecasts, Mapping)
+                            else ((None, Path(p)) for p in forecasts)):
+            init, fc = self._open(source)
+            t_i = ensure_utc(init if t_i is None else t_i)
+            self.forecasts[t_i] = source
+            leads.append(self._check_init(
+                t_i, fc, "" if init is None else f"{source}: ", used))
+            self._keys = self._keys or list(fc)
+        self._leads = sorted(set.intersection(*leads))
         for key, rows in used.items():
             values, rows = target[key].values, np.array(sorted(rows))
             for block in released_blocks(values, rows):
@@ -185,10 +198,9 @@ class ForecastSet:
                         f"{when.isoformat()}")
         self.weights = metric_weights(self.grid)
 
-    def _check_init(self, t_i: datetime, source: str, used: dict):
-        """Check one init's forecast, adding the target rows it verifies
-        against to used; its keys and the set of its lead hours."""
-        fc = self.forecast(t_i)
+    def _check_init(self, t_i: datetime, fc: dict, source: str, used: dict):
+        """Check one init's forecast fc, adding the target rows it verifies
+        against to used; the set of its lead hours."""
         for key, series in fc.items():
             where = f"{source}init {t_i.isoformat()}: {key[0]} ({key[1]})"
             if series.grid != self.grid:
@@ -205,9 +217,8 @@ class ForecastSet:
             for block in released_blocks(series.values, range(len(series))):
                 if not np.isfinite(series.values[block]).all():
                     raise ValueError(f"{where}: non-finite forecast values")
-        first = next(iter(fc.values()))
-        return list(fc), {int((t - t_i).total_seconds() // 3600)
-                          for t in first.times}
+        return {int((t - t_i).total_seconds() // 3600)
+                for t in next(iter(fc.values())).times}
 
     @property
     def init_times(self) -> list[datetime]:
@@ -221,28 +232,22 @@ class ForecastSet:
         """Lead hours available in every initialization."""
         return list(self._leads)
 
+    @staticmethod
+    def _open(source) -> tuple[datetime | None, dict]:
+        """(init time, {(variable, level): FieldSeries}) of a forecast: one in
+        memory as it is, with None; one on disk opened, as in forecast()."""
+        if isinstance(source, Mapping):
+            return None, source
+        c = read_container(source)
+        init_iso = c.attrs.get("init_time")
+        return ((_parse_time(init_iso) if init_iso else c.times[0]),
+                {key: c.view(*key) for key in c.keys})
+
     def forecast(self, t_i: datetime) -> dict:
         """{(variable, level): FieldSeries} of one init; one held on disk is
-        a view of its container's map, in the file's dtype."""
-        fc = self.forecasts[ensure_utc(t_i)]
-        if isinstance(fc, Mapping):
-            return fc
-        c = read_container(fc)
-        return {key: c.view(*key) for key in c.keys}
-
-    def target_values(self, when: datetime, key,
-                      out: np.ndarray | None = None) -> np.ndarray:
-        """The float64 target field of key at when, in out if given."""
-        series = self.target[key]
-        if out is None:
-            out = np.empty(self.grid.shape)
-        np.copyto(out, series.values[series.index(when)])
-        return out
-
-    def climatology_values(self, when: datetime, key) -> np.ndarray:
-        if self.climatology is None:
-            raise ValueError("no climatology attached to this forecast set")
-        return self.climatology.values(key[0], key[1], when)
+        a view of its container's map, in the file's dtype, and its init
+        time is its attrs["init_time"], else its first valid time."""
+        return self._open(self.forecasts[ensure_utc(t_i)])[1]
 
     def release(self) -> None:
         """Release the maps under the target and the climatology."""
@@ -253,51 +258,45 @@ class ForecastSet:
             release(values)
 
 
-def _acc(f, o, c, weights, s) -> float:
-    return acc_field(np.subtract(f, c, out=s[0]), np.subtract(o, c, out=s[1]),
-                     weights, out=s[2])
-
-
-def _skill_pair(f, o, c, weights, s, key, when) -> tuple[float, float]:
-    d = np.subtract(f, o, out=s[0])
-    mse_f = weighted_mean(np.square(d, out=d), weights, out=d)
-    d = np.subtract(c, o, out=s[0])
-    mse_c = weighted_mean(np.square(d, out=d), weights, out=d)
-    if mse_c == 0.0:
-        raise ZeroDivisionError(
-            f"MSE of the climatology reference is zero for {key[0]} "
-            f"({key[1]}) at {when.isoformat()}")
-    return (1.0 - mse_f / mse_c, _acc(f, o, c, weights, s))
-
-
 METRICS = ("rmse", "acc")
-
-# metric -> its value for one init from float64 forecast f, target o and
-# climatology c (None for rmse, the one metric that needs none), with s a
-# (3, n_lat, n_lon) float64 scratch stack that it overwrites
-_PER_INIT = {
-    "rmse": lambda f, o, c, w, s, key, when: rmse_field(f, o, w, out=s[0]),
-    "acc": lambda f, o, c, w, s, key, when: _acc(f, o, c, w, s),
-    "skill": _skill_pair,
-}
 
 
 def _per_init(fs: ForecastSet, cells, metrics
               ) -> dict[tuple, tuple[list[datetime], dict[str, np.ndarray]]]:
     """{(key, lead): (inits, {metric: per-init values})} for every distinct
-    cell and metric of _PER_INIT, over the inits that reach the cell's lead.
-
-    One pass over the inits: each init's forecast is taken (opened, when
-    it is on disk), every cell is scored from it field by field in
-    float64, a block of its lead rows at a time, and it is dropped before
-    the next init is taken.  The fields and every intermediate go to one
-    float64 stack made for the pass.
-    """
+    cell and metric (of METRICS, or "skill": 1 - MSE / MSE of the
+    climatology), over the inits that reach the cell's lead.  One pass
+    walks each init's forecast a run of rows at a time (released_blocks;
+    the maps under it, the target and the climatology are released after
+    each run) and scores each variable's rows in a run as one stack in a
+    float64 scratch stack made for the pass (_score_rows)."""
     metrics = list(dict.fromkeys(metrics))
     found = {cell: ([], {m: [] for m in metrics}) for cell in cells}
-    fields = np.empty((5,) + fs.grid.shape)
+    scratch = np.empty((4, 0) + fs.grid.shape)
     for t_i in fs.init_times:
-        _score_init(fs, t_i, found, metrics, fields)
+        fc = fs.forecast(t_i)
+        reached = {}  # forecast row -> {key: the cell that row of key verifies}
+        for (key, lead), cell in found.items():
+            when = t_i + timedelta(hours=lead)
+            row = fc[key].time_index.get(when) if key in fc else None
+            if row is not None:
+                reached.setdefault(row, {})[key] = cell
+        rows = sorted(reached)
+        for block in released_blocks(next(iter(fc.values())).values, rows):
+            run = rows[block]
+            if len(run) > scratch.shape[1]:
+                scratch = np.empty((4, len(run)) + fs.grid.shape)
+            for key in fc:
+                these = [row for row in run if key in reached[row]]
+                if not these:
+                    continue
+                scores = _score_rows(fs, key, fc[key], these, metrics, scratch)
+                for i, row in enumerate(these):
+                    inits, values = reached[row][key]
+                    inits.append(t_i)
+                    for m in metrics:
+                        values[m].append(scores[m][i])
+            fs.release()
     for (key, lead), (inits, _) in found.items():
         if not inits:
             raise ValueError(
@@ -307,37 +306,37 @@ def _per_init(fs: ForecastSet, cells, metrics
             for cell, (inits, values) in found.items()}
 
 
-def _score_init(fs: ForecastSet, t_i: datetime, found: dict, metrics,
-                fields: np.ndarray) -> None:
-    """Append one init's value of every metric to each cell of found that
-    its forecast reaches, a block of the forecast's rows at a time; the
-    maps under the forecast (one container), the target and the
-    climatology are released after each block.  fields is a (5, n_lat,
-    n_lon) float64 stack that takes the forecast, the target and the
-    metrics' intermediates."""
-    f, o, scratch = fields[0], fields[1], fields[2:]
-    fc = fs.forecast(t_i)
-    needs_climatology = any(m != "rmse" for m in metrics)
-    cells = {}  # forecast row -> the cells it verifies
-    for (key, lead), found_cell in found.items():
-        series = fc.get(key)
-        when = t_i + timedelta(hours=lead)
-        row = None if series is None else series.time_index.get(when)
-        if row is not None:
-            cells.setdefault(row, []).append((key, when, found_cell))
-    rows = np.array(sorted(cells))
-    for block in released_blocks(next(iter(fc.values())).values, rows):
-        for row in rows[block]:
-            for key, when, (inits, values) in cells[row]:
-                np.copyto(f, fc[key].values[row])
-                fs.target_values(when, key, out=o)
-                c = (fs.climatology_values(when, key) if needs_climatology
-                     else None)
-                for m in metrics:
-                    values[m].append(_PER_INIT[m](f, o, c, fs.weights,
-                                                  scratch, key, when))
-                inits.append(t_i)
-        fs.release()
+def _score_rows(fs: ForecastSet, key, series, rows, metrics, scratch) -> dict:
+    """{metric: one value per row} for these rows of key's forecast series;
+    scratch planes 0-3 take them, their target rows, the intermediates and
+    (last, untouched by rmse alone) their climatology bins."""
+    whens = [series.times[row] for row in rows]
+    target, w, scores = fs.target[key], fs.weights, {}
+    f = _copy_rows(series.values, rows, scratch[0])
+    o = _copy_rows(target.values, [target.time_index[t] for t in whens],
+                   scratch[1])
+    tmp = scratch[2, :len(rows)]
+    if "rmse" in metrics or "skill" in metrics:
+        mse_f = _mse(f, o, w, out=tmp)
+        scores["rmse"] = np.sqrt(mse_f)
+    if all(m == "rmse" for m in metrics):
+        return scores
+    clim = fs.climatology
+    if clim is None:
+        raise ValueError("no climatology attached to this forecast set")
+    c = _copy_rows(clim.data[key].reshape((-1,) + fs.grid.shape),
+                   [clim.row(t) for t in whens], scratch[3])
+    if "skill" in metrics:
+        mse_c = _mse(c, o, w, out=tmp)
+        if not mse_c.all():
+            raise ZeroDivisionError(
+                f"MSE of the climatology reference is zero for {key[0]} "
+                f"({key[1]}) at {whens[np.argmin(mse_c)].isoformat()}")
+        scores["skill"] = 1.0 - mse_f / mse_c
+    if "acc" in metrics:  # last: the anomalies overwrite f and o
+        scores["acc"] = acc_field(np.subtract(f, c, out=f),
+                                  np.subtract(o, c, out=o), w, out=tmp)
+    return scores
 
 
 def check_metrics(metrics) -> None:
@@ -408,9 +407,8 @@ def skill_relation_check(fs: ForecastSet, variable: str, level: str = "single",
                          lead_hours: int = 0) -> SkillRelationResult:
     """Compare 1 - MSE/MSE_C against 2 ACC - 1 per initialization."""
     cell = ((variable, level), lead_hours)
-    inits, values = _per_init(fs, [cell], ["skill"])[cell]
-    skills = values["skill"][:, 0]
-    accs = values["skill"][:, 1]
+    inits, values = _per_init(fs, [cell], ["skill", "acc"])[cell]
+    skills, accs = values["skill"], values["acc"]
     return SkillRelationResult(
         variable=variable, level=level, lead_hours=lead_hours,
         init_times=inits, skill_score=skills, acc=accs,
@@ -533,29 +531,20 @@ def load_forecast_set(forecast_paths, target_path,
     """Assemble a ForecastSet from per-initialization GVF1 containers.
 
     forecast_paths may be a directory (every *.gvf file inside) or an
-    iterable of paths.  Each container carries its init time in
-    attrs["init_time"]; missing attrs fall back to the first valid time.
-    The forecasts stay on disk, each opened while it is checked or
-    scored; the target and climatology are views of their files' maps.
+    iterable of paths; the forecasts stay on disk (see ForecastSet), and
+    the target and climatology are views of their files' maps.
     """
-    forecast_paths = Path(forecast_paths) if isinstance(forecast_paths, (str, Path)) \
-        else forecast_paths
-    if isinstance(forecast_paths, Path):
-        if not forecast_paths.is_dir():
-            raise ValueError(f"{forecast_paths}: not a forecast directory")
-        paths = sorted(forecast_paths.glob("*.gvf"))
+    if isinstance(forecast_paths, (str, Path)):
+        directory = Path(forecast_paths)
+        if not directory.is_dir():
+            raise ValueError(f"{directory}: not a forecast directory")
+        paths = sorted(directory.glob("*.gvf"))
         if not paths:
-            raise ValueError(f"{forecast_paths}: no .gvf forecast files")
+            raise ValueError(f"{directory}: no .gvf forecast files")
     else:
-        paths = [Path(p) for p in forecast_paths]
-    forecasts = {}
-    for p in paths:
-        c = read_container(p)
-        init_iso = c.attrs.get("init_time")
-        forecasts[_parse_time(init_iso) if init_iso else c.times[0]] = p
+        paths = list(forecast_paths)
     target = read_container(target_path)
     clim = (Climatology.from_container(climatology_path)
             if climatology_path else None)
-    return ForecastSet(forecasts,
-                       {key: target.view(*key) for key in target.keys},
+    return ForecastSet(paths, {key: target.view(*key) for key in target.keys},
                        climatology=clim)

@@ -1,6 +1,7 @@
 """Property tests of the container writer and reader, the blocked
-normalize, the stacked transform, the padding and filters on stacks, and
-the filters and clamp writing in place.
+normalize, the stacked transform, the padding and filters on stacks, the
+filters and clamp writing in place, the stacked verification scores and
+the bootstrap interval.
 
 Examples are derandomized, so every run checks the same cases.
 """
@@ -22,11 +23,14 @@ from spherecast.filters import (DiffusionSpec, PoleFilterSpec,
 from spherecast.container import (ContainerError, container_writer,
                                   read_container, write_container)
 from spherecast.grid import (FieldSeries, make_equiangular_grid,
-                             make_gaussian_grid)
+                             make_gaussian_grid, metric_weights)
 from spherecast.padding import PadSpec, pad, unpad
-from spherecast.preprocess import (NormStats, clamp_nonnegative_values,
-                                   denormalize, normalize)
+from spherecast.preprocess import (Climatology, NormStats,
+                                   clamp_nonnegative_values, denormalize,
+                                   normalize)
 from spherecast.sht import SphericalHarmonicTransform
+from spherecast.verify import (ForecastSet, _per_init, acc_field,
+                               bootstrap_mean, rmse_field)
 
 settings.register_profile(
     "derandomized", derandomize=True, deadline=None, max_examples=40,
@@ -407,3 +411,131 @@ def test_filters_and_clamp_give_one_result_for_every_out(grid, data):
     assert _every_out(lambda x, out: clamp_nonnegative_values(
         x, floor, out=out), stack) == {
             np.where(stack < floor, floor, stack).tobytes()}
+
+
+# The per-field reference: each score of one (n_lat, n_lon) field with
+# Python-float arithmetic, which the stacked scores must match bit for bit.
+
+def _field_mean(x, w):
+    return float(np.mean(np.multiply(w[:, None], x)))
+
+
+def _field_rmse(f, o, w):
+    return float(np.sqrt(_field_mean((f - o) * (f - o), w)))
+
+
+def _field_acc(fa, oa, w):
+    cov = _field_mean(fa * oa, w)
+    den = float(np.sqrt(_field_mean(fa * fa, w))
+                * np.sqrt(_field_mean(oa * oa, w)))
+    if den == 0.0:
+        if cov == 0.0:
+            return 0.0
+        raise ZeroDivisionError("zero weighted variance with nonzero covariance")
+    return cov / den
+
+
+def _field_skill(f, o, c, w):
+    mse_c = _field_mean((c - o) * (c - o), w)
+    if mse_c == 0.0:
+        raise ZeroDivisionError("zero MSE of the climatology")
+    return 1.0 - _field_mean((f - o) * (f - o), w) / mse_c
+
+
+def _per_field(fn, *stacks):
+    """fn of each field of the stacks, as float64 bytes; or the first
+    error it raises."""
+    try:
+        return np.array([fn(*fields) for fields in zip(*stacks)]).tobytes()
+    except ZeroDivisionError as exc:
+        return exc
+
+
+def _stacked(fn, *args):
+    try:
+        return np.asarray(fn(*args), dtype=np.float64).tobytes()
+    except ZeroDivisionError as exc:
+        return exc
+
+
+def _same(a, b):
+    if isinstance(a, Exception) or isinstance(b, Exception):
+        return type(a) is type(b)
+    return a == b
+
+
+def _scored_forecast_set(grid, start, f, o, c):
+    """A ForecastSet of one init at start whose leads are the rows of f,
+    verified against o, with the climatology bins of their times c."""
+    times = [start + timedelta(hours=6 * k) for k in range(len(f))]
+    key = ("T", "single")
+    clim = Climatology(grid=grid, hours=[0, 6, 12, 18], window_days=61,
+                       std_days=10.0, data={key: np.zeros((365, 4) + grid.shape)})
+    flat = clim.data[key].reshape((-1,) + grid.shape)
+    for t, field in zip(times, c):
+        flat[clim.row(t)] = field
+    return ForecastSet({start: {key: FieldSeries(grid, "T", "single", times, f)}},
+                       {key: FieldSeries(grid, "T", "single", times, o)},
+                       climatology=clim)
+
+
+@settings(DERANDOMIZED)
+@given(grids(), st.data())
+def test_stacked_scores_equal_per_field_scores(grid, data):
+    n = data.draw(st.integers(1, 6))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    scale = 10.0 ** data.draw(st.integers(-30, 30))
+    f, o, c = (rng.normal(size=(n,) + grid.shape) * scale for _ in range(3))
+    # climatology forecasts: zero anomaly, so an ACC of 0/0 -> 0
+    for i in data.draw(st.sets(st.integers(0, n - 1))):
+        f[i] = c[i]
+    # a zero climatology MSE, for which the skill score raises
+    for i in data.draw(st.sets(st.integers(0, n - 1), max_size=1)):
+        o[i] = c[i]
+    # an anomaly whose square underflows: zero variance, nonzero covariance
+    if data.draw(st.booleans()):
+        i = data.draw(st.integers(0, n - 1))
+        f[i], o[i], c[i] = 1e-200 * f[i] / scale, 1e100 * o[i] / scale, 0.0
+    w = metric_weights(grid)
+
+    assert _same(_stacked(rmse_field, f, o, w), _per_field(
+        lambda *x: _field_rmse(*x, w), f, o))
+    fa, oa = f - c, o - c
+    assert _same(_stacked(acc_field, fa, oa, w), _per_field(
+        lambda *x: _field_acc(*x, w), fa, oa))
+
+    # the same scores through ForecastSet, one stack per run of leads; a
+    # start of 31 Dec 12Z wraps the climatology bins to 1 Jan
+    start = data.draw(st.sampled_from([T0, T0 - timedelta(hours=12)]))
+    fs = _scored_forecast_set(grid, start, f, o, c)
+    cells = [(("T", "single"), 6 * k) for k in range(n)]
+    for metric, expect in (
+            ("rmse", _per_field(lambda *x: _field_rmse(*x, w), f, o)),
+            ("acc", _per_field(lambda *x: _field_acc(*x, w), fa, oa)),
+            ("skill", _per_field(lambda *x: _field_skill(*x, w), f, o, c))):
+        try:
+            scored = _per_init(fs, cells, [metric])
+            got = np.concatenate([scored[cell][1][metric]
+                                  for cell in cells]).tobytes()
+        except ZeroDivisionError as exc:
+            got = exc
+        assert _same(got, expect), metric
+        if metric == "skill" and isinstance(got, Exception):
+            first = min(i for i in range(n) if (o[i] == c[i]).all())
+            when = start + timedelta(hours=6 * first)
+            assert str(got) == ("MSE of the climatology reference is zero "
+                                f"for T (single) at {when.isoformat()}")
+        if metric == "acc" and isinstance(got, Exception):
+            assert str(got) == str(expect)
+
+
+@settings(DERANDOMIZED)
+@given(st.one_of(
+           st.lists(st.floats(-1e12, 1e12), min_size=1, max_size=60),
+           st.builds(lambda x, n: [x] * n, st.floats(-1e12, 1e12),
+                     st.integers(1, 60))),
+       st.integers(1, 300), st.integers(0, 2 ** 32 - 1))
+def test_the_bootstrap_interval_brackets_its_mean(values, n_boot, seed):
+    s = bootstrap_mean(np.array(values), n_boot, seed)
+    assert s.ci_low <= s.mean <= s.ci_high
+    assert s.n == len(values) and s.n_boot == n_boot

@@ -1,6 +1,10 @@
+import os
 import re
+import signal
 import sys
+import time
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,6 +187,58 @@ def test_external_malformed_output_raises(tmp_path, grid16):
                        external_command=[sys.executable, str(script)])
     with pytest.raises(ExternalForecasterError, match="unreadable"):
         run_rollout(plan, states)
+
+
+def _running(pid: int) -> bool:
+    """Whether pid is a process that has not exited (a zombie has)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rpartition(")")[2].split()[0] != "Z"
+
+
+def _running_in_group(pgid: int) -> list[int]:
+    """The running processes whose process group is pgid."""
+    found = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            state, _ppid, pgrp = stat.read_text().rpartition(")")[2].split()[:3]
+        except OSError:
+            continue
+        if int(pgrp) == pgid and state != "Z":
+            found.append(int(stat.parent.name))
+    return found
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                    reason="reads process states from /proc")
+def test_timed_out_external_step_leaves_no_process_in_its_group(
+        tmp_path, grid16, monkeypatch):
+    monkeypatch.setattr(rollout, "_EXTERNAL_TIMEOUT_S", 1.0)
+    pids = tmp_path / "pids"
+    script = tmp_path / "hang.sh"
+    # the shell forks sleep rather than exec'ing it, so killing only the
+    # shell would leave sleep running
+    script.write_text(f"sleep 7.77 &\necho $$ $! > {pids}\nwait\n")
+    states = {("T", "single"): f32_series(grid16, n_time=2, seed=8)}
+    plan = RolloutPlan(init_times=[T0], step_hours=6, max_lead_hours=6,
+                       forecaster="external",
+                       external_command=["sh", str(script)])
+    shell = sleep = None
+    try:
+        with pytest.raises(ExternalForecasterError, match="within 1 s"):
+            run_rollout(plan, states)
+        shell, sleep = (int(pid) for pid in pids.read_text().split())
+        deadline = time.monotonic() + 5.0
+        while ((_running(sleep) or _running_in_group(shell))
+               and time.monotonic() < deadline):
+            time.sleep(0.05)
+        assert not _running(sleep)
+        assert not _running_in_group(shell)
+    finally:
+        if sleep is not None and _running(sleep):
+            os.kill(sleep, signal.SIGKILL)
 
 
 def test_missing_initial_state_raises(grid16):

@@ -1,4 +1,5 @@
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -431,6 +432,37 @@ def test_forecast_set_on_disk_scores_like_in_memory(tmp_path, grid16):
         acc_values = next(s.values for s in memory
                           if s.metric == "acc" and s.lead_hours == lead)
         assert x.acc.tobytes() == acc_values.tobytes()
+
+
+def test_verify_opens_each_forecast_file_twice(tmp_path, grid16,
+                                               monkeypatch):
+    """Once to check it and read its init time, once to score it."""
+    from spherecast import container
+    from spherecast.cli import main
+    from spherecast.container import write_container
+    from spherecast.rollout import write_forecast_dir
+    rng = np.random.default_rng(27)
+    target_vals = rng.normal(size=(8,) + grid16.shape)
+    fs = build_set(grid16, target_vals,
+                   lambda i, k: target_vals[i + k] + rng.normal(), n_init=5)
+    target_path, clim_path = tmp_path / "target.gvf", tmp_path / "clim.gvf"
+    write_container(fs.target, target_path, dtype="f32")
+    fs.climatology.to_container(clim_path)
+    paths = write_forecast_dir(fs, tmp_path / "fc", dtype="f32")
+    opened = []
+    real_init = container.Container.__init__
+
+    def counting_init(self, path):
+        opened.append(Path(path))
+        real_init(self, path)
+
+    monkeypatch.setattr(container.Container, "__init__", counting_init)
+    assert main(["verify", "--forecast-dir", str(tmp_path / "fc"),
+                 "--target", str(target_path), "--climatology", str(clim_path),
+                 "--bootstrap", "10", "--output",
+                 str(tmp_path / "scores.csv")]) == 0
+    assert {p: opened.count(p) for p in paths} == {p: 2 for p in paths}
+    assert len(opened) == 2 * len(paths) + 2  # and target and climatology
 
 
 def test_score_cells_repeats_a_repeated_metric_or_cell(grid16):
