@@ -21,8 +21,8 @@ from spherecast.container import read_scores, write_container
 from spherecast.grid import FieldSeries
 from spherecast.preprocess import Climatology
 from spherecast.rollout import (PipelineStep, RolloutPlan, apply_postprocessing,
-                                run_rollout, run_rollout_to_dir)
-from spherecast.verify import acc, rmse
+                                run_rollout_to_dir)
+from spherecast.verify import ForecastSet, acc, rmse
 
 grid = make_gaussian_grid(16, 32)
 t0 = datetime(2020, 1, 1, tzinfo=timezone.utc)
@@ -37,38 +37,39 @@ clim = Climatology(grid=grid, hours=[0, 6, 12, 18], window_days=61,
                    std_days=10.0,
                    data={("T", "single"): np.zeros((365, 4) + grid.shape)})
 
-# Persistence: the initial state repeated at every lead, bit-identical
-plan = RolloutPlan(init_times=times[:4], step_hours=6, max_lead_hours=24)
-fs = run_rollout(plan, states, climatology=clim)
-print("persistence scores by lead:")
-for lead in plan.leads:
-    r = rmse(fs, "T", lead_hours=lead, n_boot=200, seed=0)
-    a = acc(fs, "T", lead_hours=lead, n_boot=200, seed=0)
-    print(f"  {lead:3d}h: RMSE {r.summary.mean:.3f}  ACC {a.summary.mean:+.3f}")
-print("(lead 0 is exact by construction: RMSE 0, ACC 1)")
-
-# Post-processing pipelines run between autoregressive steps
+# Post-processing pipelines run between autoregressive steps, in place
 state = {("Q", "single"): rng.normal(size=grid.shape) * 1e-7}
+before = state[("Q", "single")].min()
 steps = [PipelineStep(kind="clamp_nonnegative", variables=("Q",)),
          PipelineStep(kind="laplacian_diffuse",
                       params={"nu_dt": 1e-5, "steps": 1})]
-cleaned = apply_postprocessing(state, steps, grid)
-print("\npipeline [clamp, diffuse]: min before",
-      f"{state[('Q', 'single')].min():.1e}",
-      "after", f"{cleaned[('Q', 'single')].min():.1e}")
+apply_postprocessing(state, steps, grid)
+print("pipeline [clamp, diffuse]: min before", f"{before:.1e}",
+      "after", f"{state[('Q', 'single')].min():.1e}")
 
-# The same persistence run through the file protocol + CLI verification
+# Persistence: the initial state repeated at every lead, bit-identical.
+# A rollout writes one container per initialization; verification reads
+# them back, in the Python API or through the CLI.
+plan = RolloutPlan(init_times=times[:4], step_hours=6, max_lead_hours=24)
 with tempfile.TemporaryDirectory() as tmp:
     tmp = Path(tmp)
+    fc_dir = tmp / "forecasts"
+    paths = run_rollout_to_dir(plan, states, fc_dir)
+    print("\nwrote", len(paths), "per-initialization forecast containers")
+
+    fs = ForecastSet(paths, states, climatology=clim)
+    print("persistence scores by lead:")
+    for lead in plan.leads:
+        r = rmse(fs, "T", lead_hours=lead, n_boot=200, seed=0)
+        a = acc(fs, "T", lead_hours=lead, n_boot=200, seed=0)
+        print(f"  {lead:3d}h: RMSE {r.summary.mean:.3f}  "
+              f"ACC {a.summary.mean:+.3f}")
+    print("(lead 0 is exact by construction: RMSE 0, ACC 1)")
+
     target_path = tmp / "target.gvf"
     write_container(states, target_path, dtype="f32")
     clim_path = tmp / "clim.gvf"
     clim.to_container(clim_path)
-    fc_dir = tmp / "forecasts"
-    run_rollout_to_dir(plan, states, fc_dir)
-    print("\nwrote", len(list(fc_dir.glob("*.gvf"))),
-          "per-initialization forecast containers")
-
     scores = tmp / "scores.csv"
     code = main(["verify", "--forecast-dir", str(fc_dir),
                  "--target", str(target_path),

@@ -156,6 +156,10 @@ def _views(c):
 
 
 def _cmd_stats(cfg):
+    if not cfg["residual"] and (cfg["denominator"]
+                                != _DEFAULTS["stats"]["denominator"]):
+        raise UsageError("--denominator applies to the residual "
+                         "coefficients, which --no-residual turns off")
     c = read_container(cfg["input"])
     denominator = cfg["denominator"] if cfg["residual"] else None
     try:
@@ -306,6 +310,7 @@ def _cmd_spectrum(cfg):
                 f"--{flag.replace('_', '-')} applies to --kind "
                 f"{' or '.join(kinds)} only, not {kind!r}")
     c = read_container(cfg["input"])
+    t0 = c.init_time
     limit = min(c.grid.n_lat - 1, (c.grid.n_lon - 1) // 2)
     l_max = limit if cfg["l_max"] is None else cfg["l_max"]
     if not 0 <= l_max <= limit:
@@ -345,8 +350,6 @@ def _cmd_spectrum(cfg):
         power[rows] = spectra(block if kind == "power" else block[:, cols])
         cio.release(c)
 
-    init = c.attrs.get("init_time")
-    t0 = cio._parse_time(init) if init else None
     by_lead = {}
     for i, t in enumerate(c.times):
         t0 = t0 or t  # leads count from the first time without an init_time
@@ -390,6 +393,8 @@ def _mean_correlation(path, weighted):
 
 
 def _cmd_correlate(cfg):
+    if cfg["difference_output"] and not cfg["reference"]:
+        raise UsageError("--difference-output applies with --reference only")
     mean = _mean_correlation(cfg["input"], cfg["weighted"])
     write_correlation_csv(mean, cfg["output"])
     if cfg["reference"]:

@@ -13,9 +13,10 @@ import json
 import math
 import mmap
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -59,8 +60,16 @@ def _format_time(t: datetime) -> str:
     return ensure_utc(t).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
+_TIME = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2})"
+                   r"T([0-9]{2}):([0-9]{2}):([0-9]{2})Z")
+
+
 def _parse_time(s: str) -> datetime:
-    return ensure_utc(datetime.strptime(s, "%Y-%m-%dT%H:%M:%SZ"))
+    """The UTC time of a string in the one form _format_time writes."""
+    match = _TIME.fullmatch(s) if isinstance(s, str) else None
+    if match is None:
+        raise ValueError(f"{s!r} is not a YYYY-MM-DDTHH:MM:SSZ time")
+    return datetime(*map(int, match.groups()), tzinfo=timezone.utc)
 
 
 def _grid_to_json(grid: GridSpec) -> dict:
@@ -68,9 +77,20 @@ def _grid_to_json(grid: GridSpec) -> dict:
             "lon_origin": grid.lon_origin}
 
 
-def _grid_from_json(spec: dict, path: Path) -> GridSpec:
+def _grid_size(spec: dict, path: Path) -> tuple[int, int]:
+    """(n_lat, n_lon) of a header's grid object, each a positive JSON
+    integer."""
     if not isinstance(spec, dict):
         raise ContainerError(f"{path}: header grid is not a JSON object")
+    size = spec["n_lat"], spec["n_lon"]
+    if not all(type(n) is int and n > 0 for n in size):
+        raise ContainerError(f"{path}: invalid header: grid n_lat and n_lon "
+                             f"must be positive integers, got {size[0]!r} "
+                             f"and {size[1]!r}")
+    return size
+
+
+def _grid_from_json(spec: dict, path: Path) -> GridSpec:
     kind = spec.get("kind")
     if kind == "gaussian":
         return make_gaussian_grid(spec["n_lat"], spec["n_lon"],
@@ -128,7 +148,7 @@ class Container:
         self.dtype = _DTYPES[header["dtype"]]
         self.dtype_name = header["dtype"]
         try:
-            self.grid = _grid_from_json(header["grid"], self.path)
+            n_lat, n_lon = _grid_size(header["grid"], self.path)
             self.times = [_parse_time(s) for s in header["time_axis"]]
             self.variables = [(v["name"], v.get("level", "single"),
                                v.get("units", "1"))
@@ -154,17 +174,24 @@ class Container:
             raise ContainerError(
                 f"{self.path}: duplicate (variable, level) in header")
 
+        # the payload size is checked before the grid, whose Gauss-Legendre
+        # nodes cost O(n_lat ** 2) to find, is built
         self._offset = 8 + header_len
         n_time, n_var = len(self.times), len(self.variables)
         expected = (self._offset
-                    + n_time * n_var * self.grid.n_lat * self.grid.n_lon
-                    * self.dtype.itemsize)
+                    + n_time * n_var * n_lat * n_lon * self.dtype.itemsize)
         if size != expected:
             raise ContainerError(
                 f"{self.path}: payload truncated or padded: file is "
-                f"{size} bytes, expected {expected} "
+                f"{size} bytes, expected {expected} for {n_time} times x "
+                f"{n_var} variables x n_lat {n_lat} x n_lon {n_lon} "
                 f"(payload starts at offset {self._offset})")
-        shape = (n_time, n_var, self.grid.n_lat, self.grid.n_lon)
+        try:
+            self.grid = _grid_from_json(header["grid"], self.path)
+        except (TypeError, ValueError) as exc:
+            raise ContainerError(
+                f"{self.path}: invalid header: {exc}") from None
+        shape = (n_time, n_var, n_lat, n_lon)
         if n_time * n_var:
             with open(self.path, "rb") as fh:
                 # read-only, so release() may drop any of its pages
@@ -178,6 +205,17 @@ class Container:
     @property
     def keys(self) -> list[tuple[str, str]]:
         return [(n, l) for n, l, _ in self.variables]
+
+    @property
+    def init_time(self) -> datetime | None:
+        """attrs["init_time"], with which a rollout tags each forecast
+        container, or None if there is none."""
+        text = self.attrs.get("init_time")
+        try:
+            return _parse_time(text) if text else None
+        except ValueError as exc:
+            raise ContainerError(
+                f"{self.path}: attrs init_time: {exc}") from None
 
     def index(self, variable: str, level: str = "single") -> int:
         """Position of (variable, level) in the variable list."""

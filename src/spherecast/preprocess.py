@@ -284,8 +284,8 @@ def normalize(data, stats: NormStats, out: np.ndarray | None = None):
 
 
 def denormalize(data, stats: NormStats, out: np.ndarray | None = None):
-    """Exact inverse of normalize: T = T'' * xi * sigma + mu; out as
-    there."""
+    """Inverse of normalize, to within a few ulp of |T| + |mu|:
+    T = T'' * xi * sigma + mu; out as there."""
     e = stats.entry(data.variable, data.level)
     values = np.multiply(data.values, e.xi * e.sigma, out=out)
     values += e.mu

@@ -28,20 +28,17 @@ from pathlib import Path
 import numpy as np
 
 from .container import (container_writer, read_container, release,
-                        released_blocks, write_container, _format_time)
+                        released_blocks, _format_time)
 from .filters import (DiffusionSpec, PoleFilterSpec, _number, diffuse_values,
                       pole_filter_values)
-from .grid import FieldSeries, ensure_utc
+from .grid import ensure_utc
 from .preprocess import Climatology, clamp_nonnegative_values
-from .verify import ForecastSet
 
 __all__ = [
     "RolloutPlan",
     "PipelineStep",
     "PostprocessError",
-    "run_rollout",
     "run_rollout_to_dir",
-    "write_forecast_dir",
     "apply_postprocessing",
     "ExternalForecasterError",
 ]
@@ -176,31 +173,13 @@ class RolloutPlan:
 
 
 def apply_postprocessing(state: dict, pipeline: list[PipelineStep],
-                         grid, out: dict | None = None) -> dict:
-    """Apply pipeline steps in order to a {(var, level): values} state.
-
-    Without out, state is left untouched and a new mapping is returned; an
-    empty pipeline returns the state object itself (identity, no copies),
-    so baselines that configure no post-processing stay bit-identical to
-    their inputs.  out, a {(var, level): float64 array} of state's keys
-    and shapes (it may be state itself), gets each key's result written
-    in place and is returned.
-    """
-    if out is None:
-        if not pipeline:
-            return state
-        result = dict(state)
-    else:
-        for key, values in state.items():
-            if out[key] is not values:
-                np.copyto(out[key], values)
-        result = out
+                         grid) -> None:
+    """Apply pipeline steps in order, in place, to a {(var, level): float64
+    array} state; a step with variables touches only their keys."""
     for step in pipeline:
-        for key, values in result.items():
+        for key, values in state.items():
             if step.variables is None or key[0] in step.variables:
-                result[key] = step.apply(values, grid,
-                                         out=None if out is None else values)
-    return result
+                step.apply(values, grid, out=values)
 
 
 def _wait_external(proc: subprocess.Popen, timeout: float) -> str:
@@ -269,10 +248,11 @@ def _run_external_step(command: list[str], state: np.ndarray, variables,
         row[...] = fields[c.index(name, level)]  # cast out of the map
 
 
-def _lead_rows(plan: RolloutPlan, initial_states: dict, grid, t_i: datetime,
-               climatology: Climatology | None):
+def _lead_rows(plan: RolloutPlan, initial_states: dict, variables, grid,
+               t_i: datetime, climatology: Climatology | None):
     """One initialization's forecast: per lead, in order, a float64
-    (variable, n_lat, n_lon) row in initial_states' key order.
+    (variable, n_lat, n_lon) row of variables, initial_states' keys with
+    their units, in order.
 
     Persistence and the external forecaster yield one state stack over
     and over; the external one overwrites it in place between leads, so a
@@ -297,7 +277,6 @@ def _lead_rows(plan: RolloutPlan, initial_states: dict, grid, t_i: datetime,
         return
     # external, strictly sequential per step
     fields = dict(zip(initial_states, state))  # views of the stack
-    variables = _variables(initial_states)
     with tempfile.TemporaryDirectory(prefix="rollout_") as tmp:
         for h in plan.leads[:-1]:
             when = t_i + timedelta(hours=h)
@@ -308,24 +287,25 @@ def _lead_rows(plan: RolloutPlan, initial_states: dict, grid, t_i: datetime,
             except ExternalForecasterError as exc:
                 raise ExternalForecasterError(
                     f"init {t_i.isoformat()}: {exc}") from exc
-            apply_postprocessing(fields, plan.postprocess, grid, out=fields)
+            apply_postprocessing(fields, plan.postprocess, grid)
             yield state
 
 
-def _variables(series_map: dict) -> list[tuple[str, str, str]]:
-    """(name, level, units) of each series, in order."""
-    return [(key[0], key[1], s.units) for key, s in series_map.items()]
+def run_rollout_to_dir(plan: RolloutPlan, initial_states: dict, out_dir,
+                       climatology: Climatology | None = None) -> list[Path]:
+    """Roll out every initialization in the plan and write each one's
+    forecast to out_dir/init_<YYYYMMDDTHHMMSSZ>.gvf, each lead row as it
+    is made; the paths, in plan order.
 
-
-def _forecasts(plan: RolloutPlan, initial_states: dict,
-               climatology: Climatology | None):
-    """Check the plan against the inputs, then lazily roll out each init.
-
-    Every check runs before the first initialization is rolled out, so a
-    bad plan fails before any output exists; the initial states are read
-    a block of rows at a time, and the map under them released after
-    each block and after each init.  Returns the grid and an iterator of
-    (init time, _lead_rows of that init) in plan order.
+    initial_states maps (variable, level) to a FieldSeries covering every
+    init time.  The climatology forecaster requires a climatology and
+    emits its (day, hour) field for each valid time.  Each container tags
+    its init time in attrs["init_time"], which is how verify's ForecastSet
+    reads it back.  Every init is checked against the initial states,
+    read a block of rows at a time, before the first container is opened;
+    a failing init leaves no file, and those before it complete.  No more
+    than one state per initialization is held in memory, and rollouts are
+    deterministic: no hidden randomness.
     """
     if plan.forecaster == "climatology" and climatology is None:
         raise ValueError("climatology forecaster requires a climatology")
@@ -350,81 +330,18 @@ def _forecasts(plan: RolloutPlan, initial_states: dict,
                 step.spec.check_stable(grid)
             except ValueError as exc:
                 raise ValueError(f"postprocess step {n}: {exc}") from None
-    return grid, ((t_i, _lead_rows(plan, initial_states, grid, t_i,
-                                   climatology))
-                  for t_i in plan.init_times)
-
-
-def run_rollout(plan: RolloutPlan, initial_states: dict,
-                climatology: Climatology | None = None,
-                target: dict | None = None) -> ForecastSet:
-    """Produce forecasts for every initialization in the plan.
-
-    initial_states maps (variable, level) to a FieldSeries covering every
-    init time (for persistence/external this is also the verification
-    target unless a separate target mapping is given).  The climatology
-    forecaster requires a climatology and emits its (day, hour) field for
-    each valid time.  Rollouts are deterministic: no hidden randomness.
-    """
-    grid, forecasts = _forecasts(plan, initial_states, climatology)
-    out = {}
-    for t_i, rows in forecasts:
-        stacks = np.empty((len(initial_states), len(plan.leads)) + grid.shape)
-        for k, row in enumerate(rows):
-            stacks[:, k] = row
-        valid_times = [t_i + timedelta(hours=h) for h in plan.leads]
-        out[t_i] = {key: FieldSeries(grid, key[0], key[1], valid_times, stack,
-                                     units=s.units)
-                    for (key, s), stack in zip(initial_states.items(), stacks)}
-    return ForecastSet(out, target if target is not None else initial_states,
-                       climatology=climatology)
-
-
-def run_rollout_to_dir(plan: RolloutPlan, initial_states: dict, out_dir,
-                       climatology: Climatology | None = None) -> list[Path]:
-    """Roll out and write one container per initialization, each lead row
-    as it is made.
-
-    Streaming counterpart of run_rollout for long init lists: no more
-    than one state per initialization is held in memory.  Every init is
-    checked against the initial states before the first container is
-    opened; a failing init leaves no file, and those before it complete.
-    """
-    grid, forecasts = _forecasts(plan, initial_states, climatology)
-    variables = _variables(initial_states)
+    variables = [(key[0], key[1], s.units)
+                 for key, s in initial_states.items()]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
-    for t_i, rows in forecasts:
-        paths.append(_init_path(out_dir, t_i))
+    for t_i in plan.init_times:
+        paths.append(out_dir / f"init_{t_i.strftime('%Y%m%dT%H%M%SZ')}.gvf")
         with container_writer(paths[-1], grid, variables,
                               [t_i + timedelta(hours=h) for h in plan.leads],
                               dtype=plan.state_dtype,
-                              attrs=_init_attrs(t_i)) as write:
-            for row in rows:
+                              attrs={"init_time": _format_time(t_i)}) as write:
+            for row in _lead_rows(plan, initial_states, variables, grid, t_i,
+                                  climatology):
                 write(row[:, None])
-    return paths
-
-
-def _init_path(out_dir: Path, t_i: datetime) -> Path:
-    return out_dir / f"init_{t_i.strftime('%Y%m%dT%H%M%SZ')}.gvf"
-
-
-def _init_attrs(t_i: datetime) -> dict:
-    return {"init_time": _format_time(t_i)}
-
-
-def write_forecast_dir(fs: ForecastSet, out_dir, dtype: str = "f32") -> list[Path]:
-    """Write one GVF1 container per initialization into a directory.
-
-    Files are named init_<YYYYMMDDTHHMMSSZ>.gvf and tag their init time in
-    the container attrs, which is how load_forecast_set reassembles them.
-    """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for t_i in fs.init_times:
-        paths.append(_init_path(out_dir, t_i))
-        write_container(fs.forecast(t_i), paths[-1], dtype=dtype,
-                        attrs=_init_attrs(t_i))
     return paths

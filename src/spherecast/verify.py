@@ -14,7 +14,6 @@ anomaly products (no further mean removal).
 from __future__ import annotations
 
 import csv
-from collections.abc import Mapping
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -22,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .container import (ScoreRecord, atomic_write, read_container, release,
-                        released_blocks, _parse_time)
+                        released_blocks)
 from .grid import Field, GridSpec, ensure_utc, metric_weights
 from .preprocess import Climatology
 
@@ -154,37 +153,37 @@ def _copy_rows(values: np.ndarray, rows: list[int], out: np.ndarray):
 
 
 class ForecastSet:
-    """Forecasts keyed by initialization time, with target and climatology.
+    """Per-initialization forecast containers, with target and climatology.
 
-    forecasts maps each init time to {(variable, level): FieldSeries}
-    held in memory or to the path of a GVF1 container holding them, or is
-    a sequence of such paths (see forecast()); a file is opened only while
-    its init is checked or scored.  Valid times are init + lead for every
-    lead (lead 0 first); target maps (variable, level) to the verifying
-    FieldSeries.  Every forecast valid time must be covered by the
-    target, all series must share one grid, and every forecast and every
-    target row it verifies against must be finite; the forecasts are
-    checked one init at a time, and an error about one held on disk
-    names its file.  Files are read a block of rows at a time, and the
-    map under each block is released after it.
+    forecasts is a sequence of paths of GVF1 containers, one per init, as
+    rollout.run_rollout_to_dir writes them (see forecast()); a file is
+    opened only while its init is checked or scored.  Valid times are init
+    + lead for every lead (lead 0 first); target maps (variable, level) to
+    the verifying FieldSeries.  No two files may hold one init, every
+    forecast valid time must be covered by the target, all series must
+    share one grid, and every forecast and every target row it verifies
+    against must be finite; the forecasts are checked one init at a time,
+    and an error about a forecast names its file.  Files are read a block
+    of rows at a time, and the map under each block is released after it.
     """
 
     def __init__(self, forecasts, target: dict,
                  climatology: Climatology | None = None):
-        if not forecasts:
+        paths = [Path(p) for p in forecasts]
+        if not paths:
             raise ValueError("no forecast initializations")
         self.forecasts = {}
         self.target = target
         self.climatology = climatology
         self.grid: GridSpec = next(iter(target.values())).grid
         used, leads, self._keys = {key: set() for key in target}, [], None
-        for t_i, source in (forecasts.items() if isinstance(forecasts, Mapping)
-                            else ((None, Path(p)) for p in forecasts)):
-            init, fc = self._open(source)
-            t_i = ensure_utc(init if t_i is None else t_i)
-            self.forecasts[t_i] = source
-            leads.append(self._check_init(
-                t_i, fc, "" if init is None else f"{source}: ", used))
+        for path in paths:
+            t_i, fc = self._open(path)
+            if t_i in self.forecasts:
+                raise ValueError(f"{self.forecasts[t_i]} and {path} both hold "
+                                 f"init {t_i.isoformat()}")
+            self.forecasts[t_i] = path
+            leads.append(self._check_init(t_i, fc, path, used))
             self._keys = self._keys or list(fc)
         self._leads = sorted(set.intersection(*leads))
         for key, rows in used.items():
@@ -198,11 +197,12 @@ class ForecastSet:
                         f"{when.isoformat()}")
         self.weights = metric_weights(self.grid)
 
-    def _check_init(self, t_i: datetime, fc: dict, source: str, used: dict):
-        """Check one init's forecast fc, adding the target rows it verifies
-        against to used; the set of its lead hours."""
+    def _check_init(self, t_i: datetime, fc: dict, path: Path, used: dict):
+        """Check the forecast fc of one init, read from path, adding the
+        target rows it verifies against to used; the set of its lead
+        hours."""
         for key, series in fc.items():
-            where = f"{source}init {t_i.isoformat()}: {key[0]} ({key[1]})"
+            where = f"{path}: init {t_i.isoformat()}: {key[0]} ({key[1]})"
             if series.grid != self.grid:
                 raise ValueError(f"{where}: forecast is on a different "
                                  "grid than the target")
@@ -233,20 +233,16 @@ class ForecastSet:
         return list(self._leads)
 
     @staticmethod
-    def _open(source) -> tuple[datetime | None, dict]:
-        """(init time, {(variable, level): FieldSeries}) of a forecast: one in
-        memory as it is, with None; one on disk opened, as in forecast()."""
-        if isinstance(source, Mapping):
-            return None, source
-        c = read_container(source)
-        init_iso = c.attrs.get("init_time")
-        return ((_parse_time(init_iso) if init_iso else c.times[0]),
-                {key: c.view(*key) for key in c.keys})
+    def _open(path: Path) -> tuple[datetime, dict]:
+        """(init time, {(variable, level): FieldSeries}) of the container
+        at path, as in forecast()."""
+        c = read_container(path)
+        return c.init_time or c.times[0], {key: c.view(*key) for key in c.keys}
 
     def forecast(self, t_i: datetime) -> dict:
-        """{(variable, level): FieldSeries} of one init; one held on disk is
-        a view of its container's map, in the file's dtype, and its init
-        time is its attrs["init_time"], else its first valid time."""
+        """{(variable, level): FieldSeries} of one init, views of its
+        container's map in the file's dtype; a container's init time is
+        its attrs["init_time"], else its first valid time."""
         return self._open(self.forecasts[ensure_utc(t_i)])[1]
 
     def release(self) -> None:

@@ -14,7 +14,7 @@ import numpy as np
 
 from spherecast import make_gaussian_grid, metric_weights
 from spherecast.cli import main
-from spherecast.container import read_scores, write_container
+from spherecast.container import read_container, read_scores, write_container
 from spherecast.filters import (DiffusionSpec, diffuse_values,
                                 diffusion_stability_bound)
 from spherecast.grid import Field, FieldSeries
@@ -22,7 +22,7 @@ from spherecast.padding import PadSpec, pad, unpad
 from spherecast.preprocess import (Climatology, clamp_nonnegative,
                                    compute_residual_coeff, compute_stats,
                                    denormalize, normalize)
-from spherecast.rollout import RolloutPlan, run_rollout
+from spherecast.rollout import RolloutPlan, run_rollout_to_dir
 from spherecast.sht import (HarmonicCoeffs, SphericalHarmonicTransform,
                             zonal_power_spectrum)
 from spherecast.solar import (SolarConfig, accumulated_irradiance,
@@ -265,17 +265,17 @@ def test_criterion_10_rollout_protocol_and_cli(tmp_path):
     times = [T0 + timedelta(hours=6 * k) for k in range(n_time)]
     states = {("T", "single"): FieldSeries(grid_small, "T", "single", times,
                                            vals.astype(np.float64))}
-    per = run_rollout(RolloutPlan(init_times=[T0], step_hours=6,
-                                  max_lead_hours=240), states)
-    ext = run_rollout(RolloutPlan(init_times=[T0], step_hours=6,
-                                  max_lead_hours=240, forecaster="external",
-                                  external_command=[sys.executable,
-                                                    str(script)]),
-                      states)
-    key = ("T", "single")
-    assert len(per.forecasts[T0][key]) == 41
-    assert np.array_equal(ext.forecasts[T0][key].values,
-                          per.forecasts[T0][key].values)
+    [per] = run_rollout_to_dir(RolloutPlan(init_times=[T0], step_hours=6,
+                                           max_lead_hours=240), states,
+                               tmp_path / "persistence")
+    [ext] = run_rollout_to_dir(RolloutPlan(init_times=[T0], step_hours=6,
+                                           max_lead_hours=240,
+                                           forecaster="external",
+                                           external_command=[sys.executable,
+                                                             str(script)]),
+                               states, tmp_path / "external")
+    assert len(read_container(per).times) == 41
+    assert ext.read_bytes() == per.read_bytes()
 
     # end-to-end CLI pipeline: 64x128, 40 leads, 100 initializations
     start = time.monotonic()

@@ -260,6 +260,19 @@ def test_spectrum_non_finite_input_exits_three(tmp_path, grid16, capsys):
     assert not out.exists()
 
 
+def test_spectrum_bad_init_time_exits_two_naming_the_file(tmp_path, grid16,
+                                                         capsys):
+    # used to exit 3 naming neither the file nor the attribute
+    inp = tmp_path / "in.gvf"
+    write_container([make_series(grid16, "Z500", n_time=2, seed=45)], inp,
+                    dtype="f64", attrs={"init_time": "2020-1-1T00:00:00Z"})
+    out = tmp_path / "spec.csv"
+    assert main(["spectrum", "--input", str(inp), "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"data error: {inp}: attrs init_time: '2020-1-1T00:00:00Z' ")
+    assert not out.exists()
+
+
 def test_failed_spectrum_write_leaves_previous_output(tmp_path, monkeypatch):
     inp = tmp_path / "fixture.gvf"
     make_spectrum_fixture(inp)
@@ -410,6 +423,28 @@ def test_verify_single_initialization_exits_zero(tmp_path, grid16):
         records = read_scores(scores)
         assert {r.n_inits for r in records} == {1}
         assert {r.lead_hours for r in records} == {0, 6, 12, 18, 24}
+
+
+def test_verify_two_files_of_one_init_exits_three_naming_both(
+        tmp_path, grid16, capsys):
+    # used to exit 0, scoring one file and dropping the other
+    target_path, _ = write_target(tmp_path, grid16, n_time=8, seed=23)
+    fc_dir = tmp_path / "fc"
+    assert main(["rollout", "--initial-states", str(target_path),
+                 "--output-dir", str(fc_dir),
+                 "--inits", "2020-01-01T00:00:00,2,6",
+                 "--max-lead-hours", "12"]) == 0
+    first = fc_dir / "init_20200101T060000Z.gvf"
+    copy = fc_dir / "init_20200101T060000Z_copy.gvf"
+    copy.write_bytes(first.read_bytes())
+    scores = tmp_path / "scores.csv"
+    assert main(["verify", "--forecast-dir", str(fc_dir),
+                 "--target", str(target_path), "--metrics", "rmse",
+                 "--output", str(scores)]) == 3
+    err = capsys.readouterr().err
+    assert err == (f"error: {first} and {copy} both hold init "
+                   "2020-01-01T06:00:00+00:00\n")
+    assert not scores.exists()
 
 
 def test_verify_scores_every_hourly_lead(tmp_path, grid16):
@@ -564,6 +599,9 @@ def test_external_forecaster_timeout_exits_two(tmp_path, grid16, capsys,
     ("--start", "2021-06-01T00:00:00+05:00"),
     ("--inits", "2021-06-01T00:00:00+05:00,2,6"),
     ("--init-times", "2020-01-01T00:00:00Z,2020-01-01T06:00:00+05:00"),
+    # strptime took these; a time is read in the one zero-padded form
+    ("--start", "2021-6-1T00:00:00"),
+    ("--inits", "2021-06-01T0:00:00Z,2,6"),
 ])
 def test_time_with_utc_offset_is_a_usage_error(tmp_path, grid16, capsys, flag,
                                                value):
@@ -822,6 +860,30 @@ def test_rollout_flag_for_another_forecaster_is_a_usage_error(
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flag} applies to --forecaster ")
     assert not (tmp_path / "fc").exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["stats", "--no-residual", "--denominator", "standardized"],
+     "--denominator"),
+    (["correlate", "--difference-output", "diff.csv"], "--difference-output"),
+])
+def test_flag_without_effect_is_a_usage_error(tmp_path, grid16, capsys,
+                                              argv, flag):
+    # both used to exit 0 ignoring the flag
+    inp = tmp_path / "in.gvf"
+    write_container([make_series(grid16, "T", n_time=3, seed=24),
+                     make_series(grid16, "U", n_time=3, seed=25)], inp,
+                    dtype="f64")
+    out = tmp_path / "out"
+    assert main(argv + ["--input", str(inp), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} applies ")
+    assert not out.exists() and not (tmp_path / "diff.csv").exists()
+    # at its default, as a replayed manifest gives it, the flag is taken
+    default = {"--denominator": ["--denominator", "tendency"],
+               "--difference-output": []}[flag]
+    assert main(argv[:1] + argv[1:-2] + default
+                + ["--input", str(inp), "--output", str(out)]) == 0
 
 
 def _peak_bytes(fn):

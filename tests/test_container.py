@@ -109,6 +109,10 @@ def _patch_header(path, old: bytes, new: bytes):
     (b'"time_axis"', b'"time_axes"', "time_axis"),
     (b'"n_lon": 32', b'"n_lons": 32', "n_lon"),
     (b'"n_lat": 16', b'"n_lat": "16"', "invalid header"),
+    # a float size used to pass the payload check and escape from stats as
+    # a TypeError
+    (b'"n_lon": 32', b'"n_lon": 32.0', "must be positive integers"),
+    (b'"n_lat": 16', b'"n_lat": true', "must be positive integers"),
 ])
 def test_bad_header_names_file_and_exits_two(tmp_path, grid16, capsys,
                                              old, new, named):
@@ -157,6 +161,44 @@ def test_non_object_header_parts_name_file_and_exit_two(tmp_path, grid16,
     assert main(["stats", "--input", str(path),
                  "--output", str(tmp_path / "s.json")]) == 2
     assert str(path) in capsys.readouterr().err
+
+
+def test_payload_size_is_checked_before_the_grid_is_built(
+        tmp_path, grid16, monkeypatch):
+    # a 16000-row Gaussian grid took 5.9 s to build before the size check
+    # rejected the file
+    path = tmp_path / "data.gvf"
+    write_container(_random_collection(grid16, seed=11), path, dtype="f32")
+    _patch_header(path, b'"n_lat": 16', b'"n_lat": 16000')
+
+    def never(*args, **kwargs):
+        raise AssertionError("grid built before the payload size check")
+
+    monkeypatch.setattr(container, "make_gaussian_grid", never)
+    with pytest.raises(ContainerError, match="truncated or padded") as exc:
+        read_container(path)
+    assert str(path) in str(exc.value) and "n_lat 16000" in str(exc.value)
+
+
+def test_times_parse_in_the_one_form_they_are_written(tmp_path, grid16):
+    from datetime import datetime, timezone
+    t = datetime(2021, 3, 4, 5, 6, 7, tzinfo=timezone.utc)
+    assert container._format_time(t) == "2021-03-04T05:06:07Z"
+    assert container._parse_time("2021-03-04T05:06:07Z") == t
+    # strptime took these; only the zero-padded form is written
+    for text in ("2021-3-4T5:6:7Z", "2021-03-04T05:06:07",
+                 "2021-03-04 05:06:07Z", "2021-13-04T05:06:07Z",
+                 " 2021-03-04T05:06:07Z", 20210304):
+        with pytest.raises(ValueError, match="YYYY-MM-DDTHH:MM:SSZ"
+                           if text != "2021-13-04T05:06:07Z" else "month"):
+            container._parse_time(text)
+    path = tmp_path / "data.gvf"
+    write_container(_random_collection(grid16, seed=12), path, dtype="f32")
+    _patch_header(path, b'"2020-01-01T06:00:00Z"', b'"2020-1-1T6:00:00Z"')
+    with pytest.raises(ContainerError, match="invalid header") as exc:
+        read_container(path)
+    assert str(path) in str(exc.value)
+    assert "2020-1-1T6:00:00Z" in str(exc.value)
 
 
 @pytest.mark.parametrize("n_writes", [0, 2])

@@ -25,7 +25,7 @@ from spherecast.container import (ContainerError, container_writer,
 from spherecast.grid import (FieldSeries, make_equiangular_grid,
                              make_gaussian_grid, metric_weights)
 from spherecast.padding import PadSpec, pad, unpad
-from spherecast.preprocess import (Climatology, NormStats,
+from spherecast.preprocess import (Climatology, NormStats, StatEntry,
                                    clamp_nonnegative_values, denormalize,
                                    normalize)
 from spherecast.sht import SphericalHarmonicTransform
@@ -102,7 +102,7 @@ _GOOD = _good_container()
 _HEADER_END = 8 + int.from_bytes(_GOOD[:8], "little")
 
 # JSON values that may replace any part of a header; numbers stay small,
-# so that no grid it names is costly to build
+# so that no grid it names is costly to build if the payload matches it
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 70)
     | st.floats(-1e3, 1e3) | st.sampled_from(
@@ -130,13 +130,36 @@ def _mutated_header(data) -> bytes:
     elif isinstance(parent, dict) and data.draw(st.booleans()):
         del parent[key]
     else:
-        parent[key] = data.draw(_JSON)
+        values = _JSON
+        if type(node) is int:
+            values |= st.just(float(node))
+        parent[key] = data.draw(values)
+    return _with_header(header)
+
+
+def _regridded_header(data) -> bytes:
+    """The good file with its grid of either kind, and its n_lat or n_lon
+    made a float, or a size far beyond the payload; the length prefix
+    fixed."""
+    header = json.loads(_GOOD[8:_HEADER_END])
+    grid = header["grid"]
+    grid["kind"], size, value = data.draw(st.sampled_from([
+        (kind, size, value) for kind in ("gaussian", "equiangular")
+        for size, value in (("n_lat", float(grid["n_lat"])),
+                            ("n_lon", float(grid["n_lon"])),
+                            ("n_lat", 16000), ("n_lon", 16000))]))
+    grid[size] = value
+    return _with_header(header)
+
+
+def _with_header(header) -> bytes:
+    """The good file's payload under this JSON header."""
     raw = json.dumps(header).encode()
     return len(raw).to_bytes(8, "little") + raw + _GOOD[_HEADER_END:]
 
 
-@settings(DERANDOMIZED)
-@given(st.sampled_from(["truncate", "flip", "mutate"]), st.data())
+@settings(DERANDOMIZED, max_examples=100)
+@given(st.sampled_from(["truncate", "flip", "mutate", "regrid"]), st.data())
 def test_a_damaged_header_raises_a_container_error_naming_the_file(
         damage, data):
     # truncation anywhere always raises; a flipped byte or a changed JSON
@@ -150,8 +173,10 @@ def test_a_damaged_header_raises_a_container_error_naming_the_file(
                                      min_size=1, max_size=3)):
             blob[at] ^= data.draw(st.integers(1, 255))
         blob = bytes(blob)
-    else:
+    elif damage == "mutate":
         blob = _mutated_header(data)
+    else:
+        blob = _regridded_header(data)
     with _tmpdir() as tmp:
         path = tmp / "damaged.gvf"
         path.write_bytes(blob)
@@ -236,6 +261,25 @@ def test_blocked_normalize_equals_whole_array(series, dtype, block_rows):
                 assert out.read_bytes() == ref.read_bytes()
     finally:
         container._BLOCK_BYTES = saved
+
+
+@settings(DERANDOMIZED)
+@given(collections(min_times=1), st.floats(-1.0, 1.0), st.floats(1.0, 10.0),
+       st.floats(0.1, 10.0), st.integers(-30, 30), st.integers(-30, 30))
+def test_denormalize_of_normalize_is_within_a_few_ulp(
+        series, mu, sigma, xi, mu_exponent, sigma_exponent):
+    mu, sigma = mu * 10.0 ** mu_exponent, sigma * 10.0 ** sigma_exponent
+    x = series[0]
+    stats = NormStats(entries={x.key: StatEntry(mu, sigma, xi)})
+    back = denormalize(normalize(x, stats), stats).values
+    # four roundings, each within half an ulp of |x - mu| or |x| + |mu|
+    bound = 4 * np.finfo(np.float64).eps * (np.abs(x.values) + abs(mu))
+    assert (np.abs(back - x.values) <= bound).all()
+    # in place, as the CLI's row loop runs them, it gives the same bits
+    values = x.values.copy()
+    normalize(x, stats, out=values)
+    denormalize(x.with_values(values), stats, out=values)
+    assert values.tobytes() == back.tobytes()
 
 
 def _blas_name() -> str:
@@ -464,9 +508,10 @@ def _same(a, b):
     return a == b
 
 
-def _scored_forecast_set(grid, start, f, o, c):
-    """A ForecastSet of one init at start whose leads are the rows of f,
-    verified against o, with the climatology bins of their times c."""
+def _scored_forecast_set(directory, grid, start, f, o, c):
+    """A ForecastSet of one init at start, written to directory, whose
+    leads are the rows of f, verified against o, with the climatology bins
+    of their times c."""
     times = [start + timedelta(hours=6 * k) for k in range(len(f))]
     key = ("T", "single")
     clim = Climatology(grid=grid, hours=[0, 6, 12, 18], window_days=61,
@@ -474,7 +519,11 @@ def _scored_forecast_set(grid, start, f, o, c):
     flat = clim.data[key].reshape((-1,) + grid.shape)
     for t, field in zip(times, c):
         flat[clim.row(t)] = field
-    return ForecastSet({start: {key: FieldSeries(grid, "T", "single", times, f)}},
+    path = directory / "init.gvf"
+    write_container([FieldSeries(grid, "T", "single", times, f)], path,
+                    dtype="f64",
+                    attrs={"init_time": container._format_time(start)})
+    return ForecastSet([path],
                        {key: FieldSeries(grid, "T", "single", times, o)},
                        climatology=clim)
 
@@ -507,26 +556,28 @@ def test_stacked_scores_equal_per_field_scores(grid, data):
     # the same scores through ForecastSet, one stack per run of leads; a
     # start of 31 Dec 12Z wraps the climatology bins to 1 Jan
     start = data.draw(st.sampled_from([T0, T0 - timedelta(hours=12)]))
-    fs = _scored_forecast_set(grid, start, f, o, c)
     cells = [(("T", "single"), 6 * k) for k in range(n)]
-    for metric, expect in (
-            ("rmse", _per_field(lambda *x: _field_rmse(*x, w), f, o)),
-            ("acc", _per_field(lambda *x: _field_acc(*x, w), fa, oa)),
-            ("skill", _per_field(lambda *x: _field_skill(*x, w), f, o, c))):
-        try:
-            scored = _per_init(fs, cells, [metric])
-            got = np.concatenate([scored[cell][1][metric]
-                                  for cell in cells]).tobytes()
-        except ZeroDivisionError as exc:
-            got = exc
-        assert _same(got, expect), metric
-        if metric == "skill" and isinstance(got, Exception):
-            first = min(i for i in range(n) if (o[i] == c[i]).all())
-            when = start + timedelta(hours=6 * first)
-            assert str(got) == ("MSE of the climatology reference is zero "
-                                f"for T (single) at {when.isoformat()}")
-        if metric == "acc" and isinstance(got, Exception):
-            assert str(got) == str(expect)
+    with _tmpdir() as tmp:
+        fs = _scored_forecast_set(tmp, grid, start, f, o, c)
+        for metric, expect in (
+                ("rmse", _per_field(lambda *x: _field_rmse(*x, w), f, o)),
+                ("acc", _per_field(lambda *x: _field_acc(*x, w), fa, oa)),
+                ("skill",
+                 _per_field(lambda *x: _field_skill(*x, w), f, o, c))):
+            try:
+                scored = _per_init(fs, cells, [metric])
+                got = np.concatenate([scored[cell][1][metric]
+                                      for cell in cells]).tobytes()
+            except ZeroDivisionError as exc:
+                got = exc
+            assert _same(got, expect), metric
+            if metric == "skill" and isinstance(got, Exception):
+                first = min(i for i in range(n) if (o[i] == c[i]).all())
+                when = start + timedelta(hours=6 * first)
+                assert str(got) == ("MSE of the climatology reference is zero "
+                                    f"for T (single) at {when.isoformat()}")
+            if metric == "acc" and isinstance(got, Exception):
+                assert str(got) == str(expect)
 
 
 @settings(DERANDOMIZED)

@@ -17,9 +17,9 @@ from spherecast.filters import (DiffusionSpec, PoleFilterSpec, diffuse_values,
 from spherecast.grid import FieldSeries
 from spherecast.preprocess import Climatology, clamp_nonnegative_values
 from spherecast.rollout import (ExternalForecasterError, PipelineStep,
-                                RolloutPlan, apply_postprocessing, run_rollout,
-                                run_rollout_to_dir, write_forecast_dir)
-from spherecast.verify import acc, load_forecast_set, rmse
+                                RolloutPlan, apply_postprocessing,
+                                run_rollout_to_dir)
+from spherecast.verify import ForecastSet, acc, load_forecast_set, rmse
 
 T0 = datetime(2020, 1, 1, tzinfo=timezone.utc)
 GRID8 = make_gaussian_grid(8, 16)
@@ -78,44 +78,54 @@ def zero_climatology(grid, keys):
                        std_days=10.0, data=data)
 
 
-def test_persistence_repeats_initial_state_bitwise(grid16):
+def rolled_out(plan, states, out_dir, climatology=None) -> ForecastSet:
+    """The containers run_rollout_to_dir writes to out_dir, as a
+    ForecastSet verified against the initial states."""
+    return ForecastSet(run_rollout_to_dir(plan, states, out_dir, climatology),
+                       states, climatology=climatology)
+
+
+def test_persistence_repeats_initial_state_bitwise(tmp_path, grid16):
     states = {("T", "single"): f32_series(grid16, seed=1)}
     plan = RolloutPlan(init_times=[T0, T0 + timedelta(hours=6)],
                        step_hours=6, max_lead_hours=18)
-    fs = run_rollout(plan, states,
-                     climatology=zero_climatology(grid16, states))
+    fs = rolled_out(plan, states, tmp_path / "fc",
+                    climatology=zero_climatology(grid16, states))
+    assert fs.init_times == plan.init_times
     for t_i in plan.init_times:
         initial = states[("T", "single")].at(t_i).values
-        series = fs.forecasts[t_i][("T", "single")]
+        series = fs.forecast(t_i)[("T", "single")]
         assert len(series) == 4
         for i in range(len(series)):
             assert np.array_equal(series.values[i], initial)
 
 
-def test_persistence_scores_at_lead_zero(grid16):
+def test_persistence_scores_at_lead_zero(tmp_path, grid16):
     states = {("T", "single"): f32_series(grid16, seed=2)}
     plan = RolloutPlan(init_times=[T0, T0 + timedelta(hours=6),
                                    T0 + timedelta(hours=12)],
                        step_hours=6, max_lead_hours=12)
-    fs = run_rollout(plan, states,
-                     climatology=zero_climatology(grid16, states))
+    fs = rolled_out(plan, states, tmp_path / "fc",
+                    climatology=zero_climatology(grid16, states))
     r = rmse(fs, "T", lead_hours=0, n_boot=10, seed=0)
     assert np.all(r.values == 0.0)
     a = acc(fs, "T", lead_hours=0, n_boot=10, seed=0)
     np.testing.assert_allclose(a.values, 1.0, atol=1e-12)
 
 
-def test_climatology_forecaster_emits_climatology_and_zero_acc(grid16):
+def test_climatology_forecaster_emits_climatology_and_zero_acc(tmp_path,
+                                                              grid16):
     states = {("T", "single"): f32_series(grid16, seed=3)}
     rng = np.random.default_rng(4)
     clim = Climatology(grid=grid16, hours=[0, 6, 12, 18], window_days=61,
                        std_days=10.0,
                        data={("T", "single"):
                              rng.normal(size=(365, 4) + grid16.shape)})
+    # f64 containers hold the float64 bins exactly
     plan = RolloutPlan(init_times=[T0], step_hours=6, max_lead_hours=12,
-                       forecaster="climatology")
-    fs = run_rollout(plan, states, climatology=clim)
-    series = fs.forecasts[T0][("T", "single")]
+                       forecaster="climatology", state_dtype="f64")
+    fs = rolled_out(plan, states, tmp_path / "fc", climatology=clim)
+    series = fs.forecast(T0)[("T", "single")]
     for i, t in enumerate(series.times):
         assert np.array_equal(series.values[i],
                               clim.values("T", "single", t))
@@ -134,11 +144,10 @@ def test_external_identity_command_reproduces_persistence(tmp_path, grid16):
         forecaster="external",
         external_command=[sys.executable, str(script)])
     plan_per = RolloutPlan(init_times=[T0], step_hours=6, max_lead_hours=30)
-    ext = run_rollout(plan_ext, states)
-    per = run_rollout(plan_per, states)
-    for key in states:
-        assert np.array_equal(ext.forecasts[T0][key].values,
-                              per.forecasts[T0][key].values)
+    [ext] = run_rollout_to_dir(plan_ext, states, tmp_path / "ext")
+    [per] = run_rollout_to_dir(plan_per, states, tmp_path / "per")
+    assert ext.name == per.name
+    assert ext.read_bytes() == per.read_bytes()
 
 
 def test_external_rollout_post_processes_the_state_before_each_step(
@@ -156,15 +165,17 @@ def test_external_rollout_post_processes_the_state_before_each_step(
     plan = RolloutPlan(init_times=[T0], step_hours=6, max_lead_hours=18,
                        forecaster="external", postprocess=steps,
                        external_command=[sys.executable, str(script)])
-    forecast = run_rollout(plan, states).forecasts[T0]
-    # each step's input goes to the forecaster as f32, and comes back
+    [path] = run_rollout_to_dir(plan, states, tmp_path / "fc")
+    forecast = read_container(path)
+    # each step's input goes to the forecaster as f32, and comes back;
+    # each lead is written as f32
     expect = {key: s.values[0] for key, s in states.items()}
     for k in range(4):
+        expect = {key: values.astype(np.float32).astype(np.float64)
+                  for key, values in expect.items()}
         for key, values in expect.items():
-            assert forecast[key].values[k].tobytes() == values.tobytes()
-        expect = apply_postprocessing(
-            {key: values.astype(np.float32).astype(np.float64)
-             for key, values in expect.items()}, steps, grid16)
+            assert forecast.values(k, *key).tobytes() == values.tobytes()
+        apply_postprocessing(expect, steps, grid16)
 
 
 def test_external_nonzero_exit_raises(tmp_path, grid16):
@@ -175,7 +186,7 @@ def test_external_nonzero_exit_raises(tmp_path, grid16):
                        forecaster="external",
                        external_command=[sys.executable, str(script)])
     with pytest.raises(ExternalForecasterError, match="exited 7"):
-        run_rollout(plan, states)
+        run_rollout_to_dir(plan, states, tmp_path / "fc")
 
 
 def test_external_malformed_output_raises(tmp_path, grid16):
@@ -186,7 +197,7 @@ def test_external_malformed_output_raises(tmp_path, grid16):
                        forecaster="external",
                        external_command=[sys.executable, str(script)])
     with pytest.raises(ExternalForecasterError, match="unreadable"):
-        run_rollout(plan, states)
+        run_rollout_to_dir(plan, states, tmp_path / "fc")
 
 
 def _running(pid: int) -> bool:
@@ -228,7 +239,7 @@ def test_timed_out_external_step_leaves_no_process_in_its_group(
     shell = sleep = None
     try:
         with pytest.raises(ExternalForecasterError, match="within 1 s"):
-            run_rollout(plan, states)
+            run_rollout_to_dir(plan, states, tmp_path / "fc")
         shell, sleep = (int(pid) for pid in pids.read_text().split())
         deadline = time.monotonic() + 5.0
         while ((_running(sleep) or _running_in_group(shell))
@@ -241,12 +252,12 @@ def test_timed_out_external_step_leaves_no_process_in_its_group(
             os.kill(sleep, signal.SIGKILL)
 
 
-def test_missing_initial_state_raises(grid16):
+def test_missing_initial_state_raises(tmp_path, grid16):
     states = {("T", "single"): f32_series(grid16, n_time=2, seed=9)}
     plan = RolloutPlan(init_times=[T0 + timedelta(hours=36)], step_hours=6,
                        max_lead_hours=6)
     with pytest.raises(KeyError):
-        run_rollout(plan, states)
+        run_rollout_to_dir(plan, states, tmp_path / "fc")
 
 
 def test_rollout_to_dir_checks_every_init_before_writing(tmp_path, grid16):
@@ -286,35 +297,31 @@ def test_rollout_plan_validation():
 
 
 def test_apply_postprocessing_empty_is_identity(grid16):
-    state = {("T", "single"): np.ones(grid16.shape)}
-    out = apply_postprocessing(state, [], grid16)
-    assert out is state
+    values = np.ones(grid16.shape)
+    state = {("T", "single"): values}
+    apply_postprocessing(state, [], grid16)
+    assert state == {("T", "single"): values} and (values == 1.0).all()
 
 
-def test_apply_postprocessing_without_out_leaves_its_inputs(grid16):
+def test_apply_postprocessing_writes_in_place(grid16):
     rng = np.random.default_rng(14)
     state = {("Q", "single"): rng.normal(size=grid16.shape),
              ("T", "single"): rng.normal(size=(2,) + grid16.shape)}
-    before = {key: values.tobytes() for key, values in state.items()}
     arrays = dict(state)
     steps = [PipelineStep(kind="clamp_nonnegative", variables=("Q",)),
              PipelineStep(kind="laplacian_diffuse",
                           params={"nu_dt": 1e-5, "steps": 2}),
              PipelineStep(kind="pole_filter", params={"start_lat": 45})]
-    out = apply_postprocessing(state, steps, grid16)
-    assert out is not state and state == arrays
-    assert all(state[key] is arrays[key] and out[key] is not arrays[key]
-               and state[key].tobytes() == before[key] for key in state)
-    # into separate arrays, and in place into the state itself, it gives
-    # the same bits
-    separate = {key: np.empty_like(values) for key, values in state.items()}
-    assert apply_postprocessing(state, steps, grid16, out=separate) \
-        is separate
-    assert all(separate[key].tobytes() == out[key].tobytes() for key in out)
-    again = apply_postprocessing(state, steps, grid16, out=state)
-    assert again is state
+    # each step into new arrays, one after the other
+    expect = dict(state)
+    for step in steps:
+        for key, values in expect.items():
+            if step.variables is None or key[0] in step.variables:
+                expect[key] = step.apply(values, grid16)
+    assert all(expect[key] is not arrays[key] for key in state)
+    assert apply_postprocessing(state, steps, grid16) is None
     assert all(state[key] is arrays[key]
-               and state[key].tobytes() == out[key].tobytes()
+               and state[key].tobytes() == expect[key].tobytes()
                for key in state)
 
 
@@ -323,9 +330,9 @@ def test_apply_postprocessing_clamp(grid16):
     state = {("Q", "single"): rng.normal(size=grid16.shape) * 1e-7,
              ("T", "single"): np.full(grid16.shape, -5.0)}
     steps = [PipelineStep(kind="clamp_nonnegative", variables=("Q",))]
-    out = apply_postprocessing(state, steps, grid16)
-    assert out[("Q", "single")].min() >= 1e-8
-    assert np.array_equal(out[("T", "single")], state[("T", "single")])
+    apply_postprocessing(state, steps, grid16)
+    assert state[("Q", "single")].min() >= 1e-8
+    assert (state[("T", "single")] == -5.0).all()
 
 
 def test_postprocessing_clamp_matches_clamp_nonnegative(grid16):
@@ -333,9 +340,10 @@ def test_postprocessing_clamp_matches_clamp_nonnegative(grid16):
     from spherecast.preprocess import clamp_nonnegative
     vals = np.random.default_rng(11).normal(size=grid16.shape) * 1e-7
     step = PipelineStep(kind="clamp_nonnegative", params={"floor": 2e-8})
-    out = apply_postprocessing({("Q", "single"): vals}, [step], grid16)
+    state = {("Q", "single"): vals.copy()}
+    apply_postprocessing(state, [step], grid16)
     field = Field(grid=grid16, values=vals, variable="Q")
-    assert np.array_equal(out[("Q", "single")],
+    assert np.array_equal(state[("Q", "single")],
                           clamp_nonnegative(field, floor=2e-8).values)
 
 
@@ -343,12 +351,12 @@ def test_postprocessing_order_sensitivity(grid16):
     spike = np.zeros(grid16.shape)
     spike[8, 16] = 1.0
     spike[8, 17] = -1.0
-    state = {("Q", "single"): spike}
     diffuse = PipelineStep(kind="laplacian_diffuse",
                            params={"nu_dt": 1e-5, "steps": 3})
     clamp = PipelineStep(kind="clamp_nonnegative")
-    a = apply_postprocessing(dict(state), [diffuse, clamp], grid16)
-    b = apply_postprocessing(dict(state), [clamp, diffuse], grid16)
+    a, b = {("Q", "single"): spike.copy()}, {("Q", "single"): spike.copy()}
+    apply_postprocessing(a, [diffuse, clamp], grid16)
+    apply_postprocessing(b, [clamp, diffuse], grid16)
     assert not np.array_equal(a[("Q", "single")], b[("Q", "single")])
 
 
@@ -457,12 +465,11 @@ def test_forecaster_failing_in_the_second_init_leaves_the_first_whole(
                        + ".*exited 9"):
         run_rollout_to_dir(plan, states, out_dir)
     assert [p.name for p in out_dir.iterdir()] == ["init_20200101T000000Z.gvf"]
-    persistence = run_rollout(RolloutPlan(init_times=[T0], step_hours=6,
-                                          max_lead_hours=18), states)
-    c = read_container(out_dir / "init_20200101T000000Z.gvf")
-    assert c.times == [T0 + timedelta(hours=h) for h in (0, 6, 12, 18)]
-    for key, series in persistence.forecasts[T0].items():
-        assert np.array_equal(c.series(*key).values, series.values)
+    [persistence] = run_rollout_to_dir(
+        RolloutPlan(init_times=[T0], step_hours=6, max_lead_hours=18), states,
+        tmp_path / "persistence")
+    assert ((out_dir / persistence.name).read_bytes()
+            == persistence.read_bytes())
 
 
 def test_rollout_to_dir_round_trip(tmp_path, grid16):
@@ -485,21 +492,6 @@ def test_rollout_to_dir_round_trip(tmp_path, grid16):
     np.testing.assert_allclose(a.values, 1.0, atol=1e-12)
 
 
-def test_write_forecast_dir_matches_streaming(tmp_path, grid16):
-    states = {("T", "single"): f32_series(grid16, n_time=3, seed=12)}
-    plan = RolloutPlan(init_times=[T0], step_hours=6, max_lead_hours=6)
-    fs = run_rollout(plan, states)
-    d1 = tmp_path / "a"
-    d2 = tmp_path / "b"
-    write_forecast_dir(fs, d1)
-    run_rollout_to_dir(plan, states, d2)
-    f1 = sorted(d1.glob("*.gvf"))
-    f2 = sorted(d2.glob("*.gvf"))
-    assert [p.name for p in f1] == [p.name for p in f2]
-    for a, b in zip(f1, f2):
-        assert a.read_bytes() == b.read_bytes()
-
-
 def test_external_timeout_raises_naming_init_and_limit(tmp_path, grid16,
                                                        monkeypatch):
     monkeypatch.setattr(rollout, "_EXTERNAL_TIMEOUT_S", 0.5)
@@ -511,4 +503,4 @@ def test_external_timeout_raises_naming_init_and_limit(tmp_path, grid16,
                        external_command=[sys.executable, str(script)])
     with pytest.raises(ExternalForecasterError,
                        match=r"init 2020-01-01T00:00:00\+00:00: .*within 0.5 s"):
-        run_rollout(plan, states)
+        run_rollout_to_dir(plan, states, tmp_path / "fc")

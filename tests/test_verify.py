@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from spherecast import metric_weights
+from spherecast.container import ContainerError, write_container
 from spherecast.grid import Field, FieldSeries
 from spherecast.preprocess import Climatology
 from spherecast.verify import (ForecastSet, acc, acc_field,
@@ -24,27 +25,39 @@ def constant_climatology(grid, keys, value=0.0):
                        data=data)
 
 
-def build_set(grid, target_vals, forecast_fn, n_init=4, n_lead=3,
-              step_hours=6, variable="T", clim_value=0.0):
-    """target_vals: array [n_times, ...]; forecast_fn(t_i_idx, lead_idx) -> field."""
+def build_set(directory, grid, target_vals, forecast_fn, n_init=4, n_lead=3,
+              step_hours=6, variable="T", clim_value=0.0, dtype="f64"):
+    """target_vals: array [n_times, ...]; forecast_fn(t_i_idx, lead_idx)
+    -> field.
+
+    Each init's forecast is written to directory/init_<i>.gvf, tagged with
+    its init time as rollout.run_rollout_to_dir tags it (f64 files hold
+    any values exactly); the target and the climatology stay in memory.
+    """
     n_times = n_init + n_lead
     times = [T0 + timedelta(hours=step_hours * k) for k in range(n_times)]
     key = (variable, "single")
     target = {key: FieldSeries(grid, variable, "single", times, target_vals)}
-    forecasts = {}
+    directory.mkdir(parents=True, exist_ok=True)
+    paths = []
     for i in range(n_init):
         t_i = times[i]
-        vtimes = [t_i + timedelta(hours=step_hours * k) for k in range(n_lead + 1)]
+        vtimes = [t_i + timedelta(hours=step_hours * k)
+                  for k in range(n_lead + 1)]
         vals = np.stack([forecast_fn(i, k) for k in range(n_lead + 1)])
-        forecasts[t_i] = {key: FieldSeries(grid, variable, "single", vtimes, vals)}
+        paths.append(directory / f"init_{i}.gvf")
+        write_container([FieldSeries(grid, variable, "single", vtimes, vals)],
+                        paths[-1], dtype=dtype,
+                        attrs={"init_time": f"{t_i:%Y-%m-%dT%H:%M:%SZ}"})
     clim = constant_climatology(grid, [key], clim_value)
-    return ForecastSet(forecasts, target, climatology=clim)
+    return ForecastSet(paths, target, climatology=clim)
 
 
-def test_perfect_forecast_zero_rmse(grid16):
+def test_perfect_forecast_zero_rmse(tmp_path, grid16):
     rng = np.random.default_rng(0)
     target_vals = rng.normal(size=(7,) + grid16.shape)
-    fs = build_set(grid16, target_vals, lambda i, k: target_vals[i + k])
+    fs = build_set(tmp_path / "fc", grid16, target_vals,
+                   lambda i, k: target_vals[i + k])
     for lead in (0, 6, 12, 18):
         s = rmse(fs, "T", lead_hours=lead, n_boot=50, seed=1)
         assert np.all(s.values == 0.0)
@@ -52,20 +65,22 @@ def test_perfect_forecast_zero_rmse(grid16):
         assert s.summary.ci_low == 0.0 and s.summary.ci_high == 0.0
 
 
-def test_uniform_bias_gives_exact_rmse(grid16):
+def test_uniform_bias_gives_exact_rmse(tmp_path, grid16):
     rng = np.random.default_rng(1)
     target_vals = rng.normal(size=(7,) + grid16.shape)
     c = -1.75
-    fs = build_set(grid16, target_vals, lambda i, k: target_vals[i + k] + c)
+    fs = build_set(tmp_path / "fc", grid16, target_vals,
+                   lambda i, k: target_vals[i + k] + c)
     s = rmse(fs, "T", lead_hours=6, n_boot=10, seed=2)
     np.testing.assert_allclose(s.values, abs(c), atol=1e-12)
 
 
-def test_rmse_matches_double_loop_oracle(grid16):
+def test_rmse_matches_double_loop_oracle(tmp_path, grid16):
     rng = np.random.default_rng(2)
     target_vals = rng.normal(size=(7,) + grid16.shape)
     fvals = rng.normal(size=(4, 4) + grid16.shape)
-    fs = build_set(grid16, target_vals, lambda i, k: fvals[i, k])
+    fs = build_set(tmp_path / "fc", grid16, target_vals,
+                   lambda i, k: fvals[i, k])
     w = metric_weights(grid16)
     lead = 12
     s = rmse(fs, "T", lead_hours=lead, n_boot=10, seed=3)
@@ -91,14 +106,16 @@ def test_rmse_scale_covariance(grid16):
         assert abs(got - abs(a) * base) <= 1e-12 * max(1.0, abs(a) * base)
 
 
-def test_acc_perfect_and_anti_correlated(grid16):
+def test_acc_perfect_and_anti_correlated(tmp_path, grid16):
     rng = np.random.default_rng(4)
     target_vals = rng.normal(size=(7,) + grid16.shape)
-    fs = build_set(grid16, target_vals, lambda i, k: target_vals[i + k])
+    fs = build_set(tmp_path / "fc", grid16, target_vals,
+                   lambda i, k: target_vals[i + k])
     s = acc(fs, "T", lead_hours=6, n_boot=10, seed=4)
     np.testing.assert_allclose(s.values, 1.0, atol=1e-12)
 
-    fs_anti = build_set(grid16, target_vals, lambda i, k: -target_vals[i + k])
+    fs_anti = build_set(tmp_path / "anti", grid16, target_vals,
+                        lambda i, k: -target_vals[i + k])
     s = acc(fs_anti, "T", lead_hours=6, n_boot=10, seed=4)
     np.testing.assert_allclose(s.values, -1.0, atol=1e-12)
 
@@ -125,20 +142,22 @@ def test_acc_scale_invariance(grid16):
         assert abs(acc_field(a * f, a * o, w) - base) < 1e-12
 
 
-def test_acc_requires_climatology(grid16):
+def test_acc_requires_climatology(tmp_path, grid16):
     rng = np.random.default_rng(7)
     target_vals = rng.normal(size=(7,) + grid16.shape)
-    fs = build_set(grid16, target_vals, lambda i, k: target_vals[i + k])
+    fs = build_set(tmp_path / "fc", grid16, target_vals,
+                   lambda i, k: target_vals[i + k])
     fs.climatology = None
     with pytest.raises(ValueError, match="climatology"):
         acc(fs, "T", lead_hours=6)
 
 
-def test_skill_relation_perfect_and_climatology_forecast(grid16):
+def test_skill_relation_perfect_and_climatology_forecast(tmp_path, grid16):
     rng = np.random.default_rng(8)
     target_vals = rng.normal(size=(7,) + grid16.shape)
     # perfect forecast: ratio 0, ACC 1, residual 0
-    fs = build_set(grid16, target_vals, lambda i, k: target_vals[i + k])
+    fs = build_set(tmp_path / "fc", grid16, target_vals,
+                   lambda i, k: target_vals[i + k])
     r = skill_relation_check(fs, "T", lead_hours=6)
     np.testing.assert_allclose(r.skill_score, 1.0, atol=1e-12)
     np.testing.assert_allclose(r.acc, 1.0, atol=1e-12)
@@ -147,7 +166,7 @@ def test_skill_relation_perfect_and_climatology_forecast(grid16):
     # climatology forecast (C = 0 here): MSE ratio 1, ACC 0; the relation's
     # matched-variance premise fails (Var F' = 0), so the residual sits at
     # its breakdown value +1 rather than 0
-    fs_clim = build_set(grid16, target_vals,
+    fs_clim = build_set(tmp_path / "clim", grid16, target_vals,
                         lambda i, k: np.zeros(grid16.shape))
     r = skill_relation_check(fs_clim, "T", lead_hours=6)
     np.testing.assert_allclose(r.skill_score, 0.0, atol=1e-12)
@@ -218,51 +237,72 @@ def test_bootstrap_mean_is_average_of_resampled_means():
 
 
 def test_load_forecast_set_names_file_init_and_variable(tmp_path, grid16):
-    from spherecast.container import write_container
-    from spherecast.rollout import write_forecast_dir
     from spherecast.verify import load_forecast_set
     rng = np.random.default_rng(23)
     target_vals = rng.normal(size=(5,) + grid16.shape)
-    fs = build_set(grid16, target_vals, lambda i, k: target_vals[i + k],
-                   n_init=2)
+    bad = target_vals.copy()
+    bad[2, 2, 3] = np.nan
+
+    def forecast(i, k):
+        return (bad if i == 1 else target_vals)[i + k]
+
     target_path = tmp_path / "target.gvf"
-    write_container(fs.target, target_path, dtype="f64")
-    bad_init = fs.init_times[1]
-    fs.forecasts[bad_init][("T", "single")].values[1, 2, 3] = np.nan
-    paths = write_forecast_dir(fs, tmp_path / "fc", dtype="f64")
+    write_container({("T", "single"): FieldSeries(
+        grid16, "T", "single", [T0 + timedelta(hours=6 * k) for k in range(5)],
+        target_vals)}, target_path, dtype="f64")
     with pytest.raises(ValueError) as exc:
-        load_forecast_set(tmp_path / "fc", target_path)
+        build_set(tmp_path / "fc", grid16, target_vals, forecast, n_init=2)
     msg = str(exc.value)
-    assert str(paths[1]) in msg and bad_init.isoformat() in msg
+    assert str(tmp_path / "fc" / "init_1.gvf") in msg
+    assert (T0 + timedelta(hours=6)).isoformat() in msg
     assert "non-finite" in msg and "T (single)" in msg
+    with pytest.raises(ValueError) as again:
+        load_forecast_set(tmp_path / "fc", target_path)
+    assert str(again.value) == msg
 
 
-def test_forecast_set_rejects_uncovered_and_non_finite_target(grid16):
+def test_forecast_set_names_the_file_of_a_bad_init_time(tmp_path, grid16):
+    rng = np.random.default_rng(29)
+    target_vals = rng.normal(size=(5,) + grid16.shape)
+    fs = build_set(tmp_path / "fc", grid16, target_vals,
+                   lambda i, k: target_vals[i + k], n_init=2)
+    bad = tmp_path / "bad.gvf"
+    write_container(fs.forecast(T0), bad, attrs={"init_time": "2020-1-1"})
+    with pytest.raises(ContainerError) as exc:
+        ForecastSet([bad], fs.target)
+    assert str(exc.value).startswith(f"{bad}: attrs init_time: '2020-1-1' ")
+
+
+def test_forecast_set_rejects_uncovered_and_non_finite_target(tmp_path,
+                                                              grid16):
     rng = np.random.default_rng(24)
     target_vals = rng.normal(size=(7,) + grid16.shape)
-    fs = build_set(grid16, target_vals, lambda i, k: target_vals[i + k])
+    fs = build_set(tmp_path / "fc", grid16, target_vals,
+                   lambda i, k: target_vals[i + k])
     short = {key: FieldSeries(grid16, "T", "single", s.times[:-1],
                               s.values[:-1]) for key, s in fs.target.items()}
+    paths = list(fs.forecasts.values())
     with pytest.raises(ValueError, match="does not cover"):
-        ForecastSet(fs.forecasts, short)
+        ForecastSet(paths, short)
     bad = target_vals.copy()
     bad[5, 0, 0] = np.inf
     nan_target = {key: FieldSeries(grid16, "T", "single", s.times, bad)
                   for key, s in fs.target.items()}
     with pytest.raises(ValueError, match="non-finite target T"):
-        ForecastSet(fs.forecasts, nan_target)
+        ForecastSet(paths, nan_target)
     # a target row no forecast verifies against is not inspected
     extra = np.concatenate([target_vals, np.full((1,) + grid16.shape, np.nan)])
     times = fs.target[("T", "single")].times
     long = {("T", "single"): FieldSeries(
         grid16, "T", "single", times + [times[-1] + timedelta(hours=6)], extra)}
-    ForecastSet(fs.forecasts, long)
+    ForecastSet(paths, long)
 
 
-def test_no_matched_pairs_raises(grid16):
+def test_no_matched_pairs_raises(tmp_path, grid16):
     rng = np.random.default_rng(12)
     target_vals = rng.normal(size=(7,) + grid16.shape)
-    fs = build_set(grid16, target_vals, lambda i, k: target_vals[i + k])
+    fs = build_set(tmp_path / "fc", grid16, target_vals,
+                   lambda i, k: target_vals[i + k])
     with pytest.raises(ValueError, match="no matched"):
         rmse(fs, "T", lead_hours=999)
     with pytest.raises(ValueError, match="no matched"):
@@ -375,10 +415,11 @@ def test_correlation_csv_round_trip(tmp_path, grid16):
     np.testing.assert_allclose(back.values, m.values, atol=1e-9)
 
 
-def test_score_records_from_series(grid16):
+def test_score_records_from_series(tmp_path, grid16):
     rng = np.random.default_rng(20)
     target_vals = rng.normal(size=(7,) + grid16.shape)
-    fs = build_set(grid16, target_vals, lambda i, k: target_vals[i + k] + 1.0)
+    fs = build_set(tmp_path / "fc", grid16, target_vals,
+                   lambda i, k: target_vals[i + k] + 1.0)
     s = rmse(fs, "T", lead_hours=6, n_boot=100, seed=5)
     rec = score_records([s])[0]
     assert rec.variable == "T"
@@ -388,50 +429,54 @@ def test_score_records_from_series(grid16):
     assert rec.ci_low <= rec.value <= rec.ci_high
 
 
-def test_forecast_set_on_disk_scores_like_in_memory(tmp_path, grid16):
-    from spherecast.container import write_container
-    from spherecast.rollout import write_forecast_dir
+def test_forecast_set_scores_equal_per_field_scores(tmp_path, grid16):
     from spherecast.verify import load_forecast_set, score_cells
     rng = np.random.default_rng(25)
-    # f32-representable, so the f32 files hold the in-memory values exactly
+    # f32-representable, so the f32 files hold the values exactly
     target_vals = rng.normal(size=(9,) + grid16.shape).astype(np.float32)
     noise = rng.normal(size=(5, 5) + grid16.shape).astype(np.float32)
-    fs = build_set(grid16, target_vals.astype(np.float64),
-                   lambda i, k: target_vals[i + k] + noise[i, k] * k,
-                   n_init=5, n_lead=4, clim_value=0.25)
+    fvals = target_vals[np.arange(5)[:, None] + np.arange(5)] + noise * \
+        np.arange(5.0, dtype=np.float32)[:, None, None]
+    fs = build_set(tmp_path / "fc", grid16, target_vals.astype(np.float64),
+                   lambda i, k: fvals[i, k], n_init=5, n_lead=4,
+                   clim_value=0.25, dtype="f32")
     target_path, clim_path = tmp_path / "target.gvf", tmp_path / "clim.gvf"
     write_container(fs.target, target_path, dtype="f32")
     fs.climatology.to_container(clim_path)
-    paths = write_forecast_dir(fs, tmp_path / "fc", dtype="f32")
     disk = load_forecast_set(tmp_path / "fc", target_path,
                              climatology_path=clim_path)
-    assert list(disk.forecasts.values()) == paths
+    assert disk.forecasts == fs.forecasts
     assert (disk.keys, disk.lead_hours()) == (fs.keys, fs.lead_hours())
 
     cells = [(("T", "single"), lead) for lead in fs.lead_hours()]
     seed = lambda key, lead, metric: 1000 * lead + len(metric)
-    memory = score_cells(fs, ["rmse", "acc"], cells, n_boot=50, seed=seed)
-    on_disk = score_cells(disk, ["rmse", "acc"], cells, n_boot=50, seed=seed)
-    assert len(memory) == 2 * len(cells)
-    for a, b in zip(memory, on_disk):
-        assert (a.metric, a.lead_hours, a.init_times) == \
-            (b.metric, b.lead_hours, b.init_times)
-        assert a.values.tobytes() == b.values.tobytes()
-        assert a.summary == b.summary
+    scored = score_cells(disk, ["rmse", "acc"], cells, n_boot=50, seed=seed)
+    assert len(scored) == 2 * len(cells)
+    w = metric_weights(grid16)
+    for s in scored:
+        k = s.lead_hours // 6
+        f = fvals[:, k].astype(np.float64)
+        o = target_vals[k:k + 5].astype(np.float64)
+        expect = np.array([rmse_field(*pair, w) if s.metric == "rmse"
+                           else acc_field(pair[0] - 0.25, pair[1] - 0.25, w)
+                           for pair in zip(f, o)])
+        assert s.init_times == fs.init_times
+        assert s.values.tobytes() == expect.tobytes()
+        assert s.summary == bootstrap_mean(expect, 50,
+                                           seed(None, s.lead_hours, s.metric))
         # the one-cell functions run the same pass
-        fn = rmse if a.metric == "rmse" else acc
-        one = fn(disk, "T", lead_hours=a.lead_hours, n_boot=50,
-                 seed=seed(None, a.lead_hours, a.metric))
-        assert one.values.tobytes() == a.values.tobytes()
-        assert one.summary == a.summary
+        fn = rmse if s.metric == "rmse" else acc
+        one = fn(disk, "T", lead_hours=s.lead_hours, n_boot=50,
+                 seed=seed(None, s.lead_hours, s.metric))
+        assert one.values.tobytes() == s.values.tobytes()
+        assert one.summary == s.summary
     for lead in fs.lead_hours():
         x = skill_relation_check(fs, "T", lead_hours=lead)
         y = skill_relation_check(disk, "T", lead_hours=lead)
         assert x.skill_score.tobytes() == y.skill_score.tobytes()
-        assert x.acc.tobytes() == y.acc.tobytes()
-        acc_values = next(s.values for s in memory
+        acc_values = next(s.values for s in scored
                           if s.metric == "acc" and s.lead_hours == lead)
-        assert x.acc.tobytes() == acc_values.tobytes()
+        assert x.acc.tobytes() == y.acc.tobytes() == acc_values.tobytes()
 
 
 def test_verify_opens_each_forecast_file_twice(tmp_path, grid16,
@@ -439,16 +484,15 @@ def test_verify_opens_each_forecast_file_twice(tmp_path, grid16,
     """Once to check it and read its init time, once to score it."""
     from spherecast import container
     from spherecast.cli import main
-    from spherecast.container import write_container
-    from spherecast.rollout import write_forecast_dir
     rng = np.random.default_rng(27)
     target_vals = rng.normal(size=(8,) + grid16.shape)
-    fs = build_set(grid16, target_vals,
-                   lambda i, k: target_vals[i + k] + rng.normal(), n_init=5)
+    fs = build_set(tmp_path / "fc", grid16, target_vals,
+                   lambda i, k: target_vals[i + k] + rng.normal(), n_init=5,
+                   dtype="f32")
     target_path, clim_path = tmp_path / "target.gvf", tmp_path / "clim.gvf"
     write_container(fs.target, target_path, dtype="f32")
     fs.climatology.to_container(clim_path)
-    paths = write_forecast_dir(fs, tmp_path / "fc", dtype="f32")
+    paths = list(fs.forecasts.values())
     opened = []
     real_init = container.Container.__init__
 
@@ -465,11 +509,11 @@ def test_verify_opens_each_forecast_file_twice(tmp_path, grid16,
     assert len(opened) == 2 * len(paths) + 2  # and target and climatology
 
 
-def test_score_cells_repeats_a_repeated_metric_or_cell(grid16):
+def test_score_cells_repeats_a_repeated_metric_or_cell(tmp_path, grid16):
     from spherecast.verify import score_cells
     rng = np.random.default_rng(26)
     target_vals = rng.normal(size=(7,) + grid16.shape)
-    fs = build_set(grid16, target_vals,
+    fs = build_set(tmp_path / "fc", grid16, target_vals,
                    lambda i, k: target_vals[i + k] + 0.1 * k)
     cell = (("T", "single"), 6)
     once = score_cells(fs, ["rmse"], [cell], n_boot=20)[0]
