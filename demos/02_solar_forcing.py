@@ -31,21 +31,23 @@ for lat, lon, label in [(23.4, 0.0, "subsolar band"),
     val = instantaneous_irradiance(noon, lat, lon)
     print(f"  I({lat:+6.1f}, {lon:5.1f})  = {val:8.1f} W m-2   ({label})")
 
-# A 6-hour accumulation window on a small Gaussian grid
+# A 6-hour accumulation window on a small Gaussian grid: a float64
+# (n_lat, n_lon) array that belongs to the window's ending time
 grid = make_gaussian_grid(16, 32)
-field = accumulated_irradiance(datetime(2020, 3, 20, 6, 0, tzinfo=UTC), 6, grid)
+start = datetime(2020, 3, 20, 6, 0, tzinfo=UTC)
+window = accumulated_irradiance(start, 6, grid)
 print("\n6-h accumulated irradiance, 2020-03-20 06-12Z (kJ m-2):")
-print("  equator row:", np.round(field.values[8] / 1e3, 0))
-print("  window labeled by ending time:", field.valid_time.isoformat())
+print("  equator row:", np.round(window[8] / 1e3, 0))
+print("  window labeled by ending time:",
+      (start + timedelta(hours=6)).isoformat())
 
 # 6-hour windows equal the sum of their 1-hour windows bit-exactly
-start = datetime(2020, 3, 20, 6, 0, tzinfo=UTC)
 hours = [accumulated_irradiance(start + timedelta(hours=k), 1, grid)
          for k in range(6)]
-total = hours[0].values
-for f in hours[1:]:
-    total = total + f.values
-print("additivity bit-exact:", np.array_equal(field.values, total))
+total = hours[0]
+for h in hours[1:]:
+    total = total + h
+print("additivity bit-exact:", np.array_equal(window, total))
 
 # Annual solar-constant tables interpolate between years; beyond the table
 # the 13-year cycle starting 1983 repeats, so 1996 reuses 1983, 2009 again

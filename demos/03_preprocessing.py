@@ -36,12 +36,13 @@ for key in series:
     print(f"{key[0]:>3}: mu={e.mu:12.2f} sigma={e.sigma:8.2f} xi={e.xi:.4f}")
 print("product of xi:", np.prod([stats.entry(*k).xi for k in series]))
 
-# Normalize one field and invert it
-f = series[("T", "single")].field(0)
-norm = normalize(f, stats)
-back = denormalize(norm, stats)
-print("normalized field std:", round(norm.values.std(), 3),
-      "| round-trip max error:", np.abs(back.values - f.values).max())
+# Normalize one field (any (..., n_lat, n_lon) array of T works) and
+# invert it
+f = series[("T", "single")].values[0]
+norm = normalize(f, stats, "T", "single")
+back = denormalize(norm, stats, "T", "single")
+print("normalized field std:", round(norm.std(), 3),
+      "| round-trip max error:", np.abs(back - f).max())
 
 # Day-of-year / hour-of-day climatology with a 61-day Gaussian window
 two_years = [t0 + timedelta(hours=6 * k) for k in range(4 * 730)]

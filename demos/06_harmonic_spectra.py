@@ -10,7 +10,6 @@
 import numpy as np
 
 from spherecast import make_gaussian_grid
-from spherecast.grid import Field
 from spherecast.sht import (HarmonicCoeffs, SphericalHarmonicTransform,
                             kinetic_energy_spectrum, zonal_power_spectrum,
                             potential_temperature_energy_spectrum)
@@ -46,16 +45,16 @@ def red_field(seed, slope=-1.5):
             c[l, m] = amp * (r.normal() + 1j * r.normal())
     return t.synthesize(HarmonicCoeffs(c, 63))
 
-u = Field(grid=grid, values=red_field(1), variable="U500")
-v = Field(grid=grid, values=red_field(2), variable="V500")
-ke = kinetic_energy_spectrum(u, v, 63)
+u, v = red_field(1), red_field(2)
+ke = kinetic_energy_spectrum(u, v, 63, grid)
 print("\nkinetic energy spectrum (m^2 s-2 per zonal wavenumber):")
 for m in (1, 2, 4, 8, 16, 32, 63):
     print(f"  m={m:2d}: {ke.power[m]:.3e}")
 
 # Potential temperature converts T at a pressure level before transforming
-temp = Field(grid=grid, values=250.0 + red_field(3), variable="T500")
-theta = potential_temperature_energy_spectrum(temp, 63, pressure_hpa=500.0)
+temp = 250.0 + red_field(3)
+theta = potential_temperature_energy_spectrum(temp, 63, grid,
+                                              pressure_hpa=500.0)
 print("\npotential temperature spectrum peak at m=0:",
       f"{theta.power[0]:.3e} K^2 (mean theta ~",
       round(250 * 2 ** 0.2854, 1), "K)")

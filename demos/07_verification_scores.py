@@ -10,7 +10,7 @@ import numpy as np
 
 from spherecast import make_gaussian_grid
 from spherecast.container import write_container
-from spherecast.grid import Field, FieldSeries
+from spherecast.grid import FieldSeries
 from spherecast.preprocess import Climatology
 from spherecast.verify import (ForecastSet, acc, rmse,
                                skill_relation_check, spatial_correlation,
@@ -67,14 +67,11 @@ with tempfile.TemporaryDirectory() as tmp:
 mats = []
 for i in range(5):
     base = rng.normal(size=grid.shape)
-    fields = [
-        Field(grid=grid, values=base, variable="T", level="L5"),
-        Field(grid=grid, values=0.8 * base + 0.6 * rng.normal(size=grid.shape),
-              variable="Q", level="L5"),
-        Field(grid=grid, values=rng.normal(size=grid.shape), variable="U",
-              level="L5"),
-    ]
-    mats.append(spatial_correlation(fields))
+    fields = np.stack([base,
+                       0.8 * base + 0.6 * rng.normal(size=grid.shape),
+                       rng.normal(size=grid.shape)])
+    mats.append(spatial_correlation(fields, [("T", "L5"), ("Q", "L5"),
+                                             ("U", "L5")], grid))
 mean = average_correlations(mats)
 print("\nmean spatial correlation matrix over 5 times:")
 print(np.round(mean.values, 3))

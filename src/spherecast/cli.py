@@ -24,8 +24,7 @@ import numpy as np
 
 from . import container as cio
 from .container import ContainerError, container_writer, read_container
-from .grid import (Field, FieldSeries, default_units, make_equiangular_grid,
-                   make_gaussian_grid)
+from .grid import default_units, make_equiangular_grid, make_gaussian_grid
 from .padding import PadSpec, pad
 from .preprocess import (Climatology, NormStats, climatology_bins,
                          climatology_writer, compute_norm_stats, denormalize,
@@ -151,8 +150,17 @@ def _parts(cfg, name: str, *types, required: int | None = None) -> list:
 
 def _views(c):
     """Each variable of a container as a FieldSeries over its read-only
-    map, one at a time."""
-    return (c.view(*key) for key in c.keys)
+    map: nothing is read yet."""
+    return [c.view(*key) for key in c.keys]
+
+
+def _named(path, items):
+    """items, with path put before the message of a ValueError that taking
+    one of them raises."""
+    try:
+        yield from items
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _cmd_stats(cfg):
@@ -161,9 +169,10 @@ def _cmd_stats(cfg):
         raise UsageError("--denominator applies to the residual "
                          "coefficients, which --no-residual turns off")
     c = read_container(cfg["input"])
+    views = _views(c)  # outside the try: a view's errors name the file
     denominator = cfg["denominator"] if cfg["residual"] else None
     try:
-        stats = compute_norm_stats(_views(c), denominator=denominator)
+        stats = compute_norm_stats(views, denominator=denominator)
     except ValueError as exc:
         raise ValueError(f"{c.path}: {exc}") from None
     stats.to_json(cfg["output"])
@@ -199,41 +208,41 @@ def _row_blocks(c, n_keys: int, min_fields: int = 1, even: bool = False):
 def _map_rows(cfg, c, transform, grid=None, units=None, attrs=None):
     """Write cfg["output"], its header (c's, but for any grid, units, attrs
     or --dtype given) fixed first, then block of time rows by block: each
-    variable's rows as a checked float64 FieldSeries through transform,
-    which may overwrite the series' values, a fresh array for each call.
-    c's map is released after each block."""
+    variable's rows, a checked float64 (rows, n_lat, n_lon) array made
+    for the call, through transform(values, (variable, level)), which may
+    overwrite values.  c's map is released after each block."""
     with container_writer(cfg["output"], grid or c.grid,
                           [(name, lev, units or u)
                            for name, lev, u in c.variables],
                           c.times, dtype=cfg["dtype"] or c.dtype_name,
                           attrs=c.attrs if attrs is None else attrs) as write:
         for rows in _row_blocks(c, len(c.keys)):
-            write([transform(FieldSeries(
-                       c.grid, name, lev, c.times[rows],
-                       _finite(c, c.values(rows, name, lev), name, lev),
-                       units=u))
-                   for name, lev, u in c.variables])
+            write([transform(_finite(c, c.values(rows, name, lev), name, lev),
+                             (name, lev))
+                   for name, lev, _ in c.variables])
             cio.release(c)
 
 
 def _cmd_normalize(cfg):
     c = read_container(cfg["input"])
     stats = NormStats.from_json(cfg["stats"])
-    _map_rows(cfg, c, lambda s: normalize(s, stats, out=s.values).values,
-              units="1")
+    _map_rows(cfg, c, lambda values, key: normalize(values, stats, *key,
+                                                    out=values), units="1")
 
 
 def _cmd_denormalize(cfg):
     c = read_container(cfg["input"])
     stats = NormStats.from_json(cfg["stats"])
-    _map_rows(cfg, c, lambda s: denormalize(s, stats, out=s.values).values)
+    _map_rows(cfg, c, lambda values, key: denormalize(values, stats, *key,
+                                                      out=values))
 
 
 def _cmd_climatology(cfg):
     """Each (variable, hour) bin set is written to its rows as it is made."""
     c = read_container(cfg["input"])
-    bins = climatology_bins(_views(c), window_days=cfg["window_days"],
-                            gaussian_std_days=cfg["std_days"])
+    bins = _named(c.path, climatology_bins(
+        _views(c), window_days=cfg["window_days"],
+        gaussian_std_days=cfg["std_days"]))
     series, hours, hi, means = next(bins)
     with climatology_writer(cfg["output"], c.grid, c.variables, hours,
                             cfg["window_days"], cfg["std_days"],
@@ -260,7 +269,7 @@ def _cmd_solar(cfg):
                           dtype=cfg["dtype"] or "f32",
                           attrs={"window_hours": hours}) as write:
         for t in starts:  # each window is written as soon as it is made
-            write([accumulated_irradiance(t, hours, grid, config).values[None]])
+            write([accumulated_irradiance(t, hours, grid, config)[None]])
 
 
 def _cmd_pad(cfg):
@@ -271,7 +280,7 @@ def _cmd_pad(cfg):
     padding = {"pad_ns": spec.pad_ns, "pad_ew": spec.pad_ew, "mode": spec.mode,
                "interior_grid": {"kind": c.grid.kind, "n_lat": c.grid.n_lat,
                                  "n_lon": c.grid.n_lon}}
-    _map_rows(cfg, c, lambda s: pad(s.values, spec), grid=pseudo,
+    _map_rows(cfg, c, lambda values, key: pad(values, spec), grid=pseudo,
               attrs={**c.attrs, "padding": padding})
 
 
@@ -288,9 +297,8 @@ def _cmd_filter(cfg):
     if not steps:
         raise UsageError("filter needs --diffuse and/or --pole-filter")
     c = read_container(cfg["input"])
-    _map_rows(cfg, c, lambda s: reduce(
-        lambda values, step: step.apply(values, c.grid, out=values), steps,
-        s.values))
+    _map_rows(cfg, c, lambda values, key: reduce(
+        lambda v, step: step.apply(v, c.grid, out=v), steps, values))
 
 
 # the spectrum flags that only some kinds read, and those kinds
@@ -331,12 +339,12 @@ def _cmd_spectrum(cfg):
         """(k, tags, l_max + 1) power of one pass of (k, keys, ...) fields."""
         if kind == "kinetic":
             return kinetic_energy_spectrum(
-                fields[:, 0], fields[:, 1], l_max, half=not cfg["no_half"],
-                grid=c.grid).power[:, None]
+                fields[:, 0], fields[:, 1], l_max, c.grid,
+                half=not cfg["no_half"]).power[:, None]
         if kind == "theta":
             return potential_temperature_energy_spectrum(
-                fields[:, 0], l_max, pressure_hpa=cfg["pressure"],
-                grid=c.grid).power[:, None]
+                fields[:, 0], l_max, c.grid,
+                pressure_hpa=cfg["pressure"]).power[:, None]
         return zonal_power_spectrum(fields, l_max, c.grid).power
 
     power = np.empty((len(c.times), len(tags), l_max + 1))
@@ -385,11 +393,14 @@ def _cmd_verify(cfg):
 def _mean_correlation(path, weighted):
     """Correlation matrix of a container's variables, averaged over times."""
     c = read_container(path)
-    return average_correlations([
-        spatial_correlation([Field(c.grid, _finite(c, c.values(i, *key), *key),
-                                   *key) for key in c.keys],
-                            weighted=weighted)
-        for i in range(len(c.times))])
+    matrices = []
+    for i in range(len(c.times)):
+        block = c.block(i)
+        for values, key in zip(block, c.keys):
+            _finite(c, values, *key)
+        matrices.append(spatial_correlation(block, c.keys, c.grid,
+                                            weighted=weighted))
+    return average_correlations(matrices)
 
 
 def _cmd_correlate(cfg):

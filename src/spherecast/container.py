@@ -22,7 +22,6 @@ from pathlib import Path
 import numpy as np
 
 from .grid import (
-    Field,
     FieldSeries,
     GridSpec,
     ensure_utc,
@@ -238,30 +237,30 @@ class Container:
         the read-only map, in the file's dtype: nothing is copied."""
         return self._data[time_index]
 
-    def field(self, time_index: int, variable: str, level: str = "single") -> Field:
-        j = self.index(variable, level)
-        name, lev, units = self.variables[j]
-        return Field(grid=self.grid, values=self.values(time_index, variable, level),
-                     variable=name, level=lev, valid_time=self.times[time_index],
-                     units=units)
+    def _series(self, j: int, values) -> FieldSeries:
+        """values as the FieldSeries of variable j, tagged with this file's
+        path, which an error about its time axis names too."""
+        name, level, units = self.variables[j]
+        try:
+            series = FieldSeries(self.grid, name, level, list(self.times),
+                                 values, units=units)
+        except ValueError as exc:
+            raise ValueError(f"{self.path}: {exc}") from None
+        series.path = self.path
+        return series
 
     def series(self, variable: str, level: str = "single") -> FieldSeries:
         """Every time of one variable as a float64 FieldSeries, copied out
         of the map."""
         j = self.index(variable, level)
-        name, lev, units = self.variables[j]
-        vals = np.array(self._data[:, j], dtype=np.float64)
-        return FieldSeries(self.grid, name, lev, list(self.times), vals,
-                           units=units)
+        return self._series(j, np.array(self._data[:, j], dtype=np.float64))
 
     def view(self, variable: str, level: str = "single") -> FieldSeries:
         """Every time of one variable as a FieldSeries over the read-only
         map, in the file's dtype: nothing is read until it is indexed, so
         convert what you take from it to float64 before any arithmetic."""
         j = self.index(variable, level)
-        name, lev, units = self.variables[j]
-        return FieldSeries(self.grid, name, lev, list(self.times),
-                           self._data[:, j], units=units)
+        return self._series(j, self._data[:, j])
 
 
 # bytes of one block: a stage touches at most this much of a file's map

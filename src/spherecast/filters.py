@@ -23,13 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, GridSpec
+from .grid import GridSpec
 
 __all__ = [
     "DiffusionSpec",
     "PoleFilterSpec",
-    "laplacian_diffuse",
-    "pole_filter",
     "diffuse_values",
     "pole_filter_values",
     "diffusion_stability_bound",
@@ -203,11 +201,6 @@ def diffuse_values(values: np.ndarray, grid: GridSpec, spec: DiffusionSpec,
     return f
 
 
-def laplacian_diffuse(field: Field, spec: DiffusionSpec) -> Field:
-    """Explicit 2nd-order Laplacian diffusion of a field."""
-    return field.with_values(diffuse_values(field.values, field.grid, spec))
-
-
 def pole_filter_values(values: np.ndarray, grid: GridSpec,
                        spec: PoleFilterSpec,
                        out: np.ndarray | None = None) -> np.ndarray:
@@ -225,8 +218,3 @@ def pole_filter_values(values: np.ndarray, grid: GridSpec,
     coeffs[..., np.arange(nyquist + 1) > m_max[rows, None]] = 0.0
     f[..., rows, :] = np.fft.irfft(coeffs, n=grid.n_lon)
     return f
-
-
-def pole_filter(field: Field, spec: PoleFilterSpec) -> Field:
-    """Apply the zonal pole filter to a field."""
-    return field.with_values(pole_filter_values(field.values, field.grid, spec))

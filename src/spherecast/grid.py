@@ -200,22 +200,19 @@ def make_equiangular_grid(n_lat: int, n_lon: int, lon_origin: float = 0.0) -> Gr
         kind="equiangular", lon_origin=lon_origin)
 
 
-def cosine_weights(latitudes: np.ndarray, normalized: bool = True) -> np.ndarray:
-    """cos(latitude) weights; normalized=True rescales to unit mean.
+def cosine_weights(latitudes: np.ndarray) -> np.ndarray:
+    """cos(latitude) weights rescaled to unit mean.
 
     Unit-mean weights make a uniform bias c verify to RMSE exactly |c|
-    (the WeatherBench2 convention); normalized=False gives the bare
-    cos(latitude) factor.
+    (the WeatherBench2 convention).
     """
     w = np.cos(np.radians(np.asarray(latitudes, dtype=float)))
-    if normalized:
-        w = w / w.mean()
-    return w
+    return w / w.mean()
 
 
-def metric_weights(grid: GridSpec, normalized: bool = True) -> np.ndarray:
-    """Per-latitude verification weights for a grid (unit mean by default)."""
-    return cosine_weights(grid.latitudes, normalized=normalized)
+def metric_weights(grid: GridSpec) -> np.ndarray:
+    """Per-latitude verification weights for a grid, with unit mean."""
+    return cosine_weights(grid.latitudes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,21 +249,19 @@ class Field:
     def key(self) -> tuple[str, str]:
         return (self.variable, self.level)
 
-    def with_values(self, values: np.ndarray,
-                    units: str | None = None) -> "Field":
-        return Field(grid=self.grid, values=values, variable=self.variable,
-                     level=self.level, valid_time=self.valid_time,
-                     units=self.units if units is None else units,
-                     mask=self.mask)
-
 
 class FieldSeries:
-    """Time-ordered stack of fields for one variable-level on one grid.
+    """Time-ordered stack of fields for one variable-level on one grid:
+    the view of one variable that the stats, climatology, rollout and
+    verification stages take.
 
     Times must be strictly increasing with a constant step (1 h or 6 h in
     practice; any uniform step is accepted).  time_index maps each valid
-    time to its row in values.
+    time to its row in values.  path is the file a Container view reads,
+    or None for a series held in memory.
     """
+
+    path = None
 
     def __init__(self, grid: GridSpec, variable: str, level: str,
                  times: list[datetime], values: np.ndarray,
@@ -294,11 +289,6 @@ class FieldSeries:
     def key(self) -> tuple[str, str]:
         return (self.variable, self.level)
 
-    def with_values(self, values: np.ndarray,
-                    units: str | None = None) -> "FieldSeries":
-        return FieldSeries(self.grid, self.variable, self.level, self.times,
-                           values, units=self.units if units is None else units)
-
     @property
     def step(self) -> timedelta | None:
         if len(self.times) < 2:
@@ -313,13 +303,9 @@ class FieldSeries:
     def __len__(self) -> int:
         return len(self.times)
 
-    def field(self, i: int) -> Field:
-        return Field(grid=self.grid, values=self.values[i],
-                     variable=self.variable, level=self.level,
-                     valid_time=self.times[i], units=self.units)
-
-    def __iter__(self):
-        return (self.field(i) for i in range(len(self)))
+    def named(self, message: str) -> str:
+        """message about the series, after "path: " for a view of a file."""
+        return message if self.path is None else f"{self.path}: {message}"
 
     def index(self, when: datetime) -> int:
         """Row of a valid time; KeyError naming the series if absent."""
@@ -327,9 +313,6 @@ class FieldSeries:
         try:
             return self.time_index[when]
         except KeyError:
-            raise KeyError(
+            raise KeyError(self.named(
                 f"time {when.isoformat()} not in series "
-                f"{self.variable} ({self.level})") from None
-
-    def at(self, when: datetime) -> Field:
-        return self.field(self.index(when))
+                f"{self.variable} ({self.level})")) from None

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .container import released_blocks
-from .grid import Field, FieldSeries, GridSpec, default_units, ensure_utc
+from .grid import FieldSeries, GridSpec, default_units, ensure_utc
 
 __all__ = [
     "StatEntry",
@@ -32,7 +32,6 @@ __all__ = [
     "compute_norm_stats",
     "normalize",
     "denormalize",
-    "clamp_nonnegative",
     "clamp_nonnegative_values",
     "climatology_bins",
     "compute_climatology",
@@ -272,51 +271,43 @@ def compute_norm_stats(series_map, denominator: str | None = "tendency",
                                                        denominator)
 
 
-def normalize(data, stats: NormStats, out: np.ndarray | None = None):
-    """T'' = (T - mu) / (xi * sigma), dimensionless; Field or FieldSeries.
+def normalize(values: np.ndarray, stats: NormStats, variable: str, level: str,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """T'' = (T - mu) / (xi * sigma) of (variable, level)'s values,
+    dimensionless.
 
-    The values go to out, an array of data's shape that may be
-    data.values itself, or to a new array."""
-    e = stats.entry(data.variable, data.level)
-    values = np.subtract(data.values, e.mu, out=out)
+    The result goes to out, an array of values' shape that may be values
+    itself, or to a new array."""
+    e = stats.entry(variable, level)
+    values = np.subtract(values, e.mu, out=out)
     values /= e.xi * e.sigma
-    return data.with_values(values, units="1")
+    return values
 
 
-def denormalize(data, stats: NormStats, out: np.ndarray | None = None):
+def denormalize(values: np.ndarray, stats: NormStats, variable: str,
+                level: str, out: np.ndarray | None = None) -> np.ndarray:
     """Inverse of normalize, to within a few ulp of |T| + |mu|:
     T = T'' * xi * sigma + mu; out as there."""
-    e = stats.entry(data.variable, data.level)
-    values = np.multiply(data.values, e.xi * e.sigma, out=out)
+    e = stats.entry(variable, level)
+    values = np.multiply(values, e.xi * e.sigma, out=out)
     values += e.mu
-    return data.with_values(values)
+    return values
 
 
 def clamp_nonnegative_values(values: np.ndarray, floor: float = 1e-8,
                              out: np.ndarray | None = None) -> np.ndarray:
     """values with every entry below floor replaced by exactly floor.
 
-    The result goes to out, an array of values' shape that may be values
-    itself, or to a new array of values' dtype promoted with floor's."""
+    Intended for de-normalized specific humidity, whose raw model output
+    can go negative; idempotent and monotone.  The result goes to out, an
+    array of values' shape that may be values itself, or to a new array
+    of values' dtype promoted with floor's."""
     if out is None:
         out = np.array(values, dtype=np.result_type(values, floor))
     elif out is not values:
         np.copyto(out, values)
     np.copyto(out, floor, where=out < floor)
     return out
-
-
-def clamp_nonnegative(field: Field, floor: float = 1e-8,
-                      variables: set[str] | None = None) -> Field:
-    """Hard-correct values below floor to exactly floor.
-
-    Intended for de-normalized specific humidity, whose raw model output
-    can go negative.  When a variable filter is given, fields outside it
-    pass through untouched.  Idempotent and monotone.
-    """
-    if variables is not None and field.variable not in variables:
-        return field
-    return field.with_values(clamp_nonnegative_values(field.values, floor))
 
 
 def day_of_year_365(t: datetime) -> int:
@@ -448,7 +439,8 @@ def climatology_bins(series_map, window_days: int = 61,
     series_map is a {(variable, level): FieldSeries} mapping or an
     iterable of FieldSeries, taken one series at a time; each hour's
     window samples are gathered into one float64 buffer a block of rows
-    at a time, the map under them released after each.  Yields
+    at a time, the map under them released after each; a non-finite
+    sample raises ValueError naming its variable and time.  Yields
     (series, hours, hi, means):
     hours lists the hours of day present, and means is the (365, n_lat,
     n_lon) float64 climatology of series at hours[hi] for days 1..365.
@@ -476,7 +468,13 @@ def climatology_bins(series_map, window_days: int = 61,
         for hi, h in enumerate(hours):
             idx, w = weights[h]
             for block in released_blocks(flat, idx):
-                samples[block] = flat[idx[block]]
+                gathered = samples[block]
+                gathered[...] = flat[idx[block]]
+                finite = np.isfinite(gathered).all(axis=1)
+                if not finite.all():
+                    when = times[idx[block][np.argmin(finite)]]
+                    raise ValueError(f"non-finite values in {key[0]} "
+                                     f"({key[1]}) at {when.isoformat()}")
             # nothing here keeps a yielded bin set once the caller drops it
             yield series, hours, hi, (
                 w @ samples[:len(idx)]).reshape((365,) + grid.shape)

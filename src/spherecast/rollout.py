@@ -320,9 +320,9 @@ def run_rollout_to_dir(plan: RolloutPlan, initial_states: dict, out_dir,
                     series.values[rows[block]]).all(axis=(1, 2))
             bad = np.isin(at, rows[~finite])
             if bad.any():
-                raise ValueError(
+                raise ValueError(series.named(
                     f"non-finite initial state {key[0]} ({key[1]}) at "
-                    f"{plan.init_times[int(np.argmax(bad))].isoformat()}")
+                    f"{plan.init_times[int(np.argmax(bad))].isoformat()}"))
     grid = next(iter(initial_states.values())).grid
     for n, step in enumerate(plan.postprocess, 1):
         if isinstance(step.spec, DiffusionSpec):

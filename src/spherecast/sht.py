@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Field, GridSpec
+from .grid import GridSpec
 
 # bytes of complex Fourier rows made at once in an analysis
 _FFT_BYTES = 1 << 22
@@ -73,8 +73,6 @@ class SpectrumResult:
     window, or for each field of a stack."""
 
     power: np.ndarray
-    variable: str = ""
-    units: str = ""
 
     def __post_init__(self):
         if np.any(self.power < 0):
@@ -205,7 +203,7 @@ class SphericalHarmonicTransform:
         return fold.view(np.float64)
 
     def analyze(self, values: np.ndarray) -> HarmonicCoeffs:
-        """Field values (..., n_lat, n_lon), of any real dtype, ->
+        """Values (..., n_lat, n_lon), of any real dtype, ->
         coefficients a[..., l, m]."""
         values = np.asarray(values)
         if values.shape[-2:] != self.grid.shape:
@@ -262,18 +260,9 @@ def _cached_transform(grid: GridSpec, l_max: int) -> SphericalHarmonicTransform:
     return SphericalHarmonicTransform(grid, l_max)
 
 
-def _values_and_grid(field_or_values, grid: GridSpec | None):
-    if isinstance(field_or_values, Field):
-        return field_or_values.values, field_or_values.grid
-    if grid is None:
-        raise ValueError("grid required when passing a bare array")
-    return np.asarray(field_or_values), grid
-
-
-def analyze(field_or_values, l_max: int, grid: GridSpec | None = None) -> HarmonicCoeffs:
-    """Analyze a field, or an array or stack of arrays + grid, up to
-    degree l_max."""
-    values, grid = _values_and_grid(field_or_values, grid)
+def analyze(values: np.ndarray, l_max: int, grid: GridSpec) -> HarmonicCoeffs:
+    """Analyze a field, or a (..., n_lat, n_lon) stack of them, on grid up
+    to degree l_max."""
     return _cached_transform(grid, l_max).analyze(values)
 
 
@@ -282,9 +271,8 @@ def synthesize(coeffs: HarmonicCoeffs, grid: GridSpec) -> np.ndarray:
     return _cached_transform(grid, coeffs.l_max).synthesize(coeffs)
 
 
-def zonal_power_spectrum(field_or_values, l_max: int,
-                         grid: GridSpec | None = None,
-                         variable: str = "") -> SpectrumResult:
+def zonal_power_spectrum(values: np.ndarray, l_max: int,
+                         grid: GridSpec) -> SpectrumResult:
     """Power per zonal wavenumber: P(m) = sum_{l >= m} |a_l^m|^2.
 
     m > 0 terms carry multiplicity 2 (the conjugate -m coefficients of a
@@ -292,49 +280,38 @@ def zonal_power_spectrum(field_or_values, l_max: int,
     quadrature-weighted mean square times 4 pi.  A (..., n_lat, n_lon)
     stack gives one spectrum per field, all from one transform call.
     """
-    values, grid = _values_and_grid(field_or_values, grid)
-    if isinstance(field_or_values, Field) and not variable:
-        variable = field_or_values.variable
     mag2 = np.abs(analyze(values, l_max, grid).values)
     np.square(mag2, out=mag2)
     power = mag2.sum(axis=-2)
     power[..., 1:] *= 2.0
-    return SpectrumResult(power=power, variable=variable)
+    return SpectrumResult(power=power)
 
 
-def kinetic_energy_spectrum(u, v, l_max: int, half: bool = True,
-                            grid: GridSpec | None = None) -> SpectrumResult:
+def kinetic_energy_spectrum(u: np.ndarray, v: np.ndarray, l_max: int,
+                            grid: GridSpec, half: bool = True
+                            ) -> SpectrumResult:
     """Kinetic energy spectrum from wind components (m^2 s-2 per m).
 
     KE(m) = 1/2 [P_u(m) + P_v(m)]; set half=False to drop the 1/2 of the
-    specific-kinetic-energy definition (shape is unaffected).  u and v are
-    Fields, or arrays of one shape (one field or a stack) on grid; both
-    go through one transform call.
+    specific-kinetic-energy definition (shape is unaffected).  u and v
+    are arrays of one shape (one field or a stack) on grid; both go
+    through one transform call.
     """
-    u_values, u_grid = _values_and_grid(u, grid)
-    v_values, v_grid = _values_and_grid(v, grid)
-    if u_grid != v_grid:
-        raise ValueError("u and v must share one grid")
-    pu, pv = zonal_power_spectrum(np.stack([u_values, v_values]), l_max,
-                                  u_grid).power
+    pu, pv = zonal_power_spectrum(np.stack([u, v]), l_max, grid).power
     scale = 0.5 if half else 1.0
-    return SpectrumResult(power=scale * (pu + pv), variable="KE",
-                          units="m2 s-2")
+    return SpectrumResult(power=scale * (pu + pv))
 
 
-def potential_temperature_energy_spectrum(t, l_max: int,
-                                          pressure_hpa: float = 500.0,
-                                          kappa: float = DRY_AIR_KAPPA,
-                                          grid: GridSpec | None = None
+def potential_temperature_energy_spectrum(t: np.ndarray, l_max: int,
+                                          grid: GridSpec,
+                                          pressure_hpa: float = 500.0
                                           ) -> SpectrumResult:
     """Potential temperature energy spectrum (K^2 per m).
 
-    theta = T * (1000 / p)^kappa with the dry-air exponent by default,
-    then the zonal power spectrum of theta.  t is a Field, or an array
-    (one field or a stack) on grid.
+    theta = T * (1000 / p)^kappa with the dry-air exponent, then the
+    zonal power spectrum of theta.  t is an array (one field or a stack)
+    on grid.
     """
-    t_values, grid = _values_and_grid(t, grid)
-    theta = (np.asarray(t_values, dtype=np.float64)
-             * (1000.0 / pressure_hpa) ** kappa)
-    out = zonal_power_spectrum(theta, l_max, grid)
-    return SpectrumResult(power=out.power, variable="theta", units="K2")
+    theta = (np.asarray(t, dtype=np.float64)
+             * (1000.0 / pressure_hpa) ** DRY_AIR_KAPPA)
+    return zonal_power_spectrum(theta, l_max, grid)

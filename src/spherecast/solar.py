@@ -21,7 +21,7 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
-from .grid import Field, GridSpec, ensure_utc
+from .grid import GridSpec, ensure_utc
 
 __all__ = [
     "SolarConfig",
@@ -258,12 +258,12 @@ _BLOCK_BYTES = 256 * 1024   # float64 latitude rows per block; stays in cache
 
 def accumulated_irradiance(window_start: datetime, window_hours: int,
                            grid: GridSpec,
-                           config: SolarConfig | None = None) -> Field:
-    """Accumulated irradiance over [start, start + window_hours) in J m-2.
+                           config: SolarConfig | None = None) -> np.ndarray:
+    """Accumulated irradiance over [start, start + window_hours) in J m-2,
+    as a float64 (n_lat, n_lon) array, which belongs to the window's end.
 
     Sampled at each minute start and summed hour by hour, so a 6-hour
-    window equals the sum of its six 1-hour windows bit-exactly.  The
-    output field is labeled with the window ending time.
+    window equals the sum of its six 1-hour windows bit-exactly.
 
     The sun terms are tabulated once per window: sin(lat) sin(decl) and
     cos(lat) cos(decl) per (minute, latitude), cos(hour angle) per
@@ -307,6 +307,4 @@ def accumulated_irradiance(window_start: datetime, window_hours: int,
                 total[block] = hour
             else:
                 np.add(total[block], hour, out=total[block])
-    return Field(grid=grid, values=total, variable="Is",
-                 valid_time=window_start + timedelta(hours=window_hours),
-                 units="J m-2")
+    return total

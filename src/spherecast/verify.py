@@ -22,7 +22,7 @@ import numpy as np
 
 from .container import (ScoreRecord, atomic_write, read_container, release,
                         released_blocks)
-from .grid import Field, GridSpec, ensure_utc, metric_weights
+from .grid import GridSpec, ensure_utc, metric_weights
 from .preprocess import Climatology
 
 __all__ = [
@@ -192,9 +192,9 @@ class ForecastSet:
                 finite = np.isfinite(values[rows[block]]).all(axis=(1, 2))
                 if not finite.all():
                     when = target[key].times[rows[block][np.argmin(finite)]]
-                    raise ValueError(
+                    raise ValueError(target[key].named(
                         f"non-finite target {key[0]} ({key[1]}) at "
-                        f"{when.isoformat()}")
+                        f"{when.isoformat()}"))
         self.weights = metric_weights(self.grid)
 
     def _check_init(self, t_i: datetime, fc: dict, path: Path, used: dict):
@@ -428,21 +428,24 @@ class CorrelationMatrix:
         return float(self.values[self.labels.index(a), self.labels.index(b)])
 
 
-def spatial_correlation(fields: list[Field],
+def spatial_correlation(values: np.ndarray, labels: list[tuple[str, str]],
+                        grid: GridSpec,
                         weighted: bool = False) -> CorrelationMatrix:
-    """Pearson r between every pair of fields on flattened grid points.
+    """Pearson r between every pair of fields of a (k, n_lat, n_lon)
+    stack on flattened grid points; labels names the k fields, each by
+    its (variable, level).
 
     Unweighted by default; weighted=True uses cos(latitude) weights in the
     means, covariances and variances.
     """
-    if len(fields) < 2:
+    labels = list(labels)
+    if len(labels) < 2:
         raise ValueError("need at least 2 variable-levels to correlate")
-    grid = fields[0].grid
-    for f in fields[1:]:
-        if f.grid != grid:
-            raise ValueError("all fields must share one grid")
-    labels = [f.key for f in fields]
-    data = np.stack([f.values.reshape(-1) for f in fields])
+    if np.shape(values) != (len(labels),) + grid.shape:
+        raise ValueError(f"values shape {np.shape(values)} does not match "
+                         f"{len(labels)} fields on the {grid.shape} grid")
+    # a fresh aligned copy: matmul leaves BLAS for a misaligned map view
+    data = np.array(values, dtype=np.float64).reshape(len(labels), -1)
     if weighted:
         w = np.repeat(metric_weights(grid), grid.n_lon)
         w = w / w.sum()

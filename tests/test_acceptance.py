@@ -17,9 +17,9 @@ from spherecast.cli import main
 from spherecast.container import read_container, read_scores, write_container
 from spherecast.filters import (DiffusionSpec, diffuse_values,
                                 diffusion_stability_bound)
-from spherecast.grid import Field, FieldSeries
+from spherecast.grid import FieldSeries
 from spherecast.padding import PadSpec, pad, unpad
-from spherecast.preprocess import (Climatology, clamp_nonnegative,
+from spherecast.preprocess import (Climatology, clamp_nonnegative_values,
                                    compute_residual_coeff, compute_stats,
                                    denormalize, normalize)
 from spherecast.rollout import RolloutPlan, run_rollout_to_dir
@@ -154,10 +154,9 @@ def test_criterion_06_residual_normalization():
     prod = np.prod([stats.entry(*k).xi for k in series_map])
     assert abs(prod - 1.0) <= 1e-10
 
-    f = Field(grid=grid, values=50.0 * rng.normal(size=grid.shape),
-              variable="T")
-    back = denormalize(normalize(f, stats), stats)
-    rel = np.abs(back.values - f.values) / np.maximum(np.abs(f.values), 1e-30)
+    f = 50.0 * rng.normal(size=grid.shape)
+    back = denormalize(normalize(f, stats, "T", "single"), stats, "T", "single")
+    rel = np.abs(back - f) / np.maximum(np.abs(f), 1e-30)
     assert rel.max() <= 1e-12
 
     # direct one-pass oracle for the standardized-tendency definition
@@ -190,9 +189,9 @@ def test_criterion_07_solar_forcing():
     daily = []
     for k in range(4):
         f = accumulated_irradiance(day0 + timedelta(hours=6 * k), 6, grid, cfg)
-        assert np.all(f.values >= 0.0)
-        daily.append(f.values)
-        total += f.values
+        assert np.all(f >= 0.0)
+        daily.append(f)
+        total += f
     i_eq = int(np.argmin(np.abs(grid.latitudes)))
     _, _, d_noon = sun_ephemeris(day0 + timedelta(hours=12))
     analytic = 86400.0 * 1361.0 / (np.pi * d_noon ** 2) \
@@ -203,9 +202,9 @@ def test_criterion_07_solar_forcing():
     # 6-hour window equals the sum of its six 1-hour windows, bit-exact
     hours = [accumulated_irradiance(day0 + timedelta(hours=k), 1, grid, cfg)
              for k in range(6)]
-    summed = hours[0].values
+    summed = hours[0]
     for f in hours[1:]:
-        summed = summed + f.values
+        summed = summed + f
     assert np.array_equal(daily[0], summed)
     _report(7, f"subsolar exact, daily accumulation within {rel:.2%}, "
                "windows additive bit-exact, non-negative")
@@ -239,11 +238,10 @@ def test_criterion_08_padding():
 def test_criterion_09_clamp():
     grid = make_gaussian_grid(16, 32)
     rng = np.random.default_rng(4)
-    f = Field(grid=grid, values=rng.normal(size=grid.shape) * 1e-7,
-              variable="Q")
-    once = clamp_nonnegative(f)
-    assert once.values.min() >= 1e-8
-    assert np.array_equal(clamp_nonnegative(once).values, once.values)
+    f = rng.normal(size=grid.shape) * 1e-7
+    once = clamp_nonnegative_values(f)
+    assert once.min() >= 1e-8
+    assert np.array_equal(clamp_nonnegative_values(once), once)
     _report(9, "clamp floor exact at 1e-8 and idempotent")
 
 

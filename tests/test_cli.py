@@ -11,7 +11,8 @@ import pytest
 
 from spherecast import rollout
 from spherecast.cli import main
-from spherecast.container import read_container, read_scores, write_container
+from spherecast.container import (container_writer, read_container,
+                                  read_scores, write_container)
 from spherecast.grid import FieldSeries
 from spherecast.preprocess import Climatology, compute_climatology
 from conftest import fail_writes_after, make_series, make_spectrum_fixture
@@ -230,10 +231,9 @@ def test_spectrum_kinds_match_per_field_spectra(tmp_path, grid16, kind):
     def spectrum(i):
         if kind == "kinetic":
             return kinetic_energy_spectrum(c.values(i, "U500"),
-                                           c.values(i, "V500"), 12,
-                                           grid=grid16)
+                                           c.values(i, "V500"), 12, grid16)
         return potential_temperature_energy_spectrum(
-            c.values(i, "T500"), 12, pressure_hpa=700.0, grid=grid16)
+            c.values(i, "T500"), 12, grid16, pressure_hpa=700.0)
 
     tag = "KE" if kind == "kinetic" else "theta"
     expect = {(tag, 6 * i, m): p for i in range(3)
@@ -477,7 +477,9 @@ def test_rollout_missing_init_exits_two_and_writes_nothing(tmp_path, grid16,
                  "--init-times", "2020-01-01T00:00:00,2020-01-01T06:00:00,"
                                  "2020-01-02T00:00:00",
                  "--step-hours", "6", "--max-lead-hours", "6"]) == 2
-    assert "2020-01-02T00:00:00" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {target_path}: time "
+                          "2020-01-02T00:00:00")
     assert not list(tmp_path.glob("fc/*.gvf"))
 
 
@@ -1327,3 +1329,142 @@ def test_correlate_non_finite_input_names_the_file(tmp_path, grid16, capsys):
     err = capsys.readouterr().err
     assert str(inp) in err and "T (single)" in err
     assert not out.exists()
+
+
+def test_no_subcommand_constructs_a_field(tmp_path, grid16, monkeypatch):
+    """Field is a type for callers: the stages pass plain arrays."""
+    from spherecast.grid import Field
+    made = []
+    post_init = Field.__post_init__
+
+    def counted(self):
+        made.append(self.variable)
+        post_init(self)
+    monkeypatch.setattr(Field, "__post_init__", counted)
+    Field(grid=grid16, values=np.zeros(grid16.shape), variable="T")
+    assert made == ["T"]  # the count sees a construction
+    made.clear()
+    for name in SUBCOMMANDS:
+        work = tmp_path / name
+        work.mkdir()
+        base = {"denormalize": "normalize", "correlate": "stats"}.get(name,
+                                                                      name)
+        argv, flag = _replay_stage(base, work, grid16)
+        if name == "denormalize":
+            argv = [name] + argv[1:]
+        elif name == "correlate":
+            argv = [name, "--input", argv[2], "--reference", argv[2]]
+        assert main(argv + [flag, str(work / "out")]) == 0, name
+    assert made == []
+
+
+def _write_uneven(path, grid, keys, seed, nan_at=None):
+    """An f64 container of keys at 00, 06, 18 and 19 UTC: times strictly
+    increasing with an uneven step; the values, one array per key."""
+    times = [T0 + timedelta(hours=h) for h in (0, 6, 18, 19)]
+    rng = np.random.default_rng(seed)
+    values = [rng.normal(size=(len(times),) + grid.shape) for _ in keys]
+    with container_writer(path, grid, [(n, l, "K") for n, l in keys], times,
+                          dtype="f64") as write:
+        write(values)
+    return times, values
+
+
+@pytest.mark.parametrize("name", ["normalize", "denormalize", "filter", "pad"])
+def test_row_stages_take_an_uneven_time_axis(tmp_path, grid16, name):
+    """Each output row is the per-field operator's result.  These stages
+    used to exit 3 with "time step must be constant"."""
+    from spherecast.filters import (DiffusionSpec, PoleFilterSpec,
+                                    diffuse_values, pole_filter_values)
+    from spherecast.padding import PadSpec, pad
+    from spherecast.preprocess import (NormStats, StatEntry, denormalize,
+                                       normalize)
+    keys = [("T", "single"), ("Q", "500")]
+    inp, out, stats_path = (tmp_path / "in.gvf", tmp_path / "out.gvf",
+                            tmp_path / "stats.json")
+    times, values = _write_uneven(inp, grid16, keys, seed=60)
+    stats = NormStats(entries={("T", "single"): StatEntry(0.5, 2.0, 0.8),
+                               ("Q", "500"): StatEntry(-1.0, 0.5, 1.25)})
+    stats.to_json(stats_path)
+    argv, op = {
+        "normalize": (["--stats", str(stats_path)],
+                      lambda v, key: normalize(v, stats, *key)),
+        "denormalize": (["--stats", str(stats_path)],
+                        lambda v, key: denormalize(v, stats, *key)),
+        "filter": (["--diffuse", "1e-5,2", "--pole-filter", "60"],
+                   lambda v, key: pole_filter_values(
+                       diffuse_values(v, grid16, DiffusionSpec(1e-5, 2)),
+                       grid16, PoleFilterSpec(60.0))),
+        "pad": (["--pad-ns", "2", "--pad-ew", "3"],
+                lambda v, key: pad(v, PadSpec(2, 3))),
+    }[name]
+    assert main([name, "--input", str(inp), "--output", str(out)]
+                + argv) == 0
+    c = read_container(out)
+    assert c.times == times
+    for key, vals in zip(keys, values):
+        for i, field in enumerate(vals):
+            assert np.array_equal(c.values(i, *key), op(field, key))
+
+
+@pytest.mark.parametrize("name", ["climatology", "rollout"])
+def test_uneven_time_axis_error_names_the_file(tmp_path, grid16, capsys,
+                                                name):
+    # used to print "error: time step must be constant" alone
+    inp, out = tmp_path / "in.gvf", tmp_path / "out"
+    _write_uneven(inp, grid16, [("T", "single")], seed=61)
+    argv = {"climatology": ["--output", str(out)],
+            "rollout": ["--output-dir", str(out), "--max-lead-hours", "6",
+                        "--inits", "2020-01-01T00:00:00,1,6"]}[name]
+    flag = "--input" if name == "climatology" else "--initial-states"
+    assert main([name, flag, str(inp)] + argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {inp}: time step must be constant")
+    assert not out.exists()
+
+
+def test_climatology_of_non_finite_input_exits_three_naming_file(tmp_path,
+                                                                 capsys):
+    # used to exit 0 and write 365 NaN values into the climatology
+    from spherecast import make_gaussian_grid
+    grid = make_gaussian_grid(8, 16)
+    values = np.random.default_rng(62).normal(size=(1460,) + grid.shape)
+    values[700, 3, 5] = np.nan
+    series = make_series(grid, "T", n_time=1460, values=values)
+    inp, out = tmp_path / "in.gvf", tmp_path / "clim.gvf"
+    write_container([series], inp, dtype="f64")
+    assert main(["climatology", "--input", str(inp),
+                 "--output", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {inp}: non-finite values in T (single) "
+                          f"at {series.times[700].isoformat()}")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.gvf"]
+
+
+def test_non_finite_initial_state_and_target_name_their_file(tmp_path,
+                                                             grid16, capsys):
+    # both used to name the variable and the time but not the file
+    good, series = write_target(tmp_path, grid16, n_time=8, seed=63)
+    bad = tmp_path / "bad.gvf"
+    values = series.values.copy()
+    values[1, 2, 3] = np.nan
+    write_container([FieldSeries(grid16, "T", "single", series.times,
+                                 values)], bad, dtype="f32")
+    rollout = ["rollout", "--inits", "2020-01-01T00:00:00,2,6",
+               "--max-lead-hours", "6"]
+    fc = tmp_path / "fc"
+    assert main(rollout + ["--initial-states", str(bad),
+                           "--output-dir", str(fc)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: non-finite initial state T "
+                          f"(single) at {series.times[1].isoformat()}")
+    assert not fc.exists()
+    assert main(rollout + ["--initial-states", str(good),
+                           "--output-dir", str(fc)]) == 0
+    scores = tmp_path / "scores.csv"
+    assert main(["verify", "--forecast-dir", str(fc), "--target", str(bad),
+                 "--metrics", "rmse", "--output", str(scores)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: non-finite target T (single) at "
+                          f"{series.times[1].isoformat()}")
+    assert not scores.exists()

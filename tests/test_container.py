@@ -318,11 +318,12 @@ def test_lazy_reader_single_chunk(tmp_path, grid16):
     path = tmp_path / "data.gvf"
     write_container(src, path, dtype="f64")
     c = read_container(path)
-    f = c.field(1, "Q", "L10")
-    assert np.array_equal(f.values, src[("Q", "L10")].values[1])
-    assert f.valid_time == src[("Q", "L10")].times[1]
+    f = c.values(1, "Q", "L10")
+    assert f.dtype == np.float64
+    assert np.array_equal(f, src[("Q", "L10")].values[1])
+    assert c.times[1] == src[("Q", "L10")].times[1]
     with pytest.raises(KeyError):
-        c.field(0, "nope")
+        c.values(0, "nope")
 
 
 def test_scores_csv_layout(tmp_path):

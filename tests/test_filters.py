@@ -5,7 +5,6 @@ from spherecast import make_gaussian_grid
 from spherecast.filters import (DiffusionSpec, PoleFilterSpec, diffuse_values,
                                 diffusion_stability_bound, latitude_cell_measures,
                                 pole_filter_values)
-from spherecast.grid import Field
 from spherecast.sht import HarmonicCoeffs, SphericalHarmonicTransform
 
 
@@ -84,15 +83,6 @@ def test_variance_non_increasing(grid32):
             var = weighted_mean(grid32, out * out)
             assert var <= var_prev * (1 + 1e-13)
             var_prev = var
-
-
-def test_field_wrapper(grid32):
-    from spherecast.filters import laplacian_diffuse
-    rng = np.random.default_rng(3)
-    f = Field(grid=grid32, values=rng.normal(size=grid32.shape), variable="T")
-    out = laplacian_diffuse(f, DiffusionSpec(nu_dt=1e-6, steps=2))
-    assert out.variable == "T"
-    assert out.values.shape == grid32.shape
 
 
 # ----------------------------------------------------------- pole filter

@@ -3,8 +3,9 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
-from spherecast.grid import Field, FieldSeries
-from spherecast.preprocess import (Climatology, NormStats, clamp_nonnegative,
+from spherecast.grid import FieldSeries
+from spherecast.preprocess import (Climatology, NormStats,
+                                   clamp_nonnegative_values,
                                    compute_climatology, compute_residual_coeff,
                                    compute_stats, day_of_year_365, denormalize,
                                    normalize)
@@ -124,10 +125,8 @@ def test_residual_requires_two_steps(grid16):
 def test_normalize_at_mean_gives_zeros(grid16):
     stats = compute_stats({("T", "single"): make_series(grid16, seed=12)})
     e = stats.entry("T", "single")
-    f = Field(grid=grid16, values=np.full(grid16.shape, e.mu), variable="T")
-    out = normalize(f, stats)
-    np.testing.assert_allclose(out.values, 0.0, atol=1e-12)
-    assert out.units == "1"
+    out = normalize(np.full(grid16.shape, e.mu), stats, "T", "single")
+    np.testing.assert_allclose(out, 0.0, atol=1e-12)
 
 
 def test_normalize_with_unit_xi_is_zscore(grid16):
@@ -135,10 +134,9 @@ def test_normalize_with_unit_xi_is_zscore(grid16):
     stats = compute_stats({("T", "single"): series})
     e = stats.entry("T", "single")
     assert e.xi == 1.0
-    f = series.field(0)
-    out = normalize(f, stats)
-    np.testing.assert_allclose(out.values, (f.values - e.mu) / e.sigma,
-                               rtol=1e-15)
+    f = series.values[0]
+    out = normalize(f, stats, "T", "single")
+    np.testing.assert_allclose(out, (f - e.mu) / e.sigma, rtol=1e-15)
 
 
 def test_normalize_denormalize_round_trip(grid16):
@@ -146,86 +144,80 @@ def test_normalize_denormalize_round_trip(grid16):
          ("Q", "single"): make_series(grid16, "Q", n_time=6, seed=15)}
     stats = compute_residual_coeff(m, compute_stats(m))
     rng = np.random.default_rng(16)
-    f = Field(grid=grid16, values=100.0 * rng.normal(size=grid16.shape),
-              variable="T")
-    back = denormalize(normalize(f, stats), stats)
-    np.testing.assert_allclose(back.values, f.values, rtol=1e-12)
+    f = 100.0 * rng.normal(size=grid16.shape)
+    back = denormalize(normalize(f, stats, "T", "single"), stats, "T",
+                       "single")
+    np.testing.assert_allclose(back, f, rtol=1e-12)
 
     e = stats.entry("T", "single")
-    zeros = Field(grid=grid16, values=np.zeros(grid16.shape), variable="T",
-                  units="1")
-    np.testing.assert_allclose(denormalize(zeros, stats).values, e.mu,
-                               rtol=1e-15)
-    ones = Field(grid=grid16, values=np.ones(grid16.shape), variable="T",
-                 units="1")
-    np.testing.assert_allclose(denormalize(ones, stats).values,
-                               e.mu + e.xi * e.sigma, rtol=1e-15)
+    np.testing.assert_allclose(
+        denormalize(np.zeros(grid16.shape), stats, "T", "single"), e.mu,
+        rtol=1e-15)
+    np.testing.assert_allclose(
+        denormalize(np.ones(grid16.shape), stats, "T", "single"),
+        e.mu + e.xi * e.sigma, rtol=1e-15)
 
 
 def test_series_normalize_matches_per_field_bitwise(grid16):
     m = {("T", "single"): make_series(grid16, n_time=5, seed=18),
          ("Q", "single"): make_series(grid16, "Q", n_time=5, seed=19)}
     stats = compute_residual_coeff(m, compute_stats(m))
-    series = m[("T", "single")]
+    values = m[("T", "single")].values
     for transform in (normalize, denormalize):
-        whole = transform(series, stats)
-        assert isinstance(whole, FieldSeries)
-        assert whole.times == series.times
-        assert whole.units == ("1" if transform is normalize else series.units)
-        for i in range(len(series)):
-            one = transform(series.field(i), stats)
-            assert np.array_equal(whole.values[i], one.values)
-            assert whole.units == one.units
+        whole = transform(values, stats, "T", "single")
+        assert whole.shape == values.shape
+        for i in range(len(values)):
+            one = transform(values[i], stats, "T", "single")
+            assert np.array_equal(whole[i], one)
 
 
 def test_missing_stats_entry(grid16):
     stats = compute_stats({("T", "single"): make_series(grid16, seed=17)})
-    f = Field(grid=grid16, values=np.zeros(grid16.shape), variable="Z500")
     with pytest.raises(KeyError, match="Z500"):
-        normalize(f, stats)
+        normalize(np.zeros(grid16.shape), stats, "Z500", "single")
 
 
 def test_clamp_all_negative(grid16):
-    f = Field(grid=grid16, values=np.full(grid16.shape, -1.0), variable="Q")
-    out = clamp_nonnegative(f)
-    assert np.all(out.values == 1e-8)
+    out = clamp_nonnegative_values(np.full(grid16.shape, -1.0))
+    assert np.all(out == 1e-8)
 
 
 def test_clamp_identity_above_floor(grid16):
     rng = np.random.default_rng(18)
     vals = np.abs(rng.normal(size=grid16.shape)) + 1e-8
-    f = Field(grid=grid16, values=vals, variable="Q")
-    assert np.array_equal(clamp_nonnegative(f).values, vals)
+    assert np.array_equal(clamp_nonnegative_values(vals), vals)
 
 
 def test_clamp_modified_count_matches_scan(grid16):
     rng = np.random.default_rng(19)
     vals = rng.normal(size=grid16.shape) * 1e-7
-    f = Field(grid=grid16, values=vals, variable="Q")
-    out = clamp_nonnegative(f)
-    modified = np.sum(out.values != vals)
+    out = clamp_nonnegative_values(vals)
+    modified = np.sum(out != vals)
     assert modified == np.sum(vals < 1e-8)
     # untouched cells keep their exact bits
     keep = vals >= 1e-8
-    assert np.array_equal(out.values[keep], vals[keep])
+    assert np.array_equal(out[keep], vals[keep])
 
 
 def test_clamp_idempotent_and_monotone(grid16):
     rng = np.random.default_rng(20)
     x = rng.normal(size=grid16.shape) * 1e-7
     y = x + np.abs(rng.normal(size=grid16.shape)) * 1e-8
-    fx = Field(grid=grid16, values=x, variable="Q")
-    fy = Field(grid=grid16, values=y, variable="Q")
-    once = clamp_nonnegative(fx)
-    twice = clamp_nonnegative(once)
-    assert np.array_equal(once.values, twice.values)
-    assert np.all(clamp_nonnegative(fx).values <= clamp_nonnegative(fy).values)
+    once = clamp_nonnegative_values(x)
+    twice = clamp_nonnegative_values(once)
+    assert np.array_equal(once, twice)
+    assert np.all(clamp_nonnegative_values(x) <= clamp_nonnegative_values(y))
 
 
 def test_clamp_variable_filter(grid16):
-    f = Field(grid=grid16, values=np.full(grid16.shape, -1.0), variable="T")
-    out = clamp_nonnegative(f, variables={"Q"})
-    assert out is f
+    """A clamp step restricted to Q leaves T's bits alone."""
+    from spherecast.rollout import PipelineStep, apply_postprocessing
+    state = {("T", "single"): np.full(grid16.shape, -1.0),
+             ("Q", "single"): np.full(grid16.shape, -1.0)}
+    step = PipelineStep("clamp_nonnegative", variables=["Q"])
+    apply_postprocessing(state, [step], grid16)
+    assert np.all(state[("T", "single")] == -1.0)
+    assert np.all(state[("Q", "single")] == 1e-8)
 
 
 def _hourly6_series(grid, n_days, fn, start=datetime(2019, 1, 1, tzinfo=timezone.utc)):

@@ -1,7 +1,7 @@
 """Property tests of the container writer and reader, the blocked
-normalize, the stacked transform, the padding and filters on stacks, the
-filters and clamp writing in place, the stacked verification scores and
-the bootstrap interval.
+normalize, the stacked analysis and synthesis, the padding and filters on
+stacks, the filters and clamp writing in place, the stacked verification
+scores, the bootstrap interval and the additivity of solar windows.
 
 Examples are derandomized, so every run checks the same cases.
 """
@@ -28,7 +28,8 @@ from spherecast.padding import PadSpec, pad, unpad
 from spherecast.preprocess import (Climatology, NormStats, StatEntry,
                                    clamp_nonnegative_values, denormalize,
                                    normalize)
-from spherecast.sht import SphericalHarmonicTransform
+from spherecast.sht import HarmonicCoeffs, SphericalHarmonicTransform
+from spherecast.solar import SolarConfig, accumulated_irradiance
 from spherecast.verify import (ForecastSet, _per_init, acc_field,
                                bootstrap_mean, rmse_field)
 
@@ -246,11 +247,13 @@ def test_blocked_normalize_equals_whole_array(series, dtype, block_rows):
                          "--output", str(stats)]) == 0
             c = read_container(inp)
             norm_stats = NormStats.from_json(stats)
-            for name, transform in (("normalize", normalize),
-                                    ("denormalize", denormalize)):
+            for name, transform, units in (("normalize", normalize, "1"),
+                                           ("denormalize", denormalize, None)):
                 out, ref = tmp / f"{name}.gvf", tmp / f"{name}.ref.gvf"
-                expect = [transform(c.series(*key), norm_stats)
-                          for key in c.keys]
+                expect = [FieldSeries(grid, var, lev, c.times, transform(
+                              c.series(var, lev).values, norm_stats, var, lev),
+                                      units=units or u)
+                          for var, lev, u in c.variables]
                 code = main([name, "--input", str(inp), "--stats", str(stats),
                              "--output", str(out)])
                 if dtype == "f32" and _overflows_f32(expect):
@@ -269,16 +272,16 @@ def test_blocked_normalize_equals_whole_array(series, dtype, block_rows):
 def test_denormalize_of_normalize_is_within_a_few_ulp(
         series, mu, sigma, xi, mu_exponent, sigma_exponent):
     mu, sigma = mu * 10.0 ** mu_exponent, sigma * 10.0 ** sigma_exponent
-    x = series[0]
-    stats = NormStats(entries={x.key: StatEntry(mu, sigma, xi)})
-    back = denormalize(normalize(x, stats), stats).values
+    x, key = series[0].values, series[0].key
+    stats = NormStats(entries={key: StatEntry(mu, sigma, xi)})
+    back = denormalize(normalize(x, stats, *key), stats, *key)
     # four roundings, each within half an ulp of |x - mu| or |x| + |mu|
-    bound = 4 * np.finfo(np.float64).eps * (np.abs(x.values) + abs(mu))
-    assert (np.abs(back - x.values) <= bound).all()
+    bound = 4 * np.finfo(np.float64).eps * (np.abs(x) + abs(mu))
+    assert (np.abs(back - x) <= bound).all()
     # in place, as the CLI's row loop runs them, it gives the same bits
-    values = x.values.copy()
-    normalize(x, stats, out=values)
-    denormalize(x.with_values(values), stats, out=values)
+    values = x.copy()
+    normalize(values, stats, *key, out=values)
+    denormalize(values, stats, *key, out=values)
     assert values.tobytes() == back.tobytes()
 
 
@@ -336,6 +339,27 @@ def test_any_split_of_a_stack_gives_the_same_coefficients(
     single = stack.astype(np.float32)
     assert np.array_equal(transform.analyze(single).values,
                           transform.analyze(single.astype(np.float64)).values)
+
+
+@settings(DERANDOMIZED)
+@given(st.integers(1, 8), st.integers(0, 3), st.integers(0, 2 ** 32 - 1),
+       st.data())
+def test_stacked_synthesize_equals_per_field_calls(half_lat, extra_lon, seed,
+                                                   data):
+    n_lat = 2 * half_lat
+    grid = make_gaussian_grid(n_lat, 2 * n_lat + 2 * extra_lon)
+    l_max = data.draw(st.integers(0, n_lat - 1))
+    transform = SphericalHarmonicTransform(grid, l_max)
+    shape = data.draw(st.sampled_from([(1,), (2,), (5,), (2, 3)]))
+    rng = np.random.default_rng(seed)
+    size = shape + (l_max + 1, l_max + 1)
+    a = np.tril(rng.normal(size=size) + 1j * rng.normal(size=size))
+    a[..., 0] = a[..., 0].real
+    whole = transform.synthesize(HarmonicCoeffs(a, l_max))
+    assert whole.shape == shape + grid.shape
+    for i in np.ndindex(shape):
+        one = transform.synthesize(HarmonicCoeffs(a[i], l_max))
+        assert np.array_equal(whole[i], one)
 
 
 @st.composite
@@ -590,3 +614,36 @@ def test_the_bootstrap_interval_brackets_its_mean(values, n_boot, seed):
     s = bootstrap_mean(np.array(values), n_boot, seed)
     assert s.ci_low <= s.mean <= s.ci_high
     assert s.n == len(values) and s.n_boot == n_boot
+
+
+_SOLAR_GRID = make_gaussian_grid(4, 8)
+# a table whose 13-year cycle wraps inside the supported years
+_GSC_TABLE = {y: 1360.0 + 0.3 * (y - 1979) for y in range(1979, 1996)}
+_SOLAR_EPOCH = datetime(1979, 1, 1, tzinfo=timezone.utc)
+_SOLAR_MINUTES = int((datetime(2031, 1, 1, tzinfo=timezone.utc)
+                      - _SOLAR_EPOCH).total_seconds() // 60)
+
+
+@settings(DERANDOMIZED)
+@given(st.one_of(
+           st.integers(0, _SOLAR_MINUTES).map(
+               lambda k: _SOLAR_EPOCH + timedelta(minutes=k)),
+           # windows that cross a year end or run through a 29 February
+           st.builds(lambda y, m: datetime(y, 12, 31, 18, tzinfo=timezone.utc)
+                     + timedelta(minutes=m),
+                     st.integers(1979, 2030), st.integers(0, 359)),
+           st.builds(lambda y, m: datetime(y, 2, 28, 20, tzinfo=timezone.utc)
+                     + timedelta(minutes=m),
+                     st.sampled_from([1980, 2000, 2020, 2024]),
+                     st.integers(0, 1600))),
+       st.booleans())
+@example(datetime(2020, 12, 31, 21, tzinfo=timezone.utc), True)
+@example(datetime(2020, 2, 29, 21, 30, tzinfo=timezone.utc), False)
+def test_a_six_hour_window_is_the_sum_of_its_hours(start, table):
+    config = SolarConfig(gsc_table=_GSC_TABLE if table else None)
+    six = accumulated_irradiance(start, 6, _SOLAR_GRID, config)
+    total = accumulated_irradiance(start, 1, _SOLAR_GRID, config)
+    for h in range(1, 6):
+        total = total + accumulated_irradiance(start + timedelta(hours=h), 1,
+                                               _SOLAR_GRID, config)
+    assert six.tobytes() == total.tobytes()

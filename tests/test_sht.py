@@ -5,7 +5,7 @@ import pytest
 import scipy.special as sp
 
 from spherecast import make_equiangular_grid, make_gaussian_grid
-from spherecast.grid import Field, gauss_legendre
+from spherecast.grid import gauss_legendre
 from spherecast.sht import (DRY_AIR_KAPPA, HarmonicCoeffs,
                             SphericalHarmonicTransform, analyze,
                             kinetic_energy_spectrum, plegendre_max_abs,
@@ -239,47 +239,46 @@ def test_plegendre_streaming_matches_table(grid16):
 
 def test_kinetic_energy_constant_u(grid32):
     c = 3.0
-    u = Field(grid=grid32, values=np.full(grid32.shape, c), variable="U")
-    v = Field(grid=grid32, values=np.zeros(grid32.shape), variable="V")
-    ke = kinetic_energy_spectrum(u, v, 10)
+    u = np.full(grid32.shape, c)
+    v = np.zeros(grid32.shape)
+    ke = kinetic_energy_spectrum(u, v, 10, grid32)
     assert abs(ke.power[0] - 0.5 * 4.0 * np.pi * c * c) < 1e-9
     assert np.all(ke.power[1:] < 1e-12)
-    no_half = kinetic_energy_spectrum(u, v, 10, half=False)
+    no_half = kinetic_energy_spectrum(u, v, 10, grid32, half=False)
     assert abs(no_half.power[0] - 2.0 * ke.power[0]) < 1e-9
 
 
 def test_kinetic_energy_symmetric_under_swap(grid32):
     rng = np.random.default_rng(11)
-    u = Field(grid=grid32, values=rng.normal(size=grid32.shape), variable="U")
-    v = Field(grid=grid32, values=rng.normal(size=grid32.shape), variable="V")
-    a = kinetic_energy_spectrum(u, v, 20)
-    b = kinetic_energy_spectrum(v, u, 20)
+    u = rng.normal(size=grid32.shape)
+    v = rng.normal(size=grid32.shape)
+    a = kinetic_energy_spectrum(u, v, 20, grid32)
+    b = kinetic_energy_spectrum(v, u, 20, grid32)
     np.testing.assert_allclose(a.power, b.power, rtol=1e-14)
 
 
 def test_solid_body_rotation_zonal_only(grid32):
-    u = Field(grid=grid32,
-              values=np.tile(np.cos(np.radians(grid32.latitudes))[:, None],
-                             (1, grid32.n_lon)),
-              variable="U")
-    v = Field(grid=grid32, values=np.zeros(grid32.shape), variable="V")
-    ke = kinetic_energy_spectrum(u, v, 31)
+    u = np.tile(np.cos(np.radians(grid32.latitudes))[:, None],
+                (1, grid32.n_lon))
+    v = np.zeros(grid32.shape)
+    ke = kinetic_energy_spectrum(u, v, 31, grid32)
     assert ke.power[0] > 1e-3
     assert ke.power[1:].max() < 1e-20
 
 
 def test_theta_spectrum_identity_at_1000_hpa(grid32):
     rng = np.random.default_rng(12)
-    t = Field(grid=grid32, values=250.0 + rng.normal(size=grid32.shape),
-              variable="T")
-    a = potential_temperature_energy_spectrum(t, 20, pressure_hpa=1000.0)
-    b = zonal_power_spectrum(t.values, 20, grid32)
+    t = 250.0 + rng.normal(size=grid32.shape)
+    a = potential_temperature_energy_spectrum(t, 20, grid32,
+                                              pressure_hpa=1000.0)
+    b = zonal_power_spectrum(t, 20, grid32)
     np.testing.assert_allclose(a.power, b.power, rtol=1e-13)
 
 
 def test_theta_spectrum_constant_250k(grid32):
-    t = Field(grid=grid32, values=np.full(grid32.shape, 250.0), variable="T")
-    spec = potential_temperature_energy_spectrum(t, 10, pressure_hpa=500.0)
+    t = np.full(grid32.shape, 250.0)
+    spec = potential_temperature_energy_spectrum(t, 10, grid32,
+                                                 pressure_hpa=500.0)
     theta = 250.0 * 2.0 ** DRY_AIR_KAPPA
     assert abs(spec.power[0] - 4.0 * np.pi * theta ** 2) < 1e-7
     assert np.all(spec.power[1:] < 1e-9)
@@ -288,8 +287,8 @@ def test_theta_spectrum_constant_250k(grid32):
 def test_theta_spectrum_composition_oracle(grid32):
     rng = np.random.default_rng(13)
     vals = 250.0 + 5.0 * rng.normal(size=grid32.shape)
-    t = Field(grid=grid32, values=vals, variable="T")
-    spec = potential_temperature_energy_spectrum(t, 25, pressure_hpa=500.0)
+    spec = potential_temperature_energy_spectrum(vals, 25, grid32,
+                                                 pressure_hpa=500.0)
     theta = vals * (1000.0 / 500.0) ** DRY_AIR_KAPPA
     ref = zonal_power_spectrum(theta, 25, grid32)
     np.testing.assert_allclose(spec.power, ref.power, rtol=1e-13)

@@ -168,9 +168,8 @@ def test_polar_night_window_is_zero():
     f = accumulated_irradiance(datetime(2020, 12, 21, 0, 0, tzinfo=UTC), 6, grid)
     polar = np.abs(grid.latitudes) > 80.0
     north = grid.latitudes > 80.0
-    assert np.all(f.values[north] == 0.0)
-    assert f.valid_time == datetime(2020, 12, 21, 6, 0, tzinfo=UTC)
-    assert f.variable == "Is"
+    assert f.dtype == np.float64 and f.shape == grid.shape
+    assert np.all(f[north] == 0.0)
 
 
 def test_equatorial_equinox_daily_total_matches_closed_form():
@@ -180,7 +179,7 @@ def test_equatorial_equinox_daily_total_matches_closed_form():
     total = np.zeros(grid.shape)
     for k in range(4):
         total += accumulated_irradiance(start + timedelta(hours=6 * k), 6,
-                                        grid, cfg).values
+                                        grid, cfg)
     i_eq = np.argmin(np.abs(grid.latitudes))
     _, _, dist = sun_ephemeris(start + timedelta(hours=12))
     expect = 86400.0 * 1361.0 / (np.pi * dist * dist) \
@@ -196,10 +195,10 @@ def test_six_hour_window_equals_sum_of_hourly_bit_exact():
     six = accumulated_irradiance(start, 6, grid, cfg)
     hourly = [accumulated_irradiance(start + timedelta(hours=k), 1, grid, cfg)
               for k in range(6)]
-    total = hourly[0].values
+    total = hourly[0]
     for f in hourly[1:]:
-        total = total + f.values
-    assert np.array_equal(six.values, total)
+        total = total + f
+    assert np.array_equal(six, total)
 
 
 def test_irradiance_nonnegative_full_day():
@@ -207,7 +206,7 @@ def test_irradiance_nonnegative_full_day():
     start = datetime(2020, 9, 10, 0, 0, tzinfo=UTC)
     for k in range(4):
         f = accumulated_irradiance(start + timedelta(hours=6 * k), 6, grid)
-        assert np.all(f.values >= 0.0)
+        assert np.all(f >= 0.0)
 
 
 def test_hemispheric_symmetry_at_equinox():
@@ -231,7 +230,7 @@ def test_global_daily_mean_quarter_solar_constant():
     total = np.zeros(grid.shape)
     for k in range(4):
         total += accumulated_irradiance(start + timedelta(hours=6 * k), 6,
-                                        grid).values
+                                        grid)
     mean_power = total / 86400.0
     w = grid.quad_weights
     global_mean = float(np.sum(w[:, None] * mean_power) / (2.0 * grid.n_lon))
@@ -318,7 +317,7 @@ def test_blocked_window_matches_minute_stack_byte_for_byte(shape, start, hours,
                                                             table):
     grid = make_gaussian_grid(*shape)
     cfg = SolarConfig(gsc_table=table)
-    got = accumulated_irradiance(start, hours, grid, cfg).values
+    got = accumulated_irradiance(start, hours, grid, cfg)
     expect = stacked_window(start, hours, grid, cfg)
     assert got.tobytes() == expect.tobytes()
 
@@ -356,4 +355,4 @@ def test_n320_six_hour_window_allocates_under_100_mb():
     finally:
         tracemalloc.stop()
     assert peak < 100 * 2 ** 20
-    assert np.all(f.values >= 0.0) and f.values.max() > 1e7
+    assert np.all(f >= 0.0) and f.max() > 1e7

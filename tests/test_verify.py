@@ -6,7 +6,7 @@ import pytest
 
 from spherecast import metric_weights
 from spherecast.container import ContainerError, write_container
-from spherecast.grid import Field, FieldSeries
+from spherecast.grid import FieldSeries
 from spherecast.preprocess import Climatology
 from spherecast.verify import (ForecastSet, acc, acc_field,
                                average_correlations, bootstrap_mean,
@@ -309,14 +309,16 @@ def test_no_matched_pairs_raises(tmp_path, grid16):
         rmse(fs, "missing", lead_hours=0)
 
 
+def _labels(names, level="single"):
+    return [(name, level) for name in names]
+
+
 def test_spatial_correlation_basics(grid16):
     rng = np.random.default_rng(13)
-    a = Field(grid=grid16, values=rng.normal(size=grid16.shape),
-              variable="T", level="L1")
-    b = Field(grid=grid16, values=-a.values, variable="U", level="L1")
-    c = Field(grid=grid16, values=rng.normal(size=grid16.shape),
-              variable="Q", level="L1")
-    m = spatial_correlation([a, b, c])
+    a = rng.normal(size=grid16.shape)
+    c = rng.normal(size=grid16.shape)
+    m = spatial_correlation(np.stack([a, -a, c]), _labels("TUQ", "L1"),
+                            grid16)
     assert m.entry(("T", "L1"), ("T", "L1")) == 1.0
     assert abs(m.entry(("T", "L1"), ("U", "L1")) + 1.0) < 1e-12
     np.testing.assert_allclose(m.values, m.values.T, atol=1e-15)
@@ -325,58 +327,72 @@ def test_spatial_correlation_basics(grid16):
 
 def test_spatial_correlation_independent_fields_small(grid64):
     rng = np.random.default_rng(14)
-    a = Field(grid=grid64, values=rng.normal(size=grid64.shape), variable="T")
-    b = Field(grid=grid64, values=rng.normal(size=grid64.shape), variable="U")
-    m = spatial_correlation([a, b])
+    values = np.stack([rng.normal(size=grid64.shape) for _ in "TU"])
+    m = spatial_correlation(values, _labels("TU"), grid64)
     # 8192 independent points: |r| stays well under 0.05
     assert abs(m.entry(("T", "single"), ("U", "single"))) < 0.05
 
 
 def test_spatial_correlation_zero_variance_named(grid16):
-    a = Field(grid=grid16, values=np.full(grid16.shape, 2.0), variable="T")
-    b = Field(grid=grid16, values=np.arange(grid16.n_lat * grid16.n_lon,
-                                            dtype=float).reshape(grid16.shape),
-              variable="U")
+    values = np.stack([np.full(grid16.shape, 2.0),
+                       np.arange(grid16.n_lat * grid16.n_lon,
+                                 dtype=float).reshape(grid16.shape)])
     with pytest.raises(ValueError, match="T"):
-        spatial_correlation([a, b])
+        spatial_correlation(values, _labels("TU"), grid16)
+
+
+def test_spatial_correlation_checks_its_shape(grid16):
+    values = np.zeros((3,) + grid16.shape)
+    with pytest.raises(ValueError, match="2 fields"):
+        spatial_correlation(values, _labels("TU"), grid16)
+    with pytest.raises(ValueError, match="at least 2"):
+        spatial_correlation(values[:1], _labels("T"), grid16)
 
 
 def test_spatial_correlation_matches_corrcoef(grid16):
     rng = np.random.default_rng(15)
-    fields = [Field(grid=grid16, values=rng.normal(size=grid16.shape),
-                    variable=v) for v in ("T", "U", "V")]
-    m = spatial_correlation(fields)
-    ref = np.corrcoef(np.stack([f.values.reshape(-1) for f in fields]))
+    values = np.stack([rng.normal(size=grid16.shape) for _ in "TUV"])
+    m = spatial_correlation(values, _labels("TUV"), grid16)
+    ref = np.corrcoef(values.reshape(3, -1))
     np.testing.assert_allclose(m.values, ref, atol=1e-12)
+
+
+def test_spatial_correlation_of_f32_equals_its_float64_copy(grid16):
+    values = np.random.default_rng(21).normal(
+        size=(3,) + grid16.shape).astype(np.float32)
+    for weighted in (False, True):
+        assert np.array_equal(
+            spatial_correlation(values, _labels("TUV"), grid16,
+                                weighted=weighted).values,
+            spatial_correlation(values.astype(np.float64), _labels("TUV"),
+                                grid16, weighted=weighted).values)
 
 
 def test_weighted_correlation_flag(grid16):
     rng = np.random.default_rng(16)
-    fields = [Field(grid=grid16, values=rng.normal(size=grid16.shape),
-                    variable=v) for v in ("T", "U")]
-    unw = spatial_correlation(fields)
-    wgt = spatial_correlation(fields, weighted=True)
+    values = np.stack([rng.normal(size=grid16.shape) for _ in "TU"])
+    unw = spatial_correlation(values, _labels("TU"), grid16)
+    wgt = spatial_correlation(values, _labels("TU"), grid16, weighted=True)
     assert unw.values[0, 1] != wgt.values[0, 1]
     assert abs(wgt.values[0, 1]) <= 1.0
 
 
 def test_correlation_difference(grid16):
     rng = np.random.default_rng(17)
-    fields = [Field(grid=grid16, values=rng.normal(size=grid16.shape),
-                    variable=v) for v in ("T", "U", "V")]
-    m = spatial_correlation(fields)
+    values = np.stack([rng.normal(size=grid16.shape) for _ in "TUV"])
+    m = spatial_correlation(values, _labels("TUV"), grid16)
     assert np.all(correlation_difference(m, m) == 0.0)
 
-    other = spatial_correlation(
-        [fields[0], fields[1],
-         Field(grid=grid16, values=rng.normal(size=grid16.shape), variable="V")])
+    other_values = values.copy()
+    other_values[2] = rng.normal(size=grid16.shape)
+    other = spatial_correlation(other_values, _labels("TUV"), grid16)
     d = correlation_difference(m, other)
     np.testing.assert_allclose(d, m.values - other.values
                                - np.diag(np.diag(m.values - other.values)),
                                atol=1e-15)
     assert np.all(np.diag(d) == 0.0)
     # only entries touching the perturbed field differ
-    perturbed = spatial_correlation(fields)
+    perturbed = spatial_correlation(values, _labels("TUV"), grid16)
     pv = perturbed.values.copy()
     pv[0, 1] += 0.01
     pv[1, 0] += 0.01
@@ -394,9 +410,8 @@ def test_average_correlations(grid16):
     rng = np.random.default_rng(18)
     mats = []
     for _ in range(3):
-        fields = [Field(grid=grid16, values=rng.normal(size=grid16.shape),
-                        variable=v) for v in ("T", "U")]
-        mats.append(spatial_correlation(fields))
+        values = np.stack([rng.normal(size=grid16.shape) for _ in "TU"])
+        mats.append(spatial_correlation(values, _labels("TU"), grid16))
     mean = average_correlations(mats)
     expect = np.mean([m.values for m in mats], axis=0)
     assert abs(mean.values[0, 1] - expect[0, 1]) < 1e-15
@@ -405,9 +420,8 @@ def test_average_correlations(grid16):
 
 def test_correlation_csv_round_trip(tmp_path, grid16):
     rng = np.random.default_rng(19)
-    fields = [Field(grid=grid16, values=rng.normal(size=grid16.shape),
-                    variable=v, level="L2") for v in ("T", "U", "Q")]
-    m = spatial_correlation(fields)
+    values = np.stack([rng.normal(size=grid16.shape) for _ in "TUQ"])
+    m = spatial_correlation(values, _labels("TUQ", "L2"), grid16)
     path = tmp_path / "corr.csv"
     write_correlation_csv(m, path)
     back = read_correlation_csv(path)
