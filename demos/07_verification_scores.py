@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from spherecast import make_gaussian_grid
-from spherecast.container import write_container
+from spherecast.container import read_container, write_container
 from spherecast.grid import FieldSeries
 from spherecast.preprocess import Climatology
 from spherecast.verify import (ForecastSet, acc, rmse,
@@ -25,14 +25,17 @@ n_init, n_lead = 20, 4
 times = [t0 + timedelta(hours=6 * k) for k in range(n_init + n_lead)]
 truth = rng.normal(size=(len(times),) + grid.shape)
 key = ("Z500", "single")
-target = {key: FieldSeries(grid, "Z500", "single", times, truth)}
 clim = Climatology(grid=grid, hours=[0, 6, 12, 18], window_days=61,
                    std_days=10.0,
                    data={key: np.zeros((365, 4) + grid.shape)})
 
-# One GVF1 container per initialization, tagged with its init time, is
-# the form a forecast takes between a rollout and its verification
+# The target is a GVF1 container, and one container per initialization,
+# tagged with its init time, is the form a forecast takes between a
+# rollout and its verification
 with tempfile.TemporaryDirectory() as tmp:
+    write_container([FieldSeries(grid, "Z500", "single", times, truth)],
+                    Path(tmp) / "target.gvf", dtype="f64")
+    target = read_container(Path(tmp) / "target.gvf")
     paths = []
     for i in range(n_init):
         vtimes = [times[i] + timedelta(hours=6 * k) for k in range(n_lead + 1)]

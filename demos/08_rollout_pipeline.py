@@ -17,7 +17,7 @@ import numpy as np
 
 from spherecast import make_gaussian_grid
 from spherecast.cli import main
-from spherecast.container import read_scores, write_container
+from spherecast.container import read_container, read_scores, write_container
 from spherecast.grid import FieldSeries
 from spherecast.preprocess import Climatology
 from spherecast.rollout import (PipelineStep, RolloutPlan, apply_postprocessing,
@@ -31,8 +31,6 @@ rng = np.random.default_rng(0)
 n_time = 12
 times = [t0 + timedelta(hours=6 * k) for k in range(n_time)]
 vals = rng.normal(size=(n_time,) + grid.shape).astype(np.float32)
-states = {("T", "single"): FieldSeries(grid, "T", "single", times,
-                                       vals.astype(np.float64))}
 clim = Climatology(grid=grid, hours=[0, 6, 12, 18], window_days=61,
                    std_days=10.0,
                    data={("T", "single"): np.zeros((365, 4) + grid.shape)})
@@ -49,10 +47,15 @@ print("pipeline [clamp, diffuse]: min before", f"{before:.1e}",
 
 # Persistence: the initial state repeated at every lead, bit-identical.
 # A rollout writes one container per initialization; verification reads
-# them back, in the Python API or through the CLI.
+# them back, in the Python API or through the CLI.  The initial states,
+# which also serve as the verifying target, are one GVF1 container.
 plan = RolloutPlan(init_times=times[:4], step_hours=6, max_lead_hours=24)
 with tempfile.TemporaryDirectory() as tmp:
     tmp = Path(tmp)
+    target_path = tmp / "target.gvf"
+    write_container([FieldSeries(grid, "T", "single", times, vals)],
+                    target_path, dtype="f32")
+    states = read_container(target_path)
     fc_dir = tmp / "forecasts"
     paths = run_rollout_to_dir(plan, states, fc_dir)
     print("\nwrote", len(paths), "per-initialization forecast containers")
@@ -66,8 +69,6 @@ with tempfile.TemporaryDirectory() as tmp:
               f"ACC {a.summary.mean:+.3f}")
     print("(lead 0 is exact by construction: RMSE 0, ACC 1)")
 
-    target_path = tmp / "target.gvf"
-    write_container(states, target_path, dtype="f32")
     clim_path = tmp / "clim.gvf"
     clim.to_container(clim_path)
     scores = tmp / "scores.csv"

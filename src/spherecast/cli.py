@@ -148,33 +148,14 @@ def _parts(cfg, name: str, *types, required: int | None = None) -> list:
 
 # ---------------------------------------------------------------- handlers
 
-def _views(c):
-    """Each variable of a container as a FieldSeries over its read-only
-    map: nothing is read yet."""
-    return [c.view(*key) for key in c.keys]
-
-
-def _named(path, items):
-    """items, with path put before the message of a ValueError that taking
-    one of them raises."""
-    try:
-        yield from items
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-
-
 def _cmd_stats(cfg):
     if not cfg["residual"] and (cfg["denominator"]
                                 != _DEFAULTS["stats"]["denominator"]):
         raise UsageError("--denominator applies to the residual "
                          "coefficients, which --no-residual turns off")
-    c = read_container(cfg["input"])
-    views = _views(c)  # outside the try: a view's errors name the file
-    denominator = cfg["denominator"] if cfg["residual"] else None
-    try:
-        stats = compute_norm_stats(views, denominator=denominator)
-    except ValueError as exc:
-        raise ValueError(f"{c.path}: {exc}") from None
+    stats = compute_norm_stats(
+        read_container(cfg["input"]),
+        denominator=cfg["denominator"] if cfg["residual"] else None)
     stats.to_json(cfg["output"])
 
 
@@ -240,17 +221,16 @@ def _cmd_denormalize(cfg):
 def _cmd_climatology(cfg):
     """Each (variable, hour) bin set is written to its rows as it is made."""
     c = read_container(cfg["input"])
-    bins = _named(c.path, climatology_bins(
-        _views(c), window_days=cfg["window_days"],
-        gaussian_std_days=cfg["std_days"]))
-    series, hours, hi, means = next(bins)
+    bins = climatology_bins(c, window_days=cfg["window_days"],
+                            gaussian_std_days=cfg["std_days"])
+    j, hours, hi, means = next(bins)
     with climatology_writer(cfg["output"], c.grid, c.variables, hours,
                             cfg["window_days"], cfg["std_days"],
                             dtype=cfg["dtype"] or "f64") as put:
-        put(c.keys.index(series.key), hi, means)
+        put(j, hi, means)
         del means  # before the next bin set is made
-        for series, _, hi, means in bins:
-            put(c.keys.index(series.key), hi, means)
+        for j, _, hi, means in bins:
+            put(j, hi, means)
             del means
 
 
@@ -465,8 +445,7 @@ def _cmd_rollout(cfg):
                 f"{forecaster} only, not {cfg['forecaster']!r}")
     clim = (Climatology.from_container(cfg["climatology"])
             if cfg["climatology"] else None)
-    run_rollout_to_dir(plan, {key: c.view(*key) for key in c.keys},
-                       cfg["output_dir"], climatology=clim)
+    run_rollout_to_dir(plan, c, cfg["output_dir"], climatology=clim)
 
 
 # ------------------------------------------------------------- parameters

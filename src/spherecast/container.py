@@ -36,6 +36,7 @@ __all__ = [
     "Container",
     "atomic_write",
     "container_writer",
+    "first_non_finite",
     "release",
     "released_blocks",
     "ScoreRecord",
@@ -237,30 +238,20 @@ class Container:
         the read-only map, in the file's dtype: nothing is copied."""
         return self._data[time_index]
 
-    def _series(self, j: int, values) -> FieldSeries:
-        """values as the FieldSeries of variable j, tagged with this file's
-        path, which an error about its time axis names too."""
-        name, level, units = self.variables[j]
-        try:
-            series = FieldSeries(self.grid, name, level, list(self.times),
-                                 values, units=units)
-        except ValueError as exc:
-            raise ValueError(f"{self.path}: {exc}") from None
-        series.path = self.path
-        return series
-
     def series(self, variable: str, level: str = "single") -> FieldSeries:
         """Every time of one variable as a float64 FieldSeries, copied out
         of the map."""
         j = self.index(variable, level)
-        return self._series(j, np.array(self._data[:, j], dtype=np.float64))
+        return FieldSeries(self.grid, variable, level, self.times,
+                           np.array(self._data[:, j], dtype=np.float64),
+                           units=self.variables[j][2])
 
-    def view(self, variable: str, level: str = "single") -> FieldSeries:
-        """Every time of one variable as a FieldSeries over the read-only
-        map, in the file's dtype: nothing is read until it is indexed, so
-        convert what you take from it to float64 before any arithmetic."""
-        j = self.index(variable, level)
-        return self._series(j, self._data[:, j])
+    def view(self, variable: str, level: str = "single") -> np.ndarray:
+        """Every time of one variable as a (time, n_lat, n_lon) array over
+        the read-only map, in the file's dtype: nothing is read until it is
+        indexed, so convert what you take from it to float64 before any
+        arithmetic."""
+        return self._data[:, self.index(variable, level)]
 
 
 # bytes of one block: a stage touches at most this much of a file's map
@@ -301,6 +292,21 @@ def released_blocks(values, rows):
         yield slice(start, stop)
         release(values)
         start = stop
+
+
+def first_non_finite(values, rows) -> tuple[int, int] | None:
+    """(row, j) of the first of rows, ascending indices along values' first
+    axis, that holds a NaN or inf, j being its first such (n_lat, n_lon)
+    field (0 when a row is one field); None if there is none.  Each row is
+    checked where it lies, not copied, and the map under values is
+    released after each block of rows (released_blocks)."""
+    rows = np.asarray(rows, dtype=np.intp)
+    for block in released_blocks(values, rows):
+        for row in rows[block]:
+            finite = np.isfinite(values[row]).all(axis=(-2, -1)).reshape(-1)
+            if not finite.all():
+                return int(row), int(np.argmin(finite))
+    return None
 
 
 @contextmanager

@@ -9,7 +9,7 @@ cos(latitude) weights normalized to unit mean.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 import functools
 import warnings
 
@@ -251,17 +251,11 @@ class Field:
 
 
 class FieldSeries:
-    """Time-ordered stack of fields for one variable-level on one grid:
-    the view of one variable that the stats, climatology, rollout and
-    verification stages take.
+    """Time-ordered stack of fields for one variable-level on one grid, held
+    in memory: what write_container takes and Container.series returns.
 
-    Times must be strictly increasing with a constant step (1 h or 6 h in
-    practice; any uniform step is accepted).  time_index maps each valid
-    time to its row in values.  path is the file a Container view reads,
-    or None for a series held in memory.
+    Times must be strictly increasing; values is (time, n_lat, n_lon).
     """
-
-    path = None
 
     def __init__(self, grid: GridSpec, variable: str, level: str,
                  times: list[datetime], values: np.ndarray,
@@ -272,16 +266,12 @@ class FieldSeries:
             raise ValueError(
                 f"values shape {values.shape} does not match "
                 f"({len(times)},) + {grid.shape}")
-        steps = [t1 - t0 for t0, t1 in zip(times, times[1:])]
-        if any(s <= timedelta(0) for s in steps):
+        if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
             raise ValueError("valid times must be strictly increasing")
-        if len(set(steps)) > 1:
-            raise ValueError("time step must be constant")
         self.grid = grid
         self.variable = variable
         self.level = level
         self.times = times
-        self.time_index = {t: i for i, t in enumerate(times)}
         self.values = values
         self.units = units if units is not None else default_units(variable)
 
@@ -289,30 +279,5 @@ class FieldSeries:
     def key(self) -> tuple[str, str]:
         return (self.variable, self.level)
 
-    @property
-    def step(self) -> timedelta | None:
-        if len(self.times) < 2:
-            return None
-        return self.times[1] - self.times[0]
-
-    @property
-    def step_hours(self) -> float | None:
-        s = self.step
-        return None if s is None else s.total_seconds() / 3600.0
-
     def __len__(self) -> int:
         return len(self.times)
-
-    def named(self, message: str) -> str:
-        """message about the series, after "path: " for a view of a file."""
-        return message if self.path is None else f"{self.path}: {message}"
-
-    def index(self, when: datetime) -> int:
-        """Row of a valid time; KeyError naming the series if absent."""
-        when = ensure_utc(when)
-        try:
-            return self.time_index[when]
-        except KeyError:
-            raise KeyError(self.named(
-                f"time {when.isoformat()} not in series "
-                f"{self.variable} ({self.level})")) from None

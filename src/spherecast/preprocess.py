@@ -11,7 +11,6 @@ construction.  Statistics are plain (unweighted) spatio-temporal moments.
 from __future__ import annotations
 
 import json
-from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 from datetime import datetime, timedelta, timezone
@@ -19,8 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .container import released_blocks
-from .grid import FieldSeries, GridSpec, default_units, ensure_utc
+from .container import (Container, ContainerError, atomic_write,
+                        container_writer, first_non_finite, read_container,
+                        release, released_blocks)
+from .grid import GridSpec, default_units, ensure_utc
 
 __all__ = [
     "StatEntry",
@@ -64,7 +65,6 @@ class NormStats:
             ) from None
 
     def to_json(self, path) -> None:
-        from .container import atomic_write
         doc = {
             "step_hours": self.step_hours,
             "period": list(self.period) if self.period else None,
@@ -140,44 +140,29 @@ def _streaming_moments(values, rows):
     return n, mean, m2
 
 
-def _keyed(series_map):
-    """(key, FieldSeries) pairs of a {key: FieldSeries} mapping, or of an
-    iterable of FieldSeries, which is then taken one series at a time."""
-    if isinstance(series_map, Mapping):
-        return iter(series_map.items())
-    return ((s.key, s) for s in series_map)
-
-
-def _stat_entry(key, series: FieldSeries, period) -> StatEntry:
-    rows = np.arange(len(series))
-    if period is not None:
-        t0, t1 = (ensure_utc(period[0]), ensure_utc(period[1]))
-        rows = np.array([i for i, t in enumerate(series.times)
-                         if t0 <= t <= t1], dtype=np.intp)
-        if not len(rows):
-            raise ValueError(
-                f"{key[0]} ({key[1]}): no samples in requested period")
-    n, mean, m2 = _streaming_moments(series.values, rows)
+def _stat_entry(c: Container, key, rows) -> StatEntry:
+    n, mean, m2 = _streaming_moments(c.view(*key), rows)
     sigma = float(np.sqrt(m2 / n))
     # rounding noise of an exactly constant field shows up as sigma ~
     # eps * |mean|; reject that as zero variance too, and NaN or inf moments
     if not 1e-14 * abs(mean) < sigma < np.inf:
-        raise ValueError(f"{key[0]} ({key[1]}): zero variance or non-finite "
-                         "values over the period; cannot standardize")
+        raise ValueError(f"{c.path}: {key[0]} ({key[1]}): zero variance or "
+                         "non-finite values over the period; cannot "
+                         "standardize")
     return StatEntry(mu=mean, sigma=sigma)
 
 
-def compute_stats(series_map, period: tuple[datetime, datetime] | None = None
+def compute_stats(c: Container, period: tuple[datetime, datetime] | None = None
                   ) -> NormStats:
-    """Mean and standard deviation per variable-level over a period.
+    """Mean and standard deviation of each variable-level of container c
+    over a period.
 
-    series_map is a {(variable, level): FieldSeries} mapping or an
-    iterable of FieldSeries.  Moments pool every grid point and time step;
-    accumulation is a numerically stable streaming merge over time rows,
-    each taken in float64, matching a two-pass computation to better than
-    1e-10 relative.  Zero variance is an error.
+    Moments pool every grid point and time step; accumulation is a
+    numerically stable streaming merge over time rows, each taken in
+    float64, matching a two-pass computation to better than 1e-10
+    relative.  Zero variance is an error.
     """
-    return compute_norm_stats(series_map, denominator=None, period=period)
+    return compute_norm_stats(c, denominator=None, period=period)
 
 
 def _check_denominator(denominator: str) -> None:
@@ -186,19 +171,20 @@ def _check_denominator(denominator: str) -> None:
             f"denominator must be 'tendency' or 'standardized', got {denominator!r}")
 
 
-def _spreads(key, series: FieldSeries, e: StatEntry,
+def _spreads(c: Container, key, e: StatEntry,
              denominator: str) -> tuple[float, float]:
     """(std of the one-step tendency of T' = (T - mu)/sigma, the std xi is
-    scaled by: that same one, or std(T') for "standardized"), with T
-    copied to float64 a block of rows at a time, the map under it
-    released after each, and the tendency made in place."""
-    if len(series) < 2:
+    scaled by: that same one, or std(T') for "standardized"), with T, key's
+    values in c, copied to float64 a block of rows at a time, the map
+    under it released after each, and the tendency made in place."""
+    values = c.view(*key)
+    if len(values) < 2:
         raise ValueError(
-            f"{key[0]} ({key[1]}): need at least 2 time steps for the "
-            "tendency, got {0}".format(len(series)))
-    tprime = np.empty(series.values.shape)  # scaled in place
-    for block in released_blocks(series.values, range(len(series))):
-        tprime[block] = series.values[block]
+            f"{c.path}: {key[0]} ({key[1]}): need at least 2 time steps for "
+            f"the tendency, got {len(values)}")
+    tprime = np.empty(values.shape)  # scaled in place
+    for block in released_blocks(values, range(len(values))):
+        tprime[block] = values[block]
     tprime -= e.mu
     tprime /= e.sigma
     ref = float(tprime.std()) if denominator == "standardized" else None
@@ -208,7 +194,8 @@ def _spreads(key, series: FieldSeries, e: StatEntry,
     dt *= dt
     tend = float(np.sqrt(np.mean(dt)))
     if not 0.0 < tend < np.inf:
-        raise ValueError(f"{key[0]} ({key[1]}): zero or non-finite tendency std")
+        raise ValueError(f"{c.path}: {key[0]} ({key[1]}): zero or non-finite "
+                         "tendency std")
     return tend, tend if ref is None else ref
 
 
@@ -228,45 +215,61 @@ def _rescaled(stats: NormStats, spreads: dict, denominator: str) -> NormStats:
     return out
 
 
-def compute_residual_coeff(series_map, stats: NormStats,
+def _step_hours(c: Container) -> float | None:
+    """The one step of c's time axis in hours (None for fewer than two
+    times); ValueError naming the file if the step is not constant, since
+    the tendency is taken one row at a time."""
+    steps = {t1 - t0 for t0, t1 in zip(c.times, c.times[1:])}
+    if len(steps) > 1:
+        raise ValueError(f"{c.path}: time step must be constant")
+    return steps.pop().total_seconds() / 3600.0 if steps else None
+
+
+def compute_residual_coeff(c: Container, stats: NormStats,
                            denominator: str = "tendency") -> NormStats:
-    """Fill the residual coefficients xi into a copy of stats.
+    """Fill the residual coefficients xi of container c's variable-levels
+    into a copy of stats.
 
     The standardized series T' = (T - mu)/sigma is differenced one step at
     the dataset resolution; xi is std(dT') rescaled by the geometric mean
     across variable-levels.  denominator="tendency" (default) divides by
     gmean of the tendency stds; "standardized" divides by gmean of the
     stds of T' themselves (which are 1 when stats come from the same
-    period, so xi then reduces to std(dT') unscaled).  series_map is as
-    for compute_stats.
+    period, so xi then reduces to std(dT') unscaled).
     """
     _check_denominator(denominator)
+    _step_hours(c)
     return _rescaled(stats, {
-        key: _spreads(key, series, stats.entry(*key), denominator)
-        for key, series in _keyed(series_map)}, denominator)
+        key: _spreads(c, key, stats.entry(*key), denominator)
+        for key in c.keys}, denominator)
 
 
-def compute_norm_stats(series_map, denominator: str | None = "tendency",
+def compute_norm_stats(c: Container, denominator: str | None = "tendency",
                        period: tuple[datetime, datetime] | None = None
                        ) -> NormStats:
     """compute_stats and then, unless denominator is None,
     compute_residual_coeff with that denominator, in one pass that takes
-    each series once.  period limits the moments only; the tendencies
-    span every time, as in compute_residual_coeff."""
+    each variable of container c once.  period limits the moments only;
+    the tendencies span every time, as in compute_residual_coeff.  The
+    time step must be constant; stats.step_hours records it."""
     if denominator is not None:
         _check_denominator(denominator)
-    stats, spreads = NormStats(), {}
-    for key, series in _keyed(series_map):
-        e = stats.entries[key] = _stat_entry(key, series, period)
-        if stats.step_hours is None:
-            stats.step_hours = series.step_hours
-        if denominator is not None:
-            spreads[key] = _spreads(key, series, e, denominator)
-    if not stats.entries:
-        raise ValueError("empty series collection")
+    if not c.keys:
+        raise ValueError(f"{c.path}: no variables")
+    stats = NormStats(step_hours=_step_hours(c))
+    rows = np.arange(len(c.times))
     if period is not None:
-        stats.period = (ensure_utc(period[0]).isoformat(),
-                        ensure_utc(period[1]).isoformat())
+        t0, t1 = ensure_utc(period[0]), ensure_utc(period[1])
+        rows = np.array([i for i, t in enumerate(c.times) if t0 <= t <= t1],
+                        dtype=np.intp)
+        if not len(rows):
+            raise ValueError(f"{c.path}: no samples in requested period")
+        stats.period = (t0.isoformat(), t1.isoformat())
+    spreads = {}
+    for key in c.keys:
+        e = stats.entries[key] = _stat_entry(c, key, rows)
+        if denominator is not None:
+            spreads[key] = _spreads(c, key, e, denominator)
     return stats if denominator is None else _rescaled(stats, spreads,
                                                        denominator)
 
@@ -331,6 +334,7 @@ class Climatology:
     Windows are window_days wide, Gaussian-weighted with std_days,
     weights renormalized to sum 1.  units maps (variable, level) to the
     units of its input; a key without one gets its variable's default.
+    path is the file from_container read, or None.
     """
 
     grid: GridSpec
@@ -339,6 +343,7 @@ class Climatology:
     std_days: float
     data: dict[tuple[str, str], np.ndarray]
     units: dict[tuple[str, str], str] = dc_field(default_factory=dict)
+    path: Path | None = None
 
     def row(self, when: datetime) -> int:
         """when's bin as a row of data viewed as (365 * len(hours), ...)."""
@@ -358,6 +363,26 @@ class Climatology:
     def keys(self) -> list[tuple[str, str]]:
         return list(self.data.keys())
 
+    def check_finite(self, keys, times) -> None:
+        """Raise ValueError, naming the file, the variable and the bin,
+        unless the bins of times are finite in each of keys
+        (first_non_finite)."""
+        rows = np.unique([self.row(t) for t in times])
+        for key in keys:
+            bad = first_non_finite(
+                self.data[key].reshape((-1,) + self.grid.shape), rows)
+            if bad:
+                day, hi = divmod(bad[0], len(self.hours))
+                raise ValueError(
+                    f"{self.path or 'climatology'}: non-finite climatology "
+                    f"{key[0]} ({key[1]}) at day {day + 1}, "
+                    f"{self.hours[hi]:02d}Z")
+
+    def release(self) -> None:
+        """Release the map under each variable's bins."""
+        for values in self.data.values():
+            release(values)
+
     def to_container(self, path, dtype: str = "f64") -> None:
         """Store climatology fields as a GVF1 container on a pseudo-year
         axis (see climatology_writer)."""
@@ -373,27 +398,50 @@ class Climatology:
 
     @classmethod
     def from_container(cls, path) -> "Climatology":
-        from .container import read_container
-
+        """The climatology a climatology_writer file holds, its bins left
+        views of the file's map.  ContainerError names the file and the
+        key of a malformed attrs["climatology"] block."""
         c = read_container(path)
         meta = c.attrs.get("climatology")
         if meta is None:
             raise ValueError(f"{path}: container has no climatology attrs")
-        hours = [int(h) for h in meta["hours"]]
-        n_h = len(hours)
+        _check_climatology_attrs(meta, path)
+        hours, n_h = meta["hours"], len(meta["hours"])
         if len(c.times) != 365 * n_h:
             raise ValueError(
                 f"{path}: expected {365 * n_h} climatology bins, "
                 f"got {len(c.times)}")
         # the file's read-only map: a bin is read when it is looked up
-        data = {(name, level): c.view(name, level).values.reshape(
+        data = {(name, level): c.view(name, level).reshape(
                     (365, n_h) + c.grid.shape)
                 for name, level, _units in c.variables}
         return cls(grid=c.grid, hours=hours,
-                   window_days=int(meta["window_days"]),
+                   window_days=meta["window_days"],
                    std_days=float(meta["std_days"]), data=data,
                    units={(name, level): units
-                          for name, level, units in c.variables})
+                          for name, level, units in c.variables},
+                   path=c.path)
+
+
+def _check_climatology_attrs(meta, path) -> None:
+    """ContainerError naming path and the key unless meta is an object
+    with an integer window_days, a numeric std_days and a list of distinct
+    integer hours in 0-23."""
+    if not isinstance(meta, dict):
+        raise ContainerError(f"{path}: attrs climatology is not a JSON "
+                             f"object, got {json.dumps(meta)}")
+    for key, what, ok in (
+            ("window_days", "an integer", lambda v: type(v) is int),
+            ("std_days", "a number", lambda v: type(v) in (int, float)),
+            ("hours", "a list of distinct integer hours in 0-23",
+             lambda v: isinstance(v, list)
+             and all(type(h) is int and 0 <= h <= 23 for h in v)
+             and len(set(v)) == len(v))):
+        if key not in meta or not ok(meta[key]):
+            got = (f"got {json.dumps(meta[key])}" if key in meta
+                   else "it is missing")
+            raise ContainerError(
+                f"{path}: attrs climatology {key!r} must be {what}; {got}")
 
 
 @contextmanager
@@ -408,8 +456,6 @@ def climatology_writer(path, grid: GridSpec, variables, hours: list[int],
     means of variable j at hours[hi] to their rows in place; the file
     appears at path once every bin of every variable is written.
     """
-    from .container import container_writer
-
     t0 = datetime(1995, 1, 1, tzinfo=timezone.utc)
     times = [t0 + timedelta(days=d, hours=h)
              for d in range(365) for h in hours]
@@ -426,45 +472,35 @@ def _circular_day_distance(d1, d2, period: int = 365):
     return np.minimum(d, period - d)
 
 
-def climatology_bins(series_map, window_days: int = 61,
+def climatology_bins(c: Container, window_days: int = 61,
                      gaussian_std_days: float = 10.0):
-    """Day-of-year/hour-of-day climatology with Gaussian-weighted windows,
-    one (variable, hour of day) at a time.
+    """Day-of-year/hour-of-day climatology of container c with
+    Gaussian-weighted windows, one (variable, hour of day) at a time.
 
     For each (day d, hour h) the climatology is the weighted mean over all
     samples at hour h whose circular day-of-year distance from d is at
     most window_days//2, with weights exp(-dd^2 / (2 s^2)), s in days,
     renormalized to sum 1.  Bins with no samples raise, listing (d, h),
-    before anything is yielded, and so does an input with no times.
-    series_map is a {(variable, level): FieldSeries} mapping or an
-    iterable of FieldSeries, taken one series at a time; each hour's
-    window samples are gathered into one float64 buffer a block of rows
-    at a time, the map under them released after each; a non-finite
-    sample raises ValueError naming its variable and time.  Yields
-    (series, hours, hi, means):
+    before anything is yielded, and so does an input with no times.  Each
+    hour's window samples are gathered into one float64 buffer a block of
+    rows at a time, the map under them released after each; a non-finite
+    sample raises ValueError naming the file, its variable and its time.
+    Yields (j, hours, hi, means): j is the variable's index in c.keys,
     hours lists the hours of day present, and means is the (365, n_lat,
-    n_lon) float64 climatology of series at hours[hi] for days 1..365.
+    n_lon) float64 climatology of variable j at hours[hi] for days 1..365.
     """
     if window_days < 1 or window_days % 2 == 0:
         raise ValueError(f"window_days must be odd and positive, got {window_days}")
     if gaussian_std_days <= 0:
         raise ValueError("gaussian_std_days must be positive")
-    grid = times = None
-    for key, series in _keyed(series_map):
-        if grid is None:
-            grid, times = series.grid, series.times
-            if not times:
-                raise ValueError(f"{key}: climatology input has no times")
-            hours, weights = _window_weights(times, window_days // 2,
-                                             gaussian_std_days)
-            samples = np.empty((max(len(idx) for idx, _ in weights.values()),
-                                grid.n_lat * grid.n_lon))
-        elif series.grid != grid:
-            raise ValueError(f"{key}: climatology inputs must share one grid")
-        elif series.times != times:
-            raise ValueError(
-                f"{key}: climatology inputs must share one time axis")
-        flat = series.values.reshape(len(series), -1)
+    if not (c.times and c.keys):
+        raise ValueError(f"{c.path}: climatology input has no "
+                         f"{'times' if c.keys else 'variables'}")
+    hours, weights = _window_weights(c, window_days // 2, gaussian_std_days)
+    samples = np.empty((max(len(idx) for idx, _ in weights.values()),
+                        c.grid.n_lat * c.grid.n_lon))
+    for j, key in enumerate(c.keys):
+        flat = c.view(*key).reshape(len(c.times), -1)
         for hi, h in enumerate(hours):
             idx, w = weights[h]
             for block in released_blocks(flat, idx):
@@ -472,38 +508,37 @@ def climatology_bins(series_map, window_days: int = 61,
                 gathered[...] = flat[idx[block]]
                 finite = np.isfinite(gathered).all(axis=1)
                 if not finite.all():
-                    when = times[idx[block][np.argmin(finite)]]
-                    raise ValueError(f"non-finite values in {key[0]} "
-                                     f"({key[1]}) at {when.isoformat()}")
+                    when = c.times[idx[block][np.argmin(finite)]]
+                    raise ValueError(f"{c.path}: non-finite values in "
+                                     f"{key[0]} ({key[1]}) at "
+                                     f"{when.isoformat()}")
             # nothing here keeps a yielded bin set once the caller drops it
-            yield series, hours, hi, (
-                w @ samples[:len(idx)]).reshape((365,) + grid.shape)
-        del series, flat  # before the next series is taken
-    if grid is None:
-        raise ValueError("empty series collection")
+            yield j, hours, hi, (
+                w @ samples[:len(idx)]).reshape((365,) + c.grid.shape)
 
 
-def compute_climatology(series_map, window_days: int = 61,
+def compute_climatology(c: Container, window_days: int = 61,
                         gaussian_std_days: float = 10.0) -> Climatology:
-    """The climatology_bins of every series, gathered into a Climatology
-    that keeps each series' units."""
-    data, units = {}, {}
-    for series, hours, hi, means in climatology_bins(
-            series_map, window_days, gaussian_std_days):
+    """The climatology_bins of every variable of container c, gathered
+    into a Climatology that keeps each variable's units."""
+    data = {}
+    for j, hours, hi, means in climatology_bins(c, window_days,
+                                                gaussian_std_days):
         if hi == 0:
-            data[series.key] = np.empty((365, len(hours)) + series.grid.shape)
-            units[series.key] = series.units
-        data[series.key][:, hi] = means
-    return Climatology(grid=series.grid, hours=hours, window_days=window_days,
-                       std_days=gaussian_std_days, data=data, units=units)
+            data[c.keys[j]] = np.empty((365, len(hours)) + c.grid.shape)
+        data[c.keys[j]][:, hi] = means
+    return Climatology(grid=c.grid, hours=hours, window_days=window_days,
+                       std_days=gaussian_std_days, data=data,
+                       units={(name, level): units
+                              for name, level, units in c.variables})
 
 
-def _window_weights(times: list[datetime], half: int, std_days: float):
-    """hours present in times, and per hour (sample rows at that hour,
+def _window_weights(c: Container, half: int, std_days: float):
+    """hours present in c.times, and per hour (sample rows at that hour,
     [365 days, samples] Gaussian window weights summing to 1 per day)."""
-    hours = sorted({t.hour for t in times})
-    doys = np.array([day_of_year_365(t) for t in times])
-    t_hours = np.array([t.hour for t in times])
+    hours = sorted({t.hour for t in c.times})
+    doys = np.array([day_of_year_365(t) for t in c.times])
+    t_hours = np.array([t.hour for t in c.times])
     weights = {}
     missing = []
     for h in hours:
@@ -518,7 +553,7 @@ def _window_weights(times: list[datetime], half: int, std_days: float):
         weights[h] = (idx, w / sums[:, None])
     if missing:
         raise ValueError(
-            "climatology windows without samples at (day, hour): "
+            f"{c.path}: climatology windows without samples at (day, hour): "
             + ", ".join(str(m) for m in missing[:20])
             + ("..." if len(missing) > 20 else ""))
     return hours, weights

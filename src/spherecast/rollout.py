@@ -27,8 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .container import (container_writer, read_container, release,
-                        released_blocks, _format_time)
+from .container import (Container, container_writer, first_non_finite,
+                        read_container, release, _format_time)
 from .filters import (DiffusionSpec, PoleFilterSpec, _number, diffuse_values,
                       pole_filter_values)
 from .grid import ensure_utc
@@ -248,11 +248,11 @@ def _run_external_step(command: list[str], state: np.ndarray, variables,
         row[...] = fields[c.index(name, level)]  # cast out of the map
 
 
-def _lead_rows(plan: RolloutPlan, initial_states: dict, variables, grid,
+def _lead_rows(plan: RolloutPlan, c: Container, row: int | None,
                t_i: datetime, climatology: Climatology | None):
     """One initialization's forecast: per lead, in order, a float64
-    (variable, n_lat, n_lon) row of variables, initial_states' keys with
-    their units, in order.
+    (variable, n_lat, n_lon) row of c's variables, starting from c's time
+    row `row` (None for the climatology forecaster, which reads none).
 
     Persistence and the external forecaster yield one state stack over
     and over; the external one overwrites it in place between leads, so a
@@ -261,87 +261,92 @@ def _lead_rows(plan: RolloutPlan, initial_states: dict, variables, grid,
     if plan.forecaster == "climatology":
         for h in plan.leads:
             t = t_i + timedelta(hours=h)
-            yield np.stack([climatology.values(key[0], key[1], t)
-                            for key in initial_states])
-        for values in climatology.data.values():
-            release(values)
+            yield np.stack([climatology.values(name, level, t)
+                            for name, level in c.keys])
+        climatology.release()
         return
-    state = np.empty((len(initial_states),) + grid.shape)
-    for row, series in zip(state, initial_states.values()):
-        row[...] = series.values[series.index(t_i)]
-        release(series.values)
+    state = np.array(c.block(row), dtype=np.float64)
+    release(c)
     yield state
     if plan.forecaster == "persistence":
         for _ in plan.leads[1:]:
             yield state
         return
     # external, strictly sequential per step
-    fields = dict(zip(initial_states, state))  # views of the stack
+    fields = dict(zip(c.keys, state))  # views of the stack
     with tempfile.TemporaryDirectory(prefix="rollout_") as tmp:
         for h in plan.leads[:-1]:
             when = t_i + timedelta(hours=h)
             try:
-                _run_external_step(plan.external_command, state, variables,
-                                   grid, when, plan.step_hours,
+                _run_external_step(plan.external_command, state, c.variables,
+                                   c.grid, when, plan.step_hours,
                                    plan.state_dtype, Path(tmp))
             except ExternalForecasterError as exc:
                 raise ExternalForecasterError(
                     f"init {t_i.isoformat()}: {exc}") from exc
-            apply_postprocessing(fields, plan.postprocess, grid)
+            apply_postprocessing(fields, plan.postprocess, c.grid)
             yield state
 
 
-def run_rollout_to_dir(plan: RolloutPlan, initial_states: dict, out_dir,
-                       climatology: Climatology | None = None) -> list[Path]:
-    """Roll out every initialization in the plan and write each one's
-    forecast to out_dir/init_<YYYYMMDDTHHMMSSZ>.gvf, each lead row as it
-    is made; the paths, in plan order.
+def _init_rows(plan: RolloutPlan, c: Container) -> list[int]:
+    """The time row in c of each init of the plan, after checking that
+    every variable is finite there (first_non_finite)."""
+    index = {t: i for i, t in enumerate(c.times)}
+    for t_i in plan.init_times:
+        if t_i not in index:
+            raise KeyError(f"{c.path}: init time {t_i.isoformat()} not in "
+                           "its time axis")
+    rows = [index[t_i] for t_i in plan.init_times]
+    bad = first_non_finite(c.block(slice(None)), np.unique(rows))
+    if bad:
+        name, level = c.keys[bad[1]]
+        raise ValueError(f"{c.path}: non-finite initial state {name} "
+                         f"({level}) at {c.times[bad[0]].isoformat()}")
+    return rows
 
-    initial_states maps (variable, level) to a FieldSeries covering every
-    init time.  The climatology forecaster requires a climatology and
-    emits its (day, hour) field for each valid time.  Each container tags
-    its init time in attrs["init_time"], which is how verify's ForecastSet
-    reads it back.  Every init is checked against the initial states,
-    read a block of rows at a time, before the first container is opened;
-    a failing init leaves no file, and those before it complete.  No more
-    than one state per initialization is held in memory, and rollouts are
+
+def run_rollout_to_dir(plan: RolloutPlan, c: Container, out_dir,
+                       climatology: Climatology | None = None) -> list[Path]:
+    """Roll out every initialization in the plan from the initial states
+    in container c, and write each one's forecast of c's variables to
+    out_dir/init_<YYYYMMDDTHHMMSSZ>.gvf, each lead row as it is made; the
+    paths, in plan order.
+
+    Each init's state is c's row at the init time, every variable read at
+    once.  The climatology forecaster requires a climatology and emits its
+    (day, hour) field for each valid time.  Each container tags its init
+    time in attrs["init_time"], which is how verify's ForecastSet reads it
+    back.  Every init is checked before the first container is opened:
+    the initial states, or the climatology bins of every valid time, must
+    be there and be finite, and are read a block at a time; a failing
+    init leaves no file, and those before it complete.  No more than one
+    state per initialization is held in memory, and rollouts are
     deterministic: no hidden randomness.
     """
-    if plan.forecaster == "climatology" and climatology is None:
-        raise ValueError("climatology forecaster requires a climatology")
-    if plan.forecaster != "climatology":
-        for key, series in initial_states.items():
-            at = np.array([series.index(t_i) for t_i in plan.init_times],
-                          dtype=np.intp)
-            rows = np.unique(at)
-            finite = np.empty(len(rows), dtype=bool)
-            for block in released_blocks(series.values, rows):
-                finite[block] = np.isfinite(
-                    series.values[rows[block]]).all(axis=(1, 2))
-            bad = np.isin(at, rows[~finite])
-            if bad.any():
-                raise ValueError(series.named(
-                    f"non-finite initial state {key[0]} ({key[1]}) at "
-                    f"{plan.init_times[int(np.argmax(bad))].isoformat()}"))
-    grid = next(iter(initial_states.values())).grid
+    if plan.forecaster == "climatology":
+        if climatology is None:
+            raise ValueError("climatology forecaster requires a climatology")
+        climatology.check_finite(c.keys, [t_i + timedelta(hours=h)
+                                          for t_i in plan.init_times
+                                          for h in plan.leads])
+        rows = [None] * len(plan.init_times)
+    else:
+        rows = _init_rows(plan, c)
     for n, step in enumerate(plan.postprocess, 1):
         if isinstance(step.spec, DiffusionSpec):
             try:
-                step.spec.check_stable(grid)
+                step.spec.check_stable(c.grid)
             except ValueError as exc:
                 raise ValueError(f"postprocess step {n}: {exc}") from None
-    variables = [(key[0], key[1], s.units)
-                 for key, s in initial_states.items()]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
-    for t_i in plan.init_times:
+    for t_i, row in zip(plan.init_times, rows):
         paths.append(out_dir / f"init_{t_i.strftime('%Y%m%dT%H%M%SZ')}.gvf")
-        with container_writer(paths[-1], grid, variables,
+        with container_writer(paths[-1], c.grid, c.variables,
                               [t_i + timedelta(hours=h) for h in plan.leads],
                               dtype=plan.state_dtype,
                               attrs={"init_time": _format_time(t_i)}) as write:
-            for row in _lead_rows(plan, initial_states, variables, grid, t_i,
-                                  climatology):
-                write(row[:, None])
+            for state in _lead_rows(plan, c, row, t_i, climatology):
+                write(state[:, None])
     return paths

@@ -20,7 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .container import (ScoreRecord, atomic_write, read_container, release,
+from .container import (Container, ScoreRecord, atomic_write,
+                        first_non_finite, read_container, release,
                         released_blocks)
 from .grid import GridSpec, ensure_utc, metric_weights
 from .preprocess import Climatology
@@ -158,67 +159,70 @@ class ForecastSet:
     forecasts is a sequence of paths of GVF1 containers, one per init, as
     rollout.run_rollout_to_dir writes them (see forecast()); a file is
     opened only while its init is checked or scored.  Valid times are init
-    + lead for every lead (lead 0 first); target maps (variable, level) to
-    the verifying FieldSeries.  No two files may hold one init, every
-    forecast valid time must be covered by the target, all series must
-    share one grid, and every forecast and every target row it verifies
-    against must be finite; the forecasts are checked one init at a time,
-    and an error about a forecast names its file.  Files are read a block
-    of rows at a time, and the map under each block is released after it.
+    + lead for every lead (lead 0 first); target is the Container of the
+    verifying fields, whose time axis is indexed once (target_rows).  No
+    two files may hold one init, every forecast valid time must be covered
+    by the target, every file must be on the target's grid, and every
+    forecast and every target row it verifies against must be finite; the
+    forecasts are checked one init at a time, and an error about a
+    forecast names its file.  Files are read a block of rows at a time,
+    and the map under each block is released after it.
     """
 
-    def __init__(self, forecasts, target: dict,
+    def __init__(self, forecasts, target: Container,
                  climatology: Climatology | None = None):
         paths = [Path(p) for p in forecasts]
         if not paths:
             raise ValueError("no forecast initializations")
         self.forecasts = {}
         self.target = target
+        self.target_rows = {t: i for i, t in enumerate(target.times)}
         self.climatology = climatology
-        self.grid: GridSpec = next(iter(target.values())).grid
-        used, leads, self._keys = {key: set() for key in target}, [], None
+        self.grid: GridSpec = target.grid
+        self._leads, used, self._keys = {}, {}, None
         for path in paths:
-            t_i, fc = self._open(path)
+            fc = read_container(path)
+            t_i = fc.init_time or fc.times[0]
             if t_i in self.forecasts:
                 raise ValueError(f"{self.forecasts[t_i]} and {path} both hold "
                                  f"init {t_i.isoformat()}")
             self.forecasts[t_i] = path
-            leads.append(self._check_init(t_i, fc, path, used))
-            self._keys = self._keys or list(fc)
-        self._leads = sorted(set.intersection(*leads))
+            self._leads[t_i] = self._check_init(t_i, fc, used)
+            self._keys = self._keys or fc.keys
         for key, rows in used.items():
-            values, rows = target[key].values, np.array(sorted(rows))
-            for block in released_blocks(values, rows):
-                finite = np.isfinite(values[rows[block]]).all(axis=(1, 2))
-                if not finite.all():
-                    when = target[key].times[rows[block][np.argmin(finite)]]
-                    raise ValueError(target[key].named(
-                        f"non-finite target {key[0]} ({key[1]}) at "
-                        f"{when.isoformat()}"))
+            bad = first_non_finite(target.view(*key), sorted(rows))
+            if bad:
+                raise ValueError(
+                    f"{target.path}: non-finite target {key[0]} ({key[1]}) "
+                    f"at {target.times[bad[0]].isoformat()}")
         self.weights = metric_weights(self.grid)
 
-    def _check_init(self, t_i: datetime, fc: dict, path: Path, used: dict):
-        """Check the forecast fc of one init, read from path, adding the
-        target rows it verifies against to used; the set of its lead
-        hours."""
-        for key, series in fc.items():
-            where = f"{path}: init {t_i.isoformat()}: {key[0]} ({key[1]})"
-            if series.grid != self.grid:
-                raise ValueError(f"{where}: forecast is on a different "
-                                 "grid than the target")
-            if key not in self.target:
-                raise ValueError(f"{where}: target has no such series")
-            rows = [self.target[key].time_index.get(t) for t in series.times]
-            if None in rows:
+    def _check_init(self, t_i: datetime, fc: Container, used: dict
+                    ) -> set[int]:
+        """Check the forecast container fc of one init, adding the target
+        rows each of its variables verifies against to used; the set of
+        its lead hours."""
+        where = f"{fc.path}: init {t_i.isoformat()}"
+        if fc.grid != self.grid:
+            raise ValueError(f"{where}: forecast is on a different grid than "
+                             "the target")
+        for name, level in fc.keys:
+            if (name, level) not in self.target.keys:
                 raise ValueError(
-                    f"{where}: target does not cover forecast valid time "
-                    f"{series.times[rows.index(None)].isoformat()}")
-            used[key].update(rows)
-            for block in released_blocks(series.values, range(len(series))):
-                if not np.isfinite(series.values[block]).all():
-                    raise ValueError(f"{where}: non-finite forecast values")
-        return {int((t - t_i).total_seconds() // 3600)
-                for t in next(iter(fc.values())).times}
+                    f"{where}: {name} ({level}): target has no such series")
+        rows = [self.target_rows.get(t) for t in fc.times]
+        if None in rows:
+            raise ValueError(
+                f"{where}: target does not cover forecast valid time "
+                f"{fc.times[rows.index(None)].isoformat()}")
+        for key in fc.keys:
+            used.setdefault(key, set()).update(rows)
+        bad = first_non_finite(fc.block(slice(None)), range(len(fc.times)))
+        if bad:
+            name, level = fc.keys[bad[1]]
+            raise ValueError(
+                f"{where}: {name} ({level}): non-finite forecast values")
+        return {int((t - t_i).total_seconds() // 3600) for t in fc.times}
 
     @property
     def init_times(self) -> list[datetime]:
@@ -230,28 +234,18 @@ class ForecastSet:
 
     def lead_hours(self) -> list[int]:
         """Lead hours available in every initialization."""
-        return list(self._leads)
+        return sorted(set.intersection(*self._leads.values()))
 
-    @staticmethod
-    def _open(path: Path) -> tuple[datetime, dict]:
-        """(init time, {(variable, level): FieldSeries}) of the container
-        at path, as in forecast()."""
-        c = read_container(path)
-        return c.init_time or c.times[0], {key: c.view(*key) for key in c.keys}
-
-    def forecast(self, t_i: datetime) -> dict:
-        """{(variable, level): FieldSeries} of one init, views of its
-        container's map in the file's dtype; a container's init time is
+    def forecast(self, t_i: datetime) -> Container:
+        """The forecast Container of one init; a container's init time is
         its attrs["init_time"], else its first valid time."""
-        return self._open(self.forecasts[ensure_utc(t_i)])[1]
+        return read_container(self.forecasts[ensure_utc(t_i)])
 
     def release(self) -> None:
         """Release the maps under the target and the climatology."""
-        for series in self.target.values():
-            release(series.values)
-        for values in (self.climatology.data.values()
-                       if self.climatology is not None else ()):
-            release(values)
+        release(self.target)
+        if self.climatology is not None:
+            self.climatology.release()
 
 
 METRICS = ("rmse", "acc")
@@ -261,37 +255,49 @@ def _per_init(fs: ForecastSet, cells, metrics
               ) -> dict[tuple, tuple[list[datetime], dict[str, np.ndarray]]]:
     """{(key, lead): (inits, {metric: per-init values})} for every distinct
     cell and metric (of METRICS, or "skill": 1 - MSE / MSE of the
-    climatology), over the inits that reach the cell's lead.  One pass
-    walks each init's forecast a run of rows at a time (released_blocks;
-    the maps under it, the target and the climatology are released after
-    each run) and scores each variable's rows in a run as one stack in a
+    climatology), over the inits that reach the cell's lead.  The
+    climatology bins the scores read are checked first.  One pass walks
+    each init's forecast a run of rows at a time (released_blocks; the
+    maps under it, the target and the climatology are released after each
+    run) and scores each variable's rows in a run as one stack in a
     float64 scratch stack made for the pass (_score_rows)."""
     metrics = list(dict.fromkeys(metrics))
     found = {cell: ([], {m: [] for m in metrics}) for cell in cells}
+    if any(m != "rmse" for m in metrics):
+        if fs.climatology is None:
+            raise ValueError("no climatology attached to this forecast set")
+        keys = list(dict.fromkeys(key for key, _ in found))
+        fs.climatology.check_finite(keys, {
+            t_i + timedelta(hours=lead) for t_i, leads in fs._leads.items()
+            for _, lead in found if lead in leads})
     scratch = np.empty((4, 0) + fs.grid.shape)
     for t_i in fs.init_times:
         fc = fs.forecast(t_i)
+        views = {key: fc.view(*key) for key in fc.keys}
+        rows = {t: i for i, t in enumerate(fc.times)}
         reached = {}  # forecast row -> {key: the cell that row of key verifies}
         for (key, lead), cell in found.items():
-            when = t_i + timedelta(hours=lead)
-            row = fc[key].time_index.get(when) if key in fc else None
+            row = (rows.get(t_i + timedelta(hours=lead)) if key in views
+                   else None)
             if row is not None:
                 reached.setdefault(row, {})[key] = cell
-        rows = sorted(reached)
-        for block in released_blocks(next(iter(fc.values())).values, rows):
-            run = rows[block]
+        run_rows = sorted(reached)
+        for block in released_blocks(fc.block(slice(None)), run_rows):
+            run = run_rows[block]
             if len(run) > scratch.shape[1]:
                 scratch = np.empty((4, len(run)) + fs.grid.shape)
-            for key in fc:
+            for key, values in views.items():
                 these = [row for row in run if key in reached[row]]
                 if not these:
                     continue
-                scores = _score_rows(fs, key, fc[key], these, metrics, scratch)
+                scores = _score_rows(fs, key, values,
+                                     [fc.times[row] for row in these], these,
+                                     metrics, scratch)
                 for i, row in enumerate(these):
-                    inits, values = reached[row][key]
+                    inits, scored = reached[row][key]
                     inits.append(t_i)
                     for m in metrics:
-                        values[m].append(scores[m][i])
+                        scored[m].append(scores[m][i])
             fs.release()
     for (key, lead), (inits, _) in found.items():
         if not inits:
@@ -302,14 +308,15 @@ def _per_init(fs: ForecastSet, cells, metrics
             for cell, (inits, values) in found.items()}
 
 
-def _score_rows(fs: ForecastSet, key, series, rows, metrics, scratch) -> dict:
-    """{metric: one value per row} for these rows of key's forecast series;
-    scratch planes 0-3 take them, their target rows, the intermediates and
-    (last, untouched by rmse alone) their climatology bins."""
-    whens = [series.times[row] for row in rows]
-    target, w, scores = fs.target[key], fs.weights, {}
-    f = _copy_rows(series.values, rows, scratch[0])
-    o = _copy_rows(target.values, [target.time_index[t] for t in whens],
+def _score_rows(fs: ForecastSet, key, values, whens, rows, metrics,
+                scratch) -> dict:
+    """{metric: one value per row} for these rows of values, key's
+    forecast, valid at whens; scratch planes 0-3 take them, their target
+    rows, the intermediates and (last, untouched by rmse alone) their
+    climatology bins."""
+    w, scores = fs.weights, {}
+    f = _copy_rows(values, rows, scratch[0])
+    o = _copy_rows(fs.target.view(*key), [fs.target_rows[t] for t in whens],
                    scratch[1])
     tmp = scratch[2, :len(rows)]
     if "rmse" in metrics or "skill" in metrics:
@@ -318,8 +325,6 @@ def _score_rows(fs: ForecastSet, key, series, rows, metrics, scratch) -> dict:
     if all(m == "rmse" for m in metrics):
         return scores
     clim = fs.climatology
-    if clim is None:
-        raise ValueError("no climatology attached to this forecast set")
     c = _copy_rows(clim.data[key].reshape((-1,) + fs.grid.shape),
                    [clim.row(t) for t in whens], scratch[3])
     if "skill" in metrics:
@@ -545,5 +550,4 @@ def load_forecast_set(forecast_paths, target_path,
     target = read_container(target_path)
     clim = (Climatology.from_container(climatology_path)
             if climatology_path else None)
-    return ForecastSet(paths, {key: target.view(*key) for key in target.keys},
-                       climatology=clim)
+    return ForecastSet(paths, target, climatology=clim)

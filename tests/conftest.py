@@ -1,9 +1,12 @@
+import os
+import tempfile
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
 
 from spherecast import make_gaussian_grid
+from spherecast.container import read_container, write_container
 from spherecast.grid import FieldSeries
 
 T0 = datetime(2020, 1, 1, tzinfo=timezone.utc)
@@ -34,14 +37,21 @@ def make_series(grid, variable="T", level="single", n_time=4, step_hours=6,
     return FieldSeries(grid, variable, level, times, values)
 
 
+def as_container(directory, *series):
+    """series, FieldSeries on one grid and time axis, written bit for bit
+    to a new f64 GVF1 file in directory, and opened."""
+    fd, path = tempfile.mkstemp(suffix=".gvf", dir=directory)
+    os.close(fd)
+    write_container(series, path, dtype="f64")
+    return read_container(path)
+
+
 def make_spectrum_fixture(path):
     """Deterministic 2-time, 1-variable container for the spectrum golden test.
 
     Written as f64 so the committed golden values are exact to the
     independent oracle that produced them.
     """
-    from spherecast.container import write_container
-
     grid = make_gaussian_grid(16, 32)
     series = make_series(grid, "Z500", "single", n_time=2, seed=2024)
     write_container({series.key: series}, path, dtype="f64")

@@ -29,6 +29,7 @@ from spherecast.solar import (SolarConfig, accumulated_irradiance,
                               instantaneous_irradiance, solar_constant_at,
                               sun_ephemeris)
 from spherecast.verify import acc_field, rmse_field, weighted_mean
+from conftest import as_container
 
 T0 = datetime(2020, 1, 1, tzinfo=timezone.utc)
 UTC = timezone.utc
@@ -140,7 +141,7 @@ def test_criterion_05_skill_relation_variance_matched():
     _report(5, f"|mean residual| = {mean_abs:.2e} over 100 matched pairs")
 
 
-def test_criterion_06_residual_normalization():
+def test_criterion_06_residual_normalization(tmp_path):
     grid = make_gaussian_grid(16, 32)
     rng = np.random.default_rng(2)
     series_map = {}
@@ -149,7 +150,8 @@ def test_criterion_06_residual_normalization():
         times = [T0 + timedelta(hours=6 * k) for k in range(100)]
         series_map[(var, "single")] = FieldSeries(grid, var, "single", times,
                                                   vals)
-    stats = compute_residual_coeff(series_map, compute_stats(series_map))
+    c = as_container(tmp_path, *series_map.values())
+    stats = compute_residual_coeff(c, compute_stats(c))
 
     prod = np.prod([stats.entry(*k).xi for k in series_map])
     assert abs(prod - 1.0) <= 1e-10
@@ -261,8 +263,8 @@ def test_criterion_10_rollout_protocol_and_cli(tmp_path):
     n_time = 41
     vals = rng.normal(size=(n_time,) + grid_small.shape).astype(np.float32)
     times = [T0 + timedelta(hours=6 * k) for k in range(n_time)]
-    states = {("T", "single"): FieldSeries(grid_small, "T", "single", times,
-                                           vals.astype(np.float64))}
+    states = as_container(tmp_path, FieldSeries(grid_small, "T", "single",
+                                                times, vals.astype(np.float64)))
     [per] = run_rollout_to_dir(RolloutPlan(init_times=[T0], step_hours=6,
                                            max_lead_hours=240), states,
                                tmp_path / "persistence")

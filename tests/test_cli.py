@@ -478,7 +478,7 @@ def test_rollout_missing_init_exits_two_and_writes_nothing(tmp_path, grid16,
                                  "2020-01-02T00:00:00",
                  "--step-hours", "6", "--max-lead-hours", "6"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"data error: {target_path}: time "
+    assert err.startswith(f"data error: {target_path}: init time "
                           "2020-01-02T00:00:00")
     assert not list(tmp_path.glob("fc/*.gvf"))
 
@@ -1058,7 +1058,7 @@ def test_climatology_writes_each_bin_set_as_it_is_made(tmp_path, grid64):
     assert code == 0
     assert peak < 2.5 * one_variable
     c = read_container(inp)
-    expect = compute_climatology(c.view(*key) for key in c.keys)
+    expect = compute_climatology(c)
     got = Climatology.from_container(out)
     assert got.hours == [0] and got.keys == c.keys
     for key in c.keys:
@@ -1088,8 +1088,7 @@ def test_climatology_keeps_the_input_units(tmp_path, grid16):
     clim.to_container(again)
     assert again.read_bytes() == out.read_bytes()
     # the library path keeps them too
-    c = read_container(inp)
-    compute_climatology(c.view(*key) for key in c.keys).to_container(again)
+    compute_climatology(read_container(inp)).to_container(again)
     assert again.read_bytes() == out.read_bytes()
 
 
@@ -1168,8 +1167,8 @@ def test_empty_time_axis_climatology_exits_three_and_spectrum_is_header_only(
     write_container([empty], inp)
     out = tmp_path / "clim.gvf"
     assert main(["climatology", "--input", str(inp), "--output", str(out)]) == 3
-    assert "('T', 'single'): climatology input has no times" in (
-        capsys.readouterr().err)
+    assert capsys.readouterr().err == (
+        f"error: {inp}: climatology input has no times\n")
     assert not out.exists()
     spec = tmp_path / "spec.csv"
     assert main(["spectrum", "--input", str(inp), "--output", str(spec)]) == 0
@@ -1332,24 +1331,35 @@ def test_correlate_non_finite_input_names_the_file(tmp_path, grid16, capsys):
 
 
 def test_no_subcommand_constructs_a_field(tmp_path, grid16, monkeypatch):
-    """Field is a type for callers: the stages pass plain arrays."""
+    """Field and FieldSeries are types for callers: the stages pass the
+    Container and plain arrays."""
     from spherecast.grid import Field
     made = []
-    post_init = Field.__post_init__
+    post_init, series_init = Field.__post_init__, FieldSeries.__init__
 
     def counted(self):
         made.append(self.variable)
         post_init(self)
+
+    def series_counted(self, grid, variable, *args, **kwargs):
+        made.append(variable)
+        series_init(self, grid, variable, *args, **kwargs)
     monkeypatch.setattr(Field, "__post_init__", counted)
+    monkeypatch.setattr(FieldSeries, "__init__", series_counted)
     Field(grid=grid16, values=np.zeros(grid16.shape), variable="T")
-    assert made == ["T"]  # the count sees a construction
+    FieldSeries(grid16, "Q", "single", [], np.zeros((0,) + grid16.shape))
+    assert made == ["T", "Q"]  # the count sees both constructions
+    inputs = {}
+    for name in SUBCOMMANDS:  # the inputs are written before counting
+        work = tmp_path / name
+        work.mkdir()
+        inputs[name] = _replay_stage(
+            {"denormalize": "normalize", "correlate": "stats"}.get(name, name),
+            work, grid16)
     made.clear()
     for name in SUBCOMMANDS:
         work = tmp_path / name
-        work.mkdir()
-        base = {"denormalize": "normalize", "correlate": "stats"}.get(name,
-                                                                      name)
-        argv, flag = _replay_stage(base, work, grid16)
+        argv, flag = inputs[name]
         if name == "denormalize":
             argv = [name] + argv[1:]
         elif name == "correlate":
@@ -1358,10 +1368,11 @@ def test_no_subcommand_constructs_a_field(tmp_path, grid16, monkeypatch):
     assert made == []
 
 
-def _write_uneven(path, grid, keys, seed, nan_at=None):
-    """An f64 container of keys at 00, 06, 18 and 19 UTC: times strictly
-    increasing with an uneven step; the values, one array per key."""
-    times = [T0 + timedelta(hours=h) for h in (0, 6, 18, 19)]
+def _write_uneven(path, grid, keys, seed, hours=(0, 6, 18, 19)):
+    """An f64 container of keys at these hours of 1 Jan 2020 (by default
+    00, 06, 18 and 19 UTC: times strictly increasing with an uneven step);
+    the times and the values, one array per key."""
+    times = [T0 + timedelta(hours=h) for h in hours]
     rng = np.random.default_rng(seed)
     values = [rng.normal(size=(len(times),) + grid.shape) for _ in keys]
     with container_writer(path, grid, [(n, l, "K") for n, l in keys], times,
@@ -1407,20 +1418,127 @@ def test_row_stages_take_an_uneven_time_axis(tmp_path, grid16, name):
             assert np.array_equal(c.values(i, *key), op(field, key))
 
 
-@pytest.mark.parametrize("name", ["climatology", "rollout"])
+@pytest.mark.parametrize("name", ["stats", "climatology", "rollout"])
 def test_uneven_time_axis_error_names_the_file(tmp_path, grid16, capsys,
                                                 name):
-    # used to print "error: time step must be constant" alone
+    """Only stats needs a constant step, for its one-step tendency.
+    climatology takes the axis, and its error about the windows that one
+    day of data leaves empty names the file; rollout succeeds.  All three
+    used to exit 3 with "time step must be constant"."""
     inp, out = tmp_path / "in.gvf", tmp_path / "out"
     _write_uneven(inp, grid16, [("T", "single")], seed=61)
-    argv = {"climatology": ["--output", str(out)],
-            "rollout": ["--output-dir", str(out), "--max-lead-hours", "6",
+    argv = {"stats": ["--input", str(inp), "--output", str(out)],
+            "climatology": ["--input", str(inp), "--output", str(out)],
+            "rollout": ["--initial-states", str(inp), "--output-dir", str(out),
+                        "--max-lead-hours", "6",
                         "--inits", "2020-01-01T00:00:00,1,6"]}[name]
-    flag = "--input" if name == "climatology" else "--initial-states"
-    assert main([name, flag, str(inp)] + argv) == 3
+    code = main([name] + argv)
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {inp}: time step must be constant")
-    assert not out.exists()
+    if name == "rollout":
+        assert code == 0 and err == ""
+        assert [p.name for p in out.glob("*.gvf")] == [
+            "init_20200101T000000Z.gvf"]
+        return
+    assert code == 3 and not out.exists()
+    assert err.startswith(f"error: {inp}: " + (
+        "time step must be constant\n" if name == "stats"
+        else "climatology windows without samples at (day, hour): (32, 0)"))
+
+
+def test_rollout_and_verify_take_an_uneven_time_axis(tmp_path, grid16):
+    """Each gives on an uneven axis what it gives on an even one that holds
+    the rows it uses.  Both used to exit 3 with "time step must be
+    constant"."""
+    keys = [("T", "single"), ("Q", "500")]
+    uneven, even = tmp_path / "uneven.gvf", tmp_path / "even.gvf"
+    times, values = _write_uneven(uneven, grid16, keys, seed=64,
+                                  hours=(0, 6, 12, 13))
+    with container_writer(even, grid16, [(n, l, "K") for n, l in keys],
+                          times[:3], dtype="f64") as write:
+        write([v[:3] for v in values])
+    clim = write_zero_climatology(tmp_path, grid16, keys)
+    for name, states in (("uneven", uneven), ("even", even)):
+        assert main(["rollout", "--initial-states", str(states),
+                     "--output-dir", str(tmp_path / name),
+                     "--inits", "2020-01-01T00:00:00,2,6",
+                     "--max-lead-hours", "6"]) == 0
+        assert main(["verify", "--forecast-dir", str(tmp_path / name),
+                     "--target", str(states), "--climatology", str(clim),
+                     "--bootstrap", "20",
+                     "--output", str(tmp_path / f"{name}.csv")]) == 0
+    assert _tree_bytes(tmp_path / "uneven") == _tree_bytes(tmp_path / "even")
+    assert ((tmp_path / "uneven.csv").read_bytes()
+            == (tmp_path / "even.csv").read_bytes())
+
+
+def test_non_finite_climatology_bin_exits_three_naming_file_and_bin(
+        tmp_path, capsys):
+    # verify used to exit 3 with "T acc at 0h: value nan outside CI [nan,
+    # nan]", and a climatology rollout to write the NaN into its forecasts
+    from spherecast import make_gaussian_grid
+    grid = make_gaussian_grid(8, 16)
+    target, _ = write_target(tmp_path, grid, n_time=8, seed=65)
+    data = np.zeros((365, 4) + grid.shape)
+    data[0, 1, 2, 3] = np.nan
+    clim = tmp_path / "clim.gvf"
+    Climatology(grid=grid, hours=[0, 6, 12, 18], window_days=61,
+                std_days=10.0, data={("T", "single"): data}).to_container(clim)
+    inits = ["--inits", "2020-01-01T00:00:00,2,6", "--max-lead-hours", "6"]
+    expect = f"error: {clim}: non-finite climatology T (single) at day 1, 06Z\n"
+    fc, scores = tmp_path / "fc", tmp_path / "scores.csv"
+    assert main(["rollout", "--initial-states", str(target), "--output-dir",
+                 str(fc), "--forecaster", "climatology",
+                 "--climatology", str(clim)] + inits) == 3
+    assert capsys.readouterr().err == expect
+    assert not fc.exists()
+    assert main(["rollout", "--initial-states", str(target), "--output-dir",
+                 str(fc)] + inits) == 0
+    verify = ["verify", "--forecast-dir", str(fc), "--target", str(target),
+              "--climatology", str(clim), "--output", str(scores)]
+    assert main(verify) == 3
+    assert capsys.readouterr().err == expect
+    assert not scores.exists()
+    # rmse reads no climatology bin
+    assert main(verify + ["--metrics", "rmse"]) == 0
+
+
+@pytest.mark.parametrize("meta, named", [
+    ({"window_days": 61, "std_days": 10.0, "hours": 5}, "'hours'"),
+    ([61, 10.0, [0, 6, 12, 18]], "is not a JSON object"),
+    ({"window_days": 61, "std_days": 10.0}, "'hours'"),
+    ({"window_days": "a", "std_days": 10.0, "hours": [0, 6, 12, 18]},
+     "'window_days'"),
+    ({"window_days": 61, "std_days": 10.0, "hours": [[0], 6, 12, 6]},
+     "'hours'"),
+])
+def test_malformed_climatology_attrs_exit_two_naming_file_and_key(
+        tmp_path, capsys, meta, named):
+    # used to raise a TypeError traceback, or to print "data error: hours"
+    # or "error: invalid literal for int()", naming no file
+    from spherecast import make_gaussian_grid
+    grid = make_gaussian_grid(8, 16)
+    target, _ = write_target(tmp_path, grid, n_time=8, seed=66)
+    clim = tmp_path / "clim.gvf"
+    t0 = datetime(1995, 1, 1, tzinfo=timezone.utc)
+    times = [t0 + timedelta(days=d, hours=h)
+             for d in range(365) for h in (0, 6, 12, 18)]
+    with container_writer(clim, grid, [("T", "single", "K")], times,
+                          attrs={"climatology": meta}) as write:
+        write([np.zeros((len(times),) + grid.shape)])
+    inits = ["--inits", "2020-01-01T00:00:00,2,6", "--max-lead-hours", "6"]
+    fc = tmp_path / "fc"
+    assert main(["rollout", "--initial-states", str(target),
+                 "--output-dir", str(fc)] + inits) == 0
+    outputs = tmp_path / "scores.csv", tmp_path / "clim_fc"
+    for argv in (["verify", "--forecast-dir", str(fc), "--target", str(target),
+                  "--output", str(outputs[0])],
+                 ["rollout", "--initial-states", str(target), "--output-dir",
+                  str(outputs[1]), "--forecaster", "climatology"] + inits):
+        assert main(argv + ["--climatology", str(clim)]) == 2
+        err = capsys.readouterr().err.splitlines()[0]
+        assert err.startswith(f"data error: {clim}: attrs climatology ")
+        assert named in err
+    assert not any(out.exists() for out in outputs)
 
 
 def test_climatology_of_non_finite_input_exits_three_naming_file(tmp_path,

@@ -237,9 +237,10 @@ def test_empty_time_axis_header_only(tmp_path, grid16):
     assert c.block(slice(None)).shape == (0, 1) + grid16.shape
     assert c.series("T").values.shape == (0,) + grid16.shape
     view = c.view("T")
+    assert view.shape == (0,) + grid16.shape
     release(c)
-    release(view.values)
-    assert list(released_blocks(view.values, range(0))) == []
+    release(view)
+    assert list(released_blocks(view, range(0))) == []
     assert c.values(slice(None), "T").shape == (0,) + grid16.shape
 
 
@@ -324,6 +325,25 @@ def test_lazy_reader_single_chunk(tmp_path, grid16):
     assert c.times[1] == src[("Q", "L10")].times[1]
     with pytest.raises(KeyError):
         c.values(0, "nope")
+
+
+def test_view_is_the_map_and_series_a_float64_copy(tmp_path, grid16):
+    src = _random_collection(grid16, seed=10)
+    path = tmp_path / "data.gvf"
+    write_container(src, path, dtype="f32")
+    c = read_container(path)
+    view, series = c.view("Q", "L10"), c.series("Q", "L10")
+    # a plain (time, n_lat, n_lon) array over the read-only map, in f32
+    assert type(view) is np.ndarray and view.dtype == np.float32
+    assert view.shape == (len(c.times),) + grid16.shape
+    assert not view.flags.writeable
+    assert np.shares_memory(view, c.block(slice(None)))
+    assert (series.key, series.times, series.grid) == (("Q", "L10"), c.times,
+                                                       c.grid)
+    assert series.values.dtype == np.float64
+    assert np.array_equal(series.values, view)
+    with pytest.raises(KeyError, match="'nope'"):
+        c.view("nope")
 
 
 def test_scores_csv_layout(tmp_path):

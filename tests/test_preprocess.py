@@ -1,40 +1,42 @@
+import re
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
 
+from spherecast.container import read_container
 from spherecast.grid import FieldSeries
 from spherecast.preprocess import (Climatology, NormStats,
                                    clamp_nonnegative_values,
-                                   compute_climatology, compute_residual_coeff,
-                                   compute_stats, day_of_year_365, denormalize,
-                                   normalize)
-from conftest import make_series
+                                   compute_climatology, compute_norm_stats,
+                                   compute_residual_coeff, compute_stats,
+                                   day_of_year_365, denormalize, normalize)
+from conftest import as_container, make_series
 
 T0 = datetime(2020, 1, 1, tzinfo=timezone.utc)
 
 
-def test_constant_field_zero_variance_rejected(grid16):
+def test_constant_field_zero_variance_rejected(tmp_path, grid16):
     series = make_series(grid16, n_time=3,
                          values=np.full((3,) + grid16.shape, 4.2))
     with pytest.raises(ValueError, match="T"):
-        compute_stats({("T", "single"): series})
+        compute_stats(as_container(tmp_path, series))
 
 
-def test_alternating_plus_minus_one(grid16):
+def test_alternating_plus_minus_one(tmp_path, grid16):
     vals = np.ones((4,) + grid16.shape)
     vals[::2] *= -1
     series = make_series(grid16, values=vals)
-    stats = compute_stats({("T", "single"): series})
+    stats = compute_stats(as_container(tmp_path, series))
     e = stats.entry("T", "single")
     assert abs(e.mu) < 1e-15
     assert abs(e.sigma - 1.0) < 1e-15
 
 
-def test_streaming_matches_two_pass(grid16):
+def test_streaming_matches_two_pass(tmp_path, grid16):
     series_map = {("T", "L3"): make_series(grid16, "T", "L3", n_time=10, seed=1),
                   ("Q", "L3"): make_series(grid16, "Q", "L3", n_time=10, seed=2)}
-    stats = compute_stats(series_map)
+    stats = compute_stats(as_container(tmp_path, *series_map.values()))
     for key, series in series_map.items():
         flat = series.values.reshape(-1)
         mu_ref = flat.mean()
@@ -44,26 +46,27 @@ def test_streaming_matches_two_pass(grid16):
         assert abs(e.sigma - sigma_ref) <= 1e-10 * sigma_ref
 
 
-def test_stats_period_selection(grid16):
+def test_stats_period_selection(tmp_path, grid16):
     series = make_series(grid16, n_time=8, seed=3)
     sub = (series.times[2], series.times[5])
-    stats = compute_stats({("T", "single"): series}, period=sub)
+    stats = compute_stats(as_container(tmp_path, series), period=sub)
     flat = series.values[2:6].reshape(-1)
     e = stats.entry("T", "single")
     assert abs(e.mu - flat.mean()) < 1e-12
     assert abs(e.sigma - flat.std()) < 1e-12
 
 
-def test_xi_single_variable_is_one(grid16):
-    m = {("T", "single"): make_series(grid16, n_time=6, seed=4)}
-    stats = compute_residual_coeff(m, compute_stats(m))
+def test_xi_single_variable_is_one(tmp_path, grid16):
+    c = as_container(tmp_path, make_series(grid16, n_time=6, seed=4))
+    stats = compute_residual_coeff(c, compute_stats(c))
     assert abs(stats.entry("T", "single").xi - 1.0) < 1e-12
 
 
-def test_xi_two_variables_geometric_identity(grid16):
+def test_xi_two_variables_geometric_identity(tmp_path, grid16):
     m = {("T", "single"): make_series(grid16, "T", n_time=6, seed=5),
          ("Q", "single"): make_series(grid16, "Q", n_time=6, seed=6)}
-    stats = compute_residual_coeff(m, compute_stats(m))
+    c = as_container(tmp_path, *m.values())
+    stats = compute_residual_coeff(c, compute_stats(c))
 
     # direct tendency stds
     def tend_std(series, e):
@@ -78,11 +81,12 @@ def test_xi_two_variables_geometric_identity(grid16):
     assert abs(prod - 1.0) < 1e-10
 
 
-def test_xi_matches_direct_oracle_three_variables(grid16):
+def test_xi_matches_direct_oracle_three_variables(tmp_path, grid16):
     m = {("T", "L1"): make_series(grid16, "T", "L1", n_time=100, seed=7),
          ("U", "L1"): make_series(grid16, "U", "L1", n_time=100, seed=8),
          ("Q", "L1"): make_series(grid16, "Q", "L1", n_time=100, seed=9)}
-    stats = compute_residual_coeff(m, compute_stats(m))
+    c = as_container(tmp_path, *m.values())
+    stats = compute_residual_coeff(c, compute_stats(c))
 
     # brute-force oracle straight from the definitions
     sds = {}
@@ -100,13 +104,14 @@ def test_xi_matches_direct_oracle_three_variables(grid16):
     assert abs(prod - 1.0) < 1e-10
 
 
-def test_xi_literal_denominator_mode(grid16):
+def test_xi_literal_denominator_mode(tmp_path, grid16):
     # under the literal reading the denominator is gmean of std(T') = 1,
     # so xi reduces to the unscaled tendency std
     m = {("T", "single"): make_series(grid16, "T", n_time=20, seed=10),
          ("Q", "single"): make_series(grid16, "Q", n_time=20, seed=11)}
-    base = compute_stats(m)
-    lit = compute_residual_coeff(m, base, denominator="standardized")
+    c = as_container(tmp_path, *m.values())
+    base = compute_stats(c)
+    lit = compute_residual_coeff(c, base, denominator="standardized")
     for key, series in m.items():
         e = base.entry(*key)
         tp = (series.values - e.mu) / e.sigma
@@ -114,24 +119,40 @@ def test_xi_literal_denominator_mode(grid16):
         assert abs(lit.entry(*key).xi - sd) < 1e-10
 
 
-def test_residual_requires_two_steps(grid16):
-    m = {("T", "single"): make_series(grid16, n_time=1)}
+def test_residual_requires_two_steps(tmp_path, grid16):
+    c = as_container(tmp_path, make_series(grid16, n_time=1))
     stats = NormStats(entries={("T", "single"): __import__(
         "spherecast.preprocess", fromlist=["StatEntry"]).StatEntry(0.0, 1.0)})
     with pytest.raises(ValueError, match="2 time steps"):
-        compute_residual_coeff(m, stats)
+        compute_residual_coeff(c, stats)
 
 
-def test_normalize_at_mean_gives_zeros(grid16):
-    stats = compute_stats({("T", "single"): make_series(grid16, seed=12)})
+def test_stats_name_the_file_of_an_uneven_time_axis(tmp_path, grid16):
+    # the tendency assumes one step; the other stages take any increasing axis
+    times = [T0 + timedelta(hours=h) for h in (0, 6, 18)]
+    c = as_container(tmp_path, FieldSeries(grid16, "T", "single", times,
+                                           np.arange(3.0)[:, None, None]
+                                           * np.ones(grid16.shape)))
+    for fn in (compute_stats, compute_norm_stats,
+               lambda c: compute_residual_coeff(c, NormStats())):
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(str(c.path))}: time step "
+                                 "must be constant$"):
+            fn(c)
+    assert compute_stats(as_container(
+        tmp_path, make_series(grid16, n_time=3, step_hours=1))).step_hours == 1
+
+
+def test_normalize_at_mean_gives_zeros(tmp_path, grid16):
+    stats = compute_stats(as_container(tmp_path, make_series(grid16, seed=12)))
     e = stats.entry("T", "single")
     out = normalize(np.full(grid16.shape, e.mu), stats, "T", "single")
     np.testing.assert_allclose(out, 0.0, atol=1e-12)
 
 
-def test_normalize_with_unit_xi_is_zscore(grid16):
+def test_normalize_with_unit_xi_is_zscore(tmp_path, grid16):
     series = make_series(grid16, seed=13)
-    stats = compute_stats({("T", "single"): series})
+    stats = compute_stats(as_container(tmp_path, series))
     e = stats.entry("T", "single")
     assert e.xi == 1.0
     f = series.values[0]
@@ -139,10 +160,10 @@ def test_normalize_with_unit_xi_is_zscore(grid16):
     np.testing.assert_allclose(out, (f - e.mu) / e.sigma, rtol=1e-15)
 
 
-def test_normalize_denormalize_round_trip(grid16):
-    m = {("T", "single"): make_series(grid16, n_time=6, seed=14),
-         ("Q", "single"): make_series(grid16, "Q", n_time=6, seed=15)}
-    stats = compute_residual_coeff(m, compute_stats(m))
+def test_normalize_denormalize_round_trip(tmp_path, grid16):
+    c = as_container(tmp_path, make_series(grid16, n_time=6, seed=14),
+                     make_series(grid16, "Q", n_time=6, seed=15))
+    stats = compute_residual_coeff(c, compute_stats(c))
     rng = np.random.default_rng(16)
     f = 100.0 * rng.normal(size=grid16.shape)
     back = denormalize(normalize(f, stats, "T", "single"), stats, "T",
@@ -158,11 +179,11 @@ def test_normalize_denormalize_round_trip(grid16):
         e.mu + e.xi * e.sigma, rtol=1e-15)
 
 
-def test_series_normalize_matches_per_field_bitwise(grid16):
-    m = {("T", "single"): make_series(grid16, n_time=5, seed=18),
-         ("Q", "single"): make_series(grid16, "Q", n_time=5, seed=19)}
-    stats = compute_residual_coeff(m, compute_stats(m))
-    values = m[("T", "single")].values
+def test_series_normalize_matches_per_field_bitwise(tmp_path, grid16):
+    c = as_container(tmp_path, make_series(grid16, n_time=5, seed=18),
+                     make_series(grid16, "Q", n_time=5, seed=19))
+    stats = compute_residual_coeff(c, compute_stats(c))
+    values = c.values(slice(None), "T")
     for transform in (normalize, denormalize):
         whole = transform(values, stats, "T", "single")
         assert whole.shape == values.shape
@@ -171,8 +192,8 @@ def test_series_normalize_matches_per_field_bitwise(grid16):
             assert np.array_equal(whole[i], one)
 
 
-def test_missing_stats_entry(grid16):
-    stats = compute_stats({("T", "single"): make_series(grid16, seed=17)})
+def test_missing_stats_entry(tmp_path, grid16):
+    stats = compute_stats(as_container(tmp_path, make_series(grid16, seed=17)))
     with pytest.raises(KeyError, match="Z500"):
         normalize(np.zeros(grid16.shape), stats, "Z500", "single")
 
@@ -234,19 +255,19 @@ def test_day_of_year_365_leap_mapping():
     assert day_of_year_365(datetime(2020, 12, 31, tzinfo=timezone.utc)) == 365
 
 
-def test_climatology_constant_data(grid16):
+def test_climatology_constant_data(tmp_path, grid16):
     series = _hourly6_series(grid16, 730, lambda t: 7.25)
-    clim = compute_climatology({("T", "single"): series})
+    clim = compute_climatology(as_container(tmp_path, series))
     assert clim.hours == [0, 6, 12, 18]
     arr = clim.data[("T", "single")]
     np.testing.assert_allclose(arr, 7.25, rtol=1e-14)
 
 
-def test_climatology_delta_limit_reproduces_sinusoid(grid16):
+def test_climatology_delta_limit_reproduces_sinusoid(tmp_path, grid16):
     # with a vanishing Gaussian width, only same-day samples contribute
     fn = lambda t: np.sin(2 * np.pi * day_of_year_365(t) / 365.0)
     series = _hourly6_series(grid16, 730, fn)
-    clim = compute_climatology({("T", "single"): series},
+    clim = compute_climatology(as_container(tmp_path, series),
                                gaussian_std_days=1e-4)
     for d in (1, 91, 180, 270, 365):
         when = datetime(2019, 1, 1, tzinfo=timezone.utc) + timedelta(days=d - 1)
@@ -254,14 +275,17 @@ def test_climatology_delta_limit_reproduces_sinusoid(grid16):
         assert abs(got - np.sin(2 * np.pi * d / 365.0)) < 1e-12
 
 
-def test_climatology_matches_windowed_oracle(grid16):
+def _check_windowed_oracle(tmp_path, grid16, drop=None):
+    """The climatology of 2 years of 6-hourly noise, but for time row drop,
+    against a direct weighted sum over its windows."""
     rng = np.random.default_rng(21)
     start = datetime(2019, 1, 1, tzinfo=timezone.utc)
-    times = [start + timedelta(hours=6 * k) for k in range(4 * 730)]
+    times = [start + timedelta(hours=6 * k) for k in range(4 * 730)
+             if k != drop]
     vals = rng.normal(size=(len(times),) + grid16.shape)
     series = FieldSeries(grid16, "T", "single", times, vals)
     s_days = 10.0
-    clim = compute_climatology({("T", "single"): series},
+    clim = compute_climatology(as_container(tmp_path, series),
                                gaussian_std_days=s_days)
 
     doys = np.array([day_of_year_365(t) for t in times])
@@ -277,16 +301,27 @@ def test_climatology_matches_windowed_oracle(grid16):
         np.testing.assert_allclose(got, expect, atol=1e-12)
 
 
-def test_climatology_missing_window_listed(grid16):
+def test_climatology_matches_windowed_oracle(tmp_path, grid16):
+    _check_windowed_oracle(tmp_path, grid16)
+
+
+def test_climatology_takes_an_uneven_time_axis(tmp_path, grid16):
+    # without day 60's 06Z row the step is uneven, and bin (60, 6) loses a
+    # sample; the climatology used to refuse such an axis
+    _check_windowed_oracle(tmp_path, grid16, drop=59 * 4 + 1)
+
+
+def test_climatology_missing_window_listed(tmp_path, grid16):
     # half a year of data cannot cover the far side of the calendar
-    series = _hourly6_series(grid16, 60, lambda t: 1.0)
-    with pytest.raises(ValueError, match=r"\(91, 0\)"):
-        compute_climatology({("T", "single"): series})
+    c = as_container(tmp_path, _hourly6_series(grid16, 60, lambda t: 1.0))
+    with pytest.raises(ValueError,
+                       match=rf"^{re.escape(str(c.path))}: .*\(91, 0\)"):
+        compute_climatology(c)
 
 
 def test_climatology_container_round_trip(tmp_path, grid16):
     series = _hourly6_series(grid16, 730, lambda t: day_of_year_365(t) * 1.0)
-    clim = compute_climatology({("T", "single"): series})
+    clim = compute_climatology(as_container(tmp_path, series))
     path = tmp_path / "clim.gvf"
     clim.to_container(path)
     back = Climatology.from_container(path)
@@ -298,9 +333,9 @@ def test_climatology_container_round_trip(tmp_path, grid16):
 
 
 def test_normstats_json_round_trip(tmp_path, grid16):
-    m = {("T", "L1"): make_series(grid16, "T", "L1", n_time=5, seed=22),
-         ("Q", "single"): make_series(grid16, "Q", n_time=5, seed=23)}
-    stats = compute_residual_coeff(m, compute_stats(m))
+    c = as_container(tmp_path, make_series(grid16, "T", "L1", n_time=5, seed=22),
+                     make_series(grid16, "Q", n_time=5, seed=23))
+    stats = compute_residual_coeff(c, compute_stats(c))
     path = tmp_path / "stats.json"
     stats.to_json(path)
     back = NormStats.from_json(path)
@@ -311,38 +346,39 @@ def test_normstats_json_round_trip(tmp_path, grid16):
 @pytest.mark.parametrize("denominator", ["tendency", "standardized", None])
 def test_one_pass_stats_from_f32_views_match_two_passes(tmp_path, grid16,
                                                         denominator):
-    from spherecast.container import read_container, write_container
-    from spherecast.preprocess import compute_norm_stats
+    from spherecast.container import container_writer, write_container
     src = [make_series(grid16, name, "single", n_time=9, seed=seed)
            for seed, name in enumerate(("T", "Q", "U"), 40)]
     path = tmp_path / "in.gvf"
     write_container(src, path, dtype="f32")
     c = read_container(path)
-    copies = {key: c.series(*key) for key in c.keys}
+    copies = as_container(tmp_path, *(c.series(*key) for key in c.keys))
     expect = compute_stats(copies)
     if denominator is not None:
         expect = compute_residual_coeff(copies, expect, denominator)
-    # f32 views, taken one at a time, give the float64 copies' numbers
-    got = compute_norm_stats((c.view(*key) for key in c.keys), denominator)
+    # the f32 file's map gives its float64 copies' numbers
+    got = compute_norm_stats(c, denominator)
     assert got.entries == expect.entries
     assert (got.step_hours, got.denominator) == (expect.step_hours,
                                                  expect.denominator)
-    assert compute_stats(c.view(*key) for key in c.keys).entries == \
-        compute_stats(copies).entries
-    with pytest.raises(ValueError, match="empty"):
-        compute_norm_stats(iter([]))
+    assert compute_stats(c).entries == compute_stats(copies).entries
+    with container_writer(tmp_path / "none.gvf", grid16, [], [T0]):
+        pass
+    with pytest.raises(ValueError, match="none.gvf: no variables"):
+        compute_norm_stats(read_container(tmp_path / "none.gvf"))
 
 
 def test_climatology_from_f32_views_matches_float64_copies(tmp_path, grid16):
-    from spherecast.container import read_container, write_container
+    from spherecast.container import write_container
     fn = lambda t: np.cos(2 * np.pi * day_of_year_365(t) / 365.0)
     src = [_hourly6_series(grid16, 400, fn, start=T0),
            make_series(grid16, "Q", n_time=4 * 400, seed=43)]
     path = tmp_path / "in.gvf"
     write_container(src, path, dtype="f32")
     c = read_container(path)
-    expect = compute_climatology({key: c.series(*key) for key in c.keys})
-    got = compute_climatology(c.view(*key) for key in c.keys)
+    expect = compute_climatology(
+        as_container(tmp_path, *(c.series(*key) for key in c.keys)))
+    got = compute_climatology(c)
     assert got.hours == expect.hours and list(got.data) == list(expect.data)
     for key in c.keys:
         assert got.data[key].tobytes() == expect.data[key].tobytes()
@@ -350,7 +386,7 @@ def test_climatology_from_f32_views_matches_float64_copies(tmp_path, grid16):
 
 def test_climatology_from_container_reads_bins_from_the_map(tmp_path, grid16):
     series = _hourly6_series(grid16, 730, lambda t: day_of_year_365(t) * 1.0)
-    clim = compute_climatology({("T", "single"): series})
+    clim = compute_climatology(as_container(tmp_path, series))
     path = tmp_path / "clim.gvf"
     clim.to_container(path, dtype="f32")
     back = Climatology.from_container(path)

@@ -80,11 +80,15 @@ def test_write_of_read_is_byte_identical(series, dtype):
         first = tmp / "a.gvf"
         write_container(series, first, dtype=dtype, attrs={"k": [1, "x"]})
         c = read_container(first)
-        for n, read in enumerate((c.series, c.view)):
-            again = tmp / f"b{n}.gvf"
-            write_container([read(*key) for key in c.keys], again,
-                            dtype=c.dtype_name, attrs=c.attrs)
-            assert again.read_bytes() == first.read_bytes()
+        again = tmp / "b.gvf"
+        write_container([c.series(*key) for key in c.keys], again,
+                        dtype=c.dtype_name, attrs=c.attrs)
+        assert again.read_bytes() == first.read_bytes()
+        # the views of the map, in the file's dtype, write the same bytes
+        with container_writer(again, c.grid, c.variables, c.times,
+                              dtype=c.dtype_name, attrs=c.attrs) as write:
+            write([c.view(*key) for key in c.keys])
+        assert again.read_bytes() == first.read_bytes()
 
 
 def _good_container() -> bytes:
@@ -547,9 +551,10 @@ def _scored_forecast_set(directory, grid, start, f, o, c):
     write_container([FieldSeries(grid, "T", "single", times, f)], path,
                     dtype="f64",
                     attrs={"init_time": container._format_time(start)})
-    return ForecastSet([path],
-                       {key: FieldSeries(grid, "T", "single", times, o)},
-                       climatology=clim)
+    target = directory / "target.gvf"
+    write_container([FieldSeries(grid, "T", "single", times, o)], target,
+                    dtype="f64")
+    return ForecastSet([path], read_container(target), climatology=clim)
 
 
 @settings(DERANDOMIZED)

@@ -20,6 +20,7 @@ from spherecast.rollout import (ExternalForecasterError, PipelineStep,
                                 RolloutPlan, apply_postprocessing,
                                 run_rollout_to_dir)
 from spherecast.verify import ForecastSet, acc, load_forecast_set, rmse
+from conftest import as_container
 
 T0 = datetime(2020, 1, 1, tzinfo=timezone.utc)
 GRID8 = make_gaussian_grid(8, 16)
@@ -80,34 +81,33 @@ def zero_climatology(grid, keys):
 
 def rolled_out(plan, states, out_dir, climatology=None) -> ForecastSet:
     """The containers run_rollout_to_dir writes to out_dir, as a
-    ForecastSet verified against the initial states."""
+    ForecastSet verified against the initial states' container."""
     return ForecastSet(run_rollout_to_dir(plan, states, out_dir, climatology),
                        states, climatology=climatology)
 
 
 def test_persistence_repeats_initial_state_bitwise(tmp_path, grid16):
-    states = {("T", "single"): f32_series(grid16, seed=1)}
+    states = as_container(tmp_path, f32_series(grid16, seed=1))
     plan = RolloutPlan(init_times=[T0, T0 + timedelta(hours=6)],
                        step_hours=6, max_lead_hours=18)
     fs = rolled_out(plan, states, tmp_path / "fc",
-                    climatology=zero_climatology(grid16, states))
+                    climatology=zero_climatology(grid16, states.keys))
     assert fs.init_times == plan.init_times
     for t_i in plan.init_times:
-        initial = states[("T", "single")].values[
-            states[("T", "single")].index(t_i)]
-        series = fs.forecast(t_i)[("T", "single")]
-        assert len(series) == 4
-        for i in range(len(series)):
-            assert np.array_equal(series.values[i], initial)
+        initial = states.values(states.times.index(t_i), "T")
+        forecast = fs.forecast(t_i)
+        assert len(forecast.times) == 4
+        for i in range(4):
+            assert np.array_equal(forecast.values(i, "T"), initial)
 
 
 def test_persistence_scores_at_lead_zero(tmp_path, grid16):
-    states = {("T", "single"): f32_series(grid16, seed=2)}
+    states = as_container(tmp_path, f32_series(grid16, seed=2))
     plan = RolloutPlan(init_times=[T0, T0 + timedelta(hours=6),
                                    T0 + timedelta(hours=12)],
                        step_hours=6, max_lead_hours=12)
     fs = rolled_out(plan, states, tmp_path / "fc",
-                    climatology=zero_climatology(grid16, states))
+                    climatology=zero_climatology(grid16, states.keys))
     r = rmse(fs, "T", lead_hours=0, n_boot=10, seed=0)
     assert np.all(r.values == 0.0)
     a = acc(fs, "T", lead_hours=0, n_boot=10, seed=0)
@@ -116,7 +116,7 @@ def test_persistence_scores_at_lead_zero(tmp_path, grid16):
 
 def test_climatology_forecaster_emits_climatology_and_zero_acc(tmp_path,
                                                               grid16):
-    states = {("T", "single"): f32_series(grid16, seed=3)}
+    states = as_container(tmp_path, f32_series(grid16, seed=3))
     rng = np.random.default_rng(4)
     clim = Climatology(grid=grid16, hours=[0, 6, 12, 18], window_days=61,
                        std_days=10.0,
@@ -126,9 +126,9 @@ def test_climatology_forecaster_emits_climatology_and_zero_acc(tmp_path,
     plan = RolloutPlan(init_times=[T0], step_hours=6, max_lead_hours=12,
                        forecaster="climatology", state_dtype="f64")
     fs = rolled_out(plan, states, tmp_path / "fc", climatology=clim)
-    series = fs.forecast(T0)[("T", "single")]
-    for i, t in enumerate(series.times):
-        assert np.array_equal(series.values[i],
+    forecast = fs.forecast(T0)
+    for i, t in enumerate(forecast.times):
+        assert np.array_equal(forecast.values(i, "T"),
                               clim.values("T", "single", t))
     # zero-anomaly forecast correlates to exactly zero by convention
     a = acc(fs, "T", lead_hours=6, n_boot=10, seed=0)
@@ -138,8 +138,8 @@ def test_climatology_forecaster_emits_climatology_and_zero_acc(tmp_path,
 def test_external_identity_command_reproduces_persistence(tmp_path, grid16):
     script = tmp_path / "identity.py"
     script.write_text(IDENTITY_SCRIPT)
-    states = {("T", "single"): f32_series(grid16, n_time=6, seed=5),
-              ("Q", "single"): f32_series(grid16, n_time=6, seed=6, variable="Q")}
+    states = as_container(tmp_path, f32_series(grid16, n_time=6, seed=5),
+                          f32_series(grid16, n_time=6, seed=6, variable="Q"))
     plan_ext = RolloutPlan(
         init_times=[T0], step_hours=6, max_lead_hours=30,
         forecaster="external",
@@ -155,9 +155,8 @@ def test_external_rollout_post_processes_the_state_before_each_step(
         tmp_path, grid16):
     script = tmp_path / "identity.py"
     script.write_text(IDENTITY_SCRIPT)
-    states = {("T", "single"): f32_series(grid16, n_time=4, seed=17),
-              ("Q", "single"): f32_series(grid16, n_time=4, seed=18,
-                                          variable="Q")}
+    states = as_container(tmp_path, f32_series(grid16, n_time=4, seed=17),
+                          f32_series(grid16, n_time=4, seed=18, variable="Q"))
     steps = [PipelineStep(kind="clamp_nonnegative", params={"floor": 0.5},
                           variables=("Q",)),
              PipelineStep(kind="laplacian_diffuse",
@@ -170,7 +169,7 @@ def test_external_rollout_post_processes_the_state_before_each_step(
     forecast = read_container(path)
     # each step's input goes to the forecaster as f32, and comes back;
     # each lead is written as f32
-    expect = {key: s.values[0] for key, s in states.items()}
+    expect = {key: states.values(0, *key) for key in states.keys}
     for k in range(4):
         expect = {key: values.astype(np.float32).astype(np.float64)
                   for key, values in expect.items()}
@@ -182,7 +181,7 @@ def test_external_rollout_post_processes_the_state_before_each_step(
 def test_external_nonzero_exit_raises(tmp_path, grid16):
     script = tmp_path / "fail.py"
     script.write_text(FAILING_SCRIPT)
-    states = {("T", "single"): f32_series(grid16, n_time=2, seed=7)}
+    states = as_container(tmp_path, f32_series(grid16, n_time=2, seed=7))
     plan = RolloutPlan(init_times=[T0], step_hours=6, max_lead_hours=6,
                        forecaster="external",
                        external_command=[sys.executable, str(script)])
@@ -193,7 +192,7 @@ def test_external_nonzero_exit_raises(tmp_path, grid16):
 def test_external_malformed_output_raises(tmp_path, grid16):
     script = tmp_path / "garbage.py"
     script.write_text(GARBAGE_SCRIPT)
-    states = {("T", "single"): f32_series(grid16, n_time=2, seed=8)}
+    states = as_container(tmp_path, f32_series(grid16, n_time=2, seed=8))
     plan = RolloutPlan(init_times=[T0], step_hours=6, max_lead_hours=6,
                        forecaster="external",
                        external_command=[sys.executable, str(script)])
@@ -233,7 +232,7 @@ def test_timed_out_external_step_leaves_no_process_in_its_group(
     # the shell forks sleep rather than exec'ing it, so killing only the
     # shell would leave sleep running
     script.write_text(f"sleep 7.77 &\necho $$ $! > {pids}\nwait\n")
-    states = {("T", "single"): f32_series(grid16, n_time=2, seed=8)}
+    states = as_container(tmp_path, f32_series(grid16, n_time=2, seed=8))
     plan = RolloutPlan(init_times=[T0], step_hours=6, max_lead_hours=6,
                        forecaster="external",
                        external_command=["sh", str(script)])
@@ -254,7 +253,7 @@ def test_timed_out_external_step_leaves_no_process_in_its_group(
 
 
 def test_missing_initial_state_raises(tmp_path, grid16):
-    states = {("T", "single"): f32_series(grid16, n_time=2, seed=9)}
+    states = as_container(tmp_path, f32_series(grid16, n_time=2, seed=9))
     plan = RolloutPlan(init_times=[T0 + timedelta(hours=36)], step_hours=6,
                        max_lead_hours=6)
     with pytest.raises(KeyError):
@@ -262,14 +261,17 @@ def test_missing_initial_state_raises(tmp_path, grid16):
 
 
 def test_rollout_to_dir_checks_every_init_before_writing(tmp_path, grid16):
-    states = {("T", "single"): f32_series(grid16, n_time=3, seed=13)}
+    series = f32_series(grid16, n_time=3, seed=13)
+    states = as_container(tmp_path, series)
     plan = RolloutPlan(init_times=[T0, T0 + timedelta(hours=6),
                                    T0 + timedelta(hours=48)],
                        step_hours=6, max_lead_hours=6)
-    with pytest.raises(KeyError, match="T \\(single\\)"):
+    with pytest.raises(KeyError, match=re.escape(
+            f"{states.path}: init time 2020-01-03T00:00:00+00:00 not in")):
         run_rollout_to_dir(plan, states, tmp_path / "fc")
     assert not list(tmp_path.glob("fc/*.gvf"))
-    states[("T", "single")].values[1, 0, 0] = np.nan
+    series.values[1, 0, 0] = np.nan
+    states = as_container(tmp_path, series)
     plan = RolloutPlan(init_times=[T0, T0 + timedelta(hours=6)],
                        step_hours=6, max_lead_hours=6)
     with pytest.raises(ValueError, match="non-finite initial state T"):
@@ -451,9 +453,8 @@ def test_forecaster_failing_in_the_second_init_leaves_the_first_whole(
     # 3 steps per init: the 5th call is the second step of the second init
     script = tmp_path / "fail_on_call.py"
     script.write_text("FAIL = 5\n" + FAIL_ON_CALL_SCRIPT)
-    states = {("T", "single"): f32_series(grid16, n_time=4, seed=15),
-              ("Q", "single"): f32_series(grid16, n_time=4, seed=16,
-                                          variable="Q")}
+    states = as_container(tmp_path, f32_series(grid16, n_time=4, seed=15),
+                          f32_series(grid16, n_time=4, seed=16, variable="Q"))
     second = T0 + timedelta(hours=6)
     plan = RolloutPlan(init_times=[T0, second], step_hours=6,
                        max_lead_hours=18, forecaster="external",
@@ -472,18 +473,15 @@ def test_forecaster_failing_in_the_second_init_leaves_the_first_whole(
 
 
 def test_rollout_to_dir_round_trip(tmp_path, grid16):
-    states = {("T", "single"): f32_series(grid16, n_time=4, seed=11)}
+    states = as_container(tmp_path, f32_series(grid16, n_time=4, seed=11))
     plan = RolloutPlan(init_times=[T0, T0 + timedelta(hours=6)], step_hours=6,
                        max_lead_hours=12)
     out_dir = tmp_path / "fc"
     paths = run_rollout_to_dir(plan, states, out_dir)
     assert len(paths) == 2
     clim_path = tmp_path / "clim.gvf"
-    zero_climatology(grid16, states).to_container(clim_path)
-    target_path = tmp_path / "target.gvf"
-    from spherecast.container import write_container
-    write_container(states, target_path, dtype="f32")
-    fs = load_forecast_set(out_dir, target_path, climatology_path=clim_path)
+    zero_climatology(grid16, states.keys).to_container(clim_path)
+    fs = load_forecast_set(out_dir, states.path, climatology_path=clim_path)
     assert fs.init_times == plan.init_times
     r = rmse(fs, "T", lead_hours=0, n_boot=10, seed=0)
     assert np.all(r.values == 0.0)
@@ -496,7 +494,7 @@ def test_external_timeout_raises_naming_init_and_limit(tmp_path, grid16,
     monkeypatch.setattr(rollout, "_EXTERNAL_TIMEOUT_S", 0.5)
     script = tmp_path / "hang.py"
     script.write_text("import time; time.sleep(30)\n")
-    states = {("T", "single"): f32_series(grid16, n_time=2, seed=10)}
+    states = as_container(tmp_path, f32_series(grid16, n_time=2, seed=10))
     plan = RolloutPlan(init_times=[T0], step_hours=6, max_lead_hours=6,
                        forecaster="external",
                        external_command=[sys.executable, str(script)])

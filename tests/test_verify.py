@@ -1,3 +1,4 @@
+import re
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from spherecast.verify import (ForecastSet, acc, acc_field,
                                rmse, rmse_field, score_records,
                                skill_relation_check, spatial_correlation,
                                weighted_mean, write_correlation_csv)
+from conftest import as_container
 
 T0 = datetime(2020, 1, 1, tzinfo=timezone.utc)
 HOURS = [0, 6, 12, 18]
@@ -31,13 +33,15 @@ def build_set(directory, grid, target_vals, forecast_fn, n_init=4, n_lead=3,
     -> field.
 
     Each init's forecast is written to directory/init_<i>.gvf, tagged with
-    its init time as rollout.run_rollout_to_dir tags it (f64 files hold
-    any values exactly); the target and the climatology stay in memory.
+    its init time as rollout.run_rollout_to_dir tags it, and the target
+    to a file beside directory (f64 files hold any values exactly); the
+    climatology stays in memory.
     """
     n_times = n_init + n_lead
     times = [T0 + timedelta(hours=step_hours * k) for k in range(n_times)]
     key = (variable, "single")
-    target = {key: FieldSeries(grid, variable, "single", times, target_vals)}
+    target = as_container(directory.parent, FieldSeries(
+        grid, variable, "single", times, target_vals))
     directory.mkdir(parents=True, exist_ok=True)
     paths = []
     for i in range(n_init):
@@ -267,7 +271,8 @@ def test_forecast_set_names_the_file_of_a_bad_init_time(tmp_path, grid16):
     fs = build_set(tmp_path / "fc", grid16, target_vals,
                    lambda i, k: target_vals[i + k], n_init=2)
     bad = tmp_path / "bad.gvf"
-    write_container(fs.forecast(T0), bad, attrs={"init_time": "2020-1-1"})
+    write_container([fs.forecast(T0).series("T")], bad,
+                    attrs={"init_time": "2020-1-1"})
     with pytest.raises(ContainerError) as exc:
         ForecastSet([bad], fs.target)
     assert str(exc.value).startswith(f"{bad}: attrs init_time: '2020-1-1' ")
@@ -279,23 +284,24 @@ def test_forecast_set_rejects_uncovered_and_non_finite_target(tmp_path,
     target_vals = rng.normal(size=(7,) + grid16.shape)
     fs = build_set(tmp_path / "fc", grid16, target_vals,
                    lambda i, k: target_vals[i + k])
-    short = {key: FieldSeries(grid16, "T", "single", s.times[:-1],
-                              s.values[:-1]) for key, s in fs.target.items()}
+    times = fs.target.times
+    short = as_container(tmp_path, FieldSeries(grid16, "T", "single",
+                                               times[:-1], target_vals[:-1]))
     paths = list(fs.forecasts.values())
     with pytest.raises(ValueError, match="does not cover"):
         ForecastSet(paths, short)
     bad = target_vals.copy()
     bad[5, 0, 0] = np.inf
-    nan_target = {key: FieldSeries(grid16, "T", "single", s.times, bad)
-                  for key, s in fs.target.items()}
-    with pytest.raises(ValueError, match="non-finite target T"):
+    nan_target = as_container(tmp_path, FieldSeries(grid16, "T", "single",
+                                                    times, bad))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{nan_target.path}: non-finite target T")):
         ForecastSet(paths, nan_target)
     # a target row no forecast verifies against is not inspected
     extra = np.concatenate([target_vals, np.full((1,) + grid16.shape, np.nan)])
-    times = fs.target[("T", "single")].times
-    long = {("T", "single"): FieldSeries(
-        grid16, "T", "single", times + [times[-1] + timedelta(hours=6)], extra)}
-    ForecastSet(paths, long)
+    ForecastSet(paths, as_container(tmp_path, FieldSeries(
+        grid16, "T", "single", times + [times[-1] + timedelta(hours=6)],
+        extra)))
 
 
 def test_no_matched_pairs_raises(tmp_path, grid16):
@@ -455,7 +461,7 @@ def test_forecast_set_scores_equal_per_field_scores(tmp_path, grid16):
                    lambda i, k: fvals[i, k], n_init=5, n_lead=4,
                    clim_value=0.25, dtype="f32")
     target_path, clim_path = tmp_path / "target.gvf", tmp_path / "clim.gvf"
-    write_container(fs.target, target_path, dtype="f32")
+    write_container([fs.target.series("T")], target_path, dtype="f32")
     fs.climatology.to_container(clim_path)
     disk = load_forecast_set(tmp_path / "fc", target_path,
                              climatology_path=clim_path)
@@ -504,7 +510,7 @@ def test_verify_opens_each_forecast_file_twice(tmp_path, grid16,
                    lambda i, k: target_vals[i + k] + rng.normal(), n_init=5,
                    dtype="f32")
     target_path, clim_path = tmp_path / "target.gvf", tmp_path / "clim.gvf"
-    write_container(fs.target, target_path, dtype="f32")
+    write_container([fs.target.series("T")], target_path, dtype="f32")
     fs.climatology.to_container(clim_path)
     paths = list(fs.forecasts.values())
     opened = []
