@@ -23,7 +23,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import container as cio
-from .container import ContainerError, container_writer, read_container
+from .container import (ContainerError, check_agreement, container_writer,
+                        read_container)
 from .grid import default_units, make_equiangular_grid, make_gaussian_grid
 from .padding import PadSpec, pad
 from .preprocess import (Climatology, NormStats, climatology_bins,
@@ -207,6 +208,7 @@ def _map_rows(cfg, c, transform, grid=None, units=None, attrs=None):
 def _cmd_normalize(cfg):
     c = read_container(cfg["input"])
     stats = NormStats.from_json(cfg["stats"])
+    check_agreement(stats, c.keys)
     _map_rows(cfg, c, lambda values, key: normalize(values, stats, *key,
                                                     out=values), units="1")
 
@@ -214,6 +216,7 @@ def _cmd_normalize(cfg):
 def _cmd_denormalize(cfg):
     c = read_container(cfg["input"])
     stats = NormStats.from_json(cfg["stats"])
+    check_agreement(stats, c.keys)
     _map_rows(cfg, c, lambda values, key: denormalize(values, stats, *key,
                                                       out=values))
 
@@ -370,29 +373,36 @@ def _cmd_verify(cfg):
     cio.write_scores(records, cfg["output"], format=cfg["format"])
 
 
-def _mean_correlation(path, weighted):
-    """Correlation matrix of a container's variables, averaged over times."""
-    c = read_container(path)
+def _mean_correlation(c, keys, weighted):
+    """Correlation matrix of container c's variables keys, in that order,
+    averaged over times."""
+    cols = [c.index(*key) for key in keys]
     matrices = []
     for i in range(len(c.times)):
-        block = c.block(i)
-        for values, key in zip(block, c.keys):
+        block = c.block(i)[cols]
+        for values, key in zip(block, keys):
             _finite(c, values, *key)
-        matrices.append(spatial_correlation(block, c.keys, c.grid,
+        matrices.append(spatial_correlation(block, keys, c.grid,
                                             weighted=weighted))
     return average_correlations(matrices)
 
 
 def _cmd_correlate(cfg):
+    """Both inputs are read and checked before anything is written."""
     if cfg["difference_output"] and not cfg["reference"]:
         raise UsageError("--difference-output applies with --reference only")
-    mean = _mean_correlation(cfg["input"], cfg["weighted"])
-    write_correlation_csv(mean, cfg["output"])
+    c = read_container(cfg["input"])
+    mean = _mean_correlation(c, c.keys, cfg["weighted"])
+    outputs = [(cfg["output"], None)]
     if cfg["reference"]:
-        ref = _mean_correlation(cfg["reference"], cfg["weighted"])
-        diff = correlation_difference(mean, ref)
-        diff_path = cfg["difference_output"] or str(cfg["output"]) + ".diff.csv"
-        write_correlation_csv(mean, diff_path, values=diff)
+        ref = read_container(cfg["reference"])
+        check_agreement(ref, c.keys)  # a reference may be on another grid
+        outputs.append((
+            cfg["difference_output"] or str(cfg["output"]) + ".diff.csv",
+            correlation_difference(
+                mean, _mean_correlation(ref, c.keys, cfg["weighted"]))))
+    for path, values in outputs:
+        write_correlation_csv(mean, path, values=values)
 
 
 def _pipeline(text) -> list[PipelineStep]:

@@ -35,6 +35,7 @@ __all__ = [
     "ContainerError",
     "Container",
     "atomic_write",
+    "check_agreement",
     "container_writer",
     "first_non_finite",
     "release",
@@ -252,6 +253,31 @@ class Container:
         indexed, so convert what you take from it to float64 before any
         arithmetic."""
         return self._data[:, self.index(variable, level)]
+
+
+def _grid_name(grid: GridSpec) -> str:
+    origin = f" from lon {grid.lon_origin:g}" if grid.lon_origin else ""
+    return f"{grid.kind} {grid.n_lat}x{grid.n_lon}{origin}"
+
+
+def check_agreement(other, keys, grid: GridSpec | None = None,
+                    exact: bool = False) -> None:
+    """Raise ValueError unless other, the second file a stage reads (a
+    Container, a Climatology or NormStats), is on grid, if one is given,
+    and holds every (variable, level) of keys, those the first file needs
+    from it; with exact, it may hold no others.  The error names other's
+    file (its type when it has no path) and the two grids or the first
+    key that differs.  Only headers are compared."""
+    where = other.path or type(other).__name__.lower()
+    if grid is not None and other.grid != grid:
+        raise ValueError(f"{where}: grid {_grid_name(other.grid)}, expected "
+                         f"{_grid_name(grid)}")
+    keys, theirs = list(keys), other.keys
+    absent = ([("no", k) for k in keys if k not in theirs]
+              + [("unexpected", k) for k in theirs if exact and k not in keys])
+    if absent:
+        word, (name, level) = absent[0]
+        raise ValueError(f"{where}: {word} variable {name} ({level})")
 
 
 # bytes of one block: a stage touches at most this much of a file's map

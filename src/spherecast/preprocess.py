@@ -49,12 +49,18 @@ class StatEntry:
 
 @dataclass
 class NormStats:
-    """Per (variable, level) mean, std, and residual coefficient."""
+    """Per (variable, level) mean, std, and residual coefficient; path is
+    the file from_json read, or None."""
 
     entries: dict[tuple[str, str], StatEntry] = dc_field(default_factory=dict)
     step_hours: float | None = None
     period: tuple[str, str] | None = None
     denominator: str = "tendency"
+    path: Path | None = None
+
+    @property
+    def keys(self) -> list[tuple[str, str]]:
+        return list(self.entries)
 
     def entry(self, variable: str, level: str) -> StatEntry:
         try:
@@ -94,7 +100,8 @@ class NormStats:
             raise ValueError(f"{path}: {exc}") from None
         return cls(entries=entries, step_hours=doc.get("step_hours"),
                    period=tuple(period) if period else None,
-                   denominator=doc.get("denominator", "tendency"))
+                   denominator=doc.get("denominator", "tendency"),
+                   path=Path(path))
 
 
 def _stat_entries(doc) -> dict[tuple[str, str], StatEntry]:
@@ -254,8 +261,8 @@ def compute_norm_stats(c: Container, denominator: str | None = "tendency",
     time step must be constant; stats.step_hours records it."""
     if denominator is not None:
         _check_denominator(denominator)
-    if not c.keys:
-        raise ValueError(f"{c.path}: no variables")
+    if not (c.times and c.keys):
+        raise ValueError(f"{c.path}: no {'times' if c.keys else 'variables'}")
     stats = NormStats(step_hours=_step_hours(c))
     rows = np.arange(len(c.times))
     if period is not None:
@@ -350,8 +357,8 @@ class Climatology:
         when = ensure_utc(when)
         if when.hour not in self.hours:
             raise KeyError(
-                f"climatology has no hour-of-day bin for {when.hour:02d}Z "
-                f"(available: {self.hours})")
+                f"{self.path or 'climatology'}: no hour-of-day bin for "
+                f"{when.hour:02d}Z (available: {self.hours})")
         return ((day_of_year_365(when) - 1) * len(self.hours)
                 + self.hours.index(when.hour))
 

@@ -27,8 +27,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .container import (Container, container_writer, first_non_finite,
-                        read_container, release, _format_time)
+from .container import (Container, check_agreement, container_writer,
+                        first_non_finite, read_container, release,
+                        _format_time)
 from .filters import (DiffusionSpec, PoleFilterSpec, _number, diffuse_values,
                       pole_filter_values)
 from .grid import ensure_utc
@@ -228,21 +229,15 @@ def _run_external_step(command: list[str], state: np.ndarray, variables,
             f"{when.isoformat()}: {last_line[:500]}")
     try:
         c = read_container(out_path)
+        check_agreement(c, [(name, level) for name, level, _ in variables],
+                        grid)
     except Exception as exc:
         raise ExternalForecasterError(
-            f"external forecaster wrote an unreadable state at "
-            f"{when.isoformat()}: {exc}") from exc
-    if c.grid != grid:
-        raise ExternalForecasterError(
-            f"external forecaster changed the grid at {when.isoformat()}")
+            f"external forecaster wrote an unreadable or disagreeing state "
+            f"at {when.isoformat()}: {exc}") from exc
     if len(c.times) != 1:
         raise ExternalForecasterError(
             f"external state must hold exactly 1 time, got {len(c.times)}")
-    missing = [(name, level) for name, level, _ in variables
-               if (name, level) not in c.keys]
-    if missing:
-        raise ExternalForecasterError(
-            f"external state is missing variables: {missing}")
     fields = c.block(0)
     for row, (name, level, _) in zip(state, variables):
         row[...] = fields[c.index(name, level)]  # cast out of the map
@@ -316,16 +311,18 @@ def run_rollout_to_dir(plan: RolloutPlan, c: Container, out_dir,
     once.  The climatology forecaster requires a climatology and emits its
     (day, hour) field for each valid time.  Each container tags its init
     time in attrs["init_time"], which is how verify's ForecastSet reads it
-    back.  Every init is checked before the first container is opened:
-    the initial states, or the climatology bins of every valid time, must
-    be there and be finite, and are read a block at a time; a failing
-    init leaves no file, and those before it complete.  No more than one
+    back.  A climatology must agree with c (check_agreement), and every
+    init is checked before the first container is opened: the initial
+    states, or the climatology bins of every valid time, must be there and
+    be finite, and are read a block at a time; a failing init leaves no
+    file, and those before it complete.  No more than one
     state per initialization is held in memory, and rollouts are
     deterministic: no hidden randomness.
     """
     if plan.forecaster == "climatology":
         if climatology is None:
             raise ValueError("climatology forecaster requires a climatology")
+        check_agreement(climatology, c.keys, c.grid)
         climatology.check_finite(c.keys, [t_i + timedelta(hours=h)
                                           for t_i in plan.init_times
                                           for h in plan.leads])

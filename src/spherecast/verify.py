@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .container import (Container, ScoreRecord, atomic_write,
-                        first_non_finite, read_container, release,
-                        released_blocks)
+                        check_agreement, first_non_finite, read_container,
+                        release, released_blocks)
 from .grid import GridSpec, ensure_utc, metric_weights
 from .preprocess import Climatology
 
@@ -160,13 +160,14 @@ class ForecastSet:
     rollout.run_rollout_to_dir writes them (see forecast()); a file is
     opened only while its init is checked or scored.  Valid times are init
     + lead for every lead (lead 0 first); target is the Container of the
-    verifying fields, whose time axis is indexed once (target_rows).  No
-    two files may hold one init, every forecast valid time must be covered
-    by the target, every file must be on the target's grid, and every
-    forecast and every target row it verifies against must be finite; the
-    forecasts are checked one init at a time, and an error about a
-    forecast names its file.  Files are read a block of rows at a time,
-    and the map under each block is released after it.
+    verifying fields, whose time axis is indexed once (target_rows).  Each
+    forecast must agree (check_agreement) with the first one on grid and
+    variables, and so must the target and the climatology.  No two files
+    may hold one init, every forecast valid time must be covered by the
+    target, and every forecast and every target row it verifies against
+    must be finite; the forecasts are checked one init at a time, and an
+    error about a forecast names its file.  Files are read a block of rows
+    at a time, and the map under each block is released after it.
     """
 
     def __init__(self, forecasts, target: Container,
@@ -179,50 +180,41 @@ class ForecastSet:
         self.target_rows = {t: i for i, t in enumerate(target.times)}
         self.climatology = climatology
         self.grid: GridSpec = target.grid
-        self._leads, used, self._keys = {}, {}, None
+        self._leads, used, self._keys = {}, set(), None
         for path in paths:
             fc = read_container(path)
+            if self._keys is None:  # the first forecast, once
+                self._keys = fc.keys
+                check_agreement(target, fc.keys, fc.grid)
+                if climatology is not None:
+                    check_agreement(climatology, fc.keys, fc.grid)
+            check_agreement(fc, self._keys, self.grid, exact=True)
             t_i = fc.init_time or fc.times[0]
             if t_i in self.forecasts:
                 raise ValueError(f"{self.forecasts[t_i]} and {path} both hold "
                                  f"init {t_i.isoformat()}")
             self.forecasts[t_i] = path
-            self._leads[t_i] = self._check_init(t_i, fc, used)
-            self._keys = self._keys or fc.keys
-        for key, rows in used.items():
-            bad = first_non_finite(target.view(*key), sorted(rows))
+            where = f"{path}: init {t_i.isoformat()}"
+            rows = [self.target_rows.get(t) for t in fc.times]
+            if None in rows:
+                raise ValueError(
+                    f"{where}: target does not cover forecast valid time "
+                    f"{fc.times[rows.index(None)].isoformat()}")
+            used.update(rows)  # the target rows every variable verifies
+            bad = first_non_finite(fc.block(slice(None)), range(len(fc.times)))
+            if bad:
+                name, level = fc.keys[bad[1]]
+                raise ValueError(
+                    f"{where}: {name} ({level}): non-finite forecast values")
+            self._leads[t_i] = {int((t - t_i).total_seconds() // 3600)
+                                for t in fc.times}
+        for key in self._keys:
+            bad = first_non_finite(target.view(*key), sorted(used))
             if bad:
                 raise ValueError(
                     f"{target.path}: non-finite target {key[0]} ({key[1]}) "
                     f"at {target.times[bad[0]].isoformat()}")
         self.weights = metric_weights(self.grid)
-
-    def _check_init(self, t_i: datetime, fc: Container, used: dict
-                    ) -> set[int]:
-        """Check the forecast container fc of one init, adding the target
-        rows each of its variables verifies against to used; the set of
-        its lead hours."""
-        where = f"{fc.path}: init {t_i.isoformat()}"
-        if fc.grid != self.grid:
-            raise ValueError(f"{where}: forecast is on a different grid than "
-                             "the target")
-        for name, level in fc.keys:
-            if (name, level) not in self.target.keys:
-                raise ValueError(
-                    f"{where}: {name} ({level}): target has no such series")
-        rows = [self.target_rows.get(t) for t in fc.times]
-        if None in rows:
-            raise ValueError(
-                f"{where}: target does not cover forecast valid time "
-                f"{fc.times[rows.index(None)].isoformat()}")
-        for key in fc.keys:
-            used.setdefault(key, set()).update(rows)
-        bad = first_non_finite(fc.block(slice(None)), range(len(fc.times)))
-        if bad:
-            name, level = fc.keys[bad[1]]
-            raise ValueError(
-                f"{where}: {name} ({level}): non-finite forecast values")
-        return {int((t - t_i).total_seconds() // 3600) for t in fc.times}
 
     @property
     def init_times(self) -> list[datetime]:
@@ -277,8 +269,7 @@ def _per_init(fs: ForecastSet, cells, metrics
         rows = {t: i for i, t in enumerate(fc.times)}
         reached = {}  # forecast row -> {key: the cell that row of key verifies}
         for (key, lead), cell in found.items():
-            row = (rows.get(t_i + timedelta(hours=lead)) if key in views
-                   else None)
+            row = rows.get(t_i + timedelta(hours=lead))
             if row is not None:
                 reached.setdefault(row, {})[key] = cell
         run_rows = sorted(reached)

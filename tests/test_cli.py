@@ -1586,3 +1586,202 @@ def test_non_finite_initial_state_and_target_name_their_file(tmp_path,
     assert err.startswith(f"error: {bad}: non-finite target T (single) at "
                           f"{series.times[1].isoformat()}")
     assert not scores.exists()
+
+
+def _write_states(path, grid, names=("T", "Q"), n_time=8, seed=70):
+    """An f32 container of names (level single) on grid, 6-hourly from T0."""
+    rng = np.random.default_rng(seed)
+    times = [T0 + timedelta(hours=6 * k) for k in range(n_time)]
+    write_container([FieldSeries(grid, name, "single", times,
+                                 rng.normal(size=(n_time,) + grid.shape))
+                     for name in names], path, dtype="f32")
+    return path
+
+
+def _rollout(states, out_dir, inits="2020-01-01T00:00:00,2,6"):
+    assert main(["rollout", "--initial-states", str(states), "--output-dir",
+                 str(out_dir), "--inits", inits, "--max-lead-hours", "6"]) == 0
+
+
+TQ = [("T", "single"), ("Q", "single")]
+
+
+def _verify_case(tmp, g8, g16, fault):
+    """verify's argv with one second file that disagrees, and that file."""
+    states = _write_states(tmp / "states.gvf", g8)
+    t_only = _write_states(tmp / "t_only.gvf", g8, ("T",))
+    on_g16 = _write_states(tmp / "g16.gvf", g16)
+    fc = tmp / "fc"
+    argv = ["verify", "--forecast-dir", str(fc),
+            "--output", str(tmp / "scores.csv")]
+    if fault.startswith("forecast"):
+        # the forecast of the second init, in file name order, disagrees
+        first, second = {"forecast-grid": (states, on_g16),
+                         "forecast-missing": (states, t_only),
+                         "forecast-extra": (t_only, states)}[fault]
+        _rollout(first, fc, "2020-01-01T00:00:00,1,6")
+        _rollout(second, fc, "2020-01-01T06:00:00,1,6")
+        return (argv + ["--target", str(states), "--metrics", "rmse"],
+                fc / "init_20200101T060000Z.gvf")
+    _rollout(states, fc)
+    if fault.startswith("target"):
+        target = on_g16 if fault == "target-grid" else t_only
+        return argv + ["--target", str(target), "--metrics", "rmse"], target
+    clim = (write_zero_climatology(tmp, g16, TQ) if fault == "climatology-grid"
+            else write_zero_climatology(tmp, g8, TQ[:1]))
+    return argv + ["--target", str(states), "--climatology", str(clim)], clim
+
+
+def _rollout_case(tmp, g8, g16, fault):
+    """rollout's argv with one second file that disagrees, and that file."""
+    states = _write_states(tmp / "states.gvf", g8)
+    argv = ["rollout", "--initial-states", str(states), "--output-dir",
+            str(tmp / "fc"), "--inits", "2020-01-01T00:00:00,2,6",
+            "--max-lead-hours", "6"]
+    if fault.startswith("climatology"):
+        clim = (write_zero_climatology(tmp, g16, TQ)
+                if fault == "climatology-grid"
+                else write_zero_climatology(tmp, g8, TQ[:1]))
+        return argv + ["--forecaster", "climatology",
+                       "--climatology", str(clim)], clim
+    # the external forecaster writes a state that disagrees with its input
+    state = (_write_states(tmp / "next.gvf", g16, n_time=1)
+             if fault == "external-grid"
+             else _write_states(tmp / "next.gvf", g8, ("T",), n_time=1))
+    script = tmp / "step.sh"
+    script.write_text(f'cp "{state}" "$4"\n')
+    return argv + ["--forecaster", "external",
+                   "--external-cmd", f"sh {script}"], "state_out.gvf"
+
+
+def _side_file_case(tmp, g8, g16, fault):
+    """normalize's, denormalize's or correlate's argv with a second file
+    that lacks a variable of the input, and that file."""
+    if fault == "reference":
+        inp = _write_states(tmp / "in.gvf", g8, ("T", "Q", "U"))
+        ref = _write_states(tmp / "ref.gvf", g8, ("T", "Q"))
+        return ["correlate", "--input", str(inp), "--reference", str(ref),
+                "--output", str(tmp / "corr.csv")], ref
+    inp = _write_states(tmp / "in.gvf", g8)
+    stats = tmp / "stats.json"
+    stats.write_text('{"entries": {"T|single": '
+                     '{"mu": 0.0, "sigma": 1.0, "xi": 1.0}}}\n')
+    return [fault, "--input", str(inp), "--stats", str(stats),
+            "--output", str(tmp / "out.gvf")], stats
+
+
+OTHER_GRID = "grid gaussian 16x32, expected gaussian 8x16"
+NO_Q = "no variable Q (single)"
+# (subcommand, the parameter of its second file, fault, exit code, what
+# stderr says differs, and the argv builder)
+AGREEMENT_CASES = [
+    ("verify", "target", "target-grid", 3, OTHER_GRID, _verify_case),
+    ("verify", "target", "target-missing", 3, NO_Q, _verify_case),
+    ("verify", "forecast_dir", "forecast-grid", 3, OTHER_GRID, _verify_case),
+    ("verify", "forecast_dir", "forecast-missing", 3, NO_Q, _verify_case),
+    ("verify", "forecast_dir", "forecast-extra", 3,
+     "unexpected variable Q (single)", _verify_case),
+    ("verify", "climatology", "climatology-grid", 3, OTHER_GRID,
+     _verify_case),
+    ("verify", "climatology", "climatology-missing", 3, NO_Q, _verify_case),
+    ("rollout", "climatology", "climatology-grid", 3, OTHER_GRID,
+     _rollout_case),
+    ("rollout", "climatology", "climatology-missing", 3, NO_Q,
+     _rollout_case),
+    ("rollout", "external_cmd", "external-grid", 2, OTHER_GRID, _rollout_case),
+    ("rollout", "external_cmd", "external-missing", 2, NO_Q, _rollout_case),
+    ("normalize", "stats", "normalize", 3, NO_Q, _side_file_case),
+    ("denormalize", "stats", "denormalize", 3, NO_Q, _side_file_case),
+    ("correlate", "reference", "reference", 3, "no variable U (single)",
+     _side_file_case),
+]
+
+
+def _files(path):
+    return {p for p in path.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize("case", AGREEMENT_CASES,
+                         ids=[f"{c[0]}-{c[2]}" for c in AGREEMENT_CASES])
+def test_disagreeing_second_file_fails_before_any_output(tmp_path, capsys,
+                                                         case):
+    # the climatology grid and the forecast variable cases used to exit 0,
+    # scoring misaligned bins or some variables over some of the inits; a
+    # missing climatology variable or stats entry used to exit 2 naming
+    # neither file, and a correlate reference to leave corr.csv behind
+    from spherecast import make_gaussian_grid
+    _, _, fault, code, what, build = case
+    argv, named = build(tmp_path, make_gaussian_grid(8, 16),
+                        make_gaussian_grid(16, 32), fault)
+    capsys.readouterr()
+    before = _files(tmp_path)
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert f"{named}: {what}" in err
+    assert err.startswith("data error: init " if code == 2
+                          else f"error: {named}: ")
+    assert _files(tmp_path) == before
+
+
+def test_every_second_input_file_is_checked_for_agreement():
+    from spherecast.cli import _COMMANDS
+    second = {(name, p.name) for name, (_, _, params) in _COMMANDS.items()
+              for p in params if p.name in ("stats", "climatology",
+                                            "reference", "target",
+                                            "forecast_dir")}
+    assert len(second) == 7
+    assert second <= {(sub, param) for sub, param, *_ in AGREEMENT_CASES}
+
+
+def test_correlate_reference_on_another_grid_is_compared(tmp_path):
+    from spherecast import make_gaussian_grid
+    inp = _write_states(tmp_path / "in.gvf", make_gaussian_grid(16, 32),
+                        ("T", "Q", "U"))
+    # the input's variables, in another order and with one more
+    ref = _write_states(tmp_path / "ref.gvf", make_gaussian_grid(32, 64),
+                        ("U", "V", "Q", "T"))
+    diff = tmp_path / "diff.csv"
+    assert main(["correlate", "--input", str(inp), "--reference", str(ref),
+                 "--output", str(tmp_path / "corr.csv"),
+                 "--difference-output", str(diff)]) == 0
+    from spherecast.verify import read_correlation_csv
+    assert read_correlation_csv(diff).labels == [
+        ("T", "single"), ("Q", "single"), ("U", "single")]
+
+
+def test_stats_of_a_header_only_container_exits_three_naming_file(
+        tmp_path, grid16, capsys):
+    # used to print "error: float division by zero"
+    inp = tmp_path / "in.gvf"
+    write_container([FieldSeries(grid16, "T", "single", [],
+                                 np.zeros((0,) + grid16.shape))], inp)
+    out = tmp_path / "stats.json"
+    assert main(["stats", "--input", str(inp), "--output", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: {inp}: no times\n"
+    assert not out.exists()
+
+
+def test_climatology_without_an_hour_of_day_exits_two_naming_file(
+        tmp_path, grid16, capsys):
+    # used to print "data error: climatology has no hour-of-day bin ...",
+    # naming no file
+    states = _write_states(tmp_path / "states.gvf", grid16, ("T",))
+    clim = tmp_path / "clim12.gvf"
+    Climatology(grid=grid16, hours=[0, 12], window_days=61, std_days=10.0,
+                data={("T", "single"): np.zeros((365, 2) + grid16.shape)}
+                ).to_container(clim)
+    fc = tmp_path / "fc"
+    _rollout(states, fc)
+    expect = (f"data error: {clim}: no hour-of-day bin for 06Z "
+              "(available: [0, 12])\n")
+    outputs = tmp_path / "scores.csv", tmp_path / "clim_fc"
+    for argv in (["verify", "--forecast-dir", str(fc), "--target", str(states),
+                  "--output", str(outputs[0])],
+                 ["rollout", "--initial-states", str(states), "--output-dir",
+                  str(outputs[1]), "--forecaster", "climatology",
+                  "--inits", "2020-01-01T00:00:00,2,6",
+                  "--max-lead-hours", "6"]):
+        assert main(argv + ["--climatology", str(clim)]) == 2
+        assert capsys.readouterr().err == expect
+    assert not any(out.exists() for out in outputs)

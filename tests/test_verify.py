@@ -545,3 +545,20 @@ def test_score_cells_repeats_a_repeated_metric_or_cell(tmp_path, grid16):
         assert s.summary.n == 4
     with pytest.raises(ValueError, match="unknown metric 'mae'"):
         score_cells(fs, ["rmse", "mae"], [cell])
+
+
+def test_forecast_set_names_an_in_memory_climatology_on_another_grid(
+        tmp_path, grid16, grid32):
+    rng = np.random.default_rng(25)
+    target_vals = rng.normal(size=(7,) + grid16.shape)
+    fs = build_set(tmp_path / "fc", grid16, target_vals,
+                   lambda i, k: target_vals[i + k])
+    paths = list(fs.forecasts.values())
+    with pytest.raises(ValueError, match=re.escape(
+            "climatology: grid gaussian 32x64, expected gaussian 16x32")):
+        ForecastSet(paths, fs.target, constant_climatology(
+            grid32, [("T", "single")]))
+    with pytest.raises(ValueError, match=re.escape(
+            "climatology: no variable T (single)")):
+        ForecastSet(paths, fs.target, constant_climatology(
+            grid16, [("Q", "single")]))
