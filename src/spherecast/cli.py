@@ -222,18 +222,18 @@ def _cmd_denormalize(cfg):
 
 
 def _cmd_climatology(cfg):
-    """Each (variable, hour) bin set is written to its rows as it is made."""
+    """Each chunk of bins is written to its rows as it is made."""
     c = read_container(cfg["input"])
     bins = climatology_bins(c, window_days=cfg["window_days"],
                             gaussian_std_days=cfg["std_days"])
-    j, hours, hi, means = next(bins)
+    j, hours, hi, days, cells, means = next(bins)
     with climatology_writer(cfg["output"], c.grid, c.variables, hours,
                             cfg["window_days"], cfg["std_days"],
                             dtype=cfg["dtype"] or "f64") as put:
-        put(j, hi, means)
-        del means  # before the next bin set is made
-        for j, _, hi, means in bins:
-            put(j, hi, means)
+        put(j, hi, means, days, cells.start)
+        del means  # before the next chunk is made
+        for j, _, hi, days, cells, means in bins:
+            put(j, hi, means, days, cells.start)
             del means
 
 

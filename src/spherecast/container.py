@@ -91,8 +91,18 @@ def _grid_size(spec: dict, path: Path) -> tuple[int, int]:
     return size
 
 
+# latitudes of the largest gaussian grid a header may declare: its
+# Gauss-Legendre nodes take O(n_lat ** 2) to find (0.14 s at 2048), and a
+# header-only file has no payload to bound them
+_MAX_GAUSSIAN_LAT = 2048
+
+
 def _grid_from_json(spec: dict, path: Path) -> GridSpec:
     kind = spec.get("kind")
+    if kind == "gaussian" and spec["n_lat"] > _MAX_GAUSSIAN_LAT:
+        raise ContainerError(
+            f"{path}: invalid header: a gaussian grid may have at most "
+            f"{_MAX_GAUSSIAN_LAT} latitudes, got {spec['n_lat']}")
     if kind == "gaussian":
         return make_gaussian_grid(spec["n_lat"], spec["n_lon"],
                                   lon_origin=spec.get("lon_origin", 0.0))
@@ -247,6 +257,26 @@ class Container:
                            np.array(self._data[:, j], dtype=np.float64),
                            units=self.variables[j][2])
 
+    def read_cells(self, key, rows, cells: slice, out) -> np.ndarray:
+        """out, with out[i] set to the flattened grid cells `cells` of
+        variable key at time rows[i], in the file's dtype (out is such a
+        C-contiguous (len(rows), cells) array).  Each row's run is read
+        from the file with pread, not through the map: nothing of the file
+        stays resident, and a few cells of a row cost a copy instead of
+        the fault of a whole page-cache folio."""
+        n_cells, size = self.grid.n_lat * self.grid.n_lon, self.dtype.itemsize
+        at = self._offset + (self.index(*key) * n_cells + cells.start) * size
+        stride = len(self.variables) * n_cells * size
+        fd = os.open(self.path, os.O_RDONLY)
+        try:
+            for run, row in zip(out, rows):
+                if os.preadv(fd, [run], at + int(row) * stride) != run.nbytes:
+                    raise ContainerError(f"{self.path}: short read at time "
+                                         f"row {row}")
+        finally:
+            os.close(fd)
+        return out
+
     def view(self, variable: str, level: str = "single") -> np.ndarray:
         """Every time of one variable as a (time, n_lat, n_lon) array over
         the read-only map, in the file's dtype: nothing is read until it is
@@ -366,22 +396,18 @@ class _Writer:
         self._fh, self._path, self._grid = fh, path, grid
         self._variables, self._times = variables, times
         self._dtype, self._offset = np_dtype, offset
-        self._cell = grid.n_lat * grid.n_lon * np_dtype.itemsize
-        self._done = np.zeros((len(times), len(variables)), dtype=bool)
+        self._size = grid.n_lat * grid.n_lon
+        self._filled = np.zeros((len(times), len(variables)), dtype=np.intp)
         self._next = 0
-        self._f32 = np.empty(grid.shape, dtype=np_dtype)  # see _cast
+        self._f32 = np.empty(self._size, dtype=np_dtype)  # see _cast
 
     def _cast(self, values, row: int, j: int) -> np.ndarray:
-        """One (n_lat, n_lon) field as the file's dtype; a finite float64
-        value that becomes inf in an f32 cast raises.  An f32 cast of
-        float64 goes to one buffer that the next cast overwrites."""
-        values = np.asarray(values)
-        if values.shape != self._grid.shape:
-            raise ValueError(f"{self._path}: a field needs shape "
-                             f"{self._grid.shape}, got {values.shape}")
+        """Cells of one field as the file's dtype; a finite float64 value
+        that becomes inf in an f32 cast raises.  An f32 cast of float64
+        goes to one buffer that the next cast overwrites."""
         if values.dtype != np.float64 or self._dtype.itemsize == 8:
             return np.ascontiguousarray(values, dtype=self._dtype)
-        out = self._f32
+        out = self._f32[:values.size].reshape(values.shape)
         with np.errstate(over="ignore"):
             np.copyto(out, values)
         if math.isfinite(out.max()) and math.isfinite(out.min()):
@@ -415,9 +441,11 @@ class _Writer:
             self.at(range(self._next, self._next + k), j, values)
         self._next += k
 
-    def at(self, rows, j: int, values) -> None:
-        """Write values[i], an (n_lat, n_lon) field of variable j, at time
+    def at(self, rows, j: int, values, start: int = 0) -> None:
+        """Write values[i], an (n_lat, n_lon) field of variable j or, from
+        flat cell start of that field on, a 1-D run of its cells, at time
         row rows[i], in place, for each i."""
+        values = np.asarray(values)
         if len(rows) != len(values):
             raise ValueError(
                 f"{self._path}: {len(rows)} rows for {len(values)} fields")
@@ -425,18 +453,30 @@ class _Writer:
                 and all(0 <= row < len(self._times) for row in rows)):
             raise ValueError(
                 f"{self._path}: no cell for variable {j} at rows {rows}")
-        n_var = len(self._variables)
-        for row, field in zip(rows, values):
-            self._fh.seek(self._offset + (row * n_var + j) * self._cell)
-            self._fh.write(self._cast(field, row, j))
-            self._done[row, j] = True
+        shape = values.shape[1:]
+        if not (shape == self._grid.shape and start == 0
+                or len(shape) == 1 and 0 <= start
+                and start + shape[0] <= self._size):
+            raise ValueError(f"{self._path}: a field needs shape "
+                             f"{self._grid.shape}, or a run of at most "
+                             f"{self._size} cells from cell {start}, got "
+                             f"{shape}")
+        size = self._dtype.itemsize
+        field = self._offset + (j * self._size + start) * size
+        stride = len(self._variables) * self._size * size
+        for row, cells in zip(rows, values):
+            self._fh.seek(field + row * stride)
+            self._fh.write(self._cast(cells, row, j))
+        self._filled[list(rows), j] += math.prod(shape)
 
     def check_complete(self) -> None:
-        """Raise, naming the first one, unless every cell is written."""
-        rows = self._done.all(axis=1)
+        """Raise, naming the first one, unless every cell is written
+        (runs of cells are taken to be written once each)."""
+        done = self._filled >= self._size
+        rows = done.all(axis=1)
         if not rows.all():
             row = int(np.argmin(rows))
-            name, level, _ = self._variables[int(np.argmin(self._done[row]))]
+            name, level, _ = self._variables[int(np.argmin(done[row]))]
             raise ValueError(
                 f"{self._path}: {int(rows.sum())} of {len(self._times)} time "
                 f"rows written; {name} ({level}) at "
@@ -451,8 +491,9 @@ def container_writer(path, grid: GridSpec, variables, times,
     variables lists (name, level, units) in file order.  Yields a writer
     with two calls: write(block), where block holds, per variable in that
     order, a (k, n_lat, n_lon) array for the next k times, and
-    write.at(rows, j, values), which puts values[i] of variable j at time
-    row rows[i] wherever that row lies in the file.  Each field is cast to
+    write.at(rows, j, values, start=0), which puts values[i] of variable j
+    at time row rows[i] wherever that row lies in the file: a whole field,
+    or a run of cells from flat cell start on.  Each field is cast to
     dtype and written as it comes, so no more than one block is ever held;
     a finite float64 value beyond the f32 range raises ValueError naming
     the variable and time.  The file appears at path only once every

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import container
 from .container import (Container, ContainerError, atomic_write,
                         container_writer, first_non_finite, read_container,
                         release, released_blocks)
@@ -178,32 +179,85 @@ def _check_denominator(denominator: str) -> None:
             f"denominator must be 'tendency' or 'standardized', got {denominator!r}")
 
 
+def _pairwise_sum(fill, start: int, stop: int, leaf: int) -> np.float64:
+    """np.add.reduce of the float64 values start..stop of a flat array,
+    bit for bit, with at most leaf (>= 128) of them made at once by
+    fill(start, stop).
+
+    numpy sums a contiguous array pairwise (Higham 1993): a range of more
+    than 128 values splits at n2 = n//2 - (n//2) % 8 and its two halves
+    are summed apart and then added.  This recursion takes the same
+    splits until a range fits leaf, and np.add.reduce sums that range
+    with numpy's own splits."""
+    if stop - start <= leaf:
+        return np.add.reduce(fill(start, stop))
+    half = (stop - start) // 2
+    mid = start + half - half % 8
+    return (_pairwise_sum(fill, start, mid, leaf)
+            + _pairwise_sum(fill, mid, stop, leaf))
+
+
+def _copy_cells(out, rows, start: int, stop: int) -> np.ndarray:
+    """out[:stop - start], set to the float64 values of cells start..stop
+    of rows, a (time, cells) array flattened row after row."""
+    width, out = rows.shape[1], out[:stop - start]
+    for r in range(start // width, -(-stop // width)):
+        lo, hi = max(start, r * width), min(stop, (r + 1) * width)
+        out[lo - start:hi - start] = rows[r, lo - r * width:hi - r * width]
+    return out
+
+
 def _spreads(c: Container, key, e: StatEntry,
              denominator: str) -> tuple[float, float]:
     """(std of the one-step tendency of T' = (T - mu)/sigma, the std xi is
-    scaled by: that same one, or std(T') for "standardized"), with T, key's
-    values in c, copied to float64 a block of rows at a time, the map
-    under it released after each, and the tendency made in place."""
+    scaled by: that same one, or std(T') for "standardized"), with T,
+    key's values in c.  Each std has the bits np.std of the whole float64
+    series would give, but T' is made a block (container._BLOCK_BYTES) of
+    cells at a time for _pairwise_sum, in two reused buffers, and the map
+    under T is released after each."""
     values = c.view(*key)
     if len(values) < 2:
         raise ValueError(
             f"{c.path}: {key[0]} ({key[1]}): need at least 2 time steps for "
             f"the tendency, got {len(values)}")
-    tprime = np.empty(values.shape)  # scaled in place
-    for block in released_blocks(values, range(len(values))):
-        tprime[block] = values[block]
-    tprime -= e.mu
-    tprime /= e.sigma
-    ref = float(tprime.std()) if denominator == "standardized" else None
-    dt = tprime[:-1]  # row i becomes row i + 1 - row i, as np.diff gives
-    for i in range(len(dt)):
-        np.subtract(tprime[i + 1], tprime[i], out=dt[i])
-    dt *= dt
-    tend = float(np.sqrt(np.mean(dt)))
+    rows = values.reshape(len(values), -1)
+    n, width = rows.size, rows.shape[1]
+    leaf = max(128, container._BLOCK_BYTES // 8)
+    now, later = np.empty((2, min(leaf, n)))
+
+    def standardized(start, stop, out=now):
+        out = _copy_cells(out, rows, start, stop)
+        out -= e.mu
+        out /= e.sigma
+        return out
+
+    def tendency(start, stop):  # as np.diff along time gives, squared
+        out = standardized(start + width, stop + width, later)
+        out -= standardized(start, stop)
+        out *= out
+        release(values)
+        return out
+
+    def cells(start, stop):
+        out = standardized(start, stop)
+        release(values)
+        return out
+
+    def deviations(start, stop):
+        out = cells(start, stop)
+        out -= mean
+        out *= out
+        return out
+
+    tend = float(np.sqrt(_pairwise_sum(tendency, 0, n - width, leaf)
+                         / (n - width)))
     if not 0.0 < tend < np.inf:
         raise ValueError(f"{c.path}: {key[0]} ({key[1]}): zero or non-finite "
                          "tendency std")
-    return tend, tend if ref is None else ref
+    if denominator != "standardized":
+        return tend, tend
+    mean = _pairwise_sum(cells, 0, n, leaf) / n
+    return tend, float(np.sqrt(_pairwise_sum(deviations, 0, n, leaf) / n))
 
 
 def _rescaled(stats: NormStats, spreads: dict, denominator: str) -> NormStats:
@@ -406,12 +460,14 @@ class Climatology:
     @classmethod
     def from_container(cls, path) -> "Climatology":
         """The climatology a climatology_writer file holds, its bins left
-        views of the file's map.  ContainerError names the file and the
-        key of a malformed attrs["climatology"] block."""
+        views of the file's map.  ContainerError names the file, and the
+        key of a malformed attrs["climatology"] block, if it has none or
+        a malformed one."""
         c = read_container(path)
         meta = c.attrs.get("climatology")
         if meta is None:
-            raise ValueError(f"{path}: container has no climatology attrs")
+            raise ContainerError(
+                f"{path}: container has no climatology attrs")
         _check_climatology_attrs(meta, path)
         hours, n_h = meta["hours"], len(meta["hours"])
         if len(c.times) != 365 * n_h:
@@ -459,9 +515,11 @@ def climatology_writer(path, grid: GridSpec, variables, hours: list[int],
     Bins map to timestamps in 1995 (non-leap): day d, hour h becomes
     1995-01-01 + (d-1) days + h hours, so bin (d, hours[hi]) is time row
     (d-1) * len(hours) + hi.  variables lists (name, level, units) in file
-    order.  Yields put(j, hi, means), which writes the (365, n_lat, n_lon)
-    means of variable j at hours[hi] to their rows in place; the file
-    appears at path once every bin of every variable is written.
+    order.  Yields put(j, hi, means, days=slice(0, 365), start=0), which
+    writes means[k], the mean of variable j at hours[hi] on the k-th day
+    of days (day 1 is 0), to its row in place: an (n_lat, n_lon) field,
+    or a run of its cells from flat cell start on.  The file appears at
+    path once every bin of every variable is written.
     """
     t0 = datetime(1995, 1, 1, tzinfo=timezone.utc)
     times = [t0 + timedelta(days=d, hours=h)
@@ -470,31 +528,41 @@ def climatology_writer(path, grid: GridSpec, variables, hours: list[int],
                              "std_days": std_days, "hours": hours}}
     with container_writer(path, grid, variables, times, dtype=dtype,
                           attrs=attrs) as write:
-        yield lambda j, hi, means: write.at(
-            range(hi, len(times), len(hours)), j, means)
+        yield lambda j, hi, means, days=slice(0, 365), start=0: write.at(
+            range(hi, len(times), len(hours))[days], j, means, start)
 
 
 def _circular_day_distance(d1, d2, period: int = 365):
     d = np.abs(np.asarray(d1) - np.asarray(d2))
-    return np.minimum(d, period - d)
+    return np.minimum(d, period - d, out=d)
 
 
 def climatology_bins(c: Container, window_days: int = 61,
                      gaussian_std_days: float = 10.0):
     """Day-of-year/hour-of-day climatology of container c with
-    Gaussian-weighted windows, one (variable, hour of day) at a time.
+    Gaussian-weighted windows, one (variable, hour of day) at a time, a
+    chunk of days and of grid cells at a time.
 
     For each (day d, hour h) the climatology is the weighted mean over all
     samples at hour h whose circular day-of-year distance from d is at
     most window_days//2, with weights exp(-dd^2 / (2 s^2)), s in days,
     renormalized to sum 1.  Bins with no samples raise, listing (d, h),
-    before anything is yielded, and so does an input with no times.  Each
-    hour's window samples are gathered into one float64 buffer a block of
-    rows at a time, the map under them released after each; a non-finite
-    sample raises ValueError naming the file, its variable and its time.
-    Yields (j, hours, hi, means): j is the variable's index in c.keys,
-    hours lists the hours of day present, and means is the (365, n_lat,
-    n_lon) float64 climatology of variable j at hours[hi] for days 1..365.
+    before anything is yielded, and so does an input with no times.
+
+    The means are one matrix product of the [365 days, samples] weights
+    and the [samples, cells] samples of a variable at an hour, taken in
+    chunks (_climatology_chunks) that each hold a block or two
+    (container._BLOCK_BYTES) of float64, however long the time axis: the
+    samples a chunk of cells at a time, read from the file with
+    Container.read_cells, so no page of it stays resident, and for each
+    the weights a chunk of days at a time.  A non-finite sample raises
+    ValueError naming the file, its variable and its time.
+
+    Yields (j, hours, hi, days, cells, means): j is the variable's index
+    in c.keys, hours lists the hours of day present, days is a slice of
+    range(365) (day 1 is 0), cells a slice of the flattened grid, and
+    means the (days, cells) float64 climatology of variable j at
+    hours[hi] there.
     """
     if window_days < 1 or window_days % 2 == 0:
         raise ValueError(f"window_days must be odd and positive, got {window_days}")
@@ -503,25 +571,72 @@ def climatology_bins(c: Container, window_days: int = 61,
     if not (c.times and c.keys):
         raise ValueError(f"{c.path}: climatology input has no "
                          f"{'times' if c.keys else 'variables'}")
-    hours, weights = _window_weights(c, window_days // 2, gaussian_std_days)
-    samples = np.empty((max(len(idx) for idx, _ in weights.values()),
-                        c.grid.n_lat * c.grid.n_lon))
+    half = window_days // 2
+    hours, samples = _hour_samples(c, half, gaussian_std_days)
     for j, key in enumerate(c.keys):
-        flat = c.view(*key).reshape(len(c.times), -1)
-        for hi, h in enumerate(hours):
-            idx, w = weights[h]
-            for block in released_blocks(flat, idx):
-                gathered = samples[block]
-                gathered[...] = flat[idx[block]]
+        for hi, (idx, doys) in enumerate(samples):
+            day_chunks, cell_chunks = _climatology_chunks(
+                len(idx), c.grid.n_lat * c.grid.n_lon)
+            width = max(s.stop - s.start for s in cell_chunks)
+            buffer = np.empty(len(idx) * width)
+            read = np.empty((_READ_ROWS, width), dtype=c.dtype)
+            w = None  # made once if it is one chunk of days
+            for cells in cell_chunks:
+                gathered = buffer[:len(idx) * (cells.stop - cells.start)
+                                  ].reshape(len(idx), -1)
+                for r in range(0, len(idx), _READ_ROWS):
+                    rows = idx[r:r + _READ_ROWS]
+                    gathered[r:r + len(rows)] = c.read_cells(
+                        key, rows, cells, read[:len(rows), :gathered.shape[1]])
                 finite = np.isfinite(gathered).all(axis=1)
                 if not finite.all():
-                    when = c.times[idx[block][np.argmin(finite)]]
+                    when = c.times[idx[np.argmin(finite)]]
                     raise ValueError(f"{c.path}: non-finite values in "
                                      f"{key[0]} ({key[1]}) at "
                                      f"{when.isoformat()}")
-            # nothing here keeps a yielded bin set once the caller drops it
-            yield j, hours, hi, (
-                w @ samples[:len(idx)]).reshape((365,) + c.grid.shape)
+                for days in day_chunks:
+                    if w is None or len(day_chunks) > 1:
+                        w = _window_weights(doys, days, half,
+                                            gaussian_std_days)
+                    yield j, hours, hi, days, cells, w @ gathered
+
+
+# time rows of a chunk of samples read at once, in the file's dtype, before
+# they are taken to float64
+_READ_ROWS = 64
+
+
+def _spans(n: int, width: int, align: int) -> list[slice]:
+    """range(n) as the fewest slices of at most width (a multiple of
+    align) elements, of near-equal length, each starting at a multiple of
+    align."""
+    step = -(-n // -(-n // width))
+    step += -step % align
+    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
+
+
+def _climatology_chunks(n_samples: int, n_cells: int):
+    """(day chunks, cell chunks) of the product of [365, n_samples]
+    weights and [n_samples, n_cells] samples, as slices: each chunk of
+    weights holds about a block (container._BLOCK_BYTES) of float64 or
+    less, and each chunk of samples and of their product about two.  At
+    one block the runs of cells read and written, a syscall each, cost
+    more than the product (0.5 s against 0.4 s for a 6-hourly year of
+    three variables at 64x128).
+
+    The chunks keep OpenBLAS's bits: with every chunk's product far above
+    its small-matrix and single-thread sizes, a product of chunks that
+    start at multiples of 16 days and of 8 cells equals the whole
+    product's entries, but only on a grid of a multiple of 8 cells; on any
+    other, the last few cells' sums depend on how OpenBLAS splits the
+    whole product, so it is not split."""
+    block = container._BLOCK_BYTES // 8
+    if n_cells % 8:
+        return [slice(0, 365)], [slice(0, n_cells)]
+    days = 365 if 365 * n_samples <= block else max(
+        16, block // n_samples // 16 * 16)
+    cells = max(8, 2 * block // max(n_samples, days) // 8 * 8)
+    return _spans(365, days, 16), _spans(n_cells, cells, 8)
 
 
 def compute_climatology(c: Container, window_days: int = 61,
@@ -529,38 +644,58 @@ def compute_climatology(c: Container, window_days: int = 61,
     """The climatology_bins of every variable of container c, gathered
     into a Climatology that keeps each variable's units."""
     data = {}
-    for j, hours, hi, means in climatology_bins(c, window_days,
-                                                gaussian_std_days):
-        if hi == 0:
+    for j, hours, hi, days, cells, means in climatology_bins(
+            c, window_days, gaussian_std_days):
+        if c.keys[j] not in data:
             data[c.keys[j]] = np.empty((365, len(hours)) + c.grid.shape)
-        data[c.keys[j]][:, hi] = means
+        data[c.keys[j]].reshape(365, len(hours), -1)[days, hi, cells] = means
     return Climatology(grid=c.grid, hours=hours, window_days=window_days,
                        std_days=gaussian_std_days, data=data,
                        units={(name, level): units
                               for name, level, units in c.variables})
 
 
-def _window_weights(c: Container, half: int, std_days: float):
-    """hours present in c.times, and per hour (sample rows at that hour,
-    [365 days, samples] Gaussian window weights summing to 1 per day)."""
+def _hour_samples(c: Container, half: int, std_days: float):
+    """hours present in c.times, and per hour (its time rows, their days
+    of year); ValueError, naming the file, listing the (day, hour) bins
+    whose window weights are all 0: no sample is within half a window,
+    or the nearest one's weight underflows."""
     hours = sorted({t.hour for t in c.times})
     doys = np.array([day_of_year_365(t) for t in c.times])
     t_hours = np.array([t.hour for t in c.times])
-    weights = {}
-    missing = []
+    samples, missing = [], []
     for h in hours:
         idx = np.nonzero(t_hours == h)[0]
-        dd = _circular_day_distance(np.arange(1, 366)[:, None], doys[idx][None, :])
-        w = np.exp(-dd.astype(float) ** 2 / (2.0 * std_days ** 2))
-        w[dd > half] = 0.0
-        sums = w.sum(axis=1)
-        empty = np.nonzero(sums == 0)[0]
-        missing.extend((int(d + 1), h) for d in empty)
-        sums[sums == 0] = 1.0
-        weights[h] = (idx, w / sums[:, None])
+        samples.append((idx, doys[idx]))
+        present = np.zeros(365, dtype=bool)
+        present[doys[idx] - 1] = True
+        nearest = np.full(365, half + 1)  # circular distance, up to half
+        for k in range(half, -1, -1):
+            nearest[np.roll(present, k) | np.roll(present, -k)] = k
+        empty = (nearest > half) | (np.exp(
+            -nearest.astype(float) ** 2 / (2.0 * std_days ** 2)) == 0)
+        missing.extend((int(d + 1), h) for d in np.nonzero(empty)[0])
     if missing:
         raise ValueError(
             f"{c.path}: climatology windows without samples at (day, hour): "
             + ", ".join(str(m) for m in missing[:20])
             + ("..." if len(missing) > 20 else ""))
-    return hours, weights
+    return hours, samples
+
+
+def _window_weights(doys, days: slice, half: int, std_days: float):
+    """[days, samples] Gaussian window weights, summing to 1 per day, of
+    samples on days of year doys, for days, a slice of range(365); made
+    in place, a few of its arrays at a time."""
+    dd = _circular_day_distance(np.arange(days.start + 1, days.stop + 1)[:, None],
+                                doys[None, :])
+    far = dd > half
+    w = dd.astype(float)
+    del dd
+    np.square(w, out=w)
+    np.negative(w, out=w)
+    w /= 2.0 * std_days ** 2
+    np.exp(w, out=w)
+    w[far] = 0.0
+    w /= w.sum(axis=1)[:, None]
+    return w

@@ -23,6 +23,7 @@ field), so sum_m P(m) equals the 4 pi-weighted mean square of the field.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -31,7 +32,10 @@ import numpy as np
 from .grid import GridSpec
 
 # bytes of complex Fourier rows made at once in an analysis
-_FFT_BYTES = 1 << 22
+_FFT_BYTES = 1 << 21
+# bytes of work arrays a transform keeps from one analysis to the next of
+# as many fields; an analysis that needs more makes its own
+_KEEP_BYTES = 1 << 23
 
 __all__ = [
     "HarmonicCoeffs",
@@ -175,24 +179,62 @@ class SphericalHarmonicTransform:
         self._phase = np.exp(-1j * m * lam0)                   # analysis
         self._sign = np.where(m % 2, -1.0, 1.0)                # (-1)^m
         self._n_lon = grid.n_lon
+        self._kept = {}  # stack size -> work arrays, see _work
 
-    def _fold(self, f: np.ndarray) -> np.ndarray:
+    def _work(self, n: int) -> tuple[dict, bool]:
+        """(work arrays of an analysis of n fields, whether to keep them):
+        "fold" for _fold, and "scratch", float64 that holds a chunk of
+        fields and their Fourier rows in _fold.  When the two take at
+        most _KEEP_BYTES, scratch also holds the (l, m, b) coefficients
+        after _fold, and the arrays are those the last analysis of n
+        fields kept, so a run of passes over a file makes them once; they
+        are out of the transform during a call, so calls at once never
+        share them.  Otherwise the analysis makes its coefficients apart,
+        as zeros, once fold is filled."""
+        size, h = self.l_max + 1, self._half
+        fold = (2, size, h, n + n % 2)
+        chunk = self._fft_step(n) * self.grid.n_lat * (
+            self._n_lon + 2 * (self._n_lon // 2 + 1))
+        scratch = max(size * size * 2 * n, chunk)
+        keep = 16 * math.prod(fold) + 8 * scratch <= _KEEP_BYTES
+        work = self._kept.pop(n, None) if keep else None
+        if work is None or len(work["scratch"]) < scratch:
+            work = {"fold": np.zeros(fold, dtype=np.complex128),
+                    "scratch": np.empty(scratch if keep else chunk)}
+        return work, keep
+
+    def _fft_step(self, n: int) -> int:
+        """Fields of n Fourier-transformed at once: _FFT_BYTES of rows."""
+        return max(1, min(n, _FFT_BYTES // (16 * self.grid.n_lat
+                                            * self._n_lon)))
+
+    def _fold(self, f: np.ndarray, work: dict) -> np.ndarray:
         """fold[p][m, i, b] of fields f (b, n_lat, n_lon): each mirrored
         latitude pair's Fourier sum where l+m is even and difference where
         it is odd, for degrees l of parity p, read as reals so that the
         matmul is real-by-complex.  The fields are taken to float64 and
-        transformed a chunk at a time, so a stack passed as a view of a
-        file map is never copied whole.  An odd stack gets a zero field:
-        the BLAS kernels then see whole groups of four real columns, so
-        with OpenBLAS no field's sums depend on the others in the stack
-        and any split of a stack into calls gives the same bits."""
+        transformed a chunk (_fft_step) at a time in work["scratch"], so
+        a stack passed as a view of a file map is never copied whole.
+        An odd stack gets a zero field: the BLAS kernels then see whole
+        groups of four real columns, so with OpenBLAS no field's sums
+        depend on the others in the stack and any split of a stack into
+        calls gives the same bits."""
         n, size, h = f.shape[0], self.l_max + 1, self._half
-        fold = np.zeros((2, size, h, n + n % 2), dtype=np.complex128)
-        step = max(1, _FFT_BYTES // (16 * self.grid.n_lat * self._n_lon))
+        fold, scratch = work["fold"], work["scratch"]
+        step = self._fft_step(n)
+        shape = (step, self.grid.n_lat)
+        cells = step * self.grid.n_lat * self._n_lon
+        fields = scratch[:cells].reshape(shape + (self._n_lon,))
+        fourier = scratch[cells:cells + 2 * math.prod(shape) * (
+            self._n_lon // 2 + 1)].view(np.complex128).reshape(
+                shape + (self._n_lon // 2 + 1,))
         for b in range(0, n, step):
             chunk = slice(b, min(b + step, n))
-            wg = np.fft.rfft(np.asarray(f[chunk], dtype=np.float64),
-                             axis=-1)[..., :size]
+            x = f[chunk]
+            if x.dtype != np.float64:
+                x = fields[:len(x)]
+                np.copyto(x, f[chunk])
+            wg = np.fft.rfft(x, axis=-1, out=fourier[:len(x)])[..., :size]
             wg *= self._weights[:, None]
             north = wg[:, :h].transpose(2, 1, 0)               # (m, i, b)
             south = fold[1, ..., chunk]
@@ -213,14 +255,25 @@ class SphericalHarmonicTransform:
         stack = values.shape[:-2]
         f = values.reshape((-1,) + self.grid.shape)           # (b, lat, lon)
         n, size = f.shape[0], self.l_max + 1
-        fold = self._fold(f)
+        work, keep = self._work(n)
+        fold = self._fold(f, work)
         w = fold.shape[-1]
-        a = np.zeros((size, size, 2 * n))                      # (l, m, b)
+        if keep:
+            a = work["scratch"][:size * size * 2 * n].reshape(size, size,
+                                                              2 * n)
+            a[...] = 0.0
+        else:
+            del work["scratch"]
+            a = np.zeros((size, size, 2 * n))                  # (l, m, b)
         row = np.empty((size, 1, w))
         for l, p in _legendre_rows(self._x, self.l_max):
             np.matmul(p[:, None, :], fold[l % 2, :l + 1], out=row[:l + 1])
             a[l, :l + 1] = row[:l + 1, 0, :2 * n]
         del fold
+        if keep:
+            self._kept = {n: work}
+        else:
+            del work["fold"]
         a = np.ascontiguousarray(np.moveaxis(a.view(np.complex128), -1, 0))
         a *= 2.0 * np.pi / self._n_lon
         a *= self._phase

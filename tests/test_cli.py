@@ -1785,3 +1785,18 @@ def test_climatology_without_an_hour_of_day_exits_two_naming_file(
         assert main(argv + ["--climatology", str(clim)]) == 2
         assert capsys.readouterr().err == expect
     assert not any(out.exists() for out in outputs)
+
+
+def test_a_climatology_without_climatology_attrs_exits_two_naming_file(
+        tmp_path, grid16, capsys):
+    # a container with no attrs["climatology"] used to exit 3, while a
+    # malformed one exits 2
+    states = _write_states(tmp_path / "states.gvf", grid16, ("T",))
+    fc = tmp_path / "fc"
+    _rollout(states, fc)
+    scores = tmp_path / "scores.csv"
+    assert main(["verify", "--forecast-dir", str(fc), "--target", str(states),
+                 "--climatology", str(states), "--output", str(scores)]) == 2
+    assert capsys.readouterr().err == (
+        f"data error: {states}: container has no climatology attrs\n")
+    assert not scores.exists()

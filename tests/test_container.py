@@ -445,6 +445,25 @@ def test_positioned_writes_fill_any_order_and_every_cell_is_required(
             write.at(range(0, 4, 2), j, s.values[::2])
     assert placed.read_bytes() == whole.read_bytes()
     placed.unlink()
+    # or as runs of a field's flattened cells, in any order
+    cells = grid16.n_lat * grid16.n_lon
+    with container_writer(placed, grid16, variables, times) as write:
+        for j, s in enumerate(src.values()):
+            flat = s.values.reshape(4, cells)
+            for start, stop in ((200, cells), (0, 8), (8, 200)):
+                write.at(range(4), j, flat[:, start:stop], start)
+    assert placed.read_bytes() == whole.read_bytes()
+    placed.unlink()
+    flat = src[("T", "L10")].values.reshape(4, cells)
+    with pytest.raises(ValueError, match=r"run of at most 512 cells from "
+                       r"cell 8, got \(512,\)"):
+        with container_writer(placed, grid16, variables, times) as write:
+            write.at(range(4), 0, flat, 8)
+    with pytest.raises(ValueError, match=r"0 of 4 time rows written; "
+                       r"T \(L10\) at 2020-01-01T00:00:00Z is not"):
+        with container_writer(placed, grid16, variables, times) as write:
+            for j in range(3):
+                write.at(range(4), j, flat[:, :cells - 1])
     with pytest.raises(ValueError, match=r"3 of 4 time rows written; "
                        r"SP \(single\) at 2020-01-01T06:00:00Z is not"):
         with container_writer(placed, grid16, variables, times) as write:
@@ -456,3 +475,29 @@ def test_positioned_writes_fill_any_order_and_every_cell_is_required(
             with container_writer(placed, grid16, variables, times) as write:
                 write.at(rows, j, src[("T", "L10")].values[:1])
     assert list(tmp_path.iterdir()) == [whole]
+
+
+def test_a_header_only_file_may_not_declare_a_huge_gaussian_grid(
+        tmp_path, grid16, capsys):
+    # a 228-byte file with an empty time axis declaring a 4000x8000
+    # gaussian grid used to open, after 0.4 s spent finding the 4000
+    # Gauss-Legendre nodes
+    from spherecast.cli import main
+    from spherecast.grid import FieldSeries
+    empty = FieldSeries(grid16, "T", "single", [], np.zeros((0,) + grid16.shape))
+    path = tmp_path / "empty.gvf"
+    write_container([empty], path)
+    _rewrite_header(path, lambda h: dict(h, grid=dict(h["grid"], n_lat=4000,
+                                                      n_lon=8000)))
+    with pytest.raises(ContainerError, match="at most 2048 latitudes"
+                       ) as exc:
+        read_container(path)
+    assert str(path) in str(exc.value)
+    assert main(["stats", "--input", str(path),
+                 "--output", str(tmp_path / "s.json")]) == 2
+    assert str(path) in capsys.readouterr().err
+    # the largest grid allowed still opens, as do equiangular ones of any size
+    for kind, n_lat in (("gaussian", 2048), ("equiangular", 4000)):
+        _rewrite_header(path, lambda h: dict(h, grid=dict(
+            h["grid"], kind=kind, n_lat=n_lat, n_lon=2 * n_lat)))
+        assert read_container(path).grid.shape == (n_lat, 2 * n_lat)

@@ -398,3 +398,160 @@ def test_climatology_from_container_reads_bins_from_the_map(tmp_path, grid16):
     assert got.dtype == np.float64
     assert got.tobytes() == clim.values("T", "single", when).astype(
         np.float32).astype(np.float64).tobytes()
+
+
+# ---- blocked stats and climatology: the bits of whole-array numpy and BLAS
+
+
+@pytest.mark.parametrize("shape", [(1,), (5,), (7,), (8,), (9,), (127,),
+                                   (129,), (1000,), (4099,), (37, 7, 14),
+                                   (1000, 33, 17)])
+@pytest.mark.parametrize("leaf", [128, 200, 4096])
+def test_blocked_pairwise_sum_is_numpys_bit_for_bit(shape, leaf):
+    from spherecast.preprocess import _pairwise_sum
+    x = np.random.default_rng(len(shape) + shape[0]).normal(
+        size=shape) * 1e3 + 1e6 / 3
+    flat, n, asked = x.reshape(-1), x.size, []
+
+    def fill(start, stop, of=None):
+        asked.append(stop - start)
+        part = flat[start:stop].copy()
+        return part if of is None else (part - of) ** 2
+
+    total = _pairwise_sum(fill, 0, n, leaf)
+    assert max(asked) <= leaf and sum(asked) == n
+    assert total == np.add.reduce(flat)
+    mean = total / n
+    assert mean == np.mean(x)
+    assert np.sqrt(_pairwise_sum(lambda a, b: fill(a, b, mean), 0, n, leaf)
+                   / n) == np.std(x)
+
+
+def _whole_norm_stats(c, denominator):
+    """compute_norm_stats's numbers from whole float64 series: np.std of
+    T' and np.mean of its squared one-step tendency, each over the whole
+    series."""
+    from spherecast.preprocess import _rescaled
+    stats = compute_stats(c)
+    spreads = {}
+    for key in c.keys:
+        e = stats.entry(*key)
+        tprime = (np.asarray(c.view(*key), dtype=np.float64) - e.mu) / e.sigma
+        tend = float(np.sqrt(np.mean(np.diff(tprime, axis=0) ** 2)))
+        spreads[key] = tend, (float(tprime.std())
+                              if denominator == "standardized" else tend)
+    return _rescaled(stats, spreads, denominator)
+
+
+def _whole_climatology(c, window_days=61, std_days=10.0):
+    """The climatology of every variable of c as one product, per hour of
+    day, of the whole [365, samples] window weights and [samples, cells]
+    samples."""
+    doys = np.array([day_of_year_365(t) for t in c.times])
+    at = np.array([t.hour for t in c.times])
+    hours = sorted(set(at.tolist()))
+    data = {}
+    for key in c.keys:
+        values = np.asarray(c.view(*key), dtype=np.float64).reshape(
+            len(c.times), -1)
+        data[key] = np.empty((365, len(hours)) + c.grid.shape)
+        for hi, h in enumerate(hours):
+            idx = np.nonzero(at == h)[0]
+            dd = np.abs(np.arange(1, 366)[:, None] - doys[idx][None, :])
+            dd = np.minimum(dd, 365 - dd)
+            w = np.exp(-dd.astype(float) ** 2 / (2.0 * std_days ** 2))
+            w[dd > window_days // 2] = 0.0
+            w /= w.sum(axis=1)[:, None]
+            data[key][:, hi] = (w @ values[idx]).reshape((365,) + c.grid.shape)
+    return Climatology(grid=c.grid, hours=hours, window_days=window_days,
+                       std_days=std_days, data=data,
+                       units={(n, l): u for n, l, u in c.variables})
+
+
+def _noise_input(path, grid, n_time, step_hours, names=("T", "Q"), seed=5):
+    from spherecast.container import write_container
+    rng = np.random.default_rng(seed)
+    times = [T0 + timedelta(hours=step_hours * k) for k in range(n_time)]
+    write_container([FieldSeries(grid, name, "single", times,
+                                 rng.normal(size=(n_time,) + grid.shape)
+                                 * (1 + j) + 10 * j)
+                     for j, name in enumerate(names)], path, dtype="f32")
+    return read_container(path)
+
+
+def test_blocked_stats_and_climatology_bytes_equal_whole_array_ones(
+        tmp_path, monkeypatch):
+    # a 7x14 grid, 98 cells, is no multiple of 8: the blocks of the stats
+    # (512 values with the block shrunk to 4 kB) start mid-row, and the
+    # climatology is one product per hour, as it is on any such grid
+    from spherecast import container
+    from spherecast.cli import main
+    from spherecast.grid import make_equiangular_grid
+    grid = make_equiangular_grid(7, 14)
+    inp = tmp_path / "in.gvf"
+    c = _noise_input(inp, grid, 1460, 6)
+    monkeypatch.setattr(container, "_BLOCK_BYTES", 4096)
+    for denominator in ("tendency", "standardized"):
+        got, expect = tmp_path / "stats.json", tmp_path / "expect.json"
+        assert main(["stats", "--input", str(inp), "--output", str(got),
+                     "--denominator", denominator]) == 0
+        _whole_norm_stats(c, denominator).to_json(expect)
+        assert got.read_bytes() == expect.read_bytes(), denominator
+    got, expect = tmp_path / "clim.gvf", tmp_path / "expect.gvf"
+    assert main(["climatology", "--input", str(inp), "--output", str(got)]) == 0
+    _whole_climatology(c).to_container(expect)
+    assert got.read_bytes() == expect.read_bytes()
+
+
+@pytest.mark.parametrize("n_lat, n_time, step_hours, chunks", [
+    (32, 1460, 6, 4 * 2),      # 2048 cells: 2 chunks of cells per hour
+    (16, 1460, 24, 3 * 2),     # 4 years daily: 3 x 2 chunks of days, cells
+])
+def test_chunked_climatology_equals_the_whole_product(
+        tmp_path, n_lat, n_time, step_hours, chunks):
+    # the chunks are made from the block (2 MiB) and the input: on a grid
+    # of a multiple of 8 cells, each chunk of days starts at a multiple of
+    # 16 and each chunk of cells at a multiple of 8, and OpenBLAS gives
+    # every entry the bits of the whole product
+    from spherecast.grid import make_gaussian_grid
+    from spherecast.preprocess import climatology_bins
+    c = _noise_input(tmp_path / "in.gvf", make_gaussian_grid(n_lat, 2 * n_lat),
+                     n_time, step_hours, names=("T",))
+    assert sum(1 for _ in climatology_bins(c)) == chunks
+    got, expect = compute_climatology(c), _whole_climatology(c)
+    assert got.hours == expect.hours
+    assert got.data[("T", "single")].tobytes() == expect.data[
+        ("T", "single")].tobytes()
+
+
+def _traced_peak(fn):
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_stats_and_climatology_hold_a_few_blocks_for_any_time_axis(
+        tmp_path, monkeypatch):
+    # with the block shrunk to 256 kB, the [365, samples] window weights
+    # of a daily year are 4 blocks and of four years 17; the stats and the
+    # climatology each hold a few blocks for either, where both used to
+    # hold the whole series and the climatology all its weights
+    from spherecast import container
+    from spherecast.grid import make_gaussian_grid
+    from spherecast.preprocess import climatology_bins
+    grid = make_gaussian_grid(8, 16)
+    block = 1 << 18
+    monkeypatch.setattr(container, "_BLOCK_BYTES", block)
+    peaks = []
+    for years in (1, 4):
+        c = _noise_input(tmp_path / f"{years}.gvf", grid, 365 * years, 24)
+        peaks.append((
+            _traced_peak(lambda: compute_norm_stats(c, "standardized")),
+            _traced_peak(lambda: [None for _ in climatology_bins(c)])))
+    (stats, bins), (stats4, bins4) = peaks
+    assert stats < 3 * block and bins < 8 * block, peaks
+    assert stats4 < 1.1 * stats and bins4 < 1.1 * bins, peaks

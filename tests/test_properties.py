@@ -1,7 +1,8 @@
 """Property tests of the container writer and reader, the blocked
 normalize, the stacked analysis and synthesis, the padding and filters on
 stacks, the filters and clamp writing in place, the stacked verification
-scores, the bootstrap interval and the additivity of solar windows.
+scores, the bootstrap interval, the additivity of solar windows and
+the merge of a config file with the flags.
 
 Examples are derandomized, so every run checks the same cases.
 """
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from spherecast import container, filters, sht
+from spherecast import cli, container, filters, sht
 from spherecast.cli import main
 from spherecast.filters import (DiffusionSpec, PoleFilterSpec,
                                 diffuse_values, diffusion_stability_bound,
@@ -652,3 +653,50 @@ def test_a_six_hour_window_is_the_sum_of_its_hours(start, table):
         total = total + accumulated_irradiance(start + timedelta(hours=h), 1,
                                                _SOLAR_GRID, config)
     assert six.tobytes() == total.tobytes()
+
+
+def _flag_values(prm):
+    """The values the flag of cli parameter prm can give, and None."""
+    if isinstance(prm.kind, list):
+        values = st.sampled_from(prm.kind)
+    elif prm.kind is bool:
+        values = st.booleans()
+    elif prm.kind is int:
+        values = st.integers(-10 ** 12, 10 ** 12)
+    elif prm.kind is float:
+        values = st.floats(allow_nan=False, allow_infinity=False)
+    else:
+        values = st.text()
+    return st.none() | values
+
+
+@st.composite
+def _config_values(draw):
+    """(subcommand, parameter, value) for one value of one flag."""
+    name = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    prm = draw(st.sampled_from(cli._COMMANDS[name][2]))
+    return name, prm, draw(_flag_values(prm))
+
+
+@settings(DERANDOMIZED, max_examples=200)
+@given(_config_values())
+def test_a_config_value_merges_as_its_flag_does(case):
+    # a value that _merge_config accepts from a config file gives the
+    # parameters its flag gives; null leaves the default, as no flag does
+    name, prm, value = case
+    flag = "--" + prm.name.replace("_", "-")
+    if value is None or prm.kind is bool and value == bool(prm.default):
+        argv = []
+    elif prm.kind is bool:
+        argv = [flag if value else "--no-" + flag[2:]]
+    else:
+        argv = [f"{flag}={value!r}" if prm.kind is float else f"{flag}={value}"]
+    parser = cli.build_parser()
+    with _tmpdir() as tmp:
+        path = tmp / "config.json"
+        path.write_text(json.dumps({prm.name: value}))
+        from_config = cli._merge_config(parser.parse_args(
+            [name, "--config", str(path)]))
+    from_flag = cli._merge_config(parser.parse_args([name] + argv))
+    assert ([(k, type(v), v) for k, v in sorted(from_config.items())]
+            == [(k, type(v), v) for k, v in sorted(from_flag.items())])
