@@ -16,22 +16,22 @@ import json
 import sys
 import zlib
 from datetime import timedelta
-from functools import reduce
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from . import container as cio
-from .container import (ContainerError, check_agreement, container_writer,
-                        read_container)
+from .container import (ContainerError, check_agreement, check_finite,
+                        check_nonempty, container_writer, read_container)
 from .grid import default_units, make_equiangular_grid, make_gaussian_grid
 from .padding import PadSpec, pad
 from .preprocess import (Climatology, NormStats, climatology_bins,
                          climatology_writer, compute_norm_stats, denormalize,
                          normalize)
 from .rollout import (ExternalForecasterError, PipelineStep,
-                      PostprocessError, RolloutPlan, run_rollout_to_dir)
+                      PostprocessError, RolloutPlan, apply_postprocessing,
+                      run_rollout_to_dir)
 from .sht import (kinetic_energy_spectrum, potential_temperature_energy_spectrum,
                   zonal_power_spectrum)
 from .solar import SolarConfig, accumulated_irradiance, read_gsc_csv
@@ -160,13 +160,6 @@ def _cmd_stats(cfg):
     stats.to_json(cfg["output"])
 
 
-def _finite(c, values, variable: str, level: str):
-    """values, after checking they are finite; the error names the file."""
-    if not np.isfinite(values).all():
-        raise ValueError(f"{c.path}: non-finite values in {variable} ({level})")
-    return values
-
-
 # fields in one spectrum pass at the least, whatever their size: each
 # transform call reruns the Legendre recurrence, which costs about as much
 # as the matmuls of four fields
@@ -178,6 +171,7 @@ def _row_blocks(c, n_keys: int, min_fields: int = 1, even: bool = False):
     fit one block (container._BLOCK_BYTES) of float64, and at least enough
     for min_fields fields; with even, an odd field count is rounded up to
     an even one.  An empty time axis gives one empty slice."""
+    check_nonempty(c, times=False)
     n = max(1, cio._BLOCK_BYTES // (8 * n_keys * c.grid.n_lat
                                     * c.grid.n_lon),
             -(-min_fields // n_keys))
@@ -199,9 +193,12 @@ def _map_rows(cfg, c, transform, grid=None, units=None, attrs=None):
                           c.times, dtype=cfg["dtype"] or c.dtype_name,
                           attrs=c.attrs if attrs is None else attrs) as write:
         for rows in _row_blocks(c, len(c.keys)):
-            write([transform(_finite(c, c.values(rows, name, lev), name, lev),
-                             (name, lev))
-                   for name, lev, _ in c.variables])
+            out = []
+            for key in c.keys:  # each copy is let go once transformed
+                out.append(c.values(rows, *key))
+                check_finite(c.path, "values in", out[-1], [key], c.times[rows])
+                out[-1] = transform(out[-1], key)
+            write(out)
             cio.release(c)
 
 
@@ -280,8 +277,8 @@ def _cmd_filter(cfg):
     if not steps:
         raise UsageError("filter needs --diffuse and/or --pole-filter")
     c = read_container(cfg["input"])
-    _map_rows(cfg, c, lambda values, key: reduce(
-        lambda v, step: step.apply(v, c.grid, out=v), steps, values))
+    _map_rows(cfg, c, lambda values, key: apply_postprocessing(
+        {key: values}, steps, c.grid) or values)  # in place
 
 
 # the spectrum flags that only some kinds read, and those kinds
@@ -335,8 +332,9 @@ def _cmd_spectrum(cfg):
     # even passes: the transform pads an odd stack with a zero field
     for rows in _row_blocks(c, len(keys), _MIN_FIELDS, even=True):
         block = c.block(rows)
-        for j, (name, lev) in zip(cols, keys):
-            _finite(c, block[:, j], name, lev)
+        for j, key in zip(cols, keys):
+            check_finite(c.path, "values in", block[:, j], [key],
+                         c.times[rows])
         # every variable's rows stay a view of the map; a subset is copied
         power[rows] = spectra(block if kind == "power" else block[:, cols])
         cio.release(c)
@@ -375,15 +373,18 @@ def _cmd_verify(cfg):
 
 def _mean_correlation(c, keys, weighted):
     """Correlation matrix of container c's variables keys, in that order,
-    averaged over times."""
+    averaged over times; an error names the file."""
+    check_nonempty(c)
     cols = [c.index(*key) for key in keys]
     matrices = []
-    for i in range(len(c.times)):
+    for i, t in enumerate(c.times):
         block = c.block(i)[cols]
-        for values, key in zip(block, keys):
-            _finite(c, values, *key)
-        matrices.append(spatial_correlation(block, keys, c.grid,
-                                            weighted=weighted))
+        check_finite(c.path, "values in", block[None], keys, [t])
+        try:
+            matrices.append(spatial_correlation(block, keys, c.grid,
+                                                weighted=weighted))
+        except ValueError as exc:
+            raise ValueError(f"{c.path} at {t.isoformat()}: {exc}") from None
     return average_correlations(matrices)
 
 

@@ -36,8 +36,9 @@ __all__ = [
     "Container",
     "atomic_write",
     "check_agreement",
+    "check_finite",
+    "check_nonempty",
     "container_writer",
-    "first_non_finite",
     "release",
     "released_blocks",
     "ScoreRecord",
@@ -350,19 +351,37 @@ def released_blocks(values, rows):
         start = stop
 
 
-def first_non_finite(values, rows) -> tuple[int, int] | None:
-    """(row, j) of the first of rows, ascending indices along values' first
-    axis, that holds a NaN or inf, j being its first such (n_lat, n_lon)
-    field (0 when a row is one field); None if there is none.  Each row is
-    checked where it lies, not copied, and the map under values is
-    released after each block of rows (released_blocks)."""
-    rows = np.asarray(rows, dtype=np.intp)
-    for block in released_blocks(values, rows):
-        for row in rows[block]:
-            finite = np.isfinite(values[row]).all(axis=(-2, -1)).reshape(-1)
+def check_finite(where, what: str, values, keys, when, rows=None,
+                 release: bool = False) -> None:
+    """Raise ValueError, `<where>: non-finite <what> <name> (<level>) at
+    <when[row]>` (a datetime in isoformat), at the first of rows (default
+    all) of values, a (time, [variable,] n_lat, n_lon) stack of keys,
+    that holds a NaN or inf.  Each run of consecutive rows is checked
+    where it lies, in one call; with release, a row at a time, and the
+    map is released after each block of rows (released_blocks)."""
+    rows = np.asarray(range(len(values)) if rows is None else rows,
+                      dtype=np.intp)
+    if not (len(rows) and keys):
+        return
+    for block in released_blocks(values, rows) if release else [slice(None)]:
+        part = rows[block]
+        for run in np.split(part, range(1, len(part)) if release
+                            else np.flatnonzero(np.diff(part) != 1) + 1):
+            finite = np.isfinite(values[run[0]:run[-1] + 1]).reshape(
+                len(run), len(keys), -1).all(axis=-1)  # (row, variable)
             if not finite.all():
-                return int(row), int(np.argmin(finite))
-    return None
+                i, j = divmod(int(np.argmin(finite)), len(keys))
+                label, (name, level) = when[run[i]], keys[j]
+                if isinstance(label, datetime):
+                    label = label.isoformat()
+                raise ValueError(f"{where}: non-finite {what} {name} "
+                                 f"({level}) at {label}")
+
+
+def check_nonempty(c: Container, times: bool = True) -> None:
+    """ValueError naming c's file unless it has a variable (and a time)."""
+    if not (c.keys and (c.times or not times)):
+        raise ValueError(f"{c.path}: no {'times' if c.keys else 'variables'}")
 
 
 @contextmanager

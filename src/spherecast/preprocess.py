@@ -20,8 +20,8 @@ import numpy as np
 
 from . import container
 from .container import (Container, ContainerError, atomic_write,
-                        container_writer, first_non_finite, read_container,
-                        release, released_blocks)
+                        check_finite, check_nonempty, container_writer,
+                        read_container, release, released_blocks)
 from .grid import GridSpec, default_units, ensure_utc
 
 __all__ = [
@@ -133,30 +133,28 @@ def _merge_moments(n_a, mean_a, m2_a, n_b, mean_b, m2_b):
     return n, mean, m2
 
 
-def _streaming_moments(values, rows):
-    """(count, mean, sum of squared deviations) of the given ascending
-    rows of values, merged one row at a time, each taken in float64; the
-    map under values is released after each block of rows."""
+def _stat_entry(c: Container, key, rows) -> StatEntry:
+    """Mean and std of key's values in c at ascending time rows, merged
+    (count, mean, squared deviations) a float64 row at a time, releasing
+    the map after each block; a row of non-finite mean is checked."""
+    values = c.view(*key)
     n, mean, m2 = 0, 0.0, 0.0
     for block in released_blocks(values, rows):
         for i in rows[block]:
             chunk = np.asarray(values[i], dtype=np.float64)
-            nb = chunk.size
             mb = float(chunk.mean())
+            if not np.isfinite(mb):
+                check_finite(c.path, "values in", values, [key], c.times, [i])
             m2b = float(((chunk - mb) ** 2).sum())
-            n, mean, m2 = _merge_moments(n, mean, m2, nb, mb, m2b)
-    return n, mean, m2
-
-
-def _stat_entry(c: Container, key, rows) -> StatEntry:
-    n, mean, m2 = _streaming_moments(c.view(*key), rows)
+            n, mean, m2 = _merge_moments(n, mean, m2, chunk.size, mb, m2b)
     sigma = float(np.sqrt(m2 / n))
     # rounding noise of an exactly constant field shows up as sigma ~
-    # eps * |mean|; reject that as zero variance too, and NaN or inf moments
+    # eps * |mean|; reject that as zero variance too, and finite values
+    # whose moments overflow
     if not 1e-14 * abs(mean) < sigma < np.inf:
-        raise ValueError(f"{c.path}: {key[0]} ({key[1]}): zero variance or "
-                         "non-finite values over the period; cannot "
-                         "standardize")
+        raise ValueError(f"{c.path}: {key[0]} ({key[1]}): zero variance, "
+                         "or moments beyond the float64 range, over the "
+                         "period; cannot standardize")
     return StatEntry(mu=mean, sigma=sigma)
 
 
@@ -168,9 +166,22 @@ def compute_stats(c: Container, period: tuple[datetime, datetime] | None = None
     Moments pool every grid point and time step; accumulation is a
     numerically stable streaming merge over time rows, each taken in
     float64, matching a two-pass computation to better than 1e-10
-    relative.  Zero variance is an error.
+    relative.  Zero variance is an error, and so is a NaN or inf.  The
+    time step must be constant; stats.step_hours records it.
     """
-    return compute_norm_stats(c, denominator=None, period=period)
+    check_nonempty(c)
+    stats = NormStats(step_hours=_step_hours(c))
+    rows = np.arange(len(c.times))
+    if period is not None:
+        t0, t1 = ensure_utc(period[0]), ensure_utc(period[1])
+        rows = np.array([i for i, t in enumerate(c.times) if t0 <= t <= t1],
+                        dtype=np.intp)
+        if not len(rows):
+            raise ValueError(f"{c.path}: no samples in requested period")
+        stats.period = (t0.isoformat(), t1.isoformat())
+    for key in c.keys:
+        stats.entries[key] = _stat_entry(c, key, rows)
+    return stats
 
 
 def _check_denominator(denominator: str) -> None:
@@ -309,30 +320,11 @@ def compute_norm_stats(c: Container, denominator: str | None = "tendency",
                        period: tuple[datetime, datetime] | None = None
                        ) -> NormStats:
     """compute_stats and then, unless denominator is None,
-    compute_residual_coeff with that denominator, in one pass that takes
-    each variable of container c once.  period limits the moments only;
-    the tendencies span every time, as in compute_residual_coeff.  The
-    time step must be constant; stats.step_hours records it."""
-    if denominator is not None:
-        _check_denominator(denominator)
-    if not (c.times and c.keys):
-        raise ValueError(f"{c.path}: no {'times' if c.keys else 'variables'}")
-    stats = NormStats(step_hours=_step_hours(c))
-    rows = np.arange(len(c.times))
-    if period is not None:
-        t0, t1 = ensure_utc(period[0]), ensure_utc(period[1])
-        rows = np.array([i for i, t in enumerate(c.times) if t0 <= t <= t1],
-                        dtype=np.intp)
-        if not len(rows):
-            raise ValueError(f"{c.path}: no samples in requested period")
-        stats.period = (t0.isoformat(), t1.isoformat())
-    spreads = {}
-    for key in c.keys:
-        e = stats.entries[key] = _stat_entry(c, key, rows)
-        if denominator is not None:
-            spreads[key] = _spreads(c, key, e, denominator)
-    return stats if denominator is None else _rescaled(stats, spreads,
-                                                       denominator)
+    compute_residual_coeff with that denominator.  period limits the
+    moments only; the tendencies span every time."""
+    stats = compute_stats(c, period)
+    return (stats if denominator is None
+            else compute_residual_coeff(c, stats, denominator))
 
 
 def normalize(values: np.ndarray, stats: NormStats, variable: str, level: str,
@@ -425,19 +417,16 @@ class Climatology:
         return list(self.data.keys())
 
     def check_finite(self, keys, times) -> None:
-        """Raise ValueError, naming the file, the variable and the bin,
-        unless the bins of times are finite in each of keys
-        (first_non_finite)."""
+        """Raise ValueError, naming the file, the variable and the bin
+        (check_finite), unless the bins of times are finite in each of
+        keys; the bins are read a block at a time."""
         rows = np.unique([self.row(t) for t in times])
+        bins = [f"day {d + 1}, {h:02d}Z" for d in range(365)
+                for h in self.hours]
         for key in keys:
-            bad = first_non_finite(
-                self.data[key].reshape((-1,) + self.grid.shape), rows)
-            if bad:
-                day, hi = divmod(bad[0], len(self.hours))
-                raise ValueError(
-                    f"{self.path or 'climatology'}: non-finite climatology "
-                    f"{key[0]} ({key[1]}) at day {day + 1}, "
-                    f"{self.hours[hi]:02d}Z")
+            check_finite(self.path or "climatology", "climatology",
+                         self.data[key].reshape((-1,) + self.grid.shape),
+                         [key], bins, rows, release=True)
 
     def release(self) -> None:
         """Release the map under each variable's bins."""
@@ -555,8 +544,8 @@ def climatology_bins(c: Container, window_days: int = 61,
     (container._BLOCK_BYTES) of float64, however long the time axis: the
     samples a chunk of cells at a time, read from the file with
     Container.read_cells, so no page of it stays resident, and for each
-    the weights a chunk of days at a time.  A non-finite sample raises
-    ValueError naming the file, its variable and its time.
+    the weights a chunk of days at a time.  Each chunk of samples is
+    checked for NaN or inf (container.check_finite).
 
     Yields (j, hours, hi, days, cells, means): j is the variable's index
     in c.keys, hours lists the hours of day present, days is a slice of
@@ -575,6 +564,7 @@ def climatology_bins(c: Container, window_days: int = 61,
     hours, samples = _hour_samples(c, half, gaussian_std_days)
     for j, key in enumerate(c.keys):
         for hi, (idx, doys) in enumerate(samples):
+            times = [c.times[i] for i in idx]  # of gathered's rows
             day_chunks, cell_chunks = _climatology_chunks(
                 len(idx), c.grid.n_lat * c.grid.n_lon)
             width = max(s.stop - s.start for s in cell_chunks)
@@ -588,12 +578,7 @@ def climatology_bins(c: Container, window_days: int = 61,
                     rows = idx[r:r + _READ_ROWS]
                     gathered[r:r + len(rows)] = c.read_cells(
                         key, rows, cells, read[:len(rows), :gathered.shape[1]])
-                finite = np.isfinite(gathered).all(axis=1)
-                if not finite.all():
-                    when = c.times[idx[np.argmin(finite)]]
-                    raise ValueError(f"{c.path}: non-finite values in "
-                                     f"{key[0]} ({key[1]}) at "
-                                     f"{when.isoformat()}")
+                check_finite(c.path, "values in", gathered, [key], times)
                 for days in day_chunks:
                     if w is None or len(day_chunks) > 1:
                         w = _window_weights(doys, days, half,

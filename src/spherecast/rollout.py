@@ -27,8 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .container import (Container, check_agreement, container_writer,
-                        first_non_finite, read_container, release,
+from .container import (Container, check_agreement, check_finite,
+                        container_writer, read_container, release,
                         _format_time)
 from .filters import (DiffusionSpec, PoleFilterSpec, _number, diffuse_values,
                       pole_filter_values)
@@ -285,18 +285,15 @@ def _lead_rows(plan: RolloutPlan, c: Container, row: int | None,
 
 def _init_rows(plan: RolloutPlan, c: Container) -> list[int]:
     """The time row in c of each init of the plan, after checking that
-    every variable is finite there (first_non_finite)."""
+    every variable is finite there, a block of rows at a time."""
     index = {t: i for i, t in enumerate(c.times)}
     for t_i in plan.init_times:
         if t_i not in index:
             raise KeyError(f"{c.path}: init time {t_i.isoformat()} not in "
                            "its time axis")
     rows = [index[t_i] for t_i in plan.init_times]
-    bad = first_non_finite(c.block(slice(None)), np.unique(rows))
-    if bad:
-        name, level = c.keys[bad[1]]
-        raise ValueError(f"{c.path}: non-finite initial state {name} "
-                         f"({level}) at {c.times[bad[0]].isoformat()}")
+    check_finite(c.path, "initial state", c.block(slice(None)), c.keys,
+                 c.times, np.unique(rows), release=True)
     return rows
 
 

@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .container import (Container, ScoreRecord, atomic_write,
-                        check_agreement, first_non_finite, read_container,
-                        release, released_blocks)
+                        check_agreement, check_finite, check_nonempty,
+                        read_container, release, released_blocks)
 from .grid import GridSpec, ensure_utc, metric_weights
 from .preprocess import Climatology
 
@@ -183,6 +183,7 @@ class ForecastSet:
         self._leads, used, self._keys = {}, set(), None
         for path in paths:
             fc = read_container(path)
+            check_nonempty(fc)
             if self._keys is None:  # the first forecast, once
                 self._keys = fc.keys
                 check_agreement(target, fc.keys, fc.grid)
@@ -201,19 +202,14 @@ class ForecastSet:
                     f"{where}: target does not cover forecast valid time "
                     f"{fc.times[rows.index(None)].isoformat()}")
             used.update(rows)  # the target rows every variable verifies
-            bad = first_non_finite(fc.block(slice(None)), range(len(fc.times)))
-            if bad:
-                name, level = fc.keys[bad[1]]
-                raise ValueError(
-                    f"{where}: {name} ({level}): non-finite forecast values")
+            check_finite(path, "forecast", fc.block(slice(None)), fc.keys,
+                         [f"{t.isoformat()} (init {t_i.isoformat()})"
+                          for t in fc.times], release=True)
             self._leads[t_i] = {int((t - t_i).total_seconds() // 3600)
                                 for t in fc.times}
         for key in self._keys:
-            bad = first_non_finite(target.view(*key), sorted(used))
-            if bad:
-                raise ValueError(
-                    f"{target.path}: non-finite target {key[0]} ({key[1]}) "
-                    f"at {target.times[bad[0]].isoformat()}")
+            check_finite(target.path, "target", target.view(*key), [key],
+                         target.times, sorted(used), release=True)
         self.weights = metric_weights(self.grid)
 
     @property

@@ -248,18 +248,6 @@ def test_spectrum_kinds_match_per_field_spectra(tmp_path, grid16, kind):
     assert _spectrum_csv(out) == {key: _fmt(p) for key, p in stacked.items()}
 
 
-def test_spectrum_non_finite_input_exits_three(tmp_path, grid16, capsys):
-    series = make_series(grid16, "Z500", n_time=2, seed=43)
-    series.values[1, 2, 3] = np.inf
-    inp = tmp_path / "in.gvf"
-    write_container({series.key: series}, inp, dtype="f64")
-    out = tmp_path / "spec.csv"
-    assert main(["spectrum", "--input", str(inp), "--output", str(out)]) == 3
-    err = capsys.readouterr().err
-    assert str(inp) in err and "Z500 (single)" in err
-    assert not out.exists()
-
-
 def test_spectrum_bad_init_time_exits_two_naming_the_file(tmp_path, grid16,
                                                          capsys):
     # used to exit 3 naming neither the file nor the attribute
@@ -481,23 +469,6 @@ def test_rollout_missing_init_exits_two_and_writes_nothing(tmp_path, grid16,
     assert err.startswith(f"data error: {target_path}: init time "
                           "2020-01-02T00:00:00")
     assert not list(tmp_path.glob("fc/*.gvf"))
-
-
-def test_normalize_nan_input_exits_three(tmp_path, grid16, capsys):
-    src = {("T", "single"): make_series(grid16, n_time=4, seed=24)}
-    inp = tmp_path / "in.gvf"
-    write_container(src, inp, dtype="f64")
-    stats_path = tmp_path / "stats.json"
-    assert main(["stats", "--input", str(inp), "--output", str(stats_path)]) == 0
-    src[("T", "single")].values[2, 3, 4] = np.nan
-    write_container(src, inp, dtype="f64")
-    for name in ("normalize", "denormalize"):
-        out = tmp_path / f"{name}.gvf"
-        assert main([name, "--input", str(inp), "--stats", str(stats_path),
-                     "--output", str(out)]) == 3
-        err = capsys.readouterr().err
-        assert str(inp) in err and "T (single)" in err
-        assert not out.exists()
 
 
 def test_invalid_grid_header_exits_two_naming_file(tmp_path, grid16, capsys):
@@ -1217,19 +1188,6 @@ def _stats_input(tmp_path, grid, t_values=None):
     return inp
 
 
-def test_stats_of_non_finite_input_exits_three_naming_file(tmp_path, grid16,
-                                                           capsys):
-    # used to exit 0 with "mu": NaN (not JSON), and Z's xi NaN as well
-    values = np.random.default_rng(54).normal(size=(4,) + grid16.shape)
-    values[1, 2, 3] = np.nan
-    inp = _stats_input(tmp_path, grid16, values)
-    out = tmp_path / "stats.json"
-    assert main(["stats", "--input", str(inp), "--output", str(out)]) == 3
-    err = capsys.readouterr().err
-    assert str(inp) in err and "T (single)" in err
-    assert not out.exists()
-
-
 def test_stats_of_a_variable_constant_in_time_exits_three(tmp_path, grid16,
                                                          capsys):
     # used to fail with a bare "float division by zero"
@@ -1315,18 +1273,6 @@ def test_malformed_gsc_csv_row_exits_three_naming_file_and_line(
                  "--output", str(out)]) == 3
     err = capsys.readouterr().err
     assert f"{gsc}: line 3:" in err and repr(row) in err
-    assert not out.exists()
-
-
-def test_correlate_non_finite_input_names_the_file(tmp_path, grid16, capsys):
-    src = [make_series(grid16, "T", n_time=2, seed=56),
-           make_series(grid16, "U", n_time=2, seed=57)]
-    src[0].values[1, 0, 0] = np.inf
-    inp, out = tmp_path / "in.gvf", tmp_path / "corr.csv"
-    write_container(src, inp, dtype="f64")
-    assert main(["correlate", "--input", str(inp), "--output", str(out)]) == 3
-    err = capsys.readouterr().err
-    assert str(inp) in err and "T (single)" in err
     assert not out.exists()
 
 
@@ -1800,3 +1746,203 @@ def test_a_climatology_without_climatology_attrs_exits_two_naming_file(
     assert capsys.readouterr().err == (
         f"data error: {states}: container has no climatology attrs\n")
     assert not scores.exists()
+
+
+def _poison(path, key, row, value, cell=37):
+    """Set one cell of variable key at time row `row` of a GVF1 file to
+    value, in place."""
+    c = read_container(path)
+    cells = c.grid.n_lat * c.grid.n_lon
+    at = c._offset + ((row * len(c.keys) + c.index(*key)) * cells
+                      + cell) * c.dtype.itemsize
+    with open(path, "r+b") as fh:
+        fh.seek(at)
+        fh.write(np.array(value, dtype=c.dtype).tobytes())
+
+
+# the row every case poisons: 2020-01-02T06:00Z, the second init of the
+# rollouts below, a valid time each of them reaches, and in a climatology
+# the bin of day 2, 06Z
+BAD = 5
+BAD_TIME = (T0 + timedelta(hours=6 * BAD)).isoformat()
+FC_INIT = "init_20200102T000000Z.gvf"
+LATE_INITS = ["--inits", "2020-01-02T00:00:00,2,6", "--max-lead-hours", "12"]
+# (case id, subcommand, the file poisoned and its row, what and when the
+# error names)
+NON_FINITE_CASES = [
+    ("stats", "stats", "states.gvf", BAD, "values in", BAD_TIME),
+    ("normalize", "normalize", "states.gvf", BAD, "values in", BAD_TIME),
+    ("denormalize", "denormalize", "states.gvf", BAD, "values in", BAD_TIME),
+    ("climatology", "climatology", "states.gvf", BAD, "values in", BAD_TIME),
+    ("pad", "pad", "states.gvf", BAD, "values in", BAD_TIME),
+    ("filter", "filter", "states.gvf", BAD, "values in", BAD_TIME),
+    ("spectrum", "spectrum", "states.gvf", BAD, "values in", BAD_TIME),
+    ("correlate", "correlate", "states.gvf", BAD, "values in", BAD_TIME),
+    ("correlate-reference", "correlate", "ref.gvf", BAD, "values in",
+     BAD_TIME),
+    ("rollout", "rollout", "states.gvf", BAD, "initial state", BAD_TIME),
+    ("rollout-climatology", "rollout", "clim.gvf", BAD, "climatology",
+     "day 2, 06Z"),
+    # its lead 6 h
+    ("verify-forecast", "verify", f"fc/{FC_INIT}", 1, "forecast",
+     f"{BAD_TIME} (init {(T0 + timedelta(days=1)).isoformat()})"),
+    ("verify-target", "verify", "states.gvf", BAD, "target", BAD_TIME),
+    ("verify-climatology", "verify", "clim.gvf", BAD, "climatology",
+     "day 2, 06Z"),
+]
+
+
+def _non_finite_case_argv(tmp, grid, case):
+    """The argv of one case, after writing every file it reads."""
+    states = _write_states(tmp / "states.gvf", grid)
+    clim = write_zero_climatology(tmp, grid, TQ)
+    inp = ["--input", str(states)]
+    if case == "correlate-reference":
+        return ["correlate"] + inp + [
+            "--reference", str(_write_states(tmp / "ref.gvf", grid, seed=71)),
+            "--output", str(tmp / "corr.csv")]
+    if case.startswith("verify"):
+        assert main(["rollout", "--initial-states", str(states),
+                     "--output-dir", str(tmp / "fc")] + LATE_INITS) == 0
+        return ["verify", "--forecast-dir", str(tmp / "fc"), "--target",
+                str(states), "--climatology", str(clim),
+                "--output", str(tmp / "scores.csv")]
+    if case.startswith("rollout"):
+        argv = ["rollout", "--initial-states", str(states), "--output-dir",
+                str(tmp / "out")] + LATE_INITS
+        return argv + (["--forecaster", "climatology", "--climatology",
+                        str(clim)] if case == "rollout-climatology" else [])
+    stats = tmp / "stats.json"
+    stats.write_text(json.dumps({"entries": {
+        f"{name}|single": {"mu": 0.0, "sigma": 2.0, "xi": 1.0}
+        for name in ("T", "Q")}}))
+    return {
+        "stats": ["stats"] + inp,
+        "normalize": ["normalize", "--stats", str(stats)] + inp,
+        "denormalize": ["denormalize", "--stats", str(stats)] + inp,
+        # a window of a whole year: every bin has both days' samples
+        "climatology": ["climatology", "--window-days", "365",
+                        "--std-days", "30"] + inp,
+        "pad": ["pad", "--pad-ns", "1", "--pad-ew", "2"] + inp,
+        "filter": ["filter", "--diffuse", "1e-5,2", "--pole-filter",
+                   "60"] + inp,
+        "spectrum": ["spectrum"] + inp,
+        "correlate": ["correlate"] + inp,
+    }[case] + ["--output", str(tmp / "out")]
+
+
+@pytest.mark.parametrize("case", NON_FINITE_CASES,
+                         ids=[c[0] for c in NON_FINITE_CASES])
+def test_every_stage_names_the_file_variable_and_time_of_a_non_finite_value(
+        tmp_path, capsys, case):
+    # normalize, denormalize, filter, pad, spectrum, correlate, stats and
+    # the verify forecast check used to name no time
+    from spherecast import make_gaussian_grid
+    name, _, bad, row, what, when = case
+    argv = _non_finite_case_argv(tmp_path, make_gaussian_grid(8, 16), name)
+    before = _files(tmp_path)
+    capsys.readouterr()
+    for value in (np.nan, np.inf):
+        _poison(tmp_path / bad, ("Q", "single"), row, value)
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / bad}: non-finite {what} Q (single) "
+            f"at {when}\n")
+        assert _files(tmp_path) == before
+
+
+def test_every_subcommand_but_solar_has_a_non_finite_case():
+    from spherecast.cli import _COMMANDS
+    assert set(_COMMANDS) - {"solar"} == {c[1] for c in NON_FINITE_CASES}
+
+
+def test_verify_of_a_forecast_with_no_times_exits_three_naming_it(
+        tmp_path, capsys):
+    # used to end in an IndexError traceback at fc.times[0]
+    from spherecast import make_gaussian_grid
+    grid = make_gaussian_grid(8, 16)
+    states = _write_states(tmp_path / "states.gvf", grid, ("T",))
+    (tmp_path / "fc").mkdir()
+    empty = tmp_path / "fc" / "init_a.gvf"
+    with container_writer(empty, grid, [("T", "single", "K")], []):
+        pass
+    scores = tmp_path / "scores.csv"
+    assert main(["verify", "--forecast-dir", str(tmp_path / "fc"),
+                 "--target", str(states), "--metrics", "rmse",
+                 "--output", str(scores)]) == 3
+    assert capsys.readouterr().err == f"error: {empty}: no times\n"
+    assert not scores.exists()
+
+
+def _no_variables_argv(tmp, grid, name):
+    """(argv of one stage on a container with times and no variables, the
+    file its error should name)"""
+    inp = tmp / "in.gvf"
+    with container_writer(inp, grid, [], [T0, T0 + timedelta(hours=6)]):
+        pass
+    stats = tmp / "stats.json"
+    stats.write_text('{"entries": {}}')
+    if name == "verify":
+        assert main(["rollout", "--initial-states", str(inp), "--output-dir",
+                     str(tmp / "fc"), "--inits", "2020-01-01T00:00:00,1,6",
+                     "--max-lead-hours", "6"]) == 0
+        return (["verify", "--forecast-dir", str(tmp / "fc"), "--target",
+                 str(inp), "--metrics", "rmse", "--output",
+                 str(tmp / "scores.csv")],
+                tmp / "fc" / "init_20200101T000000Z.gvf")
+    return [name, "--input", str(inp), "--output", str(tmp / "out")] + {
+        "normalize": ["--stats", str(stats)],
+        "denormalize": ["--stats", str(stats)],
+        "filter": ["--diffuse", "1e-5,2"],
+        "pad": ["--pad-ns", "1"],
+        "spectrum": [], "correlate": []}[name], inp
+
+
+def _write_correlate_input(path, grid, names, values=None, n_time=2):
+    """An f64 container of names on grid; values fills each field if given."""
+    times = [T0 + timedelta(hours=6 * k) for k in range(n_time)]
+    rng = np.random.default_rng(72)
+    write_container([FieldSeries(grid, name, "single", times,
+                                 rng.normal(size=(n_time,) + grid.shape)
+                                 if values is None
+                                 else np.full((n_time,) + grid.shape, values))
+                     for name in names], path, dtype="f64")
+    return path
+
+
+@pytest.mark.parametrize("case", [
+    "normalize", "denormalize", "filter", "pad", "spectrum", "verify",
+    "correlate-no-times", "correlate-one-variable",
+    "correlate-constant-fields"])
+def test_an_empty_or_degenerate_input_is_named_in_its_error(tmp_path, capsys,
+                                                            case):
+    # the first five used to print "error: integer division or modulo by
+    # zero", verify "no score records to write", and correlate "no matrices
+    # to average", "need at least 2 variable-levels to correlate" and "zero
+    # spatial variance for T (single), U (single)": none named a file
+    from spherecast import make_gaussian_grid
+    grid = make_gaussian_grid(8, 16)
+    expect = {"correlate-no-times": "no times",
+              "correlate-one-variable": f"{T0.isoformat()}: need at least 2 "
+                                        "variable-levels to correlate",
+              "correlate-constant-fields": f"{T0.isoformat()}: zero spatial "
+                                           "variance for T (single), "
+                                           "U (single)"}
+    if case.startswith("correlate"):
+        named = tmp_path / "in.gvf"
+        _write_correlate_input(
+            named, grid, ("T",) if case == "correlate-one-variable"
+            else ("T", "U"), n_time=0 if case == "correlate-no-times" else 2,
+            values=1.0 if case == "correlate-constant-fields" else None)
+        argv = ["correlate", "--input", str(named),
+                "--output", str(tmp_path / "corr.csv")]
+    else:
+        argv, named = _no_variables_argv(tmp_path, grid, case)
+    before = _files(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 3
+    what = expect.get(case, "no variables")
+    sep = " at " if case in ("correlate-one-variable",
+                             "correlate-constant-fields") else ": "
+    assert capsys.readouterr().err == f"error: {named}{sep}{what}\n"
+    assert _files(tmp_path) == before

@@ -501,3 +501,29 @@ def test_a_header_only_file_may_not_declare_a_huge_gaussian_grid(
         _rewrite_header(path, lambda h: dict(h, grid=dict(
             h["grid"], kind=kind, n_lat=n_lat, n_lon=2 * n_lat)))
         assert read_container(path).grid.shape == (n_lat, 2 * n_lat)
+
+
+def test_check_finite_names_the_first_non_finite_row_and_variable(grid16):
+    import warnings
+    from spherecast.container import check_finite
+    keys = [("T", "single"), ("Q", "single")]
+    when = [f"row {k}" for k in range(4)]
+    # finite values near the float32 limit are no fault, and no value warns
+    stack = np.full((4, 2) + grid16.shape, 3e38, dtype=np.float32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        check_finite("f.gvf", "values in", stack, keys, when)
+        stack[2, 1, 0, :2] = np.inf, -np.inf
+        stack[3, 0, 5, 6] = np.nan
+        with pytest.raises(ValueError) as exc:
+            check_finite("f.gvf", "values in", stack, keys, when,
+                         rows=[0, 1, 3])
+    assert str(exc.value) == "f.gvf: non-finite values in T (single) at row 3"
+    for rows in ([2, 3], None):
+        with pytest.raises(ValueError, match="Q \\(single\\) at row 2$"):
+            check_finite("f.gvf", "values in", stack, keys, when, rows)
+    # one variable's (time, n_lat, n_lon) rows, and rows that skip the fault
+    with pytest.raises(ValueError, match="T \\(single\\) at row 3$"):
+        check_finite("f.gvf", "values in", stack[:, 0], keys[:1], when)
+    check_finite("f.gvf", "values in", stack[:, 1], keys[1:], when, [0, 1, 3])
+    check_finite("f.gvf", "values in", stack[:0], keys, when)
