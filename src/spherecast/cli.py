@@ -23,7 +23,8 @@ import numpy as np
 
 from . import container as cio
 from .container import (ContainerError, check_agreement, check_finite,
-                        check_nonempty, container_writer, read_container)
+                        check_nonempty, container_writer, read_container,
+                        read_keys)
 from .grid import default_units, make_equiangular_grid, make_gaussian_grid
 from .padding import PadSpec, pad
 from .preprocess import (Climatology, NormStats, climatology_bins,
@@ -169,37 +170,38 @@ _MIN_FIELDS = 8
 def _row_blocks(c, n_keys: int, min_fields: int = 1, even: bool = False):
     """Slices of c's time rows, each as many rows of n_keys variables as
     fit one block (container._BLOCK_BYTES) of float64, and at least enough
-    for min_fields fields; with even, an odd field count is rounded up to
-    an even one.  An empty time axis gives one empty slice."""
+    for min_fields fields (an odd field count rounded up to an even one
+    with even), the last cut at the end of the time axis; an empty time
+    axis gives one empty slice."""
     check_nonempty(c, times=False)
     n = max(1, cio._BLOCK_BYTES // (8 * n_keys * c.grid.n_lat
                                     * c.grid.n_lon),
             -(-min_fields // n_keys))
     if even:
         n += n * n_keys % 2
-    return [slice(start, start + n)
+    return [slice(start, min(start + n, len(c.times)))
             for start in range(0, max(len(c.times), 1), n)]
 
 
 def _map_rows(cfg, c, transform, grid=None, units=None, attrs=None):
     """Write cfg["output"], its header (c's, but for any grid, units, attrs
     or --dtype given) fixed first, then block of time rows by block: each
-    variable's rows, a checked float64 (rows, n_lat, n_lon) array made
-    for the call, through transform(values, (variable, level)), which may
-    overwrite values.  c's map is released after each block."""
+    variable's rows, read and checked into one float64 (rows, n_lat,
+    n_lon) array made for the call, through transform(values, (variable,
+    level)), which may overwrite values."""
+    blocks = _row_blocks(c, len(c.keys))
+    into = np.empty((blocks[0].stop,) + c.grid.shape)
     with container_writer(cfg["output"], grid or c.grid,
                           [(name, lev, units or u)
                            for name, lev, u in c.variables],
                           c.times, dtype=cfg["dtype"] or c.dtype_name,
                           attrs=c.attrs if attrs is None else attrs) as write:
-        for rows in _row_blocks(c, len(c.keys)):
-            out = []
-            for key in c.keys:  # each copy is let go once transformed
-                out.append(c.values(rows, *key))
-                check_finite(c.path, "values in", out[-1], [key], c.times[rows])
-                out[-1] = transform(out[-1], key)
-            write(out)
-            cio.release(c)
+        for rows in blocks:
+            for j, key in enumerate(c.keys):
+                values = c.read(rows, key, into[:rows.stop - rows.start])
+                check_finite(c.path, "values in", values, [key], c.times[rows])
+                write.at(range(rows.start, rows.stop), j,
+                         transform(values, key))
 
 
 def _cmd_normalize(cfg):
@@ -289,8 +291,9 @@ _SPECTRUM_FLAGS = {"u_var": ("kinetic",), "v_var": ("kinetic",),
 
 def _cmd_spectrum(cfg):
     """Power per (tag, time, m) in a float64 array, filled a pass of whole
-    time rows at a time (one transform call over every field read, then
-    the input's map is released), then written in (tag, lead, m) order."""
+    time rows at a time (one read into an array made once, then one
+    transform call over every field read), then written in (tag, lead, m)
+    order."""
     kind = cfg["kind"]
     for flag, kinds in _SPECTRUM_FLAGS.items():
         if kind not in kinds and cfg[flag] != _DEFAULTS["spectrum"][flag]:
@@ -328,16 +331,16 @@ def _cmd_spectrum(cfg):
         return zonal_power_spectrum(fields, l_max, c.grid).power
 
     power = np.empty((len(c.times), len(tags), l_max + 1))
-    cols = [c.index(*key) for key in keys]
-    # even passes: the transform pads an odd stack with a zero field
-    for rows in _row_blocks(c, len(keys), _MIN_FIELDS, even=True):
-        block = c.block(rows)
-        for j, key in zip(cols, keys):
-            check_finite(c.path, "values in", block[:, j], [key],
+    # even passes: the transform pads an odd stack with a zero field; read
+    # in the file's dtype, which the transform takes to float64 by chunks
+    blocks = _row_blocks(c, len(keys), _MIN_FIELDS, even=True)
+    into = np.empty((blocks[0].stop, len(keys)) + c.grid.shape, c.dtype)
+    for rows in blocks:
+        fields = read_keys(c, rows, keys, into[:rows.stop - rows.start])
+        for j, key in enumerate(keys):
+            check_finite(c.path, "values in", fields[:, j], [key],
                          c.times[rows])
-        # every variable's rows stay a view of the map; a subset is copied
-        power[rows] = spectra(block if kind == "power" else block[:, cols])
-        cio.release(c)
+        power[rows] = spectra(fields)
 
     by_lead = {}
     for i, t in enumerate(c.times):
@@ -375,13 +378,12 @@ def _mean_correlation(c, keys, weighted):
     """Correlation matrix of container c's variables keys, in that order,
     averaged over times; an error names the file."""
     check_nonempty(c)
-    cols = [c.index(*key) for key in keys]
-    matrices = []
+    fields, matrices = np.empty((len(keys),) + c.grid.shape), []
     for i, t in enumerate(c.times):
-        block = c.block(i)[cols]
-        check_finite(c.path, "values in", block[None], keys, [t])
+        read_keys(c, i, keys, fields)
+        check_finite(c.path, "values in", fields[None], keys, [t])
         try:
-            matrices.append(spatial_correlation(block, keys, c.grid,
+            matrices.append(spatial_correlation(fields, keys, c.grid,
                                                 weighted=weighted))
         except ValueError as exc:
             raise ValueError(f"{c.path} at {t.isoformat()}: {exc}") from None

@@ -11,9 +11,9 @@ from __future__ import annotations
 import csv
 import json
 import math
-import mmap
 import os
 import re
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -38,9 +38,9 @@ __all__ = [
     "check_agreement",
     "check_finite",
     "check_nonempty",
+    "check_rows",
     "container_writer",
-    "release",
-    "released_blocks",
+    "read_keys",
     "ScoreRecord",
     "read_container",
     "write_container",
@@ -117,27 +117,29 @@ class Container:
     """Lazy reader over one GVF1 file.
 
     The header is validated up front (magic, version, dtype, payload
-    length); fields are materialized per (time, variable) chunk from a
-    read-only memory map, whose pages release() drops.  Multiple readers
-    on one file are safe.
+    length); read() copies time rows of the payload with os.preadv into
+    an array the caller holds, so nothing of the file is mapped or kept.
+    The file stays open, as one descriptor, until the Container is
+    collected.  Multiple readers on one file are safe.
     """
 
     def __init__(self, path):
         self.path = Path(path)
         if not self.path.exists():
             raise ContainerError(f"{self.path}: no such file")
-        size = self.path.stat().st_size
+        self._fd = os.open(self.path, os.O_RDONLY)
+        weakref.finalize(self, os.close, self._fd)
+        size = os.fstat(self._fd).st_size
         if size < 8:
             raise ContainerError(
                 f"{self.path}: file too short for header length prefix "
                 f"({size} < 8 bytes)")
-        with open(self.path, "rb") as fh:
-            header_len = int.from_bytes(fh.read(8), "little")
-            if size < 8 + header_len:
-                raise ContainerError(
-                    f"{self.path}: declared header length {header_len} "
-                    f"exceeds file size {size}")
-            raw = fh.read(header_len)
+        header_len = int.from_bytes(os.pread(self._fd, 8, 0), "little")
+        if size < 8 + header_len:
+            raise ContainerError(
+                f"{self.path}: declared header length {header_len} "
+                f"exceeds file size {size}")
+        raw = os.pread(self._fd, header_len, 8)
         try:
             header = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -203,16 +205,8 @@ class Container:
         except (TypeError, ValueError) as exc:
             raise ContainerError(
                 f"{self.path}: invalid header: {exc}") from None
-        shape = (n_time, n_var, n_lat, n_lon)
-        if n_time * n_var:
-            with open(self.path, "rb") as fh:
-                # read-only, so release() may drop any of its pages
-                whole = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-            self._data = np.frombuffer(
-                whole, dtype=self.dtype, count=int(np.prod(shape)),
-                offset=self._offset).reshape(shape)
-        else:
-            self._data = np.empty(shape, dtype=self.dtype)
+        self._stride = n_var * n_lat * n_lon * self.dtype.itemsize
+        self._stage = np.empty(0, dtype=self.dtype)  # see read
 
     @property
     def keys(self) -> list[tuple[str, str]]:
@@ -238,52 +232,83 @@ class Container:
                 f"{self.path}: variable {variable!r} level {level!r} "
                 "not in container") from None
 
-    def values(self, time_index, variable: str, level: str = "single"):
-        """One (n_lat, n_lon) float64 array, or a (time, n_lat, n_lon) stack
-        when time_index is a slice, copied out of the map."""
-        j = self.index(variable, level)
-        return np.array(self._data[time_index, j], dtype=np.float64)
-
-    def block(self, time_index) -> np.ndarray:
-        """The (time, variable, n_lat, n_lon) rows of a slice, or the
-        (variable, n_lat, n_lon) row of an index, of every variable over
-        the read-only map, in the file's dtype: nothing is copied."""
-        return self._data[time_index]
-
-    def series(self, variable: str, level: str = "single") -> FieldSeries:
-        """Every time of one variable as a float64 FieldSeries, copied out
-        of the map."""
-        j = self.index(variable, level)
-        return FieldSeries(self.grid, variable, level, self.times,
-                           np.array(self._data[:, j], dtype=np.float64),
-                           units=self.variables[j][2])
-
-    def read_cells(self, key, rows, cells: slice, out) -> np.ndarray:
-        """out, with out[i] set to the flattened grid cells `cells` of
-        variable key at time rows[i], in the file's dtype (out is such a
-        C-contiguous (len(rows), cells) array).  Each row's run is read
-        from the file with pread, not through the map: nothing of the file
-        stays resident, and a few cells of a row cost a copy instead of
-        the fault of a whole page-cache folio."""
-        n_cells, size = self.grid.n_lat * self.grid.n_lon, self.dtype.itemsize
-        at = self._offset + (self.index(*key) * n_cells + cells.start) * size
-        stride = len(self.variables) * n_cells * size
-        fd = os.open(self.path, os.O_RDONLY)
-        try:
-            for run, row in zip(out, rows):
-                if os.preadv(fd, [run], at + int(row) * stride) != run.nbytes:
-                    raise ContainerError(f"{self.path}: short read at time "
-                                         f"row {row}")
-        finally:
-            os.close(fd)
+    def read(self, rows, key=None, out=None, cells=None) -> np.ndarray:
+        """Time rows (an index, a slice or a sequence of indices) of key,
+        or of every variable, or cells (a slice of step 1 of the flat
+        grid) of key's fields, copied into out (a new float64 array by
+        default): ([rows,] [variable,] n_lat, n_lon) or ([rows,] cells).
+        Each row of key, or run of consecutive rows of every variable, is
+        one os.preadv, straight into an out C-contiguous in the file's
+        dtype, else into a reused staging array of that dtype, at most
+        _BLOCK_BYTES (or a row) at a time, and cast.  A short read raises
+        ContainerError naming the file and the row."""
+        one = isinstance(rows, (int, np.integer))
+        if one or isinstance(rows, slice):
+            rows = range(len(self.times))[rows]
+        rows = np.atleast_1d(np.asarray(rows, dtype=np.intp))
+        if len(rows) and not 0 <= rows.min() <= rows.max() < len(self.times):
+            raise IndexError(f"{self.path}: time rows {rows.min()}.."
+                             f"{rows.max()} outside 0..{len(self.times) - 1}")
+        first = self._offset
+        if key is None:
+            shape = (len(self.variables),) + self.grid.shape
+        else:
+            n_cells = self.grid.n_lat * self.grid.n_lon
+            span = range(n_cells)[cells or slice(None)]
+            first += (self.index(*key) * n_cells + span.start) * (
+                self.dtype.itemsize)
+            shape = self.grid.shape if cells is None else (len(span),)
+        if out is None:
+            out = np.empty(shape if one else (len(rows),) + shape)
+        into = out[None] if one else out  # a view with a row axis
+        if into.shape != (len(rows),) + shape:
+            raise ValueError(f"{self.path}: out has shape {out.shape}, not "
+                             f"{shape if one else (len(rows),) + shape}")
+        if out.dtype == self.dtype and out.flags.c_contiguous:
+            self._pread(rows, first, into)
+            return out
+        size = math.prod(shape)
+        step = max(1, _BLOCK_BYTES // max(1, size * self.dtype.itemsize))
+        if len(self._stage) < min(step, len(rows)) * size:
+            self._stage = np.empty(min(step, len(rows)) * size, self.dtype)
+        for start in range(0, len(rows), step):
+            part = rows[start:start + step]
+            into[start:start + len(part)] = self._pread(
+                part, first, self._stage[:len(part) * size].reshape(
+                    (len(part),) + shape))
         return out
 
-    def view(self, variable: str, level: str = "single") -> np.ndarray:
-        """Every time of one variable as a (time, n_lat, n_lon) array over
-        the read-only map, in the file's dtype: nothing is read until it is
-        indexed, so convert what you take from it to float64 before any
-        arithmetic."""
-        return self._data[:, self.index(variable, level)]
+    def _pread(self, rows, first: int, dest: np.ndarray) -> np.ndarray:
+        """dest, C-contiguous in the file's dtype, with dest[i] read from
+        the bytes at first + rows[i] * stride; rows that lie end to end in
+        the file (whole rows of every variable) go in one preadv."""
+        mem = dest.reshape(-1).view(np.uint8)
+        unit = len(mem) // max(1, len(rows))
+        cuts = (np.flatnonzero(np.diff(rows) != 1) + 1).tolist() if (
+            unit == self._stride) else range(1, len(rows))
+        bounds = [0, *cuts, len(rows)] if len(rows) else []
+        for start, stop in zip(bounds, bounds[1:]):
+            lo, hi = start * unit, stop * unit
+            at = first + int(rows[start]) * self._stride - lo  # of mem[0]
+            while lo < hi:
+                got = os.preadv(self._fd, [mem[lo:hi]], at + lo)
+                if not got:
+                    raise ContainerError(
+                        f"{self.path}: short read at time row "
+                        f"{rows[start] + (lo - start * unit) // unit}")
+                lo += got
+        return dest
+
+    def values(self, time_index, variable: str, level: str = "single"):
+        """The float64 read of time_index of one variable."""
+        return self.read(time_index, (variable, level))
+
+    def series(self, variable: str, level: str = "single") -> FieldSeries:
+        """Every time of one variable as a float64 FieldSeries (read)."""
+        j = self.index(variable, level)
+        return FieldSeries(self.grid, variable, level, self.times,
+                           self.read(slice(None), (variable, level)),
+                           units=self.variables[j][2])
 
 
 def _grid_name(grid: GridSpec) -> str:
@@ -311,71 +336,64 @@ def check_agreement(other, keys, grid: GridSpec | None = None,
         raise ValueError(f"{where}: {word} variable {name} ({level})")
 
 
-# bytes of one block: a stage touches at most this much of a file's map
-# (released_blocks), or reads this much float64 (cli._row_blocks), before
-# it releases the map
+# bytes of one block: a stage reads at most this much of a file at once,
+# as float64 (cli._row_blocks) or in the file's dtype (check_rows and
+# Container.read's staging array)
 _BLOCK_BYTES = 1 << 21
 
 
-def release(data) -> None:
-    """Drop every resident page of the read-only file map under data, a
-    Container or any view of its map (a block, a view's values, a slice
-    of them); for an array held in memory this does nothing.  A page that
-    is touched again is read back from the page cache, with its bytes.
-
-    A page fault maps a whole page-cache folio, which can be hundreds of
-    KB, so a read of a few bytes per folio makes a whole file resident;
-    the stages release after each block they read, not once per file.
-    """
-    base = data._data if isinstance(data, Container) else data
-    while isinstance(base, np.ndarray):
-        base = base.base
-    if (isinstance(base, memoryview) and base.readonly
-            and isinstance(base.obj, mmap.mmap)
-            and hasattr(mmap, "MADV_DONTNEED")):
-        base.obj.madvise(mmap.MADV_DONTNEED)
-
-
-def released_blocks(values, rows):
-    """Split rows, ascending indices along values' first axis, into runs
-    that each span at most _BLOCK_BYTES of values (and at least one row),
-    and yield each run as a slice of rows; the map under values is
-    released after each run is used."""
-    rows = np.asarray(rows, dtype=np.intp)
-    span = max(1, _BLOCK_BYTES // max(1, abs(values.strides[0])))
-    start = 0
-    while start < len(rows):
-        stop = int(np.searchsorted(rows, rows[start] + span))
-        yield slice(start, stop)
-        release(values)
-        start = stop
-
-
-def check_finite(where, what: str, values, keys, when, rows=None,
-                 release: bool = False) -> None:
+def check_finite(where, what: str, values, keys, when, rows=None) -> None:
     """Raise ValueError, `<where>: non-finite <what> <name> (<level>) at
     <when[row]>` (a datetime in isoformat), at the first of rows (default
     all) of values, a (time, [variable,] n_lat, n_lon) stack of keys,
-    that holds a NaN or inf.  Each run of consecutive rows is checked
-    where it lies, in one call; with release, a row at a time, and the
-    map is released after each block of rows (released_blocks)."""
+    that holds a NaN or inf.  Each run of consecutive rows is checked in
+    one call."""
     rows = np.asarray(range(len(values)) if rows is None else rows,
                       dtype=np.intp)
     if not (len(rows) and keys):
         return
-    for block in released_blocks(values, rows) if release else [slice(None)]:
-        part = rows[block]
-        for run in np.split(part, range(1, len(part)) if release
-                            else np.flatnonzero(np.diff(part) != 1) + 1):
-            finite = np.isfinite(values[run[0]:run[-1] + 1]).reshape(
-                len(run), len(keys), -1).all(axis=-1)  # (row, variable)
-            if not finite.all():
-                i, j = divmod(int(np.argmin(finite)), len(keys))
-                label, (name, level) = when[run[i]], keys[j]
-                if isinstance(label, datetime):
-                    label = label.isoformat()
-                raise ValueError(f"{where}: non-finite {what} {name} "
-                                 f"({level}) at {label}")
+    for run in np.split(rows, np.flatnonzero(np.diff(rows) != 1) + 1):
+        finite = np.isfinite(values[run[0]:run[-1] + 1]).reshape(
+            len(run), len(keys), -1).all(axis=-1)  # (row, variable)
+        if not finite.all():
+            i, j = divmod(int(np.argmin(finite)), len(keys))
+            label, (name, level) = when[run[i]], keys[j]
+            if isinstance(label, datetime):
+                label = label.isoformat()
+            raise ValueError(f"{where}: non-finite {what} {name} "
+                             f"({level}) at {label}")
+
+
+def check_rows(source, what: str, when, rows=None, keys=None) -> None:
+    """check_finite of source's (a Container's or a Climatology's) time
+    rows (default all) of keys (default all), labelled by when[row], read
+    a block (_BLOCK_BYTES) at a time into one array of source's dtype: a
+    value is finite in it exactly when it is in float64."""
+    keys = source.keys if keys is None else list(keys)
+    rows = np.arange(len(when)) if rows is None else np.asarray(rows)
+    if not (len(rows) and keys):
+        return
+    shape = (len(keys),) + source.grid.shape
+    step = min(len(rows), max(1, _BLOCK_BYTES // (
+        math.prod(shape) * source.dtype.itemsize)))
+    into = np.empty((step,) + shape, source.dtype)
+    where = source.path or type(source).__name__.lower()
+    for start in range(0, len(rows), step):
+        part = rows[start:start + step]
+        check_finite(where, what, read_keys(source, part, keys,
+                                            into[:len(part)]),
+                     keys, [when[row] for row in part])
+
+
+def read_keys(source, rows, keys, out) -> np.ndarray:
+    """out, a ([rows,] keys, n_lat, n_lon) stack, set to source's (as in
+    check_rows) rows of keys: one read when source holds just keys, in
+    that order, else one per key."""
+    if list(keys) == source.keys:
+        return source.read(rows, None, out)
+    for j, key in enumerate(keys):
+        source.read(rows, key, out[..., j, :, :])
+    return out
 
 
 def check_nonempty(c: Container, times: bool = True) -> None:

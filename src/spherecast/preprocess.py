@@ -20,8 +20,8 @@ import numpy as np
 
 from . import container
 from .container import (Container, ContainerError, atomic_write,
-                        check_finite, check_nonempty, container_writer,
-                        read_container, release, released_blocks)
+                        check_finite, check_nonempty, check_rows,
+                        container_writer, read_container)
 from .grid import GridSpec, default_units, ensure_utc
 
 __all__ = [
@@ -133,29 +133,26 @@ def _merge_moments(n_a, mean_a, m2_a, n_b, mean_b, m2_b):
     return n, mean, m2
 
 
-def _stat_entry(c: Container, key, rows) -> StatEntry:
-    """Mean and std of key's values in c at ascending time rows, merged
-    (count, mean, squared deviations) a float64 row at a time, releasing
-    the map after each block; a row of non-finite mean is checked."""
-    values = c.view(*key)
-    n, mean, m2 = 0, 0.0, 0.0
-    for block in released_blocks(values, rows):
-        for i in rows[block]:
-            chunk = np.asarray(values[i], dtype=np.float64)
-            mb = float(chunk.mean())
-            if not np.isfinite(mb):
-                check_finite(c.path, "values in", values, [key], c.times, [i])
-            m2b = float(((chunk - mb) ** 2).sum())
-            n, mean, m2 = _merge_moments(n, mean, m2, chunk.size, mb, m2b)
-    sigma = float(np.sqrt(m2 / n))
-    # rounding noise of an exactly constant field shows up as sigma ~
-    # eps * |mean|; reject that as zero variance too, and finite values
-    # whose moments overflow
-    if not 1e-14 * abs(mean) < sigma < np.inf:
-        raise ValueError(f"{c.path}: {key[0]} ({key[1]}): zero variance, "
-                         "or moments beyond the float64 range, over the "
-                         "period; cannot standardize")
-    return StatEntry(mu=mean, sigma=sigma)
+def _moments(c: Container, rows) -> dict:
+    """{key: (count, mean, squared deviations)} of each variable in c at
+    ascending time rows, merged a float64 field at a time from blocks
+    (container._BLOCK_BYTES) of whole rows; a non-finite mean is checked."""
+    merged = dict.fromkeys(c.keys, (0, 0.0, 0.0))
+    step = max(1, container._BLOCK_BYTES // (
+        8 * len(c.keys) * c.grid.n_lat * c.grid.n_lon))
+    into = np.empty((min(len(rows), step), len(c.keys)) + c.grid.shape)
+    for start in range(0, len(rows), step):
+        part = rows[start:start + step]
+        for i, fields in zip(part, c.read(part, out=into[:len(part)])):
+            for key, chunk in zip(c.keys, fields):
+                mb = float(chunk.mean())
+                if not np.isfinite(mb):
+                    check_finite(c.path, "values in", chunk[None], [key],
+                                 [c.times[i]])
+                m2b = float(((chunk - mb) ** 2).sum())
+                merged[key] = _merge_moments(*merged[key], chunk.size, mb,
+                                             m2b)
+    return merged
 
 
 def compute_stats(c: Container, period: tuple[datetime, datetime] | None = None
@@ -179,8 +176,16 @@ def compute_stats(c: Container, period: tuple[datetime, datetime] | None = None
         if not len(rows):
             raise ValueError(f"{c.path}: no samples in requested period")
         stats.period = (t0.isoformat(), t1.isoformat())
-    for key in c.keys:
-        stats.entries[key] = _stat_entry(c, key, rows)
+    for key, (n, mean, m2) in _moments(c, rows).items():
+        sigma = float(np.sqrt(m2 / n))
+        # rounding noise of an exactly constant field shows up as sigma ~
+        # eps * |mean|; reject that as zero variance too, and finite
+        # values whose moments overflow
+        if not 1e-14 * abs(mean) < sigma < np.inf:
+            raise ValueError(f"{c.path}: {key[0]} ({key[1]}): zero "
+                             "variance, or moments beyond the float64 "
+                             "range, over the period; cannot standardize")
+        stats.entries[key] = StatEntry(mu=mean, sigma=sigma)
     return stats
 
 
@@ -208,13 +213,14 @@ def _pairwise_sum(fill, start: int, stop: int, leaf: int) -> np.float64:
             + _pairwise_sum(fill, mid, stop, leaf))
 
 
-def _copy_cells(out, rows, start: int, stop: int) -> np.ndarray:
+def _read_span(c: Container, key, start: int, stop: int, out) -> np.ndarray:
     """out[:stop - start], set to the float64 values of cells start..stop
-    of rows, a (time, cells) array flattened row after row."""
-    width, out = rows.shape[1], out[:stop - start]
+    of key's values in c flattened row after row, a read per row."""
+    width, out = c.grid.n_lat * c.grid.n_lon, out[:stop - start]
     for r in range(start // width, -(-stop // width)):
         lo, hi = max(start, r * width), min(stop, (r + 1) * width)
-        out[lo - start:hi - start] = rows[r, lo - r * width:hi - r * width]
+        c.read(r, key, out[lo - start:hi - start],
+               slice(lo - r * width, hi - r * width))
     return out
 
 
@@ -223,51 +229,48 @@ def _spreads(c: Container, key, e: StatEntry,
     """(std of the one-step tendency of T' = (T - mu)/sigma, the std xi is
     scaled by: that same one, or std(T') for "standardized"), with T,
     key's values in c.  Each std has the bits np.std of the whole float64
-    series would give, but T' is made a block (container._BLOCK_BYTES) of
-    cells at a time for _pairwise_sum, in two reused buffers, and the map
-    under T is released after each."""
-    values = c.view(*key)
-    if len(values) < 2:
+    series would give, but T' is read a block (container._BLOCK_BYTES) of
+    cells (and a row more for the tendency) at a time for _pairwise_sum,
+    into two reused buffers.  A non-finite tendency std names the first
+    time that holds a NaN or inf, if one does (check_rows)."""
+    if len(c.times) < 2:
         raise ValueError(
             f"{c.path}: {key[0]} ({key[1]}): need at least 2 time steps for "
-            f"the tendency, got {len(values)}")
-    rows = values.reshape(len(values), -1)
-    n, width = rows.size, rows.shape[1]
+            f"the tendency, got {len(c.times)}")
+    width = c.grid.n_lat * c.grid.n_lon
+    n = len(c.times) * width
     leaf = max(128, container._BLOCK_BYTES // 8)
-    now, later = np.empty((2, min(leaf, n)))
+    series, out = np.empty(min(leaf, n) + width), np.empty(min(leaf, n))
 
-    def standardized(start, stop, out=now):
-        out = _copy_cells(out, rows, start, stop)
-        out -= e.mu
-        out /= e.sigma
-        return out
+    def standardized(start, stop):
+        values = _read_span(c, key, start, stop, series)
+        values -= e.mu
+        values /= e.sigma
+        return values
 
     def tendency(start, stop):  # as np.diff along time gives, squared
-        out = standardized(start + width, stop + width, later)
-        out -= standardized(start, stop)
-        out *= out
-        release(values)
-        return out
-
-    def cells(start, stop):
-        out = standardized(start, stop)
-        release(values)
-        return out
+        both = standardized(start, stop + width)
+        diff = np.subtract(both[width:], both[:stop - start],
+                           out=out[:stop - start])
+        diff *= diff
+        return diff
 
     def deviations(start, stop):
-        out = cells(start, stop)
-        out -= mean
-        out *= out
-        return out
+        values = standardized(start, stop)
+        values -= mean
+        values *= values
+        return values
 
     tend = float(np.sqrt(_pairwise_sum(tendency, 0, n - width, leaf)
                          / (n - width)))
     if not 0.0 < tend < np.inf:
+        if not np.isfinite(tend):
+            check_rows(c, "values in", c.times, keys=[key])
         raise ValueError(f"{c.path}: {key[0]} ({key[1]}): zero or non-finite "
                          "tendency std")
     if denominator != "standardized":
         return tend, tend
-    mean = _pairwise_sum(cells, 0, n, leaf) / n
+    mean = _pairwise_sum(standardized, 0, n, leaf) / n
     return tend, float(np.sqrt(_pairwise_sum(deviations, 0, n, leaf) / n))
 
 
@@ -380,14 +383,14 @@ def day_of_year_365(t: datetime) -> int:
 class Climatology:
     """Sliding-window mean fields indexed by (day-of-year, hour-of-day).
 
-    data maps (variable, level) to an array [365, n_hours, n_lat, n_lon]
-    (from_container leaves each one a view of the file's map, in the
-    file's dtype; values() returns float64 either way); hours lists the
-    hours-of-day present (e.g. [0, 6, 12, 18] for 6-hourly data).
-    Windows are window_days wide, Gaussian-weighted with std_days,
-    weights renormalized to sum 1.  units maps (variable, level) to the
-    units of its input; a key without one gets its variable's default.
-    path is the file from_container read, or None.
+    data maps (variable, level) to an array [365, n_hours, n_lat, n_lon];
+    from_container leaves data empty and the bins in the file, container,
+    which read() copies them from.  hours lists the hours-of-day present
+    (e.g. [0, 6, 12, 18] for 6-hourly data).  Windows are window_days
+    wide, Gaussian-weighted with std_days, weights renormalized to sum 1.
+    units maps (variable, level) to the units of its input; a key without
+    one gets its variable's default.  path is the file from_container
+    read, or None.
     """
 
     grid: GridSpec
@@ -397,6 +400,7 @@ class Climatology:
     data: dict[tuple[str, str], np.ndarray]
     units: dict[tuple[str, str], str] = dc_field(default_factory=dict)
     path: Path | None = None
+    container: Container | None = None
 
     def row(self, when: datetime) -> int:
         """when's bin as a row of data viewed as (365 * len(hours), ...)."""
@@ -408,50 +412,58 @@ class Climatology:
         return ((day_of_year_365(when) - 1) * len(self.hours)
                 + self.hours.index(when.hour))
 
+    def read(self, rows, key=None, out=None) -> np.ndarray:
+        """Bins at rows (of row()) of key, or of every key, as
+        Container.read gives time rows: from the file, if there is one,
+        else from data."""
+        if self.container is not None:
+            return self.container.read(rows, key, out)
+        bins = [self.data[k].reshape((-1,) + self.grid.shape)[rows]
+                for k in ([key] if key else self.data)]
+        bins = bins[0] if key else np.stack(bins, axis=-3)
+        out = np.empty(np.shape(bins)) if out is None else out
+        np.copyto(out, bins)
+        return out
+
     def values(self, variable: str, level: str, when: datetime) -> np.ndarray:
-        return np.asarray(self.data[(variable, level)][
-            divmod(self.row(when), len(self.hours))], dtype=np.float64)
+        return self.read(self.row(when), (variable, level))
 
     @property
     def keys(self) -> list[tuple[str, str]]:
-        return list(self.data.keys())
+        return self.container.keys if self.container else list(self.data)
+
+    @property
+    def dtype(self) -> np.dtype:  # of the file's bins, float64 for data
+        return self.container.dtype if self.container else np.dtype("f8")
 
     def check_finite(self, keys, times) -> None:
-        """Raise ValueError, naming the file, the variable and the bin
-        (check_finite), unless the bins of times are finite in each of
-        keys; the bins are read a block at a time."""
-        rows = np.unique([self.row(t) for t in times])
+        """check_rows of the bins of times in each of keys: the error
+        names the file, the variable and the bin."""
         bins = [f"day {d + 1}, {h:02d}Z" for d in range(365)
                 for h in self.hours]
-        for key in keys:
-            check_finite(self.path or "climatology", "climatology",
-                         self.data[key].reshape((-1,) + self.grid.shape),
-                         [key], bins, rows, release=True)
-
-    def release(self) -> None:
-        """Release the map under each variable's bins."""
-        for values in self.data.values():
-            release(values)
+        check_rows(self, "climatology", bins,
+                   np.unique([self.row(t) for t in times]), keys)
 
     def to_container(self, path, dtype: str = "f64") -> None:
         """Store climatology fields as a GVF1 container on a pseudo-year
-        axis (see climatology_writer)."""
+        axis (see climatology_writer), read and written a bin at a time."""
         variables = [(name, level, self.units.get((name, level),
                                                   default_units(name)))
-                     for name, level in self.data]
+                     for name, level in self.keys]
         with climatology_writer(path, self.grid, variables, self.hours,
                                 self.window_days, self.std_days,
                                 dtype=dtype) as put:
-            for j, arr in enumerate(self.data.values()):
-                for hi in range(len(self.hours)):
-                    put(j, hi, arr[:, hi])
+            for j, key in enumerate(self.keys):
+                for row in range(365 * len(self.hours)):
+                    day, hi = divmod(row, len(self.hours))
+                    put(j, hi, self.read([row], key), slice(day, day + 1))
 
     @classmethod
     def from_container(cls, path) -> "Climatology":
         """The climatology a climatology_writer file holds, its bins left
-        views of the file's map.  ContainerError names the file, and the
-        key of a malformed attrs["climatology"] block, if it has none or
-        a malformed one."""
+        in the file.  ContainerError names the file, and the key of a
+        malformed attrs["climatology"] block, if it has none or a
+        malformed one."""
         c = read_container(path)
         meta = c.attrs.get("climatology")
         if meta is None:
@@ -463,16 +475,12 @@ class Climatology:
             raise ValueError(
                 f"{path}: expected {365 * n_h} climatology bins, "
                 f"got {len(c.times)}")
-        # the file's read-only map: a bin is read when it is looked up
-        data = {(name, level): c.view(name, level).reshape(
-                    (365, n_h) + c.grid.shape)
-                for name, level, _units in c.variables}
         return cls(grid=c.grid, hours=hours,
                    window_days=meta["window_days"],
-                   std_days=float(meta["std_days"]), data=data,
+                   std_days=float(meta["std_days"]), data={},
                    units={(name, level): units
                           for name, level, units in c.variables},
-                   path=c.path)
+                   path=c.path, container=c)
 
 
 def _check_climatology_attrs(meta, path) -> None:
@@ -542,10 +550,10 @@ def climatology_bins(c: Container, window_days: int = 61,
     and the [samples, cells] samples of a variable at an hour, taken in
     chunks (_climatology_chunks) that each hold a block or two
     (container._BLOCK_BYTES) of float64, however long the time axis: the
-    samples a chunk of cells at a time, read from the file with
-    Container.read_cells, so no page of it stays resident, and for each
-    the weights a chunk of days at a time.  Each chunk of samples is
-    checked for NaN or inf (container.check_finite).
+    samples a chunk of cells at a time, read from the file straight into
+    one buffer (Container.read), and for each the weights a chunk of
+    days at a time.  Each chunk of samples is checked for NaN or inf
+    (container.check_finite).
 
     Yields (j, hours, hi, days, cells, means): j is the variable's index
     in c.keys, hours lists the hours of day present, days is a slice of
@@ -569,26 +577,16 @@ def climatology_bins(c: Container, window_days: int = 61,
                 len(idx), c.grid.n_lat * c.grid.n_lon)
             width = max(s.stop - s.start for s in cell_chunks)
             buffer = np.empty(len(idx) * width)
-            read = np.empty((_READ_ROWS, width), dtype=c.dtype)
             w = None  # made once if it is one chunk of days
             for cells in cell_chunks:
-                gathered = buffer[:len(idx) * (cells.stop - cells.start)
-                                  ].reshape(len(idx), -1)
-                for r in range(0, len(idx), _READ_ROWS):
-                    rows = idx[r:r + _READ_ROWS]
-                    gathered[r:r + len(rows)] = c.read_cells(
-                        key, rows, cells, read[:len(rows), :gathered.shape[1]])
+                gathered = c.read(idx, key, buffer[:len(idx) * (
+                    cells.stop - cells.start)].reshape(len(idx), -1), cells)
                 check_finite(c.path, "values in", gathered, [key], times)
                 for days in day_chunks:
                     if w is None or len(day_chunks) > 1:
                         w = _window_weights(doys, days, half,
                                             gaussian_std_days)
                     yield j, hours, hi, days, cells, w @ gathered
-
-
-# time rows of a chunk of samples read at once, in the file's dtype, before
-# they are taken to float64
-_READ_ROWS = 64
 
 
 def _spans(n: int, width: int, align: int) -> list[slice]:

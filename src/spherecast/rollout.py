@@ -27,9 +27,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .container import (Container, check_agreement, check_finite,
-                        container_writer, read_container, release,
-                        _format_time)
+from .container import (Container, check_agreement, check_nonempty,
+                        check_rows, container_writer, read_container,
+                        read_keys, _format_time)
 from .filters import (DiffusionSpec, PoleFilterSpec, _number, diffuse_values,
                       pole_filter_values)
 from .grid import ensure_utc
@@ -238,30 +238,24 @@ def _run_external_step(command: list[str], state: np.ndarray, variables,
     if len(c.times) != 1:
         raise ExternalForecasterError(
             f"external state must hold exactly 1 time, got {len(c.times)}")
-    fields = c.block(0)
-    for row, (name, level, _) in zip(state, variables):
-        row[...] = fields[c.index(name, level)]  # cast out of the map
+    read_keys(c, 0, [(name, level) for name, level, _ in variables], state)
 
 
 def _lead_rows(plan: RolloutPlan, c: Container, row: int | None,
-               t_i: datetime, climatology: Climatology | None):
-    """One initialization's forecast: per lead, in order, a float64
-    (variable, n_lat, n_lon) row of c's variables, starting from c's time
-    row `row` (None for the climatology forecaster, which reads none).
-
-    Persistence and the external forecaster yield one state stack over
-    and over; the external one overwrites it in place between leads, so a
-    consumer must write or copy each row before it takes the next.
+               t_i: datetime, climatology: Climatology | None, state):
+    """One initialization's forecast: per lead, in order, state, a float64
+    (variable, n_lat, n_lon) stack of c's variables read from c's time row
+    `row`, or, for the climatology forecaster (row None), from the bin of
+    each valid time.  The one stack is overwritten in place between
+    leads, so a consumer must write or copy each row before the next.
     """
     if plan.forecaster == "climatology":
         for h in plan.leads:
-            t = t_i + timedelta(hours=h)
-            yield np.stack([climatology.values(name, level, t)
-                            for name, level in c.keys])
-        climatology.release()
+            read_keys(climatology, climatology.row(t_i + timedelta(hours=h)),
+                      c.keys, state)
+            yield state
         return
-    state = np.array(c.block(row), dtype=np.float64)
-    release(c)
+    read_keys(c, row, c.keys, state)
     yield state
     if plan.forecaster == "persistence":
         for _ in plan.leads[1:]:
@@ -292,8 +286,7 @@ def _init_rows(plan: RolloutPlan, c: Container) -> list[int]:
             raise KeyError(f"{c.path}: init time {t_i.isoformat()} not in "
                            "its time axis")
     rows = [index[t_i] for t_i in plan.init_times]
-    check_finite(c.path, "initial state", c.block(slice(None)), c.keys,
-                 c.times, np.unique(rows), release=True)
+    check_rows(c, "initial state", c.times, np.unique(rows))
     return rows
 
 
@@ -309,13 +302,14 @@ def run_rollout_to_dir(plan: RolloutPlan, c: Container, out_dir,
     (day, hour) field for each valid time.  Each container tags its init
     time in attrs["init_time"], which is how verify's ForecastSet reads it
     back.  A climatology must agree with c (check_agreement), and every
-    init is checked before the first container is opened: the initial
-    states, or the climatology bins of every valid time, must be there and
-    be finite, and are read a block at a time; a failing init leaves no
-    file, and those before it complete.  No more than one
-    state per initialization is held in memory, and rollouts are
-    deterministic: no hidden randomness.
+    init is checked before the first container is opened: c must hold a
+    variable, and the initial states, or the climatology bins of every
+    valid time, must be there and be finite, and are read a block at a
+    time; a failing init leaves no file, and those before it complete.
+    One state stack, made once, holds each lead as it is made, and
+    rollouts are deterministic: no hidden randomness.
     """
+    check_nonempty(c, times=False)
     if plan.forecaster == "climatology":
         if climatology is None:
             raise ValueError("climatology forecaster requires a climatology")
@@ -334,13 +328,13 @@ def run_rollout_to_dir(plan: RolloutPlan, c: Container, out_dir,
                 raise ValueError(f"postprocess step {n}: {exc}") from None
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = []
+    paths, state = [], np.empty((len(c.keys),) + c.grid.shape)
     for t_i, row in zip(plan.init_times, rows):
         paths.append(out_dir / f"init_{t_i.strftime('%Y%m%dT%H%M%SZ')}.gvf")
         with container_writer(paths[-1], c.grid, c.variables,
                               [t_i + timedelta(hours=h) for h in plan.leads],
                               dtype=plan.state_dtype,
                               attrs={"init_time": _format_time(t_i)}) as write:
-            for state in _lead_rows(plan, c, row, t_i, climatology):
-                write(state[:, None])
+            for lead in _lead_rows(plan, c, row, t_i, climatology, state):
+                write(lead[:, None])
     return paths

@@ -20,9 +20,10 @@ from pathlib import Path
 
 import numpy as np
 
+from . import container
 from .container import (Container, ScoreRecord, atomic_write,
-                        check_agreement, check_finite, check_nonempty,
-                        read_container, release, released_blocks)
+                        check_agreement, check_nonempty, check_rows,
+                        read_container, read_keys)
 from .grid import GridSpec, ensure_utc, metric_weights
 from .preprocess import Climatology
 
@@ -144,15 +145,6 @@ def acc_field(f_anom: np.ndarray, o_anom: np.ndarray,
     return _safe_ratio(cov, np.sqrt(var_f) * np.sqrt(var_o))
 
 
-def _copy_rows(values: np.ndarray, rows: list[int], out: np.ndarray):
-    """values[rows] cast into out[:len(rows)]; consecutive rows (the usual
-    case) are copied from a slice, so that no temporary is made."""
-    consecutive = rows == list(range(rows[0], rows[0] + len(rows)))
-    np.copyto(out[:len(rows)],
-              values[rows[0]:rows[-1] + 1] if consecutive else values[rows])
-    return out[:len(rows)]
-
-
 class ForecastSet:
     """Per-initialization forecast containers, with target and climatology.
 
@@ -165,9 +157,8 @@ class ForecastSet:
     variables, and so must the target and the climatology.  No two files
     may hold one init, every forecast valid time must be covered by the
     target, and every forecast and every target row it verifies against
-    must be finite; the forecasts are checked one init at a time, and an
-    error about a forecast names its file.  Files are read a block of rows
-    at a time, and the map under each block is released after it.
+    must be finite (check_rows); the forecasts are checked one init at a
+    time, and an error about a forecast names its file.
     """
 
     def __init__(self, forecasts, target: Container,
@@ -202,14 +193,12 @@ class ForecastSet:
                     f"{where}: target does not cover forecast valid time "
                     f"{fc.times[rows.index(None)].isoformat()}")
             used.update(rows)  # the target rows every variable verifies
-            check_finite(path, "forecast", fc.block(slice(None)), fc.keys,
-                         [f"{t.isoformat()} (init {t_i.isoformat()})"
-                          for t in fc.times], release=True)
+            check_rows(fc, "forecast", [f"{t.isoformat()} (init "
+                                        f"{t_i.isoformat()})"
+                                        for t in fc.times])
             self._leads[t_i] = {int((t - t_i).total_seconds() // 3600)
                                 for t in fc.times}
-        for key in self._keys:
-            check_finite(target.path, "target", target.view(*key), [key],
-                         target.times, sorted(used), release=True)
+        check_rows(target, "target", target.times, sorted(used), self._keys)
         self.weights = metric_weights(self.grid)
 
     @property
@@ -229,12 +218,6 @@ class ForecastSet:
         its attrs["init_time"], else its first valid time."""
         return read_container(self.forecasts[ensure_utc(t_i)])
 
-    def release(self) -> None:
-        """Release the maps under the target and the climatology."""
-        release(self.target)
-        if self.climatology is not None:
-            self.climatology.release()
-
 
 METRICS = ("rmse", "acc")
 
@@ -245,23 +228,31 @@ def _per_init(fs: ForecastSet, cells, metrics
     cell and metric (of METRICS, or "skill": 1 - MSE / MSE of the
     climatology), over the inits that reach the cell's lead.  The
     climatology bins the scores read are checked first.  One pass walks
-    each init's forecast a run of rows at a time (released_blocks; the
-    maps under it, the target and the climatology are released after each
-    run) and scores each variable's rows in a run as one stack in a
-    float64 scratch stack made for the pass (_score_rows)."""
+    each init's forecast a block (container._BLOCK_BYTES of float64) of
+    rows at a time, reads them, their target rows and their climatology
+    bins, each of every variable at once, into stacks made for the pass,
+    and scores each variable's rows as one stack (_score_rows)."""
     metrics = list(dict.fromkeys(metrics))
     found = {cell: ([], {m: [] for m in metrics}) for cell in cells}
-    if any(m != "rmse" for m in metrics):
+    clim = any(m != "rmse" for m in metrics)
+    if clim:
         if fs.climatology is None:
             raise ValueError("no climatology attached to this forecast set")
         keys = list(dict.fromkeys(key for key, _ in found))
         fs.climatology.check_finite(keys, {
             t_i + timedelta(hours=lead) for t_i, leads in fs._leads.items()
             for _, lead in found if lead in leads})
-    scratch = np.empty((4, 0) + fs.grid.shape)
+    # every variable is read at once, or, if a row of them passes a block,
+    # one at a time, so that each is scored while it is in cache
+    cells = fs.grid.n_lat * fs.grid.n_lon
+    width = max(1, min(len(fs.keys), container._BLOCK_BYTES // (8 * cells)))
+    groups = [fs.keys[g:g + width] for g in range(0, len(fs.keys), width)]
+    step = max(1, container._BLOCK_BYTES // (8 * width * cells))
+    # forecast, target, climatology; and the intermediates of one variable
+    stacks = np.empty((2 + clim, step, width) + fs.grid.shape)
+    tmp = np.empty((step,) + fs.grid.shape)
     for t_i in fs.init_times:
         fc = fs.forecast(t_i)
-        views = {key: fc.view(*key) for key in fc.keys}
         rows = {t: i for i, t in enumerate(fc.times)}
         reached = {}  # forecast row -> {key: the cell that row of key verifies}
         for (key, lead), cell in found.items():
@@ -269,23 +260,32 @@ def _per_init(fs: ForecastSet, cells, metrics
             if row is not None:
                 reached.setdefault(row, {})[key] = cell
         run_rows = sorted(reached)
-        for block in released_blocks(fc.block(slice(None)), run_rows):
-            run = run_rows[block]
-            if len(run) > scratch.shape[1]:
-                scratch = np.empty((4, len(run)) + fs.grid.shape)
-            for key, values in views.items():
-                these = [row for row in run if key in reached[row]]
-                if not these:
-                    continue
-                scores = _score_rows(fs, key, values,
-                                     [fc.times[row] for row in these], these,
-                                     metrics, scratch)
-                for i, row in enumerate(these):
-                    inits, scored = reached[row][key]
-                    inits.append(t_i)
-                    for m in metrics:
-                        scored[m].append(scores[m][i])
-            fs.release()
+        for start in range(0, len(run_rows), step):
+            run = run_rows[start:start + step]
+            whens = [fc.times[row] for row in run]
+            at = [run, [fs.target_rows[t] for t in whens]]
+            if clim:
+                at.append([fs.climatology.row(t) for t in whens])
+            for group in groups:
+                planes = stacks[:, :len(run), :len(group)]
+                for source, rows_of, plane in zip(
+                        (fc, fs.target, fs.climatology), at, planes):
+                    read_keys(source, rows_of, group, plane)
+                for j, key in enumerate(group):
+                    these = [i for i, row in enumerate(run)
+                             if key in reached[row]]
+                    if not these:
+                        continue
+                    # a view of every row, else a copy of these
+                    pick = slice(None) if len(these) == len(run) else these
+                    scores = _score_rows(fs, key, [whens[i] for i in these],
+                                         planes[:, pick, j], metrics,
+                                         tmp[:len(these)])
+                    for n, i in enumerate(these):
+                        inits, scored = reached[run[i]][key]
+                        inits.append(t_i)
+                        for m in metrics:
+                            scored[m].append(scores[m][n])
     for (key, lead), (inits, _) in found.items():
         if not inits:
             raise ValueError(
@@ -295,25 +295,18 @@ def _per_init(fs: ForecastSet, cells, metrics
             for cell, (inits, values) in found.items()}
 
 
-def _score_rows(fs: ForecastSet, key, values, whens, rows, metrics,
-                scratch) -> dict:
-    """{metric: one value per row} for these rows of values, key's
-    forecast, valid at whens; scratch planes 0-3 take them, their target
-    rows, the intermediates and (last, untouched by rmse alone) their
-    climatology bins."""
-    w, scores = fs.weights, {}
-    f = _copy_rows(values, rows, scratch[0])
-    o = _copy_rows(fs.target.view(*key), [fs.target_rows[t] for t in whens],
-                   scratch[1])
-    tmp = scratch[2, :len(rows)]
+def _score_rows(fs: ForecastSet, key, whens, planes, metrics, tmp) -> dict:
+    """{metric: one value per row} of planes (f, o[, c]): key's forecast
+    rows valid at whens, their target rows and (not for rmse alone) their
+    climatology bins; tmp, a float64 stack of their shape, takes the
+    intermediates, and the anomalies of acc overwrite f and o."""
+    (f, o), w, scores = planes[:2], fs.weights, {}
     if "rmse" in metrics or "skill" in metrics:
         mse_f = _mse(f, o, w, out=tmp)
         scores["rmse"] = np.sqrt(mse_f)
     if all(m == "rmse" for m in metrics):
         return scores
-    clim = fs.climatology
-    c = _copy_rows(clim.data[key].reshape((-1,) + fs.grid.shape),
-                   [clim.row(t) for t in whens], scratch[3])
+    c = planes[2]
     if "skill" in metrics:
         mse_c = _mse(c, o, w, out=tmp)
         if not mse_c.all():
@@ -519,21 +512,15 @@ def score_records(series_list: list[ScoreSeries]) -> list[ScoreRecord]:
 
 def load_forecast_set(forecast_paths, target_path,
                       climatology_path=None) -> ForecastSet:
-    """Assemble a ForecastSet from per-initialization GVF1 containers.
-
-    forecast_paths may be a directory (every *.gvf file inside) or an
-    iterable of paths; the forecasts stay on disk (see ForecastSet), and
-    the target and climatology are views of their files' maps.
-    """
-    if isinstance(forecast_paths, (str, Path)):
-        directory = Path(forecast_paths)
-        if not directory.is_dir():
-            raise ValueError(f"{directory}: not a forecast directory")
-        paths = sorted(directory.glob("*.gvf"))
-        if not paths:
-            raise ValueError(f"{directory}: no .gvf forecast files")
-    else:
-        paths = list(forecast_paths)
+    """A ForecastSet of the per-initialization GVF1 containers, every
+    *.gvf file, in the directory forecast_paths; the forecasts, the target
+    and the climatology stay on disk, read as they are checked and scored."""
+    directory = Path(forecast_paths)
+    if not directory.is_dir():
+        raise ValueError(f"{directory}: not a forecast directory")
+    paths = sorted(directory.glob("*.gvf"))
+    if not paths:
+        raise ValueError(f"{directory}: no .gvf forecast files")
     target = read_container(target_path)
     clim = (Climatology.from_container(climatology_path)
             if climatology_path else None)

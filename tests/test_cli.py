@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import sys
 import time
 import tracemalloc
@@ -185,7 +186,8 @@ def test_climatology_cli(tmp_path, grid16):
     out = tmp_path / "clim.gvf"
     assert main(["climatology", "--input", str(inp), "--output", str(out)]) == 0
     clim = Climatology.from_container(out)
-    np.testing.assert_allclose(clim.data[("T", "single")], 2.5, rtol=1e-12)
+    np.testing.assert_allclose(clim.read(slice(None), ("T", "single")), 2.5,
+                               rtol=1e-12)
 
 
 def test_spectrum_cli_matches_committed_golden(tmp_path):
@@ -1033,8 +1035,9 @@ def test_climatology_writes_each_bin_set_as_it_is_made(tmp_path, grid64):
     got = Climatology.from_container(out)
     assert got.hours == [0] and got.keys == c.keys
     for key in c.keys:
-        assert np.array_equal(got.data[key],
-                              expect.data[key].astype(np.float32))
+        assert np.array_equal(
+            got.read(slice(None), key).reshape(expect.data[key].shape),
+            expect.data[key].astype(np.float32))
 
 
 def test_climatology_keeps_the_input_units(tmp_path, grid16):
@@ -1856,6 +1859,57 @@ def test_every_subcommand_but_solar_has_a_non_finite_case():
     assert set(_COMMANDS) - {"solar"} == {c[1] for c in NON_FINITE_CASES}
 
 
+def test_no_subcommand_maps_a_file(tmp_path, monkeypatch):
+    # every stage reads its files with pread; through a map, a file cut
+    # short under a reader killed it with SIGBUS
+    import mmap
+    from spherecast import make_gaussian_grid
+    from spherecast.cli import _COMMANDS
+
+    def refuse(*args, **kwargs):
+        raise OSError("a file was mapped")
+
+    monkeypatch.setattr(mmap, "mmap", refuse)
+    grid = make_gaussian_grid(8, 16)
+    for name in _COMMANDS:
+        (tmp_path / name).mkdir()
+        argv = (["solar", "--grid", "gaussian:8x16", "--start",
+                 "2020-01-01T00:00:00", "--windows", "2", "--output",
+                 str(tmp_path / name / "out")] if name == "solar"
+                else _non_finite_case_argv(tmp_path / name, grid, name))
+        assert main(argv) == 0, name
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(),
+                    reason="needs /proc/self/fd")
+def test_no_descriptor_outlives_the_reader_that_opened_it(tmp_path):
+    from spherecast import make_gaussian_grid
+    grid = make_gaussian_grid(8, 16)
+    states = _write_states(tmp_path / "states.gvf", grid, n_time=48)
+    clim = write_zero_climatology(tmp_path, grid, TQ)
+    assert main(["rollout", "--initial-states", str(states),
+                 "--output-dir", str(tmp_path / "fc"),
+                 "--inits", "2020-01-01T00:00:00,36,6",
+                 "--max-lead-hours", "12"]) == 0
+
+    def descriptors():
+        return sorted(os.listdir("/proc/self/fd"))
+
+    before = descriptors()
+    assert main(["verify", "--forecast-dir", str(tmp_path / "fc"),
+                 "--target", str(states), "--climatology", str(clim),
+                 "--output", str(tmp_path / "scores.csv")]) == 0
+    assert descriptors() == before
+    c = read_container(states)
+    assert c.read(0).shape == (2,) + grid.shape
+    del c
+    assert descriptors() == before
+    climatology = Climatology.from_container(clim)
+    assert not climatology.values("T", "single", T0).any()
+    del climatology
+    assert descriptors() == before
+
+
 def test_verify_of_a_forecast_with_no_times_exits_three_naming_it(
         tmp_path, capsys):
     # used to end in an IndexError traceback at fc.times[0]
@@ -1882,14 +1936,19 @@ def _no_variables_argv(tmp, grid, name):
         pass
     stats = tmp / "stats.json"
     stats.write_text('{"entries": {}}')
-    if name == "verify":
-        assert main(["rollout", "--initial-states", str(inp), "--output-dir",
-                     str(tmp / "fc"), "--inits", "2020-01-01T00:00:00,1,6",
-                     "--max-lead-hours", "6"]) == 0
+    if name == "verify":  # a forecast of no variables, as a rollout wrote
+        fc = tmp / "fc" / "init_20200101T000000Z.gvf"  # one until it refused
+        fc.parent.mkdir()
+        with container_writer(fc, grid, [], [T0, T0 + timedelta(hours=6)],
+                              attrs={"init_time": "2020-01-01T00:00:00Z"}):
+            pass
         return (["verify", "--forecast-dir", str(tmp / "fc"), "--target",
                  str(inp), "--metrics", "rmse", "--output",
-                 str(tmp / "scores.csv")],
-                tmp / "fc" / "init_20200101T000000Z.gvf")
+                 str(tmp / "scores.csv")], fc)
+    if name == "rollout":
+        return (["rollout", "--initial-states", str(inp), "--output-dir",
+                 str(tmp / "fc"), "--inits", "2020-01-01T00:00:00,1,6",
+                 "--max-lead-hours", "6"], inp)
     return [name, "--input", str(inp), "--output", str(tmp / "out")] + {
         "normalize": ["--stats", str(stats)],
         "denormalize": ["--stats", str(stats)],
@@ -1912,14 +1971,15 @@ def _write_correlate_input(path, grid, names, values=None, n_time=2):
 
 @pytest.mark.parametrize("case", [
     "normalize", "denormalize", "filter", "pad", "spectrum", "verify",
-    "correlate-no-times", "correlate-one-variable",
+    "rollout", "correlate-no-times", "correlate-one-variable",
     "correlate-constant-fields"])
 def test_an_empty_or_degenerate_input_is_named_in_its_error(tmp_path, capsys,
                                                             case):
     # the first five used to print "error: integer division or modulo by
     # zero", verify "no score records to write", and correlate "no matrices
     # to average", "need at least 2 variable-levels to correlate" and "zero
-    # spatial variance for T (single), U (single)": none named a file
+    # spatial variance for T (single), U (single)": none named a file; and
+    # rollout exited 0, with a forecast container of no variables
     from spherecast import make_gaussian_grid
     grid = make_gaussian_grid(8, 16)
     expect = {"correlate-no-times": "no times",

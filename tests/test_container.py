@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -6,8 +9,7 @@ import pytest
 
 from spherecast import container
 from spherecast.container import (ContainerError, ScoreRecord, read_container,
-                                  read_scores, release, released_blocks,
-                                  write_container, write_scores)
+                                  read_scores, write_container, write_scores)
 from conftest import fail_writes_after, make_series
 
 
@@ -233,24 +235,11 @@ def test_empty_time_axis_header_only(tmp_path, grid16):
     assert path.stat().st_size == 8 + header_len
     c = read_container(path)
     assert c.times == []
-    # a header-only container still reads, and releases, as empty
-    assert c.block(slice(None)).shape == (0, 1) + grid16.shape
+    # a header-only container still reads as empty
+    assert c.read(slice(None)).shape == (0, 1) + grid16.shape
     assert c.series("T").values.shape == (0,) + grid16.shape
-    view = c.view("T")
-    assert view.shape == (0,) + grid16.shape
-    release(c)
-    release(view)
-    assert list(released_blocks(view, range(0))) == []
+    assert c.read([], ("T", "single")).shape == (0,) + grid16.shape
     assert c.values(slice(None), "T").shape == (0,) + grid16.shape
-
-
-def test_release_of_an_array_in_memory_changes_nothing(grid16):
-    series = make_series(grid16, n_time=3, seed=14)
-    before = series.values.copy()
-    release(series.values)
-    release(series.values[1:, ::2])
-    release(np.frombuffer(before.tobytes(), dtype=before.dtype))
-    assert series.values.tobytes() == before.tobytes()
 
 
 def _resident_file_kb() -> int:
@@ -264,36 +253,23 @@ def _resident_file_kb() -> int:
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(),
                     reason="needs /proc/self/status")
-def test_release_keeps_one_block_of_the_map_resident(tmp_path, grid64,
-                                                     monkeypatch):
+def test_a_read_of_every_row_maps_no_page_of_the_file(tmp_path, grid64):
     # 15.7 MB of f32: 160 times of 3 variables at 64x128
+    src = _random_collection(grid64, seed=15, n_time=160)
     path = tmp_path / "big.gvf"
-    write_container(_random_collection(grid64, seed=15, n_time=160), path)
+    write_container(src, path)
     c = read_container(path)
-    rows = c.block(slice(None))
-    first = np.array(rows[:1])  # imports and first-touch set-up, unmeasured
-    release(c)
-
-    def read_every_row():
-        """Each block of rows as read, and the most mapped file pages
-        the reads added, in kB."""
-        base, grew, read = _resident_file_kb(), 0, []
-        for block in released_blocks(rows, range(len(rows))):
-            read.append(np.array(rows[block]))
-            grew = max(grew, _resident_file_kb() - base)
-        return read, grew
-
-    read, grew = read_every_row()
-    bound = (2 * container._BLOCK_BYTES + (1 << 20)) // 1024
-    assert grew < bound, grew
-    again, _ = read_every_row()
-    assert [a.tobytes() for a in again] == [a.tobytes() for a in read]
-    assert read[0][:1].tobytes() == first.tobytes()
-    # without a release the same reads leave the whole file mapped
-    release(c)
-    monkeypatch.setattr(container, "release", lambda data: None)
-    _, grew = read_every_row()
-    assert grew > bound, grew
+    into = np.empty((16, 3) + grid64.shape)
+    first = c.read(0)  # imports and first-touch set-up, unmeasured
+    base, grew = _resident_file_kb(), 0
+    for start in range(0, 160, len(into)):
+        rows = c.read(slice(start, start + len(into)), out=into)
+        grew = max(grew, _resident_file_kb() - base)
+        for j, series in enumerate(src.values()):
+            assert np.array_equal(rows[:, j], series.values[
+                start:start + len(into)].astype(np.float32))
+    assert grew < 1024, grew
+    assert first.tobytes() == c.read(slice(0, 1))[0].tobytes()
 
 
 def test_constant_field_payload_identical_scalars(tmp_path, grid16):
@@ -327,23 +303,70 @@ def test_lazy_reader_single_chunk(tmp_path, grid16):
         c.values(0, "nope")
 
 
-def test_view_is_the_map_and_series_a_float64_copy(tmp_path, grid16):
+def test_read_copies_rows_into_a_float64_array_or_the_callers(
+        tmp_path, grid16, monkeypatch):
     src = _random_collection(grid16, seed=10)
     path = tmp_path / "data.gvf"
     write_container(src, path, dtype="f32")
     c = read_container(path)
-    view, series = c.view("Q", "L10"), c.series("Q", "L10")
-    # a plain (time, n_lat, n_lon) array over the read-only map, in f32
-    assert type(view) is np.ndarray and view.dtype == np.float32
-    assert view.shape == (len(c.times),) + grid16.shape
-    assert not view.flags.writeable
-    assert np.shares_memory(view, c.block(slice(None)))
-    assert (series.key, series.times, series.grid) == (("Q", "L10"), c.times,
-                                                       c.grid)
+    q = ("Q", "L10")
+    f32 = src[q].values.astype(np.float32)
+    # rows as an index, a slice or a sequence, in any order
+    assert c.read(1, q).dtype == np.float64
+    assert np.array_equal(c.read(1, q), f32[1])
+    assert np.array_equal(c.read(slice(1, None), q), f32[1:])
+    assert np.array_equal(c.read([2, 0], q), f32[[2, 0]])
+    whole = c.read(slice(None))  # (time, variable, n_lat, n_lon)
+    assert whole.shape == (3, 3) + grid16.shape
+    assert np.array_equal(whole[:, c.index(*q)], f32)
+    assert np.array_equal(c.read([0, 2], q, cells=slice(5, 40)),
+                          f32[[0, 2]].reshape(2, -1)[:, 5:40])
+    # the caller's array: the file's dtype, read straight in, or any
+    # other, strided too, cast from a staging array of a row at a time
+    out = np.empty((3,) + grid16.shape, dtype=np.float32)
+    assert c.read(slice(None), q, out) is out
+    assert out.tobytes() == f32.tobytes()
+    monkeypatch.setattr(container, "_BLOCK_BYTES", 1)
+    stack = np.zeros((3, 2) + grid16.shape, dtype=">f8")
+    c.read(slice(None), q, stack[:, 1])
+    assert np.array_equal(stack[:, 1], f32) and not stack[:, 0].any()
+    series = c.series(*q)
+    assert (series.key, series.times, series.grid) == (q, c.times, c.grid)
     assert series.values.dtype == np.float64
-    assert np.array_equal(series.values, view)
+    assert np.array_equal(series.values, f32)
+    with pytest.raises(ValueError, match="shape"):
+        c.read(0, q, np.empty(3))
+    with pytest.raises(IndexError):
+        c.read([0, 3], q)
     with pytest.raises(KeyError, match="'nope'"):
-        c.view("nope")
+        c.read(0, ("nope", "single"))
+
+
+_TRUNCATE_AND_READ = """
+import os, sys
+from spherecast.container import ContainerError, read_container
+c = read_container(sys.argv[1])
+os.truncate(sys.argv[1], os.path.getsize(sys.argv[1]) // 2)
+try:
+    c.values(39, "T")
+except ContainerError as exc:
+    sys.exit(str(exc))
+"""
+
+
+def test_a_file_truncated_after_it_is_opened_names_the_file_and_row(
+        tmp_path, grid64):
+    # a read through a map of the file died of SIGBUS here; in a child, so
+    # that such a death fails the test instead of killing the run
+    path = tmp_path / "cut.gvf"
+    write_container([make_series(grid64, n_time=40, seed=16)], path)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(container.__file__).parents[1])]
+        + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
+    run = subprocess.run([sys.executable, "-c", _TRUNCATE_AND_READ,
+                          str(path)], capture_output=True, text=True, env=env)
+    assert (run.returncode, run.stderr) == (
+        1, f"{path}: short read at time row 39\n")
 
 
 def test_scores_csv_layout(tmp_path):

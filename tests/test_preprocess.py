@@ -56,6 +56,20 @@ def test_stats_period_selection(tmp_path, grid16):
     assert abs(e.sigma - flat.std()) < 1e-12
 
 
+def test_a_value_outside_the_stats_period_is_named_by_its_time(tmp_path,
+                                                              grid16):
+    # the moments read only the period, and the tendency's NaN used to be
+    # "zero or non-finite tendency std", with no time
+    values = np.random.default_rng(7).normal(size=(8,) + grid16.shape)
+    values[6, 3, 5] = np.nan
+    series = make_series(grid16, n_time=8, values=values)
+    c = as_container(tmp_path, series)
+    with pytest.raises(ValueError, match=re.escape(
+            f"{c.path}: non-finite values in T (single) at "
+            f"{series.times[6].isoformat()}")):
+        compute_norm_stats(c, period=(series.times[0], series.times[3]))
+
+
 def test_xi_single_variable_is_one(tmp_path, grid16):
     c = as_container(tmp_path, make_series(grid16, n_time=6, seed=4))
     stats = compute_residual_coeff(c, compute_stats(c))
@@ -328,8 +342,10 @@ def test_climatology_container_round_trip(tmp_path, grid16):
     assert back.hours == clim.hours
     assert back.window_days == clim.window_days
     assert back.std_days == clim.std_days
-    np.testing.assert_allclose(back.data[("T", "single")],
-                               clim.data[("T", "single")], rtol=1e-15)
+    key = ("T", "single")
+    np.testing.assert_allclose(
+        back.read(slice(None), key).reshape(clim.data[key].shape),
+        clim.data[key], rtol=1e-15)
 
 
 def test_normstats_json_round_trip(tmp_path, grid16):
@@ -384,15 +400,16 @@ def test_climatology_from_f32_views_matches_float64_copies(tmp_path, grid16):
         assert got.data[key].tobytes() == expect.data[key].tobytes()
 
 
-def test_climatology_from_container_reads_bins_from_the_map(tmp_path, grid16):
+def test_climatology_from_container_reads_bins_from_the_file(tmp_path,
+                                                            grid16):
     series = _hourly6_series(grid16, 730, lambda t: day_of_year_365(t) * 1.0)
     clim = compute_climatology(as_container(tmp_path, series))
     path = tmp_path / "clim.gvf"
     clim.to_container(path, dtype="f32")
     back = Climatology.from_container(path)
-    data = back.data[("T", "single")]
-    # no float64 copy of the file: a read-only f32 view of its map
-    assert data.dtype == np.float32 and not data.flags.writeable
+    # no copy of the file: each bin is read from it when it is looked up
+    assert back.data == {} and back.container.path == path
+    assert back.keys == [("T", "single")]
     when = datetime(2021, 3, 5, 12, tzinfo=timezone.utc)
     got = back.values("T", "single", when)
     assert got.dtype == np.float64
@@ -436,7 +453,7 @@ def _whole_norm_stats(c, denominator):
     spreads = {}
     for key in c.keys:
         e = stats.entry(*key)
-        tprime = (np.asarray(c.view(*key), dtype=np.float64) - e.mu) / e.sigma
+        tprime = (c.read(slice(None), key) - e.mu) / e.sigma
         tend = float(np.sqrt(np.mean(np.diff(tprime, axis=0) ** 2)))
         spreads[key] = tend, (float(tprime.std())
                               if denominator == "standardized" else tend)
@@ -452,8 +469,7 @@ def _whole_climatology(c, window_days=61, std_days=10.0):
     hours = sorted(set(at.tolist()))
     data = {}
     for key in c.keys:
-        values = np.asarray(c.view(*key), dtype=np.float64).reshape(
-            len(c.times), -1)
+        values = c.read(slice(None), key).reshape(len(c.times), -1)
         data[key] = np.empty((365, len(hours)) + c.grid.shape)
         for hi, h in enumerate(hours):
             idx = np.nonzero(at == h)[0]
