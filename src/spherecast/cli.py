@@ -358,12 +358,15 @@ def _cmd_spectrum(cfg):
 
 
 def _cmd_verify(cfg):
+    if cfg["bootstrap"] < 1:
+        raise UsageError(
+            f"--bootstrap must be at least 1, got {cfg['bootstrap']}")
     metrics = [m.strip() for m in cfg["metrics"].split(",") if m.strip()]
     check_metrics(metrics)
+    if "acc" in metrics and not cfg["climatology"]:
+        raise ValueError("acc requires --climatology")
     fs = load_forecast_set(cfg["forecast_dir"], cfg["target"],
                            climatology_path=cfg["climatology"])
-    if "acc" in metrics and fs.climatology is None:
-        raise ValueError("acc requires --climatology")
     series = score_cells(
         fs, metrics, [(key, lead) for key in fs.keys
                       for lead in fs.lead_hours()],

@@ -412,6 +412,11 @@ class Climatology:
         return ((day_of_year_365(when) - 1) * len(self.hours)
                 + self.hours.index(when.hour))
 
+    def label(self, row: int) -> str:
+        """The bin at row (of row()) as errors name it: `day <d>, <HH>Z`."""
+        day, hi = divmod(int(row), len(self.hours))
+        return f"day {day + 1}, {self.hours[hi]:02d}Z"
+
     def read(self, rows, key=None, out=None) -> np.ndarray:
         """Bins at rows (of row()) of key, or of every key, as
         Container.read gives time rows: from the file, if there is one,
@@ -439,8 +444,7 @@ class Climatology:
     def check_finite(self, keys, times) -> None:
         """check_rows of the bins of times in each of keys: the error
         names the file, the variable and the bin."""
-        bins = [f"day {d + 1}, {h:02d}Z" for d in range(365)
-                for h in self.hours]
+        bins = [self.label(row) for row in range(365 * len(self.hours))]
         check_rows(self, "climatology", bins,
                    np.unique([self.row(t) for t in times]), keys)
 
@@ -529,11 +533,6 @@ def climatology_writer(path, grid: GridSpec, variables, hours: list[int],
             range(hi, len(times), len(hours))[days], j, means, start)
 
 
-def _circular_day_distance(d1, d2, period: int = 365):
-    d = np.abs(np.asarray(d1) - np.asarray(d2))
-    return np.minimum(d, period - d, out=d)
-
-
 def climatology_bins(c: Container, window_days: int = 61,
                      gaussian_std_days: float = 10.0):
     """Day-of-year/hour-of-day climatology of container c with
@@ -559,7 +558,7 @@ def climatology_bins(c: Container, window_days: int = 61,
     in c.keys, hours lists the hours of day present, days is a slice of
     range(365) (day 1 is 0), cells a slice of the flattened grid, and
     means the (days, cells) float64 climatology of variable j at
-    hours[hi] there.
+    hours[hi] there, overwritten by the next chunk.
     """
     if window_days < 1 or window_days % 2 == 0:
         raise ValueError(f"window_days must be odd and positive, got {window_days}")
@@ -570,13 +569,21 @@ def climatology_bins(c: Container, window_days: int = 61,
                          f"{'times' if c.keys else 'variables'}")
     half = window_days // 2
     hours, samples = _hour_samples(c, half, gaussian_std_days)
+    chunks = [_climatology_chunks(len(idx), c.grid.n_lat * c.grid.n_lon)
+              for idx, _ in samples]
+    n_rows = max(len(idx) for idx, _ in samples)
+    n_days = max(s.stop - s.start for days, _ in chunks for s in days)
+    width = max(s.stop - s.start for _, cells in chunks for s in cells)
+    # the samples, the weights and their product are each made once: a
+    # large array freed and made again lands wherever glibc's heap has
+    # room, so the stage's peak RSS would depend on the heap's layout
+    buffer, weights, product = (np.empty(n_rows * width),
+                                np.empty(n_days * n_rows),
+                                np.empty(n_days * width))
     for j, key in enumerate(c.keys):
-        for hi, (idx, doys) in enumerate(samples):
+        for hi, ((idx, doys), (day_chunks, cell_chunks)) in enumerate(
+                zip(samples, chunks)):
             times = [c.times[i] for i in idx]  # of gathered's rows
-            day_chunks, cell_chunks = _climatology_chunks(
-                len(idx), c.grid.n_lat * c.grid.n_lon)
-            width = max(s.stop - s.start for s in cell_chunks)
-            buffer = np.empty(len(idx) * width)
             w = None  # made once if it is one chunk of days
             for cells in cell_chunks:
                 gathered = c.read(idx, key, buffer[:len(idx) * (
@@ -585,8 +592,11 @@ def climatology_bins(c: Container, window_days: int = 61,
                 for days in day_chunks:
                     if w is None or len(day_chunks) > 1:
                         w = _window_weights(doys, days, half,
-                                            gaussian_std_days)
-                    yield j, hours, hi, days, cells, w @ gathered
+                                            gaussian_std_days, weights)
+                    means = product[:len(w) * gathered.shape[1]].reshape(
+                        len(w), -1)
+                    yield j, hours, hi, days, cells, np.matmul(
+                        w, gathered, out=means)
 
 
 def _spans(n: int, width: int, align: int) -> list[slice]:
@@ -666,15 +676,20 @@ def _hour_samples(c: Container, half: int, std_days: float):
     return hours, samples
 
 
-def _window_weights(doys, days: slice, half: int, std_days: float):
+def _window_weights(doys, days: slice, half: int, std_days: float, out):
     """[days, samples] Gaussian window weights, summing to 1 per day, of
     samples on days of year doys, for days, a slice of range(365); made
-    in place, a few of its arrays at a time."""
-    dd = _circular_day_distance(np.arange(days.start + 1, days.stop + 1)[:, None],
-                                doys[None, :])
-    far = dd > half
-    w = dd.astype(float)
-    del dd
+    in place at the start of out, a flat float64 array."""
+    w = out[:(days.stop - days.start) * len(doys)].reshape(-1, len(doys))
+    # the circular day distance min(d, 365 - d) as 182.5 - |d - 182.5|,
+    # exact in float64 for whole days d in 0..365
+    np.subtract(np.arange(days.start + 1, days.stop + 1)[:, None], doys,
+                out=w)
+    np.abs(w, out=w)
+    np.subtract(w, 182.5, out=w)
+    np.abs(w, out=w)
+    np.subtract(182.5, w, out=w)
+    far = w > half
     np.square(w, out=w)
     np.negative(w, out=w)
     w /= 2.0 * std_days ** 2

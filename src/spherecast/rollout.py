@@ -9,9 +9,10 @@ forecasters are driven through a file protocol, one step per invocation:
 
 The command must exit 0 and write a GVF1 container on the input grid with
 one time step, within _EXTERNAL_TIMEOUT_S; the harness validates the output
-header, applies the configured post-processing pipeline, and feeds the
-state back in.  An identity command therefore reproduces persistence
-bit-exactly (states are written in the dtype they were read in).
+header, checks that every value read is finite, applies the configured
+post-processing pipeline, and feeds the state back in.  An identity
+command therefore reproduces persistence bit-exactly (states are written
+in the dtype they were read in).
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .container import (Container, check_agreement, check_nonempty,
-                        check_rows, container_writer, read_container,
-                        read_keys, _format_time)
+from .container import (Container, check_agreement, check_finite,
+                        check_nonempty, check_rows, container_writer,
+                        read_container, read_keys, _format_time)
 from .filters import (DiffusionSpec, PoleFilterSpec, _number, diffuse_values,
                       pole_filter_values)
 from .grid import ensure_utc
@@ -148,6 +149,9 @@ class RolloutPlan:
     def __post_init__(self):
         if self.step_hours not in (1, 6):
             raise ValueError(f"step_hours must be 1 or 6, got {self.step_hours}")
+        if self.max_lead_hours < 0:
+            raise ValueError(f"max_lead_hours must not be negative, got "
+                             f"{self.max_lead_hours}")
         if self.max_lead_hours % self.step_hours:
             raise ValueError(
                 f"max_lead_hours={self.max_lead_hours} not a multiple of "
@@ -163,6 +167,12 @@ class RolloutPlan:
                 f"applies to the external forecaster only, not "
                 f"{self.forecaster!r}")
         self.init_times = [ensure_utc(t) for t in self.init_times]
+        if not self.init_times:
+            raise ValueError("no init times")
+        if len(set(self.init_times)) < len(self.init_times):
+            twice = next(t for n, t in enumerate(self.init_times)
+                         if t in self.init_times[:n])
+            raise ValueError(f"init time {twice.isoformat()} is given twice")
 
     @property
     def n_steps(self) -> int:
@@ -201,7 +211,8 @@ def _run_external_step(command: list[str], state: np.ndarray, variables,
                        workdir: Path) -> None:
     """One call of the file protocol: state, the (variable, n_lat, n_lon)
     float64 stack of variables ((name, level, units) each), is written as
-    the input at when and then overwritten with the command's output."""
+    the input at when and then overwritten with the command's output,
+    which must be finite."""
     in_path = workdir / "state_in.gvf"
     out_path = workdir / "state_out.gvf"
     # both are new files: renaming over an existing file costs a flush of
@@ -238,7 +249,13 @@ def _run_external_step(command: list[str], state: np.ndarray, variables,
     if len(c.times) != 1:
         raise ExternalForecasterError(
             f"external state must hold exactly 1 time, got {len(c.times)}")
-    read_keys(c, 0, [(name, level) for name, level, _ in variables], state)
+    keys = [(name, level) for name, level, _ in variables]
+    read_keys(c, 0, keys, state)
+    try:
+        check_finite("external forecaster", "output", state[None], keys,
+                     [when + timedelta(hours=step_hours)])
+    except ValueError as exc:
+        raise ExternalForecasterError(str(exc)) from None
 
 
 def _lead_rows(plan: RolloutPlan, c: Container, row: int | None,

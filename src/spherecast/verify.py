@@ -22,7 +22,7 @@ import numpy as np
 
 from . import container
 from .container import (Container, ScoreRecord, atomic_write,
-                        check_agreement, check_nonempty, check_rows,
+                        check_agreement, check_finite, check_nonempty,
                         read_container, read_keys)
 from .grid import GridSpec, ensure_utc, metric_weights
 from .preprocess import Climatology
@@ -150,15 +150,15 @@ class ForecastSet:
 
     forecasts is a sequence of paths of GVF1 containers, one per init, as
     rollout.run_rollout_to_dir writes them (see forecast()); a file is
-    opened only while its init is checked or scored.  Valid times are init
-    + lead for every lead (lead 0 first); target is the Container of the
-    verifying fields, whose time axis is indexed once (target_rows).  Each
-    forecast must agree (check_agreement) with the first one on grid and
-    variables, and so must the target and the climatology.  No two files
-    may hold one init, every forecast valid time must be covered by the
-    target, and every forecast and every target row it verifies against
-    must be finite (check_rows); the forecasts are checked one init at a
-    time, and an error about a forecast names its file.
+    opened only while its header is checked or its init scored.  Valid
+    times are init + lead for every lead (lead 0 first); target is the
+    Container of the verifying fields, whose time axis is indexed once
+    (target_rows).  Each forecast must agree (check_agreement) with the
+    first one on grid and variables, and so must the target and the
+    climatology.  No two files may hold one init, and every forecast
+    valid time must be covered by the target; an error about a forecast
+    names its file.  Only headers are read here: each value is checked
+    in the read that scores it (_per_init).
     """
 
     def __init__(self, forecasts, target: Container,
@@ -171,7 +171,7 @@ class ForecastSet:
         self.target_rows = {t: i for i, t in enumerate(target.times)}
         self.climatology = climatology
         self.grid: GridSpec = target.grid
-        self._leads, used, self._keys = {}, set(), None
+        self._leads, self._keys = {}, None
         for path in paths:
             fc = read_container(path)
             check_nonempty(fc)
@@ -192,13 +192,8 @@ class ForecastSet:
                 raise ValueError(
                     f"{where}: target does not cover forecast valid time "
                     f"{fc.times[rows.index(None)].isoformat()}")
-            used.update(rows)  # the target rows every variable verifies
-            check_rows(fc, "forecast", [f"{t.isoformat()} (init "
-                                        f"{t_i.isoformat()})"
-                                        for t in fc.times])
             self._leads[t_i] = {int((t - t_i).total_seconds() // 3600)
                                 for t in fc.times}
-        check_rows(target, "target", target.times, sorted(used), self._keys)
         self.weights = metric_weights(self.grid)
 
     @property
@@ -226,27 +221,24 @@ def _per_init(fs: ForecastSet, cells, metrics
               ) -> dict[tuple, tuple[list[datetime], dict[str, np.ndarray]]]:
     """{(key, lead): (inits, {metric: per-init values})} for every distinct
     cell and metric (of METRICS, or "skill": 1 - MSE / MSE of the
-    climatology), over the inits that reach the cell's lead.  The
-    climatology bins the scores read are checked first.  One pass walks
-    each init's forecast a block (container._BLOCK_BYTES of float64) of
-    rows at a time, reads them, their target rows and their climatology
-    bins, each of every variable at once, into stacks made for the pass,
-    and scores each variable's rows as one stack (_score_rows)."""
+    climatology), over the inits that reach the cell's lead.  One pass
+    walks each init's forecast a block (container._BLOCK_BYTES of float64)
+    of rows at a time, reads them, their target rows and their climatology
+    bins, of every variable scored at once, into stacks made for the pass,
+    checks each as it is read (check_finite), and scores each variable's
+    rows as one stack (_score_rows)."""
     metrics = list(dict.fromkeys(metrics))
     found = {cell: ([], {m: [] for m in metrics}) for cell in cells}
     clim = any(m != "rmse" for m in metrics)
     if clim:
         if fs.climatology is None:
             raise ValueError("no climatology attached to this forecast set")
-        keys = list(dict.fromkeys(key for key, _ in found))
-        fs.climatology.check_finite(keys, {
-            t_i + timedelta(hours=lead) for t_i, leads in fs._leads.items()
-            for _, lead in found if lead in leads})
     # every variable is read at once, or, if a row of them passes a block,
     # one at a time, so that each is scored while it is in cache
+    keys = [key for key in fs.keys if key in {k for k, _ in found}]
     cells = fs.grid.n_lat * fs.grid.n_lon
-    width = max(1, min(len(fs.keys), container._BLOCK_BYTES // (8 * cells)))
-    groups = [fs.keys[g:g + width] for g in range(0, len(fs.keys), width)]
+    width = max(1, min(len(keys), container._BLOCK_BYTES // (8 * cells)))
+    groups = [keys[g:g + width] for g in range(0, len(keys), width)]
     step = max(1, container._BLOCK_BYTES // (8 * width * cells))
     # forecast, target, climatology; and the intermediates of one variable
     stacks = np.empty((2 + clim, step, width) + fs.grid.shape)
@@ -263,14 +255,20 @@ def _per_init(fs: ForecastSet, cells, metrics
         for start in range(0, len(run_rows), step):
             run = run_rows[start:start + step]
             whens = [fc.times[row] for row in run]
-            at = [run, [fs.target_rows[t] for t in whens]]
+            at = [(fc, "forecast", run, [f"{t.isoformat()} (init "
+                                         f"{t_i.isoformat()})" for t in whens]),
+                  (fs.target, "target", [fs.target_rows[t] for t in whens],
+                   whens)]
             if clim:
-                at.append([fs.climatology.row(t) for t in whens])
+                bins = [fs.climatology.row(t) for t in whens]
+                at.append((fs.climatology, "climatology", bins,
+                           [fs.climatology.label(b) for b in bins]))
             for group in groups:
                 planes = stacks[:, :len(run), :len(group)]
-                for source, rows_of, plane in zip(
-                        (fc, fs.target, fs.climatology), at, planes):
-                    read_keys(source, rows_of, group, plane)
+                for (source, what, rows_of, when), plane in zip(at, planes):
+                    check_finite(source.path or "climatology", what,
+                                 read_keys(source, rows_of, group, plane),
+                                 group, when)
                 for j, key in enumerate(group):
                     these = [i for i, row in enumerate(run)
                              if key in reached[row]]
@@ -321,7 +319,9 @@ def _score_rows(fs: ForecastSet, key, whens, planes, metrics, tmp) -> dict:
 
 
 def check_metrics(metrics) -> None:
-    """Raise ValueError naming the first metric that is not in METRICS."""
+    """Raise ValueError if metrics is empty or names one not in METRICS."""
+    if not metrics:
+        raise ValueError(f"no metric given: choose from {', '.join(METRICS)}")
     for m in metrics:
         if m not in METRICS:
             raise ValueError(

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import sys
@@ -376,6 +377,24 @@ def test_verify_unknown_metric_is_named_before_reading(tmp_path, capsys):
         capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value,code,expect", [
+    ("--bootstrap", "0", 1, "--bootstrap must be at least 1, got 0"),
+    ("--bootstrap", "-3", 1, "--bootstrap must be at least 1, got -3"),
+    ("--metrics", ",", 3, "no metric given: choose from rmse, acc"),
+], ids=["bootstrap-0", "bootstrap-negative", "metrics-empty"])
+def test_verify_bad_bootstrap_or_metrics_is_refused_before_reading(
+        tmp_path, capsys, flag, value, code, expect):
+    # both used to exit 3 only after the whole scoring pass, with "n_boot
+    # must be at least 1" and "no score records to write"; the forecast
+    # directory does not exist, so nothing was read
+    missing = tmp_path / "missing"
+    assert main(["verify", "--forecast-dir", str(missing), "--target",
+                 str(missing / "target.gvf"), flag, value,
+                 "--output", str(tmp_path / "s.csv")]) == code
+    assert f"error: {expect}\n" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_threads_flag_is_a_usage_error(tmp_path, grid16, capsys):
     for name in SUBCOMMANDS:
         assert main([name, "--threads", "2"]) == 1
@@ -473,6 +492,29 @@ def test_rollout_missing_init_exits_two_and_writes_nothing(tmp_path, grid16,
     assert not list(tmp_path.glob("fc/*.gvf"))
 
 
+@pytest.mark.parametrize("argv,expect", [
+    (["--inits", "2020-01-01T00:00:00,1,6", "--max-lead-hours", "-6"],
+     "max_lead_hours must not be negative, got -6"),
+    (["--inits", "2020-01-01T00:00:00,0,6"], "no init times"),
+    (["--inits", "2020-01-01T00:00:00,2,0"],
+     "init time 2020-01-01T00:00:00+00:00 is given twice"),
+    (["--init-times", "2020-01-01T06:00:00,2020-01-01T00:00:00,"
+                      "2020-01-01T06:00:00Z"],
+     "init time 2020-01-01T06:00:00+00:00 is given twice"),
+], ids=["negative-lead", "no-inits", "stride-0", "init-times-twice"])
+def test_rollout_bad_plan_exits_three_before_the_output_directory(
+        tmp_path, grid16, capsys, argv, expect):
+    # a negative lead used to make the directory and die with "more than 0
+    # time rows written"; no inits exited 0 with only a manifest, and a
+    # repeated init exited 0 after rolling it out twice into one file
+    target_path, _ = write_target(tmp_path, grid16, n_time=4, seed=24)
+    fc_dir = tmp_path / "fc"
+    assert main(["rollout", "--initial-states", str(target_path),
+                 "--output-dir", str(fc_dir)] + argv) == 3
+    assert capsys.readouterr().err == f"error: {expect}\n"
+    assert not fc_dir.exists()
+
+
 def test_invalid_grid_header_exits_two_naming_file(tmp_path, grid16, capsys):
     src = {("T", "single"): make_series(grid16, n_time=2, seed=25)}
     inp = tmp_path / "in.gvf"
@@ -548,6 +590,29 @@ def test_failed_external_forecaster_exits_two_naming_init(tmp_path, grid16,
     if stderr:
         assert err.strip().endswith("exited 7 at 2020-01-01T06:00:00+00:00: "
                                     "last line")
+    assert not list(tmp_path.glob("fc/*.gvf"))
+
+
+def test_external_forecaster_non_finite_output_exits_two_naming_init(
+        tmp_path, grid16, capsys):
+    # used to be post-processed and written, and rollout exited 0
+    script = tmp_path / "nan.py"
+    script.write_text(
+        "import shutil, struct, sys\n"
+        "shutil.copy(sys.argv[2], sys.argv[4])\n"
+        "with open(sys.argv[4], 'r+b') as fh:\n"
+        "    fh.seek(-4, 2)\n"  # the last cell of the last variable
+        "    fh.write(struct.pack('<f', float('nan')))\n")
+    states = _write_states(tmp_path / "states.gvf", grid16)
+    assert main(["rollout", "--initial-states", str(states),
+                 "--output-dir", str(tmp_path / "fc"),
+                 "--inits", "2020-01-01T06:00:00,1,6",
+                 "--step-hours", "6", "--max-lead-hours", "12",
+                 "--forecaster", "external",
+                 "--external-cmd", f"{sys.executable} {script}"]) == 2
+    assert capsys.readouterr().err == (
+        "data error: init 2020-01-01T06:00:00+00:00: external forecaster: "
+        "non-finite output Q (single) at 2020-01-01T12:00:00+00:00\n")
     assert not list(tmp_path.glob("fc/*.gvf"))
 
 
@@ -2006,3 +2071,76 @@ def test_an_empty_or_degenerate_input_is_named_in_its_error(tmp_path, capsys,
                              "correlate-constant-fields") else ": "
     assert capsys.readouterr().err == f"error: {named}{sep}{what}\n"
     assert _files(tmp_path) == before
+
+
+def test_verify_reads_each_forecast_payload_once(tmp_path, grid16,
+                                                 monkeypatch):
+    # ForecastSet used to read every forecast whole to check it, and the
+    # scoring pass read it again
+    from spherecast.verify import ForecastSet
+    states = _write_states(tmp_path / "states.gvf", grid16)
+    clim = write_zero_climatology(tmp_path, grid16, TQ)
+    _rollout(states, tmp_path / "fc", inits="2020-01-01T00:00:00,3,6")
+    paths = sorted((tmp_path / "fc").glob("*.gvf"))
+    by_inode = {p.stat().st_ino: p for p in paths}
+    got = dict.fromkeys(paths, 0)
+    preadv = os.preadv
+
+    def counted(fd, buffers, offset):
+        n = preadv(fd, buffers, offset)
+        path = by_inode.get(os.fstat(fd).st_ino)
+        if path is not None:
+            got[path] += n
+        return n
+
+    monkeypatch.setattr(os, "preadv", counted)
+    ForecastSet(paths, read_container(states),
+                Climatology.from_container(clim))
+    assert set(got.values()) == {0}
+    assert main(["verify", "--forecast-dir", str(tmp_path / "fc"),
+                 "--target", str(states), "--climatology", str(clim),
+                 "--output", str(tmp_path / "scores.csv")]) == 0
+    for path in paths:
+        c = read_container(path)
+        payload = (len(c.times) * len(c.keys) * c.grid.n_lat * c.grid.n_lon
+                   * c.dtype.itemsize)
+        assert got[path] == payload, path
+
+
+def _verify_digests(tmp):
+    """{output name: sha256} of verify's rmse,acc scores, as csv and as
+    jsonl, of a persistence rollout of a seeded 16x32 input of two
+    variables, against a climatology written from seeded arrays."""
+    from spherecast import make_gaussian_grid
+    grid = make_gaussian_grid(16, 32)
+    states = _write_states(tmp / "states.gvf", grid, n_time=10, seed=90)
+    rng = np.random.default_rng(91)
+    clim = tmp / "clim.gvf"
+    Climatology(grid=grid, hours=[0, 6, 12, 18], window_days=61,
+                std_days=10.0, data={
+                    key: rng.normal(size=(365, 4) + grid.shape)
+                    for key in TQ}).to_container(clim)
+    assert main(["rollout", "--initial-states", str(states), "--output-dir",
+                 str(tmp / "fc"), "--inits", "2020-01-01T00:00:00,4,6",
+                 "--max-lead-hours", "24"]) == 0
+    digests = {}
+    for fmt in ("csv", "jsonl"):
+        out = tmp / f"scores.{fmt}"
+        assert main(["verify", "--forecast-dir", str(tmp / "fc"),
+                     "--target", str(states), "--climatology", str(clim),
+                     "--metrics", "rmse,acc", "--format", fmt,
+                     "--output", str(out)]) == 0
+        digests[out.name] = hashlib.sha256(out.read_bytes()).hexdigest()
+    return digests
+
+
+def test_verify_outputs_match_committed_digests(tmp_path):
+    # the climatology is written from arrays, not by the climatology
+    # stage, whose bits depend on the BLAS thread count
+    want = json.loads((DATA / "verify_digests.json").read_text())
+    got = _verify_digests(tmp_path)
+    differ = sorted(name for name in want["sha256"]
+                    if got.get(name) != want["sha256"][name])
+    assert not differ, (
+        f"{', '.join(differ)} differ from tests/data/verify_digests.json "
+        f"(made with numpy {want['numpy']}; this is numpy {np.__version__})")

@@ -254,14 +254,17 @@ def test_load_forecast_set_names_file_init_and_variable(tmp_path, grid16):
     write_container({("T", "single"): FieldSeries(
         grid16, "T", "single", [T0 + timedelta(hours=6 * k) for k in range(5)],
         target_vals)}, target_path, dtype="f64")
+    # the values are checked where they are scored, not by ForecastSet
+    fs = build_set(tmp_path / "fc", grid16, target_vals, forecast, n_init=2)
     with pytest.raises(ValueError) as exc:
-        build_set(tmp_path / "fc", grid16, target_vals, forecast, n_init=2)
+        rmse(fs, "T", lead_hours=6, n_boot=10)
     msg = str(exc.value)
     assert str(tmp_path / "fc" / "init_1.gvf") in msg
     assert (T0 + timedelta(hours=6)).isoformat() in msg
     assert "non-finite" in msg and "T (single)" in msg
+    fs = load_forecast_set(tmp_path / "fc", target_path)
     with pytest.raises(ValueError) as again:
-        load_forecast_set(tmp_path / "fc", target_path)
+        rmse(fs, "T", lead_hours=6, n_boot=10)
     assert str(again.value) == msg
 
 
@@ -294,14 +297,18 @@ def test_forecast_set_rejects_uncovered_and_non_finite_target(tmp_path,
     bad[5, 0, 0] = np.inf
     nan_target = as_container(tmp_path, FieldSeries(grid16, "T", "single",
                                                     times, bad))
+    # the values are checked where they are scored, not by ForecastSet
+    nan_set = ForecastSet(paths, nan_target)
     with pytest.raises(ValueError, match=re.escape(
             f"{nan_target.path}: non-finite target T")):
-        ForecastSet(paths, nan_target)
+        rmse(nan_set, "T", lead_hours=18, n_boot=10)
     # a target row no forecast verifies against is not inspected
     extra = np.concatenate([target_vals, np.full((1,) + grid16.shape, np.nan)])
-    ForecastSet(paths, as_container(tmp_path, FieldSeries(
+    extra_set = ForecastSet(paths, as_container(tmp_path, FieldSeries(
         grid16, "T", "single", times + [times[-1] + timedelta(hours=6)],
         extra)))
+    for lead in (0, 6, 12, 18):
+        rmse(extra_set, "T", lead_hours=lead, n_boot=10)
 
 
 def test_no_matched_pairs_raises(tmp_path, grid16):
@@ -313,6 +320,29 @@ def test_no_matched_pairs_raises(tmp_path, grid16):
         rmse(fs, "T", lead_hours=999)
     with pytest.raises(ValueError, match="no matched"):
         rmse(fs, "missing", lead_hours=0)
+
+
+def test_a_score_reads_and_checks_only_its_variable(tmp_path, grid16):
+    # every variable of the set used to be read, and checked, whichever
+    # the scores named
+    rng = np.random.default_rng(13)
+    times = [T0 + timedelta(hours=6 * k) for k in range(4)]
+    t_vals, q_vals = rng.normal(size=(2, 4) + grid16.shape)
+    target = as_container(tmp_path, FieldSeries(grid16, "T", "single", times,
+                                                t_vals),
+                          FieldSeries(grid16, "Q", "single", times, q_vals))
+    q_vals[1, 2, 3] = np.nan
+    forecast = tmp_path / "init.gvf"
+    write_container([FieldSeries(grid16, "T", "single", times, t_vals),
+                     FieldSeries(grid16, "Q", "single", times, q_vals)],
+                    forecast, dtype="f64",
+                    attrs={"init_time": f"{T0:%Y-%m-%dT%H:%M:%SZ}"})
+    fs = ForecastSet([forecast], target)
+    assert rmse(fs, "T", lead_hours=6, n_boot=5).values.tolist() == [0.0]
+    with pytest.raises(ValueError, match=re.escape(
+            f"{forecast}: non-finite forecast Q (single) at "
+            f"{times[1].isoformat()} (init {T0.isoformat()})")):
+        rmse(fs, "Q", lead_hours=6, n_boot=5)
 
 
 def _labels(names, level="single"):
