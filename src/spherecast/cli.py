@@ -162,8 +162,8 @@ def _cmd_stats(cfg):
 
 
 # fields in one spectrum pass at the least, whatever their size: each
-# transform call reruns the Legendre recurrence, which costs about as much
-# as the matmuls of four fields
+# transform call on a grid too large to keep its Legendre table reruns the
+# recurrence, which costs about as much as the matmuls of four fields
 _MIN_FIELDS = 8
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -201,20 +202,37 @@ def diffuse_values(values: np.ndarray, grid: GridSpec, spec: DiffusionSpec,
     return f
 
 
+@lru_cache(maxsize=8)
+def _pole_caps(grid: GridSpec, spec: PoleFilterSpec) -> tuple:
+    """(rows, cut) for each run of consecutive rows the pole filter
+    transforms (the two polar caps): a slice of latitudes and the
+    read-only (rows, n_lon // 2 + 1) mask of the wavenumbers it zeroes."""
+    nyquist = grid.n_lon // 2
+    m_max = np.floor(nyquist * np.cos(np.radians(grid.latitudes))
+                     / np.cos(np.radians(spec.ref)))
+    # rows the cutoff leaves whole skip the transform and keep their bits
+    rows = np.flatnonzero((np.abs(grid.latitudes) >= spec.start_lat)
+                          & (m_max < nyquist))
+    caps = []
+    for run in np.split(rows, np.flatnonzero(np.diff(rows) > 1) + 1):
+        if run.size:
+            cut = np.arange(nyquist + 1) > m_max[run, None]
+            cut.flags.writeable = False
+            caps.append((slice(run[0], run[-1] + 1), cut))
+    return tuple(caps)
+
+
 def pole_filter_values(values: np.ndarray, grid: GridSpec,
                        spec: PoleFilterSpec,
                        out: np.ndarray | None = None) -> np.ndarray:
     """Zonally low-pass rows poleward of start_lat of each field of a stack.
 
     The result goes to out, a float64 array of values' shape that may be
-    values itself, or to a new array."""
+    values itself, or to a new array.  Each polar cap is transformed as
+    one contiguous slice of rows."""
     f = _into(values, out)
-    nyquist = grid.n_lon // 2
-    m_max = np.floor(nyquist * np.cos(np.radians(grid.latitudes))
-                     / np.cos(np.radians(spec.ref)))
-    # rows the cutoff leaves whole skip the transform and keep their bits
-    rows = (np.abs(grid.latitudes) >= spec.start_lat) & (m_max < nyquist)
-    coeffs = np.fft.rfft(f[..., rows, :])
-    coeffs[..., np.arange(nyquist + 1) > m_max[rows, None]] = 0.0
-    f[..., rows, :] = np.fft.irfft(coeffs, n=grid.n_lon)
+    for rows, cut in _pole_caps(grid, spec):
+        coeffs = np.fft.rfft(f[..., rows, :])
+        coeffs[..., cut] = 0.0
+        np.fft.irfft(coeffs, n=grid.n_lon, out=f[..., rows, :])
     return f

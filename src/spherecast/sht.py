@@ -14,11 +14,16 @@ sin(colat) factor folded into each step so no intermediate under- or
 overflows occur; normalized values stay O(1) up to degree 2048 and beyond.
 As in SHTns (Schaeffer 2013) and libsharp (Reinecke & Seljebotn 2013) the
 transforms generate them one degree at a time on the northern nodes and
-fold in the southern ones by symmetry, so no table is stored.
+fold in the southern ones by symmetry, so no table need be stored; a
+transform keeps only a small one (at most _TABLE_BYTES, as at N32), so
+that a run of transforms does not rerun the recurrence.
 
 The spectrum diagnostic is per zonal wavenumber: P(m) sums |a_l^m|^2 over
 all degrees l >= m, with m > 0 counted twice (the +/-m pair of a real
 field), so sum_m P(m) equals the 4 pi-weighted mean square of the field.
+It is summed a chunk of degrees at a time inside the degree loop, as in
+SHTns, so no coefficient array is held: the bits are those of summing
+|a|^2 of analyze's coefficients over l.
 """
 
 from __future__ import annotations
@@ -33,9 +38,13 @@ from .grid import GridSpec
 
 # bytes of complex Fourier rows made at once in an analysis
 _FFT_BYTES = 1 << 21
-# bytes of work arrays a transform keeps from one analysis to the next of
-# as many fields; an analysis that needs more makes its own
+# bytes of work arrays a transform keeps from one pass to the next of as
+# many fields; a pass that needs more makes its own
 _KEEP_BYTES = 1 << 23
+# bytes of coefficient rows of a power spectrum made at once
+_DEGREE_BYTES = 1 << 21
+# bytes of the m <= l Legendre rows a transform keeps; larger ones stream
+_TABLE_BYTES = 1 << 21
 
 __all__ = [
     "HarmonicCoeffs",
@@ -89,12 +98,12 @@ def _legendre_rows(x: np.ndarray, l_max: int):
     The one recurrence behind every Legendre value in this module: the
     diagonal seeded with sin(colat) folded into each step, the first
     subdiagonal, then the three-term recurrence in l, vectorized over m.
-    Only three degrees and one scratch row are held, so memory is
-    O(l_max n); each P_l is a view that later degrees overwrite.
+    Only three degrees are held, the oldest also as scratch, so memory
+    is O(l_max n); each P_l is a view that later degrees overwrite.
     """
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     sx = np.sqrt(np.maximum(1.0 - x * x, 0.0))
-    prev2, prev1, row, tmp = (np.zeros((l_max + 1, x.size)) for _ in range(4))
+    prev2, prev1, row = (np.zeros((l_max + 1, x.size)) for _ in range(3))
     prev1[0] = 1.0 / np.sqrt(4.0 * np.pi)
     yield 0, prev1[:1]
     for l in range(1, l_max + 1):
@@ -106,8 +115,8 @@ def _legendre_rows(x: np.ndarray, l_max: int):
                            / ((2.0 * l - 3.0) * (l + m) * (l - m)))
             np.multiply(alpha[:, None], x[None, :], out=row[:k])
             row[:k] *= prev1[:k]
-            np.multiply(beta[:, None], prev2[:k], out=tmp[:k])
-            row[:k] -= tmp[:k]
+            prev2[:k] *= beta[:, None]  # l-2 is not needed after this
+            row[:k] -= prev2[:k]
         row[l - 1] = np.sqrt(2.0 * l + 1.0) * x * prev1[l - 1]
         row[l] = -np.sqrt((2 * l + 1) / (2.0 * l)) * sx * prev1[l - 1]
         prev2, prev1, row = prev1, row, prev2
@@ -144,14 +153,17 @@ class SphericalHarmonicTransform:
     """Transform between a Gaussian grid and coefficients, for one field
     or a stack of them.
 
-    No Legendre table is stored: each call streams the degrees from
-    _legendre_rows on the northern nodes only, and the southern rows
-    follow from P(-x) = (-1)^(l+m) P(x).  The FFT rows of each mirrored
-    latitude pair are folded into their sum and difference, so every
-    degree is one real-by-complex matmul per order m over half the
+    Legendre values come from _legendre_rows on the northern nodes only,
+    and the southern rows follow from P(-x) = (-1)^(l+m) P(x).  When
+    their m <= l rows take at most _TABLE_BYTES (0.5 MB at N32) the
+    transform keeps copies of them; larger ones (1 GB at N320) are
+    streamed a degree at a time on every call.  The FFT rows of each
+    mirrored latitude pair are folded into their sum and difference, so
+    every degree is one real-by-complex matmul per order m over half the
     latitudes, shared by all fields of the stack.  Direct (non-fast)
     Legendre transform: O(l_max^2 n_lat) work per field, O(l_max n_lat)
-    memory per pass beside the fields and coefficients themselves.
+    memory per pass beside the fields, their fold and the coefficients;
+    power_spectrum holds no coefficient array, only a chunk of degrees.
     """
 
     def __init__(self, grid: GridSpec, l_max: int):
@@ -180,22 +192,33 @@ class SphericalHarmonicTransform:
         self._sign = np.where(m % 2, -1.0, 1.0)                # (-1)^m
         self._n_lon = grid.n_lon
         self._kept = {}  # stack size -> work arrays, see _work
+        self._table = None
+        if 4 * (l_max + 1) * (l_max + 2) * self._half <= _TABLE_BYTES:
+            self._table = [p.copy() for _, p in self._rows()]
 
-    def _work(self, n: int) -> tuple[dict, bool]:
-        """(work arrays of an analysis of n fields, whether to keep them):
+    def _rows(self):
+        """(l, P_l) of _legendre_rows on the northern nodes, from the
+        kept table when there is one."""
+        if self._table is not None:
+            return enumerate(self._table)
+        return _legendre_rows(self._x, self.l_max)
+
+    def _work(self, n: int, cast: bool,
+              coeffs: int) -> tuple[dict, bool]:
+        """(work arrays of a pass over n fields, whether to keep them):
         "fold" for _fold, and "scratch", float64 that holds a chunk of
-        fields and their Fourier rows in _fold.  When the two take at
-        most _KEEP_BYTES, scratch also holds the (l, m, b) coefficients
-        after _fold, and the arrays are those the last analysis of n
+        fields (if they are to be cast to float64) and their Fourier rows
+        in _fold, then `coeffs` floats of coefficient rows.  When the two
+        take at most _KEEP_BYTES they are those the last pass over n
         fields kept, so a run of passes over a file makes them once; they
-        are out of the transform during a call, so calls at once never
-        share them.  Otherwise the analysis makes its coefficients apart,
-        as zeros, once fold is filled."""
+        are out of the transform during a pass, so passes at once never
+        share them.  Otherwise scratch holds only the Fourier rows, and
+        the pass makes its coefficient rows apart once fold is filled."""
         size, h = self.l_max + 1, self._half
         fold = (2, size, h, n + n % 2)
         chunk = self._fft_step(n) * self.grid.n_lat * (
-            self._n_lon + 2 * (self._n_lon // 2 + 1))
-        scratch = max(size * size * 2 * n, chunk)
+            cast * self._n_lon + 2 * (self._n_lon // 2 + 1))
+        scratch = max(coeffs, chunk)
         keep = 16 * math.prod(fold) + 8 * scratch <= _KEEP_BYTES
         work = self._kept.pop(n, None) if keep else None
         if work is None or len(work["scratch"]) < scratch:
@@ -214,7 +237,7 @@ class SphericalHarmonicTransform:
         it is odd, for degrees l of parity p, read as reals so that the
         matmul is real-by-complex.  The fields are taken to float64 and
         transformed a chunk (_fft_step) at a time in work["scratch"], so
-        a stack passed as a view of a file map is never copied whole.
+        a stack in a file's dtype is never copied whole.
         An odd stack gets a zero field: the BLAS kernels then see whole
         groups of four real columns, so with OpenBLAS no field's sums
         depend on the others in the stack and any split of a stack into
@@ -223,8 +246,8 @@ class SphericalHarmonicTransform:
         fold, scratch = work["fold"], work["scratch"]
         step = self._fft_step(n)
         shape = (step, self.grid.n_lat)
-        cells = step * self.grid.n_lat * self._n_lon
-        fields = scratch[:cells].reshape(shape + (self._n_lon,))
+        cells = (f.dtype != np.float64) * math.prod(shape) * self._n_lon
+        fields = scratch[:cells].reshape((-1,) + self.grid.shape)
         fourier = scratch[cells:cells + 2 * math.prod(shape) * (
             self._n_lon // 2 + 1)].view(np.complex128).reshape(
                 shape + (self._n_lon // 2 + 1,))
@@ -244,41 +267,84 @@ class SphericalHarmonicTransform:
             np.subtract(north, south, out=south)
         return fold.view(np.float64)
 
-    def analyze(self, values: np.ndarray) -> HarmonicCoeffs:
-        """Values (..., n_lat, n_lon), of any real dtype, ->
-        coefficients a[..., l, m]."""
+    def _fields(self, values) -> tuple[tuple, np.ndarray]:
+        """(stack shape, values as (b, n_lat, n_lon) fields)."""
         values = np.asarray(values)
         if values.shape[-2:] != self.grid.shape:
             raise ValueError(
                 f"values shape {values.shape} does not match grid "
                 f"{self.grid.shape}")
-        stack = values.shape[:-2]
-        f = values.reshape((-1,) + self.grid.shape)           # (b, lat, lon)
+        return values.shape[:-2], values.reshape((-1,) + self.grid.shape)
+
+    def _degrees(self, f: np.ndarray, step: int, spare: int = 0):
+        """Yield (rows, spare) for fields f (b, n_lat, n_lon), a chunk of
+        `step` degrees at a time in order of l: rows[l - l0, m, 2b:2b+2]
+        holds the real and imaginary parts of a[b, l, m] before the
+        2 pi / n_lon scale and the longitude phase, zero for m > l, and
+        spare is `spare` further floats of scratch.  Both are work arrays
+        that the next chunk overwrites.  The one degree loop of analyze
+        and power_spectrum."""
         n, size = f.shape[0], self.l_max + 1
-        work, keep = self._work(n)
+        block = step * size * 2 * n
+        work, keep = self._work(n, f.dtype != np.float64, block + spare)
         fold = self._fold(f, work)
-        w = fold.shape[-1]
-        if keep:
-            a = work["scratch"][:size * size * 2 * n].reshape(size, size,
-                                                              2 * n)
-            a[...] = 0.0
-        else:
+        if not keep:
             del work["scratch"]
-            a = np.zeros((size, size, 2 * n))                  # (l, m, b)
-        row = np.empty((size, 1, w))
-        for l, p in _legendre_rows(self._x, self.l_max):
+            work["scratch"] = np.empty(block + spare)
+        scratch = work["scratch"]
+        rows = scratch[:block].reshape(step, size, 2 * n)
+        row = np.empty((size, 1, fold.shape[-1]))
+        for l, p in self._rows():
+            if l % step == 0:  # m > l, and what the last chunk's reader wrote
+                rows[...] = 0.0
             np.matmul(p[:, None, :], fold[l % 2, :l + 1], out=row[:l + 1])
-            a[l, :l + 1] = row[:l + 1, 0, :2 * n]
+            rows[l % step, :l + 1] = row[:l + 1, 0, :2 * n]
+            if l % step == step - 1 or l == self.l_max:
+                yield rows[:l % step + 1], scratch[block:block + spare]
         del fold
         if keep:
             self._kept = {n: work}
-        else:
-            del work["fold"]
+
+    def analyze(self, values: np.ndarray) -> HarmonicCoeffs:
+        """Values (..., n_lat, n_lon), of any real dtype, ->
+        coefficients a[..., l, m]."""
+        stack, f = self._fields(values)
+        size = self.l_max + 1
+        # one chunk of every degree, (l, m, b); the loop has ended and
+        # dropped its fold before the copy
+        (a, _), = self._degrees(f, size)
         a = np.ascontiguousarray(np.moveaxis(a.view(np.complex128), -1, 0))
         a *= 2.0 * np.pi / self._n_lon
         a *= self._phase
         return HarmonicCoeffs(values=a.reshape(stack + (size, size)),
                               l_max=self.l_max)
+
+    def power_spectrum(self, values: np.ndarray) -> np.ndarray:
+        """Values (..., n_lat, n_lon), of any real dtype, -> power
+        (..., m) = sum over l of |a[..., l, m]|^2, m > 0 doubled.
+
+        Each chunk of _DEGREE_BYTES of degrees goes through analyze's
+        operations (stack axis first, scale, phase, abs, square) and is
+        added to the power in order of l, so the bits are those of
+        summing analyze's |a|^2 over l, without its coefficients."""
+        stack, f = self._fields(values)
+        n, size = f.shape[0], self.l_max + 1
+        step = min(size, max(1, _DEGREE_BYTES // (16 * size * max(n, 1))))
+        power = np.zeros((n, size))
+        for rows, spare in self._degrees(f, step, 2 * n * step * size):
+            k = len(rows)
+            c = spare[:2 * n * k * size].view(np.complex128).reshape(
+                n, k, size)
+            np.copyto(c, np.moveaxis(rows.view(np.complex128), -1, 0))
+            c *= 2.0 * np.pi / self._n_lon
+            c *= self._phase
+            mag = np.abs(c, out=rows.reshape(-1)[:n * k * size].reshape(
+                n, k, size))
+            np.square(mag, out=mag)
+            mag[:, 0] += power        # ((P + |a_l0|^2) + |a_l0+1|^2) + ...
+            np.sum(mag, axis=-2, out=power)
+        power[:, 1:] *= 2.0
+        return power.reshape(stack + (size,))
 
     def synthesize(self, coeffs: HarmonicCoeffs) -> np.ndarray:
         """Coefficients (..., l, m) -> field values (..., n_lat, n_lon);
@@ -295,7 +361,7 @@ class SphericalHarmonicTransform:
         a = np.ascontiguousarray(np.moveaxis(a, 0, -1)).view(np.float64)
         # acc[p][m, i, b]: sum over degrees of parity p of P[l, m, i] a[l, m]
         acc = np.zeros((2, size, h, 2 * n))
-        for l, p in _legendre_rows(self._x, self.l_max):
+        for l, p in self._rows():
             acc[l % 2, :l + 1] += p[:, :, None] * a[l, :l + 1, None, :]
         north = (acc[0] + acc[1]).view(np.complex128)
         south = ((acc[0] - acc[1])
@@ -333,11 +399,8 @@ def zonal_power_spectrum(values: np.ndarray, l_max: int,
     quadrature-weighted mean square times 4 pi.  A (..., n_lat, n_lon)
     stack gives one spectrum per field, all from one transform call.
     """
-    mag2 = np.abs(analyze(values, l_max, grid).values)
-    np.square(mag2, out=mag2)
-    power = mag2.sum(axis=-2)
-    power[..., 1:] *= 2.0
-    return SpectrumResult(power=power)
+    return SpectrumResult(
+        power=_cached_transform(grid, l_max).power_spectrum(values))
 
 
 def kinetic_energy_spectrum(u: np.ndarray, v: np.ndarray, l_max: int,

@@ -210,6 +210,49 @@ def test_spectrum_cli_matches_committed_golden(tmp_path):
         assert abs(got[key] - val) <= 1e-9 * max(1.0, abs(val)), key
 
 
+def _spectrum_digests(tmp, monkeypatch):
+    """{output name: sha256} of spectrum CSVs of a seeded 9-time 16x32
+    input of three variables, in f32 and in f64: --kind power (passes of
+    12, 12 and 3 fields), kinetic (8, 8, 2) and theta (8, 1)."""
+    from spherecast import container, make_gaussian_grid
+    grid = make_gaussian_grid(16, 32)
+    rng = np.random.default_rng(95)
+    times = [T0 + timedelta(hours=6 * k) for k in range(9)]
+    series = [FieldSeries(grid, name, "single", times,
+                          rng.normal(loc, scale, size=(9,) + grid.shape))
+              for name, loc, scale in (("U", 10.0, 12.0), ("V", 0.0, 8.0),
+                                       ("T", 260.0, 15.0))]
+    runs = {"power_f32.csv": ("f32", ["--kind", "power"]),
+            "power_f64.csv": ("f64", ["--kind", "power"]),
+            "kinetic.csv": ("f32", ["--kind", "kinetic", "--u-var", "U",
+                                    "--v-var", "V", "--level", "single"]),
+            "theta.csv": ("f32", ["--kind", "theta", "--t-var", "T",
+                                  "--level", "single", "--pressure", "700"])}
+    for dtype in ("f32", "f64"):
+        write_container(series, tmp / f"in_{dtype}.gvf", dtype=dtype)
+    monkeypatch.setattr(container, "_BLOCK_BYTES", 1)
+    digests = {}
+    for name, (dtype, flags) in runs.items():
+        out = tmp / name
+        assert main(["spectrum", "--input", str(tmp / f"in_{dtype}.gvf"),
+                     "--output", str(out)] + flags) == 0
+        digests[name] = hashlib.sha256(out.read_bytes()).hexdigest()
+    return digests
+
+
+def test_spectrum_outputs_match_committed_digests(tmp_path, monkeypatch):
+    # the byte gate of the spectrum CSV; the golden test above compares
+    # to an independent oracle to 1e-9 only
+    want = json.loads((DATA / "spectrum_digests.json").read_text())
+    got = _spectrum_digests(tmp_path, monkeypatch)
+    differ = sorted(name for name in want["sha256"]
+                    if got.get(name) != want["sha256"][name])
+    assert not differ, (
+        f"{', '.join(differ)} differ from tests/data/spectrum_digests.json "
+        f"(made with numpy {want['numpy']} and {want['blas']}; this is "
+        f"numpy {np.__version__})")
+
+
 def _spectrum_csv(path):
     with open(path, newline="") as fh:
         return {(r["variable"], int(r["lead_hours"]), int(r["m"])): r["power"]
@@ -1058,9 +1101,9 @@ def test_spectrum_holds_one_pass_not_every_row(tmp_path, grid64):
 ])
 def test_spectrum_pass_holds_eight_fields_when_a_row_exceeds_its_budget(
         tmp_path, grid16, monkeypatch, kind, keys, calls):
-    # each transform call reruns the Legendre recurrence, so a pass of
-    # large fields still takes 8 of them (rounded up to an even count),
-    # not one row; the CSV does not depend on the pass size
+    # each transform call of a large grid reruns the Legendre recurrence,
+    # so a pass of large fields still takes 8 of them (rounded up to an
+    # even count), not one row; the CSV does not depend on the pass size
     from spherecast import container
     from spherecast.sht import SphericalHarmonicTransform
     inp = tmp_path / "in.gvf"
@@ -1069,13 +1112,13 @@ def test_spectrum_pass_holds_eight_fields_when_a_row_exceeds_its_budget(
     args = ["spectrum", "--input", str(inp)] + keys
     assert main(args + ["--output", str(whole)]) == 0
     sizes = []
-    analyze = SphericalHarmonicTransform.analyze
+    power_spectrum = SphericalHarmonicTransform.power_spectrum
 
     def counted(self, values):
         sizes.append(int(np.prod(np.shape(values)[:-2])))
-        return analyze(self, values)
+        return power_spectrum(self, values)
 
-    monkeypatch.setattr(SphericalHarmonicTransform, "analyze", counted)
+    monkeypatch.setattr(SphericalHarmonicTransform, "power_spectrum", counted)
     monkeypatch.setattr(container, "_BLOCK_BYTES", 1)
     assert main(args + ["--output", str(passes)]) == 0
     assert sizes == calls

@@ -169,3 +169,27 @@ def test_pole_filter_spec_validation():
     spec = PoleFilterSpec(start_lat=70.0, reference_lat=65.0)
     assert spec.ref == 65.0
     assert PoleFilterSpec(start_lat=70.0).ref == 70.0
+
+
+@pytest.mark.parametrize("n_lat, start, ref", [
+    (32, 60.0, None), (32, 30.0, 70.0), (2, 10.0, 5.0)])
+def test_pole_filter_caps_give_the_bits_of_the_gathered_rows(n_lat, start,
+                                                             ref):
+    # each polar cap is transformed as a slice of rows; the bits are those
+    # of one transform of every filtered row gathered by a mask, also
+    # when the caps meet (every row of the 2-row grid is filtered)
+    grid = make_gaussian_grid(n_lat, 2 * n_lat)
+    spec = PoleFilterSpec(start_lat=start, reference_lat=ref)
+    f = np.random.default_rng(8).normal(size=(3,) + grid.shape)
+    nyq = grid.n_lon // 2
+    m_max = np.floor(nyq * np.cos(np.radians(grid.latitudes))
+                     / np.cos(np.radians(spec.ref)))
+    rows = (np.abs(grid.latitudes) >= start) & (m_max < nyq)
+    coeffs = np.fft.rfft(f[..., rows, :])
+    coeffs[..., np.arange(nyq + 1) > m_max[rows, None]] = 0.0
+    want = f.copy()
+    want[..., rows, :] = np.fft.irfft(coeffs, n=grid.n_lon)
+    assert rows.any()
+    assert np.array_equal(pole_filter_values(f, grid, spec), want)
+    # and again, with the caps the first call cached
+    assert np.array_equal(pole_filter_values(f, grid, spec), want)

@@ -1,5 +1,6 @@
 """Property tests of the container writer and reader, the blocked
-normalize, the stacked analysis and synthesis, the padding and filters on
+normalize, the stacked analysis and synthesis, the power spectrum against
+the analysis, the padding and filters on
 stacks, the filters and clamp writing in place, the stacked verification
 scores, the bootstrap interval, the additivity of solar windows and
 the merge of a config file with the flags.
@@ -345,6 +346,36 @@ def test_any_split_of_a_stack_gives_the_same_coefficients(
     single = stack.astype(np.float32)
     assert np.array_equal(transform.analyze(single).values,
                           transform.analyze(single.astype(np.float64)).values)
+
+
+@settings(DERANDOMIZED)
+@given(st.integers(1, 8), st.integers(0, 3), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([np.float32, np.float64]), st.data())
+def test_the_power_spectrum_sums_the_power_of_analyze(
+        half_lat, extra_lon, seed, dtype, data):
+    # the power path reduces each chunk of degrees as it is made; it must
+    # give the bits of squaring analyze's coefficients and summing over l
+    n_lat = 2 * half_lat
+    grid = make_gaussian_grid(n_lat, 2 * n_lat + 2 * extra_lon)
+    l_max = data.draw(st.integers(0, n_lat - 1))
+    n = data.draw(st.integers(1, 9))
+    rng = np.random.default_rng(seed)
+    stack = (rng.normal(size=(n,) + grid.shape)
+             * 10.0 ** rng.integers(-5, 6)).astype(dtype)
+    want = np.square(np.abs(sht.analyze(stack, l_max, grid).values)).sum(-2)
+    want[..., 1:] *= 2.0
+    saved = sht._FFT_BYTES, sht._DEGREE_BYTES, sht._KEEP_BYTES
+    sht._FFT_BYTES = data.draw(st.integers(1, n)) * 16 * grid.n_lat * grid.n_lon
+    sht._DEGREE_BYTES = data.draw(st.integers(1, l_max + 1)) * 16 * (
+        l_max + 1) * n
+    sht._KEEP_BYTES = data.draw(st.sampled_from([0, sht._KEEP_BYTES]))
+    try:
+        # twice, the second time in the work arrays the first one kept
+        for _ in range(2):
+            got = sht.zonal_power_spectrum(stack, l_max, grid).power
+            assert _same_coefficients(got, want)
+    finally:
+        sht._FFT_BYTES, sht._DEGREE_BYTES, sht._KEEP_BYTES = saved
 
 
 @settings(DERANDOMIZED)

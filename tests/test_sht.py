@@ -173,6 +173,29 @@ def test_analyze_n320_stores_no_legendre_table():
     assert abs(a[0, 0] - mean * np.sqrt(4.0 * np.pi)) < 1e-12
 
 
+def test_power_spectrum_n320_holds_no_coefficient_array():
+    # analyze holds the 13 MB (l_max+1)^2 coefficient square of two N320
+    # fields beside their 13 MB fold; the power path holds the fold, the
+    # Fourier rows of one field, then a chunk of degrees and the
+    # recurrence's rows
+    grid = make_gaussian_grid(640, 1280)
+    f = np.random.default_rng(16).normal(size=(2,) + grid.shape)
+    t = SphericalHarmonicTransform(grid, 639)
+    fold = 16 * 2 * 640 * 320 * 2
+    tracemalloc.start()
+    try:
+        power = t.power_spectrum(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < fold + 10 * 2 ** 20
+    # m = 0 holds |a_00|^2 = 4 pi mean^2 and more
+    mean = np.sum(grid.quad_weights[:, None] * f, axis=(1, 2)) / (
+        2.0 * grid.n_lon)
+    assert power.shape == (2, 640)
+    assert np.all(power[:, 0] >= 4.0 * np.pi * mean ** 2)
+
+
 def test_real_field_zonal_coeffs_real(grid32):
     rng = np.random.default_rng(8)
     f = rng.normal(size=grid32.shape)
