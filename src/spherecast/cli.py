@@ -33,8 +33,7 @@ from .preprocess import (Climatology, NormStats, climatology_bins,
 from .rollout import (ExternalForecasterError, PipelineStep,
                       PostprocessError, RolloutPlan, apply_postprocessing,
                       run_rollout_to_dir)
-from .sht import (kinetic_energy_spectrum, potential_temperature_energy_spectrum,
-                  zonal_power_spectrum)
+from .sht import DRY_AIR_KAPPA, _cached_transform
 from .solar import SolarConfig, accumulated_irradiance, read_gsc_csv
 from .verify import (check_metrics, load_forecast_set, score_cells,
                      score_records, average_correlations,
@@ -291,9 +290,10 @@ _SPECTRUM_FLAGS = {"u_var": ("kinetic",), "v_var": ("kinetic",),
 
 def _cmd_spectrum(cfg):
     """Power per (tag, time, m) in a float64 array, filled a pass of whole
-    time rows at a time (one read into an array made once, then one
-    transform call over every field read), then written in (tag, lead, m)
-    order."""
+    time rows at a time, then written in (tag, lead, m) order.  Each pass
+    is one transform call over every field it needs, which reads and
+    checks each chunk of them straight into the transform's own work
+    array (theta scaled there), so no copy of the pass is held."""
     kind = cfg["kind"]
     for flag, kinds in _SPECTRUM_FLAGS.items():
         if kind not in kinds and cfg[flag] != _DEFAULTS["spectrum"][flag]:
@@ -317,30 +317,37 @@ def _cmd_spectrum(cfg):
         keys = c.keys
         tags = [name if lev == "single" else f"{name}|{lev}"
                 for name, lev in keys]
+    for key in keys:  # a missing one names the file, even with no times
+        c.index(*key)
+    k = len(keys)
+    scale = (1000.0 / cfg["pressure"]) ** DRY_AIR_KAPPA  # T to theta
 
-    def spectra(fields):
-        """(k, tags, l_max + 1) power of one pass of (k, keys, ...) fields."""
-        if kind == "kinetic":
-            return kinetic_energy_spectrum(
-                fields[:, 0], fields[:, 1], l_max, c.grid,
-                half=not cfg["no_half"]).power[:, None]
-        if kind == "theta":
-            return potential_temperature_energy_spectrum(
-                fields[:, 0], l_max, c.grid,
-                pressure_hpa=cfg["pressure"]).power[:, None]
-        return zonal_power_spectrum(fields, l_max, c.grid).power
+    def filler(start):
+        """The transform's fill of the (time, key) fields from time row
+        start on: each key's rows of a chunk read, checked and, for
+        theta, scaled in place."""
+        def fill(b, x):
+            for j, key in enumerate(keys):
+                i = (j - b) % k  # x[i] is the chunk's first field of key
+                part = x[i::k]
+                first = start + (b + i) // k
+                when = slice(first, first + len(part))
+                c.read(when, key, part)
+                check_finite(c.path, "values in", part, [key], c.times[when])
+                if kind == "theta":
+                    part *= scale
+        return fill
 
+    transform = _cached_transform(c.grid, l_max)
     power = np.empty((len(c.times), len(tags), l_max + 1))
-    # even passes: the transform pads an odd stack with a zero field; read
-    # in the file's dtype, which the transform takes to float64 by chunks
-    blocks = _row_blocks(c, len(keys), _MIN_FIELDS, even=True)
-    into = np.empty((blocks[0].stop, len(keys)) + c.grid.shape, c.dtype)
-    for rows in blocks:
-        fields = read_keys(c, rows, keys, into[:rows.stop - rows.start])
-        for j, key in enumerate(keys):
-            check_finite(c.path, "values in", fields[:, j], [key],
-                         c.times[rows])
-        power[rows] = spectra(fields)
+    # even passes: the transform pads an odd stack with a zero field
+    for rows in _row_blocks(c, k, _MIN_FIELDS, even=True):
+        n = rows.stop - rows.start
+        p = transform.power_spectrum_of(filler(rows.start), n * k).reshape(
+            n, k, l_max + 1)
+        if kind == "kinetic":  # 1/2 (P_u + P_v), the 1/2 gone with --no-half
+            p = (1.0 if cfg["no_half"] else 0.5) * (p[:, :1] + p[:, 1:])
+        power[rows] = p
 
     by_lead = {}
     for i, t in enumerate(c.times):

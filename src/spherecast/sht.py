@@ -36,7 +36,8 @@ import numpy as np
 
 from .grid import GridSpec
 
-# bytes of complex Fourier rows made at once in an analysis
+# bytes of float64 fields, and of their complex Fourier rows, made at
+# once in an analysis
 _FFT_BYTES = 1 << 21
 # bytes of work arrays a transform keeps from one pass to the next of as
 # many fields; a pass that needs more makes its own
@@ -162,8 +163,12 @@ class SphericalHarmonicTransform:
     every degree is one real-by-complex matmul per order m over half the
     latitudes, shared by all fields of the stack.  Direct (non-fast)
     Legendre transform: O(l_max^2 n_lat) work per field, O(l_max n_lat)
-    memory per pass beside the fields, their fold and the coefficients;
-    power_spectrum holds no coefficient array, only a chunk of degrees.
+    memory per pass beside the fold of its fields and the coefficients.
+    The fields come a chunk at a time from a fill (_fold), so a pass
+    never holds them whole: an array's are copied, and a reader can
+    read them from a file straight into the chunk (power_spectrum_of);
+    the power spectrum holds no coefficient array, only a chunk of
+    degrees.
     """
 
     def __init__(self, grid: GridSpec, l_max: int):
@@ -203,21 +208,22 @@ class SphericalHarmonicTransform:
             return enumerate(self._table)
         return _legendre_rows(self._x, self.l_max)
 
-    def _work(self, n: int, cast: bool,
-              coeffs: int) -> tuple[dict, bool]:
+    def _work(self, n: int, coeffs: int) -> tuple[dict, bool]:
         """(work arrays of a pass over n fields, whether to keep them):
         "fold" for _fold, and "scratch", float64 that holds a chunk of
-        fields (if they are to be cast to float64) and their Fourier rows
-        in _fold, then `coeffs` floats of coefficient rows.  When the two
-        take at most _KEEP_BYTES they are those the last pass over n
-        fields kept, so a run of passes over a file makes them once; they
-        are out of the transform during a pass, so passes at once never
-        share them.  Otherwise scratch holds only the Fourier rows, and
-        the pass makes its coefficient rows apart once fold is filled."""
+        fields and a band of their Fourier rows in _fold, then `coeffs`
+        floats of coefficient rows.  When the two take at most
+        _KEEP_BYTES they are those the last pass over n fields kept, so a
+        run of passes over a file makes them once; they are out of the
+        transform during a pass, so passes at once never share them, and
+        a pass that fails drops them.  Otherwise scratch holds only the
+        chunk, and the pass makes its coefficient rows apart once fold is
+        filled."""
         size, h = self.l_max + 1, self._half
         fold = (2, size, h, n + n % 2)
-        chunk = self._fft_step(n) * self.grid.n_lat * (
-            cast * self._n_lon + 2 * (self._n_lon // 2 + 1))
+        step, band = self._fft_chunk(n)
+        chunk = step * (self.grid.n_lat * self._n_lon
+                        + 4 * band * (self._n_lon // 2 + 1))
         scratch = max(coeffs, chunk)
         keep = 16 * math.prod(fold) + 8 * scratch <= _KEEP_BYTES
         work = self._kept.pop(n, None) if keep else None
@@ -226,45 +232,55 @@ class SphericalHarmonicTransform:
                     "scratch": np.empty(scratch if keep else chunk)}
         return work, keep
 
-    def _fft_step(self, n: int) -> int:
-        """Fields of n Fourier-transformed at once: _FFT_BYTES of rows."""
-        return max(1, min(n, _FFT_BYTES // (16 * self.grid.n_lat
+    def _fft_chunk(self, n: int) -> tuple[int, int]:
+        """(fields of n filled at once, latitude pairs of them Fourier
+        transformed at once): _FFT_BYTES of float64 fields and as many of
+        their complex Fourier rows, at least one field and one pair."""
+        step = max(1, min(n, _FFT_BYTES // (8 * self.grid.n_lat
                                             * self._n_lon)))
+        return step, max(1, min(self._half, _FFT_BYTES // (
+            32 * step * (self._n_lon // 2 + 1))))
 
-    def _fold(self, f: np.ndarray, work: dict) -> np.ndarray:
-        """fold[p][m, i, b] of fields f (b, n_lat, n_lon): each mirrored
-        latitude pair's Fourier sum where l+m is even and difference where
-        it is odd, for degrees l of parity p, read as reals so that the
-        matmul is real-by-complex.  The fields are taken to float64 and
-        transformed a chunk (_fft_step) at a time in work["scratch"], so
-        a stack in a file's dtype is never copied whole.
+    def _fold(self, fill, n: int, work: dict) -> np.ndarray:
+        """fold[p][m, i, b] of n fields: each mirrored latitude pair's
+        Fourier sum where l+m is even and difference where it is odd, for
+        degrees l of parity p, read as reals so that the matmul is
+        real-by-complex.  fill(b, x) sets x, a float64 (k, n_lat, n_lon)
+        chunk of work["scratch"], to fields b..b+k-1 (_fft_chunk); their
+        latitude pairs are then Fourier transformed a band at a time, so
+        a pass holds its fold and one chunk, never its fields whole.
         An odd stack gets a zero field: the BLAS kernels then see whole
         groups of four real columns, so with OpenBLAS no field's sums
         depend on the others in the stack and any split of a stack into
         calls gives the same bits."""
-        n, size, h = f.shape[0], self.l_max + 1, self._half
+        size, h = self.l_max + 1, self._half
         fold, scratch = work["fold"], work["scratch"]
-        step = self._fft_step(n)
-        shape = (step, self.grid.n_lat)
-        cells = (f.dtype != np.float64) * math.prod(shape) * self._n_lon
-        fields = scratch[:cells].reshape((-1,) + self.grid.shape)
-        fourier = scratch[cells:cells + 2 * math.prod(shape) * (
+        step, band = self._fft_chunk(n)
+        cells = step * self.grid.n_lat * self._n_lon
+        fields = scratch[:cells].reshape((step,) + self.grid.shape)
+        fourier = scratch[cells:cells + 4 * step * band * (
             self._n_lon // 2 + 1)].view(np.complex128).reshape(
-                shape + (self._n_lon // 2 + 1,))
+                step, 2 * band, -1)
+        weights = self._weights[::-1]  # of the southern rows, mirrored
         for b in range(0, n, step):
             chunk = slice(b, min(b + step, n))
-            x = f[chunk]
-            if x.dtype != np.float64:
-                x = fields[:len(x)]
-                np.copyto(x, f[chunk])
-            wg = np.fft.rfft(x, axis=-1, out=fourier[:len(x)])[..., :size]
-            wg *= self._weights[:, None]
-            north = wg[:, :h].transpose(2, 1, 0)               # (m, i, b)
-            south = fold[1, ..., chunk]
-            np.multiply(wg[:, ::-1][:, :h].transpose(2, 1, 0),
-                        self._sign[:, None, None], out=south)
-            np.add(north, south, out=fold[0, ..., chunk])
-            np.subtract(north, south, out=south)
+            x = fields[:chunk.stop - b]
+            fill(b, x)
+            for a in range(0, h, band):
+                lat = slice(a, min(a + band, h))
+                k = lat.stop - a
+                north = np.fft.rfft(x[:, lat], axis=-1,
+                                    out=fourier[:len(x), :k])[..., :size]
+                north *= self._weights[lat, None]
+                south = np.fft.rfft(x[:, ::-1][:, lat], axis=-1,
+                                    out=fourier[:len(x), k:2 * k])[..., :size]
+                south *= weights[lat, None]
+                north = north.transpose(2, 1, 0)               # (m, i, b)
+                odd = fold[1, :, lat, chunk]
+                np.multiply(south.transpose(2, 1, 0),
+                            self._sign[:, None, None], out=odd)
+                np.add(north, odd, out=fold[0, :, lat, chunk])
+                np.subtract(north, odd, out=odd)
         return fold.view(np.float64)
 
     def _fields(self, values) -> tuple[tuple, np.ndarray]:
@@ -276,18 +292,18 @@ class SphericalHarmonicTransform:
                 f"{self.grid.shape}")
         return values.shape[:-2], values.reshape((-1,) + self.grid.shape)
 
-    def _degrees(self, f: np.ndarray, step: int, spare: int = 0):
-        """Yield (rows, spare) for fields f (b, n_lat, n_lon), a chunk of
-        `step` degrees at a time in order of l: rows[l - l0, m, 2b:2b+2]
-        holds the real and imaginary parts of a[b, l, m] before the
-        2 pi / n_lon scale and the longitude phase, zero for m > l, and
-        spare is `spare` further floats of scratch.  Both are work arrays
-        that the next chunk overwrites.  The one degree loop of analyze
-        and power_spectrum."""
-        n, size = f.shape[0], self.l_max + 1
+    def _degrees(self, fill, n: int, step: int, spare: int = 0):
+        """Yield (rows, spare) for the n fields that fill sets (_fold), a
+        chunk of `step` degrees at a time in order of l: rows[l - l0, m,
+        2b:2b+2] holds the real and imaginary parts of a[b, l, m] before
+        the 2 pi / n_lon scale and the longitude phase, zero for m > l,
+        and spare is `spare` further floats of scratch.  Both are work
+        arrays that the next chunk overwrites.  The one degree loop of
+        analyze and power_spectrum_of."""
+        size = self.l_max + 1
         block = step * size * 2 * n
-        work, keep = self._work(n, f.dtype != np.float64, block + spare)
-        fold = self._fold(f, work)
+        work, keep = self._work(n, block + spare)
+        fold = self._fold(fill, n, work)
         if not keep:
             del work["scratch"]
             work["scratch"] = np.empty(block + spare)
@@ -312,7 +328,7 @@ class SphericalHarmonicTransform:
         size = self.l_max + 1
         # one chunk of every degree, (l, m, b); the loop has ended and
         # dropped its fold before the copy
-        (a, _), = self._degrees(f, size)
+        (a, _), = self._degrees(_copier(f), len(f), size)
         a = np.ascontiguousarray(np.moveaxis(a.view(np.complex128), -1, 0))
         a *= 2.0 * np.pi / self._n_lon
         a *= self._phase
@@ -321,17 +337,25 @@ class SphericalHarmonicTransform:
 
     def power_spectrum(self, values: np.ndarray) -> np.ndarray:
         """Values (..., n_lat, n_lon), of any real dtype, -> power
-        (..., m) = sum over l of |a[..., l, m]|^2, m > 0 doubled.
+        (..., m) = sum over l of |a[..., l, m]|^2, m > 0 doubled."""
+        stack, f = self._fields(values)
+        return self.power_spectrum_of(_copier(f), len(f)).reshape(
+            stack + (self.l_max + 1,))
+
+    def power_spectrum_of(self, fill, n: int) -> np.ndarray:
+        """Power (n, m) of the n fields that fill(b, x) sets a chunk at a
+        time, x a float64 (k, n_lat, n_lon) work array that is to hold
+        fields b..b+k-1 (see _fold); power_spectrum's fill copies them
+        from an array, and a reader's can read them from a file.
 
         Each chunk of _DEGREE_BYTES of degrees goes through analyze's
         operations (stack axis first, scale, phase, abs, square) and is
         added to the power in order of l, so the bits are those of
         summing analyze's |a|^2 over l, without its coefficients."""
-        stack, f = self._fields(values)
-        n, size = f.shape[0], self.l_max + 1
+        size = self.l_max + 1
         step = min(size, max(1, _DEGREE_BYTES // (16 * size * max(n, 1))))
         power = np.zeros((n, size))
-        for rows, spare in self._degrees(f, step, 2 * n * step * size):
+        for rows, spare in self._degrees(fill, n, step, 2 * n * step * size):
             k = len(rows)
             c = spare[:2 * n * k * size].view(np.complex128).reshape(
                 n, k, size)
@@ -344,7 +368,7 @@ class SphericalHarmonicTransform:
             mag[:, 0] += power        # ((P + |a_l0|^2) + |a_l0+1|^2) + ...
             np.sum(mag, axis=-2, out=power)
         power[:, 1:] *= 2.0
-        return power.reshape(stack + (size,))
+        return power
 
     def synthesize(self, coeffs: HarmonicCoeffs) -> np.ndarray:
         """Coefficients (..., l, m) -> field values (..., n_lat, n_lon);
@@ -372,6 +396,12 @@ class SphericalHarmonicTransform:
         spec[:, h:, :size] = south.transpose(2, 1, 0)[:, ::-1]
         out = np.fft.irfft(spec, n=self._n_lon, axis=-1) * self._n_lon
         return out.reshape(stack + self.grid.shape)
+
+
+def _copier(f: np.ndarray):
+    """The fill of _fold that copies fields of the (b, n_lat, n_lon)
+    stack f, of any real dtype, to float64."""
+    return lambda b, x: np.copyto(x, f[b:b + len(x)])
 
 
 @lru_cache(maxsize=8)

@@ -1094,6 +1094,64 @@ def test_spectrum_holds_one_pass_not_every_row(tmp_path, grid64):
     assert {v for v, _, _ in rows} == {"T", "Q", "Z"}
 
 
+@pytest.mark.parametrize("kind, flags, n_keys", [
+    ("power", [], 3),
+    ("kinetic", ["--u-var", "U", "--v-var", "V", "--level", "single"], 2),
+])
+def test_spectrum_pass_holds_the_fold_not_the_pass(tmp_path, kind, flags,
+                                                   n_keys):
+    # 4 times x 3 variables of float64 at 256x512: a pass of 4 rows has
+    # work arrays too large to keep; it used to be read whole into an
+    # array beside its fold (and for kinetic stacked once more)
+    from spherecast import make_gaussian_grid
+    grid = make_gaussian_grid(256, 512)
+    times = [T0 + timedelta(hours=6 * k) for k in range(4)]
+    rng = np.random.default_rng(96)
+    inp = tmp_path / "in.gvf"
+    write_container([FieldSeries(grid, name, "single", times,
+                                 rng.normal(size=(4,) + grid.shape))
+                     for name in ("U", "V", "Z")], inp, dtype="f64")
+    field = 8 * 256 * 512
+    fold = 16 * 2 * 256 * 128 * 4 * n_keys
+    out = tmp_path / "spec.csv"
+    code, peak = _peak_bytes(lambda: main([
+        "spectrum", "--input", str(inp), "--output", str(out),
+        "--kind", kind] + flags))
+    assert code == 0
+    assert peak <= fold + 2 * field + 2 * 2 ** 21
+    assert len(_spectrum_csv(out)) == 4 * 256 * (3 if kind == "power" else 1)
+
+
+def test_spectrum_fault_in_a_pass_leaves_the_transform_usable(
+        tmp_path, monkeypatch, capsys):
+    # a NaN in the last field of a 12-field pass, read a field at a time
+    # after the other 11 are folded: one error line, no output, and the
+    # cached transform then gives the committed bytes
+    from spherecast import container, make_gaussian_grid, sht
+    grid = make_gaussian_grid(16, 32)
+    times = [T0 + timedelta(hours=6 * k) for k in range(9)]
+    rng = np.random.default_rng(97)
+    series = [FieldSeries(grid, name, "single", times,
+                          rng.normal(size=(9,) + grid.shape))
+              for name in ("U", "V", "T")]
+    series[2].values[3, 5, 7] = np.nan
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    inp = bad / "in.gvf"
+    write_container(series, inp, dtype="f64")
+    monkeypatch.setattr(container, "_BLOCK_BYTES", 1)
+    with monkeypatch.context() as m:
+        m.setattr(sht, "_FFT_BYTES", 1)
+        assert main(["spectrum", "--input", str(inp),
+                     "--output", str(bad / "spec.csv")]) == 3
+    assert capsys.readouterr().err == (
+        f"error: {inp}: non-finite values in T (single) at "
+        f"{times[3].isoformat()}\n")
+    assert [p.name for p in bad.iterdir()] == ["in.gvf"]
+    want = json.loads((DATA / "spectrum_digests.json").read_text())
+    assert _spectrum_digests(tmp_path, monkeypatch) == want["sha256"]
+
+
 @pytest.mark.parametrize("kind, keys, calls", [
     ("power", ["--kind", "power"], [12, 12, 3]),
     ("kinetic", ["--kind", "kinetic", "--u-var", "T", "--v-var", "Q",
@@ -1112,13 +1170,14 @@ def test_spectrum_pass_holds_eight_fields_when_a_row_exceeds_its_budget(
     args = ["spectrum", "--input", str(inp)] + keys
     assert main(args + ["--output", str(whole)]) == 0
     sizes = []
-    power_spectrum = SphericalHarmonicTransform.power_spectrum
+    power_spectrum_of = SphericalHarmonicTransform.power_spectrum_of
 
-    def counted(self, values):
-        sizes.append(int(np.prod(np.shape(values)[:-2])))
-        return power_spectrum(self, values)
+    def counted(self, fill, n):
+        sizes.append(n)
+        return power_spectrum_of(self, fill, n)
 
-    monkeypatch.setattr(SphericalHarmonicTransform, "power_spectrum", counted)
+    monkeypatch.setattr(SphericalHarmonicTransform, "power_spectrum_of",
+                        counted)
     monkeypatch.setattr(container, "_BLOCK_BYTES", 1)
     assert main(args + ["--output", str(passes)]) == 0
     assert sizes == calls
@@ -1255,6 +1314,14 @@ def test_empty_time_axis_climatology_exits_three_and_spectrum_is_header_only(
     spec = tmp_path / "spec.csv"
     assert main(["spectrum", "--input", str(inp), "--output", str(spec)]) == 0
     assert spec.read_text() == "variable,lead_hours,m,power\n"
+    # a variable the kind reads and the file lacks is a data error even
+    # with no times to read
+    capsys.readouterr()
+    missing = tmp_path / "missing.csv"
+    assert main(["spectrum", "--input", str(inp), "--output", str(missing),
+                 "--kind", "theta", "--t-var", "Q", "--level", "single"]) == 2
+    assert capsys.readouterr().err.startswith(f"data error: {inp}: ")
+    assert not missing.exists()
 
 
 def test_solar_holds_one_window_not_all(tmp_path):
