@@ -356,3 +356,42 @@ def test_n320_six_hour_window_allocates_under_100_mb():
         tracemalloc.stop()
     assert peak < 100 * 2 ** 20
     assert np.all(f >= 0.0) and f.max() > 1e7
+
+
+# The byte gate of `spherecast solar`: (file name, grid, start, windows,
+# window hours, dtype).  The Gaussian 32x64 windows run from 2021-12-30
+# 12Z across the year's end, in southern polar day; the N320 window is the
+# benchmark's, in float64, which also fixes the bits of its float32 cast.
+SOLAR_RUNS = [
+    (f"{grid.split(':')[0]}_{dtype}.gvf", grid, start, windows, hours, dtype)
+    for grid, start, windows, hours in [
+        ("gaussian:32x64", "2021-12-30T12:00:00", 8, 6),
+        ("equiangular:16x32", "2021-03-20T03:00:00", 4, 1)]
+    for dtype in ("f32", "f64")] + [
+    ("n320_f64.gvf", "gaussian:640x1280", "2021-06-01T00:00:00", 1, 6, "f64")]
+
+
+def _solar_digests(tmp):
+    import hashlib
+    from spherecast.cli import main
+    digests = {}
+    for name, grid, start, windows, hours, dtype in SOLAR_RUNS:
+        out = tmp / name
+        assert main(["solar", "--grid", grid, "--start", start,
+                     "--windows", str(windows), "--window-hours", str(hours),
+                     "--dtype", dtype, "--output", str(out)]) == 0
+        digests[name] = hashlib.sha256(out.read_bytes()).hexdigest()
+    return digests
+
+
+def test_solar_outputs_match_committed_digests(tmp_path):
+    import json
+    from pathlib import Path
+    want = json.loads((Path(__file__).parent / "data"
+                       / "solar_digests.json").read_text())
+    got = _solar_digests(tmp_path)
+    assert set(want["sha256"]) == set(got)
+    differ = sorted(name for name in got if got[name] != want["sha256"][name])
+    assert not differ, (
+        f"{', '.join(differ)} differ from tests/data/solar_digests.json "
+        f"(made with numpy {want['numpy']}; this is numpy {np.__version__})")
