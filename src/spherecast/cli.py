@@ -56,17 +56,22 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_grid(spec: str):
+    """The grid of a --grid KIND:NLATxNLON spec; a malformed spec or a
+    size its grid kind refuses is a usage error naming the flag."""
     kind, _, dims = spec.partition(":")
     try:
         n_lat, n_lon = (int(x) for x in dims.lower().split("x"))
     except ValueError:
         raise UsageError(
-            f"grid must look like 'gaussian:64x128', got {spec!r}") from None
-    if kind == "gaussian":
-        return make_gaussian_grid(n_lat, n_lon)
-    if kind == "equiangular":
-        return make_equiangular_grid(n_lat, n_lon)
-    raise UsageError(f"unknown grid kind {kind!r}")
+            f"--grid: must look like 'gaussian:64x128', got {spec!r}") from None
+    make = {"gaussian": make_gaussian_grid,
+            "equiangular": make_equiangular_grid}.get(kind)
+    if make is None:
+        raise UsageError(f"--grid: unknown grid kind {kind!r} in {spec!r}")
+    try:
+        return make(n_lat, n_lon)
+    except ValueError as exc:
+        raise UsageError(f"--grid: {spec!r}: {exc}") from None
 
 
 def _parse_time_arg(s: str, flag: str):

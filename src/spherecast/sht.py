@@ -398,10 +398,15 @@ class SphericalHarmonicTransform:
         return out.reshape(stack + self.grid.shape)
 
 
-def _copier(f: np.ndarray):
-    """The fill of _fold that copies fields of the (b, n_lat, n_lon)
-    stack f, of any real dtype, to float64."""
-    return lambda b, x: np.copyto(x, f[b:b + len(x)])
+def _copier(*stacks: np.ndarray):
+    """The fill of _fold that copies fields of (b, n_lat, n_lon) stacks,
+    of any real dtype, to float64: the fields of each stack in turn."""
+    def fill(b, x):
+        for f in stacks:
+            part = f[b:b + len(x)]
+            np.copyto(x[:len(part)], part)
+            x, b = x[len(part):], max(0, b - len(f))
+    return fill
 
 
 @lru_cache(maxsize=8)
@@ -441,9 +446,17 @@ def kinetic_energy_spectrum(u: np.ndarray, v: np.ndarray, l_max: int,
     KE(m) = 1/2 [P_u(m) + P_v(m)]; set half=False to drop the 1/2 of the
     specific-kinetic-energy definition (shape is unaffected).  u and v
     are arrays of one shape (one field or a stack) on grid; both go
-    through one transform call.
+    through one transform call, which copies u's fields and then v's
+    into its work array, so no stack of the two is made.
     """
-    pu, pv = zonal_power_spectrum(np.stack([u, v]), l_max, grid).power
+    transform = _cached_transform(grid, l_max)
+    stack, fu = transform._fields(u)
+    if np.shape(v) != np.shape(u):
+        raise ValueError(f"u shape {np.shape(u)} and v shape {np.shape(v)} "
+                         "differ")
+    _, fv = transform._fields(v)
+    power = transform.power_spectrum_of(_copier(fu, fv), 2 * len(fu))
+    pu, pv = power.reshape((2,) + stack + (l_max + 1,))
     scale = 0.5 if half else 1.0
     return SpectrumResult(power=scale * (pu + pv))
 
@@ -456,8 +469,16 @@ def potential_temperature_energy_spectrum(t: np.ndarray, l_max: int,
 
     theta = T * (1000 / p)^kappa with the dry-air exponent, then the
     zonal power spectrum of theta.  t is an array (one field or a stack)
-    on grid.
+    on grid; each chunk of it is copied into the transform's work array
+    and scaled there, so no theta array is made.
     """
-    theta = (np.asarray(t, dtype=np.float64)
-             * (1000.0 / pressure_hpa) ** DRY_AIR_KAPPA)
-    return zonal_power_spectrum(theta, l_max, grid)
+    transform = _cached_transform(grid, l_max)
+    stack, f = transform._fields(t)
+    copy, scale = _copier(f), (1000.0 / pressure_hpa) ** DRY_AIR_KAPPA
+
+    def fill(b, x):
+        copy(b, x)
+        x *= scale
+
+    power = transform.power_spectrum_of(fill, len(f))
+    return SpectrumResult(power=power.reshape(stack + (l_max + 1,)))

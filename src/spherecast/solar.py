@@ -253,7 +253,57 @@ def instantaneous_irradiance(t: datetime, lat: float, lon: float,
     return irradiance_from_geometry(gsc, geo.earth_sun_distance, geo.zenith)
 
 
-_BLOCK_BYTES = 256 * 1024   # float64 latitude rows per block; stays in cache
+# a column is skipped in an hour only where cos(hour angle) stays below
+# -sin_sin / cos_cos by this much, relative, at every minute of it
+_DARK_MARGIN = 1e-12
+# numpy's ufunc buffer, in elements, while the arcs are summed: numpy 2
+# buffers a broadcast call such as (60, rows, 1) by (60, 1, width) whose
+# rows fit the buffer, copying them in and out to run several as one
+# loop, which made the N320 window twice as slow; longer rows run in place
+_UFUNC_BUFFER = 64
+# latitude rows are summed in groups of about this many cells per minute
+# (one row of a wider grid): two N320 rows, whose 60 minutes are a 1.2 MB
+# block, and twenty N32 rows, which share the Python work of one call
+_ROW_CELLS = 2560
+
+
+def _sunlit_arcs(sin_sin, cos_cos, cos_ha, rows):
+    """(first row, end row, first column, width) of each group of `rows`
+    latitude rows that the sun can light in one hour, from the hour's
+    (60, n_lat) sun terms and its (60, n_lon) cos(hour angle): outside
+    the group's arc of columns, wrapping past column 0 when first + width
+    > n_lon, each of its rows' 60 minutes is surely <= 0.  A group with
+    no lit column is left out.
+
+    A column can be lit only where its largest cos(hour angle) of the
+    hour exceeds the smallest -sin_sin / cos_cos of the row, less a
+    margin far above their rounding.  Those columns form one arc, since
+    the largest cos over an hour of hour angles falls away from noon on
+    both sides, and so do a group's, as its rows' arcs share that noon;
+    a group whose columns do not, or with cos_cos <= 0 in a row, is
+    given whole.  An arc is at least two columns wide, so that the sum
+    over minutes of a (60, rows, width) block is a sum of its (rows,
+    width) planes in order (numpy sums a lone column pairwise)."""
+    n_lat, n = cos_cos.shape[1], cos_ha.shape[1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = -sin_sin / cos_cos
+    dusk = ratio.min(axis=0) - _DARK_MARGIN * (1.0 + np.abs(ratio).max(axis=0))
+    lit = cos_ha.max(axis=0) > dusk[:, None]                  # (n_lat, n_lon)
+    lit[(cos_cos <= 0.0).any(axis=0)] = True
+    starts = np.arange(0, n_lat, rows)
+    lit = np.logical_or.reduceat(lit, starts, axis=0)        # (groups, n_lon)
+    before = np.roll(lit, 1, axis=1)
+    rise, fall = lit & ~before, before & ~lit
+    arcs = rise.sum(axis=1)
+    whole = (arcs > 1) | lit.all(axis=1)
+    first = rise.argmax(axis=1)
+    width = np.maximum((fall.argmax(axis=1) - first) % n, 2)
+    for r, w, a, j, k in zip(starts.tolist(), whole.tolist(), arcs.tolist(),
+                             first.tolist(), width.tolist()):
+        if w:
+            yield r, min(r + rows, n_lat), 0, n
+        elif a:
+            yield r, min(r + rows, n_lat), j, k
 
 
 def accumulated_irradiance(window_start: datetime, window_hours: int,
@@ -267,10 +317,13 @@ def accumulated_irradiance(window_start: datetime, window_hours: int,
 
     The sun terms are tabulated once per window: sin(lat) sin(decl) and
     cos(lat) cos(decl) per (minute, latitude), cos(hour angle) per
-    (minute, longitude) and G_SC / d^2 per minute.  The grid is then
-    walked in blocks of latitude rows: each minute's irradiance is built
-    in one reused buffer and added into the hour's sum, from minute 0 on,
-    and each hour, scaled to J m-2, is added into the window in order.
+    (minute, longitude) and G_SC / d^2 per minute.  Each hour is then
+    built a group of latitude rows at a time (_ROW_CELLS) over the
+    group's sunlit arc of columns (_sunlit_arcs) only: the arc's 60
+    minutes as one (60, rows, width) block, summed over minutes from
+    minute 0 on, scaled to J m-2 and added into the window, hour by hour
+    in order.  The rest of the rows is night at every minute of the hour
+    and adds zeros, so it is skipped.
     """
     if window_hours not in (1, 6):
         raise ValueError(f"window_hours must be 1 or 6, got {window_hours}")
@@ -286,25 +339,34 @@ def accumulated_irradiance(window_start: datetime, window_hours: int,
     cos_ha = np.cos(_hour_angle(times, grid.longitudes, eot))  # (min, n_lon)
     scale = gsc / (dist * dist)                               # (min,)
 
-    total = np.empty(grid.shape)
-    rows = max(1, _BLOCK_BYTES // (8 * grid.n_lon))
-    minute_buf = np.empty((rows, grid.n_lon))
-    hour_buf = np.empty((rows, grid.n_lon))
-    for r0 in range(0, grid.n_lat, rows):
-        block = slice(r0, min(r0 + rows, grid.n_lat))
-        hour, minute = hour_buf[:block.stop - r0], minute_buf[:block.stop - r0]
+    n = grid.n_lon
+    rows = max(1, _ROW_CELLS // n)
+    total = np.zeros(grid.shape)
+    table = np.empty((60, 2 * n))   # the hour's cos_ha twice: arcs that wrap
+    block = np.empty(60 * rows * n)
+    hour_sum = np.empty(rows * n)
+    with np.errstate():  # restores the buffer size on the way out
+        np.setbufsize(_UFUNC_BUFFER)
         for h in range(window_hours):
-            for k in range(60 * h, 60 * (h + 1)):
-                out = hour if k == 60 * h else minute
-                np.multiply(cos_cos[k, block, None], cos_ha[k], out=out)
-                np.add(sin_sin[k, block, None], out, out=out)
-                np.multiply(scale[k], out, out=out)
-                np.maximum(out, 0.0, out=out)
-                if out is minute:
-                    np.add(hour, minute, out=hour)
-            np.multiply(hour, MINUTE_SECONDS, out=hour)
-            if h == 0:
-                total[block] = hour
-            else:
-                np.add(total[block], hour, out=total[block])
+            hour = slice(60 * h, 60 * (h + 1))
+            table[:, :n] = table[:, n:] = cos_ha[hour]
+            for r0, r1, j, width in _sunlit_arcs(
+                    sin_sin[hour], cos_cos[hour], cos_ha[hour], rows):
+                lat, shape = slice(r0, r1), (r1 - r0, width)
+                x = block[:60 * math.prod(shape)].reshape((60,) + shape)
+                np.multiply(cos_cos[hour, lat, None],
+                            table[:, None, j:j + width], out=x)
+                np.add(sin_sin[hour, lat, None], x, out=x)
+                np.multiply(scale[hour, None, None], x, out=x)
+                np.maximum(x, 0.0, out=x)
+                s = np.add.reduce(x, axis=0, out=hour_sum[:math.prod(
+                    shape)].reshape(shape))
+                np.multiply(s, MINUTE_SECONDS, out=s)
+                head = min(width, n - j)
+                for cols, part in ((slice(j, j + head), s[:, :head]),
+                                   (slice(0, width - head), s[:, head:])):
+                    if h == 0:
+                        total[lat, cols] = part
+                    else:
+                        np.add(total[lat, cols], part, out=total[lat, cols])
     return total

@@ -1,13 +1,15 @@
 import os
 import tempfile
 from datetime import datetime, timedelta, timezone
+from functools import reduce
 
 import numpy as np
 import pytest
 
-from spherecast import make_gaussian_grid
+from spherecast import make_gaussian_grid, solar
 from spherecast.container import read_container, write_container
 from spherecast.grid import FieldSeries
+from spherecast.solar import solar_constant_at, sun_ephemeris
 
 T0 = datetime(2020, 1, 1, tzinfo=timezone.utc)
 
@@ -87,3 +89,23 @@ def fail_writes_after(monkeypatch, n_writes):
         return fh if "r" in mode else FailingFile(fh)
 
     monkeypatch.setattr(container, "open", failing_open, raising=False)
+
+
+def stacked_window(start, window_hours, grid, config):
+    """Oracle: one full grid per minute, 60 stacked and summed per hour,
+    hours summed in order."""
+    def minute_grid(t):
+        decl, eot, dist = sun_ephemeris(t)
+        gsc = solar_constant_at(t, config)
+        utc_minutes = t.hour * 60.0 + t.minute + t.second / 60.0
+        tst = utc_minutes + eot + 4.0 * grid.longitudes
+        ha = np.radians((tst / 4.0 - 180.0 + 180.0) % 360.0 - 180.0)
+        phi = np.radians(grid.latitudes)[:, None]
+        cosz = (np.sin(phi) * np.sin(decl)
+                + np.cos(phi) * np.cos(decl) * np.cos(ha)[None, :])
+        return np.maximum(gsc / (dist * dist) * cosz, 0.0)
+
+    hours = [np.stack([minute_grid(start + timedelta(hours=h, minutes=k))
+                       for k in range(60)]).sum(axis=0) * solar.MINUTE_SECONDS
+             for h in range(window_hours)]
+    return reduce(np.add, hours)

@@ -704,6 +704,21 @@ def test_time_with_utc_offset_is_a_usage_error(tmp_path, grid16, capsys, flag,
     assert not (tmp_path / "fc").exists()
 
 
+@pytest.mark.parametrize("kind", ["gaussian", "equiangular"])
+@pytest.mark.parametrize("dims,word", [
+    ("8x15", "n_lon"), ("8x2", "n_lon"), ("1x4", "n_lat"), ("0x16", "n_lat"),
+    ("8x0", "n_lon"), ("-8x16", "n_lat"), ("8x-16", "n_lon")])
+def test_solar_grid_of_a_bad_size_is_a_usage_error(tmp_path, capsys, kind,
+                                                   dims, word):
+    # the grid's own checks used to exit 3 without naming --grid
+    spec = f"{kind}:{dims}"
+    assert main(["solar", "--grid", spec, "--start", "2021-06-01T00:00:00",
+                 "--output", str(tmp_path / "solar.gvf")]) == 1
+    err = capsys.readouterr().err
+    assert f"error: --grid: {spec!r}:" in err and word in err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("windows", ["0", "-2"])
 def test_solar_nonpositive_windows_is_a_usage_error(tmp_path, capsys, windows):
     out = tmp_path / "solar.gvf"

@@ -2,8 +2,9 @@
 normalize, the stacked analysis and synthesis, the power spectrum against
 the analysis, the padding and filters on
 stacks, the filters and clamp writing in place, the stacked verification
-scores, the bootstrap interval, the additivity of solar windows and
-the merge of a config file with the flags.
+scores, the bootstrap interval, the additivity of solar windows, any
+solar window against its minute-by-minute stack and the merge of a
+config file with the flags.
 
 Examples are derandomized, so every run checks the same cases.
 """
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from spherecast import cli, container, filters, sht
+from spherecast import cli, container, filters, sht, solar
 from spherecast.cli import main
 from spherecast.filters import (DiffusionSpec, PoleFilterSpec,
                                 diffuse_values, diffusion_stability_bound,
@@ -32,6 +33,7 @@ from spherecast.preprocess import (Climatology, NormStats, StatEntry,
                                    normalize)
 from spherecast.sht import HarmonicCoeffs, SphericalHarmonicTransform
 from spherecast.solar import SolarConfig, accumulated_irradiance
+from conftest import stacked_window
 from spherecast.verify import (ForecastSet, _per_init, acc_field,
                                bootstrap_mean, rmse_field)
 
@@ -685,6 +687,37 @@ def test_a_six_hour_window_is_the_sum_of_its_hours(start, table):
         total = total + accumulated_irradiance(start + timedelta(hours=h), 1,
                                                _SOLAR_GRID, config)
     assert six.tobytes() == total.tobytes()
+
+
+@settings(DERANDOMIZED, max_examples=20)  # the oracle is a minute at a time
+@given(st.integers(0, 365 * 1440 - 1), st.sampled_from([1, 6]),
+       st.booleans(), st.integers(1, 6), st.integers(2, 16),
+       st.floats(-180.0, 180.0), st.booleans(), st.sampled_from([1, 2560]))
+@example(0, 6, True, 2, 4, 0.0, False, 2560)       # the year's first minute
+@example(365 * 1440 - 1, 6, False, 5, 8, 97.25, True, 1)  # into the next year
+def test_any_window_of_a_year_equals_the_minute_stack(minute, hours, gaussian,
+                                                      half_lat, half_lon,
+                                                      origin, table, cells):
+    # rows of polar day and night, arcs across column 0 and arcs of two
+    # columns all come up over the starts, sizes and longitude origins;
+    # cells = 1 sums a row at a time, as on a grid wider than _ROW_CELLS
+    if gaussian:
+        grid = make_gaussian_grid(2 * half_lat, max(2 * half_lon, 4 * half_lat),
+                                  lon_origin=origin)
+    else:
+        grid = make_equiangular_grid(2 * half_lat, 2 * half_lon,
+                                     lon_origin=origin)
+    start = datetime(2021, 1, 1, tzinfo=timezone.utc) + timedelta(
+        minutes=minute)
+    config = SolarConfig(gsc_table=_GSC_TABLE if table else None)
+    saved = solar._ROW_CELLS
+    solar._ROW_CELLS = cells
+    try:
+        got = accumulated_irradiance(start, hours, grid, config)
+    finally:
+        solar._ROW_CELLS = saved
+    assert got.tobytes() == stacked_window(start, hours, grid,
+                                           config).tobytes()
 
 
 def _flag_values(prm):

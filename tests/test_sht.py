@@ -280,6 +280,37 @@ def test_kinetic_energy_symmetric_under_swap(grid32):
     np.testing.assert_allclose(a.power, b.power, rtol=1e-14)
 
 
+@pytest.mark.parametrize("kind", ["kinetic", "theta"])
+def test_energy_spectra_hold_the_fold_not_a_copy_of_their_input(kind):
+    # 8 float64 fields at 256x512, a pass too large to keep: u and v used
+    # to be stacked into a copy (and t copied into a theta array) beside
+    # the fold; the bits are those of that copy's spectrum
+    grid = make_gaussian_grid(256, 512)
+    rng = np.random.default_rng(21)
+    fields = rng.normal(size=(8,) + grid.shape)
+    field, fold = 8 * 256 * 512, 16 * 2 * 256 * 128 * 8
+    kappa = (1000.0 / 700.0) ** DRY_AIR_KAPPA
+    if kind == "kinetic":
+        u, v = fields[:4], fields[4:]
+        run = lambda: kinetic_energy_spectrum(u, v, 255, grid)  # noqa: E731
+        pu, pv = zonal_power_spectrum(np.stack([u, v]), 255, grid).power
+        expect = 0.5 * (pu + pv)
+    else:
+        t = 250.0 + fields.astype(np.float32)
+        run = lambda: potential_temperature_energy_spectrum(  # noqa: E731
+            t, 255, grid, pressure_hpa=700.0)
+        expect = zonal_power_spectrum(t.astype(np.float64) * kappa, 255,
+                                      grid).power
+    tracemalloc.start()
+    try:
+        got = run().power
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= fold + 2 * field + 2 * 2 ** 21
+    assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
+
+
 def test_solid_body_rotation_zonal_only(grid32):
     u = np.tile(np.cos(np.radians(grid32.latitudes))[:, None],
                 (1, grid32.n_lon))

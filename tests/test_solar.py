@@ -1,16 +1,17 @@
 import tracemalloc
 from datetime import datetime, timedelta, timezone
-from functools import reduce
 
 import numpy as np
 import pytest
 
-from spherecast import make_gaussian_grid
+from spherecast import make_equiangular_grid, make_gaussian_grid
 from spherecast import solar
 from spherecast.solar import (SolarConfig, accumulated_irradiance,
                               instantaneous_irradiance, irradiance_from_geometry,
                               read_gsc_csv, solar_constant_at, solar_geometry,
                               sun_ephemeris)
+from spherecast.grid import GridSpec
+from conftest import stacked_window
 
 UTC = timezone.utc
 
@@ -280,55 +281,96 @@ def scalar_ephemeris(t):
     return float(decl), float(eot), float(dist)
 
 
-def stacked_window(start, window_hours, grid, config):
-    """Oracle: one full grid per minute, 60 stacked and summed per hour,
-    hours summed in order."""
-    def minute_grid(t):
-        decl, eot, dist = sun_ephemeris(t)
-        gsc = solar_constant_at(t, config)
-        utc_minutes = t.hour * 60.0 + t.minute + t.second / 60.0
-        tst = utc_minutes + eot + 4.0 * grid.longitudes
-        ha = np.radians((tst / 4.0 - 180.0 + 180.0) % 360.0 - 180.0)
-        phi = np.radians(grid.latitudes)[:, None]
-        cosz = (np.sin(phi) * np.sin(decl)
-                + np.cos(phi) * np.cos(decl) * np.cos(ha)[None, :])
-        return np.maximum(gsc / (dist * dist) * cosz, 0.0)
-
-    hours = [np.stack([minute_grid(start + timedelta(hours=h, minutes=k))
-                       for k in range(60)]).sum(axis=0) * solar.MINUTE_SECONDS
-             for h in range(window_hours)]
-    return reduce(np.add, hours)
-
-
 GSC_TABLE = {y: 1360.0 + 0.25 * (y - 1979) for y in range(1979, 1996)}
 
 
-@pytest.mark.parametrize("shape,start,hours,table", [
+# (shape of a Gaussian grid, or the grid, start, hours, table)
+WINDOW_CASES = [
     ((16, 32), datetime(2020, 5, 4, 6, tzinfo=UTC), 6, None),
     ((8, 16), datetime(2003, 2, 11, 14, tzinfo=UTC), 1, None),
     # fractional year 2022.0 falls at 2021-12-31 10:15:36 UTC, inside the
     # window, where the cycle wraps from table year 1995 to 1983
     ((16, 32), datetime(2021, 12, 31, 6, tzinfo=UTC), 6, GSC_TABLE),
-    # 25 latitude rows per block at n_lon = 1280: blocks of 25, 25 and 14
     ((64, 1280), datetime(2021, 6, 1, tzinfo=UTC), 6, None),
     ((64, 1280), datetime(2021, 6, 1, 18, tzinfo=UTC), 1, GSC_TABLE),
-])
+    # shifted longitudes put arcs across column 0 at other hours; the
+    # solstices give whole rows of polar day and skipped rows of polar
+    # night
+    (make_gaussian_grid(32, 64, lon_origin=97.5),
+     datetime(2021, 12, 21, 9, tzinfo=UTC), 6, None),
+    (make_equiangular_grid(15, 36, lon_origin=-101.0),
+     datetime(2021, 6, 21, 13, 17, tzinfo=UTC), 1, GSC_TABLE),
+]
+
+
+@pytest.mark.parametrize("shape,start,hours,table", WINDOW_CASES)
 def test_blocked_window_matches_minute_stack_byte_for_byte(shape, start, hours,
                                                             table):
-    grid = make_gaussian_grid(*shape)
+    grid = shape if isinstance(shape, GridSpec) else make_gaussian_grid(*shape)
     cfg = SolarConfig(gsc_table=table)
     got = accumulated_irradiance(start, hours, grid, cfg)
     expect = stacked_window(start, hours, grid, cfg)
     assert got.tobytes() == expect.tobytes()
 
 
-def test_window_fixture_covers_partial_block_and_year_crossing():
-    rows = solar._BLOCK_BYTES // (8 * 1280)
-    assert 64 > rows and 64 % rows != 0
-    start = datetime(2021, 12, 31, 6, tzinfo=UTC)
-    years = [int(solar._fractional_year(t))
-             for t in (start, start + timedelta(hours=6))]
-    assert years == [2021, 2022]
+def _hour_terms(grid, start):
+    """The (60, n_lat) sin_sin and cos_cos and (60, n_lon) cos(hour
+    angle) of the hour from start, as accumulated_irradiance makes them."""
+    times = [start + timedelta(minutes=k) for k in range(60)]
+    decl, eot, _ = sun_ephemeris(times)
+    phi = np.radians(grid.latitudes)
+    return (np.sin(phi)[None, :] * np.sin(decl)[:, None],
+            np.cos(phi)[None, :] * np.cos(decl)[:, None],
+            np.cos(solar._hour_angle(times, grid.longitudes, eot)))
+
+
+def test_window_fixtures_reach_wrapping_arcs_dark_and_lit_rows_and_a_year_crossing():
+    seen = set()
+    for shape, start, hours, _ in WINDOW_CASES:
+        grid = (shape if isinstance(shape, GridSpec)
+                else make_gaussian_grid(*shape))
+        n = grid.n_lon
+        for h in range(hours):
+            sin_sin, cos_cos, cos_ha = _hour_terms(
+                grid, start + timedelta(hours=h))
+            cosz = sin_sin[:, :, None] + cos_cos[:, :, None] * cos_ha[:, None]
+            arcs = {i: (j, width) for i, _, j, width
+                    in solar._sunlit_arcs(sin_sin, cos_cos, cos_ha, 1)}
+            for i in range(grid.n_lat):
+                if i not in arcs:
+                    assert np.all(cosz[:, i] <= 0.0)
+                    seen.add("dark")
+                elif arcs[i][1] == n and np.all(cosz[:, i] > 0.0):
+                    seen.add("lit")
+                elif sum(arcs[i]) > n:
+                    seen.add("wraps")
+        years = {int(solar._fractional_year(t))
+                 for t in (start, start + timedelta(hours=hours))}
+        if len(years) == 2:
+            seen.add("new year")
+    assert seen == {"dark", "lit", "wraps", "new year"}
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+def test_sunlit_arcs_leave_out_only_night(rows):
+    # every (minute, row, column) outside the arcs is <= 0, and a row's
+    # arc is no wider than the night allows, on a grid fine enough to
+    # show it; groups of rows share the union of their rows' arcs
+    grid = make_gaussian_grid(96, 192, lon_origin=11.0)
+    for start in (datetime(2021, 3, 20, 9, 40, tzinfo=UTC),
+                  datetime(2021, 12, 21, 23, 5, tzinfo=UTC)):
+        sin_sin, cos_cos, cos_ha = _hour_terms(grid, start)
+        cosz = sin_sin[:, :, None] + cos_cos[:, :, None] * cos_ha[:, None]
+        inside = np.zeros(grid.shape, dtype=bool)
+        for r0, r1, j, width in solar._sunlit_arcs(sin_sin, cos_cos, cos_ha,
+                                                   rows):
+            assert r1 - r0 == min(rows, grid.n_lat - r0) and r0 % rows == 0
+            inside[r0:r1, (j + np.arange(width)) % grid.n_lon] = True
+        assert np.all(cosz[:, ~inside] <= 0.0)
+        lit = (cosz > 0.0).any(axis=0)
+        assert np.all(inside[lit])
+        if rows == 1:  # a column of margin at most on each side
+            assert inside.sum() <= lit.sum() + 2 * grid.n_lat
 
 
 def test_array_ephemeris_equals_scalar_calls_bit_for_bit():
