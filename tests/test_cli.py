@@ -253,6 +253,52 @@ def test_spectrum_outputs_match_committed_digests(tmp_path, monkeypatch):
         f"numpy {np.__version__})")
 
 
+def _filter_digests(tmp):
+    """{output name: sha256} of filter and pad outputs of seeded 3-time
+    inputs of two variables, on a Gaussian 64x128 and an equiangular
+    24x48 grid, in f32 and in f64: filter with --diffuse (3 steps at half
+    the grid's stability bound), --pole-filter, and both; pad 2 by 3."""
+    from spherecast import make_equiangular_grid, make_gaussian_grid
+    from spherecast.filters import diffusion_stability_bound
+    rng = np.random.default_rng(98)
+    times = [T0 + timedelta(hours=6 * k) for k in range(3)]
+    digests = {}
+    for kind, grid in (("gaussian", make_gaussian_grid(64, 128)),
+                       ("equiangular", make_equiangular_grid(24, 48))):
+        series = [FieldSeries(grid, name, "single", times,
+                              rng.normal(loc, scale, size=(3,) + grid.shape))
+                  for name, loc, scale in (("T", 260.0, 15.0),
+                                           ("Q", 0.0, 1.0))]
+        diffuse = ["--diffuse",
+                   f"{0.5 * diffusion_stability_bound(grid)!r},3"]
+        pole = ["--pole-filter", "55,65"]
+        runs = {"diffuse": ["filter"] + diffuse, "pole": ["filter"] + pole,
+                "both": ["filter"] + diffuse + pole,
+                "pad": ["pad", "--pad-ns", "2", "--pad-ew", "3"]}
+        for dtype in ("f32", "f64"):
+            inp = tmp / f"{kind}_{dtype}_in.gvf"
+            write_container(series, inp, dtype=dtype)
+            for op, argv in runs.items():
+                out = tmp / f"{kind}_{dtype}_{op}.gvf"
+                assert main(argv + ["--input", str(inp),
+                                    "--output", str(out)]) == 0
+                digests[out.name] = hashlib.sha256(
+                    out.read_bytes()).hexdigest()
+    return digests
+
+
+def test_filter_and_pad_outputs_match_committed_digests(tmp_path):
+    # the byte gate of the filter and pad stages
+    want = json.loads((DATA / "filter_digests.json").read_text())
+    got = _filter_digests(tmp_path)
+    assert set(got) == set(want["sha256"])
+    differ = sorted(name for name in got if got[name] != want["sha256"][name])
+    assert not differ, (
+        f"{', '.join(differ)} differ from tests/data/filter_digests.json "
+        f"(made with numpy {want['numpy']} and {want['blas']}; this is "
+        f"numpy {np.__version__})")
+
+
 def _spectrum_csv(path):
     with open(path, newline="") as fh:
         return {(r["variable"], int(r["lead_hours"]), int(r["m"])): r["power"]
