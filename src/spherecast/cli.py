@@ -167,7 +167,7 @@ def _cmd_stats(cfg):
 
 # fields in one spectrum pass at the least, whatever their size: each
 # transform call on a grid too large to keep its Legendre table reruns the
-# recurrence, which costs about as much as the matmuls of four fields
+# recurrence, which costs about as much as the matmuls of two fields
 _MIN_FIELDS = 8
 
 

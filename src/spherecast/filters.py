@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import GridSpec
+from .grid import GridSpec, small_ufunc_buffer
 
 __all__ = [
     "DiffusionSpec",
@@ -135,6 +135,7 @@ def _into(values, out) -> np.ndarray:
     return out
 
 
+@small_ufunc_buffer()  # its (rows, 1) by (rows, n_lon) products
 def diffuse_values(values: np.ndarray, grid: GridSpec, spec: DiffusionSpec,
                    out: np.ndarray | None = None) -> np.ndarray:
     """Run explicit diffusion steps on each (n_lat, n_lon) field of a stack.
@@ -146,7 +147,9 @@ def diffuse_values(values: np.ndarray, grid: GridSpec, spec: DiffusionSpec,
     which is not yet overwritten, and the meridional flux through its
     northern half level, which the band before it computed from old rows
     and hands on.  So only band-sized scratch is made, whatever the
-    stack's size, and every operation runs on contiguous rows.
+    stack's size, and every operation runs on contiguous rows, with
+    numpy's ufunc buffer small (small_ufunc_buffer), which leaves their
+    bits as they are.
     """
     spec.check_stable(grid)
     f = _into(values, out)

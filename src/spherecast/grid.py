@@ -8,6 +8,7 @@ cos(latitude) weights normalized to unit mean.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 import functools
@@ -57,6 +58,24 @@ def ensure_utc(t: datetime) -> datetime:
     if t.tzinfo is None:
         return t.replace(tzinfo=timezone.utc)
     return t.astimezone(timezone.utc)
+
+
+# numpy's ufunc buffer, in elements, inside small_ufunc_buffer: numpy 2
+# buffers a broadcast call such as (rows, 1) by (1, width) whose rows fit
+# the buffer, copying them in and out to run several as one loop, which
+# made an N320 solar window twice as slow; longer rows run in place
+_UFUNC_BUFFER = 64
+
+
+@contextmanager
+def small_ufunc_buffer():
+    """Run the block with numpy's ufunc buffer at _UFUNC_BUFFER elements,
+    and restore the caller's size (and error state) on the way out.  The
+    size changes how numpy copies operands, not what it computes for each
+    element, so elementwise results keep their bits."""
+    with np.errstate():  # restores the buffer size on the way out
+        np.setbufsize(_UFUNC_BUFFER)
+        yield
 
 
 def _legendre_and_derivative(n: int, x: np.ndarray):

@@ -21,7 +21,7 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
-from .grid import GridSpec, ensure_utc
+from .grid import GridSpec, ensure_utc, small_ufunc_buffer
 
 __all__ = [
     "SolarConfig",
@@ -256,11 +256,6 @@ def instantaneous_irradiance(t: datetime, lat: float, lon: float,
 # a column is skipped in an hour only where cos(hour angle) stays below
 # -sin_sin / cos_cos by this much, relative, at every minute of it
 _DARK_MARGIN = 1e-12
-# numpy's ufunc buffer, in elements, while the arcs are summed: numpy 2
-# buffers a broadcast call such as (60, rows, 1) by (60, 1, width) whose
-# rows fit the buffer, copying them in and out to run several as one
-# loop, which made the N320 window twice as slow; longer rows run in place
-_UFUNC_BUFFER = 64
 # latitude rows are summed in groups of about this many cells per minute
 # (one row of a wider grid): two N320 rows, whose 60 minutes are a 1.2 MB
 # block, and twenty N32 rows, which share the Python work of one call
@@ -345,8 +340,7 @@ def accumulated_irradiance(window_start: datetime, window_hours: int,
     table = np.empty((60, 2 * n))   # the hour's cos_ha twice: arcs that wrap
     block = np.empty(60 * rows * n)
     hour_sum = np.empty(rows * n)
-    with np.errstate():  # restores the buffer size on the way out
-        np.setbufsize(_UFUNC_BUFFER)
+    with small_ufunc_buffer():  # (60, rows, 1) by (60, 1, width) products
         for h in range(window_hours):
             hour = slice(60 * h, 60 * (h + 1))
             table[:, :n] = table[:, n:] = cos_ha[hour]

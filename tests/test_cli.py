@@ -299,6 +299,22 @@ def test_filter_and_pad_outputs_match_committed_digests(tmp_path):
         f"numpy {np.__version__})")
 
 
+def test_spectrum_outputs_an_order_at_a_time_match_committed_digests(
+        tmp_path, monkeypatch):
+    # with a 1-byte fold budget every order is its own block, and with no
+    # table kept each block runs the recurrence from its diagonal: the
+    # bytes are those of one block
+    from spherecast import sht
+    monkeypatch.setattr(sht, "_FOLD_BYTES", 1)
+    monkeypatch.setattr(sht, "_TABLE_BYTES", 0)
+    sht._cached_transform.cache_clear()  # transforms made with a table
+    want = json.loads((DATA / "spectrum_digests.json").read_text())
+    try:
+        assert _spectrum_digests(tmp_path, monkeypatch) == want["sha256"]
+    finally:
+        sht._cached_transform.cache_clear()
+
+
 def _spectrum_csv(path):
     with open(path, newline="") as fh:
         return {(r["variable"], int(r["lead_hours"]), int(r["m"])): r["power"]
@@ -1188,6 +1204,18 @@ def test_spectrum_fault_in_a_pass_leaves_the_transform_usable(
     # a NaN in the last field of a 12-field pass, read a field at a time
     # after the other 11 are folded: one error line, no output, and the
     # cached transform then gives the committed bytes
+    _spectrum_fault(tmp_path, monkeypatch, capsys, later=False)
+
+
+def test_spectrum_fault_read_in_a_later_block_leaves_the_transform_usable(
+        tmp_path, monkeypatch, capsys):
+    # with a 1-byte fold budget each order is a block that reads the pass
+    # again; the NaN is read only by the second block, after the first
+    # has summed its power
+    _spectrum_fault(tmp_path, monkeypatch, capsys, later=True)
+
+
+def _spectrum_fault(tmp_path, monkeypatch, capsys, later):
     from spherecast import container, make_gaussian_grid, sht
     grid = make_gaussian_grid(16, 32)
     times = [T0 + timedelta(hours=6 * k) for k in range(9)]
@@ -1195,20 +1223,37 @@ def test_spectrum_fault_in_a_pass_leaves_the_transform_usable(
     series = [FieldSeries(grid, name, "single", times,
                           rng.normal(size=(9,) + grid.shape))
               for name in ("U", "V", "T")]
-    series[2].values[3, 5, 7] = np.nan
     bad = tmp_path / "bad"
     bad.mkdir()
     inp = bad / "in.gvf"
+    if not later:
+        series[2].values[3, 5, 7] = np.nan
     write_container(series, inp, dtype="f64")
     monkeypatch.setattr(container, "_BLOCK_BYTES", 1)
     with monkeypatch.context() as m:
         m.setattr(sht, "_FFT_BYTES", 1)
+        if later:
+            m.setattr(sht, "_FOLD_BYTES", 1)
+            reads = []
+            read = container.Container.read
+
+            def flaky(self, rows, key=None, out=None, cells=None):
+                got = read(self, rows, key, out, cells)
+                if key == ("T", "single") and rows == slice(3, 4):
+                    reads.append(rows)
+                    if len(reads) == 2:
+                        got[0, 5, 7] = np.nan
+                return got
+
+            m.setattr(container.Container, "read", flaky)
         assert main(["spectrum", "--input", str(inp),
                      "--output", str(bad / "spec.csv")]) == 3
     assert capsys.readouterr().err == (
         f"error: {inp}: non-finite values in T (single) at "
         f"{times[3].isoformat()}\n")
     assert [p.name for p in bad.iterdir()] == ["in.gvf"]
+    if later:
+        assert len(reads) == 2
     want = json.loads((DATA / "spectrum_digests.json").read_text())
     assert _spectrum_digests(tmp_path, monkeypatch) == want["sha256"]
 

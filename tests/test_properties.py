@@ -1,10 +1,10 @@
 """Property tests of the container writer and reader, the blocked
 normalize, the stacked analysis and synthesis, the power spectrum against
-the analysis, the padding and filters on
-stacks, the filters and clamp writing in place, the stacked verification
-scores, the bootstrap interval, the additivity of solar windows, any
-solar window against its minute-by-minute stack and the merge of a
-config file with the flags.
+the analysis (whole or a block of orders at a time), the padding and
+filters on stacks, the filters and clamp writing in place, the stacked
+verification scores, the bootstrap interval, the additivity of solar
+windows, any solar window against its minute-by-minute stack and the
+merge of a config file with the flags.
 
 Examples are derandomized, so every run checks the same cases.
 """
@@ -378,6 +378,40 @@ def test_the_power_spectrum_sums_the_power_of_analyze(
             assert _same_coefficients(got, want)
     finally:
         sht._FFT_BYTES, sht._DEGREE_BYTES, sht._KEEP_BYTES = saved
+
+
+@settings(DERANDOMIZED)
+@given(st.integers(1, 16), st.integers(0, 3),
+       st.sampled_from([-101.0, 7.5, 13.3, 97.5]),
+       st.integers(0, 2 ** 32 - 1), st.data())
+def test_the_power_spectrum_in_blocks_of_orders_sums_the_power_of_analyze(
+        half_lat, extra_lon, lon_origin, seed, data):
+    # a pass whose fold exceeds _FOLD_BYTES folds and sums a block of
+    # orders at a time; for any budget, odd and even stacks, a shifted
+    # longitude origin and the Legendre table kept or streamed, the bits
+    # are those of analyze's |a|^2 summed over l
+    n_lat = 2 * half_lat
+    grid = make_gaussian_grid(n_lat, 2 * n_lat + 2 * extra_lon,
+                              lon_origin=lon_origin)
+    l_max = n_lat - 1 - data.draw(st.integers(0, n_lat - 1))
+    n = data.draw(st.integers(1, 9))
+    rng = np.random.default_rng(seed)
+    stack = rng.normal(size=(n,) + grid.shape) * 10.0 ** rng.integers(
+        -5, 6, size=(n, 1, 1))
+    saved = sht._FOLD_BYTES, sht._TABLE_BYTES
+    sht._TABLE_BYTES = data.draw(st.sampled_from([0, sht._TABLE_BYTES]))
+    try:
+        transform = SphericalHarmonicTransform(grid, l_max)
+        want = np.square(np.abs(transform.analyze(stack).values)).sum(-2)
+        want[..., 1:] *= 2.0
+        # one order a block sums along a contiguous axis: drawn often
+        orders = data.draw(st.sampled_from([1, 2]) | st.integers(1, l_max + 1))
+        sht._FOLD_BYTES = orders * 8 * half_lat * (4 * (n + n % 2) + 3)
+        blocks = transform._blocks(n)
+        assert max(m1 - m0 for m0, m1 in blocks) <= orders
+        assert transform.power_spectrum(stack).tobytes() == want.tobytes()
+    finally:
+        sht._FOLD_BYTES, sht._TABLE_BYTES = saved
 
 
 @settings(DERANDOMIZED)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from spherecast import make_equiangular_grid, make_gaussian_grid
+from spherecast import make_equiangular_grid, make_gaussian_grid, sht
 from spherecast.grid import gauss_legendre
 from spherecast.sht import (DRY_AIR_KAPPA, HarmonicCoeffs,
                             SphericalHarmonicTransform, analyze,
@@ -173,27 +173,97 @@ def test_analyze_n320_stores_no_legendre_table():
     assert abs(a[0, 0] - mean * np.sqrt(4.0 * np.pi)) < 1e-12
 
 
-def test_power_spectrum_n320_holds_no_coefficient_array():
+def test_power_spectrum_n320_holds_no_coefficient_array(monkeypatch):
     # analyze holds the 13 MB (l_max+1)^2 coefficient square of two N320
-    # fields beside their 13 MB fold; the power path holds the fold, the
-    # Fourier rows of one field, then a chunk of degrees and the
-    # recurrence's rows
+    # fields beside their 13 MB fold; the power path, with a 4 MiB block
+    # budget, holds a block of the fold and of the recurrence's rows, one
+    # field and a band of its Fourier rows (then a chunk of degrees in the
+    # same array) and the 1.6 MB diagonal of the Legendre table
+    budget = 4 * 2 ** 20
+    monkeypatch.setattr(sht, "_FOLD_BYTES", budget)
     grid = make_gaussian_grid(640, 1280)
     f = np.random.default_rng(16).normal(size=(2,) + grid.shape)
     t = SphericalHarmonicTransform(grid, 639)
-    fold = 16 * 2 * 640 * 320 * 2
+    assert len(t._blocks(2)) > 1
+    field = 8 * 640 * 1280
     tracemalloc.start()
     try:
         power = t.power_spectrum(f)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < fold + 10 * 2 ** 20
+    assert peak < budget + field + 4 * 2 ** 20
     # m = 0 holds |a_00|^2 = 4 pi mean^2 and more
     mean = np.sum(grid.quad_weights[:, None] * f, axis=(1, 2)) / (
         2.0 * grid.n_lon)
     assert power.shape == (2, 640)
     assert np.all(power[:, 0] >= 4.0 * np.pi * mean ** 2)
+
+
+@pytest.mark.parametrize("n", [4, 16])
+def test_power_spectrum_holds_its_fold_budget_whatever_the_pass(monkeypatch,
+                                                                 n):
+    # at 256x512 the fold of 4 fields is 4 MiB and of 16 fields 16 MiB; with
+    # a 2 MiB budget each pass folds a block of orders at a time (3 and 9
+    # blocks), so both peak at the budget beside a chunk of fields and
+    # degrees
+    budget = 2 * 2 ** 20
+    monkeypatch.setattr(sht, "_FOLD_BYTES", budget)
+    grid = make_gaussian_grid(256, 512)
+    f = np.random.default_rng(22).normal(size=(n,) + grid.shape)
+    t = SphericalHarmonicTransform(grid, 255)
+    assert len(t._blocks(n)) == {4: 3, 16: 9}[n]
+    field = 8 * 256 * 512
+    tracemalloc.start()
+    try:
+        t.power_spectrum(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < budget + 2 * field + 4 * 2 ** 20
+
+
+@pytest.mark.parametrize("shape, n, lon_origin", [
+    ((64, 128), 7, 97.5), ((32, 64), 6, -101.0)])
+def test_power_spectrum_a_block_of_orders_at_a_time_is_bit_identical(
+        monkeypatch, shape, n, lon_origin):
+    # 1, 2, 3, 5 and one-order blocks, with the Legendre table kept and
+    # streamed: the bits of analyze's |a|^2 summed over l
+    grid = make_gaussian_grid(*shape, lon_origin=lon_origin)
+    rng = np.random.default_rng(23)
+    f = rng.normal(size=(n,) + grid.shape) * 10.0 ** rng.integers(
+        -5, 6, size=(n, 1, 1))
+    l_max = shape[0] - 1
+    want = np.square(np.abs(analyze(f, l_max, grid).values)).sum(-2)
+    want[:, 1:] *= 2.0
+    per_order = 8 * (shape[0] // 2) * (4 * (n + n % 2) + 3)
+    for table in (sht._TABLE_BYTES, 0):
+        monkeypatch.setattr(sht, "_TABLE_BYTES", table)
+        t = SphericalHarmonicTransform(grid, l_max)
+        assert (t._table is None) == (table == 0)
+        for count in (1, 2, 3, 5, l_max + 1):
+            monkeypatch.setattr(sht, "_FOLD_BYTES",
+                                per_order * -(-(l_max + 1) // count))
+            assert len(t._blocks(n)) == count
+            assert t.power_spectrum(f).tobytes() == want.tobytes(), count
+
+
+def test_legendre_rows_of_any_order_range_are_the_full_rows():
+    # a range starts from the diagonal of its first order; every value is
+    # that of the recurrence over all orders, bit for bit
+    x, _ = gauss_legendre(50)
+    x = x[:25]
+    full = {l: p.copy() for l, p in sht._legendre_rows(x, 40)}
+    seeds = sht._sectoral(x, 40)
+    for m0, m1 in [(0, 1), (0, 41), (1, 2), (3, 9), (7, 8), (20, 41),
+                   (39, 40), (40, 41)]:
+        for sectoral in (None, seeds):
+            degrees = []
+            for l, p in sht._legendre_rows(x, 40, (m0, m1), sectoral):
+                degrees.append(l)
+                assert p.shape == (min(l + 1, m1) - m0, x.size)
+                assert p.tobytes() == full[l][m0:m1].tobytes(), (m0, m1, l)
+            assert degrees == list(range(m0, 41))
 
 
 def test_real_field_zonal_coeffs_real(grid32):
