@@ -2350,6 +2350,81 @@ def _verify_digests(tmp):
     return digests
 
 
+def _rollout_digests(tmp):
+    """{output name: sha256} of rollout, normalize and denormalize outputs
+    of a seeded 8-time 16x32 input of three variables, in f32 and in f64:
+    two inits 6 h apart with 24 h of 6-hourly leads by persistence, by the
+    climatology forecaster (a climatology written from seeded arrays, in
+    the input's dtype), and by an external identity command with a clamp,
+    a diffusion step at half the stability bound and the pole filter
+    after each step; normalize with the stats stage's stats, and
+    denormalize of that."""
+    from spherecast import make_gaussian_grid
+    from spherecast.filters import diffusion_stability_bound
+    grid = make_gaussian_grid(16, 32)
+    rng = np.random.default_rng(99)
+    times = [T0 + timedelta(hours=6 * k) for k in range(8)]
+    series = [FieldSeries(grid, name, "single", times,
+                          rng.normal(loc, scale, size=(8,) + grid.shape))
+              for name, loc, scale in (("Z500", 5500.0, 120.0),
+                                       ("T850", 275.0, 12.0),
+                                       ("Q700", 0.0, 1.0))]
+    clim = Climatology(grid=grid, hours=[0, 6, 12, 18], window_days=61,
+                       std_days=10.0, data={
+                           s.key: rng.normal(size=(365, 4) + grid.shape)
+                           for s in series})
+    identity = tmp / "identity.sh"
+    identity.write_text(IDENTITY_SH)
+    postprocess = json.dumps([
+        {"kind": "clamp_nonnegative", "variables": ["Q700"]},
+        {"kind": "laplacian_diffuse", "params": {
+            "nu_dt": 0.5 * diffusion_stability_bound(grid), "steps": 1}},
+        {"kind": "pole_filter", "params": {"start_lat": 60}}])
+    digests = {}
+    for dtype in ("f32", "f64"):
+        inp = tmp / f"in_{dtype}.gvf"
+        write_container(series, inp, dtype=dtype)
+        clim.to_container(tmp / f"clim_{dtype}.gvf", dtype=dtype)
+        forecasters = {
+            "persistence": [],
+            "climatology": ["--forecaster", "climatology", "--climatology",
+                            str(tmp / f"clim_{dtype}.gvf")],
+            "external": ["--forecaster", "external",
+                         "--external-cmd", f"sh {identity}",
+                         "--postprocess", postprocess]}
+        for name, flags in forecasters.items():
+            fc = tmp / f"{name}_{dtype}"
+            assert main(["rollout", "--initial-states", str(inp),
+                         "--output-dir", str(fc),
+                         "--inits", "2020-01-01T00:00:00,2,6",
+                         "--max-lead-hours", "24"] + flags) == 0
+            for out in sorted(fc.glob("*.gvf")):
+                digests[f"{fc.name}/{out.name}"] = hashlib.sha256(
+                    out.read_bytes()).hexdigest()
+        stats = tmp / f"stats_{dtype}.json"
+        assert main(["stats", "--input", str(inp),
+                     "--output", str(stats)]) == 0
+        for name, src in (("normalize", inp),
+                          ("denormalize", tmp / f"normalize_{dtype}.gvf")):
+            out = tmp / f"{name}_{dtype}.gvf"
+            assert main([name, "--input", str(src), "--stats", str(stats),
+                         "--output", str(out)]) == 0
+            digests[out.name] = hashlib.sha256(out.read_bytes()).hexdigest()
+    return digests
+
+
+def test_rollout_and_normalize_outputs_match_committed_digests(tmp_path):
+    # the byte gate of the rollout, normalize and denormalize stages
+    want = json.loads((DATA / "rollout_digests.json").read_text())
+    got = _rollout_digests(tmp_path)
+    assert set(got) == set(want["sha256"])
+    differ = sorted(name for name in got if got[name] != want["sha256"][name])
+    assert not differ, (
+        f"{', '.join(differ)} differ from tests/data/rollout_digests.json "
+        f"(made with numpy {want['numpy']} and {want['blas']}; this is "
+        f"numpy {np.__version__})")
+
+
 def test_verify_outputs_match_committed_digests(tmp_path):
     # the climatology is written from arrays, not by the climatology
     # stage, whose bits depend on the BLAS thread count
