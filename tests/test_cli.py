@@ -213,8 +213,11 @@ def test_spectrum_cli_matches_committed_golden(tmp_path):
 def _spectrum_digests(tmp, monkeypatch):
     """{output name: sha256} of spectrum CSVs of a seeded 9-time 16x32
     input of three variables, in f32 and in f64: --kind power (passes of
-    12, 12 and 3 fields), kinetic (8, 8, 2) and theta (8, 1)."""
+    12, 12 and 3 fields), kinetic (8, 8, 2) and theta (8, 1); and, as
+    `<name>:power`, of the float64 power of each field behind each CSV,
+    the bytes of every pass in order, which the CSV's 9 digits round."""
     from spherecast import container, make_gaussian_grid
+    from spherecast.sht import SphericalHarmonicTransform
     grid = make_gaussian_grid(16, 32)
     rng = np.random.default_rng(95)
     times = [T0 + timedelta(hours=6 * k) for k in range(9)]
@@ -231,12 +234,26 @@ def _spectrum_digests(tmp, monkeypatch):
     for dtype in ("f32", "f64"):
         write_container(series, tmp / f"in_{dtype}.gvf", dtype=dtype)
     monkeypatch.setattr(container, "_BLOCK_BYTES", 1)
+    power_spectrum_of = SphericalHarmonicTransform.power_spectrum_of
+    passes = []
+
+    def kept(self, fill, n):
+        passes.append(power_spectrum_of(self, fill, n))
+        return passes[-1]
+
     digests = {}
-    for name, (dtype, flags) in runs.items():
-        out = tmp / name
-        assert main(["spectrum", "--input", str(tmp / f"in_{dtype}.gvf"),
-                     "--output", str(out)] + flags) == 0
-        digests[name] = hashlib.sha256(out.read_bytes()).hexdigest()
+    with monkeypatch.context() as m:
+        m.setattr(SphericalHarmonicTransform, "power_spectrum_of", kept)
+        for name, (dtype, flags) in runs.items():
+            out = tmp / name
+            passes.clear()
+            assert main(["spectrum", "--input", str(tmp / f"in_{dtype}.gvf"),
+                         "--output", str(out)] + flags) == 0
+            digests[name] = hashlib.sha256(out.read_bytes()).hexdigest()
+            power = hashlib.sha256()
+            for p in passes:
+                power.update(np.ascontiguousarray(p, "<f8").tobytes())
+            digests[f"{name}:power"] = power.hexdigest()
     return digests
 
 
