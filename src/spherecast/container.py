@@ -238,10 +238,12 @@ class Container:
         grid) of key's fields, copied into out (a new float64 array by
         default): ([rows,] [variable,] n_lat, n_lon) or ([rows,] cells).
         Each row of key, or run of consecutive rows of every variable, is
-        one os.preadv, straight into an out C-contiguous in the file's
-        dtype, else into a reused staging array of that dtype, at most
-        _BLOCK_BYTES (or a row) at a time, and cast.  A short read raises
-        ContainerError naming the file and the row."""
+        one os.preadv straight into an out C-contiguous in the file's
+        dtype.  Any other out is filled through one reused staging array
+        of the file's dtype of at most _CAST_BYTES, and cast: as many
+        whole rows as fit, or a row larger than that in runs of whole
+        fields, lines or cells (_runs), each one os.preadv.  A short read
+        raises ContainerError naming the file and the row."""
         one = isinstance(rows, (int, np.integer))
         if one or isinstance(rows, slice):
             rows = range(len(self.times))[rows]
@@ -249,6 +251,7 @@ class Container:
         if len(rows) and not 0 <= rows.min() <= rows.max() < len(self.times):
             raise IndexError(f"{self.path}: time rows {rows.min()}.."
                              f"{rows.max()} outside 0..{len(self.times) - 1}")
+        rows = rows.tolist()
         first = self._offset
         if key is None:
             shape = (len(self.variables),) + self.grid.shape
@@ -268,28 +271,33 @@ class Container:
             self._pread(rows, first, into)
             return out
         size = math.prod(shape)
-        step = max(1, _BLOCK_BYTES // max(1, size * self.dtype.itemsize))
-        if len(self._stage) < min(step, len(rows)) * size:
-            self._stage = np.empty(min(step, len(rows)) * size, self.dtype)
-        for start in range(0, len(rows), step):
-            part = rows[start:start + step]
-            into[start:start + len(part)] = self._pread(
-                part, first, self._stage[:len(part) * size].reshape(
-                    (len(part),) + shape))
+        cap = max(1, _CAST_BYTES // self.dtype.itemsize)
+        if len(self._stage) < min(cap, len(rows) * size):
+            self._stage = np.empty(min(cap, len(rows) * size), self.dtype)
+        for start, index in _runs(into.shape, cap):
+            dest = into[index]
+            if len(index) == 1:  # whole rows
+                part, cell = rows[index[0]], 0
+            else:  # a run of one row's cells
+                part, cell = rows[index[0]:index[0] + 1], start % size
+            dest[...] = self._pread(
+                part, first + cell * self.dtype.itemsize,
+                self._stage[:dest.size].reshape(dest.shape))
         return out
 
     def _pread(self, rows, first: int, dest: np.ndarray) -> np.ndarray:
-        """dest, C-contiguous in the file's dtype, with dest[i] read from
-        the bytes at first + rows[i] * stride; rows that lie end to end in
-        the file (whole rows of every variable) go in one preadv."""
+        """dest, C-contiguous in the file's dtype, with its i-th of
+        len(rows) equal parts read from the bytes at first + rows[i] *
+        stride, rows a list of ints; rows that lie end to end in the file
+        (whole rows of every variable) go in one preadv."""
         mem = dest.reshape(-1).view(np.uint8)
         unit = len(mem) // max(1, len(rows))
-        cuts = (np.flatnonzero(np.diff(rows) != 1) + 1).tolist() if (
-            unit == self._stride) else range(1, len(rows))
-        bounds = [0, *cuts, len(rows)] if len(rows) else []
+        cuts = ([i for i in range(1, len(rows)) if rows[i] != rows[i - 1] + 1]
+                if unit == self._stride else range(1, len(rows)))
+        bounds = [0, *cuts, len(rows)] if rows else []
         for start, stop in zip(bounds, bounds[1:]):
             lo, hi = start * unit, stop * unit
-            at = first + int(rows[start]) * self._stride - lo  # of mem[0]
+            at = first + rows[start] * self._stride - lo  # of mem[0]
             while lo < hi:
                 got = os.preadv(self._fd, [mem[lo:hi]], at + lo)
                 if not got:
@@ -337,9 +345,33 @@ def check_agreement(other, keys, grid: GridSpec | None = None,
 
 
 # bytes of one block: a stage reads at most this much of a file at once,
-# as float64 (cli._row_blocks) or in the file's dtype (check_rows and
-# Container.read's staging array)
+# as float64 (cli._row_blocks) or in the file's dtype (check_rows)
 _BLOCK_BYTES = 1 << 21
+
+# bytes of the one buffer through which Container.read casts what it reads
+# and a writer casts what it writes, whatever the size of a row or field
+_CAST_BYTES = 1 << 18
+
+
+def _runs(shape, cap: int):
+    """(first flat cell, index) of each run of an array of shape, in C
+    order: the whole array if it fits in cap cells, else as many whole
+    items as fit of the outermost axis whose items fit (on the last axis
+    an item is a cell).  Each run is one contiguous span of the flat
+    cells."""
+    inner = math.prod(shape)
+    if inner <= cap:
+        if inner:
+            yield 0, (slice(None),)
+        return
+    for axis, n in enumerate(shape):
+        inner //= n
+        if inner <= cap:
+            break
+    k = min(n, cap // inner)  # items of axis per run
+    for i, outer in enumerate(np.ndindex(*shape[:axis])):
+        for a in range(0, n, k):
+            yield (i * n + a) * inner, outer + (slice(a, a + k),)
 
 
 def check_finite(where, what: str, values, keys, when, rows=None) -> None:
@@ -436,18 +468,20 @@ class _Writer:
         self._size = grid.n_lat * grid.n_lon
         self._filled = np.zeros((len(times), len(variables)), dtype=np.intp)
         self._next = 0
-        self._f32 = np.empty(self._size, dtype=np_dtype)  # see _cast
+        self._buf = np.empty(0, dtype=np_dtype)  # see _cast
 
     def _cast(self, values, row: int, j: int) -> np.ndarray:
-        """Cells of one field as the file's dtype; a finite float64 value
-        that becomes inf in an f32 cast raises.  An f32 cast of float64
-        goes to one buffer that the next cast overwrites."""
-        if values.dtype != np.float64 or self._dtype.itemsize == 8:
-            return np.ascontiguousarray(values, dtype=self._dtype)
-        out = self._f32[:values.size].reshape(values.shape)
-        with np.errstate(over="ignore"):
-            np.copyto(out, values)
-        if math.isfinite(out.max()) and math.isfinite(out.min()):
+        """values, a run (_runs) of at most _CAST_BYTES of the file's
+        dtype of a field of variable j at time row, cast to that dtype in
+        one buffer that the next cast overwrites; a finite float64 value
+        that becomes inf in an f32 cast raises (at() calls this with
+        numpy's overflow warning off)."""
+        if len(self._buf) < values.size:
+            self._buf = np.empty(values.size, self._dtype)
+        out = self._buf[:values.size].reshape(values.shape)
+        np.copyto(out, values, casting="unsafe")
+        if (values.dtype != np.float64 or self._dtype.itemsize == 8
+                or math.isfinite(out.max()) and math.isfinite(out.min())):
             return out
         # an inf or a NaN: an overflow if a finite value became inf
         inf = np.isinf(out)
@@ -501,9 +535,15 @@ class _Writer:
         size = self._dtype.itemsize
         field = self._offset + (j * self._size + start) * size
         stride = len(self._variables) * self._size * size
-        for row, cells in zip(rows, values):
-            self._fh.seek(field + row * stride)
-            self._fh.write(self._cast(cells, row, j))
+        cap = max(1, _CAST_BYTES // size)
+        with np.errstate(over="ignore"):  # _cast raises on an f32 overflow
+            for row, cells in zip(rows, values):
+                self._fh.seek(field + row * stride)
+                if cells.dtype == self._dtype and cells.flags.c_contiguous:
+                    self._fh.write(cells)
+                    continue
+                for _, index in _runs(cells.shape, cap):
+                    self._fh.write(self._cast(cells[index], row, j))
         self._filled[list(rows), j] += math.prod(shape)
 
     def check_complete(self) -> None:
@@ -530,11 +570,12 @@ def container_writer(path, grid: GridSpec, variables, times,
     order, a (k, n_lat, n_lon) array for the next k times, and
     write.at(rows, j, values, start=0), which puts values[i] of variable j
     at time row rows[i] wherever that row lies in the file: a whole field,
-    or a run of cells from flat cell start on.  Each field is cast to
-    dtype and written as it comes, so no more than one block is ever held;
-    a finite float64 value beyond the f32 range raises ValueError naming
-    the variable and time.  The file appears at path only once every
-    (time, variable) cell is written.
+    or a run of cells from flat cell start on.  Each field is written as
+    it comes, so no more than one block is ever held; one that is not
+    C-contiguous in dtype is cast in runs of at most _CAST_BYTES through
+    one buffer, and a finite float64 value beyond the f32 range raises
+    ValueError naming the variable and time.  The file appears at path
+    only once every (time, variable) cell is written.
     """
     if dtype not in _DTYPES:
         raise ValueError(f"dtype must be one of {sorted(_DTYPES)}, got {dtype!r}")

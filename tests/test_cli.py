@@ -233,7 +233,10 @@ def _spectrum_digests(tmp, monkeypatch):
                                   "--level", "single", "--pressure", "700"])}
     for dtype in ("f32", "f64"):
         write_container(series, tmp / f"in_{dtype}.gvf", dtype=dtype)
+    # passes of the fewest fields, and reads cast in runs of 25 f32 or 12
+    # f64 cells, within a 32-cell line
     monkeypatch.setattr(container, "_BLOCK_BYTES", 1)
+    monkeypatch.setattr(container, "_CAST_BYTES", 100)
     power_spectrum_of = SphericalHarmonicTransform.power_spectrum_of
     passes = []
 
@@ -1247,6 +1250,7 @@ def _spectrum_fault(tmp_path, monkeypatch, capsys, later):
         series[2].values[3, 5, 7] = np.nan
     write_container(series, inp, dtype="f64")
     monkeypatch.setattr(container, "_BLOCK_BYTES", 1)
+    monkeypatch.setattr(container, "_CAST_BYTES", 1)
     with monkeypatch.context() as m:
         m.setattr(sht, "_FFT_BYTES", 1)
         if later:
@@ -1302,6 +1306,7 @@ def test_spectrum_pass_holds_eight_fields_when_a_row_exceeds_its_budget(
     monkeypatch.setattr(SphericalHarmonicTransform, "power_spectrum_of",
                         counted)
     monkeypatch.setattr(container, "_BLOCK_BYTES", 1)
+    monkeypatch.setattr(container, "_CAST_BYTES", 1)
     assert main(args + ["--output", str(passes)]) == 0
     assert sizes == calls
     assert passes.read_bytes() == whole.read_bytes()
@@ -2367,7 +2372,7 @@ def _verify_digests(tmp):
     return digests
 
 
-def _rollout_digests(tmp):
+def _rollout_digests(tmp, cast=None):
     """{output name: sha256} of rollout, normalize and denormalize outputs
     of a seeded 8-time 16x32 input of three variables, in f32 and in f64:
     two inits 6 h apart with 24 h of 6-hourly leads by persistence, by the
@@ -2375,7 +2380,8 @@ def _rollout_digests(tmp):
     the input's dtype), and by an external identity command with a clamp,
     a diffusion step at half the stability bound and the pole filter
     after each step; normalize with the stats stage's stats, and
-    denormalize of that."""
+    denormalize of that.  cast(), if given, is called once the inputs are
+    written."""
     from spherecast import make_gaussian_grid
     from spherecast.filters import diffusion_stability_bound
     grid = make_gaussian_grid(16, 32)
@@ -2397,11 +2403,14 @@ def _rollout_digests(tmp):
         {"kind": "laplacian_diffuse", "params": {
             "nu_dt": 0.5 * diffusion_stability_bound(grid), "steps": 1}},
         {"kind": "pole_filter", "params": {"start_lat": 60}}])
+    for dtype in ("f32", "f64"):
+        write_container(series, tmp / f"in_{dtype}.gvf", dtype=dtype)
+        clim.to_container(tmp / f"clim_{dtype}.gvf", dtype=dtype)
+    if cast is not None:
+        cast()
     digests = {}
     for dtype in ("f32", "f64"):
         inp = tmp / f"in_{dtype}.gvf"
-        write_container(series, inp, dtype=dtype)
-        clim.to_container(tmp / f"clim_{dtype}.gvf", dtype=dtype)
         forecasters = {
             "persistence": [],
             "climatology": ["--forecaster", "climatology", "--climatology",
@@ -2440,6 +2449,16 @@ def test_rollout_and_normalize_outputs_match_committed_digests(tmp_path):
         f"{', '.join(differ)} differ from tests/data/rollout_digests.json "
         f"(made with numpy {want['numpy']} and {want['blas']}; this is "
         f"numpy {np.__version__})")
+
+
+def test_rollout_and_normalize_outputs_cast_in_runs_match_committed_digests(
+        tmp_path, monkeypatch):
+    # every cast read and write of the stages through a 24-byte buffer:
+    # runs of 6 f32 or 3 f64 cells
+    from spherecast import container
+    want = json.loads((DATA / "rollout_digests.json").read_text())
+    assert _rollout_digests(tmp_path, lambda: monkeypatch.setattr(
+        container, "_CAST_BYTES", 24)) == want["sha256"]
 
 
 def test_verify_outputs_match_committed_digests(tmp_path):

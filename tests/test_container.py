@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -327,6 +328,7 @@ def test_read_copies_rows_into_a_float64_array_or_the_callers(
     assert c.read(slice(None), q, out) is out
     assert out.tobytes() == f32.tobytes()
     monkeypatch.setattr(container, "_BLOCK_BYTES", 1)
+    monkeypatch.setattr(container, "_CAST_BYTES", 1)
     stack = np.zeros((3, 2) + grid16.shape, dtype=">f8")
     c.read(slice(None), q, stack[:, 1])
     assert np.array_equal(stack[:, 1], f32) and not stack[:, 0].any()
@@ -367,6 +369,151 @@ def test_a_file_truncated_after_it_is_opened_names_the_file_and_row(
                           str(path)], capture_output=True, text=True, env=env)
     assert (run.returncode, run.stderr) == (
         1, f"{path}: short read at time row 39\n")
+
+
+def _read_forms(c, n_time):
+    """(label, read, shape) of every form of Container.read on c: read
+    is out -> c.read(...), out None or the caller's array of shape."""
+    q = ("Q", "L10")
+    shape, n_var = c.grid.shape, len(c.keys)
+    return [
+        ("int", lambda out: c.read(1, q, out), shape),
+        ("slice", lambda out: c.read(slice(1, None), q, out),
+         (n_time - 1,) + shape),
+        ("sequence", lambda out: c.read([3, 0, 3, 1], q, out), (4,) + shape),
+        ("every variable", lambda out: c.read([2, 0], None, out),
+         (2, n_var) + shape),
+        ("one row of every variable", lambda out: c.read(2, None, out),
+         (n_var,) + shape),
+        ("cells", lambda out: c.read([0, 2], q, out, cells=slice(5, 400)),
+         (2, 395)),
+        ("cells of one row",
+         lambda out: c.read(3, q, out, cells=slice(77, None)),
+         (c.grid.n_lat * c.grid.n_lon - 77,))]
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+@pytest.mark.parametrize("cap", [1, 100, 3000])
+def test_reads_in_runs_below_a_row_equal_the_default_read(
+        tmp_path, grid16, monkeypatch, dtype, cap):
+    # a 16x32 field is 512 cells and a row of every variable 1536: a cap
+    # of 100 bytes is 25 f32 or 12 f64 cells, runs within a line; 3000
+    # bytes is a field of f32 at a time but 11 lines of f64
+    path = tmp_path / "data.gvf"
+    write_container(_random_collection(grid16, seed=11, n_time=4), path,
+                    dtype=dtype)
+    c = read_container(path)
+    forms = _read_forms(c, 4)
+    want = {label: read(None) for label, read, _ in forms}
+    monkeypatch.setattr(container, "_CAST_BYTES", cap)
+    c = read_container(path)  # a new staging array
+    for label, read, shape in _read_forms(c, 4):
+        expect = want[label]
+        got = read(None)
+        assert got.dtype == np.float64 and got.shape == shape, label
+        assert got.tobytes() == expect.tobytes(), label
+        # strided, big-endian and float32 arrays of the caller's
+        strided = np.zeros((2,) + shape)
+        read(strided[0])
+        assert strided[0].tobytes() == expect.tobytes(), label
+        assert not strided[1].any(), label
+        big = np.zeros(shape, ">f8")
+        read(big)
+        assert np.array_equal(big, expect), label
+        f32 = np.zeros(shape, np.float32)
+        read(f32)
+        assert f32.tobytes() == expect.astype(np.float32).tobytes(), label
+
+
+def test_a_file_cut_inside_a_row_names_the_row_read_in_runs(
+        tmp_path, grid16, monkeypatch, capsys):
+    # the cut falls in row 2's second variable, read 25 cells at a time
+    from spherecast.cli import main
+    path = tmp_path / "cut.gvf"
+    write_container(_random_collection(grid16, seed=12, n_time=4), path)
+    monkeypatch.setattr(container, "_CAST_BYTES", 100)
+    c = read_container(path)
+    row_bytes = 3 * grid16.n_lat * grid16.n_lon * 4
+    os.truncate(path, c._offset + 2 * row_bytes + row_bytes // 2 + 6)
+    with pytest.raises(ContainerError,
+                       match=f"^{path}: short read at time row 2$"):
+        c.read(slice(None))
+    with pytest.raises(ContainerError, match="short read at time row 2$"):
+        c.read(2, ("Q", "L10"), cells=slice(3, 500))
+    assert c.read(1).shape == (3,) + grid16.shape  # rows before the cut
+    # in a stage: the file cut once it is opened
+    write_container(_random_collection(grid16, seed=12, n_time=4), path)
+    opened = container.Container.__init__
+
+    def cut_on_open(self, where):
+        opened(self, where)
+        if Path(where) == path:
+            os.truncate(path, self._offset + 2 * row_bytes + 10)
+
+    monkeypatch.setattr(container.Container, "__init__", cut_on_open)
+    out = tmp_path / "stats.json"
+    assert main(["stats", "--input", str(path), "--output", str(out)]) == 2
+    assert capsys.readouterr().err.endswith(
+        f"{path}: short read at time row 2\n")
+    assert not out.exists()
+
+
+def _traced_peak(call) -> int:
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_an_n160_row_is_read_and_written_through_one_capped_buffer(tmp_path):
+    # a 320x640 row of three f32 variables is 2.34 MiB; cast through a
+    # buffer as large as the row or a field it traced 2.34 MiB read as
+    # float64 and 0.78 MiB written back as f32
+    from spherecast import make_gaussian_grid
+    from spherecast.container import container_writer
+    grid = make_gaussian_grid(320, 640)
+    rng = np.random.default_rng(13)
+    state = rng.normal(275.0, 12.0, size=(3,) + grid.shape)
+    variables = [(name, "single", "1") for name in ("Z500", "T850", "Q700")]
+    times = [datetime(2021, 3, 1, tzinfo=timezone.utc)]
+    src, back = tmp_path / "src.gvf", tmp_path / "back.gvf"
+    with container_writer(src, grid, variables, times) as write:
+        write(state[:, None])
+    c = read_container(src)
+    out = np.empty_like(state)
+    limit = container._CAST_BYTES + (64 << 10)
+
+    def write_back():
+        with container_writer(back, grid, variables, times) as write:
+            write(out[:, None])
+
+    assert _traced_peak(lambda: c.read(0, None, out)) <= limit
+    assert out.tobytes() == state.astype(np.float32).astype(
+        np.float64).tobytes()
+    assert _traced_peak(write_back) <= limit
+    assert back.read_bytes() == src.read_bytes()
+
+
+@pytest.mark.parametrize("cap", [100, None])
+def test_a_value_beyond_f32_in_a_fields_last_run_raises_and_writes_nothing(
+        tmp_path, grid16, monkeypatch, cap):
+    from spherecast.container import container_writer
+    if cap is not None:
+        monkeypatch.setattr(container, "_CAST_BYTES", cap)
+    series = make_series(grid16, "Q", "L10", n_time=3, seed=14)
+    series.values[1, -1, -1] = 1e39  # the last cell of row 1's field
+    path = tmp_path / "huge.gvf"
+    when = series.times[1].strftime("%Y-%m-%dT%H:%M:%SZ")
+    with pytest.raises(ValueError, match=(
+            f"^{path}: Q \\(L10\\) at {when}: finite values beyond the f32 "
+            "range$")):
+        with container_writer(path, grid16, [("Q", "L10", "1")],
+                              series.times) as write:
+            write([series.values])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_scores_csv_layout(tmp_path):
